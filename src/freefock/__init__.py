@@ -23,7 +23,6 @@ from .caratheodory import (
 from .errors import (
     InfeasibleError,
     InputError,
-    NoConvergenceError,
     ScopeError,
     SizeLimitError,
 )
@@ -66,14 +65,7 @@ from .series import (
     radius_estimate,
     truncated_cayley,
 )
-from .toeplitz import (
-    MultiToeplitzMatrix,
-    OrbitStructure,
-    assemble_T,
-    assemble_kernel,
-    orbit_structure,
-    project_affine,
-)
+from .toeplitz import MultiToeplitzMatrix, assemble_T, assemble_kernel
 from .transforms import (
     MomentFunctional,
     fantappie_transform,

@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON out, scriptable exit codes.
 
-Exit codes: 0 ok/feasible, 1 infeasible, 2 no convergence, 3 input
-error, 4 numerical-scope error.
+Exit codes: 0 ok/feasible, 1 infeasible, 3 input error, 4 numerical-
+scope error.  Code 2 (no convergence) is retired and never emitted: the
+extension is computed in closed form.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from . import jsonio
 from . import pluriharmonic as ph
 from . import selftest
 from . import series as fs
-from .errors import InfeasibleError, InputError, NoConvergenceError, ScopeError
+from .errors import InfeasibleError, InputError, ScopeError
 from .fock import get_trunc, poisson_transform_block
 from .words import GradedBasis, word_to_string
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
-EXIT_NO_CONVERGENCE = 2
 EXIT_INPUT = 3
 EXIT_SCOPE = 4
 
@@ -64,14 +64,7 @@ def cmd_check(args):
 
 def cmd_extend(args):
     prob = jsonio.json_to_problem(jsonio.load_json(args.problem))
-    try:
-        ext = cara.extend(prob, args.target_degree, tol=args.tol, max_iter=args.max_iter)
-    except NoConvergenceError as exc:
-        _emit(
-            {"converged": False, "residual": exc.residual, "iterations": exc.iterations},
-            args,
-        )
-        return EXIT_NO_CONVERGENCE
+    ext = cara.extend(prob, args.target_degree, tol=args.tol)
     rep = cara.verify_solution(prob, ext, samples=args.samples, seed=args.seed)
     payload = jsonio.extension_to_json(ext)
     payload["verification"] = {
@@ -162,7 +155,6 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--target-degree", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
@@ -218,9 +210,6 @@ def main(argv=None):
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NoConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except ScopeError as exc:
         print(f"numerical scope error: {exc}", file=sys.stderr)
         return EXIT_SCOPE

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all freefock modules.
 
 The CLI maps these onto exit codes: InputError -> 3, ScopeError -> 4,
-InfeasibleError -> 1, NoConvergenceError -> 2.
+InfeasibleError -> 1.  Exit code 2 (no convergence) is retired: no
+solver iterates.
 """
 
 
@@ -24,12 +25,3 @@ class InfeasibleError(RuntimeError):
     def __init__(self, message, min_eig=None):
         super().__init__(message)
         self.min_eig = min_eig
-
-
-class NoConvergenceError(RuntimeError):
-    """Iterative solver exhausted its budget before reaching tolerance."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations

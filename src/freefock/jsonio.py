@@ -7,6 +7,7 @@ through Python's shortest round-trip repr, so parse(dump(x)) == x.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -30,7 +31,13 @@ def complex_to_json(z):
 def json_to_complex(v):
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise InputError(f"complex value must be [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"complex value must be two numbers, got {v!r}") from exc
+    if not cmath.isfinite(z):
+        raise InputError(f"complex value must be finite, got {v!r}")
+    return z
 
 
 def matrix_to_json(m):
@@ -41,6 +48,8 @@ def matrix_to_json(m):
 def json_to_matrix(v):
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise InputError("matrix must be a non-empty nested list")
+    if not v[0] or any(len(r) != len(v[0]) for r in v):
+        raise InputError("matrix rows must be non-empty and of equal length")
     return np.array([[json_to_complex(z) for z in row] for row in v], dtype=complex)
 
 
@@ -61,12 +70,13 @@ def tuple_to_json(x):
 def json_to_tuple(obj):
     try:
         mats = tuple(json_to_matrix(m) for m in obj["matrices"])
-    except (KeyError, TypeError) as exc:
+        declared = {k: int(obj[k]) for k in ("n", "dim") if k in obj}
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad operator tuple: {exc}") from exc
     t = OperatorTuple(mats)
-    if "n" in obj and int(obj["n"]) != t.n:
+    if declared.get("n", t.n) != t.n:
         raise InputError(f"declared n={obj['n']} but {t.n} matrices given")
-    if "dim" in obj and int(obj["dim"]) != t.dim:
+    if declared.get("dim", t.dim) != t.dim:
         raise InputError(f"declared dim={obj['dim']} but matrices are {t.dim} square")
     return t
 

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels used throughout the package.
 
 Thin wrappers over numpy.linalg that pin down the contracts the rest of
-the code relies on: Hermitian tolerance checks, eigenvalue-floor
-projections with certificates, and residual-checked solves.
+the code relies on: Hermitian tolerance checks, PSD square roots and
+pseudo-inverses, and residual-checked solves.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from .errors import InputError, ScopeError, SizeLimitError
 MAX_DIM = 4096
 
 HERM_RTOL = 1e-10
+
+# psd_pinv treats eigenvalues at or below this fraction of the largest as
+# zero: well above roundoff, so an exact kernel stays a kernel.
+PINV_RTOL = 1e-12
 
 
 def set_max_dim(limit):
@@ -90,14 +94,16 @@ def min_eig_hermitian(a, rtol=HERM_RTOL):
     return float(eigh_hermitian(a, rtol).eigenvalues[0])
 
 
-def psd_project(a, floor=0.0):
-    """Frobenius-nearest Hermitian matrix with all eigenvalues >= floor."""
-    a = check_hermitian(a)
-    h = (a + adjoint(a)) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, floor)
-    out = (v * w) @ adjoint(v)
-    return (out + adjoint(out)) / 2.0
+def psd_pinv(a):
+    """Pseudo-inverse of a Hermitian PSD matrix.
+
+    Eigenvalues at or below PINV_RTOL times the largest, and negative
+    ones (roundoff, or data feasible only within tolerance), count as zero.
+    """
+    eig = eigh_hermitian(a)
+    keep = eig.eigenvalues > PINV_RTOL * eig.eigenvalues.max(initial=0.0)
+    v = eig.eigenvectors[:, keep]
+    return (v / eig.eigenvalues[keep]) @ adjoint(v)
 
 
 def hermitian_sqrt(a, clamp=1e-12):

@@ -384,18 +384,16 @@ def suite_extension_solver(rng):
     """30 feasible instances extended to M = m + 2 with exact prescribed
     data, fresh PSD certificate, and verified nilpotent positivity."""
     failures = []
-    worst_iters = 0
     for k in range(30):
         n = 1 + k % 2
         m = 1 + k % 2
         prob = generate_feasible_problem(rng, n, m)
         try:
-            ext = cara.extend(prob, m + 2, tol=1e-9, max_iter=5000)
-        except (cara.InfeasibleError, cara.NoConvergenceError) as exc:  # pragma: no cover
+            ext = cara.extend(prob, m + 2, tol=1e-9)
+        except cara.InfeasibleError as exc:  # pragma: no cover
             failures.append(f"solver: {exc}")
             continue
         cert = ext.certificate
-        worst_iters = max(worst_iters, cert["iterations"])
         if cert["prescribed_error"] != 0.0:
             failures.append("prescribed data perturbed")
         if cert["min_eig_tm"] < -1e-8:
@@ -404,7 +402,7 @@ def suite_extension_solver(rng):
         if not rep.passed:
             bad = [name for name, (ok, _) in rep.checks.items() if not ok]
             failures.append(f"verification: {bad}")
-    return not failures, f"{len(failures)} failures, max iterations {worst_iters}"
+    return not failures, f"{len(failures)} failures"
 
 
 def suite_reduction_roundtrip(rng):

@@ -1,12 +1,10 @@
-"""Multi-Toeplitz matrices on the graded word basis: assembly from
-symbol coefficients, the orbit (constant-block) structure of the
-multi-Toeplitz subspace, and the Frobenius projection onto its affine
-slices with prescribed low-order orbits.
+"""Multi-Toeplitz matrices on the graded word basis: validation of symbol
+coefficients, and assembly of T_m from them (through the creation
+operators, and entrywise from the right-divisibility kernel).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,49 +12,7 @@ import numpy as np
 from .errors import InputError
 from .fock import get_trunc
 from .linalg import adjoint, as_cmatrix, check_hermitian, kron, min_eig_hermitian
-from .words import GradedBasis, left_quotient, right_quotient, validate_word
-
-
-class OrbitStructure:
-    """Partition of ordered word-index pairs by divisibility quotient.
-
-    For the right orientation, the pair (a, b) lies in the class of the
-    word s when word_a = s word_b; (b, a) then lies in the adjoint-paired
-    class.  diag holds the pairs (a, a), zero the pairs with no
-    divisibility either way.  A multi-Toeplitz matrix is constant on
-    every class, adjoint-constant on the mirrored classes, and zero on
-    the zero class.
-    """
-
-    def __init__(self, basis, orientation="right"):
-        if orientation not in ("right", "left"):
-            raise InputError(f"unknown orientation {orientation!r}")
-        self.basis = basis
-        self.orientation = orientation
-        quotient = right_quotient if orientation == "right" else left_quotient
-        classes = {}
-        zero = []
-        words = basis.words
-        for a, wa in enumerate(words):
-            for b, wb in enumerate(words):
-                if a == b:
-                    continue
-                s = quotient(wa, wb)
-                if s is not None:
-                    classes.setdefault(s, []).append((a, b))
-                elif quotient(wb, wa) is None:
-                    zero.append((a, b))
-        self.diag = [(a, a) for a in range(len(words))]
-        self.classes = {
-            s: (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-            for s, pairs in classes.items()
-        }
-        self.zero = zero
-
-
-@functools.lru_cache(maxsize=32)
-def orbit_structure(n, m, orientation="right"):
-    return OrbitStructure(GradedBasis(n, m), orientation)
+from .words import GradedBasis, right_quotient, validate_word
 
 
 @dataclass
@@ -66,8 +22,6 @@ class MultiToeplitzMatrix:
     block_size: int
     basis: GradedBasis
     entries: np.ndarray  # coefficient-major on C^p (x) P^(m)
-    orbits: OrbitStructure
-    orientation: str = "right"
 
     def block(self, a, b):
         p, d = self.block_size, self.basis.size
@@ -78,7 +32,10 @@ class MultiToeplitzMatrix:
         return min_eig_hermitian(self.entries)
 
 
-def _validate_coeffs(coeffs, n, m):
+def validate_coeffs(coeffs, n, m, require_b0=True):
+    """Coefficients keyed by word tuples, as square complex matrices of one
+    size p, with words over n letters of length <= m; returns (coeffs, p),
+    p None when there are none."""
     out = {}
     p = None
     for w, c in coeffs.items():
@@ -92,32 +49,37 @@ def _validate_coeffs(coeffs, n, m):
         if c.shape != (p, p):
             raise InputError("coefficients must be square matrices of one size")
         out[w] = c
-    if () not in out:
+    if require_b0 and () not in out:
         raise InputError("missing constant coefficient b_0")
-    return out, out[()].shape[0]
+    return out, p
 
 
 def assemble_T(coeffs, n, m):
     """T_m = sum b_a* (x) (S_a^(m))* + b_0 (x) I + sum b_a (x) S_a^(m).
 
     b_0 must be Hermitian; the result is then Hermitian by construction.
+    Each b_a is written straight into the blocks (a beta, beta) that S_a
+    reaches, and its adjoint into the mirrored ones; no two words share a
+    block, so the entries equal the Kronecker sum exactly.
     """
-    coeffs, p = _validate_coeffs(coeffs, n, m)
+    coeffs, p = validate_coeffs(coeffs, n, m)
     check_hermitian(coeffs[()])
     ft = get_trunc(n, m)
     out = kron(coeffs[()], np.eye(ft.dim, dtype=complex))
+    out4 = out.reshape(p, ft.dim, p, ft.dim)
     for w, c in coeffs.items():
         if w:
-            s = ft.s_word(w)
-            out += kron(c, s) + kron(adjoint(c), s.T)
-    return MultiToeplitzMatrix(n, m, p, ft.basis, out, orbit_structure(n, m), "right")
+            src, dst = ft.prepend_indices(w)
+            out4[:, dst, :, src] = c
+            out4[:, src, :, dst] = adjoint(c)
+    return MultiToeplitzMatrix(n, m, p, ft.basis, out)
 
 
 def assemble_kernel(coeffs, n, m):
     """The same matrix assembled entrywise from the right-divisibility
     kernel: block (a, b) = b_{a \\ b} when a >_r b, its adjoint when
     b >_r a, b_0 on the diagonal, zero otherwise."""
-    coeffs, p = _validate_coeffs(coeffs, n, m)
+    coeffs, p = validate_coeffs(coeffs, n, m)
     basis = GradedBasis(n, m)
     d = basis.size
     b4 = np.zeros((d, d, p, p), dtype=complex)
@@ -138,44 +100,7 @@ def assemble_kernel(coeffs, n, m):
                     if c is not None:
                         b4[a, b] = adjoint(c)
     entries = b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
-    return MultiToeplitzMatrix(n, m, p, basis, entries, orbit_structure(n, m), "right")
-
-
-def project_affine(H, structure, prescribed):
-    """Frobenius-orthogonal projection of a Hermitian matrix onto the
-    affine set of multi-Toeplitz matrices whose orbits named in
-    ``prescribed`` carry those exact blocks.
-
-    Free orbits are replaced by the average of their blocks together
-    with the adjoints of the mirrored blocks, which keeps the output
-    Hermitian to machine precision; the zero class is zeroed; prescribed
-    orbits are overwritten verbatim.  Idempotent and nonexpansive.
-    """
-    H = as_cmatrix(H)
-    d = structure.basis.size
-    if H.shape[0] != H.shape[1] or H.shape[0] % d:
-        raise InputError(f"matrix of size {H.shape} does not fit the word basis ({d})")
-    p = H.shape[0] // d
-    h4 = H.reshape(p, d, p, d)
-    out = np.zeros_like(h4)
-
-    b0 = prescribed.get(())
-    if b0 is None:
-        diag = h4[:, range(d), :, range(d)]  # (d, p, p)
-        b0 = diag.mean(axis=0)
-        b0 = (b0 + adjoint(b0)) / 2.0
-    for a in range(d):
-        out[:, a, :, a] = b0
-
-    for s, (ai, bi) in structure.classes.items():
-        val = prescribed.get(s)
-        if val is None:
-            direct = h4[:, ai, :, bi]  # (k, p, p)
-            mirrored = h4[:, bi, :, ai]
-            val = (direct.sum(axis=0) + adjoint(mirrored.sum(axis=0))) / (2.0 * len(ai))
-        out[:, ai, :, bi] = np.asarray(val, dtype=complex)
-        out[:, bi, :, ai] = adjoint(np.asarray(val, dtype=complex))
-    return out.reshape(p * d, p * d)
+    return MultiToeplitzMatrix(n, m, p, basis, entries)
 
 
 def min_eig(T):

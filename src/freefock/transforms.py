@@ -20,7 +20,7 @@ from .fock import get_trunc
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
 from .series import eval_at_creation, jsr_estimate
-from .toeplitz import MultiToeplitzMatrix, orbit_structure
+from .toeplitz import MultiToeplitzMatrix
 from .words import GradedBasis, left_quotient, reverse, validate_word
 
 
@@ -238,9 +238,7 @@ def kernel_from_series(f):
             if s is not None:
                 b4[a, b] = f.coefficient(reverse(s))
     entries = b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
-    return MultiToeplitzMatrix(
-        f.n, m, p, basis, entries, orbit_structure(f.n, m, "left"), "left"
-    )
+    return MultiToeplitzMatrix(f.n, m, p, basis, entries)
 
 
 @dataclass

@@ -79,9 +79,35 @@ def test_extend_command(tmp_path, capsys):
     assert cli.main(["extend", infeasible, "--target-degree", "3"]) == 1
 
     hard = write_problem(tmp_path, {(): 1.0, (1,): 0.9}, 1, 1, "hard.json")
-    code, payload = run_cli(capsys, "extend", hard, "--target-degree", "3", "--max-iter", "1")
-    assert code == 2
-    assert payload["converged"] is False and payload["residual"] > 0
+    code, payload = run_cli(capsys, "extend", hard, "--target-degree", "3")
+    assert code == 0
+    assert payload["verification"]["passed"] is True
+    assert set(payload["certificate"]) == {"min_eig_tm", "prescribed_error"}
+    assert cli.main(["extend", hard, "--target-degree", "3", "--max-iter", "1"]) == 3
+
+
+def test_ragged_matrix_is_input_error(tmp_path):
+    f = FreeSeries(1, 1, (2, 2), {(1,): np.eye(2)})
+    fpath = tmp_path / "series.json"
+    jsonio.write_json_atomic(jsonio.series_to_json(f), fpath)
+    xpath = tmp_path / "ragged_tuple.json"
+    zero = [0.0, 0.0]
+    xpath.write_text(json.dumps({"n": 1, "dim": 2, "matrices": [[[zero, zero], [zero]]]}))
+    assert cli.main(["eval", str(fpath), str(xpath)]) == 3
+
+    ppath = tmp_path / "ragged_problem.json"
+    ppath.write_text(json.dumps({"n": 1, "m": 1, "coefficients": {"": [[[1.0, 0.0]], []]}}))
+    assert cli.main(["check", str(ppath)]) == 3
+
+
+def test_non_finite_input_is_input_error(tmp_path):
+    for bad in ("NaN", "Infinity", "-Infinity", "1e400"):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            '{"n": 1, "m": 1, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[%s, 0.0]]]}}' % bad
+        )
+        assert cli.main(["check", str(path)]) == 3
+        assert cli.main(["extend", str(path), "--target-degree", "2"]) == 3
 
 
 def test_cayley_roundtrip_via_cli(tmp_path, capsys):

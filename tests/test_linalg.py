@@ -59,33 +59,15 @@ def test_min_eig_hermitian():
         linalg.min_eig_hermitian([[0, 1], [0, 0]])
 
 
-def test_psd_project_examples():
-    assert np.allclose(linalg.psd_project(np.diag([3.0, -1.0])), np.diag([3.0, 0.0]))
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(linalg.psd_project(flip), [[0.5, 0.5], [0.5, 0.5]])
-
-
-def test_psd_project_fixed_point_and_floor():
+def test_psd_pinv():
     rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    psd = a @ a.conj().T
-    assert np.max(np.abs(linalg.psd_project(psd) - psd)) <= 1e-12 * (1 + np.linalg.norm(psd))
-    h = a + a.conj().T
-    for floor in (0.0, 0.3):
-        proj = linalg.psd_project(h, floor=floor)
-        assert linalg.min_eig_hermitian(proj) >= floor - 1e-10
-
-
-def test_psd_project_is_nearest():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = a + a.conj().T
-    proj = linalg.psd_project(h)
-    best = np.linalg.norm(h - proj)
-    for _ in range(20):
-        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        other = c @ c.conj().T
-        assert np.linalg.norm(h - other) >= best - 1e-12
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    psd = a @ a.conj().T  # rank 2
+    pinv = linalg.psd_pinv(psd)
+    assert np.allclose(pinv, np.linalg.pinv(psd, rcond=1e-10, hermitian=True))
+    assert np.allclose(psd @ pinv @ psd, psd)
+    assert np.allclose(linalg.psd_pinv(np.diag([4.0, 1e-14, -1e-9])), np.diag([0.25, 0.0, 0.0]))
+    assert linalg.psd_pinv(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_solve():

@@ -80,74 +80,6 @@ def test_assemble_nesting():
     assert np.max(np.abs(compressed - small.entries)) == 0.0
 
 
-def test_orbit_structure_partitions_pairs():
-    structure = tp.orbit_structure(2, 2)
-    d = structure.basis.size
-    count = len(structure.diag) + len(structure.zero)
-    for ai, bi in structure.classes.values():
-        count += 2 * len(ai)  # each class plus its mirror
-    assert count == d * d
-
-
-def test_project_affine_fixed_point_and_zero_class():
-    rng = np.random.default_rng(3)
-    coeffs = random_coeffs(rng, 2, 2, 1)
-    t = tp.assemble_T(coeffs, 2, 2)
-    structure = tp.orbit_structure(2, 2)
-    prescribed = {w: coeffs[w] for w in coeffs if len(w) <= 1}
-    again = tp.project_affine(t.entries, structure, prescribed)
-    assert np.max(np.abs(again - t.entries)) <= 1e-13
-
-    h = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    h = h + adjoint(h)
-    proj = tp.project_affine(h, structure, {})
-    basis = structure.basis
-    for a, wa in enumerate(basis.words):
-        for b, wb in enumerate(basis.words):
-            from freefock.words import right_quotient
-
-            if a != b and right_quotient(wa, wb) is None and right_quotient(wb, wa) is None:
-                assert proj[a, b] == 0.0
-
-
-def test_project_affine_classical_averaging():
-    # n = 1: free orbits average along the Toeplitz diagonals
-    rng = np.random.default_rng(4)
-    h = rng.standard_normal((4, 4))
-    h = h + h.T
-    structure = tp.orbit_structure(1, 3)
-    proj = tp.project_affine(h, structure, {(): np.array([[1.0]])})
-    assert np.allclose(np.diag(proj), 1.0)
-    for k in range(1, 4):
-        vals = np.diagonal(proj, -k)
-        assert np.allclose(vals, vals[0])
-        want = (np.diagonal(h, -k).sum() + np.diagonal(h, k).sum()) / (
-            2 * len(np.diagonal(h, -k))
-        )
-        assert vals[0] == pytest.approx(want)
-
-
-def test_project_affine_idempotent_nonexpansive_orthogonal():
-    rng = np.random.default_rng(5)
-    structure = tp.orbit_structure(2, 2)
-    prescribed = {(): np.array([[1.0]]), (1,): np.array([[0.2 + 0.1j]]), (2,): np.array([[0.0]])}
-
-    def rand_herm():
-        h = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        return h + adjoint(h)
-
-    h1, h2 = rand_herm(), rand_herm()
-    p1 = tp.project_affine(h1, structure, prescribed)
-    p2 = tp.project_affine(h2, structure, prescribed)
-    assert np.max(np.abs(tp.project_affine(p1, structure, prescribed) - p1)) <= 1e-13
-    assert np.linalg.norm(p1 - p2) <= np.linalg.norm(h1 - h2) + 1e-12
-    # projection residual is Frobenius-orthogonal to the affine set's directions
-    diff = h1 - p1
-    direction = p2 - p1  # lies in the linear part of the affine set
-    inner = np.trace(adjoint(diff) @ direction)
-    assert abs(inner) <= 1e-10 * (1 + np.linalg.norm(h1))
-
-
 def test_min_eig():
     t = tp.assemble_T(scalar_coeffs({(): 2.0, (1,): 1.0}), 1, 1)
     assert tp.min_eig(t) == pytest.approx(1.0, abs=1e-12)
