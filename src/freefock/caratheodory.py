@@ -7,6 +7,11 @@ constructive extension is the central (maximum-determinant) completion,
 computed degree by degree in closed form; every output is certified by
 a fresh eigenvalue computation and random nilpotent evaluations, so the
 solver never has to be trusted.
+
+The reductions between Caratheodory and Caratheodory-Fejer data are
+series-level Cayley transforms of the coefficients; the only operator
+they form is the multi-analytic one whose norm is checked, built by
+``fock.shift_sum``.
 """
 
 from __future__ import annotations
@@ -16,16 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import get_trunc, random_nilpotent_tuple
+from .fock import get_trunc, random_nilpotent_tuple, shift_sum, word_sum
 from .linalg import (
     adjoint,
     check_hermitian,
-    kron,
     min_eig_hermitian,
     operator_norm,
     psd_pinv,
 )
-from .series import extract_coeffs, truncated_cayley
+from .series import FreeSeries, cayley_forward, cayley_inverse
 from .toeplitz import assemble_T, validate_coeffs
 from .transforms import MomentFunctional
 from .words import GradedBasis, left_quotient, reverse
@@ -169,10 +173,10 @@ def _inv_sqrt_psd(a, reg):
 def cayley_route(prob, reg_eps=None, tol=1e-9):
     """Reduce a feasible problem to Caratheodory-Fejer data.
 
-    Normalizes by (b_0 + eps I)^(-1/2) on both sides, forms
-    Y = sum D_a (x) S_a^(m), applies the inverse truncated Cayley
-    transform, and reads the CF coefficients off the result; the output
-    operator is a contraction up to 1e-9 whenever the data is feasible.
+    Normalizes by (b_0 + eps I)^(-1/2) on both sides and takes the
+    inverse Cayley transform of the series sum_a D_a Z_a; its coefficients
+    are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
+    they define is a contraction up to 1e-9 whenever the data is feasible.
     """
     feas = check_feasibility(prob, tol)
     if not feas.feasible:
@@ -183,19 +187,14 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     if reg_eps is None:
         reg_eps = 1e-10 * (1.0 + operator_norm(b0))
     nrm = _inv_sqrt_psd(b0, reg_eps)
-    ft = get_trunc(prob.n, prob.m)
     p = prob.block_size
-    y = np.zeros((p * ft.dim, p * ft.dim), dtype=complex)
-    for w, c in prob.coeffs.items():
-        if w:
-            y += kron(nrm @ c @ nrm, ft.s_word(w))
-    x = truncated_cayley(y, "inverse", ft)
-    xn = operator_norm(x)
+    normalized = {w: nrm @ c @ nrm for w, c in prob.coeffs.items() if w}
+    cf = cayley_inverse(FreeSeries(prob.n, prob.m, (p, p), normalized))
+    ft = get_trunc(prob.n, prob.m)
+    xn = operator_norm(shift_sum(ft, p, cf.coeffs, {}, ft.prepend_indices))
     if xn > 1.0 + 1e-9:
         raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
-    analytic, _ = extract_coeffs(x, ft, p)
-    analytic.pop((), None)  # zero constant term by construction
-    return CFProblem(prob.n, prob.m, analytic, p)
+    return CFProblem(prob.n, prob.m, cf.coeffs, p)
 
 
 @dataclass
@@ -230,12 +229,11 @@ def cf_matrix(prob):
 def cf_check(prob, tol=1e-9):
     """Solvability criterion ||A_m|| <= 1 for the CF problem, with a
     cross-check that the entrywise matrix matches the right-translation
-    kron sum (the commutant picture of multi-analytic operators)."""
+    sum sum_a A_a (x) (e_b -> e_{b a}) (the commutant picture of
+    multi-analytic operators)."""
     m1 = cf_matrix(prob)
     ft = get_trunc(prob.n, prob.m)
-    m2 = np.zeros_like(m1)
-    for w, c in prob.coeffs.items():
-        m2 += kron(c, ft.append_matrix(w))
+    m2 = shift_sum(ft, prob.block_size, prob.coeffs, {}, ft.append_indices)
     dev = float(np.linalg.norm(m1 - m2))
     if dev > 1e-10 * (1.0 + np.linalg.norm(m1)):
         raise ScopeError(f"multi-analytic assembly mismatch {dev:.3e}; internal defect")
@@ -245,20 +243,16 @@ def cf_check(prob, tol=1e-9):
 
 def cf_to_caratheodory(prob, tol=1e-9):
     """Lift CF data to a feasible Caratheodory problem at degree m + 1:
-    B = sum A_a (x) S_{g1 a}^(m+1), forward Cayley, b_0 = I."""
+    the forward Cayley transform of the series sum_a A_a Z_{g1 a}, with
+    b_0 = I."""
     report = cf_check(prob, tol)
     if not report.within:
         raise InfeasibleError(f"CF norm {report.norm:.6f} exceeds 1", min_eig=None)
-    ft = get_trunc(prob.n, prob.m + 1)
     p = prob.block_size
-    b = np.zeros((p * ft.dim, p * ft.dim), dtype=complex)
-    for w, c in prob.coeffs.items():
-        b += kron(c, ft.s_word((1,) + w))
-    g = truncated_cayley(b, "forward", ft)
-    analytic, _ = extract_coeffs(g, ft, p)
-    analytic.pop((), None)
+    shifted = {(1,) + w: c for w, c in prob.coeffs.items()}
+    g = cayley_forward(FreeSeries(prob.n, prob.m + 1, (p, p), shifted))
     coeffs = {(): np.eye(p, dtype=complex)}
-    coeffs.update(analytic)
+    coeffs.update(g.coeffs)
     return CaratheodoryProblem(prob.n, prob.m + 1, coeffs, p)
 
 
@@ -290,15 +284,14 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
 
     rng = np.random.default_rng(seed)
     b0 = prob.coeffs[()]
+    terms = {(): b0 / 2.0}
+    terms.update((w, c) for w, c in ext.coeffs.items() if w)
     worst = np.inf
     for _ in range(samples):
         X = random_nilpotent_tuple(
             rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95))
         )
-        g = kron(b0 / 2.0, np.eye(X.dim, dtype=complex))
-        for w, c in ext.coeffs.items():
-            if w:
-                g += kron(c, X.word(w))
+        g = word_sum(X, terms, p)
         worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
     checks["nilpotent_positive"] = (worst >= -tol, worst)
 

@@ -18,7 +18,7 @@ from . import pluriharmonic as ph
 from . import selftest
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import get_trunc, poisson_transform_block
+from .fock import get_trunc, poisson_transform
 from .words import GradedBasis, word_to_string
 
 EXIT_OK = 0
@@ -112,7 +112,9 @@ def cmd_poisson(args):
     if x.row_norm >= r:
         raise ScopeError(f"tuple norm {x.row_norm:.4f} must lie below radius {r}")
     ft = get_trunc(h.n, args.trunc)
-    value = poisson_transform_block(ft, ph.radial_boundary(h, r, args.trunc), x.scale(1.0 / r), h.p)
+    value = poisson_transform(
+        ft, ph.radial_boundary(h, r, args.trunc), x.scale(1.0 / r), coeff_dim=h.p
+    )
     _emit(
         {"value": jsonio.matrix_to_json(value), "trunc": args.trunc, "radius": r},
         args,

@@ -1,6 +1,7 @@
 """Truncated Fock space over n generators: compressed creation operators,
-degree projections, reconstruction operator, Berezin and Poisson kernels,
-vector-state Berezin transforms, and isometric dilations.
+degree projections, the two coefficient-times-word kernels, reconstruction
+operator, Berezin and Poisson kernels, vector-state Berezin transforms,
+and isometric dilations.
 
 Layout conventions, used consistently everywhere:
 
@@ -8,6 +9,12 @@ Layout conventions, used consistently everywhere:
   Fock-major: composite index = fock_index * p + h_index.
 * Operators on ``E (x) Fock`` (symbol evaluations, radial boundaries)
   are coefficient-major: composite index = e_index * dim + fock_index.
+
+Every sum of coefficients times words goes through one of two kernels:
+``shift_sum`` scatters each coefficient into the blocks that the word's
+shift on P^(N) reaches (multi-analytic operators, multi-Toeplitz
+matrices, radial boundaries), and ``word_sum`` evaluates at an operator
+tuple, building each word's product from its prefix.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5; the ``apply_*`` functions act on tall vectors through index
@@ -28,12 +35,13 @@ from .errors import InputError, ScopeError
 from .linalg import (
     adjoint,
     as_cmatrix,
+    check_size,
     hermitian_sqrt,
     kron,
     operator_norm,
     solve,
 )
-from .words import GradedBasis, reverse, validate_word
+from .words import GradedBasis, validate_word
 
 
 def word_operator(matrices, word):
@@ -120,32 +128,20 @@ class FockTrunc:
 
     def append_indices(self, word):
         """(src, dst) with e_{basis[src]} -> e_{basis[src] + word}."""
-        with self._lock:
-            cached = self._append_idx.get(word)
-            if cached is None:
-                hi = self.basis.degree_slice(self.N - len(word))[1] if len(word) <= self.N else 0
-                src = np.arange(hi)
-                idx = self.basis.index
-                dst = np.fromiter(
-                    (idx[self.basis.words[s] + word] for s in range(hi)), dtype=np.intp, count=hi
-                )
-                cached = (src, dst)
-                self._append_idx[word] = cached
-        return cached
+        return self._indices(self._append_idx, word, lambda b: b + word)
 
     def prepend_indices(self, word):
         """(src, dst) with e_{basis[src]} -> e_{word + basis[src]}."""
+        return self._indices(self._prepend_idx, word, lambda b: word + b)
+
+    def _indices(self, cache, word, join):
         with self._lock:
-            cached = self._prepend_idx.get(word)
+            cached = cache.get(word)
             if cached is None:
                 hi = self.basis.degree_slice(self.N - len(word))[1] if len(word) <= self.N else 0
-                src = np.arange(hi)
-                idx = self.basis.index
-                dst = np.fromiter(
-                    (idx[word + self.basis.words[s]] for s in range(hi)), dtype=np.intp, count=hi
-                )
-                cached = (src, dst)
-                self._prepend_idx[word] = cached
+                idx, words = self.basis.index, self.basis.words
+                dst = np.fromiter((idx[join(words[s])] for s in range(hi)), dtype=np.intp, count=hi)
+                cached = cache[word] = (np.arange(hi), dst)
         return cached
 
     def _shift_matrix(self, indices):
@@ -162,40 +158,21 @@ class FockTrunc:
 
     def left_creation(self, i):
         """S_i: e_alpha -> e_{g_i alpha}, truncated at degree N."""
-        self._check_gen(i)
-        with self._lock:
-            m = self._left.get(i)
-        if m is None:
-            m = self._shift_matrix(self.prepend_indices((i,)))
-            with self._lock:
-                self._left[i] = m
-        return m
+        return self._creation(self._left, self.prepend_indices, i)
 
     def right_creation(self, i):
         """R_i: e_alpha -> e_{alpha g_i}, truncated at degree N."""
+        return self._creation(self._right, self.append_indices, i)
+
+    def _creation(self, cache, indices, i):
         self._check_gen(i)
         with self._lock:
-            m = self._right.get(i)
+            m = cache.get(i)
         if m is None:
-            m = self._shift_matrix(self.append_indices((i,)))
+            m = self._shift_matrix(indices((i,)))
             with self._lock:
-                self._right[i] = m
+                cache[i] = m
         return m
-
-    def s_word(self, word):
-        """S_alpha: e_beta -> e_{alpha beta}."""
-        validate_word(word, self.n)
-        return self._shift_matrix(self.prepend_indices(word))
-
-    def r_word(self, word):
-        """R_alpha = R_{i1}...R_{ik}: e_beta -> e_{beta reverse(alpha)}."""
-        validate_word(word, self.n)
-        return self._shift_matrix(self.append_indices(reverse(word)))
-
-    def append_matrix(self, word):
-        """e_beta -> e_{beta word}; equals R_{reverse(word)}."""
-        validate_word(word, self.n)
-        return self._shift_matrix(self.append_indices(word))
 
     def degree_projection(self, k):
         """Orthogonal projection onto words of length <= k (0/1 diagonal)."""
@@ -210,6 +187,57 @@ class FockTrunc:
 def get_trunc(n, N):
     """Shared FockTrunc instances, so creation-matrix caches are reused."""
     return FockTrunc(n, N)
+
+
+# -- coefficient-times-word sums --------------------------------------------
+
+
+def shift_sum(ft, p, lower, upper, indices):
+    """sum_w lower[w] (x) M_w + sum_w upper[w] (x) M_w^T on C^p (x) P^(N),
+    coefficient-major, for p x p coefficients keyed by word.
+
+    M_w is the 0/1 shift e_src -> e_dst of (src, dst) = indices(w):
+    ft.prepend_indices gives S_w, ft.append_indices the right shift
+    e_beta -> e_{beta w}.  Each coefficient is written into the blocks its
+    shift reaches; words longer than N reach none.  Distinct words reach
+    disjoint blocks, and a nonempty word's M_w and M_w^T never meet, so
+    the entries equal the Kronecker sum exactly.  M_() = I, so the empty
+    word belongs in lower only.
+    """
+    if () in upper:
+        raise InputError("the empty word belongs in the lower coefficients")
+    d = ft.dim
+    check_size(p * d, p * d, "shift sum")
+    out = np.zeros((p, d, p, d), dtype=complex)
+    for w, c in lower.items():
+        src, dst = indices(w)
+        out[:, dst, :, src] = c
+    for w, c in upper.items():
+        src, dst = indices(w)
+        out[:, src, :, dst] = c
+    return out.reshape(p * d, p * d)
+
+
+def word_sum(X, coeffs, p):
+    """sum_w coeffs[w] (x) X_w on C^p (x) C^dim, coefficient-major, for
+    p x p coefficients keyed by word.
+
+    Each X_w is one product from the stored product of its longest prefix
+    (one matmul per word when coeffs holds every prefix, as a graded
+    series does); terms are added in the order of coeffs.
+    """
+    q = X.dim
+    check_size(p * q, p * q, "word sum")
+    out = np.zeros((p, q, p, q), dtype=complex)
+    prods = {(): np.eye(q, dtype=complex)}
+    for w, c in coeffs.items():
+        k = len(w)
+        while w[:k] not in prods:
+            k -= 1
+        for j in range(k, len(w)):
+            prods[w[: j + 1]] = prods[w[:j]] @ X.matrices[w[j] - 1]
+        out += c[:, None, :, None] * prods[w][None, :, None, :]
+    return out.reshape(p * q, p * q)
 
 
 # -- kernels and transforms ------------------------------------------------
@@ -238,10 +266,12 @@ def reconstruction_operator(ft, X):
     """R_X = sum_i R_i (x) X_i* on P^(N) (x) C^p, Fock-major."""
     _check_tuple(ft, X)
     p = X.dim
-    out = np.zeros((ft.dim * p, ft.dim * p), dtype=complex)
+    check_size(ft.dim * p, ft.dim * p, "reconstruction operator")
+    out = np.zeros((ft.dim, p, ft.dim, p), dtype=complex)
     for i, m in enumerate(X.matrices, start=1):
-        out += kron(ft.right_creation(i), adjoint(m))
-    return out
+        src, dst = ft.append_indices((i,))
+        out[dst, :, src, :] = adjoint(m)
+    return out.reshape(ft.dim * p, ft.dim * p)
 
 
 def berezin_kernel(ft, X):
@@ -257,69 +287,59 @@ def poisson_kernel(ft, X):
     """K_X: C^p -> P^(N) (x) C^p; block at word alpha is Delta_X X_alpha*.
 
     Direct block construction (the Neumann expansion of B_X on 1 (x) h),
-    so no resolvent solve is needed.  The part of the infinite kernel
-    beyond degree N has norm at most tail_bound(row_norm, N).
+    so no resolvent solve is needed.  Built degree by degree: in
+    graded-lex order the words of degree k are alpha j, |alpha| = k - 1,
+    with block X_j* times that of alpha, so each degree is one batched
+    product.  The part of the infinite kernel beyond degree N has norm at
+    most tail_bound(row_norm, N).
     """
     _check_tuple(ft, X)
     _check_strict_ball(X)
     p = X.dim
-    delta = delta_defect(X)
-    out = np.zeros((ft.dim * p, p), dtype=complex)
-    # walk words in graded order, extending X_alpha* products level by level
-    blocks = {(): np.eye(p, dtype=complex)}
-    for w in ft.basis.words:
-        if w not in blocks:
-            head, tail = w[:-1], w[-1]
-            blocks[w] = adjoint(X.matrices[tail - 1]) @ blocks[head]
-        i = ft.basis.index[w]
-        out[i * p : (i + 1) * p] = delta @ blocks[w]
-    return out
+    xstar = np.array([adjoint(m) for m in X.matrices])
+    level = np.eye(p, dtype=complex)[None]
+    levels = [level]
+    for _ in range(ft.N):
+        level = np.matmul(xstar[None], level[:, None]).reshape(-1, p, p)
+        levels.append(level)
+    return np.matmul(delta_defect(X), np.concatenate(levels)).reshape(ft.dim * p, p)
 
 
-def poisson_transform(ft, F, X):
-    """P_X[F] = K_X* (F (x) I) K_X for a symbol F on P^(N); p x p output."""
-    F = as_cmatrix(F)
-    if F.shape != (ft.dim, ft.dim):
-        raise InputError(f"symbol must be {ft.dim} x {ft.dim}, got {F.shape}")
-    K = poisson_kernel(ft, X)
-    p = X.dim
-    K3 = K.reshape(ft.dim, p, p)
-    FK = np.tensordot(F, K3, axes=(1, 0)).reshape(ft.dim * p, p)
-    return adjoint(K) @ FK
-
-
-def poisson_transform_block(ft, U, X, coeff_dim):
-    """Extension of the Poisson transform to symbols with matrix
-    coefficients: U acts on C^q (x) P^(N) (coefficient-major), and the
-    result (I (x) K_X*)(U (x) I)(I (x) K_X) acts on C^q (x) C^p."""
+def poisson_transform(ft, U, X, coeff_dim=1):
+    """P_X[U] = (I (x) K_X)* (U (x) I) (I (x) K_X) for a symbol U on
+    C^q (x) P^(N), q = coeff_dim, coefficient-major; the result acts on
+    C^q (x) C^p.  One contraction against the kernel blocks, so U (x) I
+    is never formed."""
     U = as_cmatrix(U)
-    q = coeff_dim
-    if U.shape != (q * ft.dim, q * ft.dim):
-        raise InputError(f"symbol must be {q * ft.dim} square, got {U.shape}")
-    K = poisson_kernel(ft, X)
-    p = X.dim
-    lifted = kron(np.eye(q, dtype=complex), K)
-    return adjoint(lifted) @ kron(U, np.eye(p, dtype=complex)) @ lifted
+    q, d, p = coeff_dim, ft.dim, X.dim
+    if U.shape != (q * d, q * d):
+        raise InputError(f"symbol must be {q * d} x {q * d}, got {U.shape}")
+    K3 = poisson_kernel(ft, X).reshape(d, p, p)
+    out = np.einsum(
+        "avi,jalb,bvk->jilk", K3.conj(), U.reshape(q, d, q, d), K3, optimize=True
+    )
+    return out.reshape(q * p, q * p)
 
 
 def poisson_transform_word_symbol(ft, alpha, beta, X, kernel=None):
     """P_X[S_alpha S_beta*] without forming the dim x dim symbol.
 
     S_alpha S_beta* maps e_{beta sigma} -> e_{alpha sigma}; the transform
-    is K_X* (that shift (x) I) K_X, assembled through index maps.  Pass a
-    precomputed poisson_kernel(ft, X) to amortize it over many words.
+    is K_X* (that shift (x) I) K_X = sum_sigma K_{alpha sigma}* K_{beta sigma},
+    contracted over the kernel rows the shift uses.  Pass a precomputed
+    poisson_kernel(ft, X) to amortize it over many words.
     """
     validate_word(alpha, ft.n)
     validate_word(beta, ft.n)
     K = poisson_kernel(ft, X) if kernel is None else kernel
     p = X.dim
     K3 = K.reshape(ft.dim, p, p)
-    FK = np.zeros_like(K3)
-    src_b, dst_b = ft.prepend_indices(beta)
-    src_a, dst_a = ft.prepend_indices(alpha)
-    m = min(len(src_b), len(src_a))  # sigma runs over degrees <= N - max(|alpha|,|beta|)
-    FK[dst_a[:m]] = K3[dst_b[:m]]
-    return adjoint(K) @ FK.reshape(ft.dim * p, p)
+    _, dst_b = ft.prepend_indices(beta)
+    _, dst_a = ft.prepend_indices(alpha)
+    m = min(len(dst_b), len(dst_a))  # sigma runs over degrees <= N - max(|alpha|,|beta|)
+    rows_a = K3[dst_a[:m]].reshape(m * p, p)
+    rows_b = K3[dst_b[:m]].reshape(m * p, p)
+    return adjoint(rows_a) @ rows_b
 
 
 def berezin_transform(ft, mu, F, X):
@@ -352,40 +372,27 @@ def berezin_transform(ft, mu, F, X):
 # -- probe application paths (no dense kernel) -----------------------------
 
 
-def apply_reconstruction(ft, X, V):
-    """R_X applied to V, V given as a (dim, p) array."""
-    out = np.zeros_like(V)
+def _reconstruction_steps(ft, X):
+    """R_X and R_X* on (dim, p) arrays V, each as a list of scatter steps
+    (src, dst, M) that add V[src] @ M into rows dst."""
+    forward, backward = [], []
     for i, m in enumerate(X.matrices, start=1):
         src, dst = ft.append_indices((i,))
-        out[dst] += V[src] @ np.conj(m)
-    return out
+        forward.append((src, dst, np.conj(m)))
+        backward.append((dst, src, m.T))
+    return forward, backward
 
 
-def apply_reconstruction_adjoint(ft, X, V):
-    out = np.zeros_like(V)
-    for i, m in enumerate(X.matrices, start=1):
-        src, dst = ft.append_indices((i,))
-        out[src] += V[dst] @ m.T
-    return out
-
-
-def apply_resolvent(ft, X, V):
-    """(I - R_X)^(-1) V; exact, since R_X is nilpotent of order N + 1."""
+def _neumann(ft, steps, V):
+    """(I - T)^(-1) V for T given by scatter steps; exact for R_X and R_X*,
+    which are nilpotent of order N + 1."""
     out = V.copy()
     term = V
     for _ in range(ft.N):
-        term = apply_reconstruction(ft, X, term)
-        if not term.any():
-            break
-        out += term
-    return out
-
-
-def apply_resolvent_adjoint(ft, X, V):
-    out = V.copy()
-    term = V
-    for _ in range(ft.N):
-        term = apply_reconstruction_adjoint(ft, X, term)
+        nxt = np.zeros_like(V)
+        for src, dst, m in steps:
+            nxt[dst] += term[src] @ m
+        term = nxt
         if not term.any():
             break
         out += term
@@ -394,7 +401,8 @@ def apply_resolvent_adjoint(ft, X, V):
 
 def apply_pluriharmonic_poisson(ft, X, V):
     """P(R^(N), X) V = ((I-R_X)^(-1) + (I-R_X*)^(-1) - I) V on probes."""
-    return apply_resolvent(ft, X, V) + apply_resolvent_adjoint(ft, X, V) - V
+    forward, backward = _reconstruction_steps(ft, X)
+    return _neumann(ft, forward, V) + _neumann(ft, backward, V) - V
 
 
 def apply_berezin_factor(ft, X, V):
@@ -402,9 +410,8 @@ def apply_berezin_factor(ft, X, V):
     g = np.eye(X.dim, dtype=complex)
     for m in X.matrices:
         g = g - m @ adjoint(m)
-    W = apply_resolvent(ft, X, V)
-    W = W @ g.T
-    return apply_resolvent_adjoint(ft, X, W)
+    forward, backward = _reconstruction_steps(ft, X)
+    return _neumann(ft, backward, _neumann(ft, forward, V) @ g.T)
 
 
 # -- dilation and tails -----------------------------------------------------

@@ -45,16 +45,18 @@ def frobenius(a):
     return float(np.linalg.norm(a))
 
 
+def check_size(rows, cols, what):
+    """Raise SizeLimitError before a rows x cols result is allocated
+    whose side exceeds the configured cap."""
+    if max(rows, cols) > MAX_DIM:
+        raise SizeLimitError(f"{what} result {rows}x{cols} exceeds size limit {MAX_DIM}")
+
+
 def kron(a, b):
     """Kronecker product with the configured size cap."""
     a = as_cmatrix(a)
     b = as_cmatrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise SizeLimitError(
-            f"kron result {rows}x{cols} exceeds size limit {MAX_DIM}"
-        )
+    check_size(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], "kron")
     return np.kron(a, b)
 
 

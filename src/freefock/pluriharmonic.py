@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc, poisson_transform_block, reconstruction_operator
+from .fock import get_trunc, poisson_transform, reconstruction_operator, shift_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .series import FreeSeries, eval_report, jsr_estimate
 from .words import validate_word
@@ -118,15 +118,9 @@ def radial_boundary(h, r, m):
     if not 0.0 <= r <= 1.0:
         raise InputError(f"radius {r} outside [0, 1]")
     ft = get_trunc(h.n, m)
-    p = h.p
-    out = kron(h.a_coeff(()), np.eye(ft.dim, dtype=complex))
-    for w, c in h.analytic.items():
-        if w and len(w) <= m:
-            out += kron(c, (r ** len(w)) * ft.s_word(w))
-    for w, c in h.coanalytic.items():
-        if len(w) <= m:
-            out += kron(c, (r ** len(w)) * ft.s_word(w).T)
-    return out
+    lower = {w: (r ** len(w)) * c for w, c in h.analytic.items()}
+    upper = {w: (r ** len(w)) * c for w, c in h.coanalytic.items()}
+    return shift_sum(ft, h.p, lower, upper, ft.prepend_indices)
 
 
 def pluriharmonic_poisson_kernel(ft, X):
@@ -241,7 +235,7 @@ def mean_value_check(h, X, r, N):
         )
     lhs = eval_at(h, X)
     ft = get_trunc(h.n, N)
-    rhs = poisson_transform_block(ft, radial_boundary(h, r, N), X.scale(1.0 / r), h.p)
+    rhs = poisson_transform(ft, radial_boundary(h, r, N), X.scale(1.0 / r), coeff_dim=h.p)
     dev = operator_norm(lhs - rhs)
     allowance = 1e-9 * (1.0 + operator_norm(lhs))
     return MeanValueReport(dev <= allowance, dev, allowance)

@@ -4,6 +4,11 @@ Coefficients are complex matrices of one fixed shape, stored sparsely by
 word (absent means zero).  Every series carries an explicit cutoff; a
 binary operation truncates to the smaller cutoff, so nothing ever claims
 more precision than its inputs had.
+
+Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
+operator tuple, ``shift_sum`` at the compressed creation operators.  The
+truncated Cayley transform of operators and the coefficient extraction
+stay as the operator-side reference for the series-level Cayley maps.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc
+from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, operator_norm
 from .words import GradedBasis, validate_word
 
@@ -305,9 +310,10 @@ def jsr_estimate(X, kmax):
 
 
 def radius_estimate(f, kmax):
-    """Conservative finite-depth radius of convergence:
+    """Finite-depth estimate of the radius of convergence:
     1 / max_{1<=k<=kmax} ||sum_{|a|=k} A_a* A_a||^(1/(2k)).
-    Infinite when every tested degree slice vanishes."""
+    Only the stored slices enter, so it is not a bound on the radius of
+    an infinite series.  Infinite when every tested degree slice vanishes."""
     if not f.is_square():
         raise InputError("radius estimate needs square coefficients")
     if not 1 <= kmax <= f.cutoff:
@@ -334,7 +340,9 @@ def eval_report(f, X, jsr_depth=None):
     Jointly nilpotent arguments are always in scope; the sum is exact
     when the nilpotency order is <= cutoff + 1.  Otherwise the jsr
     estimate must clear the radius estimate with a 0.9 margin, and the
-    reported tail bound covers the degrees beyond the cutoff.
+    reported tail_bound estimates the degrees beyond the cutoff by
+    extrapolating the growth of the stored coefficients; it bounds the
+    true tail only when the unstored slices grow no faster.
     """
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
@@ -350,10 +358,7 @@ def eval_report(f, X, jsr_depth=None):
                 f"jsr estimate {est.value:.4f} not inside 0.9 x radius estimate {rad:.4f}; "
                 "functional calculus out of scope"
             )
-    p, q = f.shape[0], X.dim
-    out = np.zeros((p * q, p * q), dtype=complex)
-    for w, c in f.coeffs.items():
-        out += kron(c, X.word(w))
+    out = word_sum(X, f.coeffs, f.shape[0])
     exact = nilpotent and est.nilpotent_order <= f.cutoff + 1
     tail = 0.0 if exact else _eval_tail(f, X, est)
     return EvalReport(out, exact, tail, est)
@@ -389,12 +394,7 @@ def eval_at_creation(f, m):
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
     ft = get_trunc(f.n, m)
-    p = f.shape[0]
-    out = np.zeros((p * ft.dim, p * ft.dim), dtype=complex)
-    for w, c in f.coeffs.items():
-        if len(w) <= m:
-            out += kron(c, ft.s_word(w))
-    return out
+    return shift_sum(ft, f.shape[0], f.coeffs, {}, ft.prepend_indices)
 
 
 def hinf_norm_lower(f, m):

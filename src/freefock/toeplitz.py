@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fock import get_trunc
-from .linalg import adjoint, as_cmatrix, check_hermitian, kron, min_eig_hermitian
+from .fock import get_trunc, shift_sum
+from .linalg import adjoint, as_cmatrix, check_hermitian, min_eig_hermitian
 from .words import GradedBasis, right_quotient, validate_word
 
 
@@ -59,19 +59,14 @@ def assemble_T(coeffs, n, m):
 
     b_0 must be Hermitian; the result is then Hermitian by construction.
     Each b_a is written straight into the blocks (a beta, beta) that S_a
-    reaches, and its adjoint into the mirrored ones; no two words share a
-    block, so the entries equal the Kronecker sum exactly.
+    reaches, and its adjoint into the mirrored ones (fock.shift_sum); no
+    two words share a block, so the entries equal the Kronecker sum exactly.
     """
     coeffs, p = validate_coeffs(coeffs, n, m)
     check_hermitian(coeffs[()])
     ft = get_trunc(n, m)
-    out = kron(coeffs[()], np.eye(ft.dim, dtype=complex))
-    out4 = out.reshape(p, ft.dim, p, ft.dim)
-    for w, c in coeffs.items():
-        if w:
-            src, dst = ft.prepend_indices(w)
-            out4[:, dst, :, src] = c
-            out4[:, src, :, dst] = adjoint(c)
+    upper = {w: adjoint(c) for w, c in coeffs.items() if w}
+    out = shift_sum(ft, p, coeffs, upper, ft.prepend_indices)
     return MultiToeplitzMatrix(n, m, p, ft.basis, out)
 
 

@@ -6,6 +6,11 @@ checks, and radial scalings.
 A functional is stored through its finite moment data mu(R_a), mu(R_a*)
 up to a cutoff length, optionally with a vector-state realization on a
 truncated Fock space that reproduces the moments exactly.
+
+The transforms evaluate their coefficient sums with ``fock.word_sum``
+(the starred part of the Poisson transform as the adjoint of one), and
+the radial compressions are built by ``fock.shift_sum`` over right
+shifts.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc
+from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
 from .series import eval_at_creation, jsr_estimate
@@ -148,34 +153,28 @@ def from_vector_states(ft, pairs, cutoff):
 
 def poisson_transform_of(mu, X):
     """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a."""
-    if X.n != mu.n:
-        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    out = kron(mu.unit, np.eye(X.dim, dtype=complex))
-    for tau, c in mu.forward.items():
-        out += kron(c, adjoint(X.word(reverse(tau))))
-    for tau, c in mu.backward.items():
-        out += kron(c, X.word(reverse(tau)))
-    return out
+    analytic = _analytic_sum(mu, X, 1.0)
+    starred = {reverse(tau): adjoint(c) for tau, c in mu.forward.items()}
+    return analytic + adjoint(word_sum(X, starred, mu.p))
 
 
 def fantappie_transform(mu, X):
     """(F mu)(X) = mu(I) (x) I + sum_{|a|>=1} mu(R_~a*) (x) X_a."""
-    if X.n != mu.n:
-        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    out = kron(mu.unit, np.eye(X.dim, dtype=complex))
-    for tau, c in mu.backward.items():
-        out += kron(c, X.word(reverse(tau)))
-    return out
+    return _analytic_sum(mu, X, 1.0)
 
 
 def herglotz_transform(mu, X):
     """(H mu)(X) = 2 (F mu)(X) - mu(I) (x) I."""
+    return _analytic_sum(mu, X, 2.0)
+
+
+def _analytic_sum(mu, X, weight):
+    """mu(I) (x) I + weight * sum_{|a|>=1} mu(R_~a*) (x) X_a."""
     if X.n != mu.n:
         raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    out = kron(mu.unit, np.eye(X.dim, dtype=complex))
-    for tau, c in mu.backward.items():
-        out += 2.0 * kron(c, X.word(reverse(tau)))
-    return out
+    coeffs = {(): mu.unit}
+    coeffs.update((reverse(tau), weight * c) for tau, c in mu.backward.items())
+    return word_sum(X, coeffs, mu.p)
 
 
 def herglotz_from_isometries(V, W, X, im_part, domain_projection=None, tol=1e-10):
@@ -271,13 +270,12 @@ def positivity_equivalence_check(f, m_max, r_grid, tol=1e-8):
     radial_min = math.inf
     for m in range(m_max + 1):
         ft = get_trunc(f.n, m)
-        eye = np.eye(ft.dim, dtype=complex)
         for r in r_grid:
-            ar = kron(half_diag, eye)
-            for w, c in f.coeffs.items():
-                if w and len(w) <= m:
-                    rw = (r ** len(w)) * ft.r_word(w)
-                    ar += 0.5 * (kron(c, rw) + kron(adjoint(c), rw.T))
+            # R_w appends reverse(w), so each coefficient sits at its reversed word
+            lower = {reverse(w): 0.5 * (r ** len(w)) * c for w, c in f.coeffs.items() if w}
+            upper = {w: adjoint(c) for w, c in lower.items()}
+            lower[()] = half_diag
+            ar = shift_sum(ft, p, lower, upper, ft.append_indices)
             radial_min = min(radial_min, min_eig_hermitian(ar))
 
     kernel_min = kernel_from_series(f).min_eig()

@@ -212,7 +212,8 @@ def test_cayley_route_matrix_inverse_oracle():
     prob = scalar_problem(1, 2, {(): 1.0, (1,): 0.5, (1, 1): 0.25})
     cf = cara.cayley_route(prob, reg_eps=0.0)
     ft = get_trunc(1, 2)
-    y = 0.5 * ft.s_word((1,)) + 0.25 * ft.s_word((1, 1))
+    s1 = ft.left_creation(1)
+    y = 0.5 * s1 + 0.25 * s1 @ s1
     oracle = y @ np.linalg.inv(np.eye(3) + y)
     analytic, _ = extract_coeffs(oracle, ft, 1)
     for w in ((1,), (1, 1)):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from freefock import cli, jsonio
+from freefock import cli, jsonio, linalg
 from freefock.caratheodory import CaratheodoryProblem
 from freefock.fock import OperatorTuple
 from freefock.series import FreeSeries
@@ -166,6 +166,20 @@ def test_norm_command(tmp_path, capsys):
     code, payload = run_cli(capsys, "norm", str(fpath), "--trunc", "2")
     assert code == 0
     assert payload["norm_lower_bound"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_norm_over_size_limit_is_scope_error(tmp_path, capsys):
+    f = FreeSeries(2, 1, (1, 1), {(1,): np.array([[1.0]])})
+    fpath = tmp_path / "series.json"
+    jsonio.write_json_atomic(jsonio.series_to_json(f), fpath)
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(8)  # P^(3) over two letters has dimension 15
+    try:
+        code = cli.main(["norm", str(fpath), "--trunc", "3"])
+    finally:
+        linalg.set_max_dim(old)
+    assert code == 4
+    assert "size limit" in capsys.readouterr().err
 
 
 def test_poisson_command(tmp_path, capsys):

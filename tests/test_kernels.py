@@ -1,0 +1,334 @@
+"""Oracle tests for the two coefficient-times-word kernels, fock.shift_sum
+and fock.word_sum, and for the paths built on them.
+
+Each path is compared with the Kronecker sum it stands for, with shifts
+formed as products of the creation matrices and word products formed
+from scratch by OperatorTuple.word.
+"""
+
+import numpy as np
+import pytest
+
+from freefock import caratheodory as cara
+from freefock import linalg
+from freefock import pluriharmonic as ph
+from freefock import series as fs
+from freefock import transforms as tr
+from freefock.errors import InputError, SizeLimitError
+from freefock.fock import (
+    OperatorTuple,
+    delta_defect,
+    get_trunc,
+    poisson_kernel,
+    poisson_transform,
+    poisson_transform_word_symbol,
+    random_nilpotent_tuple,
+    reconstruction_operator,
+    shift_sum,
+    word_sum,
+)
+from freefock.linalg import adjoint, kron, min_eig_hermitian
+from freefock.selftest import generate_feasible_problem
+from freefock.toeplitz import assemble_T
+from freefock.words import GradedBasis, reverse
+
+CASES = [(n, p) for n in (1, 2, 3) for p in (1, 2)]
+
+
+def s_word(ft, w):
+    """S_w = S_{i1} ... S_{ik}: e_b -> e_{w b}."""
+    out = np.eye(ft.dim, dtype=complex)
+    for i in w:
+        out = out @ ft.left_creation(i)
+    return out
+
+
+def r_word(ft, w):
+    """R_w = R_{i1} ... R_{ik}: e_b -> e_{b reverse(w)}."""
+    out = np.eye(ft.dim, dtype=complex)
+    for i in w:
+        out = out @ ft.right_creation(i)
+    return out
+
+
+def kron_sum(terms, size):
+    out = np.zeros((size, size), dtype=complex)
+    for c, m in terms:
+        out += kron(c, m)
+    return out
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_coeffs(rng, n, deg, p, min_degree=0):
+    return {w: gaussian(rng, (p, p)) for w in GradedBasis(n, deg).words if len(w) >= min_degree}
+
+
+def rel_dev(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+# -- shift_sum and its callers ---------------------------------------------
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_shift_sum_matches_kron_sum(n, p):
+    rng = np.random.default_rng(10 * n + p)
+    ft = get_trunc(n, 2)
+    lower = random_coeffs(rng, n, 3, p)  # degree-3 words reach no block
+    upper = random_coeffs(rng, n, 3, p, min_degree=1)
+    size = p * ft.dim
+
+    got = shift_sum(ft, p, lower, upper, ft.prepend_indices)
+    want = kron_sum(
+        [(c, s_word(ft, w)) for w, c in lower.items()]
+        + [(c, s_word(ft, w).T) for w, c in upper.items()],
+        size,
+    )
+    assert rel_dev(got, want) <= 1e-14
+
+    got = shift_sum(ft, p, lower, upper, ft.append_indices)
+    want = kron_sum(
+        [(c, r_word(ft, reverse(w))) for w, c in lower.items()]
+        + [(c, r_word(ft, reverse(w)).T) for w, c in upper.items()],
+        size,
+    )
+    assert rel_dev(got, want) <= 1e-14
+
+    with pytest.raises(InputError):  # M_() = I would meet itself transposed
+        shift_sum(ft, p, lower, {(): lower[()]}, ft.prepend_indices)
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_assemble_T_matches_kron_sum(n, p):
+    rng = np.random.default_rng(20 * n + p)
+    coeffs = random_coeffs(rng, n, 2, p)
+    coeffs[()] = coeffs[()] + adjoint(coeffs[()])
+    ft = get_trunc(n, 2)
+    want = kron(coeffs[()], np.eye(ft.dim)) + kron_sum(
+        [(c, s_word(ft, w)) for w, c in coeffs.items() if w]
+        + [(adjoint(c), s_word(ft, w).T) for w, c in coeffs.items() if w],
+        p * ft.dim,
+    )
+    assert rel_dev(assemble_T(coeffs, n, 2).entries, want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_eval_at_creation_matches_kron_sum(n, p):
+    rng = np.random.default_rng(30 * n + p)
+    f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
+    for m in (0, 1, 2):  # cutoff 3 exceeds every truncation
+        ft = get_trunc(n, m)
+        want = kron_sum([(c, s_word(ft, w)) for w, c in f.coeffs.items()], p * ft.dim)
+        assert rel_dev(fs.eval_at_creation(f, m), want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_radial_boundary_matches_kron_sum(n, p):
+    rng = np.random.default_rng(40 * n + p)
+    h = ph.PluriharmonicFn(
+        n, 3, (p, p), random_coeffs(rng, n, 3, p), random_coeffs(rng, n, 3, p, min_degree=1)
+    )
+    for r in (0.0, 0.6, 1.0):
+        ft = get_trunc(n, 2)
+        want = kron(h.a_coeff(()), np.eye(ft.dim)) + kron_sum(
+            [(c, r ** len(w) * s_word(ft, w)) for w, c in h.analytic.items() if w]
+            + [(c, r ** len(w) * s_word(ft, w).T) for w, c in h.coanalytic.items()],
+            p * ft.dim,
+        )
+        assert rel_dev(ph.radial_boundary(h, r, 2), want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_cf_check_cross_check_matches_kron_sum(n, p):
+    rng = np.random.default_rng(50 * n + p)
+    prob = cara.CFProblem(n, 2, random_coeffs(rng, n, 2, p), p)
+    ft = get_trunc(n, 2)
+    want = kron_sum(
+        [(c, r_word(ft, reverse(w))) for w, c in prob.coeffs.items()], p * ft.dim
+    )
+    got = shift_sum(ft, p, prob.coeffs, {}, ft.append_indices)
+    assert rel_dev(got, want) <= 1e-14
+    rep = cara.cf_check(prob)
+    assert rep.cross_check_dev <= 1e-14 * np.linalg.norm(want)
+    assert rep.norm == pytest.approx(np.linalg.norm(want, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_radial_compressions_match_kron_sum(n, p):
+    rng = np.random.default_rng(60 * n + p)
+    f = fs.FreeSeries(n, 2, (p, p), random_coeffs(rng, n, 2, p))
+    f.coeffs[()] = f.coeffs[()] + 4.0 * np.eye(p)
+    grid = [0.3, 0.9]
+    half = (f.coeffs[()] + adjoint(f.coeffs[()])) / 2.0
+    want = np.inf
+    for m in range(3):
+        ft = get_trunc(n, m)
+        for r in grid:
+            terms = []
+            for w, c in f.coeffs.items():
+                if w:
+                    rw = r ** len(w) * r_word(ft, w)
+                    terms += [(0.5 * c, rw), (0.5 * adjoint(c), rw.T)]
+            ar = kron(half, np.eye(ft.dim)) + kron_sum(terms, p * ft.dim)
+            want = min(want, min_eig_hermitian(ar))
+    got = tr.positivity_equivalence_check(f, m_max=2, r_grid=grid).min_eigs["radial"]
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# -- word_sum and its callers ----------------------------------------------
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_word_sum_matches_kron_sum(n, p):
+    rng = np.random.default_rng(70 * n + p)
+    X = random_nilpotent_tuple(rng, n, 3, row_norm=0.8)
+    q = X.dim
+    dense = random_coeffs(rng, n, 3, p)
+    words = list(dense)
+    rng.shuffle(words)
+    sparse = {w: dense[w] for w in words[: len(words) // 3]}  # prefixes missing
+    for coeffs in (dense, sparse):
+        want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], p * q)
+        assert rel_dev(word_sum(X, coeffs, p), want) <= 1e-14
+    assert not word_sum(X, {}, p).any()
+    assert word_sum(X, {}, p).shape == (p * q, p * q)
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_eval_report_matches_kron_sum(n, p):
+    rng = np.random.default_rng(80 * n + p)
+    f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
+    X = random_nilpotent_tuple(rng, n, 3, row_norm=0.7)
+    want = kron_sum([(c, X.word(w)) for w, c in f.coeffs.items()], p * X.dim)
+    assert rel_dev(fs.eval_report(f, X).value, want) <= 1e-14
+
+
+def _nilpotent_check_reference(prob, ext, samples, seed):
+    """The nilpotent-positivity value of verify_solution, by kron sums."""
+    rng = np.random.default_rng(seed)
+    b0 = prob.coeffs[()]
+    worst = np.inf
+    for _ in range(samples):
+        X = random_nilpotent_tuple(
+            rng, prob.n, ext.target_deg + 1, row_norm=float(rng.uniform(0.2, 0.95))
+        )
+        g = kron(b0 / 2.0, np.eye(X.dim))
+        for w, c in ext.coeffs.items():
+            if w:
+                g += kron(c, X.word(w))
+        worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
+    return worst
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_verify_solution_matches_kron_reference(p):
+    rng = np.random.default_rng(p)
+    if p == 1:
+        prob = generate_feasible_problem(rng, 2, 2)
+    else:
+        coeffs = random_coeffs(rng, 2, 1, p, min_degree=1)
+        coeffs = {w: 0.1 * c for w, c in coeffs.items()}
+        coeffs[()] = np.eye(p)
+        prob = cara.CaratheodoryProblem(2, 1, coeffs)
+    ext = cara.extend(prob, 3)
+    rep = cara.verify_solution(prob, ext, samples=6, seed=3)
+    want = _nilpotent_check_reference(prob, ext, 6, 3)
+    assert rep.passed
+    assert abs(rep.checks["nilpotent_positive"][1] - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# -- Poisson kernel and transforms -----------------------------------------
+
+
+@pytest.mark.parametrize("n,q", CASES)
+def test_poisson_kernel_and_transform_match_dense(n, q):
+    rng = np.random.default_rng(90 * n + q)
+    ft = get_trunc(n, 3)
+    X = random_nilpotent_tuple(rng, n, 3, row_norm=0.8)
+    p = X.dim
+    want_k = np.vstack([delta_defect(X) @ adjoint(X.word(w)) for w in ft.basis.words])
+    K = poisson_kernel(ft, X)
+    assert rel_dev(K, want_k) <= 1e-14
+
+    U = gaussian(rng, (q * ft.dim, q * ft.dim))
+    lifted = kron(np.eye(q), K)
+    want = adjoint(lifted) @ kron(U, np.eye(p)) @ lifted
+    assert rel_dev(poisson_transform(ft, U, X, coeff_dim=q), want) <= 1e-13
+
+    for a, b in (((), ()), ((1,), ()), ((n,), (1, n)), ((1, 1, 1), (n,))):
+        F = kron(s_word(ft, a) @ s_word(ft, b).T, np.eye(p))
+        got = poisson_transform_word_symbol(ft, a, b, X, kernel=K)
+        assert rel_dev(got, adjoint(K) @ F @ K) <= 1e-13
+
+
+def test_transforms_of_functionals_match_kron_sums():
+    rng = np.random.default_rng(11)
+    ft = get_trunc(2, 4)
+    v = np.zeros(ft.dim, dtype=complex)
+    v[:7] = gaussian(rng, 7)
+    mu = tr.from_vector_states(ft, [(1.0, v, v)], 2)
+    X = random_nilpotent_tuple(rng, 2, 3, row_norm=0.6)
+    eye = np.eye(X.dim)
+    fwd = [(c, adjoint(X.word(reverse(t)))) for t, c in mu.forward.items()]
+    bwd = [(c, X.word(reverse(t))) for t, c in mu.backward.items()]
+    size = X.dim
+    base = kron(mu.unit, eye)
+    assert rel_dev(tr.poisson_transform_of(mu, X), base + kron_sum(fwd + bwd, size)) <= 1e-14
+    assert rel_dev(tr.fantappie_transform(mu, X), base + kron_sum(bwd, size)) <= 1e-14
+    twice = [(2.0 * c, m) for c, m in bwd]
+    assert rel_dev(tr.herglotz_transform(mu, X), base + kron_sum(twice, size)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (2, 2)])
+def test_series_level_reductions_match_operator_cayley(n, p):
+    rng = np.random.default_rng(100 * n + p)
+    m = 2
+    coeffs = {w: 0.1 * gaussian(rng, (p, p)) for w in GradedBasis(n, m).words}
+    coeffs[()] = np.eye(p, dtype=complex)
+    prob = cara.CaratheodoryProblem(n, m, coeffs, p)
+    ft = get_trunc(n, m)
+    y = kron_sum([(c, s_word(ft, w)) for w, c in coeffs.items() if w], p * ft.dim)
+    want, _ = fs.extract_coeffs(fs.truncated_cayley(y, "inverse", ft), ft, p)
+    got = cara.cayley_route(prob, reg_eps=0.0)
+    for w in GradedBasis(n, m).words[1:]:
+        assert np.max(np.abs(got.coefficient(w) - want.get(w, 0.0))) <= 1e-14
+
+    cf = cara.CFProblem(n, m, {w: 0.3 * c for w, c in got.coeffs.items()}, p)
+    ft1 = get_trunc(n, m + 1)
+    b = kron_sum([(c, s_word(ft1, (1,) + w)) for w, c in cf.coeffs.items()], p * ft1.dim)
+    want, _ = fs.extract_coeffs(fs.truncated_cayley(b, "forward", ft1), ft1, p)
+    lifted = cara.cf_to_caratheodory(cf)
+    for w in GradedBasis(n, m + 1).words[1:]:
+        assert np.max(np.abs(lifted.coefficient(w) - want.get(w, 0.0))) <= 1e-14
+
+
+# -- size checks before allocation -----------------------------------------
+
+
+@pytest.fixture
+def cap8():
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(8)
+    yield
+    linalg.set_max_dim(old)
+
+
+def test_kernels_check_size_before_allocating(cap8):
+    # every case below is 9 to 12 on a side; none is allocated
+    ft = get_trunc(1, 3)
+    X = OperatorTuple((np.zeros((3, 3)),))
+    f = fs.FreeSeries(1, 1, (3, 3), {(1,): np.eye(3)})
+    h = ph.PluriharmonicFn(1, 1, (3, 3), {(): np.eye(3)}, {})
+    with pytest.raises(SizeLimitError):
+        fs.eval_at_creation(f, 3)
+    with pytest.raises(SizeLimitError):
+        ph.radial_boundary(h, 0.5, 3)
+    with pytest.raises(SizeLimitError):
+        reconstruction_operator(ft, X)
+    with pytest.raises(SizeLimitError):
+        shift_sum(ft, 3, {}, {}, ft.prepend_indices)
+    with pytest.raises(SizeLimitError):
+        word_sum(X, {}, 3)

@@ -116,7 +116,8 @@ def test_pluriharmonic_poisson_kernel_nilpotent_outside_ball():
     want = np.eye(ft.dim * 2, dtype=complex)
     for w in GradedBasis(1, ft.N).words:
         if w:
-            term = kron(ft.append_matrix(w), adjoint(x.word(w)))
+            shift = np.linalg.matrix_power(ft.right_creation(1), len(w))  # e_b -> e_{b w}
+            term = kron(shift, adjoint(x.word(w)))
             want += term + adjoint(term)
     assert np.max(np.abs(p - want)) <= 1e-12
     bad = OperatorTuple((np.eye(2),))
