@@ -65,7 +65,7 @@ from .series import (
     radius_estimate,
     truncated_cayley,
 )
-from .toeplitz import MultiToeplitzMatrix, assemble_T, assemble_kernel
+from .toeplitz import MultiToeplitzMatrix, assemble_T
 from .transforms import (
     MomentFunctional,
     fantappie_transform,

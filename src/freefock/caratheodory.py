@@ -32,7 +32,7 @@ from .linalg import (
 from .series import FreeSeries, cayley_forward, cayley_inverse
 from .toeplitz import assemble_T, validate_coeffs
 from .transforms import MomentFunctional
-from .words import GradedBasis, left_quotient, reverse
+from .words import GradedBasis, reverse
 
 
 @dataclass
@@ -201,44 +201,17 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
 class CFReport:
     norm: float
     within: bool
-    cross_check_dev: float
     tol: float
 
 
-def cf_matrix(prob):
-    """The multi-analytic matrix [A_{a,b}] of the CF data: block (a, b)
-    is A_{a \\_l b} when a >=_l b, zero otherwise (coefficient-major)."""
-    basis = GradedBasis(prob.n, prob.m)
-    d = basis.size
-    p = prob.block_size
-    b4 = np.zeros((d, d, p, p), dtype=complex)
-    for a, wa in enumerate(basis.words):
-        for b, wb in enumerate(basis.words):
-            if wa == wb:
-                s = ()
-            else:
-                s = left_quotient(wa, wb)
-                if s is None:
-                    continue
-            c = prob.coeffs.get(s)
-            if c is not None:
-                b4[a, b] = c
-    return b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
-
-
 def cf_check(prob, tol=1e-9):
-    """Solvability criterion ||A_m|| <= 1 for the CF problem, with a
-    cross-check that the entrywise matrix matches the right-translation
-    sum sum_a A_a (x) (e_b -> e_{b a}) (the commutant picture of
-    multi-analytic operators)."""
-    m1 = cf_matrix(prob)
+    """Solvability criterion ||A_m|| <= 1 for the CF problem, with A_m the
+    multi-analytic matrix [A_{a,b}] (block (a, b) is A_{a \\_l b} when
+    a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
+    the commutant picture of multi-analytic operators."""
     ft = get_trunc(prob.n, prob.m)
-    m2 = shift_sum(ft, prob.block_size, prob.coeffs, {}, ft.append_indices)
-    dev = float(np.linalg.norm(m1 - m2))
-    if dev > 1e-10 * (1.0 + np.linalg.norm(m1)):
-        raise ScopeError(f"multi-analytic assembly mismatch {dev:.3e}; internal defect")
-    nrm = operator_norm(m1)
-    return CFReport(nrm, nrm <= 1.0 + tol, dev, tol)
+    nrm = operator_norm(shift_sum(ft, prob.block_size, prob.coeffs, {}, ft.append_indices))
+    return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
 
 def cf_to_caratheodory(prob, tol=1e-9):

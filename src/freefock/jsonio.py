@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .caratheodory import CaratheodoryProblem, CFProblem, ExtensionResult
+from .caratheodory import CaratheodoryProblem, ExtensionResult
 from .errors import InputError
 from .fock import OperatorTuple
 from .pluriharmonic import PluriharmonicFn
@@ -163,26 +163,6 @@ def json_to_problem(obj):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
     return CaratheodoryProblem(n, m, coeffs, block)
-
-
-def cf_problem_to_json(prob):
-    return {
-        "n": prob.n,
-        "m": prob.m,
-        "block_size": prob.block_size,
-        "coefficients": _coeffs_to_json(prob.coeffs),
-    }
-
-
-def json_to_cf_problem(obj):
-    try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        coeffs = _json_to_coeffs(obj["coefficients"], n)
-        block = int(obj.get("block_size", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad CF problem: {exc}") from exc
-    return CFProblem(n, m, coeffs, block)
 
 
 def extension_to_json(ext):

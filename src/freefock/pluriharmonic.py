@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import InputError, ScopeError
 from .fock import get_trunc, poisson_transform, reconstruction_operator, shift_sum
-from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
-from .series import FreeSeries, eval_report, jsr_estimate
-from .words import validate_word
+from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
+from .series import FreeSeries, clean_coeffs, eval_report, jsr_estimate
 
 
 @dataclass
@@ -31,26 +30,12 @@ class PluriharmonicFn:
 
     def __post_init__(self):
         self.shape = tuple(self.shape)
+        self.analytic = clean_coeffs(self.analytic, self.n, self.cutoff, self.shape)
+        self.coanalytic = clean_coeffs(
+            self.coanalytic, self.n, self.cutoff, self.shape, allow_empty=False
+        )
         if self.shape[0] != self.shape[1]:
             raise InputError("pluriharmonic coefficients must be square")
-        self.analytic = self._clean(self.analytic, allow_empty=True)
-        self.coanalytic = self._clean(self.coanalytic, allow_empty=False)
-
-    def _clean(self, coeffs, allow_empty):
-        out = {}
-        for w, c in coeffs.items():
-            w = tuple(w)
-            validate_word(w, self.n)
-            if not w and not allow_empty:
-                raise InputError("co-analytic coefficients start at degree 1")
-            if len(w) > self.cutoff:
-                raise InputError(f"word length {len(w)} exceeds cutoff {self.cutoff}")
-            c = as_cmatrix(c)
-            if c.shape != self.shape:
-                raise InputError(f"coefficient shape {c.shape} != {self.shape}")
-            if c.any():
-                out[w] = c
-        return out
 
     @property
     def p(self):
@@ -244,22 +229,23 @@ def mean_value_check(h, X, r, N):
 def is_multi_toeplitz(A, ft, margin, tol):
     """Test the defining compressions (I (x) R_i*) A (I (x) R_j) = d_ij A
     on the truncation-safe zone of degree <= N - margin."""
-    if margin < 1:
-        raise InputError("margin must be >= 1")
+    if not 1 <= margin <= ft.N:
+        raise InputError(f"margin {margin} outside 1..{ft.N}")
     A = as_cmatrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] % ft.dim:
         raise InputError(f"operator of size {A.shape} does not fit C^p (x) P^({ft.N})")
     p = A.shape[0] // ft.dim
-    eye = np.eye(p, dtype=complex)
-    q = kron(eye, ft.degree_projection(ft.N - margin))
+    q = ft.basis.degree_slice(ft.N - margin)[1]
+    a4 = A.reshape(p, ft.dim, p, ft.dim)
     scale = 1.0 + operator_norm(A)
-    for i in range(1, ft.n + 1):
-        ri = kron(eye, ft.right_creation(i))
-        for j in range(1, ft.n + 1):
-            rj = kron(eye, ft.right_creation(j))
-            d = adjoint(ri) @ A @ rj
+    # R_i e_beta = e_{beta i}, so the compression reads A at the appended words
+    dst = [ft.append_indices((i,))[1][:q] for i in range(1, ft.n + 1)]
+    for i, di in enumerate(dst):
+        rows = a4[:, di]
+        for j, dj in enumerate(dst):
+            d = rows[..., dj]
             if i == j:
-                d = d - A
-            if operator_norm(q @ d @ q) > tol * scale:
+                d = d - a4[:, :q, :, :q]
+            if operator_norm(d.reshape(p * q, p * q)) > tol * scale:
                 return False
     return True

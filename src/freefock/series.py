@@ -5,6 +5,13 @@ word (absent means zero).  Every series carries an explicit cutoff; a
 binary operation truncates to the smaller cutoff, so nothing ever claims
 more precision than its inputs had.
 
+Products and the geometric sums behind the Cayley transforms and the
+Neumann inverse run on one degree recurrence, the same for dense and
+sparse series: the coefficients of each degree are stacked into a block,
+degree k of a product sums one einsum per pair of blocks whose degrees
+add up to k, and the geometric sums follow x = f + f x (forward) or
+x = g - g x (inverse), so each degree is computed once.
+
 Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
 operator tuple, ``shift_sum`` at the compressed creation operators.  The
 truncated Cayley transform of operators and the coefficient extraction
@@ -20,8 +27,33 @@ import numpy as np
 
 from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
-from .linalg import adjoint, as_cmatrix, kron, operator_norm
+from .linalg import adjoint, as_cmatrix, operator_norm
 from .words import GradedBasis, validate_word
+
+
+def clean_coeffs(coeffs, n, cutoff, shape, allow_empty=True):
+    """Validated copy of a word -> coefficient map: shape is two positive
+    ints, words are over n letters with length <= cutoff (the empty word
+    only when allowed), coefficients are complex matrices of that shape;
+    exact zeros are dropped."""
+    if len(shape) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
+        raise InputError(f"shape must be two positive integers, got {list(shape)}")
+    if cutoff < 0:
+        raise InputError("cutoff must be >= 0")
+    out = {}
+    for w, c in coeffs.items():
+        w = tuple(w)
+        validate_word(w, n)
+        if not w and not allow_empty:
+            raise InputError("these coefficients start at degree 1; the empty word is not allowed")
+        if len(w) > cutoff:
+            raise InputError(f"word of length {len(w)} exceeds cutoff {cutoff}")
+        c = as_cmatrix(c)
+        if c.shape != shape:
+            raise InputError(f"coefficient shape {c.shape} != shape {shape}")
+        if c.any():
+            out[w] = c
+    return out
 
 
 @dataclass
@@ -32,21 +64,8 @@ class FreeSeries:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise InputError("cutoff must be >= 0")
         self.shape = tuple(self.shape)
-        clean = {}
-        for w, c in self.coeffs.items():
-            w = tuple(w)
-            validate_word(w, self.n)
-            if len(w) > self.cutoff:
-                raise InputError(f"word of length {len(w)} exceeds cutoff {self.cutoff}")
-            c = as_cmatrix(c)
-            if c.shape != self.shape:
-                raise InputError(f"coefficient shape {c.shape} != series shape {self.shape}")
-            if c.any():
-                clean[w] = c
-        self.coeffs = clean
+        self.coeffs = clean_coeffs(self.coeffs, self.n, self.cutoff, self.shape)
 
     # -- constructors ------------------------------------------------------
 
@@ -117,75 +136,51 @@ def _match(f, g):
 
 def multiply(f, g):
     """Series product; coefficient of a word sums over all its two-part
-    factorizations, including empty factors.
-
-    Dense series go through per-degree coefficient blocks: words of
-    degree a + b in graded-lex order are exactly the (prefix, suffix)
-    product order, so each degree pair is one tensor contraction.
-    """
+    factorizations, including empty factors."""
     _match(f, g)
     if f.shape[1] != g.shape[0]:
         raise InputError(f"inner shapes {f.shape} x {g.shape} do not match")
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
-    basis_size = sum(f.n**k for k in range(cutoff + 1))
-    work_blocked = basis_size * shape[0] * shape[1]
-    work_pairwise = len(f.coeffs) * len(g.coeffs)
-    if work_blocked <= 65536 and work_pairwise > 4 * basis_size:
-        return _multiply_blocked(f, g, cutoff, shape)
-    out = {}
-    for wf, cf in f.coeffs.items():
-        if len(wf) > cutoff:
-            continue
-        for wg, cg in g.coeffs.items():
-            if len(wf) + len(wg) > cutoff:
-                continue
-            w = wf + wg
-            prod = cf @ cg
-            if w in out:
-                out[w] += prod
-            else:
-                out[w] = prod
-    return FreeSeries(f.n, cutoff, shape, out)
+    fb, gb = _by_degree(f, cutoff), _by_degree(g, cutoff)
+    out = [_degree_sum([(fb[a], gb[k - a]) for a in fb if k - a in gb], shape)
+           for k in range(cutoff + 1)]
+    return _from_blocks(f.n, cutoff, shape, out)
 
 
-def _degree_blocks(f, cutoff):
-    """Per-degree dense coefficient stacks [(n^k, p, q)] in lex order."""
-    basis = GradedBasis(f.n, cutoff)
-    blocks = []
-    for k in range(cutoff + 1):
-        lo, hi = basis.degree_slice(k)
-        arr = np.zeros((hi - lo, *f.shape), dtype=complex)
-        blocks.append(arr)
+def _by_degree(f, cutoff):
+    """{k: (words, stacked coefficients)} over the degrees k <= cutoff
+    where f has coefficients."""
+    groups = {}
     for w, c in f.coeffs.items():
         if len(w) <= cutoff:
-            k = len(w)
-            lo, _ = basis.degree_slice(k)
-            blocks[k][basis.index[w] - lo] = c
-    return basis, blocks
+            groups.setdefault(len(w), []).append((w, c))
+    return {k: ([w for w, _ in g], np.array([c for _, c in g])) for k, g in groups.items()}
 
 
-def _multiply_blocked(f, g, cutoff, shape):
-    basis, fa = _degree_blocks(f, cutoff)
-    _, gb = _degree_blocks(g, cutoff)
-    out_blocks = [
-        np.zeros((f.n**k, *shape), dtype=complex) for k in range(cutoff + 1)
-    ]
-    for a in range(cutoff + 1):
-        if not fa[a].any():
-            continue
-        for b in range(cutoff + 1 - a):
-            if not gb[b].any():
-                continue
-            prod = np.einsum("ipq,jqr->ijpr", fa[a], gb[b])
-            out_blocks[a + b] += prod.reshape(-1, *shape)
-    out = {}
-    for k, arr in enumerate(out_blocks):
-        lo, _ = basis.degree_slice(k)
-        nz = np.nonzero(arr.reshape(arr.shape[0], -1).any(axis=1))[0]
-        for i in nz:
-            out[basis.words[lo + i]] = arr[i]
-    return FreeSeries(f.n, cutoff, shape, out)
+def _degree_sum(pairs, shape):
+    """Sum of the concatenation products u v over block pairs
+    ((u_words, U), (v_words, V)): word u + v gains U_u @ V_v.  One einsum
+    per pair; within a pair the words u + v are distinct, so each product
+    block is added by one fancy-index update.  Returns (words, stacked
+    coefficients), empty without pairs."""
+    index = {}
+    parts = []
+    for (uw, u), (vw, v) in pairs:
+        words = (index.setdefault(a + b, len(index)) for a in uw for b in vw)
+        ids = np.fromiter(words, dtype=np.intp, count=len(uw) * len(vw))
+        parts.append((ids, np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape)))
+    out = np.zeros((len(index), *shape), dtype=complex)
+    for ids, prod in parts:
+        out[ids] += prod
+    return list(index), out
+
+
+def _from_blocks(n, cutoff, shape, blocks):
+    coeffs = {}
+    for words, c in blocks:
+        coeffs.update(zip(words, c))
+    return FreeSeries(n, cutoff, shape, coeffs)
 
 
 def _require_zero_constant(f, what):
@@ -195,70 +190,37 @@ def _require_zero_constant(f, what):
         raise InputError(f"{what} needs zero constant term")
 
 
-def _geometric_blocked(f, alternating):
-    """Blocks of sum_{k>=1} (+-1)^(k+1) f^k for a dense small series."""
-    basis, fb = _degree_blocks(f, f.cutoff)
-    cutoff = f.cutoff
-    acc = [np.zeros_like(b) for b in fb]
-    power = fb
-    sign = 1.0
-    for k in range(1, cutoff + 1):
-        for d in range(k, cutoff + 1):
-            acc[d] += sign * power[d]
-        if k == cutoff:
-            break
-        nxt = [np.zeros_like(b) for b in fb]
-        for a in range(k, cutoff + 1):
-            if not power[a].any():
-                continue
-            for b in range(1, cutoff + 1 - a):
-                prod = np.einsum("ipq,jqr->ijpr", power[a], fb[b])
-                nxt[a + b] += prod.reshape(-1, *f.shape)
-        power = nxt
-        if alternating:
-            sign = -sign
-    out = {}
-    for k, arr in enumerate(acc):
-        lo, _ = basis.degree_slice(k)
-        nz = np.nonzero(arr.reshape(arr.shape[0], -1).any(axis=1))[0]
-        for i in nz:
-            out[basis.words[lo + i]] = arr[i]
-    return FreeSeries(f.n, f.cutoff, f.shape, out)
-
-
-def _geometric_sum(f, alternating):
-    basis_size = sum(f.n**k for k in range(f.cutoff + 1))
-    if basis_size * f.shape[0] * f.shape[1] <= 65536 and len(f.coeffs) > basis_size // 8:
-        return _geometric_blocked(f, alternating)
-    acc = FreeSeries.zero(f.n, f.cutoff, f.shape)
-    power = FreeSeries.one(f.n, f.cutoff, f.shape[0])
-    sign = 1.0
-    for _ in range(f.cutoff):
-        power = multiply(power, f)
-        if not power.coeffs:
-            break
-        acc = acc.add(power.scale(sign))
-        if alternating:
-            sign = -sign
-    return acc
+def _geometric(f, sign):
+    """x = f + sign f x, i.e. f + f^2 + ... (sign +1) or f - f^2 + ...
+    (sign -1), truncated at the cutoff: degree by degree,
+    x_k = f_k + sign sum_{a<k} f_a x_{k-a} over the degrees a of f."""
+    fb = _by_degree(f, f.cutoff)
+    unit = ([()], np.eye(f.shape[0], dtype=complex)[None])
+    signed = {a: (w, sign * c) for a, (w, c) in fb.items()}
+    x = {}
+    for k in range(1, f.cutoff + 1):
+        pairs = [(fb[k], unit)] if k in fb else []
+        pairs += [(signed[a], x[k - a]) for a in fb if a < k]
+        x[k] = _degree_sum(pairs, f.shape)
+    return _from_blocks(f.n, f.cutoff, f.shape, x.values())
 
 
 def neumann_inverse(f):
     """(1 - f)^(-1) = 1 + f + f^2 + ..., truncated at the cutoff."""
     _require_zero_constant(f, "Neumann inverse")
-    return FreeSeries.one(f.n, f.cutoff, f.shape[0]).add(_geometric_sum(f, False))
+    return FreeSeries.one(f.n, f.cutoff, f.shape[0]).add(_geometric(f, 1.0))
 
 
 def cayley_forward(f):
     """(1 - f)^(-1) f = f + f^2 + ...; zero constant term in, zero out."""
     _require_zero_constant(f, "Cayley transform")
-    return _geometric_sum(f, False)
+    return _geometric(f, 1.0)
 
 
 def cayley_inverse(g):
     """g (1 + g)^(-1) = g - g^2 + g^3 - ...; inverts cayley_forward."""
     _require_zero_constant(g, "inverse Cayley transform")
-    return _geometric_sum(g, True)
+    return _geometric(g, -1.0)
 
 
 def cayley_composition_coefficient(f, w):
@@ -421,10 +383,14 @@ def check_multi_analytic(Y, ft, tol=1e-10):
         raise InputError(f"operator of size {Y.shape} does not fit C^p (x) P^({ft.N})")
     p = Y.shape[0] // ft.dim
     scale = 1.0 + np.linalg.norm(Y)
-    eye = np.eye(p, dtype=complex)
+    y4 = Y.reshape(p, ft.dim, p, ft.dim)
     for i in range(1, ft.n + 1):
-        r = kron(eye, ft.right_creation(i))
-        if np.linalg.norm(Y @ r - r @ Y) > tol * scale:
+        # R_i maps e_src to e_dst: Y R_i moves columns dst to src, R_i Y rows src to dst
+        src, dst = ft.append_indices((i,))
+        comm = np.zeros_like(y4)
+        comm[..., src] = y4[..., dst]
+        comm[:, dst] -= y4[:, src]
+        if np.linalg.norm(comm) > tol * scale:
             raise InputError(f"operator does not commute with I (x) R_{i}; not multi-analytic")
     return p
 

@@ -1,6 +1,6 @@
 """Multi-Toeplitz matrices on the graded word basis: validation of symbol
-coefficients, and assembly of T_m from them (through the creation
-operators, and entrywise from the right-divisibility kernel).
+coefficients, and assembly of T_m from them through the creation
+operators' index maps.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InputError
 from .fock import get_trunc, shift_sum
 from .linalg import adjoint, as_cmatrix, check_hermitian, min_eig_hermitian
-from .words import GradedBasis, right_quotient, validate_word
+from .words import GradedBasis, validate_word
 
 
 @dataclass
@@ -68,34 +68,6 @@ def assemble_T(coeffs, n, m):
     upper = {w: adjoint(c) for w, c in coeffs.items() if w}
     out = shift_sum(ft, p, coeffs, upper, ft.prepend_indices)
     return MultiToeplitzMatrix(n, m, p, ft.basis, out)
-
-
-def assemble_kernel(coeffs, n, m):
-    """The same matrix assembled entrywise from the right-divisibility
-    kernel: block (a, b) = b_{a \\ b} when a >_r b, its adjoint when
-    b >_r a, b_0 on the diagonal, zero otherwise."""
-    coeffs, p = validate_coeffs(coeffs, n, m)
-    basis = GradedBasis(n, m)
-    d = basis.size
-    b4 = np.zeros((d, d, p, p), dtype=complex)
-    for a, wa in enumerate(basis.words):
-        for b, wb in enumerate(basis.words):
-            if a == b:
-                b4[a, b] = coeffs[()]
-                continue
-            s = right_quotient(wa, wb)
-            if s is not None:
-                c = coeffs.get(s)
-                if c is not None:
-                    b4[a, b] = c
-            else:
-                s = right_quotient(wb, wa)
-                if s is not None:
-                    c = coeffs.get(s)
-                    if c is not None:
-                        b4[a, b] = adjoint(c)
-    entries = b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
-    return MultiToeplitzMatrix(n, m, p, basis, entries)
 
 
 def min_eig(T):

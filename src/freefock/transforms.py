@@ -24,9 +24,9 @@ from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
-from .series import eval_at_creation, jsr_estimate
+from .series import clean_coeffs, eval_at_creation, jsr_estimate
 from .toeplitz import MultiToeplitzMatrix
-from .words import GradedBasis, left_quotient, reverse, validate_word
+from .words import GradedBasis, reverse
 
 
 @dataclass
@@ -40,27 +40,11 @@ class MomentFunctional:
 
     def __post_init__(self):
         self.unit = as_cmatrix(self.unit)
-        p = self.unit.shape[0]
-        if self.unit.shape != (p, p):
+        shape = self.unit.shape
+        if shape[0] != shape[1]:
             raise InputError("mu(I) must be square")
-        self.forward = self._clean(self.forward, p)
-        self.backward = self._clean(self.backward, p)
-
-    def _clean(self, coeffs, p):
-        out = {}
-        for w, c in coeffs.items():
-            w = tuple(w)
-            validate_word(w, self.n)
-            if not w:
-                raise InputError("moments at the empty word belong in unit")
-            if len(w) > self.cutoff:
-                raise InputError(f"moment word longer than cutoff {self.cutoff}")
-            c = as_cmatrix(c)
-            if c.shape != (p, p):
-                raise InputError("moment shape mismatch")
-            if c.any():
-                out[w] = c
-        return out
+        self.forward = clean_coeffs(self.forward, self.n, self.cutoff, shape, allow_empty=False)
+        self.backward = clean_coeffs(self.backward, self.n, self.cutoff, shape, allow_empty=False)
 
     @property
     def p(self):
@@ -214,30 +198,18 @@ def herglotz_from_isometries(V, W, X, im_part, domain_projection=None, tol=1e-10
 def kernel_from_series(f):
     """Left-divisibility kernel of a free series: K(a, a) = A_0 + A_0*,
     K(a, b) = A*_{reverse(b \\_l a)} when b >_l a, the unstarred mirror
-    when a >_l b, zero otherwise; over all words of length <= cutoff."""
+    when a >_l b, zero otherwise; over all words of length <= cutoff.
+    Block (b s, b) holds A_{reverse(s)}, so it is the right-shift sum
+    of the coefficients at reversed words (fock.shift_sum)."""
     if not f.is_square():
         raise InputError("kernel needs square coefficients")
-    m = f.cutoff
-    basis = GradedBasis(f.n, m)
-    p = f.shape[0]
-    d = basis.size
+    ft = get_trunc(f.n, f.cutoff)
     a0 = f.coefficient(())
-    diag = a0 + adjoint(a0)
-    b4 = np.zeros((d, d, p, p), dtype=complex)
-    for a, wa in enumerate(basis.words):
-        for b, wb in enumerate(basis.words):
-            if a == b:
-                b4[a, b] = diag
-                continue
-            s = left_quotient(wb, wa)
-            if s is not None:
-                b4[a, b] = adjoint(f.coefficient(reverse(s)))
-                continue
-            s = left_quotient(wa, wb)
-            if s is not None:
-                b4[a, b] = f.coefficient(reverse(s))
-    entries = b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
-    return MultiToeplitzMatrix(f.n, m, p, basis, entries)
+    lower = {reverse(w): c for w, c in f.coeffs.items() if w}
+    upper = {w: adjoint(c) for w, c in lower.items()}
+    lower[()] = a0 + adjoint(a0)
+    entries = shift_sum(ft, f.shape[0], lower, upper, ft.append_indices)
+    return MultiToeplitzMatrix(f.n, f.cutoff, f.shape[0], ft.basis, entries)
 
 
 @dataclass

@@ -110,6 +110,23 @@ def test_non_finite_input_is_input_error(tmp_path):
         assert cli.main(["extend", str(path), "--target-degree", "2"]) == 3
 
 
+@pytest.mark.parametrize("shape", [[2], [-1, -1], [0, 0], [2, 2, 2]])
+def test_bad_shape_is_input_error(tmp_path, shape):
+    tpath = tmp_path / "tuple.json"
+    jsonio.write_json_atomic(jsonio.tuple_to_json(OperatorTuple((np.zeros((1, 1)),))), tpath)
+    spath = tmp_path / "series.json"
+    spath.write_text(json.dumps({"n": 1, "cutoff": 2, "shape": shape, "coefficients": {}}))
+    hpath = tmp_path / "symbol.json"
+    hpath.write_text(json.dumps({"n": 1, "cutoff": 2, "shape": shape, "analytic": {}}))
+    for argv in (
+        ["cayley", "forward", str(spath)],
+        ["eval", str(spath), str(tpath)],
+        ["norm", str(spath)],
+        ["poisson", str(hpath), str(tpath)],
+    ):
+        assert cli.main(argv) == 3, argv
+
+
 def test_cayley_roundtrip_via_cli(tmp_path, capsys):
     rng = np.random.default_rng(0)
     coeffs = {

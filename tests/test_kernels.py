@@ -3,7 +3,10 @@ and fock.word_sum, and for the paths built on them.
 
 Each path is compared with the Kronecker sum it stands for, with shifts
 formed as products of the creation matrices and word products formed
-from scratch by OperatorTuple.word.
+directly by OperatorTuple.word; the multi-analytic matrix of CF data
+and the divisibility kernel of a series also with their entrywise
+constructions, and the two structure tests with dense kron(I, R_i)
+products.
 """
 
 import numpy as np
@@ -30,7 +33,7 @@ from freefock.fock import (
 from freefock.linalg import adjoint, kron, min_eig_hermitian
 from freefock.selftest import generate_feasible_problem
 from freefock.toeplitz import assemble_T
-from freefock.words import GradedBasis, reverse
+from freefock.words import GradedBasis, left_quotient, reverse
 
 CASES = [(n, p) for n in (1, 2, 3) for p in (1, 2)]
 
@@ -141,6 +144,39 @@ def test_radial_boundary_matches_kron_sum(n, p):
         assert rel_dev(ph.radial_boundary(h, r, 2), want) <= 1e-14
 
 
+def cf_matrix(prob):
+    """The multi-analytic matrix [A_{a,b}] of CF data entrywise: block
+    (a, b) is A_{a \\_l b} when a >=_l b, zero otherwise."""
+    basis = GradedBasis(prob.n, prob.m)
+    d, p = basis.size, prob.block_size
+    b4 = np.zeros((d, d, p, p), dtype=complex)
+    for a, wa in enumerate(basis.words):
+        for b, wb in enumerate(basis.words):
+            s = () if wa == wb else left_quotient(wa, wb)
+            if s is not None and s in prob.coeffs:
+                b4[a, b] = prob.coeffs[s]
+    return b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
+
+
+def kernel_entrywise(f):
+    """The left-divisibility kernel of a series entrywise: K(a, a) =
+    A_0 + A_0*, K(a, b) = A*_{reverse(b \\_l a)} when b >_l a, the
+    unstarred mirror when a >_l b, zero otherwise."""
+    basis = GradedBasis(f.n, f.cutoff)
+    d, p = basis.size, f.shape[0]
+    a0 = f.coefficient(())
+    b4 = np.zeros((d, d, p, p), dtype=complex)
+    for a, wa in enumerate(basis.words):
+        for b, wb in enumerate(basis.words):
+            if a == b:
+                b4[a, b] = a0 + adjoint(a0)
+            elif (s := left_quotient(wb, wa)) is not None:
+                b4[a, b] = adjoint(f.coefficient(reverse(s)))
+            elif (s := left_quotient(wa, wb)) is not None:
+                b4[a, b] = f.coefficient(reverse(s))
+    return b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
+
+
 @pytest.mark.parametrize("n,p", CASES)
 def test_cf_check_cross_check_matches_kron_sum(n, p):
     rng = np.random.default_rng(50 * n + p)
@@ -151,9 +187,21 @@ def test_cf_check_cross_check_matches_kron_sum(n, p):
     )
     got = shift_sum(ft, p, prob.coeffs, {}, ft.append_indices)
     assert rel_dev(got, want) <= 1e-14
+    assert np.array_equal(cf_matrix(prob), got)
     rep = cara.cf_check(prob)
-    assert rep.cross_check_dev <= 1e-14 * np.linalg.norm(want)
     assert rep.norm == pytest.approx(np.linalg.norm(want, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m,p", [(1, 4, 1), (2, 3, 2), (3, 2, 1), (2, 4, 1)])
+def test_kernel_from_series_matches_entrywise(n, m, p):
+    rng = np.random.default_rng(10 * n + m + p)
+    dense = random_coeffs(rng, n, m, p)
+    sparse = {w: c for k, (w, c) in enumerate(dense.items()) if k % 3 == 1}
+    for coeffs in (dense, sparse):
+        f = fs.FreeSeries(n, m, (p, p), coeffs)
+        k = tr.kernel_from_series(f)
+        assert np.array_equal(k.entries, kernel_entrywise(f))
+        assert (k.n, k.m, k.block_size, k.basis.size) == (n, m, p, len(GradedBasis(n, m)))
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -176,6 +224,76 @@ def test_radial_compressions_match_kron_sum(n, p):
             want = min(want, min_eig_hermitian(ar))
     got = tr.positivity_equivalence_check(f, m_max=2, r_grid=grid).min_eigs["radial"]
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+# -- structure tests through index maps -------------------------------------
+
+
+def commutator_devs(Y, ft):
+    """||Y (I (x) R_i) - (I (x) R_i) Y|| for each i, from dense products."""
+    eye = np.eye(Y.shape[0] // ft.dim, dtype=complex)
+    out = []
+    for i in range(1, ft.n + 1):
+        r = kron(eye, ft.right_creation(i))
+        out.append(np.linalg.norm(Y @ r - r @ Y))
+    return out
+
+
+def compression_devs(A, ft, margin):
+    """||Q ((I (x) R_i*) A (I (x) R_j) - d_ij A) Q|| for each i, j, with Q
+    the projection onto degree <= N - margin, from dense products."""
+    eye = np.eye(A.shape[0] // ft.dim, dtype=complex)
+    q = kron(eye, ft.degree_projection(ft.N - margin))
+    out = []
+    for i in range(1, ft.n + 1):
+        ri = kron(eye, ft.right_creation(i))
+        for j in range(1, ft.n + 1):
+            rj = kron(eye, ft.right_creation(j))
+            d = adjoint(ri) @ A @ rj - (A if i == j else 0.0)
+            out.append(np.linalg.norm(q @ d @ q, 2))
+    return out
+
+
+def multi_analytic(Y, ft, tol):
+    try:
+        fs.check_multi_analytic(Y, ft, tol)
+    except InputError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_structure_checks_match_kron_products(n, p):
+    # each verdict flips exactly where the dense deviation crosses the
+    # tolerance, so the index-map deviations equal the dense ones
+    rng = np.random.default_rng(110 * n + p)
+    ft = get_trunc(n, 3)
+    size = p * ft.dim
+    f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
+    h = ph.PluriharmonicFn(
+        n, 3, (p, p), random_coeffs(rng, n, 3, p), random_coeffs(rng, n, 3, p, min_degree=1)
+    )
+    y = fs.eval_at_creation(f, 3)
+    a = ph.radial_boundary(h, 0.7, 3)
+    noise = gaussian(rng, (size, size))
+    s1 = kron(np.eye(p), ft.left_creation(1))
+    for Y in (y, y + 1e-6 * noise, noise, kron(np.eye(p), ft.right_creation(1))):
+        scale = 1.0 + np.linalg.norm(Y)
+        worst = max(commutator_devs(Y, ft))
+        assert multi_analytic(Y, ft, 1e-10) == (worst <= 1e-10 * scale)
+        if worst > 0:
+            assert multi_analytic(Y, ft, worst / scale * (1 + 1e-9))
+            assert not multi_analytic(Y, ft, worst / scale * (1 - 1e-9))
+    for A in (a, np.eye(size, dtype=complex), a + 1e-6 * noise, s1 @ adjoint(s1), noise):
+        scale = 1.0 + np.linalg.norm(A, 2)
+        for margin in (1, 2, 3):
+            worst = max(compression_devs(A, ft, margin))
+            assert ph.is_multi_toeplitz(A, ft, margin, 1e-10) == (worst <= 1e-10 * scale)
+            if worst > 1e-12 * scale:
+                assert ph.is_multi_toeplitz(A, ft, margin, worst / scale * (1 + 1e-9))
+                assert not ph.is_multi_toeplitz(A, ft, margin, worst / scale * (1 - 1e-9))
+    with pytest.raises(InputError):
+        ph.is_multi_toeplitz(a, ft, 4, 1e-10)
 
 
 # -- word_sum and its callers ----------------------------------------------

@@ -36,21 +36,94 @@ def test_multiply_square_expansion():
     assert not sq.coefficient((1,)).any()
 
 
-def test_multiply_blocked_matches_pairwise():
-    rng = np.random.default_rng(0)
-    f = fs.random_series(rng, 2, 4, (2, 2), scale=0.7)
-    g = fs.random_series(rng, 2, 4, (2, 2), scale=0.7)
-    dense = fs.multiply(f, g)
-    # force the pairwise path by a sparse detour: same result either way
-    sparse_f = fs.FreeSeries(f.n, f.cutoff, f.shape, {w: c for w, c in list(f.coeffs.items())[:3]})
-    a = fs.multiply(sparse_f, g)
-    b = fs._multiply_blocked(sparse_f, g, 4, (2, 2))
-    for w in set(a.coeffs) | set(b.coeffs):
-        assert np.max(np.abs(a.coefficient(w) - b.coefficient(w))) <= 1e-13
-    # and the blocked result for the dense product is used and consistent
-    check = fs._multiply_blocked(f, g, 4, (2, 2))
-    for w in set(dense.coeffs) | set(check.coeffs):
-        assert np.max(np.abs(dense.coefficient(w) - check.coefficient(w))) <= 1e-13
+def pairwise_multiply(f, g):
+    """Oracle product: every pair of stored words, summed by concatenation."""
+    cutoff = min(f.cutoff, g.cutoff)
+    out = {}
+    for wf, cf in f.coeffs.items():
+        for wg, cg in g.coeffs.items():
+            if len(wf) + len(wg) <= cutoff:
+                w = wf + wg
+                out[w] = out[w] + cf @ cg if w in out else cf @ cg
+    return fs.FreeSeries(f.n, cutoff, (f.shape[0], g.shape[1]), out)
+
+
+def power_sum(f, sign):
+    """Oracle sum_{k>=1} sign^(k-1) f^k, one pairwise power at a time."""
+    acc = fs.FreeSeries.zero(f.n, f.cutoff, f.shape)
+    power = fs.FreeSeries.one(f.n, f.cutoff, f.shape[0])
+    for k in range(f.cutoff):
+        power = pairwise_multiply(power, f)
+        acc = acc.add(power.scale(sign**k))
+    return acc
+
+
+def assert_series_close(got, want, rtol=1e-13):
+    assert (got.n, got.cutoff, got.shape) == (want.n, want.cutoff, want.shape)
+    for w in set(got.coeffs) | set(want.coeffs):
+        c = want.coefficient(w)
+        assert np.max(np.abs(got.coefficient(w) - c)) <= rtol * (1.0 + np.max(np.abs(c)))
+
+
+def sparse_series(rng, n, cutoff, shape, degrees, count):
+    """count random words of each listed degree, Gaussian coefficients."""
+    coeffs = {}
+    for k in degrees:
+        for _ in range(count):
+            w = tuple(int(i) for i in rng.integers(1, n + 1, size=k))
+            coeffs[w] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return fs.FreeSeries(n, cutoff, shape, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_multiply_matches_pairwise(n):
+    rng = np.random.default_rng(n)
+    cutoff = {1: 7, 2: 4, 3: 3, 9: 2}[n]
+    dense_f = fs.random_series(rng, n, cutoff, (2, 3), scale=0.7)
+    dense_g = fs.random_series(rng, n, cutoff - 1, (3, 1), scale=0.7)
+    sparse_f = sparse_series(rng, n, cutoff, (2, 3), [1, cutoff], 2)
+    sparse_g = sparse_series(rng, n, cutoff, (3, 1), [0, 2], 2)
+    constant = fs.FreeSeries(n, cutoff, (3, 1), {(): np.ones((3, 1))})
+    zero = fs.FreeSeries.zero(n, cutoff, (3, 1))
+    for f in (dense_f, sparse_f):
+        for g in (dense_g, sparse_g, constant, zero):
+            assert_series_close(fs.multiply(f, g), pairwise_multiply(f, g))
+    with pytest.raises(InputError):
+        fs.multiply(dense_g, dense_g)  # inner shapes 1 and 3
+
+
+def geometric_cases():
+    rng = np.random.default_rng(12)
+    nil = np.triu(rng.standard_normal((3, 3)), 1)  # products of three vanish
+    return {
+        "dense-n1": fs.random_series(rng, 1, 6, (2, 2), scale=0.6, min_degree=1),
+        "dense-n2": fs.random_series(rng, 2, 4, (2, 2), scale=0.6, min_degree=1),
+        "dense-n3": fs.random_series(rng, 3, 3, (1, 1), scale=0.6, min_degree=1),
+        "dense-n9": fs.random_series(rng, 9, 2, (1, 1), scale=0.6, min_degree=1),
+        "degree-3-only": sparse_series(rng, 2, 7, (2, 2), [3], 3),
+        "degrees-1-and-4": sparse_series(rng, 3, 5, (2, 2), [1, 4], 2),
+        "nilpotent": fs.FreeSeries(2, 6, (3, 3), {(1,): nil, (2,): 2.0 * nil, (1, 2): nil}),
+        "empty": fs.FreeSeries.zero(2, 4, (2, 2)),
+        "n1-cutoff-40": fs.random_series(rng, 1, 40, (1, 1), scale=0.3, min_degree=1),
+    }
+
+
+@pytest.mark.parametrize("name", list(geometric_cases()))
+def test_geometric_sums_match_power_sums(name):
+    f = geometric_cases()[name]
+    forward, inverse = fs.cayley_forward(f), fs.cayley_inverse(f)
+    assert_series_close(forward, power_sum(f, 1.0))
+    assert_series_close(inverse, power_sum(f, -1.0))
+    one = fs.FreeSeries.one(f.n, f.cutoff, f.shape[0])
+    assert_series_close(fs.neumann_inverse(f), one + power_sum(f, 1.0))
+    if name == "nilpotent":
+        assert forward.max_degree() < f.cutoff  # the sum ends before the cutoff
+    for w in GradedBasis(f.n, min(f.cutoff, 6)).words[1:]:
+        # forward: every factorization; inverse: signed by the piece count
+        want = fs.cayley_composition_coefficient(f, w)
+        assert np.max(np.abs(forward.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
+        want = -fs.cayley_composition_coefficient(f.scale(-1.0), w)
+        assert np.max(np.abs(inverse.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
 
 def test_neumann_inverse():

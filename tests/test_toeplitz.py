@@ -4,7 +4,7 @@ import pytest
 from freefock import toeplitz as tp
 from freefock.errors import InputError
 from freefock.linalg import adjoint
-from freefock.words import GradedBasis
+from freefock.words import GradedBasis, right_quotient
 
 ONE = np.array([[1.0]])
 
@@ -21,6 +21,30 @@ def random_coeffs(rng, n, m, p, selfadjoint_b0=True):
             c = (c + adjoint(c)) / 2.0
         out[w] = c
     return out
+
+
+def assemble_kernel(coeffs, n, m):
+    """Oracle: T_m entrywise from the right-divisibility kernel, block
+    (a, b) = b_{a \\ b} when a >_r b, its adjoint when b >_r a, b_0 on
+    the diagonal, zero otherwise; coefficient-major entries."""
+    p = coeffs[()].shape[0]
+    basis = GradedBasis(n, m)
+    d = basis.size
+    b4 = np.zeros((d, d, p, p), dtype=complex)
+    for a, wa in enumerate(basis.words):
+        for b, wb in enumerate(basis.words):
+            if a == b:
+                b4[a, b] = coeffs[()]
+                continue
+            s = right_quotient(wa, wb)
+            if s is not None:
+                if s in coeffs:
+                    b4[a, b] = coeffs[s]
+            else:
+                s = right_quotient(wb, wa)
+                if s is not None and s in coeffs:
+                    b4[a, b] = adjoint(coeffs[s])
+    return b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
 
 
 def test_assemble_T_classical():
@@ -55,16 +79,17 @@ def test_assemble_kernel_matches_assemble_T():
         p = 1 + k % 2
         coeffs = random_coeffs(rng, n, m, p)
         a = tp.assemble_T(coeffs, n, m).entries
-        b = tp.assemble_kernel(coeffs, n, m).entries
+        b = assemble_kernel(coeffs, n, m)
         assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_assemble_classical_toeplitz():
     coeffs = scalar_coeffs({(): 1.0, (1,): 0.5, (1, 1): 0.25})
-    t = tp.assemble_kernel(coeffs, 1, 2)
+    t = assemble_kernel(coeffs, 1, 2)
     want = np.array([[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1.0]])
     # classical Hermitian Toeplitz with first column (1, .5, .25)
-    assert np.allclose(t.entries, want.T)
+    assert np.allclose(t, want.T)
+    assert np.allclose(tp.assemble_T(coeffs, 1, 2).entries, want.T)
 
 
 def test_assemble_nesting():
