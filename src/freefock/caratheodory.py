@@ -25,6 +25,7 @@ from .fock import get_trunc, random_nilpotent_tuple, shift_sum, word_sum
 from .linalg import (
     adjoint,
     check_hermitian,
+    eigh_hermitian,
     min_eig_hermitian,
     operator_norm,
     psd_pinv,
@@ -162,8 +163,7 @@ def _central_degree(coeffs, n, p, k):
 
 
 def _inv_sqrt_psd(a, reg):
-    a = check_hermitian(a)
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    w, v = eigh_hermitian(a)
     w = w + reg
     if w[0] <= 0:
         raise ScopeError(f"b_0 + {reg:.1e} I is not positive definite")

@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out, scriptable exit codes.
 
 Exit codes: 0 ok/feasible, 1 infeasible, 3 input error, 4 numerical-
-scope error.  Code 2 (no convergence) is retired and never emitted: the
-extension is computed in closed form.
+scope error, 5 internal error (any other exception, a fault of the
+program and never a verdict; its traceback goes to stderr).  Code 2 (no convergence) is retired and never
+emitted: the extension is computed in closed form.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import __version__
 from . import caratheodory as cara
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 3
 EXIT_SCOPE = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(payload, args):
@@ -215,6 +218,10 @@ def main(argv=None):
     except ScopeError as exc:
         print(f"numerical scope error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all freefock modules.
 
 The CLI maps these onto exit codes: InputError -> 3, ScopeError -> 4,
-InfeasibleError -> 1.  Exit code 2 (no convergence) is retired: no
-solver iterates.
+InfeasibleError -> 1, and any other exception -> 5 (internal error).
+Exit code 2 (no convergence) is retired: no solver iterates.
 """
 
 

@@ -7,7 +7,7 @@ pseudo-inverses, and residual-checked solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,13 @@ def check_size(rows, cols, what):
         raise SizeLimitError(f"{what} result {rows}x{cols} exceeds size limit {MAX_DIM}")
 
 
+def check_entries(count, what):
+    """Raise SizeLimitError before a result of count entries is allocated
+    that holds more than the largest matrix check_size admits."""
+    if count > MAX_DIM**2:
+        raise SizeLimitError(f"{what} needs up to {count} entries, over size limit {MAX_DIM}^2")
+
+
 def kron(a, b):
     """Kronecker product with the configured size cap."""
     a = as_cmatrix(a)
@@ -78,8 +85,7 @@ def check_hermitian(a, rtol=HERM_RTOL):
     return a
 
 
-@dataclass
-class HermitianEig:
+class HermitianEig(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # unitary, columns
 
@@ -87,13 +93,14 @@ class HermitianEig:
 def eigh_hermitian(a, rtol=HERM_RTOL):
     """Eigendecomposition of the Hermitian part of a (checked)."""
     a = check_hermitian(a, rtol)
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
-    return HermitianEig(w, v)
+    return HermitianEig(*np.linalg.eigh((a + adjoint(a)) / 2.0))
 
 
 def min_eig_hermitian(a, rtol=HERM_RTOL):
-    """Smallest eigenvalue of (A + A*)/2; rejects non-Hermitian input."""
-    return float(eigh_hermitian(a, rtol).eigenvalues[0])
+    """Smallest eigenvalue of (A + A*)/2; rejects non-Hermitian input.
+    Eigenvalues only: no eigenvectors are computed."""
+    a = check_hermitian(a, rtol)
+    return float(np.linalg.eigvalsh((a + adjoint(a)) / 2.0)[0])
 
 
 def psd_pinv(a):
@@ -102,10 +109,10 @@ def psd_pinv(a):
     Eigenvalues at or below PINV_RTOL times the largest, and negative
     ones (roundoff, or data feasible only within tolerance), count as zero.
     """
-    eig = eigh_hermitian(a)
-    keep = eig.eigenvalues > PINV_RTOL * eig.eigenvalues.max(initial=0.0)
-    v = eig.eigenvectors[:, keep]
-    return (v / eig.eigenvalues[keep]) @ adjoint(v)
+    w, v = eigh_hermitian(a)
+    keep = w > PINV_RTOL * w.max(initial=0.0)
+    v = v[:, keep]
+    return (v / w[keep]) @ adjoint(v)
 
 
 def hermitian_sqrt(a, clamp=1e-12):
@@ -114,8 +121,7 @@ def hermitian_sqrt(a, clamp=1e-12):
     Eigenvalues in [-clamp, 0) are treated as roundoff and clamped to 0;
     anything more negative is rejected.
     """
-    a = check_hermitian(a)
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    w, v = eigh_hermitian(a)
     if w[0] < -clamp * max(1.0, abs(w[-1])):
         raise ScopeError(f"matrix is not PSD (min eig {w[0]:.3e}); no real square root")
     w = np.sqrt(np.maximum(w, 0.0))

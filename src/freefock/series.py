@@ -10,7 +10,8 @@ Neumann inverse run on one degree recurrence, the same for dense and
 sparse series: the coefficients of each degree are stacked into a block,
 degree k of a product sums one einsum per pair of blocks whose degrees
 add up to k, and the geometric sums follow x = f + f x (forward) or
-x = g - g x (inverse), so each degree is computed once.
+x = g - g x (inverse), so each degree is computed once.  Each checks the
+size of its result before allocating it (``_check_words``).
 
 Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
 operator tuple, ``shift_sum`` at the compressed creation operators.  The
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
-from .linalg import adjoint, as_cmatrix, operator_norm
+from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .words import GradedBasis, validate_word
 
 
@@ -143,9 +144,10 @@ def multiply(f, g):
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
     fb, gb = _by_degree(f, cutoff), _by_degree(g, cutoff)
-    out = [_degree_sum([(fb[a], gb[k - a]) for a in fb if k - a in gb], shape)
-           for k in range(cutoff + 1)]
-    return _from_blocks(f.n, cutoff, shape, out)
+    pairs = [[(fb[a], gb[k - a]) for a in fb if k - a in gb] for k in range(cutoff + 1)]
+    counts = [sum(len(u) * len(v) for (u, _), (v, _) in ps) for ps in pairs]
+    _check_words(f.n, counts, shape, "series product")
+    return _from_blocks(f.n, cutoff, shape, [_degree_sum(ps, shape) for ps in pairs])
 
 
 def _by_degree(f, cutoff):
@@ -176,6 +178,14 @@ def _degree_sum(pairs, shape):
     return list(index), out
 
 
+def _check_words(n, counts, shape, what):
+    """Raise SizeLimitError before allocating a series with at most
+    min(n^k, counts[k]) words of degree k, when their entries outnumber
+    those of the largest matrix check_size admits."""
+    words = sum(min(n**k, c) for k, c in enumerate(counts))
+    check_entries(words * shape[0] * shape[1], what)
+
+
 def _from_blocks(n, cutoff, shape, blocks):
     coeffs = {}
     for words, c in blocks:
@@ -195,6 +205,10 @@ def _geometric(f, sign):
     (sign -1), truncated at the cutoff: degree by degree,
     x_k = f_k + sign sum_{a<k} f_a x_{k-a} over the degrees a of f."""
     fb = _by_degree(f, f.cutoff)
+    counts = [1] + [0] * f.cutoff  # sequences of words of f, by total length
+    for k in range(1, f.cutoff + 1):
+        counts[k] = min(f.n**k, sum(len(fb[a][0]) * counts[k - a] for a in fb if a <= k))
+    _check_words(f.n, counts, f.shape, "geometric series sum")
     unit = ([()], np.eye(f.shape[0], dtype=complex)[None])
     signed = {a: (w, sign * c) for a, (w, c) in fb.items()}
     x = {}

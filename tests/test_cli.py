@@ -199,6 +199,37 @@ def test_norm_over_size_limit_is_scope_error(tmp_path, capsys):
     assert "size limit" in capsys.readouterr().err
 
 
+def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
+    two = FreeSeries(2, 6, (1, 1), {(1,): np.array([[0.5]]), (2,): np.array([[0.25j]])})
+    one = FreeSeries(1, 40, (1, 1), {(1,): np.array([[0.5]])})
+    paths = {}
+    for name, f in (("two", two), ("one", one)):
+        paths[name] = tmp_path / f"{name}.json"
+        jsonio.write_json_atomic(jsonio.series_to_json(f), paths[name])
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(8)  # 64 entries; two letters reach 126 words by degree 6
+    try:
+        for direction in ("forward", "inverse"):
+            assert cli.main(["cayley", direction, str(paths["two"])]) == 4
+            assert "size limit" in capsys.readouterr().err
+            # one word per degree: 40 words fit
+            code, payload = run_cli(capsys, "cayley", direction, str(paths["one"]))
+            assert code == 0
+            assert len(payload["series"]["coefficients"]) == 40
+    finally:
+        linalg.set_max_dim(old)
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_basis", broken)
+    assert cli.main(["basis", "2", "1"]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err and "broken command" in err
+
+
 def test_poisson_command(tmp_path, capsys):
     h = {
         "n": 1,

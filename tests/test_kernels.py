@@ -314,6 +314,16 @@ def test_word_sum_matches_kron_sum(n, p):
     assert not word_sum(X, {}, p).any()
     assert word_sum(X, {}, p).shape == (p * q, p * q)
 
+    # deep words at a unitary tuple, whose products do not decay: a
+    # one-letter chain of depth 24, and one degree only, so that every
+    # shallower level of the prefix tree carries no coefficient
+    U = OperatorTuple(tuple(np.linalg.qr(gaussian(rng, (3, 3)))[0] for _ in range(n)))
+    chain = {(1,) * k: gaussian(rng, (p, p)) for k in range(25)}
+    deep = 6 if n < 3 else 4
+    for coeffs in (chain, random_coeffs(rng, n, deep, p, min_degree=deep)):
+        want = kron_sum([(c, U.word(w)) for w, c in coeffs.items()], p * q)
+        assert rel_dev(word_sum(U, coeffs, p), want) <= 1e-14
+
 
 @pytest.mark.parametrize("n,p", CASES)
 def test_eval_report_matches_kron_sum(n, p):

@@ -55,6 +55,13 @@ def test_min_eig_hermitian():
     assert linalg.min_eig_hermitian([[2, 1], [1, 2]]) == pytest.approx(1.0, abs=1e-12)
     assert linalg.min_eig_hermitian([[2, 3], [3, 2]]) == pytest.approx(-1.0, abs=1e-12)
     assert linalg.min_eig_hermitian(np.zeros((3, 3))) == 0.0
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    b = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+    for a in (g + g.conj().T, b @ b.conj().T):  # random Hermitian; PSD of rank 7
+        want = np.linalg.eigh(a)[0][0]
+        tol = 1e-12 * (1.0 + np.linalg.norm(a, 2))
+        assert linalg.min_eig_hermitian(a) == pytest.approx(want, abs=tol)
     with pytest.raises(ScopeError):
         linalg.min_eig_hermitian([[0, 1], [0, 0]])
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from freefock import linalg
 from freefock import series as fs
-from freefock.errors import InputError, ScopeError
+from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import OperatorTuple, get_trunc, random_nilpotent_tuple
 from freefock.linalg import kron, operator_norm
 from freefock.words import GradedBasis
@@ -73,6 +74,27 @@ def sparse_series(rng, n, cutoff, shape, degrees, count):
             w = tuple(int(i) for i in rng.integers(1, n + 1, size=k))
             coeffs[w] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return fs.FreeSeries(n, cutoff, shape, coeffs)
+
+
+def test_products_check_size_before_allocating():
+    eye = np.eye(8)
+    single = fs.FreeSeries(2, 6, (8, 8), {(1, 2): eye})
+    pair = fs.FreeSeries(2, 6, (8, 8), {(1, 2): eye, (2, 1): eye})
+    two = scalar_series(2, 6, {(1,): 0.5, (2,): 0.25})
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(8)  # 64 entries
+    try:
+        # one concatenation of total length 4 (n^4 = 16 words would not
+        # fit): 64 entries fit
+        assert list(fs.multiply(single, single).coeffs) == [(1, 2, 1, 2)]
+        with pytest.raises(SizeLimitError):
+            fs.multiply(pair, pair)  # 4 words of 64 entries
+        for geometric in (fs.neumann_inverse, fs.cayley_forward, fs.cayley_inverse):
+            with pytest.raises(SizeLimitError):
+                geometric(two)  # 2 + 4 + ... + 64 = 126 words
+        assert len(fs.cayley_forward(scalar_series(1, 40, {(1,): 0.5})).coeffs) == 40
+    finally:
+        linalg.set_max_dim(old)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
