@@ -21,7 +21,8 @@ from . import selftest
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
 from .fock import get_trunc, poisson_transform
-from .words import GradedBasis, word_to_string
+from .linalg import check_entries
+from .words import MAX_GENERATORS, GradedBasis, word_to_string
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -37,15 +38,23 @@ def _emit(payload, args):
     if getattr(args, "tol", None) is not None:
         payload.setdefault("tolerances", {})["tol"] = args.tol
     out = getattr(args, "output", None)
-    if out:
-        jsonio.write_json_atomic(payload, out)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    # allow_nan=False rejects inf and nan before any output exists: the file
+    # goes through a temporary that is removed on error, stdout gets one write
+    try:
+        if out:
+            jsonio.write_json_atomic(payload, out)
+        else:
+            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    except ValueError:
+        raise ScopeError("the result is not finite (overflow); nothing written") from None
 
 
 def cmd_basis(args):
-    basis = GradedBasis(args.n, args.deg)
+    n, deg = args.n, args.deg
+    if 1 <= n <= MAX_GENERATORS and deg >= 0:
+        # sum_{k<=deg} n^k words; for n >= 2 degree 64 alone passes any size limit
+        check_entries(deg + 1 if n == 1 else (n ** (min(deg, 64) + 1) - 1) // (n - 1), "basis")
+    basis = GradedBasis(n, deg)
     _emit(
         {"n": args.n, "deg": args.deg, "size": basis.size,
          "words": [word_to_string(w) for w in basis.words]},

@@ -17,9 +17,10 @@ matrices, radial boundaries), and ``word_sum`` evaluates at an operator
 tuple, building the word products level by level over their prefix tree.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
-N ~ 5; the ``apply_*`` functions act on tall vectors through index
-bookkeeping instead of forming the dense operators, and are exact on the
-truncated space because the reconstruction operator is nilpotent there.
+N ~ 5; the ``apply_*`` functions act on tall vectors instead of forming
+the dense operators: each resolvent of the reconstruction operator is one
+sweep over degrees with one product per degree, exact on the truncated
+space because the reconstruction operator is nilpotent there.
 """
 
 from __future__ import annotations
@@ -388,46 +389,43 @@ def berezin_transform(ft, mu, F, X):
 # -- probe application paths (no dense kernel) -----------------------------
 
 
-def _reconstruction_steps(ft, X):
-    """R_X and R_X* on (dim, p) arrays V, each as a list of scatter steps
-    (src, dst, M) that add V[src] @ M into rows dst."""
-    forward, backward = [], []
-    for i, m in enumerate(X.matrices, start=1):
-        src, dst = ft.append_indices((i,))
-        forward.append((src, dst, np.conj(m)))
-        backward.append((dst, src, m.T))
-    return forward, backward
+def _resolvent(ft, X, V, backward=False):
+    """(I - R_X)^(-1) V, or (I - R_X*)^(-1) V when backward, on (dim, p)
+    arrays, as one sweep over degrees; exact, since R_X is nilpotent of
+    order N + 1.
 
-
-def _neumann(ft, steps, V):
-    """(I - T)^(-1) V for T given by scatter steps; exact for R_X and R_X*,
-    which are nilpotent of order N + 1."""
-    out = V.copy()
-    term = V
-    for _ in range(ft.N):
-        nxt = np.zeros_like(V)
-        for src, dst, m in steps:
-            nxt[dst] += term[src] @ m
-        term = nxt
-        if not term.any():
-            break
-        out += term
+    In graded-lex order the words of degree k are alpha i, |alpha| = k - 1,
+    at row code(alpha) n + i - 1 of the degree block.  Forward, from the
+    bottom: out[alpha i] = V[alpha i] + out[alpha] conj(X_i).  Backward,
+    from the top: out[alpha] = V[alpha] + sum_i out[alpha i] X_i^T.  Each
+    degree is one product against the X_i side by side (stacked).
+    """
+    basis = ft.basis
+    out = np.array(V, dtype=complex)
+    if backward:
+        step = np.concatenate([m.T for m in X.matrices])
+        for k in range(ft.N - 1, -1, -1):
+            (lo, mid), hi = basis.degree_slice(k), basis.degree_slice(k + 1)[1]
+            out[lo:mid] += out[mid:hi].reshape(mid - lo, -1) @ step
+    else:
+        step = np.concatenate([np.conj(m) for m in X.matrices], axis=1)
+        for k in range(ft.N):
+            (lo, mid), hi = basis.degree_slice(k), basis.degree_slice(k + 1)[1]
+            out[mid:hi] += (out[lo:mid] @ step).reshape(hi - mid, -1)
     return out
 
 
 def apply_pluriharmonic_poisson(ft, X, V):
     """P(R^(N), X) V = ((I-R_X)^(-1) + (I-R_X*)^(-1) - I) V on probes."""
-    forward, backward = _reconstruction_steps(ft, X)
-    return _neumann(ft, forward, V) + _neumann(ft, backward, V) - V
+    return _resolvent(ft, X, V) + _resolvent(ft, X, V, backward=True) - V
 
 
 def apply_berezin_factor(ft, X, V):
-    """B_X* B_X V through Neumann sums and the defect square."""
+    """B_X* B_X V through the two resolvent sweeps and the defect square."""
     g = np.eye(X.dim, dtype=complex)
     for m in X.matrices:
         g = g - m @ adjoint(m)
-    forward, backward = _reconstruction_steps(ft, X)
-    return _neumann(ft, backward, _neumann(ft, forward, V) @ g.T)
+    return _resolvent(ft, X, _resolvent(ft, X, V) @ g.T, backward=True)
 
 
 # -- dilation and tails -----------------------------------------------------

@@ -197,7 +197,7 @@ def write_json_atomic(obj, path):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
+            json.dump(obj, fh, indent=2, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -7,11 +7,15 @@ more precision than its inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
 Neumann inverse run on one degree recurrence, the same for dense and
-sparse series: the coefficients of each degree are stacked into a block,
-degree k of a product sums one einsum per pair of blocks whose degrees
-add up to k, and the geometric sums follow x = f + f x (forward) or
-x = g - g x (inverse), so each degree is computed once.  Each checks the
-size of its result before allocating it (``_check_words``).
+sparse series: the coefficients of each degree are stacked into a block
+beside the integer codes of its words (``words.encode_words``), degree k
+of a product sums one einsum per pair of blocks whose degrees add up to
+k, placed by code arithmetic, and the geometric sums follow x = f + f x
+(forward) or x = g - g x (inverse), so each degree is computed once.
+Word tuples are decoded once per result, whose coefficients stay a
+word-keyed dict.  Each checks the size of its result before allocating
+it (``_check_words``).  Series the package builds itself skip the
+validation of the public constructor (``FreeSeries._built``).
 
 Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
 operator tuple, ``shift_sum`` at the compressed creation operators.  The
@@ -21,6 +25,7 @@ stay as the operator-side reference for the series-level Cayley maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +34,7 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
-from .words import GradedBasis, validate_word
+from .words import GradedBasis, decode_words, encode_words, validate_word
 
 
 def clean_coeffs(coeffs, n, cutoff, shape, allow_empty=True):
@@ -70,6 +75,16 @@ class FreeSeries:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _built(cls, n, cutoff, shape, coeffs):
+        """Series from coefficients the package computed itself, so
+        already valid: skips clean_coeffs and only drops exact zeros."""
+        f = cls.__new__(cls)
+        f.n, f.cutoff, f.shape = n, cutoff, tuple(shape)
+        stacked = np.array(list(coeffs.values()), dtype=complex).reshape(-1, *f.shape)
+        f.coeffs = dict(itertools.compress(coeffs.items(), stacked.any(axis=(1, 2))))
+        return f
+
     @staticmethod
     def zero(n, cutoff, shape):
         return FreeSeries(n, cutoff, shape, {})
@@ -92,7 +107,7 @@ class FreeSeries:
 
     def without_constant(self):
         c = {w: v for w, v in self.coeffs.items() if w}
-        return FreeSeries(self.n, self.cutoff, self.shape, c)
+        return FreeSeries._built(self.n, self.cutoff, self.shape, c)
 
     def add(self, other):
         _match(self, other)
@@ -103,10 +118,10 @@ class FreeSeries:
         for w in set(self.coeffs) | set(other.coeffs):
             if len(w) <= cutoff:
                 out[w] = self.coefficient(w) + other.coefficient(w)
-        return FreeSeries(self.n, cutoff, self.shape, out)
+        return FreeSeries._built(self.n, cutoff, self.shape, out)
 
     def scale(self, c):
-        return FreeSeries(
+        return FreeSeries._built(
             self.n, self.cutoff, self.shape, {w: c * v for w, v in self.coeffs.items()}
         )
 
@@ -144,38 +159,45 @@ def multiply(f, g):
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
     fb, gb = _by_degree(f, cutoff), _by_degree(g, cutoff)
-    pairs = [[(fb[a], gb[k - a]) for a in fb if k - a in gb] for k in range(cutoff + 1)]
-    counts = [sum(len(u) * len(v) for (u, _), (v, _) in ps) for ps in pairs]
+    pairs = [
+        [(fb[a], gb[k - a], f.n ** (k - a)) for a in fb if k - a in gb] for k in range(cutoff + 1)
+    ]
+    counts = [sum(len(u) * len(v) for (u, _), (v, _), _ in ps) for ps in pairs]
     _check_words(f.n, counts, shape, "series product")
-    return _from_blocks(f.n, cutoff, shape, [_degree_sum(ps, shape) for ps in pairs])
+    blocks = {k: _degree_sum(ps, shape) for k, ps in enumerate(pairs) if ps}
+    return _from_blocks(f.n, cutoff, shape, blocks)
 
 
 def _by_degree(f, cutoff):
-    """{k: (words, stacked coefficients)} over the degrees k <= cutoff
-    where f has coefficients."""
+    """{k: (increasing codes, stacked coefficients)} over the degrees
+    k <= cutoff where f has coefficients (codes as in words.encode_words)."""
     groups = {}
-    for w, c in f.coeffs.items():
+    for w, c in sorted(f.coeffs.items()):
         if len(w) <= cutoff:
             groups.setdefault(len(w), []).append((w, c))
-    return {k: ([w for w, _ in g], np.array([c for _, c in g])) for k, g in groups.items()}
+    dtype = np.int64 if f.n**cutoff < 2**63 else object  # codes are below n^cutoff
+    return {
+        k: (encode_words([w for w, _ in g], f.n, k, dtype), np.array([c for _, c in g]))
+        for k, g in groups.items()
+    }
 
 
 def _degree_sum(pairs, shape):
     """Sum of the concatenation products u v over block pairs
-    ((u_words, U), (v_words, V)): word u + v gains U_u @ V_v.  One einsum
-    per pair; within a pair the words u + v are distinct, so each product
-    block is added by one fancy-index update.  Returns (words, stacked
-    coefficients), empty without pairs."""
-    index = {}
-    parts = []
-    for (uw, u), (vw, v) in pairs:
-        words = (index.setdefault(a + b, len(index)) for a in uw for b in vw)
-        ids = np.fromiter(words, dtype=np.intp, count=len(uw) * len(vw))
-        parts.append((ids, np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape)))
-    out = np.zeros((len(index), *shape), dtype=complex)
-    for ids, prod in parts:
-        out[ids] += prod
-    return list(index), out
+    ((u_codes, U), (v_codes, V), n^|v|): word u v, of code
+    code(u) n^|v| + code(v), gains U_u @ V_v.  One einsum per pair;
+    within a pair the codes are distinct and increasing, so each product
+    block is added by one fancy-index update, or straight onto the result
+    when it covers every code (a dense pair).  Returns (increasing codes,
+    stacked coefficients); pairs must not be empty."""
+    codes = [(uc[:, None] * step + vc).ravel() for (uc, _), (vc, _), step in pairs]
+    out_codes = np.sort(np.concatenate(codes))  # not np.unique, which imports numpy.ma
+    out_codes = out_codes[np.append(True, out_codes[1:] != out_codes[:-1])]
+    out = np.zeros((len(out_codes), *shape), dtype=complex)
+    for ((_, u), (_, v), _), c in zip(pairs, codes):
+        rows = slice(None) if len(c) == len(out_codes) else np.searchsorted(out_codes, c)
+        out[rows] += np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape)
+    return out_codes, out
 
 
 def _check_words(n, counts, shape, what):
@@ -187,10 +209,12 @@ def _check_words(n, counts, shape, what):
 
 
 def _from_blocks(n, cutoff, shape, blocks):
+    """Series from {k: (codes, stacked coefficients)}; each degree's words
+    are decoded once, here."""
     coeffs = {}
-    for words, c in blocks:
-        coeffs.update(zip(words, c))
-    return FreeSeries(n, cutoff, shape, coeffs)
+    for k, (codes, c) in blocks.items():
+        coeffs.update(zip(decode_words(codes, n, k), c))
+    return FreeSeries._built(n, cutoff, shape, coeffs)
 
 
 def _require_zero_constant(f, what):
@@ -209,14 +233,15 @@ def _geometric(f, sign):
     for k in range(1, f.cutoff + 1):
         counts[k] = min(f.n**k, sum(len(fb[a][0]) * counts[k - a] for a in fb if a <= k))
     _check_words(f.n, counts, f.shape, "geometric series sum")
-    unit = ([()], np.eye(f.shape[0], dtype=complex)[None])
-    signed = {a: (w, sign * c) for a, (w, c) in fb.items()}
+    unit = (np.zeros(1, np.int64), np.eye(f.shape[0], dtype=complex)[None])
+    signed = {a: (codes, sign * c) for a, (codes, c) in fb.items()}
     x = {}
     for k in range(1, f.cutoff + 1):
-        pairs = [(fb[k], unit)] if k in fb else []
-        pairs += [(signed[a], x[k - a]) for a in fb if a < k]
-        x[k] = _degree_sum(pairs, f.shape)
-    return _from_blocks(f.n, f.cutoff, f.shape, x.values())
+        pairs = [(fb[k], unit, 1)] if k in fb else []
+        pairs += [(signed[a], x[k - a], f.n ** (k - a)) for a in fb if k - a in x]
+        if pairs:
+            x[k] = _degree_sum(pairs, f.shape)
+    return _from_blocks(f.n, f.cutoff, f.shape, x)
 
 
 def neumann_inverse(f):
@@ -457,11 +482,8 @@ def extract_coeffs(A, ft, coeff_dim):
 
 
 def random_series(rng, n, cutoff, shape, scale=1.0, min_degree=0):
-    """Dense random series with standard complex Gaussian entries."""
-    coeffs = {}
-    for w in GradedBasis(n, cutoff).words:
-        if len(w) >= min_degree:
-            coeffs[w] = scale * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            )
-    return FreeSeries(n, cutoff, shape, coeffs)
+    """Dense random series with standard complex Gaussian entries, drawn
+    word by word in graded-lex order, real part before imaginary."""
+    words = [w for w in GradedBasis(n, cutoff).words if len(w) >= min_degree]
+    z = rng.standard_normal((len(words), 2, *shape))
+    return FreeSeries._built(n, cutoff, shape, dict(zip(words, scale * (z[:, 0] + 1j * z[:, 1]))))

@@ -3,11 +3,16 @@
 A word is a tuple of generator indices, each in 1..n; the empty tuple is
 the semigroup identity.  Words serialize as digit strings ("121" means
 g1 g2 g1, "" is the identity), which caps the generator count at 9.
+
+Within a degree a word's code is its base-n value (letters 1..n as digits
+0..n-1): codes follow GradedBasis order, and code(u v) = code(u) n^|v| + code(v).
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .errors import InputError
 
@@ -34,6 +39,18 @@ def validate_word(w, n):
     for i in w:
         if not 1 <= i <= n:
             raise InputError(f"letter {i} outside 1..{n} in word {word_to_string(w)!r}")
+
+
+def encode_words(words, n, k, dtype=np.int64):
+    """Codes of words of length k over n letters (dtype object past int64)."""
+    letters = np.array(words, dtype=dtype).reshape(len(words), k) - 1
+    return letters @ np.array([n**j for j in range(k - 1, -1, -1)], dtype=dtype)
+
+
+def decode_words(codes, n, k):
+    """Words of length k with the given codes; inverts encode_words."""
+    powers = np.array([n**j for j in range(k - 1, -1, -1)], dtype=codes.dtype)
+    return list(map(tuple, (codes[:, None] // powers % n + 1).tolist()))
 
 
 def reverse(w):

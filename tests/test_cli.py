@@ -220,6 +220,40 @@ def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
         linalg.set_max_dim(old)
 
 
+def test_non_finite_result_is_scope_error(tmp_path, capsys):
+    # finite input whose Cayley transform overflows at words 11 and 111
+    series = {"n": 1, "cutoff": 3, "shape": [1, 1], "coefficients": {"1": [[[1e200, 0]]]}}
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(series))
+    assert cli.main(["cayley", "forward", str(src)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "not finite" in err
+    assert cli.main(["cayley", "forward", str(src), "--output", str(tmp_path / "o.json")]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_basis_size_is_checked_before_enumerating(monkeypatch, capsys):
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(4)  # 16 entries
+    try:
+        code, payload = run_cli(capsys, "basis", "2", "3")
+        assert code == 0 and payload["size"] == 15
+        assert cli.main(["basis", "2", "4"]) == 4  # 31 words do not fit
+        assert "size limit" in capsys.readouterr().err
+        assert cli.main(["basis", "1", "16"]) == 4  # 17 words
+    finally:
+        linalg.set_max_dim(old)
+
+    def never(*args):
+        raise AssertionError("enumerated before the size check")
+
+    # about 3e11 and 2^65 words: refused without enumerating anything
+    monkeypatch.setattr(cli, "GradedBasis", never)
+    assert cli.main(["basis", "9", "12"]) == 4
+    assert cli.main(["basis", "2", "1000000000"]) == 4
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("broken command")

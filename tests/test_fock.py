@@ -224,18 +224,25 @@ def test_berezin_transform_vector_state():
 
 
 def test_probe_paths_match_dense():
-    rng = np.random.default_rng(8)
-    ft = get_trunc(2, 4)
-    x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.7)
     from freefock.pluriharmonic import pluriharmonic_poisson_kernel
 
-    p = pluriharmonic_poisson_kernel(ft, x)
-    b = berezin_kernel(ft, x)
-    v = rng.standard_normal((ft.dim, 3)) + 1j * rng.standard_normal((ft.dim, 3))
-    assert np.max(np.abs(apply_pluriharmonic_poisson(ft, x, v).ravel() - p @ v.ravel())) <= 1e-12
-    assert np.max(
-        np.abs(apply_berezin_factor(ft, x, v).ravel() - (adjoint(b) @ b) @ v.ravel())
-    ) <= 1e-12
+    rng = np.random.default_rng(8)
+    for n, N, dim in ((2, 4, 3), (1, 6, 2), (3, 3, 2)):
+        ft = get_trunc(n, N)
+        x = random_nilpotent_tuple(rng, n, dim, row_norm=0.7)
+        p = pluriharmonic_poisson_kernel(ft, x)
+        b = berezin_kernel(ft, x)
+        top = ft.basis.degree_slice(N)
+        full = rng.standard_normal((ft.dim, dim)) + 1j * rng.standard_normal((ft.dim, dim))
+        # probes on every word, on the empty word only, on the top degree only
+        probes = [full, np.zeros_like(full), np.zeros_like(full)]
+        probes[1][0] = full[0]
+        probes[2][top[0] : top[1]] = full[top[0] : top[1]]
+        for v in probes:
+            got = apply_pluriharmonic_poisson(ft, x, v).ravel()
+            assert np.max(np.abs(got - p @ v.ravel())) <= 1e-12
+            got = apply_berezin_factor(ft, x, v).ravel()
+            assert np.max(np.abs(got - (adjoint(b) @ b) @ v.ravel())) <= 1e-12
 
 
 def test_isometric_dilation_unitary_case():

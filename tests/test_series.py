@@ -97,6 +97,54 @@ def test_products_check_size_before_allocating():
         linalg.set_max_dim(old)
 
 
+def test_package_built_series_are_not_revalidated(monkeypatch):
+    rng = np.random.default_rng(3)
+    f = fs.random_series(rng, 2, 5, (2, 2), scale=0.4, min_degree=1)
+    g = sparse_series(rng, 2, 5, (2, 2), [0, 2], 3)
+    calls = []
+
+    def counting(w, n):
+        calls.append(w)
+
+    monkeypatch.setattr(fs, "validate_word", counting)
+    fs.FreeSeries(2, 5, (1, 1), {(1, 2): ONE})  # the public constructor still validates
+    assert calls == [(1, 2)]
+    calls.clear()
+    back = fs.cayley_inverse(fs.cayley_forward(f))
+    fs.multiply(f, g)
+    fs.cayley_forward(fs.cayley_inverse(g.without_constant()))
+    assert calls == []
+    assert_series_close(back, f, rtol=1e-12)
+
+
+def test_random_series_draws_word_by_word():
+    """One batched draw reproduces the per-word real/imaginary stream."""
+    for n, cutoff, shape, min_degree in ((2, 3, (2, 3), 0), (3, 2, (1, 1), 1), (1, 5, (2, 2), 2)):
+        got = fs.random_series(np.random.default_rng(9), n, cutoff, shape, 0.4, min_degree)
+        rng = np.random.default_rng(9)
+        want = {}
+        for w in GradedBasis(n, cutoff).words:
+            if len(w) >= min_degree:
+                want[w] = 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert list(got.coeffs) == list(want)
+        for w, c in want.items():
+            assert np.array_equal(got.coeffs[w], c)
+
+
+def test_word_codes_past_int64():
+    """n^cutoff >= 2^63: the codes fall back to Python ints."""
+    f = scalar_series(2, 70, {(2, 1): 0.5})
+    g = fs.cayley_forward(f)
+    assert sorted(g.coeffs) == [(2, 1) * j for j in range(1, 36)]
+    assert g.coefficient((2, 1) * 35)[0, 0] == 0.5**35
+    inverse = fs.cayley_inverse(f)
+    assert inverse.coefficient((2, 1) * 35)[0, 0] == 0.5**35
+    assert inverse.coefficient((2, 1) * 34)[0, 0] == -(0.5**34)
+    square = fs.multiply(g, g)
+    assert list(square.coeffs)[-1] == (2, 1) * 35
+    assert square.coefficient((2, 1) * 35)[0, 0] == 34 * 0.5**35
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_multiply_matches_pairwise(n):
     rng = np.random.default_rng(n)

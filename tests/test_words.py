@@ -1,10 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from freefock.errors import InputError
 from freefock.words import (
+    GradedBasis,
+    decode_words,
+    encode_words,
     enumerate_basis,
     left_quotient,
     reverse,
@@ -75,6 +79,20 @@ def test_graded_lex_order():
         assert basis.index[w] == i
     assert basis.degree_slice(1) == (1, 3)
     assert basis.words_of_degree(2)[0] == (1, 1)
+
+
+@given(st.integers(1, 9), st.integers(0, 4), st.data())
+def test_codes_follow_graded_basis_and_decode(n, k, data):
+    words = GradedBasis(n, k).words_of_degree(k)
+    codes = encode_words(words, n, k)
+    assert codes.tolist() == list(range(n**k))  # code order is GradedBasis order
+    assert decode_words(codes, n, k) == words
+    w = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+    assert decode_words(encode_words([w], n, k), n, k) == [w]
+    # past int64 the codes are Python ints
+    long = tuple(data.draw(st.lists(st.integers(1, n), min_size=70, max_size=70)))
+    dtype = np.int64 if n**70 < 2**63 else object
+    assert decode_words(encode_words([long], n, 70, dtype), n, 70) == [long]
 
 
 def test_generator_range_errors():
