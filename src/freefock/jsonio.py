@@ -33,7 +33,7 @@ def json_to_complex(v):
         raise InputError(f"complex value must be [re, im], got {v!r}")
     try:
         z = complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"complex value must be two numbers, got {v!r}") from exc
     if not cmath.isfinite(z):
         raise InputError(f"complex value must be finite, got {v!r}")
@@ -71,7 +71,7 @@ def json_to_tuple(obj):
     try:
         mats = tuple(json_to_matrix(m) for m in obj["matrices"])
         declared = {k: int(obj[k]) for k in ("n", "dim") if k in obj}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad operator tuple: {exc}") from exc
     t = OperatorTuple(mats)
     if declared.get("n", t.n) != t.n:
@@ -96,7 +96,7 @@ def json_to_series(obj):
         cutoff = int(obj["cutoff"])
         shape = tuple(int(s) for s in obj["shape"])
         coeffs = _json_to_coeffs(obj["coefficients"], n)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad series: {exc}") from exc
     return FreeSeries(n, cutoff, shape, coeffs)
 
@@ -118,7 +118,7 @@ def json_to_pluriharmonic(obj):
         shape = tuple(int(s) for s in obj["shape"])
         analytic = _json_to_coeffs(obj["analytic"], n)
         coanalytic = _json_to_coeffs(obj.get("coanalytic", {}), n)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad pluriharmonic function: {exc}") from exc
     return PluriharmonicFn(n, cutoff, shape, analytic, coanalytic)
 
@@ -140,7 +140,7 @@ def json_to_functional(obj):
         unit = json_to_matrix(obj["unit"])
         forward = _json_to_coeffs(obj.get("forward", {}), n)
         backward = _json_to_coeffs(obj.get("backward", {}), n)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad moment functional: {exc}") from exc
     return MomentFunctional(n, cutoff, unit, forward, backward)
 
@@ -160,7 +160,7 @@ def json_to_problem(obj):
         m = int(obj["m"])
         coeffs = _json_to_coeffs(obj["coefficients"], n)
         block = int(obj.get("block_size", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
     return CaratheodoryProblem(n, m, coeffs, block)
 
@@ -178,7 +178,7 @@ def json_to_extension(obj, n):
         coeffs = _json_to_coeffs(obj["coefficients"], n)
         target = int(obj["target_degree"])
         cert = dict(obj.get("certificate", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad extension result: {exc}") from exc
     return ExtensionResult(target, coeffs, cert)
 

@@ -94,7 +94,7 @@ def _coanalytic_series(h):
 def eval_at(h, X, jsr_depth=None):
     """Evaluate h at an operator tuple; same scope rules as series.eval_at."""
     rep_a = eval_report(_analytic_series(h), X, jsr_depth)
-    rep_b = eval_report(_coanalytic_series(h).without_constant(), X, jsr_depth)
+    rep_b = eval_report(_coanalytic_series(h), X, jsr_depth)  # co-analytic words are nonempty
     return rep_a.value + adjoint(rep_b.value)
 
 

@@ -1,21 +1,21 @@
 """Degree-truncated free power series in n noncommuting indeterminates.
 
-Coefficients are complex matrices of one fixed shape, stored sparsely by
-word (absent means zero).  Every series carries an explicit cutoff; a
-binary operation truncates to the smaller cutoff, so nothing ever claims
-more precision than its inputs had.
+Coefficients are complex matrices of one fixed shape.  A series stores,
+for each degree k where it has a nonzero coefficient, one block: the
+increasing integer codes of its words (``words.encode_words``) and the
+stack of their coefficients, with no all-zero row.  ``coeffs`` is a
+read-only word -> coefficient view for the boundary (JSON, ``shift_sum``,
+``word_sum``); each form is built from the other once, when first read.
+Every series carries an explicit cutoff; a binary operation truncates to
+the smaller cutoff, so nothing claims more precision than its inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
-Neumann inverse run on one degree recurrence, the same for dense and
-sparse series: the coefficients of each degree are stacked into a block
-beside the integer codes of its words (``words.encode_words``), degree k
+Neumann inverse run on one degree recurrence over the blocks: degree k
 of a product sums one einsum per pair of blocks whose degrees add up to
 k, placed by code arithmetic, and the geometric sums follow x = f + f x
 (forward) or x = g - g x (inverse), so each degree is computed once.
-Word tuples are decoded once per result, whose coefficients stay a
-word-keyed dict.  Each checks the size of its result before allocating
-it (``_check_words``).  Series the package builds itself skip the
-validation of the public constructor (``FreeSeries._built``).
+Each checks the size of a degree before allocating it.  Series the
+package builds itself skip the public constructor's validation.
 
 Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
 operator tuple, ``shift_sum`` at the compressed creation operators.  The
@@ -25,9 +25,9 @@ stay as the operator-side reference for the series-level Cayley maps.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,27 +62,25 @@ def clean_coeffs(coeffs, n, cutoff, shape, allow_empty=True):
     return out
 
 
-@dataclass
 class FreeSeries:
-    n: int
-    cutoff: int
-    shape: tuple
-    coeffs: dict = field(default_factory=dict)
+    """Series stored per degree (``blocks``) with a read-only word view
+    (``coeffs``); each form is built from the other once, when first read."""
 
-    def __post_init__(self):
-        self.shape = tuple(self.shape)
-        self.coeffs = clean_coeffs(self.coeffs, self.n, self.cutoff, self.shape)
-
-    # -- constructors ------------------------------------------------------
+    def __init__(self, n, cutoff, shape, coeffs=None):
+        self.n, self.cutoff, self.shape = n, cutoff, tuple(shape)
+        self._words = clean_coeffs(coeffs or {}, n, cutoff, self.shape)
+        self._blocks = None
 
     @classmethod
-    def _built(cls, n, cutoff, shape, coeffs):
-        """Series from coefficients the package computed itself, so
-        already valid: skips clean_coeffs and only drops exact zeros."""
+    def _built(cls, n, cutoff, shape, blocks):
+        """Series from blocks the package computed itself, so already
+        valid: skips clean_coeffs and only drops rows that are exactly zero."""
         f = cls.__new__(cls)
-        f.n, f.cutoff, f.shape = n, cutoff, tuple(shape)
-        stacked = np.array(list(coeffs.values()), dtype=complex).reshape(-1, *f.shape)
-        f.coeffs = dict(itertools.compress(coeffs.items(), stacked.any(axis=(1, 2))))
+        f.n, f.cutoff, f.shape, f._blocks, f._words = n, cutoff, tuple(shape), {}, None
+        for k, (codes, c) in sorted(blocks.items()):
+            keep = c.any(axis=(1, 2))
+            if keep.any():
+                f._blocks[k] = (codes, c) if keep.all() else (codes[keep], c[keep])
         return f
 
     @staticmethod
@@ -93,11 +91,37 @@ class FreeSeries:
     def one(n, cutoff, p):
         return FreeSeries(n, cutoff, (p, p), {(): np.eye(p, dtype=complex)})
 
-    # -- basic algebra -----------------------------------------------------
+    @property
+    def blocks(self):
+        """{k: (codes, stacked)}: for each degree k with a nonzero
+        coefficient, the increasing codes of its words and the
+        (len(codes), *shape) stack of their coefficients, none all-zero."""
+        if self._blocks is None:
+            groups = {}
+            for w in sorted(self._words):  # lexicographic: each degree in code order
+                groups.setdefault(len(w), []).append(w)
+            self._blocks = {}
+            for k, ws in sorted(groups.items()):
+                codes = encode_words(ws, self.n, k, np.int64 if self.n**k < 2**63 else object)
+                self._blocks[k] = codes, np.array([self._words[w] for w in ws])
+                self._words.update(zip(ws, self._blocks[k][1]))  # the view aliases the blocks
+        return self._blocks
+
+    @property
+    def coeffs(self):
+        """Read-only word -> coefficient view of the blocks, decoded once."""
+        if self._words is None:
+            self._words = {}
+            for k, (codes, c) in self._blocks.items():
+                self._words.update(zip(decode_words(codes, self.n, k), c))
+        return MappingProxyType(self._words)
 
     def coefficient(self, w):
-        c = self.coeffs.get(tuple(w))
-        return c.copy() if c is not None else np.zeros(self.shape, dtype=complex)
+        codes, c = self.blocks.get(len(w), ((), None))
+        code = sum((i - 1) * self.n**j for j, i in enumerate(reversed(w)))
+        j = int(np.searchsorted(codes, code)) if all(1 <= i <= self.n for i in w) else len(codes)
+        found = j < len(codes) and codes[j] == code
+        return c[j].copy() if found else np.zeros(self.shape, dtype=complex)
 
     def is_square(self):
         return self.shape[0] == self.shape[1]
@@ -106,24 +130,24 @@ class FreeSeries:
         return self.coefficient(())
 
     def without_constant(self):
-        c = {w: v for w, v in self.coeffs.items() if w}
-        return FreeSeries._built(self.n, self.cutoff, self.shape, c)
+        blocks = {k: b for k, b in self.blocks.items() if k}
+        return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
 
     def add(self, other):
         _match(self, other)
         if self.shape != other.shape:
             raise InputError("shape mismatch in series addition")
         cutoff = min(self.cutoff, other.cutoff)
-        out = {}
-        for w in set(self.coeffs) | set(other.coeffs):
-            if len(w) <= cutoff:
-                out[w] = self.coefficient(w) + other.coefficient(w)
-        return FreeSeries._built(self.n, cutoff, self.shape, out)
+        blocks = {}
+        for k in set(self.blocks) | set(other.blocks):
+            if k <= cutoff:
+                parts = [b for b in (self.blocks.get(k), other.blocks.get(k)) if b is not None]
+                blocks[k] = _accumulate(*zip(*parts), self.shape, self.n**k)
+        return FreeSeries._built(self.n, cutoff, self.shape, blocks)
 
     def scale(self, c):
-        return FreeSeries._built(
-            self.n, self.cutoff, self.shape, {w: c * v for w, v in self.coeffs.items()}
-        )
+        blocks = {k: (codes, c * v) for k, (codes, v) in self.blocks.items()}
+        return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
 
     def __add__(self, other):
         return self.add(other)
@@ -132,17 +156,12 @@ class FreeSeries:
         return self.add(other.scale(-1.0))
 
     def max_degree(self):
-        return max((len(w) for w in self.coeffs), default=0)
+        return max(self.blocks, default=0)
 
     def degree_slice_gram_norm(self, k):
         """|| sum_{|a|=k} A_a* A_a || (operator norm of the PSD Gram sum)."""
-        g = np.zeros((self.shape[1], self.shape[1]), dtype=complex)
-        found = False
-        for w, c in self.coeffs.items():
-            if len(w) == k:
-                g += adjoint(c) @ c
-                found = True
-        return operator_norm(g) if found else 0.0
+        block = self.blocks.get(k)
+        return operator_norm(sum(adjoint(c) @ c for c in block[1])) if block else 0.0
 
 
 def _match(f, g):
@@ -158,90 +177,80 @@ def multiply(f, g):
         raise InputError(f"inner shapes {f.shape} x {g.shape} do not match")
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
-    fb, gb = _by_degree(f, cutoff), _by_degree(g, cutoff)
+    fb, gb = f.blocks, g.blocks
     pairs = [
         [(fb[a], gb[k - a], f.n ** (k - a)) for a in fb if k - a in gb] for k in range(cutoff + 1)
     ]
-    counts = [sum(len(u) * len(v) for (u, _), (v, _), _ in ps) for ps in pairs]
-    _check_words(f.n, counts, shape, "series product")
-    blocks = {k: _degree_sum(ps, shape) for k, ps in enumerate(pairs) if ps}
-    return _from_blocks(f.n, cutoff, shape, blocks)
+    words = sum(
+        min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in ps)) for k, ps in enumerate(pairs)
+    )
+    check_entries(words * shape[0] * shape[1], "series product")
+    blocks = {k: _degree_sum(ps, shape, f.n**k) for k, ps in enumerate(pairs) if ps}
+    return FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
-def _by_degree(f, cutoff):
-    """{k: (increasing codes, stacked coefficients)} over the degrees
-    k <= cutoff where f has coefficients (codes as in words.encode_words)."""
-    groups = {}
-    for w, c in sorted(f.coeffs.items()):
-        if len(w) <= cutoff:
-            groups.setdefault(len(w), []).append((w, c))
-    dtype = np.int64 if f.n**cutoff < 2**63 else object  # codes are below n^cutoff
-    return {
-        k: (encode_words([w for w, _ in g], f.n, k, dtype), np.array([c for _, c in g]))
-        for k, g in groups.items()
-    }
-
-
-def _degree_sum(pairs, shape):
+def _degree_sum(pairs, shape, size):
     """Sum of the concatenation products u v over block pairs
-    ((u_codes, U), (v_codes, V), n^|v|): word u v, of code
-    code(u) n^|v| + code(v), gains U_u @ V_v.  One einsum per pair;
-    within a pair the codes are distinct and increasing, so each product
-    block is added by one fancy-index update, or straight onto the result
-    when it covers every code (a dense pair).  Returns (increasing codes,
-    stacked coefficients); pairs must not be empty."""
-    codes = [(uc[:, None] * step + vc).ravel() for (uc, _), (vc, _), step in pairs]
-    out_codes = np.sort(np.concatenate(codes))  # not np.unique, which imports numpy.ma
-    out_codes = out_codes[np.append(True, out_codes[1:] != out_codes[:-1])]
+    ((u_codes, U), (v_codes, V), n^|v|) of one degree k with n^k = size:
+    word u v, of code code(u) n^|v| + code(v), gains U_u @ V_v, one
+    einsum per pair.  A pair with len(u) len(v) = size covers the whole
+    degree, so its codes are not computed.  Pairs must not be empty."""
+    wide = size >= 2**63  # past int64, the code arithmetic runs on Python ints
+    codes = [
+        None if len(uc) * len(vc) == size
+        else ((uc.astype(object) if wide else uc)[:, None] * step + vc).ravel()
+        for (uc, _), (vc, _), step in pairs
+    ]
+    products = (
+        np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape) for (_, u), (_, v), _ in pairs
+    )
+    return _accumulate(codes, products, shape, size)
+
+
+def _accumulate(codes, blocks, shape, size):
+    """(increasing codes, sums) of coefficient blocks of one degree with
+    size words, each added at its distinct increasing codes (None: all).
+    A block that covers the degree makes the result every code; else one
+    sort merges the codes."""
+    dense = any(c is None or len(c) == size for c in codes)
+    out_codes = np.arange(size) if dense else np.sort(np.concatenate(codes))
+    if not dense:  # drop repeats; not np.unique, which imports numpy.ma
+        out_codes = out_codes[np.append(True, out_codes[1:] != out_codes[:-1])]
     out = np.zeros((len(out_codes), *shape), dtype=complex)
-    for ((_, u), (_, v), _), c in zip(pairs, codes):
-        rows = slice(None) if len(c) == len(out_codes) else np.searchsorted(out_codes, c)
-        out[rows] += np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape)
+    for c, block in zip(codes, blocks):
+        full = c is None or len(c) == len(out_codes)
+        out[slice(None) if full else c if dense else np.searchsorted(out_codes, c)] += block
     return out_codes, out
-
-
-def _check_words(n, counts, shape, what):
-    """Raise SizeLimitError before allocating a series with at most
-    min(n^k, counts[k]) words of degree k, when their entries outnumber
-    those of the largest matrix check_size admits."""
-    words = sum(min(n**k, c) for k, c in enumerate(counts))
-    check_entries(words * shape[0] * shape[1], what)
-
-
-def _from_blocks(n, cutoff, shape, blocks):
-    """Series from {k: (codes, stacked coefficients)}; each degree's words
-    are decoded once, here."""
-    coeffs = {}
-    for k, (codes, c) in blocks.items():
-        coeffs.update(zip(decode_words(codes, n, k), c))
-    return FreeSeries._built(n, cutoff, shape, coeffs)
 
 
 def _require_zero_constant(f, what):
     if not f.is_square():
         raise InputError(f"{what} needs square coefficients, got {f.shape}")
-    if f.constant_term().any():
+    if 0 in f.blocks:
         raise InputError(f"{what} needs zero constant term")
 
 
 def _geometric(f, sign):
     """x = f + sign f x, i.e. f + f^2 + ... (sign +1) or f - f^2 + ...
     (sign -1), truncated at the cutoff: degree by degree,
-    x_k = f_k + sign sum_{a<k} f_a x_{k-a} over the degrees a of f."""
-    fb = _by_degree(f, f.cutoff)
-    counts = [1] + [0] * f.cutoff  # sequences of words of f, by total length
-    for k in range(1, f.cutoff + 1):
-        counts[k] = min(f.n**k, sum(len(fb[a][0]) * counts[k - a] for a in fb if a <= k))
-    _check_words(f.n, counts, f.shape, "geometric series sum")
-    unit = (np.zeros(1, np.int64), np.eye(f.shape[0], dtype=complex)[None])
+    x_k = f_k + sign sum_{a<k} f_a x_{k-a} over the degrees a of f; the size
+    check before each x_k adds min(n^k, |f_k| + sum_a |f_a| |x_{k-a}|) words."""
+    fb, p, reach = f.blocks, f.shape[0], max(f.blocks, default=0)
+    unit = (np.zeros(1, np.int64), np.eye(p, dtype=complex)[None])
     signed = {a: (codes, sign * c) for a, (codes, c) in fb.items()}
-    x = {}
+    x, words, top = {}, 0, 0  # top: the highest degree in x
     for k in range(1, f.cutoff + 1):
+        if k > reach + top:
+            break  # no block pair reaches degree k or beyond
         pairs = [(fb[k], unit, 1)] if k in fb else []
         pairs += [(signed[a], x[k - a], f.n ** (k - a)) for a in fb if k - a in x]
         if pairs:
-            x[k] = _degree_sum(pairs, f.shape)
-    return _from_blocks(f.n, f.cutoff, f.shape, x)
+            words += min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in pairs))
+            check_entries(words * p * p, "geometric series sum")
+            block = _degree_sum(pairs, f.shape, f.n**k)
+            if block[1].any():  # an all-zero degree reaches nothing further
+                x[k], top = block, k
+    return FreeSeries._built(f.n, f.cutoff, f.shape, x)
 
 
 def neumann_inverse(f):
@@ -262,23 +271,18 @@ def cayley_inverse(g):
     return _geometric(g, -1.0)
 
 
-def cayley_composition_coefficient(f, w):
-    """Brute-force Eq-level oracle for the Cayley coefficient at word w:
-    sum over all ordered factorizations of w into nonempty pieces of the
-    products of the pieces' coefficients."""
-    k = len(w)
-    if k == 0:
-        raise InputError("the Cayley transform has no constant coefficient")
-    p = f.shape[0]
-    total = np.zeros((p, p), dtype=complex)
-    # each subset of the k-1 interior cut points gives one factorization
-    for mask in range(1 << (k - 1)):
-        cuts = [0] + [i + 1 for i in range(k - 1) if mask >> i & 1] + [k]
-        prod = np.eye(p, dtype=complex)
-        for a, b in zip(cuts, cuts[1:]):
-            prod = prod @ f.coefficient(w[a:b])
-        total += prod
-    return total
+def cayley_composition_coefficient(f, deg):
+    """Brute-force oracle for the Cayley coefficients of f at each nonempty
+    word w of length <= deg: the sum over all factorizations of w into
+    nonempty pieces of the products of their coefficients.  P(w) stacks
+    those products, P(()) = [I] and P(w) = concat_j P(w[:j]) @ f_{w[j:]}
+    (j < |w|); only the final sum adds, so nothing is shared with _degree_sum."""
+    zero = np.zeros(f.shape, dtype=complex)
+    prods = {(): np.eye(f.shape[0], dtype=complex)[None]}
+    for w in GradedBasis(f.n, deg).words[1:]:
+        pieces = [prods[w[:j]] @ f.coeffs.get(w[j:], zero) for j in range(len(w))]
+        prods[w] = np.concatenate(pieces)
+    return {w: p.sum(0) for w, p in prods.items() if w}
 
 
 # -- joint spectral radius and evaluation -----------------------------------
@@ -484,6 +488,8 @@ def extract_coeffs(A, ft, coeff_dim):
 def random_series(rng, n, cutoff, shape, scale=1.0, min_degree=0):
     """Dense random series with standard complex Gaussian entries, drawn
     word by word in graded-lex order, real part before imaginary."""
-    words = [w for w in GradedBasis(n, cutoff).words if len(w) >= min_degree]
-    z = rng.standard_normal((len(words), 2, *shape))
-    return FreeSeries._built(n, cutoff, shape, dict(zip(words, scale * (z[:, 0] + 1j * z[:, 1]))))
+    degrees = range(min_degree, cutoff + 1)
+    z = rng.standard_normal((sum(n**k for k in degrees), 2, *shape))
+    c = np.split(scale * (z[:, 0] + 1j * z[:, 1]), np.cumsum([n**k for k in degrees])[:-1])
+    blocks = {k: (np.arange(n**k), b) for k, b in zip(degrees, c)}
+    return FreeSeries._built(n, cutoff, shape, blocks)

@@ -3,7 +3,7 @@ prints one pass/fail line.  The same suites back `freefock selftest`."""
 
 import pytest
 
-from freefock import selftest
+from freefock import selftest, series
 
 SEED = 20240901
 
@@ -29,3 +29,18 @@ def test_acceptance(name, label):
     passed, detail, elapsed = selftest.run_suite(name, seed=SEED)
     print(f"{'PASS' if passed else 'FAIL'} {label} ({elapsed:.2f}s): {detail}")
     assert passed, f"{label}: {detail}"
+
+
+def test_cayley_suites_catch_a_dropped_pair(monkeypatch):
+    """The oracle suite compares against products formed without the
+    degree recurrence, and the bijection suite against operator sums, so
+    a recurrence that loses one block pair's contribution fails both."""
+    real = series._degree_sum
+
+    def dropped(pairs, shape, size):
+        return real(pairs[:-1] if len(pairs) > 1 else pairs, shape, size)
+
+    monkeypatch.setattr(series, "_degree_sum", dropped)
+    for name in ("cayley_coefficient_oracle", "cayley_bijection"):
+        passed, detail, _ = selftest.run_suite(name, seed=SEED)
+        assert not passed, f"{name}: {detail}"

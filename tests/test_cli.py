@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefock import cli, jsonio, linalg
 from freefock.caratheodory import CaratheodoryProblem
@@ -220,6 +225,13 @@ def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
         linalg.set_max_dim(old)
 
 
+def test_empty_series_with_huge_cutoff(tmp_path, capsys):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps({"n": 1, "cutoff": 4e15, "shape": [2, 2], "coefficients": {}}))
+    code, payload = run_cli(capsys, "cayley", "inverse", str(src))
+    assert code == 0 and payload["series"]["coefficients"] == {}
+
+
 def test_non_finite_result_is_scope_error(tmp_path, capsys):
     # finite input whose Cayley transform overflows at words 11 and 111
     series = {"n": 1, "cutoff": 3, "shape": [1, 1], "coefficients": {"1": [[[1e200, 0]]]}}
@@ -297,3 +309,54 @@ def test_json_roundtrip_exact():
     m = np.array([values])
     again = jsonio.json_to_matrix(json.loads(json.dumps(jsonio.matrix_to_json(m))))
     assert np.array_equal(again, m)
+
+
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-3, 6), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.lists(st.integers(-1, 3), max_size=3),
+)
+number = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, 1e200, -1e300]))
+
+
+@st.composite
+def series_json(draw):
+    """Mostly well-formed series JSON with at most one field or matrix
+    entry replaced by junk (integers past float range only in entries).
+    Cutoffs and generator counts stay small: a nonzero series with a huge
+    cutoff is computed degree by degree up to the size limit, which takes
+    too long to fuzz."""
+    n, p, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 5))
+    letters = "".join(str(i) for i in range(1, n + 1))
+    valid = st.text(letters, min_size=min(cutoff, 1), max_size=cutoff)
+    words = st.one_of(valid, st.text("0123456789a"))
+    entry = st.lists(number, min_size=2, max_size=2)
+    matrix = st.lists(st.lists(entry, min_size=p, max_size=p), min_size=p, max_size=p)
+    coeffs = draw(st.dictionaries(words, matrix, max_size=6))
+    obj = {"n": n, "cutoff": cutoff, "shape": [p, p], "coefficients": coeffs}
+    key = draw(st.sampled_from([None, None, "n", "cutoff", "shape", "coefficients", "entry"]))
+    if key == "entry" and coeffs:
+        bad = st.one_of(junk, st.lists(st.one_of(junk, st.integers(10**309, 10**400))))
+        coeffs[draw(st.sampled_from(sorted(coeffs)))][0][0] = draw(bad)
+    elif key in obj:
+        obj[key] = draw(junk)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_json(), st.sampled_from(["forward", "inverse"]), st.booleans())
+def test_cayley_json_fuzz_exits_with_documented_codes(obj, direction, small_limit):
+    """Any series JSON through `freefock cayley`: a result (0), an input
+    error (3) or a scope error (4), never an internal error."""
+    old = linalg.MAX_DIM
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        linalg.set_max_dim(4 if small_limit else old)  # 16 entries
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["cayley", direction, path])
+        finally:
+            linalg.set_max_dim(old)
+    assert code in (0, 3, 4), err.getvalue()

@@ -207,8 +207,9 @@ def test_kernel_from_series_matches_entrywise(n, m, p):
 @pytest.mark.parametrize("n,p", CASES)
 def test_radial_compressions_match_kron_sum(n, p):
     rng = np.random.default_rng(60 * n + p)
-    f = fs.FreeSeries(n, 2, (p, p), random_coeffs(rng, n, 2, p))
-    f.coeffs[()] = f.coeffs[()] + 4.0 * np.eye(p)
+    coeffs = random_coeffs(rng, n, 2, p)
+    coeffs[()] = coeffs[()] + 4.0 * np.eye(p)
+    f = fs.FreeSeries(n, 2, (p, p), coeffs)
     grid = [0.3, 0.9]
     half = (f.coeffs[()] + adjoint(f.coeffs[()])) / 2.0
     want = np.inf

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefock import linalg
 from freefock import series as fs
@@ -37,26 +38,54 @@ def test_multiply_square_expansion():
     assert not sq.coefficient((1,)).any()
 
 
-def pairwise_multiply(f, g):
-    """Oracle product: every pair of stored words, summed by concatenation."""
-    cutoff = min(f.cutoff, g.cutoff)
+def dict_product(a, b, cutoff):
+    """Oracle product of word -> coefficient dicts: every pair of words,
+    summed by concatenation."""
     out = {}
-    for wf, cf in f.coeffs.items():
-        for wg, cg in g.coeffs.items():
-            if len(wf) + len(wg) <= cutoff:
-                w = wf + wg
-                out[w] = out[w] + cf @ cg if w in out else cf @ cg
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) <= cutoff:
+                out[u + v] = out.get(u + v, 0) + x @ y
+    return out
+
+
+def dict_sum(a, b):
+    return {w: a.get(w, 0) + b.get(w, 0) for w in set(a) | set(b)}
+
+
+def dict_geometric(a, cutoff, sign, p):
+    """Oracle sum_{k>=1} sign^(k-1) a^k, one pairwise power at a time."""
+    out, power = {}, {(): np.eye(p)}
+    for k in range(cutoff):
+        power = dict_product(power, a, cutoff)
+        out = dict_sum(out, {w: sign**k * c for w, c in power.items()})
+    return out
+
+
+def pairwise_multiply(f, g):
+    cutoff = min(f.cutoff, g.cutoff)
+    out = dict_product(f.coeffs, g.coeffs, cutoff)
     return fs.FreeSeries(f.n, cutoff, (f.shape[0], g.shape[1]), out)
 
 
 def power_sum(f, sign):
-    """Oracle sum_{k>=1} sign^(k-1) f^k, one pairwise power at a time."""
-    acc = fs.FreeSeries.zero(f.n, f.cutoff, f.shape)
-    power = fs.FreeSeries.one(f.n, f.cutoff, f.shape[0])
-    for k in range(f.cutoff):
-        power = pairwise_multiply(power, f)
-        acc = acc.add(power.scale(sign**k))
-    return acc
+    out = dict_geometric(f.coeffs, f.cutoff, sign, f.shape[0])
+    return fs.FreeSeries(f.n, f.cutoff, f.shape, out)
+
+
+def composition_coefficient(f, w):
+    """Per-word brute force for the Cayley coefficient at w: every subset
+    of the |w| - 1 interior cut points gives one factorization into
+    nonempty pieces, whose coefficients are multiplied from np.eye."""
+    k = len(w)
+    total = np.zeros(f.shape, dtype=complex)
+    for mask in range(1 << (k - 1)):
+        cuts = [0] + [i + 1 for i in range(k - 1) if mask >> i & 1] + [k]
+        prod = np.eye(f.shape[0], dtype=complex)
+        for a, b in zip(cuts, cuts[1:]):
+            prod = prod @ f.coefficient(w[a:b])
+        total += prod
+    return total
 
 
 def assert_series_close(got, want, rtol=1e-13):
@@ -117,6 +146,59 @@ def test_package_built_series_are_not_revalidated(monkeypatch):
     assert_series_close(back, f, rtol=1e-12)
 
 
+def assert_storage(f, want):
+    """f's blocks are well formed and its word view matches the dict want."""
+    for k, (codes, c) in f.blocks.items():
+        assert 0 <= k <= f.cutoff and c.shape == (len(codes), *f.shape) and len(codes)
+        assert np.all(codes[1:] > codes[:-1]) and codes[0] >= 0 and codes[-1] < f.n**k
+        assert c.any(axis=(1, 2)).all()  # no all-zero row
+    assert list(f.blocks) == sorted(f.blocks)
+    zero = np.zeros(f.shape)
+    for w in set(f.coeffs) | set(want):
+        assert np.allclose(f.coeffs.get(w, zero), want.get(w, zero), rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4), st.integers(1, 2), st.integers(0))
+def test_blocks_stay_well_formed(n, cutoff, cutoff_g, p, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(cut, min_degree):
+        words = [w for w in GradedBasis(n, cut).words if len(w) >= min_degree]
+        rng.shuffle(words)  # the constructor must not depend on the input order
+        keep = words[: int(rng.integers(len(words) + 1))]
+        z = 0.4 * rng.standard_normal((len(keep), 2, p, p))
+        return dict(zip(keep, z[:, 0] + 1j * z[:, 1]))
+
+    a, b = draw(cutoff, 0), draw(cutoff_g, 1)
+    f, g = fs.FreeSeries(n, cutoff, (p, p), a), fs.FreeSeries(n, cutoff_g, (p, p), b)
+    low = min(cutoff, cutoff_g)
+    assert_storage(f, a)
+    assert_storage(g, b)
+    assert_storage(fs.multiply(f, g), dict_product(a, b, low))
+    assert_storage(f + g, {w: c for w, c in dict_sum(a, b).items() if len(w) <= low})
+    assert_storage(f.scale(-0.5), {w: -0.5 * c for w, c in a.items()})
+    assert_storage(f.without_constant(), {w: c for w, c in a.items() if w})
+    assert not (f - f).blocks and not f.scale(0.0).blocks
+    assert_storage(fs.cayley_forward(g), dict_geometric(b, cutoff_g, 1.0, p))
+    assert_storage(fs.cayley_inverse(g), dict_geometric(b, cutoff_g, -1.0, p))
+    one = {(): np.eye(p)}
+    assert_storage(fs.neumann_inverse(g), dict_sum(one, dict_geometric(b, cutoff_g, 1.0, p)))
+
+
+def test_coeffs_view_is_read_only():
+    f = scalar_series(2, 3, {(1,): 0.5, (2, 1): 0.25})
+    for g in (f, fs.cayley_forward(f), f.scale(2.0)):
+        with pytest.raises(TypeError):
+            g.coeffs[(1,)] = ONE
+        with pytest.raises(TypeError):
+            del g.coeffs[(1,)]
+    # once built, the blocks back the view: what it shows is what the algebra uses
+    g = scalar_series(2, 3, {(1,): 0.5, (2, 1): 0.25})
+    blocks = g.blocks
+    assert np.shares_memory(g.coeffs[(2, 1)], blocks[2][1])
+
+
 def test_random_series_draws_word_by_word():
     """One batched draw reproduces the per-word real/imaginary stream."""
     for n, cutoff, shape, min_degree in ((2, 3, (2, 3), 0), (3, 2, (1, 1), 1), (1, 5, (2, 2), 2)):
@@ -127,6 +209,7 @@ def test_random_series_draws_word_by_word():
             if len(w) >= min_degree:
                 want[w] = 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert list(got.coeffs) == list(want)
+        assert_storage(got, want)
         for w, c in want.items():
             assert np.array_equal(got.coeffs[w], c)
 
@@ -143,6 +226,12 @@ def test_word_codes_past_int64():
     square = fs.multiply(g, g)
     assert list(square.coeffs)[-1] == (2, 1) * 35
     assert square.coefficient((2, 1) * 35)[0, 0] == 34 * 0.5**35
+    # powers of one word: the size bound counts merged words, not the
+    # 2^34 sequences of input words that reach degree 70
+    h = scalar_series(2, 70, {(2, 1) * j: 0.9**j * (1 + 0.1j * j) for j in range(1, 36)})
+    back = fs.cayley_inverse(h)
+    assert sorted(back.coeffs) == [(2, 1) * j for j in range(1, 36)]
+    assert_series_close(fs.cayley_forward(back), h, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
@@ -190,10 +279,23 @@ def test_geometric_sums_match_power_sums(name):
         assert forward.max_degree() < f.cutoff  # the sum ends before the cutoff
     for w in GradedBasis(f.n, min(f.cutoff, 6)).words[1:]:
         # forward: every factorization; inverse: signed by the piece count
-        want = fs.cayley_composition_coefficient(f, w)
+        want = composition_coefficient(f, w)
         assert np.max(np.abs(forward.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
-        want = -fs.cayley_composition_coefficient(f.scale(-1.0), w)
+        want = -composition_coefficient(f.scale(-1.0), w)
         assert np.max(np.abs(inverse.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
+
+
+def test_geometric_sums_end_where_no_degree_is_reachable():
+    """Past the top degree of f plus that of the nonzero degrees so far, no
+    block pair reaches a degree: an empty or nilpotent series ends there,
+    whatever its cutoff."""
+    assert not fs.cayley_forward(fs.FreeSeries.zero(2, 10**12, (1, 1))).blocks
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])  # nil @ nil = 0
+    for geometric in (fs.cayley_forward, fs.cayley_inverse, fs.neumann_inverse):
+        g = geometric(fs.FreeSeries(2, 10**12, (2, 2), {(1,): nil, (2, 2): 2.0 * nil}))
+        want = [0, 1, 2] if geometric is fs.neumann_inverse else [1, 2]
+        assert list(g.blocks) == want
+        assert np.array_equal(g.coefficient((2, 2)), 2.0 * nil)
 
 
 def test_neumann_inverse():
@@ -264,10 +366,22 @@ def test_cayley_composition_oracle():
     rng = np.random.default_rng(3)
     f = fs.random_series(rng, 2, 4, (2, 2), scale=0.6, min_degree=1)
     g = fs.cayley_forward(f)
-    for w in GradedBasis(2, 4).words:
-        if w:
-            oracle = fs.cayley_composition_coefficient(f, w)
-            assert np.max(np.abs(oracle - g.coefficient(w))) <= 1e-12
+    oracle = fs.cayley_composition_coefficient(f, 4)
+    assert list(oracle) == GradedBasis(2, 4).words[1:]
+    for w, c in oracle.items():
+        assert np.max(np.abs(c - g.coefficient(w))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,deg", [(1, 6), (2, 4), (3, 3)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_all_words_oracle_matches_per_word(n, deg, p):
+    rng = np.random.default_rng(10 * n + p)
+    dense = fs.random_series(rng, n, deg, (p, p), scale=0.6, min_degree=1)
+    sparse = sparse_series(rng, n, deg, (p, p), [1, 2], 2)
+    for f in (dense, sparse):
+        for w, c in fs.cayley_composition_coefficient(f, deg).items():
+            want = composition_coefficient(f, w)
+            assert np.max(np.abs(c - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
 
 def test_eval_at_basics():
