@@ -30,10 +30,11 @@ from .linalg import (
     operator_norm,
     psd_pinv,
 )
+from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, cayley_forward, cayley_inverse
 from .toeplitz import assemble_T, validate_coeffs
 from .transforms import MomentFunctional
-from .words import GradedBasis, reverse
+from .words import GradedBasis
 
 
 @dataclass
@@ -287,10 +288,5 @@ def moment_problem_view(prob):
     only, nothing is solved."""
     if prob.block_size != 1:
         raise InputError("moment view is defined for scalar problems only")
-    forward = {}
-    backward = {}
-    for w, c in prob.coeffs.items():
-        if w:
-            forward[reverse(w)] = np.conj(c)
-            backward[reverse(w)] = c.copy()
-    return MomentFunctional(prob.n, prob.m, prob.coeffs[()], forward, backward)
+    b = FreeSeries(prob.n, prob.m, (1, 1), prob.coeffs)
+    return MomentFunctional(PluriharmonicFn(b, b.without_constant().adjoint()))

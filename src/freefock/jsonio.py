@@ -20,7 +20,7 @@ from .fock import OperatorTuple
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries
 from .transforms import MomentFunctional
-from .words import word_from_string, word_to_string
+from .words import reverse, word_from_string, word_to_string
 
 
 def complex_to_json(z):
@@ -61,6 +61,14 @@ def _json_to_coeffs(obj, n):
     if not isinstance(obj, dict):
         raise InputError("coefficient map must be an object")
     return {word_from_string(k, n): json_to_matrix(v) for k, v in obj.items()}
+
+
+def _json_to_moments(obj, n):
+    """Coefficients that start at degree 1: the empty word is rejected."""
+    coeffs = _json_to_coeffs(obj, n)
+    if () in coeffs:
+        raise InputError("these coefficients start at degree 1; the empty word is not allowed")
+    return coeffs
 
 
 def tuple_to_json(x):
@@ -106,8 +114,8 @@ def pluriharmonic_to_json(h):
         "n": h.n,
         "cutoff": h.cutoff,
         "shape": list(h.shape),
-        "analytic": _coeffs_to_json(h.analytic),
-        "coanalytic": _coeffs_to_json(h.coanalytic),
+        "analytic": _coeffs_to_json(h.analytic.coeffs),
+        "coanalytic": _coeffs_to_json(h.coanalytic.coeffs),
     }
 
 
@@ -117,19 +125,21 @@ def json_to_pluriharmonic(obj):
         cutoff = int(obj["cutoff"])
         shape = tuple(int(s) for s in obj["shape"])
         analytic = _json_to_coeffs(obj["analytic"], n)
-        coanalytic = _json_to_coeffs(obj.get("coanalytic", {}), n)
+        coanalytic = _json_to_moments(obj.get("coanalytic", {}), n)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad pluriharmonic function: {exc}") from exc
-    return PluriharmonicFn(n, cutoff, shape, analytic, coanalytic)
+    return PluriharmonicFn(*(FreeSeries(n, cutoff, shape, c) for c in (analytic, coanalytic)))
 
 
 def functional_to_json(mu):
+    """forward[t] = mu(R_t) = B_~t and backward[t] = mu(R_t*) = A_~t of the symbol."""
+    a, b = mu.symbol.analytic.coeffs, mu.symbol.coanalytic.coeffs
     return {
         "n": mu.n,
         "cutoff": mu.cutoff,
         "unit": matrix_to_json(mu.unit),
-        "forward": _coeffs_to_json(mu.forward),
-        "backward": _coeffs_to_json(mu.backward),
+        "forward": _coeffs_to_json({reverse(w): c for w, c in b.items()}),
+        "backward": _coeffs_to_json({reverse(w): c for w, c in a.items() if w}),
     }
 
 
@@ -138,11 +148,14 @@ def json_to_functional(obj):
         n = int(obj["n"])
         cutoff = int(obj["cutoff"])
         unit = json_to_matrix(obj["unit"])
-        forward = _json_to_coeffs(obj.get("forward", {}), n)
-        backward = _json_to_coeffs(obj.get("backward", {}), n)
+        forward = _json_to_moments(obj.get("forward", {}), n)
+        backward = _json_to_moments(obj.get("backward", {}), n)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad moment functional: {exc}") from exc
-    return MomentFunctional(n, cutoff, unit, forward, backward)
+    analytic = {(): unit, **{reverse(t): c for t, c in backward.items()}}
+    coanalytic = {reverse(t): c for t, c in forward.items()}
+    series = (FreeSeries(n, cutoff, unit.shape, c) for c in (analytic, coanalytic))
+    return MomentFunctional(PluriharmonicFn(*series))
 
 
 def problem_to_json(prob):

@@ -1,65 +1,51 @@
-"""Free pluriharmonic functions: paired analytic/co-analytic coefficient
-families, evaluation, radial boundary operators, and the positivity,
+"""Free pluriharmonic functions: an analytic and a co-analytic free
+series, evaluation, radial boundary operators, and the positivity,
 Harnack, coefficient-bound, mean-value, and multi-Toeplitz checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ScopeError
 from .fock import get_trunc, poisson_transform, reconstruction_operator, shift_sum
 from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
-from .series import FreeSeries, clean_coeffs, eval_report, jsr_estimate
+from .series import FreeSeries, eval_report, jsr_estimate
 
 
 @dataclass
 class PluriharmonicFn:
-    """h(X) = sum B_a (x) X_a* + A_0 (x) I + sum A_a (x) X_a, stored to a
-    shared cutoff.  analytic holds the A family (including the empty
-    word), coanalytic the B family (words of length >= 1)."""
+    """h(X) = sum B_a (x) X_a* + A_0 (x) I + sum A_a (x) X_a: analytic is
+    the series of the A_a (with A_0), coanalytic that of the B_a, which has
+    no constant term.  Both share n, cutoff and a square shape."""
 
-    n: int
-    cutoff: int
-    shape: tuple
-    analytic: dict = field(default_factory=dict)
-    coanalytic: dict = field(default_factory=dict)
+    analytic: FreeSeries
+    coanalytic: FreeSeries
 
     def __post_init__(self):
-        self.shape = tuple(self.shape)
-        self.analytic = clean_coeffs(self.analytic, self.n, self.cutoff, self.shape)
-        self.coanalytic = clean_coeffs(
-            self.coanalytic, self.n, self.cutoff, self.shape, allow_empty=False
-        )
-        if self.shape[0] != self.shape[1]:
+        a, b = self.analytic, self.coanalytic
+        if (a.n, a.cutoff, a.shape) != (b.n, b.cutoff, b.shape):
+            raise InputError(
+                f"analytic (n, cutoff, shape) {(a.n, a.cutoff, a.shape)} differs from "
+                f"co-analytic {(b.n, b.cutoff, b.shape)}"
+            )
+        if not a.is_square():
             raise InputError("pluriharmonic coefficients must be square")
-
-    @property
-    def p(self):
-        return self.shape[0]
-
-    def a_coeff(self, w):
-        c = self.analytic.get(tuple(w))
-        return c.copy() if c is not None else np.zeros(self.shape, dtype=complex)
-
-    def b_coeff(self, w):
-        c = self.coanalytic.get(tuple(w))
-        return c.copy() if c is not None else np.zeros(self.shape, dtype=complex)
+        if () in b.coeffs:
+            raise InputError("co-analytic coefficients start at degree 1; no constant term")
+        self.n, self.cutoff, self.shape, self.p = a.n, a.cutoff, a.shape, a.shape[0]
 
     def is_selfadjoint(self, tol=1e-12):
-        a0 = self.a_coeff(())
+        """A_0 is Hermitian and B_a = A_a* word by word, each to tol (1 + ||A_0||)."""
+        a0 = self.analytic.constant_term()
         scale = 1.0 + operator_norm(a0)
-        if operator_norm(a0 - adjoint(a0)) > tol * scale:
-            return False
-        for w in set(self.analytic) | set(self.coanalytic):
-            if not w:
-                continue
-            if operator_norm(self.b_coeff(w) - adjoint(self.a_coeff(w))) > tol * scale:
-                return False
-        return True
+        gap = self.coanalytic - self.analytic.without_constant().adjoint()
+        return operator_norm(a0 - adjoint(a0)) <= tol * scale and all(
+            operator_norm(c) <= tol * scale for _, block in gap.blocks.values() for c in block
+        )
 
 
 def real_part(f):
@@ -71,30 +57,15 @@ def real_part(f):
     if not f.is_square():
         raise InputError("real part needs square coefficients")
     f0 = f.constant_term()
-    analytic = {(): (f0 + adjoint(f0)) / 2.0}
-    coanalytic = {}
-    for w, c in f.coeffs.items():
-        if w:
-            analytic[w] = c / 2.0
-            coanalytic[w] = adjoint(c) / 2.0
-    return PluriharmonicFn(f.n, f.cutoff, f.shape, analytic, coanalytic)
-
-
-def _analytic_series(h):
-    return FreeSeries(h.n, h.cutoff, h.shape, dict(h.analytic))
-
-
-def _coanalytic_series(h):
-    """B_a* as a series; its scope governs the co-analytic sum."""
-    return FreeSeries(
-        h.n, h.cutoff, h.shape, {w: adjoint(c) for w, c in h.coanalytic.items()}
-    )
+    half = f.without_constant().scale(0.5)
+    constant = FreeSeries(f.n, f.cutoff, f.shape, {(): (f0 + adjoint(f0)) / 2.0})
+    return PluriharmonicFn(half + constant, half.adjoint())
 
 
 def eval_at(h, X, jsr_depth=None):
     """Evaluate h at an operator tuple; same scope rules as series.eval_at."""
-    rep_a = eval_report(_analytic_series(h), X, jsr_depth)
-    rep_b = eval_report(_coanalytic_series(h), X, jsr_depth)  # co-analytic words are nonempty
+    rep_a = eval_report(h.analytic, X, jsr_depth)
+    rep_b = eval_report(h.coanalytic.adjoint(), X, jsr_depth)
     return rep_a.value + adjoint(rep_b.value)
 
 
@@ -103,8 +74,8 @@ def radial_boundary(h, r, m):
     if not 0.0 <= r <= 1.0:
         raise InputError(f"radius {r} outside [0, 1]")
     ft = get_trunc(h.n, m)
-    lower = {w: (r ** len(w)) * c for w, c in h.analytic.items()}
-    upper = {w: (r ** len(w)) * c for w, c in h.coanalytic.items()}
+    lower = {w: (r ** len(w)) * c for w, c in h.analytic.coeffs.items()}
+    upper = {w: (r ** len(w)) * c for w, c in h.coanalytic.coeffs.items()}
     return shift_sum(ft, h.p, lower, upper, ft.prepend_indices)
 
 
@@ -165,11 +136,10 @@ class CoefficientBoundReport:
 
 def coefficient_bound_check(h, tol=1e-9):
     """|| sum_{|a|=k} A_a* A_a ||^(1/2) <= ||A_0|| for each degree."""
-    bound = operator_norm(h.a_coeff(())) + tol
-    fa = _analytic_series(h)
+    bound = operator_norm(h.analytic.constant_term()) + tol
     rows = []
     for k in range(1, h.cutoff + 1):
-        lhs = math.sqrt(fa.degree_slice_gram_norm(k))
+        lhs = math.sqrt(h.analytic.degree_slice_gram_norm(k))
         rows.append((k, lhs, bound))
     return CoefficientBoundReport(all(lhs <= b for _, lhs, b in rows), rows)
 
@@ -185,7 +155,7 @@ def harnack_check(h, samples, r, tol=1e-9):
     """||h(X)|| <= ||A_0|| (1+r)/(1-r) on nilpotent samples of norm <= r."""
     if not 0.0 <= r < 1.0:
         raise InputError(f"radius {r} outside [0, 1)")
-    bound = operator_norm(h.a_coeff(())) * (1.0 + r) / (1.0 - r) + tol
+    bound = operator_norm(h.analytic.constant_term()) * (1.0 + r) / (1.0 - r) + tol
     values = []
     for X in samples:
         if X.row_norm > r + 1e-12:

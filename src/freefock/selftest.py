@@ -29,7 +29,7 @@ from .fock import (
     tail_bound,
 )
 from .linalg import adjoint, operator_norm
-from .words import GradedBasis, reverse
+from .words import GradedBasis
 
 
 def _max_abs(a):
@@ -369,13 +369,10 @@ def generate_feasible_problem(rng, n, m, margin=0.02):
         (0.1, _random_vector(rng, ft, deg)),
     ]
     mu = tr.from_vector_states(ft, [(w, v, v) for w, v in pairs], m)
-    h = tr.poisson_pluriharmonic(mu)
-    coeffs = {(): h.a_coeff(()) + margin * operator_norm(h.a_coeff(())) * np.eye(1)}
-    for w in GradedBasis(n, m).words:
-        if w:
-            c = h.a_coeff(w)
-            if c.any():
-                coeffs[w] = c
+    a = tr.poisson_pluriharmonic(mu).analytic
+    a0 = a.constant_term()
+    coeffs = {(): a0 + margin * operator_norm(a0) * np.eye(1)}
+    coeffs.update((w, c) for w, c in a.coeffs.items() if w)
     return cara.CaratheodoryProblem(n, m, coeffs)
 
 
@@ -440,10 +437,8 @@ def suite_positivity_equivalences(rng):
         n = 1 + k % 2
         deg = 1 + k % 2
         mu = _positive_functional(rng, n, deg, pairs=2)
-        coeffs = {(): mu.unit.copy()}
-        for tau, c in mu.backward.items():
-            coeffs[reverse(tau)] = 2.0 * c
-        f = fs.FreeSeries(n, deg, (1, 1), coeffs)
+        a = mu.symbol.analytic
+        f = a + a.without_constant()  # the Herglotz symbol A_0 + 2 sum A_a
         rep = tr.positivity_equivalence_check(f, m_max=3, r_grid=grid, tol=1e-8)
         disagreements += not rep.agree
         not_positive += not rep.all_positive

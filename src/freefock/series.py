@@ -34,14 +34,16 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
-from .words import GradedBasis, decode_words, encode_words, validate_word
+from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
 
-def clean_coeffs(coeffs, n, cutoff, shape, allow_empty=True):
-    """Validated copy of a word -> coefficient map: shape is two positive
-    ints, words are over n letters with length <= cutoff (the empty word
-    only when allowed), coefficients are complex matrices of that shape;
+def clean_coeffs(coeffs, n, cutoff, shape):
+    """Validated copy of a word -> coefficient map: n is in
+    1..MAX_GENERATORS, shape is two positive ints, words are over n letters
+    with length <= cutoff, coefficients are complex matrices of that shape;
     exact zeros are dropped."""
+    if not 1 <= n <= MAX_GENERATORS:
+        raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
     if len(shape) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
         raise InputError(f"shape must be two positive integers, got {list(shape)}")
     if cutoff < 0:
@@ -50,8 +52,6 @@ def clean_coeffs(coeffs, n, cutoff, shape, allow_empty=True):
     for w, c in coeffs.items():
         w = tuple(w)
         validate_word(w, n)
-        if not w and not allow_empty:
-            raise InputError("these coefficients start at degree 1; the empty word is not allowed")
         if len(w) > cutoff:
             raise InputError(f"word of length {len(w)} exceeds cutoff {cutoff}")
         c = as_cmatrix(c)
@@ -154,6 +154,11 @@ class FreeSeries:
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
+
+    def adjoint(self):
+        """The series of the A_a*: each block conjugate-transposed."""
+        blocks = {k: (codes, c.conj().swapaxes(1, 2)) for k, (codes, c) in self.blocks.items()}
+        return FreeSeries._built(self.n, self.cutoff, self.shape[::-1], blocks)
 
     def max_degree(self):
         return max(self.blocks, default=0)

@@ -3,9 +3,12 @@ creation operators and their adjoints, with the Poisson, Herglotz, and
 Fantappie transforms, positivity equivalence checks, Fejer inequality
 checks, and radial scalings.
 
-A functional is stored through its finite moment data mu(R_a), mu(R_a*)
-up to a cutoff length, optionally with a vector-state realization on a
-truncated Fock space that reproduces the moments exactly.
+A functional mu is stored as its Poisson symbol, the pluriharmonic
+function P mu with A_a = mu(R_~a*), B_a = mu(R_~a) and A_0 = mu(I) up to
+a cutoff length, optionally with a vector-state realization on a
+truncated Fock space that reproduces the moments exactly.  Words are
+reversed only where a moment is named by the word of its operator: the
+JSON format and the right-shift kernels.
 
 The transforms evaluate their coefficient sums with ``fock.word_sum``
 (the starred part of the Poisson transform as the adjoint of one), and
@@ -16,7 +19,7 @@ shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,42 +27,28 @@ from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
-from .series import clean_coeffs, eval_at_creation, jsr_estimate
+from .series import FreeSeries, eval_at_creation, jsr_estimate
 from .toeplitz import MultiToeplitzMatrix
 from .words import GradedBasis, reverse
 
 
 @dataclass
 class MomentFunctional:
-    n: int
-    cutoff: int
-    unit: np.ndarray  # mu(I), p x p
-    forward: dict = field(default_factory=dict)  # word -> mu(R_word)
-    backward: dict = field(default_factory=dict)  # word -> mu(R_word*)
+    """A functional stored as its Poisson symbol; n, cutoff and p are the symbol's."""
+
+    symbol: PluriharmonicFn  # P mu
     realization: tuple | None = None  # (FockTrunc, [(weight, xi, eta), ...])
 
     def __post_init__(self):
-        self.unit = as_cmatrix(self.unit)
-        shape = self.unit.shape
-        if shape[0] != shape[1]:
-            raise InputError("mu(I) must be square")
-        self.forward = clean_coeffs(self.forward, self.n, self.cutoff, shape, allow_empty=False)
-        self.backward = clean_coeffs(self.backward, self.n, self.cutoff, shape, allow_empty=False)
+        self.n, self.cutoff, self.p = self.symbol.n, self.symbol.cutoff, self.symbol.p
 
     @property
-    def p(self):
-        return self.unit.shape[0]
+    def unit(self):
+        """mu(I) = A_0, p x p."""
+        return self.symbol.analytic.constant_term()
 
     def is_selfadjoint(self, tol=1e-12):
-        scale = 1.0 + operator_norm(self.unit)
-        if operator_norm(self.unit - adjoint(self.unit)) > tol * scale:
-            return False
-        for w in set(self.forward) | set(self.backward):
-            f = self.forward.get(w, np.zeros_like(self.unit))
-            b = self.backward.get(w, np.zeros_like(self.unit))
-            if operator_norm(b - adjoint(f)) > tol * scale:
-                return False
-        return True
+        return self.symbol.is_selfadjoint(tol)
 
 
 def _vector_degree(ft, v):
@@ -104,32 +93,14 @@ def from_vector_states(ft, pairs, cutoff):
             )
         prepared.append((complex(w), xi, eta))
     unit = sum(w * np.vdot(eta, xi) for w, xi, eta in prepared)
-    forward = {}
-    backward = {}
-    for word in GradedBasis(ft.n, cutoff).words:
-        if not word:
-            continue
-        # R_word = R_{i1}...R_{ik} appends reverse(word)
-        fwd = sum(
-            w * np.vdot(eta, _apply_append(ft, reverse(word), xi))
-            for w, xi, eta in prepared
-        )
-        bwd = sum(
-            w * np.vdot(_apply_append(ft, reverse(word), eta), xi)
-            for w, xi, eta in prepared
-        )
-        if fwd != 0:
-            forward[word] = np.array([[fwd]])
-        if bwd != 0:
-            backward[word] = np.array([[bwd]])
-    return MomentFunctional(
-        ft.n,
-        cutoff,
-        np.array([[unit]]),
-        forward,
-        backward,
-        realization=(ft, prepared),
-    )
+    analytic, coanalytic = {(): [[unit]]}, {}
+    for word in GradedBasis(ft.n, cutoff).words[1:]:
+        # R_~word = R_{ik}...R_{i1} appends word: B_word = mu(R_~word), A_word = mu(R_~word*)
+        b = sum(w * np.vdot(eta, _apply_append(ft, word, xi)) for w, xi, eta in prepared)
+        a = sum(w * np.vdot(_apply_append(ft, word, eta), xi) for w, xi, eta in prepared)
+        analytic[word], coanalytic[word] = [[a]], [[b]]
+    series = (FreeSeries(ft.n, cutoff, (1, 1), c) for c in (analytic, coanalytic))
+    return MomentFunctional(PluriharmonicFn(*series), realization=(ft, prepared))
 
 
 # -- transforms --------------------------------------------------------------
@@ -138,8 +109,7 @@ def from_vector_states(ft, pairs, cutoff):
 def poisson_transform_of(mu, X):
     """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a."""
     analytic = _analytic_sum(mu, X, 1.0)
-    starred = {reverse(tau): adjoint(c) for tau, c in mu.forward.items()}
-    return analytic + adjoint(word_sum(X, starred, mu.p))
+    return analytic + adjoint(word_sum(X, mu.symbol.coanalytic.adjoint().coeffs, mu.p))
 
 
 def fantappie_transform(mu, X):
@@ -156,8 +126,7 @@ def _analytic_sum(mu, X, weight):
     """mu(I) (x) I + weight * sum_{|a|>=1} mu(R_~a*) (x) X_a."""
     if X.n != mu.n:
         raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    coeffs = {(): mu.unit}
-    coeffs.update((reverse(tau), weight * c) for tau, c in mu.backward.items())
+    coeffs = {w: weight * c if w else c for w, c in mu.symbol.analytic.coeffs.items()}
     return word_sum(X, coeffs, mu.p)
 
 
@@ -279,17 +248,14 @@ def fejer_check(mu, m, tol=1e-10):
     if mu.cutoff < m - 1:
         raise InputError(f"functional must carry moments to length {m - 1}")
     scale = 1.0 + abs(complex(mu.unit[0, 0]))
-    for w, c in mu.forward.items():
-        if len(w) >= m and abs(complex(c[0, 0])) > 1e-12 * scale:
-            raise InputError(
-                f"moment at word of length {len(w)} is nonzero; hypothesis fails"
-            )
+    blocks = mu.symbol.coanalytic.blocks  # mu(R_~a) = B_a; reversal keeps the degree
+    for k, (_, c) in blocks.items():
+        if k >= m and np.abs(c).max() > 1e-12 * scale:
+            raise InputError(f"moment at word of length {k} is nonzero; hypothesis fails")
     unit = complex(mu.unit[0, 0]).real
     rows = []
     for k in range(1, m):
-        lhs = math.sqrt(
-            sum(abs(complex(c[0, 0])) ** 2 for w, c in mu.forward.items() if len(w) == k)
-        )
+        lhs = float(np.linalg.norm(blocks[k][1])) if k in blocks else 0.0
         bound = unit * math.cos(math.pi / ((m - 1) // k + 2)) + tol
         rows.append((k, lhs, bound))
     return FejerReport(all(lhs <= b for _, lhs, b in rows), rows)
@@ -303,23 +269,15 @@ def radial_functional(h, r):
     mu(R_~a) = r^|a| B_a, mu(R_~a*) = r^|a| A_a, mu(I) = A_0."""
     if not 0.0 <= r < 1.0:
         raise InputError(f"radius {r} outside [0, 1)")
-    forward = {}
-    backward = {}
-    for w, c in h.coanalytic.items():
-        forward[reverse(w)] = (r ** len(w)) * c
-    for w, c in h.analytic.items():
-        if w:
-            backward[reverse(w)] = (r ** len(w)) * c
-    return MomentFunctional(h.n, h.cutoff, h.a_coeff(()), forward, backward)
+
+    def radial(f):  # degree-k blocks scaled by r^k
+        blocks = {k: (codes, r**k * c) for k, (codes, c) in f.blocks.items()}
+        return FreeSeries._built(f.n, f.cutoff, f.shape, blocks)
+
+    return MomentFunctional(PluriharmonicFn(radial(h.analytic), radial(h.coanalytic)))
 
 
 def poisson_pluriharmonic(mu):
     """The pluriharmonic function P mu: A_a = mu(R_~a*), B_a = mu(R_~a),
     constant mu(I)."""
-    analytic = {(): mu.unit.copy()}
-    coanalytic = {}
-    for tau, c in mu.backward.items():
-        analytic[reverse(tau)] = c.copy()
-    for tau, c in mu.forward.items():
-        coanalytic[reverse(tau)] = c.copy()
-    return PluriharmonicFn(mu.n, mu.cutoff, mu.unit.shape, analytic, coanalytic)
+    return mu.symbol

@@ -28,6 +28,30 @@ def write_problem(tmp_path, mapping, n, m, name="problem.json"):
     return str(path)
 
 
+def run_on_json(argv, max_dim=None):
+    """cli.main(argv) with each dict in argv written to a temporary JSON
+    file and replaced by its path, under an optional size limit; returns
+    the exit code and what was written to stderr."""
+    old = linalg.MAX_DIM
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for k, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                path = os.path.join(tmp, f"input{k}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(arg))
+                arg = path
+            args.append(arg)
+        out, err = io.StringIO(), io.StringIO()
+        linalg.set_max_dim(max_dim or old)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(args)
+        finally:
+            linalg.set_max_dim(old)
+    return code, err.getvalue()
+
+
 def test_basis_command(capsys):
     code, payload = run_cli(capsys, "basis", "2", "2")
     assert code == 0
@@ -42,6 +66,13 @@ def test_basis_command(capsys):
 
 def test_basis_rejects_bad_generator_count(capsys):
     assert cli.main(["basis", "10", "2"]) == 3
+
+
+@pytest.mark.parametrize("n,coefficients", [(0, {}), (12, {"1": [[[1.0, 0.0]]]})])
+def test_cayley_rejects_bad_generator_count(n, coefficients):
+    # words are digit strings, so n stops at 9; n = 0 has no words at all
+    series = {"n": n, "cutoff": 2, "shape": [1, 1], "coefficients": coefficients}
+    assert run_on_json(["cayley", "forward", series])[0] == 3
 
 
 def test_check_command(tmp_path, capsys):
@@ -297,6 +328,13 @@ def test_poisson_command(tmp_path, capsys):
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def test_poisson_rejects_constant_coanalytic_term():
+    one = [[[1.0, 0.0]]]
+    h = {"n": 1, "cutoff": 1, "shape": [1, 1], "analytic": {"": one}, "coanalytic": {"": one}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.zeros((2, 2)),)))
+    assert run_on_json(["poisson", h, x, "--trunc", "2"])[0] == 3
+
+
 def test_selftest_list(capsys):
     code = cli.main(["selftest", "--list"])
     out = capsys.readouterr().out.split()
@@ -319,22 +357,24 @@ number = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, 1e200, -1e300]))
 
 
 @st.composite
-def series_json(draw):
-    """Mostly well-formed series JSON with at most one field or matrix
-    entry replaced by junk (integers past float range only in entries).
-    Cutoffs and generator counts stay small: a nonzero series with a huge
-    cutoff is computed degree by degree up to the size limit, which takes
-    too long to fuzz."""
+def coefficients_json(draw, maps):
+    """Mostly well-formed JSON of (n, cutoff, shape) and the coefficient
+    maps named in maps, with at most one field or matrix entry replaced by
+    junk (integers past float range only in entries).  Cutoffs and
+    generator counts stay small: a nonzero series with a huge cutoff is
+    computed degree by degree up to the size limit, which takes too long
+    to fuzz."""
     n, p, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 5))
     letters = "".join(str(i) for i in range(1, n + 1))
     valid = st.text(letters, min_size=min(cutoff, 1), max_size=cutoff)
     words = st.one_of(valid, st.text("0123456789a"))
     entry = st.lists(number, min_size=2, max_size=2)
     matrix = st.lists(st.lists(entry, min_size=p, max_size=p), min_size=p, max_size=p)
-    coeffs = draw(st.dictionaries(words, matrix, max_size=6))
-    obj = {"n": n, "cutoff": cutoff, "shape": [p, p], "coefficients": coeffs}
-    key = draw(st.sampled_from([None, None, "n", "cutoff", "shape", "coefficients", "entry"]))
-    if key == "entry" and coeffs:
+    obj = {"n": n, "cutoff": cutoff, "shape": [p, p]}
+    obj.update((m, draw(st.dictionaries(words, matrix, max_size=6))) for m in maps)
+    key = draw(st.sampled_from([None, None, "n", "cutoff", "shape", *maps, "entry"]))
+    coeffs = obj[draw(st.sampled_from(maps))] if key == "entry" else {}
+    if coeffs:
         bad = st.one_of(junk, st.lists(st.one_of(junk, st.integers(10**309, 10**400))))
         coeffs[draw(st.sampled_from(sorted(coeffs)))][0][0] = draw(bad)
     elif key in obj:
@@ -343,20 +383,24 @@ def series_json(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(series_json(), st.sampled_from(["forward", "inverse"]), st.booleans())
+@given(coefficients_json(("coefficients",)), st.sampled_from(["forward", "inverse"]),
+       st.booleans())
 def test_cayley_json_fuzz_exits_with_documented_codes(obj, direction, small_limit):
     """Any series JSON through `freefock cayley`: a result (0), an input
     error (3) or a scope error (4), never an internal error."""
-    old = linalg.MAX_DIM
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "series.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj))
-        out, err = io.StringIO(), io.StringIO()
-        linalg.set_max_dim(4 if small_limit else old)  # 16 entries
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["cayley", direction, path])
-        finally:
-            linalg.set_max_dim(old)
-    assert code in (0, 3, 4), err.getvalue()
+    code, err = run_on_json(["cayley", direction, obj], 4 if small_limit else None)  # 16 entries
+    assert code in (0, 3, 4), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients_json(("analytic", "coanalytic")))
+def test_poisson_json_fuzz_exits_with_documented_codes(obj):
+    """Any symbol JSON through `freefock poisson` at a fixed jointly
+    nilpotent tuple of row norm <= 0.35 (X_i = 0.2 E_12): a result (0), an
+    input error (3) or a scope error (4), never an internal error."""
+    # the tuple has the symbol's n unless n itself was replaced by junk
+    n = obj["n"] if type(obj["n"]) is int and 1 <= obj["n"] <= 3 else 1
+    e12 = np.array([[0.0, 0.2], [0.0, 0.0]])
+    x = jsonio.tuple_to_json(OperatorTuple((e12,) * n))
+    code, err = run_on_json(["poisson", obj, x, "--trunc", "3"])
+    assert code in (0, 3, 4), err

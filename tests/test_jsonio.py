@@ -46,20 +46,40 @@ def test_series_roundtrip():
 
 def test_pluriharmonic_roundtrip():
     h = PluriharmonicFn(
-        2, 2, (1, 1), {(): [[1.0]], (1,): [[0.5j]]}, {(1,): [[-0.5j]]}
+        FreeSeries(2, 2, (1, 1), {(): [[1.0]], (1,): [[0.5j]]}),
+        FreeSeries(2, 2, (1, 1), {(1,): [[-0.5j]]}),
     )
     back = rt(jsonio.pluriharmonic_to_json, jsonio.json_to_pluriharmonic, h)
-    assert np.array_equal(back.a_coeff((1,)), h.a_coeff((1,)))
-    assert np.array_equal(back.b_coeff((1,)), h.b_coeff((1,)))
+    assert np.array_equal(back.analytic.coefficient((1,)), h.analytic.coefficient((1,)))
+    assert np.array_equal(back.coanalytic.coefficient((1,)), h.coanalytic.coefficient((1,)))
 
 
 def test_functional_roundtrip():
-    mu = MomentFunctional(
-        1, 2, np.array([[1.0]]), {(1,): [[0.5]]}, {(1,): [[0.5]]}
-    )
+    mu = MomentFunctional(PluriharmonicFn(
+        FreeSeries(1, 2, (1, 1), {(): [[1.0]], (1,): [[0.5]]}),
+        FreeSeries(1, 2, (1, 1), {(1,): [[0.5]]}),
+    ))
     back = rt(jsonio.functional_to_json, jsonio.json_to_functional, mu)
     assert np.array_equal(back.unit, mu.unit)
-    assert np.array_equal(back.forward[(1,)], mu.forward[(1,)])
+    assert np.array_equal(back.symbol.coanalytic.coeffs[(1,)], mu.symbol.coanalytic.coeffs[(1,)])
+
+
+def test_functional_rejects_empty_word():
+    one = [[[1.0, 0.0]]]
+    for key in ("forward", "backward"):  # mu(I) is "unit", never a moment of ""
+        with pytest.raises(InputError):
+            jsonio.json_to_functional({"n": 1, "cutoff": 1, "unit": one, key: {"": one}})
+
+
+def test_readers_reject_bad_generator_count():
+    one = [[[1.0, 0.0]]]
+    for n in (0, 12):
+        with pytest.raises(InputError):
+            jsonio.json_to_functional({"n": n, "cutoff": 1, "unit": one})
+        with pytest.raises(InputError):
+            jsonio.json_to_pluriharmonic({"n": n, "cutoff": 1, "shape": [1, 1], "analytic": {}})
+        with pytest.raises(InputError):
+            jsonio.json_to_series({"n": n, "cutoff": 1, "shape": [1, 1], "coefficients": {}})
 
 
 def test_problem_and_extension_roundtrip():

@@ -69,6 +69,13 @@ def random_coeffs(rng, n, deg, p, min_degree=0):
     return {w: gaussian(rng, (p, p)) for w in GradedBasis(n, deg).words if len(w) >= min_degree}
 
 
+def random_symbol(rng, n, p, deg=3):
+    """Pluriharmonic function with dense random A (from degree 0) and B (from 1)."""
+    return ph.PluriharmonicFn(*(
+        fs.FreeSeries(n, deg, (p, p), random_coeffs(rng, n, deg, p, min_degree=k)) for k in (0, 1)
+    ))
+
+
 def rel_dev(got, want):
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
 
@@ -131,14 +138,12 @@ def test_eval_at_creation_matches_kron_sum(n, p):
 @pytest.mark.parametrize("n,p", CASES)
 def test_radial_boundary_matches_kron_sum(n, p):
     rng = np.random.default_rng(40 * n + p)
-    h = ph.PluriharmonicFn(
-        n, 3, (p, p), random_coeffs(rng, n, 3, p), random_coeffs(rng, n, 3, p, min_degree=1)
-    )
+    h = random_symbol(rng, n, p)
     for r in (0.0, 0.6, 1.0):
         ft = get_trunc(n, 2)
-        want = kron(h.a_coeff(()), np.eye(ft.dim)) + kron_sum(
-            [(c, r ** len(w) * s_word(ft, w)) for w, c in h.analytic.items() if w]
-            + [(c, r ** len(w) * s_word(ft, w).T) for w, c in h.coanalytic.items()],
+        want = kron(h.analytic.coefficient(()), np.eye(ft.dim)) + kron_sum(
+            [(c, r ** len(w) * s_word(ft, w)) for w, c in h.analytic.coeffs.items() if w]
+            + [(c, r ** len(w) * s_word(ft, w).T) for w, c in h.coanalytic.coeffs.items()],
             p * ft.dim,
         )
         assert rel_dev(ph.radial_boundary(h, r, 2), want) <= 1e-14
@@ -271,9 +276,7 @@ def test_structure_checks_match_kron_products(n, p):
     ft = get_trunc(n, 3)
     size = p * ft.dim
     f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
-    h = ph.PluriharmonicFn(
-        n, 3, (p, p), random_coeffs(rng, n, 3, p), random_coeffs(rng, n, 3, p, min_degree=1)
-    )
+    h = random_symbol(rng, n, p)
     y = fs.eval_at_creation(f, 3)
     a = ph.radial_boundary(h, 0.7, 3)
     noise = gaussian(rng, (size, size))
@@ -401,8 +404,8 @@ def test_transforms_of_functionals_match_kron_sums():
     mu = tr.from_vector_states(ft, [(1.0, v, v)], 2)
     X = random_nilpotent_tuple(rng, 2, 3, row_norm=0.6)
     eye = np.eye(X.dim)
-    fwd = [(c, adjoint(X.word(reverse(t)))) for t, c in mu.forward.items()]
-    bwd = [(c, X.word(reverse(t))) for t, c in mu.backward.items()]
+    fwd = [(c, adjoint(X.word(w))) for w, c in mu.symbol.coanalytic.coeffs.items()]
+    bwd = [(c, X.word(w)) for w, c in mu.symbol.analytic.coeffs.items() if w]
     size = X.dim
     base = kron(mu.unit, eye)
     assert rel_dev(tr.poisson_transform_of(mu, X), base + kron_sum(fwd + bwd, size)) <= 1e-14
@@ -450,7 +453,9 @@ def test_kernels_check_size_before_allocating(cap8):
     ft = get_trunc(1, 3)
     X = OperatorTuple((np.zeros((3, 3)),))
     f = fs.FreeSeries(1, 1, (3, 3), {(1,): np.eye(3)})
-    h = ph.PluriharmonicFn(1, 1, (3, 3), {(): np.eye(3)}, {})
+    h = ph.PluriharmonicFn(
+        fs.FreeSeries(1, 1, (3, 3), {(): np.eye(3)}), fs.FreeSeries.zero(1, 1, (3, 3))
+    )
     with pytest.raises(SizeLimitError):
         fs.eval_at_creation(f, 3)
     with pytest.raises(SizeLimitError):

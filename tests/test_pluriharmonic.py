@@ -15,26 +15,46 @@ def scalar_series(n, cutoff, coeffs):
     return fs.FreeSeries(n, cutoff, (1, 1), {w: np.array([[c]]) for w, c in coeffs.items()})
 
 
+def symbol(n, cutoff, analytic, coanalytic, shape=(1, 1)):
+    series = (fs.FreeSeries(n, cutoff, shape, c) for c in (analytic, coanalytic))
+    return ph.PluriharmonicFn(*series)
+
+
 def halfz_example():
     """1 + (Z + Z*)/2 as a pluriharmonic function (n = 1)."""
-    return ph.PluriharmonicFn(
-        1, 1, (1, 1), {(): ONE, (1,): 0.5 * ONE}, {(1,): 0.5 * ONE}
-    )
+    return symbol(1, 1, {(): ONE, (1,): 0.5 * ONE}, {(1,): 0.5 * ONE})
+
+
+def test_constructor_checks_the_two_series():
+    a = fs.FreeSeries(1, 2, (1, 1), {(): ONE})
+    for b in (
+        fs.FreeSeries(2, 2, (1, 1), {}),  # n differs
+        fs.FreeSeries(1, 1, (1, 1), {}),  # cutoff differs
+        fs.FreeSeries(1, 2, (1, 2), {}),  # shape differs
+        fs.FreeSeries(1, 2, (1, 1), {(): ONE}),  # B has a constant term
+    ):
+        with pytest.raises(InputError):
+            ph.PluriharmonicFn(a, b)
+    wide = fs.FreeSeries(1, 2, (1, 2), {})
+    with pytest.raises(InputError):
+        ph.PluriharmonicFn(wide, wide)
+    h = ph.PluriharmonicFn(a, fs.FreeSeries(1, 2, (1, 1), {(1,): ONE}))
+    assert (h.n, h.cutoff, h.shape, h.p) == (1, 2, (1, 1), 1)
 
 
 def test_real_part_constant():
     f = scalar_series(1, 2, {(): 3.0})
     h = ph.real_part(f)
-    assert np.allclose(h.a_coeff(()), 3.0 * ONE)
-    assert not h.coanalytic and len(h.analytic) == 1
+    assert np.allclose(h.analytic.coefficient(()), 3.0 * ONE)
+    assert not h.coanalytic.coeffs and len(h.analytic.coeffs) == 1
 
 
 def test_real_part_splits_coefficients():
     f = scalar_series(1, 2, {(): 2.0 + 1.0j, (1,): 1.0})
     h = ph.real_part(f)
-    assert np.allclose(h.a_coeff(()), 2.0 * ONE)  # Hermitian part of f(0)
-    assert np.allclose(h.a_coeff((1,)), 0.5 * ONE)
-    assert np.allclose(h.b_coeff((1,)), 0.5 * ONE)
+    assert np.allclose(h.analytic.coefficient(()), 2.0 * ONE)  # Hermitian part of f(0)
+    assert np.allclose(h.analytic.coefficient((1,)), 0.5 * ONE)
+    assert np.allclose(h.coanalytic.coefficient((1,)), 0.5 * ONE)
     assert h.is_selfadjoint()
 
 
@@ -50,7 +70,7 @@ def test_eval_at_zero_and_hermitian():
     f = fs.random_series(rng, 2, 2, (2, 2), scale=0.5)
     h = ph.real_part(f)
     zero = OperatorTuple((np.zeros((3, 3)), np.zeros((3, 3))))
-    assert np.allclose(ph.eval_at(h, zero), kron(h.a_coeff(()), np.eye(3)))
+    assert np.allclose(ph.eval_at(h, zero), kron(h.analytic.coefficient(()), np.eye(3)))
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.7)
     val = ph.eval_at(h, x)
     assert np.max(np.abs(val - adjoint(val))) <= 1e-12
@@ -80,10 +100,10 @@ def test_radial_boundary_coefficients_roundtrip():
     for w in GradedBasis(2, 2).words:
         scale = r ** len(w)
         got = analytic.get(w, np.zeros((2, 2)))
-        assert np.max(np.abs(got - scale * h.a_coeff(w))) <= 1e-13
+        assert np.max(np.abs(got - scale * h.analytic.coefficient(w))) <= 1e-13
         if w:
             gotb = coanalytic.get(w, np.zeros((2, 2)))
-            assert np.max(np.abs(gotb - scale * h.b_coeff(w))) <= 1e-13
+            assert np.max(np.abs(gotb - scale * h.coanalytic.coefficient(w))) <= 1e-13
 
 
 def test_pluriharmonic_poisson_kernel():
@@ -132,18 +152,18 @@ def test_check_positive():
     assert all(a >= b - 1e-12 for a, b in zip(rep.min_eigs, rep.min_eigs[1:]))
 
     # 1 + (Z + Z*) sits exactly on the boundary at the m = 1 level
-    boundary = ph.PluriharmonicFn(1, 1, (1, 1), {(): ONE, (1,): ONE}, {(1,): ONE})
+    boundary = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): ONE})
     rep = ph.check_positive(boundary, 1, 1e-12)
     assert rep.passed and rep.min_eigs[1] == pytest.approx(0.0, abs=1e-14)
 
-    over = ph.PluriharmonicFn(1, 1, (1, 1), {(): ONE, (1,): 1.01 * ONE}, {(1,): 1.01 * ONE})
+    over = symbol(1, 1, {(): ONE, (1,): 1.01 * ONE}, {(1,): 1.01 * ONE})
     rep = ph.check_positive(over, 2, 1e-9)
     assert not rep.passed and rep.min_eigs[1] < -1e-3
 
-    const = ph.PluriharmonicFn(2, 0, (1, 1), {(): 2.0 * ONE}, {})
+    const = symbol(2, 0, {(): 2.0 * ONE}, {})
     assert ph.check_positive(const, 3, 0.0).passed
 
-    skew = ph.PluriharmonicFn(1, 1, (1, 1), {(): ONE, (1,): ONE}, {(1,): -ONE})
+    skew = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): -ONE})
     with pytest.raises(InputError):
         ph.check_positive(skew, 2, 1e-9)
 
@@ -152,7 +172,7 @@ def test_coefficient_bound_check():
     rep = ph.coefficient_bound_check(halfz_example())
     assert rep.passed and rep.rows[0][1] == pytest.approx(0.5)
 
-    const = ph.PluriharmonicFn(1, 2, (1, 1), {(): ONE}, {})
+    const = symbol(1, 2, {(): ONE}, {})
     assert ph.coefficient_bound_check(const).passed  # empty degrees give 0
 
 
@@ -217,7 +237,7 @@ def test_max_min_principle_spot_check():
     for _ in range(10):
         x = random_nilpotent_tuple(rng, 1, 3, row_norm=0.6)
         val = ph.eval_at(h, x)
-        center = kron(h.a_coeff(()), np.eye(3))
+        center = kron(h.analytic.coefficient(()), np.eye(3))
         top = np.linalg.eigvalsh((val - center + adjoint(val - center)) / 2)[-1]
         if top > 1e-6:
             found = True

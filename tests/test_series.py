@@ -179,11 +179,19 @@ def test_blocks_stay_well_formed(n, cutoff, cutoff_g, p, seed):
     assert_storage(f + g, {w: c for w, c in dict_sum(a, b).items() if len(w) <= low})
     assert_storage(f.scale(-0.5), {w: -0.5 * c for w, c in a.items()})
     assert_storage(f.without_constant(), {w: c for w, c in a.items() if w})
+    assert_storage(f.adjoint(), {w: c.conj().T for w, c in a.items()})
     assert not (f - f).blocks and not f.scale(0.0).blocks
     assert_storage(fs.cayley_forward(g), dict_geometric(b, cutoff_g, 1.0, p))
     assert_storage(fs.cayley_inverse(g), dict_geometric(b, cutoff_g, -1.0, p))
     one = {(): np.eye(p)}
     assert_storage(fs.neumann_inverse(g), dict_sum(one, dict_geometric(b, cutoff_g, 1.0, p)))
+
+
+def test_adjoint_conjugate_transposes_each_coefficient():
+    f = fs.FreeSeries(2, 2, (2, 1), {(1, 2): np.array([[0.5], [1j]])})
+    g = f.adjoint()
+    assert (g.n, g.cutoff, g.shape) == (2, 2, (1, 2))
+    assert np.array_equal(g.coefficient((1, 2)), np.array([[0.5, -1j]]))
 
 
 def test_coeffs_view_is_read_only():

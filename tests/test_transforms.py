@@ -30,7 +30,7 @@ def test_from_vector_states_tau():
     ft = get_trunc(2, 3)
     mu = tr.from_vector_states(ft, [(1.0, tau_state(ft), tau_state(ft))], 2)
     assert mu.unit[0, 0] == pytest.approx(1.0)
-    assert not mu.forward and not mu.backward
+    assert not mu.symbol.coanalytic.coeffs and mu.symbol.analytic.max_degree() == 0
 
 
 def test_from_vector_states_two_point():
@@ -38,16 +38,16 @@ def test_from_vector_states_two_point():
     xi = two_point_state(ft)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 3)
     assert mu.unit[0, 0] == pytest.approx(1.0)
-    assert mu.forward[(1,)][0, 0] == pytest.approx(0.5)
+    assert mu.symbol.coanalytic.coeffs[(1,)][0, 0] == pytest.approx(0.5)
     for k in (2, 3):
-        assert (1,) * k not in mu.forward
+        assert (1,) * k not in mu.symbol.coanalytic.coeffs
     assert mu.is_selfadjoint()
 
 
 def test_from_vector_states_zero_weights():
     ft = get_trunc(1, 3)
     mu = tr.from_vector_states(ft, [(0.0, two_point_state(ft), two_point_state(ft))], 2)
-    assert mu.unit[0, 0] == 0.0 and not mu.forward
+    assert mu.unit[0, 0] == 0.0 and not mu.symbol.coanalytic.coeffs
 
 
 def test_from_vector_states_exactness_zone():
@@ -73,10 +73,9 @@ def test_moments_independent_of_truncation():
     mu_small = tr.from_vector_states(small, [(1.0, v, v)], 2)
     mu_large = tr.from_vector_states(large, [(1.0, w, w)], 2)
     assert mu_small.unit[0, 0] == pytest.approx(mu_large.unit[0, 0], abs=1e-15)
-    for key in set(mu_small.forward) | set(mu_large.forward):
-        assert mu_small.forward[key][0, 0] == pytest.approx(
-            mu_large.forward[key][0, 0], abs=1e-15
-        )
+    small_b, large_b = mu_small.symbol.coanalytic.coeffs, mu_large.symbol.coanalytic.coeffs
+    for key in set(small_b) | set(large_b):
+        assert small_b[key][0, 0] == pytest.approx(large_b[key][0, 0], abs=1e-15)
 
 
 def test_poisson_transform_of():
@@ -217,14 +216,14 @@ def test_radial_functional():
     h = ph.real_part(f)
 
     mu0 = tr.radial_functional(h, 0.0)
-    assert not mu0.forward and not mu0.backward
-    assert np.allclose(mu0.unit, h.a_coeff(()))
+    assert not mu0.symbol.coanalytic.coeffs and mu0.symbol.analytic.max_degree() == 0
+    assert np.allclose(mu0.unit, h.analytic.coefficient(()))
 
     r1, r2 = 0.8, 0.4
     mu1 = tr.radial_functional(h, r1)
     mu2 = tr.radial_functional(h, r2)
-    for w, c in mu1.forward.items():
-        assert np.allclose(c * (r2 / r1) ** len(w), mu2.forward[w])
+    for w, c in mu1.symbol.coanalytic.coeffs.items():
+        assert np.allclose(c * (r2 / r1) ** len(w), mu2.symbol.coanalytic.coeffs[w])
 
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.9)
     got = tr.poisson_transform_of(tr.radial_functional(h, 0.6), x)
