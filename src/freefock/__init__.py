@@ -79,4 +79,4 @@ from .transforms import (
     positivity_equivalence_check,
     radial_functional,
 )
-from .words import GradedBasis, enumerate_basis, left_quotient, reverse, right_quotient
+from .words import GradedBasis, left_quotient, reverse, right_quotient

@@ -1,88 +1,77 @@
 """Caratheodory interpolation for free holomorphic functions with
 positive real part.
 
-Feasibility is the positivity of the truncated multi-Toeplitz operator
-built from the data (an exact finite-dimensional criterion).  The
-constructive extension is the central (maximum-determinant) completion,
-computed degree by degree in closed form; every output is certified by
-a fresh eigenvalue computation and random nilpotent evaluations, so the
-solver never has to be trusted.
+Problem data, Caratheodory-Fejer data and extensions are free series
+(``series.FreeSeries``).  Feasibility is the positivity of the truncated
+multi-Toeplitz operator of the data (an exact finite-dimensional
+criterion).  The constructive extension is the central (maximum-
+determinant) completion, computed in closed form one degree at a time on
+dense (n^k, p, p) stacks; every output is certified by a fresh eigenvalue
+computation and random nilpotent evaluations, so the solver never has to
+be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
-series-level Cayley transforms of the coefficients; the only operator
-they form is the multi-analytic one whose norm is checked, built by
-``fock.shift_sum``.
+Cayley transforms of the series; the only operator they form is the
+multi-analytic one whose norm is checked, built by ``fock.shift_sum``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
 from .fock import get_trunc, random_nilpotent_tuple, shift_sum, word_sum
-from .linalg import (
-    adjoint,
-    check_hermitian,
-    eigh_hermitian,
-    min_eig_hermitian,
-    operator_norm,
-    psd_pinv,
-)
+from .linalg import (adjoint, check_hermitian, eigh_hermitian, min_eig_hermitian,
+                     operator_norm, psd_pinv)
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, cayley_forward, cayley_inverse
-from .toeplitz import assemble_T, validate_coeffs
+from .toeplitz import assemble_T
 from .transforms import MomentFunctional
-from .words import GradedBasis
+
+
+def _square(data, what):
+    if not data.is_square():
+        raise InputError(f"{what} needs square coefficients, got {data.shape}")
 
 
 @dataclass
-class _CoefficientData:
-    """p x p coefficients keyed by words over n letters of length <= m."""
+class CaratheodoryProblem:
+    """Prescribed coefficients {b_a}_{|a|<=m}: a square series with cutoff
+    m whose constant term b_0 is nonzero, Hermitian and PSD."""
 
-    n: int
-    m: int
-    coeffs: dict
-    block_size: int = 0
-
-    def coefficient(self, w):
-        c = self.coeffs.get(tuple(w))
-        if c is None:
-            return np.zeros((self.block_size, self.block_size), dtype=complex)
-        return c.copy()
-
-
-@dataclass
-class CaratheodoryProblem(_CoefficientData):
-    """Prescribed coefficients {b_a}_{|a|<=m}, b_0 Hermitian PSD; absent
-    words are zero."""
+    data: FreeSeries
 
     def __post_init__(self):
-        self.coeffs, p = validate_coeffs(self.coeffs, self.n, self.m)
-        if self.block_size and self.block_size != p:
-            raise InputError("block_size disagrees with coefficient shape")
-        self.block_size = p
+        _square(self.data, "a Caratheodory problem")
+        b0 = self.data.constant_term()
+        if not b0.any():
+            raise InputError("missing constant coefficient b_0")
         try:
-            b0 = check_hermitian(self.coeffs[()])
+            check_hermitian(b0)
         except ScopeError as exc:
             raise InputError(f"b_0 must be Hermitian: {exc}") from exc
         if min_eig_hermitian(b0) < -1e-12:
             raise InputError("b_0 must be positive semidefinite")
 
+    n = property(lambda self: self.data.n)
+    m = property(lambda self: self.data.cutoff)
+    block_size = property(lambda self: self.data.shape[0])
+
 
 @dataclass
-class CFProblem(_CoefficientData):
-    """Caratheodory-Fejer data {A_a}_{|a|<=m} for the norm-one completion
-    problem of multi-analytic operators."""
+class CFProblem:
+    """Caratheodory-Fejer data {A_a}_{|a|<=m}, a square series with cutoff
+    m, for the norm-one completion problem of multi-analytic operators."""
+
+    data: FreeSeries
 
     def __post_init__(self):
-        self.coeffs, p = validate_coeffs(self.coeffs, self.n, self.m, require_b0=False)
-        if p is None and not self.block_size:
-            raise InputError("empty CF problem needs an explicit block_size")
-        if p is not None and self.block_size and self.block_size != p:
-            raise InputError("block_size disagrees with coefficient shape")
-        self.block_size = self.block_size or p
+        _square(self.data, "a Caratheodory-Fejer problem")
+
+    n, m, block_size = CaratheodoryProblem.n, CaratheodoryProblem.m, CaratheodoryProblem.block_size
 
 
 @dataclass
@@ -95,15 +84,21 @@ class FeasibilityReport:
 
 def check_feasibility(prob, tol=1e-9):
     """Assemble T_m and test its smallest eigenvalue against -tol."""
-    t = assemble_T(prob.coeffs, prob.n, prob.m)
+    t = assemble_T(prob.data)
     me = t.min_eig()
     return FeasibilityReport(me >= -tol, me, t.entries.shape[0], tol)
 
 
+def _require_feasible(prob, tol):
+    feas = check_feasibility(prob, tol)
+    if not feas.feasible:
+        msg = f"data is infeasible at degree {prob.m}: min eig {feas.min_eig:.3e}"
+        raise InfeasibleError(msg, min_eig=feas.min_eig)
+
+
 @dataclass
 class ExtensionResult:
-    target_deg: int
-    coeffs: dict
+    series: FreeSeries  # the extension; its cutoff is the target degree
     certificate: dict
 
 
@@ -118,49 +113,48 @@ def extend(prob, M, tol=1e-9):
 
         [b_{w i}]_{|w|=k-1} = T_{k-1}[|w|=k-1, |v|<=k-2] T_{k-2}^+ [b_{v i}]_{|v|<=k-2}.
 
-    The result is re-certified from a fresh assembly of T_M.  Raises
-    InfeasibleError when the data fails the degree-m criterion.
-    """
+    Each degree is one (n^k, p, p) stack in code order.  The result is
+    re-certified from a fresh assembly of T_M.  Raises InfeasibleError
+    when the data fails the degree-m criterion."""
     if M <= prob.m:
         raise InputError(f"target degree {M} must exceed m = {prob.m}")
-    feas = check_feasibility(prob, tol)
-    if not feas.feasible:
-        raise InfeasibleError(
-            f"data is infeasible at degree {prob.m}: min eig {feas.min_eig:.3e}",
-            min_eig=feas.min_eig,
-        )
-    prescribed = GradedBasis(prob.n, prob.m).words
-    coeffs = {w: prob.coefficient(w) for w in prescribed}
+    _require_feasible(prob, tol)
+    stacks = [prob.data.dense(k) for k in range(prob.m + 1)]
     for k in range(prob.m + 1, M + 1):
-        _central_degree(coeffs, prob.n, prob.block_size, k)
+        stacks.append(_central_degree(stacks, prob.n, prob.block_size))
+    series = _from_stacks(stacks, prob.n, prob.block_size)
 
-    fresh = assemble_T(coeffs, prob.n, M)
-    read = fresh.block(slice(0, len(prescribed)), 0).transpose(1, 0, 2)
-    want = np.array([prob.coefficient(w) for w in prescribed])
+    fresh = assemble_T(series)
+    p, d = prob.block_size, fresh.basis.size
+    prescribed = np.concatenate(stacks[: prob.m + 1])  # column e_0 of T_M holds b_a at row a
+    read = fresh.entries.reshape(p, d, p, d)[:, : len(prescribed), :, 0].transpose(1, 0, 2)
     certificate = {
         "min_eig_tm": fresh.min_eig(),
-        "prescribed_error": float(np.max(np.abs(read - want))),
+        "prescribed_error": float(np.max(np.abs(read - prescribed))),
     }
-    return ExtensionResult(M, coeffs, certificate)
+    return ExtensionResult(series, certificate)
 
 
-def _central_degree(coeffs, n, p, k):
-    """Add the central degree-k coefficients to coeffs, which holds every
-    word of length < k.  One pseudo-inverse of T_{k-2} serves all letters."""
-    t = assemble_T(coeffs, n, k - 1)
+def _from_stacks(stacks, n, p):
+    """The series whose degree k is stacks[k], over every code."""
+    blocks = {k: (np.arange(n**k), c) for k, c in enumerate(stacks)}
+    return FreeSeries._built(n, len(stacks) - 1, (p, p), blocks)
+
+
+def _central_degree(stacks, n, p):
+    """The central degree-k stack from stacks[j], j < k: one pseudo-inverse of
+    T_{k-2} serves all letters.  As code(v i) = code(v) n + i - 1, the known
+    b_{v i}, |v| <= k - 2, are degrees 1..k-1 concatenated; y holds b_{w i} at (w, i)."""
+    t = assemble_T(_from_stacks(stacks, n, p))  # T_{k-1}
     d = t.basis.size
-    lo = t.basis.degree_start[k - 1]  # words of length <= k - 2 come first
+    lo = t.basis.degree_start[-1]  # words of length <= k - 2 come first
     e4 = t.entries.reshape(p, d, p, d)
     c = e4[:, :lo, :, :lo].reshape(p * lo, p * lo)  # T_{k-2}
     bstar = e4[:, lo:, :, :lo].reshape(p * (d - lo), p * lo)
-    known = np.array(
-        [[coeffs[v + (i,)] for i in range(1, n + 1)] for v in t.basis.words[:lo]]
-    ).reshape(lo, n, p, p)
-    x = known.transpose(2, 0, 1, 3).reshape(p * lo, n * p)
+    known = np.concatenate([np.zeros((0, p, p)), *stacks[1:]])
+    x = known.reshape(lo, n, p, p).transpose(2, 0, 1, 3).reshape(p * lo, n * p)
     y = (bstar @ (psd_pinv(c) @ x)).reshape(p, d - lo, n, p)
-    for j, w in enumerate(t.basis.words[lo:]):
-        for i in range(1, n + 1):
-            coeffs[w + (i,)] = y[:, j, i - 1, :]
+    return y.transpose(1, 2, 0, 3).reshape(-1, p, p)
 
 
 def _inv_sqrt_psd(a, reg):
@@ -179,23 +173,19 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
     they define is a contraction up to 1e-9 whenever the data is feasible.
     """
-    feas = check_feasibility(prob, tol)
-    if not feas.feasible:
-        raise InfeasibleError(
-            f"data is infeasible: min eig {feas.min_eig:.3e}", min_eig=feas.min_eig
-        )
-    b0 = prob.coeffs[()]
+    _require_feasible(prob, tol)
+    b0 = prob.data.constant_term()
     if reg_eps is None:
         reg_eps = 1e-10 * (1.0 + operator_norm(b0))
     nrm = _inv_sqrt_psd(b0, reg_eps)
     p = prob.block_size
-    normalized = {w: nrm @ c @ nrm for w, c in prob.coeffs.items() if w}
+    normalized = {w: nrm @ c @ nrm for w, c in prob.data.coeffs.items() if w}
     cf = cayley_inverse(FreeSeries(prob.n, prob.m, (p, p), normalized))
     ft = get_trunc(prob.n, prob.m)
     xn = operator_norm(shift_sum(ft, p, cf.coeffs, {}, ft.prepend_indices))
     if xn > 1.0 + 1e-9:
         raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
-    return CFProblem(prob.n, prob.m, cf.coeffs, p)
+    return CFProblem(cf)
 
 
 @dataclass
@@ -211,7 +201,7 @@ def cf_check(prob, tol=1e-9):
     a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
     the commutant picture of multi-analytic operators."""
     ft = get_trunc(prob.n, prob.m)
-    nrm = operator_norm(shift_sum(ft, prob.block_size, prob.coeffs, {}, ft.append_indices))
+    nrm = operator_norm(shift_sum(ft, prob.block_size, prob.data.coeffs, {}, ft.append_indices))
     return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
 
@@ -222,12 +212,11 @@ def cf_to_caratheodory(prob, tol=1e-9):
     report = cf_check(prob, tol)
     if not report.within:
         raise InfeasibleError(f"CF norm {report.norm:.6f} exceeds 1", min_eig=None)
+    # code(g1 a) = code(a): degree k of the data is degree k + 1 of the shift
+    shifted = {k + 1: block for k, block in prob.data.blocks.items()}
     p = prob.block_size
-    shifted = {(1,) + w: c for w, c in prob.coeffs.items()}
-    g = cayley_forward(FreeSeries(prob.n, prob.m + 1, (p, p), shifted))
-    coeffs = {(): np.eye(p, dtype=complex)}
-    coeffs.update(g.coeffs)
-    return CaratheodoryProblem(prob.n, prob.m + 1, coeffs, p)
+    g = cayley_forward(FreeSeries._built(prob.n, prob.m + 1, (p, p), shifted))
+    return CaratheodoryProblem(g + FreeSeries.one(prob.n, prob.m + 1, p))
 
 
 @dataclass
@@ -241,43 +230,30 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     prescribed coefficients, fresh positivity of T_M, positivity of
     Re g at random jointly nilpotent tuples (g has constant b_0 / 2),
     and the per-degree coefficient bound against ||b_0||."""
-    M = ext.target_deg
-    p = prob.block_size
+    f = ext.series
+    M = f.cutoff
     checks = {}
 
-    dev = 0.0
-    for w in GradedBasis(prob.n, prob.m).words:
-        e = ext.coeffs.get(w)
-        e = e if e is not None else np.zeros((p, p), dtype=complex)
-        dev = max(dev, float(np.max(np.abs(e - prob.coefficient(w)))))
+    dev = max(float(np.max(np.abs(f.dense(k) - prob.data.dense(k)))) for k in range(prob.m + 1))
     checks["prescribed_exact"] = (dev == 0.0, dev)
 
-    fresh = assemble_T(ext.coeffs, prob.n, M)
-    me = fresh.min_eig()
+    me = assemble_T(f).min_eig()
     checks["extension_psd"] = (me >= -tol, me)
 
     rng = np.random.default_rng(seed)
-    b0 = prob.coeffs[()]
-    terms = {(): b0 / 2.0}
-    terms.update((w, c) for w, c in ext.coeffs.items() if w)
+    b0 = prob.data.constant_term()
+    half = (np.zeros(1, np.int64), b0[None] / 2.0)
+    terms = FreeSeries._built(prob.n, M, f.shape, {**f.blocks, 0: half}).coeffs
     worst = np.inf
     for _ in range(samples):
-        X = random_nilpotent_tuple(
-            rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95))
-        )
-        g = word_sum(X, terms, p)
+        X = random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
+        g = word_sum(X, terms, prob.block_size)
         worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
     checks["nilpotent_positive"] = (worst >= -tol, worst)
 
-    bound = operator_norm(b0) + tol
-    worst_slice = 0.0
-    for k in range(1, M + 1):
-        gram = np.zeros((p, p), dtype=complex)
-        for w, c in ext.coeffs.items():
-            if len(w) == k:
-                gram += adjoint(c) @ c
-        worst_slice = max(worst_slice, float(np.sqrt(operator_norm(gram))))
-    checks["coefficient_bound"] = (worst_slice <= bound, worst_slice)
+    slices = (math.sqrt(f.degree_slice_gram_norm(k)) for k in range(1, M + 1))
+    worst_slice = max(slices, default=0.0)
+    checks["coefficient_bound"] = (worst_slice <= operator_norm(b0) + tol, worst_slice)
 
     return VerificationReport(all(ok for ok, _ in checks.values()), checks)
 
@@ -288,5 +264,4 @@ def moment_problem_view(prob):
     only, nothing is solved."""
     if prob.block_size != 1:
         raise InputError("moment view is defined for scalar problems only")
-    b = FreeSeries(prob.n, prob.m, (1, 1), prob.coeffs)
-    return MomentFunctional(PluriharmonicFn(b, b.without_constant().adjoint()))
+    return MomentFunctional(PluriharmonicFn(prob.data, prob.data.without_constant().adjoint()))

@@ -163,8 +163,15 @@ def problem_to_json(prob):
         "n": prob.n,
         "m": prob.m,
         "block_size": prob.block_size,
-        "coefficients": _coeffs_to_json(prob.coeffs),
+        "coefficients": _coeffs_to_json(prob.data.coeffs),
     }
+
+
+def _constant_shape(coeffs):
+    """Shape of b_0, which problem and extension JSON must carry."""
+    if () not in coeffs:
+        raise InputError("missing constant coefficient b_0")
+    return coeffs[()].shape
 
 
 def json_to_problem(obj):
@@ -175,13 +182,16 @@ def json_to_problem(obj):
         block = int(obj.get("block_size", 0))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
-    return CaratheodoryProblem(n, m, coeffs, block)
+    p = _constant_shape(coeffs)[0]
+    if block and block != p:
+        raise InputError("block_size disagrees with coefficient shape")
+    return CaratheodoryProblem(FreeSeries(n, m, (p, p), coeffs))
 
 
 def extension_to_json(ext):
     return {
-        "target_degree": ext.target_deg,
-        "coefficients": _coeffs_to_json(ext.coeffs),
+        "target_degree": ext.series.cutoff,
+        "coefficients": _coeffs_to_json(ext.series.coeffs),
         "certificate": dict(ext.certificate),
     }
 
@@ -193,7 +203,7 @@ def json_to_extension(obj, n):
         cert = dict(obj.get("certificate", {}))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad extension result: {exc}") from exc
-    return ExtensionResult(target, coeffs, cert)
+    return ExtensionResult(FreeSeries(n, target, _constant_shape(coeffs), coeffs), cert)
 
 
 def load_json(path):

@@ -41,10 +41,6 @@ def adjoint(a):
     return np.conj(a.T)
 
 
-def frobenius(a):
-    return float(np.linalg.norm(a))
-
-
 def check_size(rows, cols, what):
     """Raise SizeLimitError before a rows x cols result is allocated
     whose side exceeds the configured cap."""
@@ -106,11 +102,12 @@ def min_eig_hermitian(a, rtol=HERM_RTOL):
 def psd_pinv(a):
     """Pseudo-inverse of a Hermitian PSD matrix.
 
-    Eigenvalues at or below PINV_RTOL times the largest, and negative
-    ones (roundoff, or data feasible only within tolerance), count as zero.
+    Eigenvalues at or below PINV_RTOL times the largest, negative ones
+    (roundoff, or data feasible only within tolerance) and subnormal ones,
+    whose reciprocals overflow, count as zero.
     """
     w, v = eigh_hermitian(a)
-    keep = w > PINV_RTOL * w.max(initial=0.0)
+    keep = w > max(PINV_RTOL * w.max(initial=0.0), np.finfo(float).tiny)
     v = v[:, keep]
     return (v / w[keep]) @ adjoint(v)
 

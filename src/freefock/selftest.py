@@ -296,7 +296,7 @@ def suite_feasibility_oracle(rng):
         for j in range(1, m + 1):
             z = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
             coeffs[(1,) * j] = np.array([[z]])
-        prob = cara.CaratheodoryProblem(1, m, coeffs)
+        prob = cara.CaratheodoryProblem(fs.FreeSeries(1, m, (1, 1), coeffs))
         verdict = cara.check_feasibility(prob, tol=1e-9).feasible
         # classical oracle: the (m+1) x (m+1) Hermitian Toeplitz matrix
         t = np.zeros((m + 1, m + 1), dtype=complex)
@@ -312,14 +312,14 @@ def suite_feasibility_oracle(rng):
         mismatches += verdict != classical
 
     fx1 = cara.check_feasibility(
-        cara.CaratheodoryProblem(1, 1, {(): [[2.0]], (1,): [[1.0]]})
+        cara.CaratheodoryProblem(fs.FreeSeries(1, 1, (1, 1), {(): [[2.0]], (1,): [[1.0]]}))
     )
     fx2 = cara.check_feasibility(
-        cara.CaratheodoryProblem(1, 1, {(): [[2.0]], (1,): [[3.0]]})
+        cara.CaratheodoryProblem(fs.FreeSeries(1, 1, (1, 1), {(): [[2.0]], (1,): [[3.0]]}))
     )
-    fx3 = cara.check_feasibility(
-        cara.CaratheodoryProblem(2, 1, {(): [[1.0]], (1,): [[0.5]], (2,): [[0.5]]})
-    )
+    fx3 = cara.check_feasibility(cara.CaratheodoryProblem(
+        fs.FreeSeries(2, 1, (1, 1), {(): [[1.0]], (1,): [[0.5]], (2,): [[0.5]]})
+    ))
     fixtures = (
         fx1.feasible
         and abs(fx1.min_eig - 1.0) <= 1e-10
@@ -373,7 +373,7 @@ def generate_feasible_problem(rng, n, m, margin=0.02):
     a0 = a.constant_term()
     coeffs = {(): a0 + margin * operator_norm(a0) * np.eye(1)}
     coeffs.update((w, c) for w, c in a.coeffs.items() if w)
-    return cara.CaratheodoryProblem(n, m, coeffs)
+    return cara.CaratheodoryProblem(fs.FreeSeries(n, m, (1, 1), coeffs))
 
 
 def suite_extension_solver(rng):
@@ -412,15 +412,12 @@ def suite_reduction_roundtrip(rng):
         coeffs = {}
         for w in GradedBasis(n, m).words:
             coeffs[w] = 0.3 * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
-        prob = cara.CFProblem(n, m, coeffs, p)
-        nrm = cara.cf_check(prob).norm
-        prob = cara.CFProblem(
-            n, m, {w: (0.9 * float(rng.uniform(0.5, 1.0)) / nrm) * c for w, c in coeffs.items()}, p
-        )
-        lifted = cara.cf_to_caratheodory(prob)
-        back = cara.cayley_route(lifted, reg_eps=0.0)
+        nrm = cara.cf_check(cara.CFProblem(fs.FreeSeries(n, m, (p, p), coeffs))).norm
+        scaled = {w: (0.9 * float(rng.uniform(0.5, 1.0)) / nrm) * c for w, c in coeffs.items()}
+        a = fs.FreeSeries(n, m, (p, p), scaled)
+        back = cara.cayley_route(cara.cf_to_caratheodory(cara.CFProblem(a)), reg_eps=0.0).data
         for w in GradedBasis(n, m).words:
-            worst = max(worst, _max_abs(back.coefficient((1,) + w) - prob.coefficient(w)))
+            worst = max(worst, _max_abs(back.coefficient((1,) + w) - a.coefficient(w)))
         for w in back.coeffs:
             if not w or w[0] != 1:
                 worst = max(worst, _max_abs(back.coefficient(w)))
@@ -462,13 +459,12 @@ def suite_positivity_equivalences(rng):
 def suite_canary(rng):
     """A corrupted extension must fail verification; guards against a
     build whose checks silently pass everything."""
-    prob = cara.CaratheodoryProblem(1, 1, {(): [[1.0]], (1,): [[0.4]]})
+    prob = cara.CaratheodoryProblem(fs.FreeSeries(1, 1, (1, 1), {(): [[1.0]], (1,): [[0.4]]}))
     ext = cara.extend(prob, 3)
     good = cara.verify_solution(prob, ext, samples=10, seed=7)
-    corrupted = {w: c.copy() for w, c in ext.coeffs.items()}
-    corrupted[(1, 1, 1)] = np.array([[1.0]])
+    corrupted = fs.FreeSeries(1, 3, (1, 1), {**ext.series.coeffs, (1, 1, 1): [[1.0]]})
     bad = cara.verify_solution(
-        prob, cara.ExtensionResult(3, corrupted, dict(ext.certificate)), samples=10, seed=7
+        prob, cara.ExtensionResult(corrupted, dict(ext.certificate)), samples=10, seed=7
     )
     ok = good.passed and not bad.passed
     return ok, "corruption detected" if ok else "CORRUPTION NOT DETECTED"

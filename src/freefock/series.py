@@ -25,6 +25,7 @@ stay as the operator-side reference for the series-level Cayley maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -117,11 +118,17 @@ class FreeSeries:
         return MappingProxyType(self._words)
 
     def coefficient(self, w):
-        codes, c = self.blocks.get(len(w), ((), None))
-        code = sum((i - 1) * self.n**j for j, i in enumerate(reversed(w)))
-        j = int(np.searchsorted(codes, code)) if all(1 <= i <= self.n for i in w) else len(codes)
-        found = j < len(codes) and codes[j] == code
-        return c[j].copy() if found else np.zeros(self.shape, dtype=complex)
+        c = self.coeffs.get(tuple(w))
+        return np.zeros(self.shape, dtype=complex) if c is None else c.copy()
+
+    def dense(self, k):
+        """The (n^k, *shape) stack of the degree-k coefficients in code
+        order, zero where a word has none (a new array)."""
+        check_entries(self.n**k * self.shape[0] * self.shape[1], "dense degree")
+        out = np.zeros((self.n**k, *self.shape), dtype=complex)
+        codes, c = self.blocks.get(k, ([], 0.0))
+        out[codes] = c
+        return out
 
     def is_square(self):
         return self.shape[0] == self.shape[1]
@@ -300,23 +307,46 @@ class JsrEstimate:
     nilpotent_order: int | None = None
 
 
+def _gram_norms(X):
+    """Yields (k, nrm, e) with ||M_k|| = nrm 2^e, M_0 = I, M_k = sum_i X_i M_{k-1} X_i*.
+    X is divided by a power of two >= its row norm and each M_k by the power of two
+    of its norm: exact scalings, so a norm that is a normal float is the unscaled one."""
+    r = X.row_norm
+    t = min(max(math.frexp(r)[1], -1022), 1023) if math.isfinite(r) else 1023
+    ys = [x * 2.0**-t for x in X.matrices]
+    m, e = np.eye(X.dim, dtype=complex), 0
+    for k in itertools.count(1):
+        m = sum(y @ m @ adjoint(y) for y in ys)
+        nrm = operator_norm(m)
+        yield k, nrm, e + 2 * t * k
+        s = max(math.frexp(nrm)[1], -1022)
+        m, e = m * 2.0**-s, e + s
+
+
+def _log2(nrm, e):
+    return math.log2(nrm) + e if nrm else -math.inf
+
+
+def _exp2(x):
+    return math.inf if x >= 1024 else 2.0**x
+
+
 def jsr_estimate(X, kmax):
     """Finite-depth joint spectral radius: ||M_kmax||^(1/(2 kmax)) with
     M_k = sum_i X_i M_{k-1} X_i*.  Reports the first k with M_k = 0 (to a
-    scale-relative threshold), in which case the value is 0."""
+    scale-relative threshold, compared in log2), in which case the value is 0."""
     if kmax < 1:
         raise InputError("jsr depth must be >= 1")
-    p = X.dim
-    m = np.eye(p, dtype=complex)
-    r = X.row_norm
-    for k in range(1, kmax + 1):
-        nxt = np.zeros((p, p), dtype=complex)
-        for xi in X.matrices:
-            nxt += xi @ m @ adjoint(xi)
-        m = nxt
-        if operator_norm(m) <= 1e-13 * r ** (2 * k):
+    r = X.row_norm  # r = 0 makes M_1 = 0; an overflowed r is at least 2^1024
+    log_r = math.log2(r) if 0 < r < math.inf else 1024.0
+    for k, nrm, e in _gram_norms(X):
+        log_norm = _log2(nrm, e)
+        if log_norm <= math.log2(1e-13) + 2 * k * log_r:
             return JsrEstimate(kmax=k, value=0.0, nilpotent_order=k)
-    return JsrEstimate(kmax=kmax, value=float(operator_norm(m) ** (1.0 / (2 * kmax))))
+        if k == kmax:
+            normal = -1022 < log_norm < 1024
+            value = math.ldexp(nrm, e) ** (1.0 / (2 * k)) if normal else _exp2(log_norm / (2 * k))
+            return JsrEstimate(kmax=kmax, value=value)
 
 
 def radius_estimate(f, kmax):
@@ -380,18 +410,15 @@ def _eval_tail(f, X, est):
     q = 0.0 if math.isinf(rad) else 1.0 / rad
     if q == 0.0:
         return 0.0
-    p = X.dim
-    m = np.eye(p, dtype=complex)
-    for _ in range(f.cutoff):
-        m = sum(xi @ m @ adjoint(xi) for xi in X.matrices)
     total = 0.0
-    for k in range(f.cutoff + 1, f.cutoff + 200):
-        m = sum(xi @ m @ adjoint(xi) for xi in X.matrices)
-        term = q**k * math.sqrt(operator_norm(m))
+    for k, nrm, e in itertools.islice(_gram_norms(X), f.cutoff, None):
+        try:  # sqrt(nrm 2^e) = sqrt(nrm 2^(e mod 2)) 2^(e // 2) exactly
+            term = q**k * math.ldexp(math.sqrt(math.ldexp(nrm, e % 2)), e // 2)
+        except OverflowError:
+            term = _exp2(k * math.log2(q) + _log2(nrm, e) / 2)
         total += term
-        if term <= 1e-17 * (1.0 + total):
-            break
-    return total
+        if term <= 1e-17 * (1.0 + total) or k >= f.cutoff + 199:
+            return total
 
 
 def eval_at(f, X, jsr_depth=None):

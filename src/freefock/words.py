@@ -15,10 +15,9 @@ import itertools
 import numpy as np
 
 from .errors import InputError
+from .linalg import check_entries
 
 MAX_GENERATORS = 9
-
-Word = tuple  # tuple of ints in 1..n
 
 
 def word_from_string(s, n=MAX_GENERATORS):
@@ -94,6 +93,9 @@ class GradedBasis:
             raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
         if max_deg < 0:
             raise InputError(f"truncation degree {max_deg} is negative")
+        # sum_{k<=max_deg} n^k words, counted first; n >= 2 at degree 64 is over any limit
+        size = max_deg + 1 if n == 1 else (n ** (min(max_deg, 64) + 1) - 1) // (n - 1)
+        check_entries(size, "basis")
         self.n = n
         self.max_deg = max_deg
         words = []
@@ -117,8 +119,3 @@ class GradedBasis:
     def words_of_degree(self, k):
         lo, hi = self.degree_slice(k)
         return self.words[lo:hi]
-
-
-def enumerate_basis(n, m):
-    """Graded basis of all words with length <= m; size sum_{k<=m} n^k."""
-    return GradedBasis(n, m)

@@ -8,24 +8,42 @@ from freefock import transforms as tr
 from freefock.errors import InfeasibleError, InputError
 from freefock.fock import get_trunc, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron
-from freefock.series import extract_coeffs
+from freefock.series import FreeSeries, extract_coeffs
 from freefock.toeplitz import assemble_T
 from freefock.words import GradedBasis
 
 ONE = np.array([[1.0]])
 
 
+def series(n, m, coeffs):
+    """FreeSeries with the shape of the first coefficient."""
+    return FreeSeries(n, m, np.shape(next(iter(coeffs.values()))), coeffs)
+
+
+def problem(n, m, coeffs):
+    return cara.CaratheodoryProblem(series(n, m, coeffs))
+
+
 def scalar_problem(n, m, mapping):
-    return cara.CaratheodoryProblem(n, m, {w: np.array([[c]]) for w, c in mapping.items()})
+    return problem(n, m, {w: np.array([[c]]) for w, c in mapping.items()})
 
 
 def test_problem_validation():
     with pytest.raises(InputError):
         scalar_problem(1, 1, {(1,): 1.0})  # b_0 missing
     with pytest.raises(InputError):
+        scalar_problem(1, 1, {(): 0.0, (1,): 0.5})  # b_0 zero, so missing
+    with pytest.raises(InputError):
         scalar_problem(1, 1, {(): -1.0, (1,): 0.0})  # b_0 not PSD
     with pytest.raises(InputError):
-        cara.CaratheodoryProblem(1, 1, {(): np.array([[1.0, 2.0], [0.0, 1.0]])})
+        problem(1, 1, {(): np.array([[1.0, 2.0], [0.0, 1.0]])})
+    for make in (cara.CaratheodoryProblem, cara.CFProblem):
+        with pytest.raises(InputError):
+            make(FreeSeries(1, 1, (1, 2), {(): [[1.0, 0.0]]}))  # not square
+    prob = scalar_problem(2, 3, {(): 1.0, (1, 2): 0.5})
+    assert (prob.n, prob.m, prob.block_size) == (2, 3, 1)
+    cf = cara.CFProblem(FreeSeries(3, 2, (2, 2)))
+    assert (cf.n, cf.m, cf.block_size) == (3, 2, 2)
 
 
 def test_check_feasibility_fixtures():
@@ -43,10 +61,10 @@ def test_check_feasibility_fixtures():
 
 def test_extend_trivial_data():
     b0 = np.diag([1.0, 0.25])
-    prob = cara.CaratheodoryProblem(1, 1, {(): b0})
+    prob = problem(1, 1, {(): b0})
     ext = cara.extend(prob, 3)
     assert ext.certificate["min_eig_tm"] == pytest.approx(0.25, abs=1e-9)
-    for w, c in ext.coeffs.items():
+    for w, c in ext.series.coeffs.items():
         if w:
             assert np.max(np.abs(c)) <= 1e-9
 
@@ -77,7 +95,7 @@ def test_extend_one_generator_maximum_entropy():
         prob = scalar_problem(1, 1, {(): 1.0, (1,): c})
         ext = cara.extend(prob, 6)
         for k in range(7):
-            assert abs(ext.coeffs[(1,) * k][0, 0] - c**k) <= 1e-14
+            assert abs(ext.series.coefficient((1,) * k)[0, 0] - c**k) <= 1e-14
         assert ext.certificate["min_eig_tm"] >= -1e-8
         assert cara.verify_solution(prob, ext, samples=15, seed=1).passed
 
@@ -87,8 +105,8 @@ def test_extend_two_generator_product_extension():
     c = {1: 0.3 + 0.2j, 2: -0.4}
     prob = scalar_problem(2, 1, {(): 1.0, (1,): c[1], (2,): c[2]})
     ext = cara.extend(prob, 4)
-    assert set(ext.coeffs) == set(GradedBasis(2, 4).words)
-    for w, b in ext.coeffs.items():
+    assert set(ext.series.coeffs) == set(GradedBasis(2, 4).words)
+    for w, b in ext.series.coeffs.items():
         assert abs(b[0, 0] - math.prod(c[i] for i in w)) <= 1e-15
 
 
@@ -115,20 +133,20 @@ def test_extend_maximizes_determinant():
         block[w] = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     for prob in (
         scalar_problem(2, 1, {(): 1.0, (1,): 0.65, (2,): 0.65}),
-        cara.CaratheodoryProblem(2, 1, block),
+        problem(2, 1, block),
     ):
         p = prob.block_size
         ext = cara.extend(prob, 3)
-        best = np.linalg.slogdet(assemble_T(ext.coeffs, 2, 3).entries)[1]
-        free = [w for w in ext.coeffs if len(w) >= 2]
+        best = np.linalg.slogdet(assemble_T(ext.series).entries)[1]
+        free = [w for w in ext.series.coeffs if len(w) >= 2]
         compared = 0
         for scale in (1e-4, 1e-2, 1e-1):
             for _ in range(50):
-                other = dict(ext.coeffs)
+                other = dict(ext.series.coeffs)
                 for w in free:
                     noise = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
                     other[w] = other[w] + scale * noise
-                t = assemble_T(other, 2, 3).entries
+                t = assemble_T(series(2, 3, other)).entries
                 if np.linalg.eigvalsh(t)[0] <= 0.0:
                     continue
                 compared += 1
@@ -141,7 +159,7 @@ def test_extend_boundary_data():
     prob = scalar_problem(1, 1, {(): 1.0, (1,): 1.0})
     ext = cara.extend(prob, 4)
     for k in range(5):
-        assert abs(ext.coeffs[(1,) * k][0, 0] - 1.0) <= 1e-14
+        assert abs(ext.series.coefficient((1,) * k)[0, 0] - 1.0) <= 1e-14
     assert cara.verify_solution(prob, ext, samples=15, seed=2).passed
     b = 1.0 / math.sqrt(2.0)
     prob = scalar_problem(2, 1, {(): 1.0, (1,): b, (2,): b})
@@ -150,13 +168,13 @@ def test_extend_boundary_data():
 
 def test_extend_singular_b0():
     # p = 2 with b_0 = diag(1, 0): the second coordinate carries nothing
-    prob = cara.CaratheodoryProblem(
+    prob = problem(
         2, 1, {(): np.diag([1.0, 0.0]), (1,): np.diag([0.5, 0.0]), (2,): np.diag([0.3j, 0.0])}
     )
     ext = cara.extend(prob, 3)
     assert ext.certificate["min_eig_tm"] >= -1e-12
     assert cara.verify_solution(prob, ext, samples=15, seed=3).passed
-    for w, c in ext.coeffs.items():
+    for w, c in ext.series.coeffs.items():
         assert not c[1].any() and not c[:, 1].any()
 
 
@@ -165,20 +183,20 @@ def test_extend_nests_across_target_degree():
     coeffs = {(): np.eye(2)}
     for w in GradedBasis(2, 2).words[1:]:
         coeffs[w] = 0.15 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    prob = cara.CaratheodoryProblem(2, 2, coeffs)
+    prob = problem(2, 2, coeffs)
     assert cara.check_feasibility(prob).feasible
-    low = cara.extend(prob, 3)
-    high = cara.extend(prob, 5)
-    assert set(low.coeffs) == {w for w in high.coeffs if len(w) <= 3}
-    for w, c in low.coeffs.items():
-        assert np.array_equal(high.coeffs[w], c)
+    low = cara.extend(prob, 3).series.coeffs
+    high = cara.extend(prob, 5).series.coeffs
+    assert set(low) == {w for w in high if len(w) <= 3}
+    for w, c in low.items():
+        assert np.array_equal(high[w], c)
 
 
 def test_extend_preserves_prescribed_bitwise():
     prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4})
     ext = cara.extend(prob, 3)
     for w in GradedBasis(2, 1).words:
-        assert np.array_equal(ext.coeffs[w], prob.coefficient(w))
+        assert np.array_equal(ext.series.coefficient(w), prob.data.coefficient(w))
 
 
 def test_extend_feasibility_nesting():
@@ -186,8 +204,25 @@ def test_extend_feasibility_nesting():
     ext = cara.extend(prob, 4)
     # compression nesting: feasibility of the extension implies the data's
     for m in (1, 2, 3, 4):
-        coeffs = {w: c for w, c in ext.coeffs.items() if len(w) <= m}
-        assert assemble_T(coeffs, 1, m).min_eig() >= ext.certificate["min_eig_tm"] - 1e-12
+        coeffs = {w: c for w, c in ext.series.coeffs.items() if len(w) <= m}
+        assert assemble_T(series(1, m, coeffs)).min_eig() >= ext.certificate["min_eig_tm"] - 1e-12
+
+
+def test_extend_from_degree_zero():
+    # m = 0: b_0 alone, whose central extension is zero in every degree,
+    # degree 1 included
+    prob = problem(2, 0, {(): np.diag([2.0, 0.5])})
+    for M in (1, 3):
+        ext = cara.extend(prob, M)
+        assert ext.series.cutoff == M and ext.series.max_degree() == 0
+        assert ext.certificate["prescribed_error"] == 0.0
+        assert ext.certificate["min_eig_tm"] == pytest.approx(0.5, abs=1e-12)
+        assert cara.verify_solution(prob, ext, samples=5, seed=8).passed
+    # a subnormal b_0: the pseudo-inverse drops it instead of overflowing
+    tiny = problem(3, 0, {(): 5e-324 * np.eye(2)})
+    ext = cara.extend(tiny, 3)
+    assert ext.series.max_degree() == 0
+    assert cara.verify_solution(tiny, ext, samples=5, seed=8).passed
 
 
 def test_extend_infeasible_raises():
@@ -197,15 +232,15 @@ def test_extend_infeasible_raises():
 
 
 def test_cayley_route_trivial_and_degree_one():
-    prob = cara.CaratheodoryProblem(1, 1, {(): np.eye(2)})
+    prob = problem(1, 1, {(): np.eye(2)})
     cf = cara.cayley_route(prob, reg_eps=0.0)
-    assert not cf.coeffs
+    assert not cf.data.coeffs
 
     b1 = np.array([[0.2, 0.1], [0.0, 0.3]])
-    prob = cara.CaratheodoryProblem(1, 1, {(): np.eye(2), (1,): b1})
+    prob = problem(1, 1, {(): np.eye(2), (1,): b1})
     cf = cara.cayley_route(prob, reg_eps=0.0)
     # m = 1: Y^2 = 0, the inverse Cayley transform is the identity
-    assert np.max(np.abs(cf.coefficient((1,)) - b1)) <= 1e-12
+    assert np.max(np.abs(cf.data.coefficient((1,)) - b1)) <= 1e-12
 
 
 def test_cayley_route_matrix_inverse_oracle():
@@ -218,7 +253,7 @@ def test_cayley_route_matrix_inverse_oracle():
     analytic, _ = extract_coeffs(oracle, ft, 1)
     for w in ((1,), (1, 1)):
         want = analytic.get(w, np.zeros((1, 1)))
-        assert np.max(np.abs(cf.coefficient(w) - want)) <= 1e-12
+        assert np.max(np.abs(cf.data.coefficient(w) - want)) <= 1e-12
 
 
 def test_cayley_route_contraction_property():
@@ -228,7 +263,7 @@ def test_cayley_route_contraction_property():
         for w in GradedBasis(2, 2).words:
             if w:
                 coeffs[w] = 0.5 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
-        prob = cara.CaratheodoryProblem(2, 2, coeffs)
+        prob = problem(2, 2, coeffs)
         if not cara.check_feasibility(prob).feasible:
             continue
         cf = cara.cayley_route(prob)  # would raise if the image were expansive
@@ -236,14 +271,14 @@ def test_cayley_route_contraction_property():
 
 
 def test_cf_check():
-    prob = cara.CFProblem(2, 1, {(1,): np.zeros((1, 1)), (2,): np.zeros((1, 1))}, 1)
+    prob = cara.CFProblem(series(2, 1, {(1,): np.zeros((1, 1)), (2,): np.zeros((1, 1))}))
     assert cara.cf_check(prob).norm == 0.0
 
     c = 0.37 - 0.2j
-    prob = cara.CFProblem(1, 1, {(1,): np.array([[c]])}, 1)
+    prob = cara.CFProblem(series(1, 1, {(1,): np.array([[c]])}))
     assert cara.cf_check(prob).norm == pytest.approx(abs(c), rel=1e-12)
 
-    prob = cara.CFProblem(1, 2, {(1,): 0.5 * ONE, (1, 1): 0.25 * ONE}, 1)
+    prob = cara.CFProblem(series(1, 2, {(1,): 0.5 * ONE, (1, 1): 0.25 * ONE}))
     rep = cara.cf_check(prob)
     oracle = np.array([[0, 0, 0], [0.5, 0, 0], [0.25, 0.5, 0]])
     assert rep.norm == pytest.approx(np.linalg.svd(oracle)[1][0], rel=1e-12)
@@ -251,20 +286,20 @@ def test_cf_check():
 
 
 def test_cf_to_caratheodory():
-    prob = cara.CFProblem(2, 1, {(1,): np.zeros((1, 1))}, 1)
+    prob = cara.CFProblem(series(2, 1, {(1,): np.zeros((1, 1))}))
     lifted = cara.cf_to_caratheodory(prob)
-    assert np.allclose(lifted.coefficient(()), ONE)
-    for w, c in lifted.coeffs.items():
+    assert np.allclose(lifted.data.coefficient(()), ONE)
+    for w, c in lifted.data.coeffs.items():
         if w:
             assert not c.any()
 
     a = 0.6 + 0.3j
-    prob = cara.CFProblem(1, 0, {(): np.array([[a]])}, 1)
+    prob = cara.CFProblem(series(1, 0, {(): np.array([[a]])}))
     lifted = cara.cf_to_caratheodory(prob)
     assert lifted.m == 1
-    assert lifted.coefficient((1,))[0, 0] == pytest.approx(a)
+    assert lifted.data.coefficient((1,))[0, 0] == pytest.approx(a)
 
-    loud = cara.CFProblem(1, 1, {(1,): 2.0 * ONE}, 1)
+    loud = cara.CFProblem(series(1, 1, {(1,): 2.0 * ONE}))
     with pytest.raises(InfeasibleError):
         cara.cf_to_caratheodory(loud)
 
@@ -275,28 +310,27 @@ def test_reduction_roundtrip_small():
         w: 0.2 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
         for w in GradedBasis(2, 1).words
     }
-    prob = cara.CFProblem(2, 1, coeffs, 1)
-    back = cara.cayley_route(cara.cf_to_caratheodory(prob), reg_eps=0.0)
+    prob = cara.CFProblem(series(2, 1, coeffs))
+    back = cara.cayley_route(cara.cf_to_caratheodory(prob), reg_eps=0.0).data
     for w in GradedBasis(2, 1).words:
-        assert np.max(np.abs(back.coefficient((1,) + w) - prob.coefficient(w))) <= 1e-10
+        assert np.max(np.abs(back.coefficient((1,) + w) - prob.data.coefficient(w))) <= 1e-10
     for w in back.coeffs:
         if w[0] != 1:
             assert np.max(np.abs(back.coefficient(w))) <= 1e-12
 
 
 def test_verify_solution_zero_extension():
-    prob = cara.CaratheodoryProblem(2, 1, {(): np.eye(2)})
+    prob = problem(2, 1, {(): np.eye(2)})
     ext = cara.ExtensionResult(
-        3, {w: (np.eye(2) if not w else np.zeros((2, 2))) for w in GradedBasis(2, 3).words}, {}
+        series(2, 3, {w: (np.eye(2) if not w else np.zeros((2, 2))) for w in GradedBasis(2, 3).words}),
+        {},
     )
     assert cara.verify_solution(prob, ext, samples=5, seed=4).passed
 
 
 def test_verify_solution_classical_geometric():
     prob = scalar_problem(1, 1, {(): 1.0, (1,): 0.5})
-    ext = cara.ExtensionResult(
-        3, {(1,) * k: np.array([[0.5**k]]) for k in range(4)}, {}
-    )
+    ext = cara.ExtensionResult(series(1, 3, {(1,) * k: np.array([[0.5**k]]) for k in range(4)}), {})
     rep = cara.verify_solution(prob, ext, samples=20, seed=5)
     assert rep.passed
 
@@ -304,11 +338,18 @@ def test_verify_solution_classical_geometric():
 def test_verify_solution_catches_corruption():
     prob = scalar_problem(1, 1, {(): 1.0, (1,): 0.5})
     ext = cara.extend(prob, 3)
-    bad = {w: c.copy() for w, c in ext.coeffs.items()}
+    bad = {w: c.copy() for w, c in ext.series.coeffs.items()}
     bad[(1, 1, 1)] = np.array([[-1.0]])  # magnitude-one flip at the top degree
-    rep = cara.verify_solution(prob, cara.ExtensionResult(3, bad, {}), samples=10, seed=6)
+    rep = cara.verify_solution(prob, cara.ExtensionResult(series(1, 3, bad), {}), samples=10, seed=6)
     assert not rep.passed
     assert not rep.checks["extension_psd"][0] or not rep.checks["nilpotent_positive"][0]
+
+    # a prescribed coefficient moved by 1e-12, or dropped, is not reproduced exactly
+    for moved in ({**ext.series.coeffs, (1,): ext.series.coefficient((1,)) + 1e-12},
+                  {w: c for w, c in ext.series.coeffs.items() if w != (1,)}):
+        rep = cara.verify_solution(prob, cara.ExtensionResult(series(1, 3, moved), {}), seed=6)
+        ok, dev = rep.checks["prescribed_exact"]
+        assert not ok and not rep.passed and 0.0 < dev <= 0.5
 
 
 def test_moment_problem_view():
@@ -326,11 +367,11 @@ def test_moment_problem_view():
     mu = cara.moment_problem_view(prob)
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.8)
     got = tr.poisson_transform_of(mu, x)
-    want = kron(prob.coefficient(()), np.eye(3))
-    for w, c in prob.coeffs.items():
+    want = kron(prob.data.coefficient(()), np.eye(3))
+    for w, c in prob.data.coeffs.items():
         if w:
             want = want + kron(c, x.word(w)) + kron(adjoint(c), adjoint(x.word(w)))
     assert np.max(np.abs(got - want)) <= 1e-12
 
     with pytest.raises(InputError):
-        cara.moment_problem_view(cara.CaratheodoryProblem(1, 1, {(): np.eye(2)}))
+        cara.moment_problem_view(problem(1, 1, {(): np.eye(2)}))

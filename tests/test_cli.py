@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freefock import cli, jsonio, linalg
+from freefock import cli, jsonio, linalg, words
 from freefock.caratheodory import CaratheodoryProblem
 from freefock.fock import OperatorTuple
 from freefock.series import FreeSeries
@@ -22,7 +22,9 @@ def run_cli(capsys, *argv):
 
 
 def write_problem(tmp_path, mapping, n, m, name="problem.json"):
-    prob = CaratheodoryProblem(n, m, {w: np.array([[c]]) for w, c in mapping.items()})
+    prob = CaratheodoryProblem(
+        FreeSeries(n, m, (1, 1), {w: np.array([[c]]) for w, c in mapping.items()})
+    )
     path = tmp_path / name
     jsonio.write_json_atomic(jsonio.problem_to_json(prob), path)
     return str(path)
@@ -212,6 +214,25 @@ def test_eval_scope_error(tmp_path):
     assert cli.main(["eval", str(fpath), str(xpath)]) == 4
 
 
+def test_eval_past_the_float_range_of_the_jsr_recurrence():
+    # at X = 0.5 the depth-600 recurrence passes 0.25^538, below the
+    # smallest float; the tuple is not nilpotent and the tail stays positive
+    x = {"n": 1, "dim": 1, "matrices": [[[[0.5, 0.0]]]]}
+    for cutoff in (500, 600):
+        f = {"n": 1, "cutoff": cutoff, "shape": [1, 1], "coefficients": {"1": [[[1.0, 0.0]]]}}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.json")
+            assert run_on_json(["eval", f, x, "--output", out])[0] == 0
+            with open(out, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        assert payload["exact"] is False and payload["tail_bound"] > 0.0
+        assert payload["jsr"]["value"] == 0.5 and payload["jsr"]["nilpotent_order"] is None
+    # (1e200)^(2k) overflows at k = 1
+    f["cutoff"] = 2
+    x["matrices"] = [[[[1e200, 0.0]]]]
+    assert run_on_json(["eval", f, x])[0] in (0, 4)
+
+
 def test_norm_command(tmp_path, capsys):
     f = FreeSeries(2, 1, (1, 1), {(1,): np.array([[1.0]]), (2,): np.array([[1.0]])})
     fpath = tmp_path / "series.json"
@@ -291,10 +312,13 @@ def test_basis_size_is_checked_before_enumerating(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("enumerated before the size check")
 
-    # about 3e11 and 2^65 words: refused without enumerating anything
-    monkeypatch.setattr(cli, "GradedBasis", never)
+    # about 3e11 and 2^65 words: refused without enumerating anything, also
+    # when a check needs the basis of an n = 2, m = 40 problem
+    monkeypatch.setattr(words.itertools, "product", never)
     assert cli.main(["basis", "9", "12"]) == 4
     assert cli.main(["basis", "2", "1000000000"]) == 4
+    problem = {"n": 2, "m": 40, "coefficients": {"": [[[1.0, 0.0]]]}}
+    assert run_on_json(["check", problem])[0] == 4
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
@@ -357,14 +381,15 @@ number = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, 1e200, -1e300]))
 
 
 @st.composite
-def coefficients_json(draw, maps):
+def coefficients_json(draw, maps, max_cutoff=5):
     """Mostly well-formed JSON of (n, cutoff, shape) and the coefficient
     maps named in maps, with at most one field or matrix entry replaced by
     junk (integers past float range only in entries).  Cutoffs and
     generator counts stay small: a nonzero series with a huge cutoff is
     computed degree by degree up to the size limit, which takes too long
     to fuzz."""
-    n, p, cutoff = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 5))
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    cutoff = draw(st.integers(0, max_cutoff))
     letters = "".join(str(i) for i in range(1, n + 1))
     valid = st.text(letters, min_size=min(cutoff, 1), max_size=cutoff)
     words = st.one_of(valid, st.text("0123456789a"))
@@ -403,4 +428,68 @@ def test_poisson_json_fuzz_exits_with_documented_codes(obj):
     e12 = np.array([[0.0, 0.2], [0.0, 0.0]])
     x = jsonio.tuple_to_json(OperatorTuple((e12,) * n))
     code, err = run_on_json(["poisson", obj, x, "--trunc", "3"])
+    assert code in (0, 3, 4), err
+
+
+@st.composite
+def problem_json(draw):
+    """Mostly well-formed interpolation-problem JSON: coefficients_json
+    with m <= 4 for the cutoff and block_size for the shape; half of the
+    time only the words over the n letters are kept, and usually
+    b_0 = s I (s in [0, 3]), so that some problems are feasible."""
+    obj = draw(coefficients_json(("coefficients",), max_cutoff=4))
+    shape = obj.pop("shape")
+    obj["m"] = obj.pop("cutoff")
+    if draw(st.booleans()):
+        obj["block_size"] = shape[0] if isinstance(shape, list) and shape else shape
+    coeffs = obj["coefficients"]
+    if isinstance(coeffs, dict) and type(obj["n"]) is int and draw(st.booleans()):
+        letters = set("123"[: obj["n"]])
+        obj["coefficients"] = coeffs = {w: c for w, c in coeffs.items() if set(w) <= letters}
+    if isinstance(shape, list) and len(shape) == 2 and isinstance(coeffs, dict):
+        p, s = shape[0], draw(st.floats(0, 3))
+        if draw(st.integers(0, 7)) and type(p) is int and p > 0:
+            coeffs[""] = [[[s if i == j else 0.0, 0.0] for j in range(p)] for i in range(p)]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem_json(), st.integers(0, 5))
+def test_problem_json_fuzz_exits_with_documented_codes(obj, target):
+    """Any problem JSON through `freefock check` and `freefock extend`: a
+    verdict (0 feasible, 1 infeasible), an input error (3) or a scope
+    error (4), never an internal error."""
+    code, err = run_on_json(["check", obj])
+    assert code in (0, 1, 3, 4), err
+    code, err = run_on_json(["extend", obj, "--target-degree", str(target), "--samples", "2"])
+    assert code in (0, 1, 3, 4), err
+
+
+@st.composite
+def tuple_json(draw):
+    """Mostly well-formed operator-tuple JSON (n, dim <= 3), with at most
+    one field or matrix entry replaced by junk."""
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.lists(number, min_size=2, max_size=2)
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    obj = {"n": n, "dim": dim, "matrices": draw(st.lists(matrix, min_size=n, max_size=n))}
+    key = draw(st.sampled_from([None, None, "n", "dim", "matrices", "entry"]))
+    if key == "entry":
+        obj["matrices"][0][0][0] = draw(st.one_of(junk, st.integers(10**309, 10**400)))
+    elif key:
+        obj[key] = draw(junk)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_json(), st.integers(1, 3))
+def test_eval_tuple_json_fuzz_exits_with_documented_codes(x, cutoff):
+    """Any tuple JSON through `freefock eval` of a small series over the
+    tuple's n (over 1 generator when n was replaced by junk): a result
+    (0), an input error (3) or a scope error (4), never an internal error."""
+    n = x["n"] if type(x["n"]) is int and 1 <= x["n"] <= 3 else 1
+    one, half = [[[1.0, 0.0]]], [[[0.5, 0.0]]]
+    coefficients = {"": one, **{str(i): half for i in range(1, n + 1)}, "1" * cutoff: one}
+    f = {"n": n, "cutoff": cutoff, "shape": [1, 1], "coefficients": coefficients}
+    code, err = run_on_json(["eval", f, x])
     assert code in (0, 3, 4), err

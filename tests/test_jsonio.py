@@ -83,20 +83,30 @@ def test_readers_reject_bad_generator_count():
 
 
 def test_problem_and_extension_roundtrip():
-    prob = CaratheodoryProblem(2, 1, {(): [[2.0]], (1,): [[0.5 + 0.25j]]})
+    prob = CaratheodoryProblem(FreeSeries(2, 1, (1, 1), {(): [[2.0]], (1,): [[0.5 + 0.25j]]}))
     back = rt(jsonio.problem_to_json, jsonio.json_to_problem, prob)
     assert back.n == 2 and back.m == 1 and back.block_size == 1
-    assert np.array_equal(back.coefficient((1,)), prob.coefficient((1,)))
+    assert np.array_equal(back.data.coefficient((1,)), prob.data.coefficient((1,)))
 
     ext = ExtensionResult(
-        3,
-        {(): np.array([[2.0]]), (1, 1): np.array([[0.125]])},
+        FreeSeries(2, 3, (1, 1), {(): [[2.0]], (1,): [[0.0]], (1, 1): [[0.125]]}),
         {"min_eig_tm": 0.25, "iterations": 7},
     )
+    payload = jsonio.extension_to_json(ext)
+    assert sorted(payload["coefficients"]) == ["", "11"]  # exact zeros are not written
     back = rt(jsonio.extension_to_json, jsonio.json_to_extension, ext, 2)
-    assert back.target_deg == 3
+    assert back.series.cutoff == 3
     assert back.certificate["iterations"] == 7
-    assert np.array_equal(back.coeffs[(1, 1)], ext.coeffs[(1, 1)])
+    assert np.array_equal(back.series.coeffs[(1, 1)], ext.series.coeffs[(1, 1)])
+
+
+def test_problem_reader_needs_a_nonzero_b0_of_the_block_size():
+    one = [[[1.0, 0.0]]]
+    for coefficients, block in (({"1": one}, 1), ({"": [[[0.0, 0.0]]]}, 1), ({"": one}, 2)):
+        with pytest.raises(InputError):
+            jsonio.json_to_problem({"n": 1, "m": 1, "block_size": block, "coefficients": coefficients})
+    with pytest.raises(InputError):
+        jsonio.json_to_extension({"target_degree": 2, "coefficients": {"1": one}}, 1)
 
 
 def test_word_keys_validated_against_n():

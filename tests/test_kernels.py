@@ -122,7 +122,7 @@ def test_assemble_T_matches_kron_sum(n, p):
         + [(adjoint(c), s_word(ft, w).T) for w, c in coeffs.items() if w],
         p * ft.dim,
     )
-    assert rel_dev(assemble_T(coeffs, n, 2).entries, want) <= 1e-14
+    assert rel_dev(assemble_T(fs.FreeSeries(n, 2, (p, p), coeffs)).entries, want) <= 1e-14
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -158,8 +158,8 @@ def cf_matrix(prob):
     for a, wa in enumerate(basis.words):
         for b, wb in enumerate(basis.words):
             s = () if wa == wb else left_quotient(wa, wb)
-            if s is not None and s in prob.coeffs:
-                b4[a, b] = prob.coeffs[s]
+            if s is not None and s in prob.data.coeffs:
+                b4[a, b] = prob.data.coeffs[s]
     return b4.transpose(2, 0, 3, 1).reshape(d * p, d * p)
 
 
@@ -185,12 +185,12 @@ def kernel_entrywise(f):
 @pytest.mark.parametrize("n,p", CASES)
 def test_cf_check_cross_check_matches_kron_sum(n, p):
     rng = np.random.default_rng(50 * n + p)
-    prob = cara.CFProblem(n, 2, random_coeffs(rng, n, 2, p), p)
+    prob = cara.CFProblem(fs.FreeSeries(n, 2, (p, p), random_coeffs(rng, n, 2, p)))
     ft = get_trunc(n, 2)
     want = kron_sum(
-        [(c, r_word(ft, reverse(w))) for w, c in prob.coeffs.items()], p * ft.dim
+        [(c, r_word(ft, reverse(w))) for w, c in prob.data.coeffs.items()], p * ft.dim
     )
-    got = shift_sum(ft, p, prob.coeffs, {}, ft.append_indices)
+    got = shift_sum(ft, p, prob.data.coeffs, {}, ft.append_indices)
     assert rel_dev(got, want) <= 1e-14
     assert np.array_equal(cf_matrix(prob), got)
     rep = cara.cf_check(prob)
@@ -341,14 +341,14 @@ def test_eval_report_matches_kron_sum(n, p):
 def _nilpotent_check_reference(prob, ext, samples, seed):
     """The nilpotent-positivity value of verify_solution, by kron sums."""
     rng = np.random.default_rng(seed)
-    b0 = prob.coeffs[()]
+    b0 = prob.data.constant_term()
     worst = np.inf
     for _ in range(samples):
         X = random_nilpotent_tuple(
-            rng, prob.n, ext.target_deg + 1, row_norm=float(rng.uniform(0.2, 0.95))
+            rng, prob.n, ext.series.cutoff + 1, row_norm=float(rng.uniform(0.2, 0.95))
         )
         g = kron(b0 / 2.0, np.eye(X.dim))
-        for w, c in ext.coeffs.items():
+        for w, c in ext.series.coeffs.items():
             if w:
                 g += kron(c, X.word(w))
         worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
@@ -364,7 +364,7 @@ def test_verify_solution_matches_kron_reference(p):
         coeffs = random_coeffs(rng, 2, 1, p, min_degree=1)
         coeffs = {w: 0.1 * c for w, c in coeffs.items()}
         coeffs[()] = np.eye(p)
-        prob = cara.CaratheodoryProblem(2, 1, coeffs)
+        prob = cara.CaratheodoryProblem(fs.FreeSeries(2, 1, (p, p), coeffs))
     ext = cara.extend(prob, 3)
     rep = cara.verify_solution(prob, ext, samples=6, seed=3)
     want = _nilpotent_check_reference(prob, ext, 6, 3)
@@ -420,19 +420,19 @@ def test_series_level_reductions_match_operator_cayley(n, p):
     m = 2
     coeffs = {w: 0.1 * gaussian(rng, (p, p)) for w in GradedBasis(n, m).words}
     coeffs[()] = np.eye(p, dtype=complex)
-    prob = cara.CaratheodoryProblem(n, m, coeffs, p)
+    prob = cara.CaratheodoryProblem(fs.FreeSeries(n, m, (p, p), coeffs))
     ft = get_trunc(n, m)
     y = kron_sum([(c, s_word(ft, w)) for w, c in coeffs.items() if w], p * ft.dim)
     want, _ = fs.extract_coeffs(fs.truncated_cayley(y, "inverse", ft), ft, p)
-    got = cara.cayley_route(prob, reg_eps=0.0)
+    got = cara.cayley_route(prob, reg_eps=0.0).data
     for w in GradedBasis(n, m).words[1:]:
         assert np.max(np.abs(got.coefficient(w) - want.get(w, 0.0))) <= 1e-14
 
-    cf = cara.CFProblem(n, m, {w: 0.3 * c for w, c in got.coeffs.items()}, p)
+    cf = cara.CFProblem(got.scale(0.3))
     ft1 = get_trunc(n, m + 1)
-    b = kron_sum([(c, s_word(ft1, (1,) + w)) for w, c in cf.coeffs.items()], p * ft1.dim)
+    b = kron_sum([(c, s_word(ft1, (1,) + w)) for w, c in cf.data.coeffs.items()], p * ft1.dim)
     want, _ = fs.extract_coeffs(fs.truncated_cayley(b, "forward", ft1), ft1, p)
-    lifted = cara.cf_to_caratheodory(cf)
+    lifted = cara.cf_to_caratheodory(cf).data
     for w in GradedBasis(n, m + 1).words[1:]:
         assert np.max(np.abs(lifted.coefficient(w) - want.get(w, 0.0))) <= 1e-14
 

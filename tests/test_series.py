@@ -485,6 +485,28 @@ def test_jsr_estimate():
     assert fs.jsr_estimate(x, 5).value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_jsr_estimate_at_depths_past_the_float_range():
+    # M_k = 0.25^k underflows at k = 538 and 0.81^k reaches the denormals
+    # near k = 3500; 4^k overflows at k = 512 and (1e200)^(2k) at k = 1
+    half = fs.jsr_estimate(OperatorTuple((np.array([[0.5]]),)), 600)
+    assert half.nilpotent_order is None and half.value == 0.5
+    assert fs.jsr_estimate(OperatorTuple((np.array([[0.9]]),)), 4000).value == pytest.approx(
+        0.9, rel=1e-12
+    )
+    assert fs.jsr_estimate(OperatorTuple((np.array([[2.0]]),)), 600).value == 2.0
+    big = fs.jsr_estimate(OperatorTuple((np.array([[1e200, 0.0], [0.0, 0.0]]),)), 3)
+    assert big.value == pytest.approx(1e200, rel=1e-12)
+    # in the float range the power-of-two scalings are exact: the value is
+    # bit for bit that of the unscaled recurrence
+    rng = np.random.default_rng(8)
+    x = OperatorTuple(tuple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                            for _ in range(2)))
+    m = np.eye(3, dtype=complex)
+    for _ in range(6):
+        m = sum(xi @ m @ xi.conj().T for xi in x.matrices)
+    assert fs.jsr_estimate(x, 6).value == operator_norm(m) ** (1.0 / 12)
+
+
 def test_radius_estimate():
     f = scalar_series(1, 6, {(1,) * k: 2.0**k for k in range(1, 7)})
     assert fs.radius_estimate(f, 6) == pytest.approx(0.5)

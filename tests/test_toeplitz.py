@@ -4,6 +4,7 @@ import pytest
 from freefock import toeplitz as tp
 from freefock.errors import InputError
 from freefock.linalg import adjoint
+from freefock.series import FreeSeries
 from freefock.words import GradedBasis, right_quotient
 
 ONE = np.array([[1.0]])
@@ -11,6 +12,11 @@ ONE = np.array([[1.0]])
 
 def scalar_coeffs(mapping):
     return {w: np.array([[c]]) for w, c in mapping.items()}
+
+
+def assemble(coeffs, n, m):
+    """assemble_T of the series of coeffs, with the shape of b_0."""
+    return tp.assemble_T(FreeSeries(n, m, coeffs[()].shape, coeffs))
 
 
 def random_coeffs(rng, n, m, p, selfadjoint_b0=True):
@@ -48,13 +54,13 @@ def assemble_kernel(coeffs, n, m):
 
 
 def test_assemble_T_classical():
-    t = tp.assemble_T(scalar_coeffs({(): 2.0, (1,): 1.0}), 1, 1)
+    t = assemble(scalar_coeffs({(): 2.0, (1,): 1.0}), 1, 1)
     assert np.allclose(t.entries, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_assemble_T_two_generators():
     c = 0.3 + 0.4j
-    t = tp.assemble_T(scalar_coeffs({(): 1.0, (1,): c, (2,): c}), 2, 1)
+    t = assemble(scalar_coeffs({(): 1.0, (1,): c, (2,): c}), 2, 1)
     want = np.array(
         [[1.0, np.conj(c), np.conj(c)], [c, 1.0, 0.0], [c, 0.0, 1.0]], dtype=complex
     )
@@ -65,10 +71,10 @@ def test_assemble_T_diagonal_only():
     rng = np.random.default_rng(0)
     b0 = rng.standard_normal((2, 2))
     b0 = b0 + b0.T
-    t = tp.assemble_T({(): b0}, 2, 2)
+    t = assemble({(): b0}, 2, 2)
     assert np.allclose(t.entries, np.kron(b0, np.eye(7)))
     with pytest.raises(InputError):
-        tp.assemble_T({(1,): np.eye(2)}, 2, 2)  # b_0 missing
+        tp.assemble_T(FreeSeries(2, 2, (2, 1), {(): np.ones((2, 1))}))  # not square
 
 
 def test_assemble_kernel_matches_assemble_T():
@@ -78,7 +84,7 @@ def test_assemble_kernel_matches_assemble_T():
         m = 1 + k % 3
         p = 1 + k % 2
         coeffs = random_coeffs(rng, n, m, p)
-        a = tp.assemble_T(coeffs, n, m).entries
+        a = assemble(coeffs, n, m).entries
         b = assemble_kernel(coeffs, n, m)
         assert np.max(np.abs(a - b)) <= 1e-14
 
@@ -89,15 +95,15 @@ def test_assemble_classical_toeplitz():
     want = np.array([[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1.0]])
     # classical Hermitian Toeplitz with first column (1, .5, .25)
     assert np.allclose(t, want.T)
-    assert np.allclose(tp.assemble_T(coeffs, 1, 2).entries, want.T)
+    assert np.allclose(assemble(coeffs, 1, 2).entries, want.T)
 
 
 def test_assemble_nesting():
     rng = np.random.default_rng(2)
     n, p = 2, 2
     coeffs = random_coeffs(rng, n, 2, p)
-    big = tp.assemble_T(coeffs, n, 3)
-    small = tp.assemble_T(coeffs, n, 2)
+    big = assemble(coeffs, n, 3)
+    small = assemble(coeffs, n, 2)
     dim_small = GradedBasis(n, 2).size
     dim_big = GradedBasis(n, 3).size
     idx = np.concatenate([np.arange(dim_small) + i * dim_big for i in range(p)])
@@ -106,11 +112,11 @@ def test_assemble_nesting():
 
 
 def test_min_eig():
-    t = tp.assemble_T(scalar_coeffs({(): 2.0, (1,): 1.0}), 1, 1)
-    assert tp.min_eig(t) == pytest.approx(1.0, abs=1e-12)
-    t = tp.assemble_T(scalar_coeffs({(): 2.0, (1,): 3.0}), 1, 1)
-    assert tp.min_eig(t) == pytest.approx(-1.0, abs=1e-12)
+    t = assemble(scalar_coeffs({(): 2.0, (1,): 1.0}), 1, 1)
+    assert t.min_eig() == pytest.approx(1.0, abs=1e-12)
+    t = assemble(scalar_coeffs({(): 2.0, (1,): 3.0}), 1, 1)
+    assert t.min_eig() == pytest.approx(-1.0, abs=1e-12)
 
     b0 = np.diag([3.0, 0.5])
-    t = tp.assemble_T({(): b0}, 2, 1)
-    assert tp.min_eig(t) == pytest.approx(0.5, abs=1e-12)
+    t = assemble({(): b0}, 2, 1)
+    assert t.min_eig() == pytest.approx(0.5, abs=1e-12)

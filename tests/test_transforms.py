@@ -162,7 +162,7 @@ def test_kernel_permutation_identity():
         a0 = f.coefficient(())
         coeffs = {(): a0 + adjoint(a0)}
         coeffs.update({w: c for w, c in f.coeffs.items() if w})
-        t = assemble_T(coeffs, n, m)
+        t = assemble_T(fs.FreeSeries(n, m, (1, 1), coeffs))
         basis = k.basis
         perm = np.zeros((basis.size, basis.size))
         for j, w in enumerate(basis.words):

@@ -9,7 +9,6 @@ from freefock.words import (
     GradedBasis,
     decode_words,
     encode_words,
-    enumerate_basis,
     left_quotient,
     reverse,
     right_quotient,
@@ -67,13 +66,13 @@ def test_quotient_reversal_duality_exhaustive():
 
 
 def test_enumerate_sizes():
-    assert enumerate_basis(2, 2).size == 7
-    assert enumerate_basis(1, 3).size == 4
-    assert enumerate_basis(3, 2).size == 13
+    assert GradedBasis(2, 2).size == 7
+    assert GradedBasis(1, 3).size == 4
+    assert GradedBasis(3, 2).size == 13
 
 
 def test_graded_lex_order():
-    basis = enumerate_basis(2, 2)
+    basis = GradedBasis(2, 2)
     assert basis.words == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     for i, w in enumerate(basis.words):
         assert basis.index[w] == i
@@ -97,11 +96,11 @@ def test_codes_follow_graded_basis_and_decode(n, k, data):
 
 def test_generator_range_errors():
     with pytest.raises(InputError):
-        enumerate_basis(10, 1)
+        GradedBasis(10, 1)
     with pytest.raises(InputError):
-        enumerate_basis(0, 1)
+        GradedBasis(0, 1)
     with pytest.raises(InputError):
-        enumerate_basis(2, -1)
+        GradedBasis(2, -1)
 
 
 def test_word_strings():
