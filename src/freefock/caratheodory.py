@@ -4,11 +4,12 @@ positive real part.
 Problem data, Caratheodory-Fejer data and extensions are free series
 (``series.FreeSeries``).  Feasibility is the positivity of the truncated
 multi-Toeplitz operator of the data (an exact finite-dimensional
-criterion).  The constructive extension is the central (maximum-
-determinant) completion, computed in closed form one degree at a time on
-dense (n^k, p, p) stacks; every output is certified by a fresh eigenvalue
-computation and random nilpotent evaluations, so the solver never has to
-be trusted.
+criterion), decided by the dense smallest eigenvalue at small sizes and
+by the recursive Schur factorisation of ``toeplitz`` above them.  The
+constructive extension is the central (maximum-determinant) completion,
+computed in closed form from that factorisation; every output is
+certified by a positivity computation on its own coefficients and by
+random nilpotent evaluations, so the solver never has to be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
 Cayley transforms of the series; the only operator they form is the
@@ -17,19 +18,19 @@ multi-analytic one whose norm is checked, built by ``fock.shift_sum``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import get_trunc, random_nilpotent_tuple, shift_sum, word_sum
-from .linalg import (adjoint, check_hermitian, eigh_hermitian, min_eig_hermitian,
-                     operator_norm, psd_pinv)
+from .fock import get_trunc, prefix_tree, random_nilpotent_tuple, shift_sum, tree_products
+from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
+                     min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries, cayley_forward, cayley_inverse
-from .toeplitz import assemble_T
+from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
+from .toeplitz import DENSE_DIM, schur_factor, tm_positivity
 from .transforms import MomentFunctional
+from .words import word_count
 
 
 def _square(data, what):
@@ -74,25 +75,18 @@ class CFProblem:
     n, m, block_size = CaratheodoryProblem.n, CaratheodoryProblem.m, CaratheodoryProblem.block_size
 
 
-@dataclass
-class FeasibilityReport:
-    feasible: bool
-    min_eig: float
-    matrix_dim: int
-    tol: float
-
-
 def check_feasibility(prob, tol=1e-9):
-    """Assemble T_m and test its smallest eigenvalue against -tol."""
-    t = assemble_T(prob.data)
-    me = t.min_eig()
-    return FeasibilityReport(me >= -tol, me, t.entries.shape[0], tol)
+    """Positivity of T_m within tol (toeplitz.tm_positivity): the dense
+    smallest eigenvalue where toeplitz.dense_decides, else a Schur
+    factorisation of T_m + tol I."""
+    return tm_positivity(prob.data, tol)
 
 
 def _require_feasible(prob, tol):
     feas = check_feasibility(prob, tol)
     if not feas.feasible:
-        msg = f"data is infeasible at degree {prob.m}: min eig {feas.min_eig:.3e}"
+        label = "min eig" if feas.min_eig is not None else "Schur margin"
+        msg = f"data is infeasible at degree {prob.m}: {label} {feas.value:.3e}"
         raise InfeasibleError(msg, min_eig=feas.min_eig)
 
 
@@ -100,61 +94,55 @@ def _require_feasible(prob, tol):
 class ExtensionResult:
     series: FreeSeries  # the extension; its cutoff is the target degree
     certificate: dict
+    # (series, TmPositivity of its T_M) from extend, read again by
+    # verify_solution only while the series is that same object
+    tm: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def extend(prob, M, tol=1e-9):
     """Complete the data to degree M with T_M PSD: the central
-    (maximum-determinant) completion, computed degree by degree.
+    (maximum-determinant) completion (Dym-Gohberg).
 
-    With words grouped by last letter, T_k = [[b_0, r], [r*, I_n (x) T_{k-1}]]
-    and the degree-k coefficients appear only in r, so each degree is a
-    3x3 block completion with an explicit central solution (Dym-Gohberg;
-    Grone-Johnson-Sa-Wolkowicz): for each letter i,
+    With words in last-letter tree order, T_k = [[b_0, r], [r*, I_n (x) T_{k-1}]]
+    and the degree-k coefficients appear only in r.  The central choice
+    keeps Z^(k) = T_{k-1}^+ r* zero at the new words, so Z^(k) = Z^(m) for
+    every k > m and, with zeta_{v i} = Z_i^(m)[v] from one Schur
+    factorisation of T_{m-1} (toeplitz.schur_factor), each new coefficient
+    is the split sum
 
-        [b_{w i}]_{|w|=k-1} = T_{k-1}[|w|=k-1, |v|<=k-2] T_{k-2}^+ [b_{v i}]_{|v|<=k-2}.
+        b_c = sum_{c = a e, 1 <= |e| <= m} b_a zeta_e,     |c| > m,
 
-    Each degree is one (n^k, p, p) stack in code order.  The result is
-    re-certified from a fresh assembly of T_M.  Raises InfeasibleError
-    when the data fails the degree-m criterion."""
+    one series._degree_sum per degree.  Every pivot s_k, k > m, then
+    equals s_m (the free maximum-entropy property).  T_M's positivity is
+    computed once, from the result's own coefficients (tm_positivity),
+    and kept for verify_solution.  Raises InfeasibleError when the data
+    fails the degree-m criterion."""
     if M <= prob.m:
         raise InputError(f"target degree {M} must exceed m = {prob.m}")
     _require_feasible(prob, tol)
-    stacks = [prob.data.dense(k) for k in range(prob.m + 1)]
-    for k in range(prob.m + 1, M + 1):
-        stacks.append(_central_degree(stacks, prob.n, prob.block_size))
-    series = _from_stacks(stacks, prob.n, prob.block_size)
-
-    fresh = assemble_T(series)
-    p, d = prob.block_size, fresh.basis.size
-    prescribed = np.concatenate(stacks[: prob.m + 1])  # column e_0 of T_M holds b_a at row a
-    read = fresh.entries.reshape(p, d, p, d)[:, : len(prescribed), :, 0].transpose(1, 0, 2)
+    n, m, p = prob.n, prob.m, prob.block_size
+    check_entries(word_count(n, M) * p * p, "extension")
+    blocks = dict(prob.data.blocks)
+    if m:
+        z = schur_factor(prob.data, psd=True).z_graded(m)
+        zeta = {e: (np.arange(n**e), z[word_count(n, e - 1):word_count(n, e)])
+                for e in range(1, m + 1)}
+        for k in range(m + 1, M + 1):
+            pairs = [(blocks[k - e], zeta[e], n**e) for e in zeta if k - e in blocks]
+            if pairs:
+                blocks[k] = _degree_sum(pairs, (p, p), n**k)
+    series = FreeSeries._built(n, M, (p, p), blocks)
+    tm = tm_positivity(series, tol)
     certificate = {
-        "min_eig_tm": fresh.min_eig(),
-        "prescribed_error": float(np.max(np.abs(read - prescribed))),
+        f"{tm.label}_tm": tm.value,
+        "prescribed_error": _prescribed_error(prob, series),
     }
-    return ExtensionResult(series, certificate)
+    return ExtensionResult(series, certificate, (series, tm))
 
 
-def _from_stacks(stacks, n, p):
-    """The series whose degree k is stacks[k], over every code."""
-    blocks = {k: (np.arange(n**k), c) for k, c in enumerate(stacks)}
-    return FreeSeries._built(n, len(stacks) - 1, (p, p), blocks)
-
-
-def _central_degree(stacks, n, p):
-    """The central degree-k stack from stacks[j], j < k: one pseudo-inverse of
-    T_{k-2} serves all letters.  As code(v i) = code(v) n + i - 1, the known
-    b_{v i}, |v| <= k - 2, are degrees 1..k-1 concatenated; y holds b_{w i} at (w, i)."""
-    t = assemble_T(_from_stacks(stacks, n, p))  # T_{k-1}
-    d = t.basis.size
-    lo = t.basis.degree_start[-1]  # words of length <= k - 2 come first
-    e4 = t.entries.reshape(p, d, p, d)
-    c = e4[:, :lo, :, :lo].reshape(p * lo, p * lo)  # T_{k-2}
-    bstar = e4[:, lo:, :, :lo].reshape(p * (d - lo), p * lo)
-    known = np.concatenate([np.zeros((0, p, p)), *stacks[1:]])
-    x = known.reshape(lo, n, p, p).transpose(2, 0, 1, 3).reshape(p * lo, n * p)
-    y = (bstar @ (psd_pinv(c) @ x)).reshape(p, d - lo, n, p)
-    return y.transpose(1, 2, 0, 3).reshape(-1, p, p)
+def _prescribed_error(prob, f):
+    """Largest deviation of f's coefficients of degree <= m from the data."""
+    return max(float(np.max(np.abs(f.dense(k) - prob.data.dense(k)))) for k in range(prob.m + 1))
 
 
 def _inv_sqrt_psd(a, reg):
@@ -227,31 +215,54 @@ class VerificationReport:
 
 def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     """Independent certificate of an extension: exact reproduction of the
-    prescribed coefficients, fresh positivity of T_M, positivity of
-    Re g at random jointly nilpotent tuples (g has constant b_0 / 2),
-    and the per-degree coefficient bound against ||b_0||."""
+    prescribed coefficients, positivity of T_M, positivity of Re g at
+    random jointly nilpotent tuples (g has constant b_0 / 2), and the
+    per-degree coefficient bound against ||b_0||.
+
+    T_M's positivity is the one extend computed for this same series
+    object, when that record decides it at tol; any other series, such as
+    a corrupted copy under the original certificate, is computed fresh.
+    The samples are drawn in order, then evaluated in chunks over one
+    prefix tree: one batched matmul per level and one einsum per chunk.
+    A chunk's products hold at most min(d p, DENSE_DIM)^2 entries, no more
+    than the dense T_M that positivity assembles at or below DENSE_DIM;
+    each g equals fock.word_sum at its tuple bit for bit."""
     f = ext.series
-    M = f.cutoff
+    M, p = f.cutoff, prob.block_size
     checks = {}
 
-    dev = max(float(np.max(np.abs(f.dense(k) - prob.data.dense(k)))) for k in range(prob.m + 1))
+    dev = _prescribed_error(prob, f)
     checks["prescribed_exact"] = (dev == 0.0, dev)
 
-    me = assemble_T(f).min_eig()
-    checks["extension_psd"] = (me >= -tol, me)
+    source, tm = ext.tm or (None, None)
+    ok = tm.verdict(tol) if source is f else None
+    if ok is None:
+        tm = tm_positivity(f, tol)
+        ok = tm.verdict(tol)
+    checks["extension_psd"] = (ok, tm.value)
 
     rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()
     half = (np.zeros(1, np.int64), b0[None] / 2.0)
     terms = FreeSeries._built(prob.n, M, f.shape, {**f.blocks, 0: half}).coeffs
+    tree = prefix_tree(terms)
+    c = tree.stack(terms, p)
+    tuples = [
+        random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
+        for _ in range(samples)
+    ]
+    per_sample = len(tree.index) * (M + 1) ** 2
+    check_entries(per_sample, "nilpotent sample")
+    chunk = max(1, min(tm.matrix_dim, DENSE_DIM) ** 2 // per_sample)
     worst = np.inf
-    for _ in range(samples):
-        X = random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
-        g = word_sum(X, terms, prob.block_size)
-        worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
+    for lo in range(0, samples, chunk):
+        xs = np.array([X.matrices for X in tuples[lo:lo + chunk]])
+        g = np.einsum("wab,wsij->saibj", c, tree_products(tree, xs.swapaxes(0, 1)))
+        g = g.reshape(len(xs), p * (M + 1), p * (M + 1))
+        worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min()))
     checks["nilpotent_positive"] = (worst >= -tol, worst)
 
-    slices = (math.sqrt(f.degree_slice_gram_norm(k)) for k in range(1, M + 1))
+    slices = (f.degree_slice_norm(k) for k in range(1, M + 1))
     worst_slice = max(slices, default=0.0)
     checks["coefficient_bound"] = (worst_slice <= operator_norm(b0) + tol, worst_slice)
 

@@ -63,7 +63,7 @@ def cmd_check(args):
     prob = jsonio.json_to_problem(jsonio.load_json(args.problem))
     rep = cara.check_feasibility(prob, tol=args.tol)
     _emit(
-        {"feasible": rep.feasible, "min_eig": rep.min_eig,
+        {"feasible": rep.feasible, rep.label: rep.value,
          "matrix_dim": rep.matrix_dim, "tol": rep.tol},
         args,
     )

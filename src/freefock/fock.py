@@ -221,40 +221,62 @@ def shift_sum(ft, p, lower, upper, indices):
 
 def word_sum(X, coeffs, p):
     """sum_w coeffs[w] (x) X_w on C^p (x) C^dim, coefficient-major, for
-    p x p coefficients keyed by word.
-
-    The products are built level by level over the prefix tree of the
-    words (every prefix of a word is a node; the root is the empty word,
-    X_() = I): the products of one level are one gather of their parents'
-    products and one batched matmul against the stacked X_i.  One einsum
-    then sums every node's coefficient, zero where it has none, against
-    its product.  Not a BLAS product: for p = 1 that is a gemv which
-    OpenBLAS runs on several threads, and waking them took up to 2 ms per
-    call on 2 cores, against under 0.1 ms for the einsum.
-    """
+    p x p coefficients keyed by word: the products over the prefix tree of
+    the words (tree_products), then one einsum sums every node's
+    coefficient, zero where it has none, against its product.  Not a BLAS
+    product: for p = 1 that is a gemv which OpenBLAS runs on several
+    threads, and waking them took up to 2 ms per call on 2 cores, against
+    under 0.1 ms for the einsum."""
     q = X.dim
     check_size(p * q, p * q, "word sum")
+    tree = prefix_tree(coeffs)
+    prods = tree_products(tree, np.array(X.matrices)[:, None])[:, 0]
+    return np.einsum("wab,wij->aibj", tree.stack(coeffs, p), prods).reshape(p * q, p * q)
+
+
+@dataclass
+class PrefixTree:
+    """Every prefix of a set of words, the root () first and by length:
+    levels holds, for each length, the node range lo:hi and, per node, its
+    parent node and the index of its last letter."""
+
+    index: dict  # word -> node
+    levels: list  # (lo, hi, parents, letters)
+
+    def stack(self, coeffs, p):
+        """The (nodes, p, p) coefficient stack, zero where a node has none."""
+        c = np.zeros((len(self.index), p, p), dtype=complex)
+        c[[self.index[w] for w in coeffs]] = np.array(list(coeffs.values())).reshape(-1, p, p)
+        return c
+
+
+def prefix_tree(words):
+    """The PrefixTree of a collection of words."""
     nodes = {(): None}
-    for w in coeffs:
+    for w in words:
         k = len(w)
         while w[:k] not in nodes:
             nodes[w[:k]] = None
             k -= 1
-    words = sorted(nodes, key=len)
-    index = {w: j for j, w in enumerate(words)}
-    # node j > 0 is the product of node parent[j] and X_{letter[j] + 1};
-    # the nodes of length k are starts[k]:starts[k + 1]
-    parent = np.array([0] + [index[w[:-1]] for w in words[1:]])
-    letter = np.array([0] + [w[-1] - 1 for w in words[1:]])
-    starts = np.searchsorted([len(w) for w in words], range(len(words[-1]) + 2)).tolist()
-    xs = np.array(X.matrices)
-    prods = np.empty((len(words), q, q), dtype=complex)
-    prods[0] = np.eye(q)
-    for lo, hi in zip(starts[1:-1], starts[2:]):
-        np.matmul(prods.take(parent[lo:hi], 0), xs.take(letter[lo:hi], 0), out=prods[lo:hi])
-    c = np.zeros((len(words), p, p), dtype=complex)
-    c[[index[w] for w in coeffs]] = np.array(list(coeffs.values())).reshape(-1, p, p)
-    return np.einsum("wab,wij->aibj", c, prods).reshape(p * q, p * q)
+    order = sorted(nodes, key=len)
+    index = {w: j for j, w in enumerate(order)}
+    parent = np.array([0] + [index[w[:-1]] for w in order[1:]])
+    letter = np.array([0] + [w[-1] - 1 for w in order[1:]])
+    starts = np.searchsorted([len(w) for w in order], range(len(order[-1]) + 2)).tolist()
+    levels = [(lo, hi, parent[lo:hi], letter[lo:hi]) for lo, hi in zip(starts[1:-1], starts[2:])]
+    return PrefixTree(index, levels)
+
+
+def tree_products(tree, xs):
+    """The products X_w of every node for tuples stacked as xs[i, s] = X_{i+1}
+    of sample s: (nodes, samples, q, q), built level by level over the
+    prefix tree, one gather of the parents' products and one batched
+    matmul per level."""
+    prods = np.empty((len(tree.index), *xs.shape[1:]), dtype=complex)
+    prods[0] = np.eye(xs.shape[-1])
+    for lo, hi, parents, letters in tree.levels:
+        np.matmul(prods.take(parents, 0), xs.take(letters, 0), out=prods[lo:hi])
+    return prods
 
 
 # -- kernels and transforms ------------------------------------------------

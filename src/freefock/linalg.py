@@ -2,7 +2,7 @@
 
 Thin wrappers over numpy.linalg that pin down the contracts the rest of
 the code relies on: Hermitian tolerance checks, PSD square roots and
-pseudo-inverses, and residual-checked solves.
+residual-checked solves.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import InputError, ScopeError, SizeLimitError
 
-# Soft cap on matrix side length; raise via set_max_dim for big runs.
+# Soft cap on the side of a dense matrix, and, squared, on the entries of
+# coefficient storage: series degrees, and the p^2 d coefficients of a
+# Schur-factored T_m, whose side d p is not capped.  Raise via set_max_dim
+# for big runs.
 MAX_DIM = 4096
 
 HERM_RTOL = 1e-10
-
-# psd_pinv treats eigenvalues at or below this fraction of the largest as
-# zero: well above roundoff, so an exact kernel stays a kernel.
-PINV_RTOL = 1e-12
 
 
 def set_max_dim(limit):
@@ -97,19 +96,6 @@ def min_eig_hermitian(a, rtol=HERM_RTOL):
     Eigenvalues only: no eigenvectors are computed."""
     a = check_hermitian(a, rtol)
     return float(np.linalg.eigvalsh((a + adjoint(a)) / 2.0)[0])
-
-
-def psd_pinv(a):
-    """Pseudo-inverse of a Hermitian PSD matrix.
-
-    Eigenvalues at or below PINV_RTOL times the largest, negative ones
-    (roundoff, or data feasible only within tolerance) and subnormal ones,
-    whose reciprocals overflow, count as zero.
-    """
-    w, v = eigh_hermitian(a)
-    keep = w > max(PINV_RTOL * w.max(initial=0.0), np.finfo(float).tiny)
-    v = v[:, keep]
-    return (v / w[keep]) @ adjoint(v)
 
 
 def hermitian_sqrt(a, clamp=1e-12):

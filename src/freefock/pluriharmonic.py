@@ -5,8 +5,7 @@ Harnack, coefficient-bound, mean-value, and multi-Toeplitz checks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +13,8 @@ from .errors import InputError, ScopeError
 from .fock import get_trunc, poisson_transform, reconstruction_operator, shift_sum
 from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
 from .series import FreeSeries, eval_report, jsr_estimate
+from .toeplitz import dense_decides, schur_factor
+from .words import word_count
 
 
 @dataclass
@@ -112,20 +113,31 @@ def pluriharmonic_poisson_kernel(ft, X):
 @dataclass
 class PositivityReport:
     passed: bool
-    min_eigs: list
+    min_eigs: list  # dense smallest eigenvalue of h(S^(m)), m = 0, 1, ...
     m_max: int
     tol: float
+    schur_margins: list = field(default_factory=list)  # the levels after min_eigs
 
 
 def check_positive(h, m_max, tol):
-    """min eig of h(S^(m)) for every m <= m_max; positive pluriharmonic
-    functions pass at every truncation level."""
+    """h(S^(m)) >= -tol I for every m <= m_max; positive pluriharmonic
+    functions pass at every truncation level.  h(S^(m)) is T_m of the
+    analytic part, so the levels where toeplitz.dense_decides report
+    their dense smallest eigenvalue and the higher ones the margins of one
+    Schur factorisation of T_{m_max} + tol I, whose pivots serve every
+    level because the T_m are nested."""
     if not h.is_selfadjoint():
         raise InputError("positivity check needs a selfadjoint function")
-    eigs = []
-    for m in range(m_max + 1):
+    eigs, margins, m = [], [], 0
+    while m <= m_max and dense_decides(h.n, word_count(h.n, m) * h.p):
         eigs.append(min_eig_hermitian(radial_boundary(h, 1.0, m)))
-    return PositivityReport(all(e >= -tol for e in eigs), eigs, m_max, tol)
+        m += 1
+    passed = all(e >= -tol for e in eigs)
+    if m <= m_max:
+        fac = schur_factor(h.analytic, shift=tol, stop=True, levels=m_max)
+        margins = [fac.margin(min(j, fac.levels)) for j in range(m, m_max + 1)]
+        passed = passed and fac.is_psd
+    return PositivityReport(passed, eigs, m_max, tol, margins)
 
 
 @dataclass
@@ -139,7 +151,7 @@ def coefficient_bound_check(h, tol=1e-9):
     bound = operator_norm(h.analytic.constant_term()) + tol
     rows = []
     for k in range(1, h.cutoff + 1):
-        lhs = math.sqrt(h.analytic.degree_slice_gram_norm(k))
+        lhs = h.analytic.degree_slice_norm(k)
         rows.append((k, lhs, bound))
     return CoefficientBoundReport(all(lhs <= b for _, lhs, b in rows), rows)
 

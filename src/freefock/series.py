@@ -170,10 +170,20 @@ class FreeSeries:
     def max_degree(self):
         return max(self.blocks, default=0)
 
-    def degree_slice_gram_norm(self, k):
-        """|| sum_{|a|=k} A_a* A_a || (operator norm of the PSD Gram sum)."""
+    def degree_slice_norm(self, k):
+        """|| sum_{|a|=k} A_a* A_a ||^(1/2).  The slice is first divided by
+        the power of two of its largest entry (exact), so the squares
+        neither underflow nor overflow."""
         block = self.blocks.get(k)
-        return operator_norm(sum(adjoint(c) @ c for c in block[1])) if block else 0.0
+        if block is None:
+            return 0.0
+        e = math.frexp(float(np.max(np.abs(block[1]))))[1]
+        c = np.empty_like(block[1])
+        c.real, c.imag = np.ldexp(block[1].real, -e), np.ldexp(block[1].imag, -e)
+        try:
+            return math.ldexp(math.sqrt(operator_norm(sum(adjoint(a) @ a for a in c))), e)
+        except OverflowError:
+            return math.inf
 
 
 def _match(f, g):
@@ -360,9 +370,9 @@ def radius_estimate(f, kmax):
         raise InputError(f"depth {kmax} outside 1..cutoff={f.cutoff}")
     worst = 0.0
     for k in range(1, kmax + 1):
-        c = f.degree_slice_gram_norm(k)
+        c = f.degree_slice_norm(k)
         if c > 0:
-            worst = max(worst, c ** (1.0 / (2 * k)))
+            worst = max(worst, c ** (1.0 / k))
     return math.inf if worst == 0.0 else 1.0 / worst
 
 

@@ -81,6 +81,12 @@ def left_quotient(w, g):
     return w[k:]
 
 
+def word_count(n, max_deg):
+    """sum_{k<=max_deg} n^k, counted without enumerating; n >= 2 at degree
+    64 is over any limit, so larger degrees count as 64."""
+    return max_deg + 1 if n == 1 else (n ** (min(max_deg, 64) + 1) - 1) // (n - 1)
+
+
 class GradedBasis:
     """All words of length <= max_deg over n generators, in graded-lex order.
 
@@ -93,9 +99,7 @@ class GradedBasis:
             raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
         if max_deg < 0:
             raise InputError(f"truncation degree {max_deg} is negative")
-        # sum_{k<=max_deg} n^k words, counted first; n >= 2 at degree 64 is over any limit
-        size = max_deg + 1 if n == 1 else (n ** (min(max_deg, 64) + 1) - 1) // (n - 1)
-        check_entries(size, "basis")
+        check_entries(word_count(n, max_deg), "basis")
         self.n = n
         self.max_deg = max_deg
         words = []

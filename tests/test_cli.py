@@ -233,6 +233,23 @@ def test_eval_past_the_float_range_of_the_jsr_recurrence():
     assert run_on_json(["eval", f, x])[0] in (0, 4)
 
 
+def test_eval_tail_of_coefficients_below_the_square_root_of_the_smallest_float(capsys):
+    # the slice norm 1e-170 squares to below the smallest float; the
+    # problem scaled by 1e170 has the same tail estimate, 0.01 / 0.9
+    payloads = []
+    for coef, x in ((1e-170, 1e169), (0.1, 1.0)):
+        f = {"n": 1, "cutoff": 1, "shape": [1, 1], "coefficients": {"1": [[[coef, 0.0]]]}}
+        t = {"n": 1, "dim": 1, "matrices": [[[[x, 0.0]]]]}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.json")
+            assert run_on_json(["eval", f, t, "--output", out])[0] == 0
+            with open(out, encoding="utf-8") as fh:
+                payloads.append(json.load(fh))
+    tiny, scaled = (p["tail_bound"] for p in payloads)
+    assert scaled == pytest.approx(0.01 / 0.9, rel=1e-12)
+    assert tiny == pytest.approx(scaled, rel=1e-12)
+
+
 def test_norm_command(tmp_path, capsys):
     f = FreeSeries(2, 1, (1, 1), {(1,): np.array([[1.0]]), (2,): np.array([[1.0]])})
     fpath = tmp_path / "series.json"
@@ -493,3 +510,38 @@ def test_eval_tuple_json_fuzz_exits_with_documented_codes(x, cutoff):
     f = {"n": n, "cutoff": cutoff, "shape": [1, 1], "coefficients": coefficients}
     code, err = run_on_json(["eval", f, x])
     assert code in (0, 3, 4), err
+
+
+def test_check_and_extend_past_the_dense_side(tmp_path, capsys):
+    # n = 2, m = 1 extended to degree 12: T_12 has side d = 8191, past the
+    # 4096 side cap of a dense matrix; the Schur factorisation decides
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
+    out = tmp_path / "ext.json"
+    assert cli.main(["extend", path, "--target-degree", "12", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["verification"]["passed"] is True
+    assert set(payload["certificate"]) == {"schur_margin_tm", "prescribed_error"}
+    assert payload["certificate"]["prescribed_error"] == 0.0
+    assert len(payload["coefficients"]) == 8191
+
+    # a check of the extension itself: feasible, with a Schur margin and no min_eig
+    ext = tmp_path / "ext_problem.json"
+    ext.write_text(json.dumps({"n": 2, "m": 12, "coefficients": payload["coefficients"]}))
+    code, report = run_cli(capsys, "check", str(ext))
+    assert code == 0 and report["feasible"] is True
+    assert set(report) == {"feasible", "schur_margin", "matrix_dim", "tol", "version", "tolerances"}
+    assert report["matrix_dim"] == 8191 and report["schur_margin"] >= -1e-9
+
+
+def test_check_above_the_dense_threshold(capsys):
+    # d p = 1023 at n = 2, m = 9: b_1 = 1.25 breaks T_1 >= 0
+    bad = {"n": 2, "m": 9, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[1.25, 0.0]]]}}
+    code, err = run_on_json(["check", bad])
+    assert code == 1
+    code, err = run_on_json(["extend", bad, "--target-degree", "10"])
+    assert code == 1 and "Schur margin" in err
+    good = {"n": 2, "m": 9, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.5, 0.0]]]}}
+    assert run_on_json(["check", good])[0] == 0
+    # past the threshold the size limit caps the p^2 d coefficients, not a side
+    assert run_on_json(["check", good], max_dim=31)[0] == 4  # 961 < 1023 entries
+    assert run_on_json(["check", good], max_dim=32)[0] == 0

@@ -372,6 +372,47 @@ def test_verify_solution_matches_kron_reference(p):
     assert abs(rep.checks["nilpotent_positive"][1] - want) <= 1e-14 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("n,M,p", [(2, 7, 1), (3, 4, 2), (1, 9, 2)])
+def test_verify_solution_chunks_match_word_sum_bitwise(n, M, p):
+    """The samples go through one prefix tree in chunks of several tuples;
+    each g equals word_sum at that tuple bit for bit."""
+    rng = np.random.default_rng(n + M + p)
+    coeffs = {w: 0.2 / n * c for w, c in random_coeffs(rng, n, 1, p, min_degree=1).items()}
+    prob = cara.CaratheodoryProblem(fs.FreeSeries(n, 1, (p, p), {(): np.eye(p), **coeffs}))
+    ext = cara.extend(prob, M)
+    rng = np.random.default_rng(5)
+    terms = {**ext.series.coeffs, (): prob.data.constant_term() / 2.0}
+    worst = np.inf
+    for _ in range(7):
+        X = random_nilpotent_tuple(rng, n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
+        g = word_sum(X, terms, p)
+        worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
+    assert cara.verify_solution(prob, ext, samples=7, seed=5).checks["nilpotent_positive"][1] == worst
+
+
+def test_verify_solution_degree_zero_and_no_samples():
+    prob = cara.CaratheodoryProblem(fs.FreeSeries(2, 0, (2, 2), {(): np.diag([2.0, 0.5])}))
+    ext = cara.ExtensionResult(prob.data, {})
+    rep = cara.verify_solution(prob, ext, samples=3, seed=1)
+    assert rep.passed and rep.checks["nilpotent_positive"][1] == pytest.approx(0.25)
+    rep = cara.verify_solution(prob, cara.extend(prob, 2), samples=0)
+    assert rep.checks["nilpotent_positive"] == (True, np.inf)
+
+
+def test_verify_solution_reuses_positivity_of_its_own_series_only():
+    prob = cara.CaratheodoryProblem(fs.FreeSeries(1, 1, (1, 1), {(): [[1.0]], (1,): [[0.4]]}))
+    ext = cara.extend(prob, 3)
+    source, tm = ext.tm
+    assert source is ext.series and tm.min_eig == ext.certificate["min_eig_tm"]
+    rep = cara.verify_solution(prob, ext, samples=2)
+    assert rep.checks["extension_psd"] == (True, tm.min_eig)
+    # the same record under a corrupted series is not read: T_3 is recomputed
+    bad = fs.FreeSeries(1, 3, (1, 1), {**ext.series.coeffs, (1, 1, 1): [[1.0]]})
+    rep = cara.verify_solution(prob, cara.ExtensionResult(bad, ext.certificate, ext.tm), samples=2)
+    assert rep.checks["extension_psd"][1] == assemble_T(bad).min_eig() < 0
+    assert not rep.passed
+
+
 # -- Poisson kernel and transforms -----------------------------------------
 
 

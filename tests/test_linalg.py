@@ -66,17 +66,6 @@ def test_min_eig_hermitian():
         linalg.min_eig_hermitian([[0, 1], [0, 0]])
 
 
-def test_psd_pinv():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    psd = a @ a.conj().T  # rank 2
-    pinv = linalg.psd_pinv(psd)
-    assert np.allclose(pinv, np.linalg.pinv(psd, rcond=1e-10, hermitian=True))
-    assert np.allclose(psd @ pinv @ psd, psd)
-    assert np.allclose(linalg.psd_pinv(np.diag([4.0, 1e-14, -1e-9])), np.diag([0.25, 0.0, 0.0]))
-    assert linalg.psd_pinv(np.zeros((0, 0))).shape == (0, 0)
-
-
 def test_solve():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((2, 2))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from freefock import toeplitz as tp
 from freefock.errors import InputError
@@ -120,3 +121,155 @@ def test_min_eig():
     b0 = np.diag([3.0, 0.5])
     t = assemble({(): b0}, 2, 1)
     assert t.min_eig() == pytest.approx(0.5, abs=1e-12)
+
+
+# -- recursive Schur factorisation -----------------------------------------
+
+
+def random_series(rng, n, m, p, scale=1.0):
+    """Series with random coefficients and a Hermitian b_0 = 2 I + noise:
+    usually indefinite T_m at scale 1."""
+    coeffs = {w: scale * c for w, c in random_coeffs(rng, n, m, p).items()}
+    coeffs[()] = 2.0 * np.eye(p) + random_coeffs(rng, 1, 0, p)[()]
+    return FreeSeries(n, m, (p, p), coeffs)
+
+
+def in_tree_order(t, n, m, p):
+    """Dense T_m permuted to last-letter tree order, Fock-major."""
+    order = tp.tree_order(n, m)
+    d = len(order)
+    t4 = t.reshape(p, d, p, d)[:, order][:, :, :, order]
+    return t4.transpose(1, 0, 3, 2).reshape(d * p, d * p)
+
+
+@pytest.mark.parametrize("n,k,p", [(2, 4, 1), (2, 4, 2), (3, 3, 2), (1, 6, 2)])
+def test_schur_factor_matches_dense(n, k, p):
+    rng = np.random.default_rng(10 * n + k + p)
+    f = random_series(rng, n, k, p)
+    t = tp.assemble_T(f).entries
+    fac = tp.schur_factor(f)
+    sign, logdet = np.linalg.slogdet(t)
+    got_sign, got_logdet = fac.slogdet()
+    assert abs(got_logdet - logdet) <= 1e-13 * max(1.0, abs(logdet))
+    assert got_sign == pytest.approx(sign.real, abs=1e-12)
+    ev = np.linalg.eigvalsh(t)
+    assert (ev < 0).sum() > 0  # indefinite data
+    assert fac.inertia() == ((ev < 0).sum(), 0, (ev > 0).sum())
+    # the solve is T_k^{-1} in tree order, on several columns at once
+    x = rng.standard_normal((len(tp.tree_order(n, k)), p, 3)) + 0j
+    y = x.copy()
+    fac.solve(y, k)
+    resid = in_tree_order(t, n, k, p) @ y.reshape(-1, 3) - x.reshape(-1, 3)
+    assert np.max(np.abs(resid)) <= 1e-12 * np.linalg.norm(t, 2) * np.max(np.abs(y))
+
+
+def test_schur_factor_stops_at_negative_pivot():
+    rng = np.random.default_rng(3)
+    f = random_series(rng, 2, 4, 1)
+    full = tp.schur_factor(f)
+    first = next(j for j, w in enumerate(full.eigenvalues) if w[0] < 0)
+    stopped = tp.schur_factor(f, stop=True)
+    assert stopped.levels == first and not stopped.is_psd
+    for a, b in zip(stopped.pivots, full.pivots):
+        assert np.array_equal(a, b)
+
+
+def pivot(s, cut, psd):
+    """(pseudo-inverse, zero directions) of one pivot as SchurFactor takes it."""
+    fac = tp.SchurFactor(1, len(s), 0.0, cut, 0.0)
+    fac._push(np.asarray(s, dtype=complex), psd)
+    return fac._inverses[0], fac._kernels[0]
+
+
+def test_pivot_pseudo_inverse():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    psd = a @ a.conj().T  # rank 2
+    pinv, kernel = pivot(psd, 1e-12 * np.linalg.norm(psd, 2), psd=True)
+    assert np.allclose(pinv, np.linalg.pinv(psd, rcond=1e-10, hermitian=True))
+    assert np.allclose(psd @ pinv @ psd, psd)
+    assert kernel.shape == (4, 2) and np.allclose(psd @ kernel, 0.0)
+    # with psd, negative eigenvalues count as zero; without, they are inverted
+    d = np.diag([4.0, 1e-14, -1e-9])
+    assert np.allclose(pivot(d, 1e-12 * 4.0, psd=True)[0], np.diag([0.25, 0.0, 0.0]))
+    assert np.allclose(pivot(d, 1e-12 * 4.0, psd=False)[0], np.diag([0.25, 0.0, -1e9]))
+    assert pivot(np.zeros((0, 0)), 0.0, psd=True)[0].shape == (0, 0)
+
+
+def test_schur_singular_pivots_need_the_range_condition():
+    # tol = 0 and a singular b_0 = diag(1, 0): the zero pivot direction must
+    # not hide b_1 = E_22, which makes T_1 indefinite (eigenvalues +-1 there)
+    b0, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for b1, psd_want in ((e22, False), (np.diag([0.5, 0.0]), True)):
+        f = FreeSeries(2, 3, (2, 2), {(): b0, (1,): b1})
+        me = tp.assemble_T(f).min_eig()
+        fac = tp.schur_factor(f, stop=True)
+        assert fac.is_psd == psd_want == (me >= -1e-12)
+    # boundary data: T_2 of (1, 1, 1) at n = 1 is the all-ones matrix, PSD and singular
+    ones = FreeSeries(1, 2, (1, 1), {(): ONE, (1,): ONE, (1, 1): ONE})
+    fac = tp.schur_factor(ones)
+    assert fac.is_psd and fac.inertia() == (0, 2, 1)
+
+
+def test_schur_factor_rejects_overflow():
+    from freefock.errors import ScopeError
+
+    f = FreeSeries(2, 2, (1, 1), {(): 1e-300 * ONE, (1,): -1e300 * ONE, (2, 1): 1e308 * ONE})
+    with pytest.raises(ScopeError):
+        tp.schur_factor(f, shift=1e-9)
+
+
+def test_central_extension_has_constant_pivots():
+    # the free maximum-entropy property: s_j = s_m for every j > m
+    from freefock import caratheodory as cara
+
+    rng = np.random.default_rng(4)
+    for n, m, p in ((2, 2, 2), (3, 1, 1), (1, 3, 2), (2, 1, 1)):
+        f = random_series(rng, n, m, p, scale=0.1 / n)
+        prob = cara.CaratheodoryProblem(f)
+        ext = cara.extend(prob, m + 3)
+        fac = tp.schur_factor(ext.series)
+        assert fac.levels == m + 3 and fac.is_psd
+        for j in range(m + 1, m + 4):
+            assert np.max(np.abs(fac.pivots[j] - fac.pivots[m])) <= 1e-14
+
+
+def test_central_extension_matches_dense_completion():
+    # b_{w i} = T_{k-1}[|w| = k-1, |v| <= k-2] T_{k-2}^+ [b_{v i}], degree by degree
+    from freefock import caratheodory as cara
+
+    rng = np.random.default_rng(5)
+    for n, m, p in ((2, 2, 1), (2, 1, 2), (3, 2, 2)):
+        prob = cara.CaratheodoryProblem(random_series(rng, n, m, p, scale=0.1 / n))
+        got = cara.extend(prob, m + 2).series
+        coeffs = dict(prob.data.coeffs)
+        for k in range(m + 1, m + 3):
+            t = tp.assemble_T(FreeSeries(n, k - 1, (p, p), coeffs))
+            d, lo = t.basis.size, t.basis.degree_start[-1]
+            e4 = t.entries.reshape(p, d, p, d)
+            c = e4[:, :lo, :, :lo].reshape(p * lo, p * lo)
+            bstar = e4[:, lo:, :, :lo].reshape(p * (d - lo), p * lo)
+            for w in t.basis.words_of_degree(k - 1):
+                for i in range(1, n + 1):
+                    x = np.concatenate([coeffs.get(v + (i,), np.zeros((p, p)))
+                                        for v in t.basis.words[:lo]])
+                    x = x.reshape(lo, p, p).transpose(1, 0, 2).reshape(p * lo, p)
+                    y = (bstar @ np.linalg.pinv(c, hermitian=True) @ x).reshape(p, d - lo, p)
+                    coeffs[w + (i,)] = y[:, t.basis.index[w] - lo, :]
+        for w, c in coeffs.items():
+            assert np.max(np.abs(got.coefficient(w) - c)) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 2), st.floats(0.05, 1.5),
+       st.sampled_from([0.0, 1e-9, 1e-3]), st.integers(0, 2**32 - 1))
+def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
+    """The Schur verdict on T_m + tol I agrees with min eig >= -tol
+    wherever the dense smallest eigenvalue is clear of -tol."""
+    f = random_series(np.random.default_rng(seed), n, m, p, scale=scale)
+    t = tp.assemble_T(f)
+    me = t.min_eig()
+    assume(abs(me + tol) > 1e-10 * np.linalg.norm(t.entries, 2))
+    fac = tp.schur_factor(f, shift=tol, stop=True)
+    assert fac.is_psd == (me >= -tol)
+    assert (fac.margin() >= -tol) == (me >= -tol)
