@@ -58,6 +58,7 @@ from .series import (
     eval_at,
     eval_at_creation,
     extract_coeffs,
+    hinf_norm,
     hinf_norm_lower,
     jsr_estimate,
     multiply,

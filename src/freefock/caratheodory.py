@@ -28,9 +28,9 @@ from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
-from .toeplitz import DENSE_DIM, schur_factor, tm_positivity
+from .toeplitz import DENSE_DIM, dense_norm, schur_factor, tm_positivity
 from .transforms import MomentFunctional
-from .words import word_count
+from .words import reverse, word_count
 
 
 def _square(data, what):
@@ -159,7 +159,9 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     Normalizes by (b_0 + eps I)^(-1/2) on both sides and takes the
     inverse Cayley transform of the series sum_a D_a Z_a; its coefficients
     are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
-    they define is a contraction up to 1e-9 whenever the data is feasible.
+    they define is a contraction up to 1e-9 whenever the data is feasible:
+    its dense norm is checked up to NORM_DENSE_DIM, one inertia count at
+    sigma = 1 + 1e-9 (multianalytic.norm_exceeds) above it.
     """
     _require_feasible(prob, tol)
     b0 = prob.data.constant_term()
@@ -169,10 +171,16 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     p = prob.block_size
     normalized = {w: nrm @ c @ nrm for w, c in prob.data.coeffs.items() if w}
     cf = cayley_inverse(FreeSeries(prob.n, prob.m, (p, p), normalized))
-    ft = get_trunc(prob.n, prob.m)
-    xn = operator_norm(shift_sum(ft, p, cf.coeffs, {}, ft.prepend_indices))
-    if xn > 1.0 + 1e-9:
-        raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
+    if dense_norm(prob.n, prob.m, p):
+        ft = get_trunc(prob.n, prob.m)
+        xn = operator_norm(shift_sum(ft, p, cf.coeffs, {}, ft.prepend_indices))
+        if xn > 1.0 + 1e-9:
+            raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
+    else:
+        from .multianalytic import norm_exceeds
+
+        if norm_exceeds(cf, prob.m, 1.0 + 1e-9):
+            raise ScopeError("inverse Cayley image has norm > 1 + 1e-9 (a negative Schur pivot)")
     return CFProblem(cf)
 
 
@@ -187,9 +195,19 @@ def cf_check(prob, tol=1e-9):
     """Solvability criterion ||A_m|| <= 1 for the CF problem, with A_m the
     multi-analytic matrix [A_{a,b}] (block (a, b) is A_{a \\_l b} when
     a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
-    the commutant picture of multi-analytic operators."""
-    ft = get_trunc(prob.n, prob.m)
-    nrm = operator_norm(shift_sum(ft, prob.block_size, prob.data.coeffs, {}, ft.append_indices))
+    the commutant picture of multi-analytic operators.  Above
+    NORM_DENSE_DIM the flip e_w -> e_{reverse(w)} carries it to f(S^(m))
+    for the word-reversed series, whose norm multianalytic.certified_norm
+    computes; the verdict then reads that value."""
+    n, m, p = prob.n, prob.m, prob.block_size
+    if dense_norm(n, m, p):
+        ft = get_trunc(n, m)
+        nrm = operator_norm(shift_sum(ft, p, prob.data.coeffs, {}, ft.append_indices))
+    else:
+        from .multianalytic import certified_norm
+
+        flipped = {reverse(w): c for w, c in prob.data.coeffs.items()}
+        nrm = certified_norm(FreeSeries(n, m, (p, p), flipped), m).value
     return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
 

@@ -10,6 +10,7 @@ closed form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -108,8 +109,11 @@ def cmd_eval(args):
 
 def cmd_norm(args):
     f = jsonio.json_to_series(jsonio.load_json(args.series))
-    value = fs.hinf_norm_lower(f, args.trunc)
-    _emit({"norm_lower_bound": value, "trunc": args.trunc}, args)
+    rep = fs.hinf_norm(f, args.trunc)
+    payload = {"norm_lower_bound": rep.value, "trunc": args.trunc}
+    if rep.rtol is not None:  # structured: ||f(S^(trunc))|| <= value (1 + norm_rtol)
+        payload["norm_rtol"] = rep.rtol
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -153,13 +157,13 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("deg", type=int)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_basis)
+    p.set_defaults(fn="cmd_basis")
 
     p = sub.add_parser("check", help="Caratheodory feasibility of a problem file")
     p.add_argument("problem")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn="cmd_check")
 
     p = sub.add_parser("extend", help="solve for a PSD multi-Toeplitz extension")
     p.add_argument("problem")
@@ -168,26 +172,26 @@ def build_parser():
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_extend)
+    p.set_defaults(fn="cmd_extend")
 
     p = sub.add_parser("cayley", help="Cayley transform of a series file")
     p.add_argument("direction", choices=["forward", "inverse"])
     p.add_argument("series")
     p.add_argument("--cutoff", type=int)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_cayley)
+    p.set_defaults(fn="cmd_cayley")
 
     p = sub.add_parser("eval", help="evaluate a series at an operator tuple")
     p.add_argument("series")
     p.add_argument("tuple")
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn="cmd_eval")
 
     p = sub.add_parser("norm", help="certified lower bound for the sup norm")
     p.add_argument("series")
     p.add_argument("--trunc", type=int, default=4)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_norm)
+    p.set_defaults(fn="cmd_norm")
 
     p = sub.add_parser("poisson", help="Poisson transform of a pluriharmonic symbol")
     p.add_argument("symbol")
@@ -195,25 +199,31 @@ def build_parser():
     p.add_argument("--trunc", type=int, default=6)
     p.add_argument("--radius", type=float, default=0.9)
     p.add_argument("--output")
-    p.set_defaults(fn=cmd_poisson)
+    p.set_defaults(fn="cmd_poisson")
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(fn=cmd_selftest)
+    p.set_defaults(fn="cmd_selftest")
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; map onto the input-error contract
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)  # looked up per call, so it can be replaced
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

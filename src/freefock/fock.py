@@ -36,13 +36,14 @@ from .errors import InputError, ScopeError
 from .linalg import (
     adjoint,
     as_cmatrix,
+    check_entries,
     check_size,
     hermitian_sqrt,
     kron,
     operator_norm,
     solve,
 )
-from .words import GradedBasis, validate_word
+from .words import GradedBasis, validate_word, word_count
 
 
 def word_operator(matrices, word):
@@ -115,6 +116,11 @@ class FockTrunc:
     """
 
     def __init__(self, n, N):
+        # The basis enumerates its d words as tuples of up to N letters, so
+        # d (N + 1) entries are checked before it runs.  Not the side cap:
+        # the kernel and resolvent paths act on tall (d p, p) arrays and
+        # run past MAX_DIM words (n = 3, N = 8 in the gate).
+        check_entries(word_count(n, N) * (N + 1), "truncated Fock space")
         self.basis = GradedBasis(n, N)
         self.n = n
         self.N = N

@@ -1,0 +1,238 @@
+"""Multi-analytic operators A = f(S^(m)) = sum_{|w|<=m} f_w (x) S_w applied
+without forming them, and ||A|| certified by one nested Schur
+factorisation (toeplitz.nested_factor).
+
+In last-letter tree order A_j = [[f_0, 0], [c, I_n (x) A_{j-1}]] with
+c^(i)[v] = f_{v i}, so sigma^2 I - A_j* A_j is nested_factor's M_j with
+alpha_j = sigma^2 I - sum_{|w|<=j} f_w* f_w and beta_j^(i)* =
+-A_{j-1}* c^(i): its negative pivots count the singular values of A
+above sigma.  A Golub-Kahan-Lanczos run gives a value ||A x|| / ||x||
+from below, and one factorisation at sigma = value (1 + NORM_RTOL) certifies
+it from above.
+
+This is the path of ``series.hinf_norm``, ``caratheodory.cf_check`` and
+``caratheodory.cayley_route`` above ``toeplitz.NORM_DENSE_DIM``; they
+import it on first use, so the other commands do not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from . import linalg
+from .errors import InputError, ScopeError
+from .linalg import check_entries
+from .toeplitz import nested_factor, tree_order
+from .words import word_count
+
+# ||f(S^(m))|| from the structured path is certified within this relative
+# tolerance: the reported value v is ||A x|| / ||x|| for an explicit x, and
+# sigma^2 I - A*A at sigma = v (1 + NORM_RTOL) has no negative or zero pivot.
+NORM_RTOL = 1e-9
+
+# Largest Golub-Kahan-Lanczos run, and the most rounds of certification
+# (each failed round restarts from a vector that beats the failed sigma).
+GKL_STEPS = 64
+NORM_ROUNDS = 20
+
+
+class MultiAnalytic:
+    """A = f(S^(m)) = sum_{|w|<=m} f_w (x) S_w for a square series f,
+    applied without forming it: (A x)_u = sum_{u = w v} f_w x_v on blocks
+    x of shape (d_k, p, q) over the graded word basis of P^(k), k <= m.
+
+    In graded order the word w v sits at start(|w| + |v|) + code(w) n^|v|
+    + code(v); for each degree a of the words w that is one (words of
+    degree a, d_{m-a}) index array, and two words of one degree never
+    reach the same u, so a degree is one batched product and one scatter
+    without collisions (the adjoint gathers through the same array).  The
+    first d_{k-a} columns serve A_k = f(S^(k)), the compression of A to
+    P^(k).  The size limit caps the (m + 1) p^2 d entries of these index
+    arrays and of the coefficients, before anything is allocated."""
+
+    def __init__(self, f, m):
+        if not f.is_square():
+            raise InputError(f"evaluation needs square coefficients, got {f.shape}")
+        n, p = f.n, f.shape[0]
+        self.n, self.m, self.p = n, m, p
+        check_entries((m + 1) * word_count(n, m) * p * p, "multi-analytic operator")
+        self.sizes = [word_count(n, k) for k in range(m + 1)]
+        d = self.sizes[-1]
+        start = np.array([0] + self.sizes[:-1])
+        deg = np.repeat(np.arange(m + 1), n ** np.arange(m + 1))
+        code = np.arange(d) - start[deg]
+        self.terms = []
+        gram = np.zeros((m + 1, p, p), dtype=complex)
+        for a, (codes, c) in f.blocks.items():
+            if a <= m:
+                cols, k = self.sizes[m - a], len(codes)
+                target = start[a + deg[:cols]] + codes[:, None] * n ** deg[:cols] + code[:cols]
+                # rows (w, i) of the f_w, and columns (j, w) of the f_w*
+                adj = c.conj().transpose(2, 1, 0).reshape(p, p * k)
+                self.terms.append((a, c.reshape(k * p, p), adj, target))
+                gram[a] = np.einsum("wji,wjk->ik", c.conj(), c)
+        gram = np.cumsum(gram, axis=0)
+        self.gram = (gram + gram.conj().swapaxes(1, 2)) / 2.0  # sum_{|w|<=j} f_w* f_w
+        self._f, self._graded, self._betas = f, None, {}
+
+    def apply(self, x):
+        """A x for x of shape (d, p, q): per degree one product of the
+        stacked f_w with the columns of x."""
+        p, q = self.p, x.shape[-1]
+        out = np.zeros(x.shape, dtype=complex)
+        for a, lhs, _, target in self.terms:
+            cols = target.shape[1]
+            prod = lhs @ x[:cols].transpose(1, 0, 2).reshape(p, cols * q)
+            out[target] += prod.reshape(-1, p, cols, q).transpose(0, 2, 1, 3)
+        return out
+
+    def apply_adjoint(self, y, k=None):
+        """A_k* y for y of shape (d_k, p, q), k = m by default: per degree
+        one product of the f_w* side by side with the gathered rows of y."""
+        k = self.m if k is None else k
+        p, q = self.p, y.shape[-1]
+        out = np.zeros((self.sizes[k], p, q), dtype=complex)
+        for a, _, rhs, target in self.terms:
+            if a <= k:
+                cols = self.sizes[k - a]
+                rows = y[target[:, :cols]].transpose(2, 0, 1, 3).reshape(-1, cols * q)
+                out[:cols] += (rhs @ rows).reshape(p, cols, q).transpose(1, 0, 2)
+        return out
+
+    def factor(self, sigma, stop=False):
+        """nested_factor of sigma^2 I - A*A (module docstring); pivot
+        eigenvalues within PIVOT_RTOL sigma^2 count as zero."""
+        s2, eye = sigma * sigma, np.eye(self.p)
+        return nested_factor(self.n, self.p, self.m, lambda j: s2 * eye - self.gram[j],
+                             self._beta, s2, stop=stop)
+
+    def _beta(self, j, order):
+        """-A_{j-1}* c^(i) in tree order, the same for every sigma (kept)."""
+        cached = self._betas.get(j)
+        if cached is None:
+            n, p, d = self.n, self.p, self.sizes[j - 1]
+            if self._graded is None:
+                self._graded = np.concatenate([self._f.dense(t) for t in range(self.m + 1)])
+            # c^(i)[v] = f_{v i}, and the graded index of v i is n g(v) + i
+            c = self._graded[n * np.arange(d)[:, None] + np.arange(1, n + 1)]
+            y = -self.apply_adjoint(c.transpose(0, 2, 1, 3).reshape(d, p, n * p), j - 1)
+            cached = self._betas[j] = y[order].reshape(d, p, n, p).transpose(2, 0, 1, 3)
+        return cached
+
+    def ascent(self, fac):
+        """x with ||A x|| > sigma ||x|| from a factorisation of sigma^2 I -
+        A*A stopped at a negative pivot s_j, or None when its last pivot
+        is not negative: with s_j u = lambda u, lambda < 0, the vector
+        [u; -Z^(j) u] on P^(j) in tree order has x* M_j x = lambda, and A_j
+        is the compression of A to P^(j)."""
+        j = fac.levels
+        w, v = np.linalg.eigh(fac.pivots[j])
+        if w[0] >= -fac.cut:
+            return None
+        u = v[:, 0]
+        x = np.zeros((self.sizes[-1], self.p), dtype=complex)
+        parts = [u[None]] + ([-(fac.z[j] @ u).reshape(-1, self.p)] if j else [])
+        x[tree_order(self.n, j)] = np.concatenate(parts)
+        return x
+
+
+def _gkl(op, x0, steps):
+    """Golub-Kahan-Lanczos bidiagonalisation of A from x0 with full
+    reorthogonalisation (Golub-Van Loan, ch. 10): A V = U B with B upper
+    bidiagonal.  The top Ritz pair (theta, y) has residual r = beta_k |z_k|
+    (z its left vector), and theta^2 is within r^2 / (theta^2 - theta_2^2)
+    of an eigenvalue of A*A (Parlett, the gap theorem).  Stops when that is below
+    1e-15 of the gap or r below 1e-13 theta, on breakdown, or after steps;
+    returns the Ritz vector x = V y."""
+    shape, size = x0.shape, x0.size
+    steps = max(1, min(steps, size))
+    V = np.empty((steps, size), dtype=complex)  # rows are written before they are read
+    U = np.empty((steps, size), dtype=complex)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    V[0] = x0.ravel() / np.linalg.norm(x0)
+    u = op.apply(V[0].reshape(shape + (1,))).ravel()
+    for k in range(steps):
+        if k:
+            u -= beta[k - 1] * U[k - 1]
+        u = _reorthogonalise(u, U[:k])
+        alpha[k] = np.linalg.norm(u)
+        scale = max(alpha[: k + 1].max(), beta[:k].max(initial=0.0))
+        if alpha[k] > 1e-14 * scale:
+            U[k] = u / alpha[k]
+            w = op.apply_adjoint(U[k].reshape(shape + (1,))).ravel() - alpha[k] * V[k]
+            w = _reorthogonalise(w, V[: k + 1])
+            beta[k] = np.linalg.norm(w)
+        else:
+            alpha[k] = 0.0
+        B = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
+        z, s, yt = np.linalg.svd(B)
+        res, gap = beta[k] * abs(z[k, 0]), s[0] ** 2 - (s[1] ** 2 if k else 0.0)
+        done = (alpha[k] == 0.0 or beta[k] <= 1e-14 * scale
+                or res <= 1e-13 * s[0] or res**2 <= 1e-15 * gap)
+        if done or k + 1 == steps:
+            return (yt[0] @ V[: k + 1]).reshape(shape)
+        V[k + 1] = w / beta[k]
+        u = op.apply(V[k + 1].reshape(shape + (1,))).ravel()
+
+
+def _reorthogonalise(w, Q):
+    """w minus its components along the orthonormal rows of Q, twice.
+    Not a BLAS product: past about 2000 rows OpenBLAS runs the gemv on
+    several threads, and waking them between Lanczos steps took up to
+    15 ms per call on 2 cores, against under 0.1 ms for the einsum."""
+    for _ in range(2 if len(Q) else 0):
+        w = w - np.einsum("k,kn->n", np.einsum("kn,n->k", Q.conj(), w), Q)
+    return w
+
+
+class CertifiedNorm(NamedTuple):
+    value: float  # ||A x|| / ||x|| for an explicit x, so at most ||A||
+    rtol: float | None  # ||A|| <= value (1 + rtol) by a factorisation; None: dense SVD
+    starts: int  # Lanczos runs: one, plus one per failed certification
+
+
+def certified_norm(f, m):
+    """||f(S^(m))|| for a square series f within NORM_RTOL, structured.
+
+    The series is scaled by a power of two so its largest entry is about
+    one (exact).  A Lanczos run from e_0 (x) v, v the top eigenvector of
+    G = sum f_w* f_w, gives a nondecreasing value whose first step is
+    ||G||^(1/2); the value is ||A x|| / ||x|| for its Ritz vector.  One
+    factorisation of sigma^2 I - A*A at sigma = value (1 + NORM_RTOL) then
+    certifies it when no pivot is negative or zero.  Otherwise its first
+    negative pivot gives a vector beating sigma (MultiAnalytic.ascent),
+    and a new run starts there; the value never goes uncertified."""
+    big = max((float(np.max(np.abs(c))) for k, (_, c) in f.blocks.items() if k <= m), default=0.0)
+    if big == 0.0:
+        return CertifiedNorm(0.0, NORM_RTOL, 0)
+    e = math.frexp(big)[1]
+    op = MultiAnalytic(f.scale(math.ldexp(1.0, -e)), m)
+    steps = max(1, min(GKL_STEPS, linalg.MAX_DIM**2 // (op.sizes[-1] * op.p)))
+    x = np.zeros((op.sizes[-1], op.p), dtype=complex)
+    x[0] = np.linalg.eigh(op.gram[-1])[1][:, -1]
+    value = _ratio(op, x)
+    for start in range(1, NORM_ROUNDS + 1):
+        value = max(value, _ratio(op, _gkl(op, x, steps)))
+        fac = op.factor(value * (1.0 + NORM_RTOL), stop=True)
+        if fac.levels == m and fac.inertia()[:2] == (0, 0):
+            return CertifiedNorm(math.ldexp(value, e), NORM_RTOL, start)
+        x = op.ascent(fac)
+        if x is None or (gain := _ratio(op, x)) <= value:
+            break
+        value = gain
+    raise ScopeError(f"the structured norm could not be certified within {NORM_RTOL:.0e}")
+
+
+def _ratio(op, x):
+    """||A x|| / ||x||."""
+    return float(np.linalg.norm(op.apply(x[..., None])) / np.linalg.norm(x))
+
+
+def norm_exceeds(f, m, sigma):
+    """Whether ||f(S^(m))|| > sigma, from one factorisation of sigma^2 I -
+    A*A stopped at its first negative pivot; a singular value within
+    PIVOT_RTOL sigma^2 of sigma^2 does not count."""
+    return not MultiAnalytic(f, m).factor(sigma, stop=True).is_psd

@@ -108,7 +108,7 @@ def suite_cayley_bijection(rng):
         rt2 = fs.truncated_cayley(fs.truncated_cayley(y, "inverse", ft), "forward", ft)
         worst_op = max(worst_op, _max_abs(rt2 - y))
 
-        nm = fs.hinf_norm_lower(f, m)
+        nm = operator_norm(y)
         if nm > 0:
             f = f.scale(0.9 / nm)
         lhs = fs.truncated_cayley(fs.eval_at_creation(f, m), "forward", ft)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import get_trunc, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
+from .toeplitz import dense_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
 
@@ -444,9 +445,23 @@ def eval_at_creation(f, m):
     return shift_sum(ft, f.shape[0], f.coeffs, {}, ft.prepend_indices)
 
 
+def hinf_norm(f, m):
+    """||f(S^(m))|| as a multianalytic.CertifiedNorm: nondecreasing in m,
+    a lower bound for the sup norm.  Where toeplitz.dense_norm it is the
+    dense SVD (rtol None); elsewhere the structured
+    multianalytic.certified_norm, within its rtol."""
+    from .multianalytic import CertifiedNorm, certified_norm
+
+    if not f.is_square():
+        raise InputError("evaluation needs square coefficients")
+    if dense_norm(f.n, m, f.shape[0]):
+        return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
+    return certified_norm(f, m)
+
+
 def hinf_norm_lower(f, m):
-    """||f(S^(m))||; nondecreasing in m, a lower bound for the sup norm."""
-    return operator_norm(eval_at_creation(f, m))
+    """The value of hinf_norm."""
+    return hinf_norm(f, m).value
 
 
 # -- truncated Cayley transform on multi-analytic operators -----------------

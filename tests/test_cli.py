@@ -273,6 +273,23 @@ def test_norm_over_size_limit_is_scope_error(tmp_path, capsys):
     assert "size limit" in capsys.readouterr().err
 
 
+def test_norm_past_the_dense_side(tmp_path, capsys):
+    """n = 2, trunc 14: f(S^(14)) has side 32767, far past the dense cap;
+    the structured norm is certified within its reported norm_rtol."""
+    f = FreeSeries(2, 2, (1, 1), {(): np.array([[0.5]]), (1,): np.array([[0.3 + 0.2j]]),
+                                  (2, 1): np.array([[-0.4]])})
+    fpath = tmp_path / "series.json"
+    jsonio.write_json_atomic(jsonio.series_to_json(f), fpath)
+    code, payload = run_cli(capsys, "norm", str(fpath), "--trunc", "14")
+    assert code == 0
+    assert math.isfinite(payload["norm_lower_bound"]) and payload["trunc"] == 14
+    assert payload["norm_rtol"] == 1e-9
+    # nondecreasing in the truncation, and above the dense value at trunc 6
+    code, small = run_cli(capsys, "norm", str(fpath), "--trunc", "5")
+    assert code == 0 and "norm_rtol" not in small
+    assert payload["norm_lower_bound"] >= small["norm_lower_bound"]
+
+
 def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
     two = FreeSeries(2, 6, (1, 1), {(1,): np.array([[0.5]]), (2,): np.array([[0.25j]])})
     one = FreeSeries(1, 40, (1, 1), {(1,): np.array([[0.5]])})
@@ -348,6 +365,22 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "internal error" in err and "broken command" in err
 
 
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; each call still parses its
+    own flags and falls back to the defaults for the ones it omits."""
+    f = FreeSeries(2, 1, (1, 1), {(1,): np.array([[1.0]]), (2,): np.array([[1.0]])})
+    fpath = str(tmp_path / "series.json")
+    jsonio.write_json_atomic(jsonio.series_to_json(f), fpath)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["norm", fpath, "--trunc", "2", "--output", out]) == 0
+    assert json.load(open(out, encoding="utf-8"))["trunc"] == 2
+    code, payload = run_cli(capsys, "norm", fpath)
+    assert code == 0 and payload["trunc"] == 4  # the default, no --output carried over
+    assert cli._parser() is cli._parser()
+    code, payload = run_cli(capsys, "basis", "2", "1")
+    assert code == 0 and payload["size"] == 3 and "trunc" not in payload
+
+
 def test_poisson_command(tmp_path, capsys):
     h = {
         "n": 1,
@@ -367,6 +400,21 @@ def test_poisson_command(tmp_path, capsys):
     got = jsonio.json_to_matrix(payload["value"])
     want = np.eye(2) + 0.5 * np.array([[0.0, 0.4], [0.4, 0.0]])
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_poisson_trunc_is_checked_before_enumerating(monkeypatch):
+    """n = 2, trunc 23 holds 2^24 - 1 words, within MAX_DIM^2 entries but
+    not their letters: refused before the basis enumerates anything."""
+    h = {"n": 2, "cutoff": 1, "shape": [1, 1], "analytic": {"": [[[1.0, 0.0]]]},
+         "coanalytic": {"1": [[[0.5, 0.0]]]}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2)))))
+
+    def never(*args):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(words.itertools, "product", never)
+    code, err = run_on_json(["poisson", h, x, "--trunc", "23"])
+    assert code == 4 and "truncated Fock space" in err
 
 
 def test_poisson_rejects_constant_coanalytic_term():

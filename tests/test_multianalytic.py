@@ -1,0 +1,142 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from freefock import caratheodory as cara
+from freefock import multianalytic as ma
+from freefock import toeplitz as tp
+from freefock.fock import get_trunc, shift_sum
+from freefock.linalg import adjoint
+from freefock.series import FreeSeries, eval_at_creation, hinf_norm, hinf_norm_lower, random_series
+from freefock.words import GradedBasis
+
+ONE = np.array([[1.0]])
+
+
+def gaussian_series(rng, n, m, p, scale=0.3):
+    return random_series(rng, n, m, (p, p), scale=scale)
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 4, 1), (2, 3, 2), (3, 3, 2), (2, 5, 1)])
+def test_norm_inertia_counts_singular_values(n, m, p):
+    """The negative pivots of sigma^2 I - A*A number the singular values
+    of A = f(S^(m)) above sigma, at sigmas between distinct ones."""
+    rng = np.random.default_rng(10 * n + m + p)
+    f = gaussian_series(rng, n, m, p, scale=float(rng.uniform(0.2, 1.5)))
+    sv = np.linalg.svd(eval_at_creation(f, m), compute_uv=False)
+    levels = np.unique(np.round(sv, 9))
+    sigmas = list((levels[1:] + levels[:-1]) / 2.0)[::2] + [0.5 * sv[-1], 1.5 * sv[0]]
+    op = ma.MultiAnalytic(f, m)
+    for sigma in sigmas:
+        fac = op.factor(sigma)
+        assert fac.inertia()[0] == int((sv > sigma).sum())
+        assert ma.norm_exceeds(f, m, sigma) == (sv[0] > sigma)
+    # sharp at the norm: the certificate is tight to far below NORM_RTOL
+    assert ma.norm_exceeds(f, m, sv[0] * (1 - 1e-10))
+    assert not ma.norm_exceeds(f, m, sv[0] * (1 + 1e-10))
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 5, 1), (2, 4, 3), (3, 4, 1), (2, 5, 2), (2, 6, 1),
+                                   (3, 4, 2), (2, 8, 1)])
+def test_structured_norm_matches_svd(n, m, p):
+    """Below, near and above NORM_DENSE_DIM: the certified value agrees with
+    the dense SVD to 1e-12 and through hinf_norm on either path."""
+    rng = np.random.default_rng(100 * n + 10 * m + p)
+    f = gaussian_series(rng, n, m, p)
+    want = np.linalg.norm(eval_at_creation(f, m), 2)
+    got = ma.certified_norm(f, m)
+    assert got.rtol == ma.NORM_RTOL and got.starts >= 1
+    assert abs(got.value - want) <= 1e-12 * want
+    rep = hinf_norm(f, m)
+    assert abs(rep.value - want) <= 1e-12 * want
+    assert (rep.rtol is None) == (p * len(GradedBasis(n, m)) <= tp.NORM_DENSE_DIM)
+
+
+def test_structured_norm_of_zero_series_is_zero():
+    zero = FreeSeries(2, 7, (2, 2), {(1,): np.zeros((2, 2))})
+    assert ma.certified_norm(zero, 7).value == 0.0
+    assert hinf_norm_lower(zero, 7) == 0.0
+    # coefficients above the truncation do not count
+    high = FreeSeries(2, 8, (1, 1), {(1, 2, 1, 2, 1, 2, 1, 2): ONE})
+    assert ma.certified_norm(high, 7).value == 0.0
+
+
+def test_structured_norm_bounds_the_gram_norm():
+    """The value is at least ||sum f_w* f_w||^(1/2), the first Lanczos
+    value (bench/check.py's lower bound)."""
+    rng = np.random.default_rng(7)
+    for n, m, p in [(2, 6, 1), (3, 4, 2), (2, 5, 2)]:
+        f = gaussian_series(rng, n, m, p, scale=0.5)
+        gram = sum(adjoint(c) @ c for c in f.coeffs.values())
+        assert ma.certified_norm(f, m).value >= np.sqrt(np.linalg.eigvalsh(gram)[-1]) * (1 - 1e-14)
+
+
+def test_structured_norm_restarts_from_a_negative_pivot():
+    """f = diag(1.1, 0)(S_1 + S_2) + diag(0, 1)(I + S_1 S_1): the top
+    eigenvector of sum f_w* f_w lies in the first summand, whose norm
+    1.1 sqrt(2) is below the second's, so the first Lanczos run cannot
+    reach the top; the certification fails there and its negative pivot
+    starts a second run."""
+    m = 4
+    f = FreeSeries(2, m, (2, 2), {(1,): np.diag([1.1, 0.0]), (2,): np.diag([1.1, 0.0]),
+                                  (): np.diag([0.0, 1.0]), (1, 1): np.diag([0.0, 1.0])})
+    want = np.linalg.norm(eval_at_creation(f, m), 2)
+    got = ma.certified_norm(f, m)
+    assert got.starts >= 2
+    assert abs(got.value - want) <= 1e-12 * want
+    assert want > 1.1 * np.sqrt(2.0) + 0.1
+
+
+def test_structured_norm_scales_exactly():
+    """The series is rescaled by a power of two: tiny and huge data give
+    the same value up to that scale."""
+    rng = np.random.default_rng(8)
+    f = gaussian_series(rng, 2, 6, 1)
+    base = ma.certified_norm(f, 6).value
+    for e in (-600, 600):
+        assert ma.certified_norm(f.scale(2.0**e), 6).value == base * 2.0**e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(1, 2), st.floats(0.05, 3.0),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_structured_norm_fuzz_matches_svd(n, m, p, scale, density, seed):
+    """Random sparse series: the certified value matches the dense SVD."""
+    rng = np.random.default_rng(seed)
+    coeffs = {w: scale * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+              for w in GradedBasis(n, m).words if rng.uniform() < density}
+    f = FreeSeries(n, m, (p, p), coeffs)
+    want = np.linalg.norm(eval_at_creation(f, m), 2)
+    got = ma.certified_norm(f, m).value
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 6, 1), (3, 4, 2)])
+def test_cf_check_above_the_dense_side_matches_the_right_translation_svd(n, m, p):
+    """The flip e_w -> e_{reverse(w)} carries the right-translation sum to
+    f(S^(m)) of the word-reversed series: same norm as the dense oracle."""
+    rng = np.random.default_rng(40 + n + p)
+    f = gaussian_series(rng, n, m, p, scale=0.2)
+    assert p * len(GradedBasis(n, m)) > tp.NORM_DENSE_DIM
+    ft = get_trunc(n, m)
+    want = np.linalg.norm(shift_sum(ft, p, f.coeffs, {}, ft.append_indices), 2)
+    rep = cara.cf_check(cara.CFProblem(f))
+    assert abs(rep.norm - want) <= 1e-12 * want
+    assert rep.within == (rep.norm <= 1.0 + rep.tol)
+
+
+def test_cayley_route_above_the_dense_side():
+    """A feasible problem with f(S^(m)) of side 127 reduces to CF data whose
+    operator is a contraction, checked by one inertia count."""
+    rng = np.random.default_rng(12)
+    m = 6
+    coeffs = {w: 0.05 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
+              for w in GradedBasis(2, m).words if w}
+    coeffs[()] = ONE
+    prob = cara.CaratheodoryProblem(FreeSeries(2, m, (1, 1), coeffs))
+    assert cara.check_feasibility(prob).feasible
+    cf = cara.cayley_route(prob)
+    nrm = np.linalg.norm(eval_at_creation(cf.data, m), 2)
+    assert nrm <= 1.0
+    assert not ma.norm_exceeds(cf.data, m, 1.0 + 1e-9)
+    assert ma.norm_exceeds(cf.data, m, 0.5 * nrm)
