@@ -59,14 +59,13 @@ from .series import (
     eval_at_creation,
     extract_coeffs,
     hinf_norm,
-    hinf_norm_lower,
     jsr_estimate,
     multiply,
     neumann_inverse,
     radius_estimate,
     truncated_cayley,
 )
-from .toeplitz import MultiToeplitzMatrix, assemble_T
+from .toeplitz import assemble_T
 from .transforms import (
     MomentFunctional,
     fantappie_transform,

@@ -13,7 +13,8 @@ random nilpotent evaluations, so the solver never has to be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
 Cayley transforms of the series; the only operator they form is the
-multi-analytic one whose norm is checked, built by ``fock.shift_sum``.
+multi-analytic one whose norm is checked, built by ``fock.shift_sum``
+from the series blocks.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import get_trunc, prefix_tree, random_nilpotent_tuple, shift_sum, tree_products
+from .fock import prefix_tree, random_nilpotent_tuple, shift_sum, tree_products
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
 from .toeplitz import DENSE_DIM, dense_norm, schur_factor, tm_positivity
 from .transforms import MomentFunctional
-from .words import reverse, word_count
+from .words import word_count
 
 
 def _square(data, what):
@@ -172,8 +173,7 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     normalized = {w: nrm @ c @ nrm for w, c in prob.data.coeffs.items() if w}
     cf = cayley_inverse(FreeSeries(prob.n, prob.m, (p, p), normalized))
     if dense_norm(prob.n, prob.m, p):
-        ft = get_trunc(prob.n, prob.m)
-        xn = operator_norm(shift_sum(ft, p, cf.coeffs, {}, ft.prepend_indices))
+        xn = operator_norm(shift_sum(prob.n, prob.m, p, cf.blocks))
         if xn > 1.0 + 1e-9:
             raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
     else:
@@ -201,13 +201,11 @@ def cf_check(prob, tol=1e-9):
     computes; the verdict then reads that value."""
     n, m, p = prob.n, prob.m, prob.block_size
     if dense_norm(n, m, p):
-        ft = get_trunc(n, m)
-        nrm = operator_norm(shift_sum(ft, p, prob.data.coeffs, {}, ft.append_indices))
+        nrm = operator_norm(shift_sum(n, m, p, prob.data.blocks, append=True))
     else:
         from .multianalytic import certified_norm
 
-        flipped = {reverse(w): c for w, c in prob.data.coeffs.items()}
-        nrm = certified_norm(FreeSeries(n, m, (p, p), flipped), m).value
+        nrm = certified_norm(prob.data.reversed(), m).value
     return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
 
@@ -245,6 +243,8 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     A chunk's products hold at most min(d p, DENSE_DIM)^2 entries, no more
     than the dense T_M that positivity assembles at or below DENSE_DIM;
     each g equals fock.word_sum at its tuple bit for bit."""
+    if samples < 1:
+        raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
     M, p = f.cutoff, prob.block_size
     checks = {}

@@ -32,6 +32,16 @@ EXIT_SCOPE = 4
 EXIT_INTERNAL = 5
 
 
+def _at_least(low):
+    """The argparse type of the ints >= low: others are usage errors (exit 3)."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    parse.__name__ = "int"  # names the type in argparse's message for a non-integer
+    return parse
+
+
 def _emit(payload, args):
     payload["version"] = __version__
     if getattr(args, "seed", None) is not None:
@@ -169,8 +179,8 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--target-degree", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--output")
     p.set_defaults(fn="cmd_extend")
 
@@ -202,7 +212,7 @@ def build_parser():
     p.set_defaults(fn="cmd_poisson")
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--seed", type=_at_least(0), default=20240901)
     p.add_argument("--list", action="store_true")
     p.set_defaults(fn="cmd_selftest")
 

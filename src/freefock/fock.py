@@ -11,10 +11,11 @@ Layout conventions, used consistently everywhere:
   are coefficient-major: composite index = e_index * dim + fock_index.
 
 Every sum of coefficients times words goes through one of two kernels:
-``shift_sum`` scatters each coefficient into the blocks that the word's
-shift on P^(N) reaches (multi-analytic operators, multi-Toeplitz
-matrices, radial boundaries), and ``word_sum`` evaluates at an operator
-tuple, building the word products level by level over their prefix tree.
+``shift_sum`` scatters the blocks of a series into the blocks that their
+shifts on P^(N) reach, placed by code arithmetic (``words.join_indices``),
+for multi-analytic operators, multi-Toeplitz matrices and radial
+boundaries; ``word_sum`` evaluates at an operator tuple, building the
+word products level by level over their prefix tree.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5; the ``apply_*`` functions act on tall vectors instead of forming
@@ -43,7 +44,7 @@ from .linalg import (
     operator_norm,
     solve,
 )
-from .words import GradedBasis, validate_word, word_count
+from .words import GradedBasis, join_indices, validate_word, word_count
 
 
 def word_operator(matrices, word):
@@ -111,8 +112,8 @@ class FockTrunc:
     """Polynomials of degree <= N in the full Fock space, with the
     compressed creation operators as dim x dim matrices.
 
-    Creation matrices and index maps are cached on first use behind a
-    lock, so instances are safe to share across threads.
+    Creation matrices are cached on first use behind a lock, so instances
+    are safe to share across threads.
     """
 
     def __init__(self, n, N):
@@ -126,8 +127,6 @@ class FockTrunc:
         self.N = N
         self.dim = self.basis.size
         self._lock = threading.Lock()
-        self._append_idx = {}
-        self._prepend_idx = {}
         self._left = {}
         self._right = {}
 
@@ -135,21 +134,15 @@ class FockTrunc:
 
     def append_indices(self, word):
         """(src, dst) with e_{basis[src]} -> e_{basis[src] + word}."""
-        return self._indices(self._append_idx, word, lambda b: b + word)
+        return self.prepend_indices(word, append=True)
 
-    def prepend_indices(self, word):
-        """(src, dst) with e_{basis[src]} -> e_{word + basis[src]}."""
-        return self._indices(self._prepend_idx, word, lambda b: word + b)
-
-    def _indices(self, cache, word, join):
-        with self._lock:
-            cached = cache.get(word)
-            if cached is None:
-                hi = self.basis.degree_slice(self.N - len(word))[1] if len(word) <= self.N else 0
-                idx, words = self.basis.index, self.basis.words
-                dst = np.fromiter((idx[join(words[s])] for s in range(hi)), dtype=np.intp, count=hi)
-                cached = cache[word] = (np.arange(hi), dst)
-        return cached
+    def prepend_indices(self, word, append=False):
+        """(src, dst) with e_{basis[src]} -> e_{word + basis[src]} (with
+        append, the append_indices): the word's row of words.join_indices."""
+        validate_word(word, self.n)
+        k, code = len(word), sum((i - 1) * self.n**j for j, i in enumerate(reversed(word)))
+        dst = join_indices(self.n, self.N, k, append)[code] if k <= self.N else np.zeros(0, int)
+        return np.arange(len(dst)), dst
 
     def _shift_matrix(self, indices):
         src, dst = indices
@@ -199,29 +192,32 @@ def get_trunc(n, N):
 # -- coefficient-times-word sums --------------------------------------------
 
 
-def shift_sum(ft, p, lower, upper, indices):
-    """sum_w lower[w] (x) M_w + sum_w upper[w] (x) M_w^T on C^p (x) P^(N),
-    coefficient-major, for p x p coefficients keyed by word.
-
-    M_w is the 0/1 shift e_src -> e_dst of (src, dst) = indices(w):
-    ft.prepend_indices gives S_w, ft.append_indices the right shift
-    e_beta -> e_{beta w}.  Each coefficient is written into the blocks its
-    shift reaches; words longer than N reach none.  Distinct words reach
-    disjoint blocks, and a nonempty word's M_w and M_w^T never meet, so
-    the entries equal the Kronecker sum exactly.  M_() = I, so the empty
-    word belongs in lower only.
-    """
-    if () in upper:
+def shift_sum(n, N, p, lower, upper=None, append=False):
+    """sum_w lower_w (x) M_w + sum_w upper_w (x) M_w^T on C^p (x) P^(N),
+    coefficient-major, for p x p coefficients as series blocks {k: (codes,
+    (len(codes), p, p) stack)}.  M_w is the left shift S_w: e_v -> e_{w v},
+    or with append the right shift e_v -> e_{v w}, at the rows of
+    words.join_indices; each degree is one scatter, and words longer than N
+    reach nothing.  Distinct words reach disjoint blocks, and a nonempty
+    word's M_w and M_w^T never meet, so the entries equal the Kronecker
+    sum exactly.  M_() = I, so degree 0 belongs in lower only."""
+    upper = upper or {}
+    if 0 in upper:
         raise InputError("the empty word belongs in the lower coefficients")
-    d = ft.dim
+    if N < 0:
+        raise InputError(f"truncation degree {N} is negative")
+    d = word_count(n, N)
     check_size(p * d, p * d, "shift sum")
     out = np.zeros((p, d, p, d), dtype=complex)
-    for w, c in lower.items():
-        src, dst = indices(w)
-        out[:, dst, :, src] = c
-    for w, c in upper.items():
-        src, dst = indices(w)
-        out[:, src, :, dst] = c
+    for blocks, mirror in ((lower, False), (upper, True)):
+        for k, (codes, c) in blocks.items():
+            if k <= N:
+                dst = join_indices(n, N, k, append)[codes]
+                src = np.arange(dst.shape[1])
+                if mirror:
+                    out[:, src, :, dst] = c[:, None]
+                else:
+                    out[:, dst, :, src] = c[:, None]
     return out.reshape(p * d, p * d)
 
 

@@ -26,7 +26,7 @@ from . import linalg
 from .errors import InputError, ScopeError
 from .linalg import check_entries
 from .toeplitz import nested_factor, tree_order
-from .words import word_count
+from .words import join_indices, word_count
 
 # ||f(S^(m))|| from the structured path is certified within this relative
 # tolerance: the reported value v is ||A x|| / ||x|| for an explicit x, and
@@ -46,12 +46,13 @@ class MultiAnalytic:
 
     In graded order the word w v sits at start(|w| + |v|) + code(w) n^|v|
     + code(v); for each degree a of the words w that is one (words of
-    degree a, d_{m-a}) index array, and two words of one degree never
-    reach the same u, so a degree is one batched product and one scatter
-    without collisions (the adjoint gathers through the same array).  The
-    first d_{k-a} columns serve A_k = f(S^(k)), the compression of A to
-    P^(k).  The size limit caps the (m + 1) p^2 d entries of these index
-    arrays and of the coefficients, before anything is allocated."""
+    degree a, d_{m-a}) index array (words.join_indices), and two words of
+    one degree never reach the same u, so a degree is one batched product
+    and one scatter without collisions (the adjoint gathers through the
+    same array).  The first d_{k-a} columns serve A_k = f(S^(k)), the
+    compression of A to P^(k).  The size limit caps the (m + 1) p^2 d
+    entries of these index arrays and of the coefficients, before anything
+    is allocated."""
 
     def __init__(self, f, m):
         if not f.is_square():
@@ -60,16 +61,12 @@ class MultiAnalytic:
         self.n, self.m, self.p = n, m, p
         check_entries((m + 1) * word_count(n, m) * p * p, "multi-analytic operator")
         self.sizes = [word_count(n, k) for k in range(m + 1)]
-        d = self.sizes[-1]
-        start = np.array([0] + self.sizes[:-1])
-        deg = np.repeat(np.arange(m + 1), n ** np.arange(m + 1))
-        code = np.arange(d) - start[deg]
         self.terms = []
         gram = np.zeros((m + 1, p, p), dtype=complex)
         for a, (codes, c) in f.blocks.items():
             if a <= m:
-                cols, k = self.sizes[m - a], len(codes)
-                target = start[a + deg[:cols]] + codes[:, None] * n ** deg[:cols] + code[:cols]
+                # uncached: one operator per norm, at sizes the shared cache should not keep
+                target, k = join_indices.__wrapped__(n, m, a)[codes], len(codes)
                 # rows (w, i) of the f_w, and columns (j, w) of the f_w*
                 adj = c.conj().transpose(2, 1, 0).reshape(p, p * k)
                 self.terms.append((a, c.reshape(k * p, p), adj, target))

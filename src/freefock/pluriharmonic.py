@@ -74,10 +74,7 @@ def radial_boundary(h, r, m):
     """h(r S^(m)) on C^p (x) P^(m); r = 1 is allowed at finite m."""
     if not 0.0 <= r <= 1.0:
         raise InputError(f"radius {r} outside [0, 1]")
-    ft = get_trunc(h.n, m)
-    lower = {w: (r ** len(w)) * c for w, c in h.analytic.coeffs.items()}
-    upper = {w: (r ** len(w)) * c for w, c in h.coanalytic.coeffs.items()}
-    return shift_sum(ft, h.p, lower, upper, ft.prepend_indices)
+    return shift_sum(h.n, m, h.p, h.analytic.radial(r).blocks, h.coanalytic.radial(r).blocks)
 
 
 def pluriharmonic_poisson_kernel(ft, X):

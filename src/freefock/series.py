@@ -4,10 +4,10 @@ Coefficients are complex matrices of one fixed shape.  A series stores,
 for each degree k where it has a nonzero coefficient, one block: the
 increasing integer codes of its words (``words.encode_words``) and the
 stack of their coefficients, with no all-zero row.  ``coeffs`` is a
-read-only word -> coefficient view for the boundary (JSON, ``shift_sum``,
-``word_sum``); each form is built from the other once, when first read.
-Every series carries an explicit cutoff; a binary operation truncates to
-the smaller cutoff, so nothing claims more precision than its inputs had.
+read-only word -> coefficient view for the boundary (JSON, ``word_sum``);
+each form is built from the other once, when first read.  Every series
+carries an explicit cutoff; a binary operation truncates to the smaller
+cutoff, so nothing claims more precision than its inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
 Neumann inverse run on one degree recurrence over the blocks: degree k
@@ -17,10 +17,11 @@ k, placed by code arithmetic, and the geometric sums follow x = f + f x
 Each checks the size of a degree before allocating it.  Series the
 package builds itself skip the public constructor's validation.
 
-Evaluation goes through the two kernels of ``fock``: ``word_sum`` at an
-operator tuple, ``shift_sum`` at the compressed creation operators.  The
-truncated Cayley transform of operators and the coefficient extraction
-stay as the operator-side reference for the series-level Cayley maps.
+Evaluation goes through the two kernels of ``fock``: ``word_sum`` of
+``coeffs`` at an operator tuple, ``shift_sum`` of the blocks at the
+compressed creation operators.  The truncated Cayley transform of
+operators and the coefficient extraction stay as the operator-side
+reference for the series-level Cayley maps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc, shift_sum, word_sum
+from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .toeplitz import dense_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
@@ -162,6 +163,21 @@ class FreeSeries:
 
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
+
+    def reversed(self):
+        """The series of the A_{~a}, ~a the word a reversed: one digit
+        reversal of each block's codes, then the block put in code order."""
+        blocks = {}
+        for k, (codes, c) in self.blocks.items():
+            powers = self.n ** np.arange(k, dtype=codes.dtype)
+            order = np.argsort(rev := (codes[:, None] // powers % self.n) @ powers[::-1])
+            blocks[k] = rev[order], c[order]
+        return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
+
+    def radial(self, r, scale=1.0):
+        """The series of the (scale r^|a|) A_a: degree k times scale r^k."""
+        blocks = {k: (codes, (scale * r**k) * c) for k, (codes, c) in self.blocks.items()}
+        return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
 
     def adjoint(self):
         """The series of the A_a*: each block conjugate-transposed."""
@@ -441,8 +457,7 @@ def eval_at_creation(f, m):
     """f(S^(m)) = sum_{|a|<=m} A_a (x) S_a^(m) on C^p (x) P^(m)."""
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
-    ft = get_trunc(f.n, m)
-    return shift_sum(ft, f.shape[0], f.coeffs, {}, ft.prepend_indices)
+    return shift_sum(f.n, m, f.shape[0], f.blocks)
 
 
 def hinf_norm(f, m):
@@ -457,11 +472,6 @@ def hinf_norm(f, m):
     if dense_norm(f.n, m, f.shape[0]):
         return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
     return certified_norm(f, m)
-
-
-def hinf_norm_lower(f, m):
-    """The value of hinf_norm."""
-    return hinf_norm(f, m).value
 
 
 # -- truncated Cayley transform on multi-analytic operators -----------------

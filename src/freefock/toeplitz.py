@@ -1,6 +1,6 @@
 """Multi-Toeplitz matrices on the graded word basis: T_m of a square free
-series of symbol coefficients, assembled densely through the creation
-operators' index maps, or factored without assembly by the recursive
+series of symbol coefficients, assembled densely by scattering its
+blocks (fock.shift_sum), or factored without assembly by the recursive
 Schur factorisation of its tree structure.
 
 Put the words in last-letter tree order: the root, then, for each letter
@@ -29,9 +29,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, ScopeError
-from .fock import get_trunc, shift_sum
+from .fock import shift_sum
 from .linalg import adjoint, check_entries, check_hermitian
-from .words import GradedBasis, word_count
+from .words import word_count
 
 # At or below this side d p the dense eigvalsh of the assembled T_m
 # decides positivity and its smallest eigenvalue is reported; above it a
@@ -74,40 +74,19 @@ def dense_norm(n, m, p):
 PIVOT_RTOL = 1e-12
 
 
-@dataclass
-class MultiToeplitzMatrix:
-    n: int
-    m: int
-    block_size: int
-    basis: GradedBasis
-    entries: np.ndarray  # coefficient-major on C^p (x) P^(m), exactly Hermitian
-
-    def min_eig(self):
-        """Smallest eigenvalue; the entries are Hermitian by construction,
-        so eigvalsh reads them as they are."""
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-
 def assemble_T(f):
     """T_m = sum b_a* (x) (S_a^(m))* + b_0 (x) I + sum b_a (x) S_a^(m) for a
-    square series f of the b_a, with m = f.cutoff.
-
-    b_0 must be Hermitian within tolerance; its Hermitian part
-    (b_0 + b_0*)/2 goes on the diagonal, so the result is exactly
-    Hermitian.  Each b_a is written straight into the blocks (a beta, beta)
-    that S_a reaches, and its adjoint into the mirrored ones
-    (fock.shift_sum); no two words share a block, so the entries equal the
-    Kronecker sum exactly.
-    """
+    square series f of the b_a, m = f.cutoff: a dense ndarray, coefficient-
+    major on C^p (x) P^(m), the shift sum (fock.shift_sum) of f's blocks
+    and their adjoints.  b_0 must be Hermitian within tolerance; its
+    Hermitian part (b_0 + b_0*)/2 goes on the diagonal, so the result is
+    exactly Hermitian."""
     if not f.is_square():
         raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
     b0 = check_hermitian(f.constant_term())
-    p, coeffs = f.shape[0], f.coeffs
-    ft = get_trunc(f.n, f.cutoff)
-    lower = {**coeffs, (): (b0 + adjoint(b0)) / 2.0}
-    upper = {w: adjoint(c) for w, c in coeffs.items() if w}
-    out = shift_sum(ft, p, lower, upper, ft.prepend_indices)
-    return MultiToeplitzMatrix(f.n, f.cutoff, p, ft.basis, out)
+    lower = {**f.blocks, 0: (np.zeros(1, np.int64), ((b0 + adjoint(b0)) / 2.0)[None])}
+    upper = {k: (codes, c.conj().swapaxes(1, 2)) for k, (codes, c) in f.blocks.items() if k}
+    return shift_sum(f.n, f.cutoff, f.shape[0], lower, upper)
 
 
 # -- recursive Schur factorisation -------------------------------------------
@@ -332,7 +311,7 @@ def tm_positivity(f, tol):
     own coefficients."""
     dim = word_count(f.n, f.cutoff) * f.shape[0]
     if dense_decides(f.n, dim):
-        me = assemble_T(f).min_eig()
+        me = float(np.linalg.eigvalsh(assemble_T(f))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
     fac = schur_factor(f, shift=tol, stop=True)
     return TmPositivity(fac.is_psd, None, dim, tol, fac.margin())

@@ -12,8 +12,9 @@ JSON format and the right-shift kernels.
 
 The transforms evaluate their coefficient sums with ``fock.word_sum``
 (the starred part of the Poisson transform as the adjoint of one), and
-the radial compressions are built by ``fock.shift_sum`` over right
-shifts.
+the radial compressions and the divisibility kernel are built by
+``fock.shift_sum`` from the blocks of the word-reversed series over
+right shifts.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc, shift_sum, word_sum
+from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, eval_at_creation, jsr_estimate
-from .toeplitz import MultiToeplitzMatrix
-from .words import GradedBasis, reverse
+from .words import decode_words, join_indices
 
 
 @dataclass
@@ -55,20 +55,14 @@ def _vector_degree(ft, v):
     v = np.asarray(v, dtype=complex)
     if v.shape != (ft.dim,):
         raise InputError(f"vector length {v.shape} does not match dim {ft.dim}")
-    nz = np.nonzero(v)[0]
-    if len(nz) == 0:
-        return 0
-    top = int(nz[-1])
-    for k in range(ft.N + 1):
-        if top < ft.basis.degree_slice(k)[1]:
-            return k
-    return ft.N
+    nz = np.flatnonzero(v)
+    return int(np.searchsorted(ft.basis.degree_start, nz[-1], side="right")) - 1 if len(nz) else 0
 
 
-def _apply_append(ft, word, v):
-    src, dst = ft.append_indices(word)
+def _appended(v, dst):
+    """v moved along a right shift whose graded indices are dst."""
     out = np.zeros_like(v)
-    out[dst] = v[src]
+    out[dst] = v[: len(dst)]
     return out
 
 
@@ -94,11 +88,13 @@ def from_vector_states(ft, pairs, cutoff):
         prepared.append((complex(w), xi, eta))
     unit = sum(w * np.vdot(eta, xi) for w, xi, eta in prepared)
     analytic, coanalytic = {(): [[unit]]}, {}
-    for word in GradedBasis(ft.n, cutoff).words[1:]:
+    for k in range(1, cutoff + 1):
         # R_~word = R_{ik}...R_{i1} appends word: B_word = mu(R_~word), A_word = mu(R_~word*)
-        b = sum(w * np.vdot(eta, _apply_append(ft, word, xi)) for w, xi, eta in prepared)
-        a = sum(w * np.vdot(_apply_append(ft, word, eta), xi) for w, xi, eta in prepared)
-        analytic[word], coanalytic[word] = [[a]], [[b]]
+        dsts = join_indices(ft.n, ft.N, k, append=True)
+        for word, dst in zip(decode_words(np.arange(ft.n**k), ft.n, k), dsts):
+            b = sum(w * np.vdot(eta, _appended(xi, dst)) for w, xi, eta in prepared)
+            a = sum(w * np.vdot(_appended(eta, dst), xi) for w, xi, eta in prepared)
+            analytic[word], coanalytic[word] = [[a]], [[b]]
     series = (FreeSeries(ft.n, cutoff, (1, 1), c) for c in (analytic, coanalytic))
     return MomentFunctional(PluriharmonicFn(*series), realization=(ft, prepared))
 
@@ -169,16 +165,13 @@ def kernel_from_series(f):
     K(a, b) = A*_{reverse(b \\_l a)} when b >_l a, the unstarred mirror
     when a >_l b, zero otherwise; over all words of length <= cutoff.
     Block (b s, b) holds A_{reverse(s)}, so it is the right-shift sum
-    of the coefficients at reversed words (fock.shift_sum)."""
+    of the word-reversed series (fock.shift_sum), a dense ndarray."""
     if not f.is_square():
         raise InputError("kernel needs square coefficients")
-    ft = get_trunc(f.n, f.cutoff)
-    a0 = f.coefficient(())
-    lower = {reverse(w): c for w, c in f.coeffs.items() if w}
-    upper = {w: adjoint(c) for w, c in lower.items()}
-    lower[()] = a0 + adjoint(a0)
-    entries = shift_sum(ft, f.shape[0], lower, upper, ft.append_indices)
-    return MultiToeplitzMatrix(f.n, f.cutoff, f.shape[0], ft.basis, entries)
+    a0 = f.constant_term()
+    rest = f.without_constant().reversed()
+    lower = {**rest.blocks, 0: (np.zeros(1, np.int64), (a0 + adjoint(a0))[None])}
+    return shift_sum(f.n, f.cutoff, f.shape[0], lower, rest.adjoint().blocks, append=True)
 
 
 @dataclass
@@ -208,18 +201,18 @@ def positivity_equivalence_check(f, m_max, r_grid, tol=1e-8):
     a0 = f.coefficient(())
     half_diag = (a0 + adjoint(a0)) / 2.0
 
+    # R_w appends reverse(w), so each coefficient sits at its reversed word
+    rest = f.without_constant().reversed()
     radial_min = math.inf
-    for m in range(m_max + 1):
-        ft = get_trunc(f.n, m)
-        for r in r_grid:
-            # R_w appends reverse(w), so each coefficient sits at its reversed word
-            lower = {reverse(w): 0.5 * (r ** len(w)) * c for w, c in f.coeffs.items() if w}
-            upper = {w: adjoint(c) for w, c in lower.items()}
-            lower[()] = half_diag
-            ar = shift_sum(ft, p, lower, upper, ft.append_indices)
+    for r in r_grid:
+        scaled = rest.radial(r, 0.5)
+        lower = {**scaled.blocks, 0: (np.zeros(1, np.int64), half_diag[None])}
+        upper = scaled.adjoint().blocks
+        for m in range(m_max + 1):
+            ar = shift_sum(f.n, m, p, lower, upper, append=True)
             radial_min = min(radial_min, min_eig_hermitian(ar))
 
-    kernel_min = kernel_from_series(f).min_eig()
+    kernel_min = float(np.linalg.eigvalsh(kernel_from_series(f))[0])
 
     creation_min = math.inf
     for m in range(m_max + 1):
@@ -270,11 +263,7 @@ def radial_functional(h, r):
     if not 0.0 <= r < 1.0:
         raise InputError(f"radius {r} outside [0, 1)")
 
-    def radial(f):  # degree-k blocks scaled by r^k
-        blocks = {k: (codes, r**k * c) for k, (codes, c) in f.blocks.items()}
-        return FreeSeries._built(f.n, f.cutoff, f.shape, blocks)
-
-    return MomentFunctional(PluriharmonicFn(radial(h.analytic), radial(h.coanalytic)))
+    return MomentFunctional(PluriharmonicFn(h.analytic.radial(r), h.coanalytic.radial(r)))
 
 
 def poisson_pluriharmonic(mu):

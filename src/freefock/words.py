@@ -10,6 +10,7 @@ Within a degree a word's code is its base-n value (letters 1..n as digits
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -85,6 +86,24 @@ def word_count(n, max_deg):
     """sum_{k<=max_deg} n^k, counted without enumerating; n >= 2 at degree
     64 is over any limit, so larger degrees count as 64."""
     return max_deg + 1 if n == 1 else (n ** (min(max_deg, 64) + 1) - 1) // (n - 1)
+
+
+@functools.lru_cache(maxsize=128)
+def join_indices(n, N, k, append=False):
+    """Graded indices in P^(N) of w v, or of v w with append, for every
+    word w of length k <= N (rows, in code order) and every v in P^(N - k)
+    (columns, in basis order): the word of length j and code c sits at
+    word_count(n, j - 1) + c, and code(w v) = code(w) n^|v| + code(v).
+    A block of words takes its rows by code; shared, so read-only."""
+    if not 0 <= k <= N:
+        raise InputError(f"word length {k} outside 0..{N}")
+    start = np.concatenate([[0], np.cumsum(n ** np.arange(N + 1))])
+    length = np.repeat(np.arange(N + 1 - k), n ** np.arange(N + 1 - k))  # |v|
+    v = np.arange(start[N + 1 - k]) - start[length]
+    w = np.arange(n**k)[:, None]
+    out = start[k + length] + (v * n**k + w if append else w * n**length + v)
+    out.flags.writeable = False
+    return out
 
 
 class GradedBasis:

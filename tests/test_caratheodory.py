@@ -137,7 +137,7 @@ def test_extend_maximizes_determinant():
     ):
         p = prob.block_size
         ext = cara.extend(prob, 3)
-        best = np.linalg.slogdet(assemble_T(ext.series).entries)[1]
+        best = np.linalg.slogdet(assemble_T(ext.series))[1]
         free = [w for w in ext.series.coeffs if len(w) >= 2]
         compared = 0
         for scale in (1e-4, 1e-2, 1e-1):
@@ -146,7 +146,7 @@ def test_extend_maximizes_determinant():
                 for w in free:
                     noise = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
                     other[w] = other[w] + scale * noise
-                t = assemble_T(series(2, 3, other)).entries
+                t = assemble_T(series(2, 3, other))
                 if np.linalg.eigvalsh(t)[0] <= 0.0:
                     continue
                 compared += 1
@@ -205,7 +205,8 @@ def test_extend_feasibility_nesting():
     # compression nesting: feasibility of the extension implies the data's
     for m in (1, 2, 3, 4):
         coeffs = {w: c for w, c in ext.series.coeffs.items() if len(w) <= m}
-        assert assemble_T(series(1, m, coeffs)).min_eig() >= ext.certificate["min_eig_tm"] - 1e-12
+        me = np.linalg.eigvalsh(assemble_T(series(1, m, coeffs)))[0]
+        assert me >= ext.certificate["min_eig_tm"] - 1e-12
 
 
 def test_extend_from_degree_zero():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import cli, jsonio, linalg, words
 from freefock.caratheodory import CaratheodoryProblem
-from freefock.fock import OperatorTuple
+from freefock.fock import FockTrunc, OperatorTuple
 from freefock.series import FreeSeries
 
 
@@ -593,3 +593,47 @@ def test_check_above_the_dense_threshold(capsys):
     # past the threshold the size limit caps the p^2 d coefficients, not a side
     assert run_on_json(["check", good], max_dim=31)[0] == 4  # 961 < 1023 entries
     assert run_on_json(["check", good], max_dim=32)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "PROBLEM", "--target-degree", "2", "--samples", "0"],
+    ["extend", "PROBLEM", "--target-degree", "2", "--samples", "-3"],
+    ["extend", "PROBLEM", "--target-degree", "2", "--seed", "-1"],
+    ["selftest", "--seed", "-1"],
+])
+def test_samples_and_seed_are_checked_when_parsed(tmp_path, capsys, argv):
+    """No sample would leave the nilpotent check at +inf, and numpy takes
+    no negative seed: both are usage errors, and nothing is written."""
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.5}, 1, 1)
+    out = tmp_path / "out.json"
+    argv = [path if a == "PROBLEM" else a for a in argv]
+    if argv[0] == "extend":
+        argv += ["--output", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+def test_check_and_extend_build_no_basis(tmp_path, monkeypatch, capsys):
+    """Positivity, the extension and its verification read the series
+    blocks: no graded basis or truncated Fock space is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("built a word basis")
+
+    monkeypatch.setattr(words.GradedBasis, "__init__", never)
+    monkeypatch.setattr(FockTrunc, "__init__", never)
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
+    assert run_cli(capsys, "check", path)[0] == 0
+    for target in ("3", "9"):  # dense T_3, and T_9 past the dense side
+        code, payload = run_cli(capsys, "extend", path, "--target-degree", target)
+        assert code == 0 and payload["verification"]["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["norm", "poisson"])
+def test_negative_truncation_is_input_error(command):
+    series = {"n": 2, "cutoff": 1, "shape": [1, 1], "coefficients": {"1": [[[0.5, 0.0]]]}}
+    h = {"n": 2, "cutoff": 1, "shape": [1, 1], "analytic": {"": [[[1.0, 0.0]]]},
+         "coanalytic": {"1": [[[0.5, 0.0]]]}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2)))))
+    inputs = [series] if command == "norm" else [h, x]
+    code, err = run_on_json([command, *inputs, "--trunc", "-1"])
+    assert code == 3 and "negative" in err

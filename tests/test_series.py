@@ -9,7 +9,7 @@ from freefock import series as fs
 from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import OperatorTuple, get_trunc, random_nilpotent_tuple
 from freefock.linalg import kron, operator_norm
-from freefock.words import GradedBasis
+from freefock.words import GradedBasis, reverse
 
 ONE = np.array([[1.0]])
 
@@ -453,14 +453,14 @@ def test_eval_consistency_with_creation_tuple():
 def test_hinf_norm_lower():
     f = scalar_series(1, 1, {(1,): 1.0})
     for m in (1, 2, 3):
-        assert fs.hinf_norm_lower(f, m) == pytest.approx(1.0)
+        assert fs.hinf_norm(f, m).value == pytest.approx(1.0)
     g = scalar_series(2, 1, {(1,): 1.0, (2,): 1.0})
-    assert fs.hinf_norm_lower(g, 2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert fs.hinf_norm(g, 2).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     rng = np.random.default_rng(6)
     for _ in range(5):
         h = fs.random_series(rng, 2, 3, (1, 1), scale=0.8)
-        values = [fs.hinf_norm_lower(h, m) for m in range(1, 5)]
+        values = [fs.hinf_norm(h, m).value for m in range(1, 5)]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
 
@@ -575,9 +575,21 @@ def test_schwartz_type_bound():
     for k in range(12):
         n = 1 + k % 2
         f = fs.random_series(rng, n, 3, (1, 1), scale=0.6, min_degree=1)
-        nrm = fs.hinf_norm_lower(f, 6)
+        nrm = fs.hinf_norm(f, 6).value
         if nrm == 0:
             continue
         f = f.scale(1.0 / nrm)
         x = random_nilpotent_tuple(rng, n, 4, row_norm=float(rng.uniform(0.2, 0.9)))
         assert operator_norm(fs.eval_at(f, x)) <= x.row_norm + 1e-8
+
+
+def test_reversed_series_reverses_every_word():
+    rng = np.random.default_rng(3)
+    for n, m in ((1, 3), (2, 4), (3, 3)):
+        f = fs.random_series(rng, n, m, (2, 2))
+        g = f.reversed()
+        assert set(g.coeffs) == {reverse(w) for w in f.coeffs}
+        assert all(np.array_equal(g.coeffs[reverse(w)], c) for w, c in f.coeffs.items())
+        assert all((np.diff(codes) > 0).all() for codes, _ in g.blocks.values())
+        back = g.reversed().coeffs
+        assert all(np.array_equal(back[w], c) for w, c in f.coeffs.items())

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freefock.errors import InputError
+from freefock.fock import FockTrunc
 from freefock.words import (
     GradedBasis,
     decode_words,
     encode_words,
+    join_indices,
     left_quotient,
     reverse,
     right_quotient,
@@ -112,3 +114,26 @@ def test_word_strings():
         word_from_string("3", 2)
     with pytest.raises(InputError):
         word_from_string("1a", 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_join_indices_match_tuple_concatenation(n):
+    """The code-arithmetic maps against tuple concatenation through the
+    enumerated basis, for every word of length <= N + 1, on both sides."""
+    for N in range(5):
+        basis = GradedBasis(n, N)
+        ft = FockTrunc(n, N)
+        for w in GradedBasis(n, N + 1).words:
+            k = len(w)
+            cols = basis.degree_slice(N - k)[1] if k <= N else 0
+            sources = basis.words[:cols]
+            for append, concat, shift in ((False, lambda v: w + v, ft.prepend_indices),
+                                          (True, lambda v: v + w, ft.append_indices)):
+                want = [basis.index[concat(v)] for v in sources]
+                if k <= N:
+                    rows = join_indices(n, N, k, append)
+                    assert rows.shape == (n**k, cols) and not rows.flags.writeable
+                    assert rows[encode_words([w], n, k)[0]].tolist() == want
+                src, dst = shift(w)
+                assert src.tolist() == list(range(cols)) and dst.tolist() == want
+
