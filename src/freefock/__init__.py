@@ -31,7 +31,6 @@ from .fock import (
     OperatorTuple,
     berezin_kernel,
     berezin_transform,
-    get_trunc,
     isometric_dilation,
     poisson_kernel,
     poisson_transform,

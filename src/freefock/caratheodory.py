@@ -240,9 +240,11 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     a corrupted copy under the original certificate, is computed fresh.
     The samples are drawn in order, then evaluated in chunks over one
     prefix tree: one batched matmul per level and one einsum per chunk.
-    A chunk's products hold at most min(d p, DENSE_DIM)^2 entries, no more
-    than the dense T_M that positivity assembles at or below DENSE_DIM;
-    each g equals fock.word_sum at its tuple bit for bit."""
+    A chunk takes as many samples as fit in min(d p, DENSE_DIM)^2 entries
+    of products, the size of the dense T_M that positivity assembles at or
+    below DENSE_DIM, but at least one: one sample alone holds d (M + 1)^2
+    entries (7.4M at n = 2, M = 14), checked only against MAX_DIM^2.  Each
+    g equals fock.word_sum at its tuple bit for bit."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series

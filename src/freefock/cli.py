@@ -22,7 +22,7 @@ from . import pluriharmonic as ph
 from . import selftest
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import get_trunc, poisson_transform
+from .fock import FockTrunc, poisson_transform
 from .words import GradedBasis, word_to_string
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def cmd_poisson(args):
     r = args.radius
     if x.row_norm >= r:
         raise ScopeError(f"tuple norm {x.row_norm:.4f} must lie below radius {r}")
-    ft = get_trunc(h.n, args.trunc)
+    ft = FockTrunc(h.n, args.trunc)
     value = poisson_transform(
         ft, ph.radial_boundary(h, r, args.trunc), x.scale(1.0 / r), coeff_dim=h.p
     )

@@ -3,6 +3,12 @@ degree projections, the two coefficient-times-word kernels, reconstruction
 operator, Berezin and Poisson kernels, vector-state Berezin transforms,
 and isometric dilations.
 
+``FockTrunc(n, N)`` is P^(N) as a plain value: it enumerates no words
+and caches nothing.  A word's index is code arithmetic (graded-lex
+order, ``words``), its shifts are rows of ``words.join_indices``, and the
+creation operators S_i and R_i are ``shift_sum`` of the one-letter series
+g_i, built on each call.
+
 Layout conventions, used consistently everywhere:
 
 * Operators on ``Fock (x) H`` (reconstruction operator, kernels) are
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,7 @@ from .linalg import (
     operator_norm,
     solve,
 )
-from .words import GradedBasis, join_indices, validate_word, word_count
+from .words import MAX_GENERATORS, join_indices, validate_word, word_count
 
 
 def word_operator(matrices, word):
@@ -108,85 +113,76 @@ def random_nilpotent_tuple(rng, n, dim, row_norm=None):
     return t
 
 
+@dataclass(frozen=True)
 class FockTrunc:
-    """Polynomials of degree <= N in the full Fock space, with the
-    compressed creation operators as dim x dim matrices.
+    """P^(N), the polynomials of degree <= N in the full Fock space over n
+    generators, as a plain value of (n, N): equal truncations compare equal
+    and hash alike.  Its words sit in graded-lex order, the word of length
+    k and code c at index word_count(n, k - 1) + c, and the compressed
+    creation operators are dim x dim matrices built by shift_sum."""
 
-    Creation matrices are cached on first use behind a lock, so instances
-    are safe to share across threads.
-    """
+    n: int
+    N: int
 
-    def __init__(self, n, N):
-        # The basis enumerates its d words as tuples of up to N letters, so
-        # d (N + 1) entries are checked before it runs.  Not the side cap:
-        # the kernel and resolvent paths act on tall (d p, p) arrays and
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_GENERATORS:
+            raise InputError(f"generator count {self.n} outside 1..{MAX_GENERATORS}")
+        if self.N < 0:
+            raise InputError(f"truncation degree {self.N} is negative")
+        # Its join_indices maps hold at most d (N + 1) entries.  Not the side
+        # cap: the kernel and resolvent paths act on tall (d p, p) arrays and
         # run past MAX_DIM words (n = 3, N = 8 in the gate).
-        check_entries(word_count(n, N) * (N + 1), "truncated Fock space")
-        self.basis = GradedBasis(n, N)
-        self.n = n
-        self.N = N
-        self.dim = self.basis.size
-        self._lock = threading.Lock()
-        self._left = {}
-        self._right = {}
+        check_entries(self.dim * (self.N + 1), "truncated Fock space")
 
-    # -- index maps ------------------------------------------------------
+    @property
+    def dim(self):
+        return word_count(self.n, self.N)
 
-    def append_indices(self, word):
-        """(src, dst) with e_{basis[src]} -> e_{basis[src] + word}."""
-        return self.prepend_indices(word, append=True)
+    def degree_slice(self, k):
+        """Index range of the words of exact length k."""
+        return word_count(self.n, k - 1), word_count(self.n, k)
 
-    def prepend_indices(self, word, append=False):
-        """(src, dst) with e_{basis[src]} -> e_{word + basis[src]} (with
-        append, the append_indices): the word's row of words.join_indices."""
+    def _code(self, word):
         validate_word(word, self.n)
-        k, code = len(word), sum((i - 1) * self.n**j for j, i in enumerate(reversed(word)))
-        dst = join_indices(self.n, self.N, k, append)[code] if k <= self.N else np.zeros(0, int)
-        return np.arange(len(dst)), dst
+        return sum((i - 1) * self.n**j for j, i in enumerate(reversed(word)))
 
-    def _shift_matrix(self, indices):
-        src, dst = indices
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[dst, src] = 1.0
-        return m
+    def index(self, word):
+        """Graded index of a word of length <= N."""
+        if len(word) > self.N:
+            raise InputError(f"word of length {len(word)} exceeds truncation {self.N}")
+        return word_count(self.n, len(word) - 1) + self._code(word)
 
-    # -- creation operators ----------------------------------------------
-
-    def _check_gen(self, i):
-        if not 1 <= i <= self.n:
-            raise InputError(f"generator {i} outside 1..{self.n}")
+    def shift_indices(self, word, append=False):
+        """Rows of e_{word v}, or of e_{v word} with append, for the words v
+        of P^(N - |word|) in basis order: the word's row of
+        words.join_indices, empty past degree N."""
+        code = self._code(word)
+        if len(word) > self.N:
+            return np.zeros(0, int)
+        return join_indices(self.n, self.N, len(word), append)[code]
 
     def left_creation(self, i):
         """S_i: e_alpha -> e_{g_i alpha}, truncated at degree N."""
-        return self._creation(self._left, self.prepend_indices, i)
+        return self._creation(i, False)
 
     def right_creation(self, i):
         """R_i: e_alpha -> e_{alpha g_i}, truncated at degree N."""
-        return self._creation(self._right, self.append_indices, i)
+        return self._creation(i, True)
 
-    def _creation(self, cache, indices, i):
-        self._check_gen(i)
-        with self._lock:
-            m = cache.get(i)
-        if m is None:
-            m = self._shift_matrix(indices((i,)))
-            with self._lock:
-                cache[i] = m
-        return m
+    def _creation(self, i, append):
+        if not 1 <= i <= self.n:
+            raise InputError(f"generator {i} outside 1..{self.n}")
+        g = {1: (np.array([i - 1]), np.ones((1, 1, 1), dtype=complex))}
+        return shift_sum(self.n, self.N, 1, g, append=append)
 
     def degree_projection(self, k):
         """Orthogonal projection onto words of length <= k (0/1 diagonal)."""
         if not 0 <= k <= self.N:
             raise InputError(f"degree {k} outside 0..{self.N}")
+        check_size(self.dim, self.dim, "degree projection")
         d = np.zeros(self.dim)
-        d[: self.basis.degree_slice(k)[1]] = 1.0
+        d[: self.degree_slice(k)[1]] = 1.0
         return np.diag(d).astype(complex)
-
-
-@functools.lru_cache(maxsize=64)
-def get_trunc(n, N):
-    """Shared FockTrunc instances, so creation-matrix caches are reused."""
-    return FockTrunc(n, N)
 
 
 # -- coefficient-times-word sums --------------------------------------------
@@ -310,8 +306,8 @@ def reconstruction_operator(ft, X):
     check_size(ft.dim * p, ft.dim * p, "reconstruction operator")
     out = np.zeros((ft.dim, p, ft.dim, p), dtype=complex)
     for i, m in enumerate(X.matrices, start=1):
-        src, dst = ft.append_indices((i,))
-        out[dst, :, src, :] = adjoint(m)
+        dst = ft.shift_indices((i,), append=True)
+        out[dst, :, np.arange(len(dst)), :] = adjoint(m)
     return out.reshape(ft.dim * p, ft.dim * p)
 
 
@@ -337,6 +333,7 @@ def poisson_kernel(ft, X):
     _check_tuple(ft, X)
     _check_strict_ball(X)
     p = X.dim
+    check_entries(ft.dim * p * p, "Poisson kernel")
     xstar = np.array([adjoint(m) for m in X.matrices])
     level = np.eye(p, dtype=complex)[None]
     levels = [level]
@@ -375,8 +372,8 @@ def poisson_transform_word_symbol(ft, alpha, beta, X, kernel=None):
     K = poisson_kernel(ft, X) if kernel is None else kernel
     p = X.dim
     K3 = K.reshape(ft.dim, p, p)
-    _, dst_b = ft.prepend_indices(beta)
-    _, dst_a = ft.prepend_indices(alpha)
+    dst_b = ft.shift_indices(beta)
+    dst_a = ft.shift_indices(alpha)
     m = min(len(dst_b), len(dst_a))  # sigma runs over degrees <= N - max(|alpha|,|beta|)
     rows_a = K3[dst_a[:m]].reshape(m * p, p)
     rows_b = K3[dst_b[:m]].reshape(m * p, p)
@@ -393,7 +390,7 @@ def berezin_transform(ft, mu, F, X):
     if getattr(mu, "realization", None) is None:
         raise InputError("moment functional lacks a vector-state realization")
     rft, pairs = mu.realization
-    if (rft.n, rft.N) != (ft.n, ft.N):
+    if rft != ft:
         raise InputError("realization lives on a different truncated Fock space")
     F = as_cmatrix(F)
     if F.shape != (ft.dim, ft.dim):
@@ -424,17 +421,17 @@ def _resolvent(ft, X, V, backward=False):
     from the top: out[alpha] = V[alpha] + sum_i out[alpha i] X_i^T.  Each
     degree is one product against the X_i side by side (stacked).
     """
-    basis = ft.basis
     out = np.array(V, dtype=complex)
+    start = [ft.degree_slice(k)[0] for k in range(ft.N + 2)]
     if backward:
         step = np.concatenate([m.T for m in X.matrices])
         for k in range(ft.N - 1, -1, -1):
-            (lo, mid), hi = basis.degree_slice(k), basis.degree_slice(k + 1)[1]
+            lo, mid, hi = start[k : k + 3]
             out[lo:mid] += out[mid:hi].reshape(mid - lo, -1) @ step
     else:
         step = np.concatenate([np.conj(m) for m in X.matrices], axis=1)
         for k in range(ft.N):
-            (lo, mid), hi = basis.degree_slice(k), basis.degree_slice(k + 1)[1]
+            lo, mid, hi = start[k : k + 3]
             out[mid:hi] += (out[lo:mid] @ step).reshape(hi - mid, -1)
     return out
 
@@ -466,7 +463,7 @@ def isometric_dilation(T, N):
     if T.row_norm > 1.0 + 1e-12:
         raise ScopeError(f"row norm {T.row_norm:.6f} exceeds 1; not a row contraction")
     n, p = T.n, T.dim
-    ft = get_trunc(n, N)
+    ft = FockTrunc(n, N)
     C = np.hstack(T.matrices)
     G = np.eye(n * p, dtype=complex) - adjoint(C) @ C
     # row_norm <= 1 + 1e-12 can leave eigenvalues ~ -2e-12; clamp them

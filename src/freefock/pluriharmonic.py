@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import get_trunc, poisson_transform, reconstruction_operator, shift_sum
+from .fock import FockTrunc, poisson_transform, reconstruction_operator, shift_sum
 from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
 from .series import FreeSeries, eval_report, jsr_estimate
 from .toeplitz import dense_decides, schur_factor
@@ -198,7 +198,7 @@ def mean_value_check(h, X, r, N):
             f"+ cutoff {h.cutoff}; the identity would not be exact"
         )
     lhs = eval_at(h, X)
-    ft = get_trunc(h.n, N)
+    ft = FockTrunc(h.n, N)
     rhs = poisson_transform(ft, radial_boundary(h, r, N), X.scale(1.0 / r), coeff_dim=h.p)
     dev = operator_norm(lhs - rhs)
     allowance = 1e-9 * (1.0 + operator_norm(lhs))
@@ -214,11 +214,11 @@ def is_multi_toeplitz(A, ft, margin, tol):
     if A.shape[0] != A.shape[1] or A.shape[0] % ft.dim:
         raise InputError(f"operator of size {A.shape} does not fit C^p (x) P^({ft.N})")
     p = A.shape[0] // ft.dim
-    q = ft.basis.degree_slice(ft.N - margin)[1]
+    q = ft.degree_slice(ft.N - margin)[1]
     a4 = A.reshape(p, ft.dim, p, ft.dim)
     scale = 1.0 + operator_norm(A)
     # R_i e_beta = e_{beta i}, so the compression reads A at the appended words
-    dst = [ft.append_indices((i,))[1][:q] for i in range(1, ft.n + 1)]
+    dst = [ft.shift_indices((i,), append=True)[:q] for i in range(1, ft.n + 1)]
     for i, di in enumerate(dst):
         rows = a4[:, di]
         for j, dj in enumerate(dst):

@@ -18,10 +18,10 @@ from . import pluriharmonic as ph
 from . import series as fs
 from . import transforms as tr
 from .fock import (
+    FockTrunc,
     OperatorTuple,
     apply_berezin_factor,
     apply_pluriharmonic_poisson,
-    get_trunc,
     poisson_kernel,
     poisson_transform,
     poisson_transform_word_symbol,
@@ -42,7 +42,7 @@ def _series_gap(f, g):
 
 
 def _random_vector(rng, ft, max_degree):
-    hi = ft.basis.degree_slice(max_degree)[1]
+    hi = ft.degree_slice(max_degree)[1]
     v = np.zeros(ft.dim, dtype=complex)
     v[:hi] = rng.standard_normal(hi) + 1j * rng.standard_normal(hi)
     return v / np.linalg.norm(v)
@@ -51,7 +51,7 @@ def _random_vector(rng, ft, max_degree):
 def _positive_functional(rng, n, deg, cutoff=None, pairs=2):
     """Random positive vector-state functional with full moment support."""
     cutoff = deg if cutoff is None else cutoff
-    ft = get_trunc(n, deg + cutoff)
+    ft = FockTrunc(n, deg + cutoff)
     data = [
         (float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg), None)
         for _ in range(pairs)
@@ -68,7 +68,7 @@ def suite_creation_algebra(rng):
     worst = 0.0
     for n in (1, 2, 3):
         for N in (1, 2, 3, 4):
-            ft = get_trunc(n, N)
+            ft = FockTrunc(n, N)
             q = ft.degree_projection(N - 1) if N >= 1 else np.zeros((1, 1))
             for i in range(1, n + 1):
                 si = ft.left_creation(i)
@@ -100,7 +100,7 @@ def suite_cayley_bijection(rng):
         n = 1 + k % 3
         m = 1 + k % 4
         p = 1 + k % 2
-        ft = get_trunc(n, m)
+        ft = FockTrunc(n, m)
         f = fs.random_series(rng, n, m, (p, p), scale=0.3, min_degree=1)
         y = fs.eval_at_creation(f, m)
         rt = fs.truncated_cayley(fs.truncated_cayley(y, "forward", ft), "inverse", ft)
@@ -146,12 +146,12 @@ def suite_poisson_factorization(rng):
     for k in range(100):
         n = 1 + k % 3
         dim = 2 + k % 5
-        ft = get_trunc(n, N)
+        ft = FockTrunc(n, N)
         X = random_nilpotent_tuple(rng, n, dim, row_norm=float(rng.uniform(0.3, 0.95)))
         K = poisson_kernel(ft, X)
         worst_iso = max(worst_iso, _max_abs(adjoint(K) @ K - np.eye(dim)))
         # probes supported where truncation cannot bite: degree <= N - dim
-        hi = ft.basis.degree_slice(N - dim)[1]
+        hi = ft.degree_slice(N - dim)[1]
         v = np.zeros((ft.dim, dim), dtype=complex)
         v[:hi] = rng.standard_normal((hi, dim)) + 1j * rng.standard_normal((hi, dim))
         v /= np.linalg.norm(v)
@@ -164,7 +164,7 @@ def suite_poisson_factorization(rng):
         n = 1 + k % 3
         dim = 2 + k % 5
         r = float(rng.uniform(0.3, 0.6))
-        ft = get_trunc(n, N)
+        ft = FockTrunc(n, N)
         mats = [
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             for _ in range(n)
@@ -188,7 +188,7 @@ def suite_poisson_factorization(rng):
 def suite_poisson_transform_identities(rng):
     """P_0[F] = <F e_0, e_0> I and P_X(S_a S_b*) = X_a X_b* (<= 1e-11)."""
     worst_zero = 0.0
-    ft4 = get_trunc(2, 4)
+    ft4 = FockTrunc(2, 4)
     for _ in range(5):
         F = rng.standard_normal((ft4.dim, ft4.dim)) + 1j * rng.standard_normal(
             (ft4.dim, ft4.dim)
@@ -200,7 +200,7 @@ def suite_poisson_transform_identities(rng):
     worst_ssxx = 0.0
     N = 8
     for n in (1, 2, 3):
-        ft = get_trunc(n, N)
+        ft = FockTrunc(n, N)
         dim = 4 if n == 3 else 6
         X = random_nilpotent_tuple(rng, n, dim, row_norm=0.9)
         K = poisson_kernel(ft, X)
@@ -262,7 +262,7 @@ def suite_harnack_and_coefficients(rng):
 def suite_fejer(rng):
     """Sharpness of the cosine bound at the two-point state, and the bound
     itself on 50 random states (tol 1e-10)."""
-    ft = get_trunc(1, 2)
+    ft = FockTrunc(1, 2)
     xi = np.zeros(ft.dim, dtype=complex)
     xi[0] = xi[1] = 1.0 / math.sqrt(2.0)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 1)
@@ -274,7 +274,7 @@ def suite_fejer(rng):
     for k in range(50):
         n = 1 + k % 2
         m = 2 + k % 3
-        ft = get_trunc(n, 2 * (m - 1))
+        ft = FockTrunc(n, 2 * (m - 1))
         pairs = [(1.0, _random_vector(rng, ft, m - 1), None)]
         pairs = [(w, v, v) for w, v, _ in pairs]
         mu = tr.from_vector_states(ft, pairs, m - 1)
@@ -342,11 +342,11 @@ def _chain_vector(rng, ft, deg):
     v = np.zeros(ft.dim, dtype=complex)
     w = ()
     while len(w) <= deg:
-        v[ft.basis.index[w]] = rng.uniform(0.6, 1.0) * np.exp(
+        v[ft.index(w)] = rng.uniform(0.6, 1.0) * np.exp(
             1j * rng.normal(0.0, 0.25)
         )
         w = w + u
-    hi = ft.basis.degree_slice(deg)[1]
+    hi = ft.degree_slice(deg)[1]
     noise = rng.standard_normal(hi) + 1j * rng.standard_normal(hi)
     v[:hi] += 0.2 * noise / np.linalg.norm(noise)
     return v / np.linalg.norm(v)
@@ -361,7 +361,7 @@ def generate_feasible_problem(rng, n, m, margin=0.02):
     functional's own deeper moments certify feasibility, which makes the
     completion problem nontrivial for the solver."""
     deg = m + 2
-    ft = get_trunc(n, deg + m)
+    ft = FockTrunc(n, deg + m)
     # one near-extremal chain state, one weak spread state: the data sits
     # close to the boundary without being exactly singular
     pairs = [

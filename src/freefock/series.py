@@ -495,11 +495,11 @@ def check_multi_analytic(Y, ft, tol=1e-10):
     scale = 1.0 + np.linalg.norm(Y)
     y4 = Y.reshape(p, ft.dim, p, ft.dim)
     for i in range(1, ft.n + 1):
-        # R_i maps e_src to e_dst: Y R_i moves columns dst to src, R_i Y rows src to dst
-        src, dst = ft.append_indices((i,))
+        # R_i maps e_j to e_dst[j]: Y R_i moves columns dst to j, R_i Y rows j to dst
+        dst = ft.shift_indices((i,), append=True)
         comm = np.zeros_like(y4)
-        comm[..., src] = y4[..., dst]
-        comm[:, dst] -= y4[:, src]
+        comm[..., : len(dst)] = y4[..., dst]
+        comm[:, dst] -= y4[:, : len(dst)]
         if np.linalg.norm(comm) > tol * scale:
             raise InputError(f"operator does not commute with I (x) R_{i}; not multi-analytic")
     return p
@@ -541,7 +541,7 @@ def extract_coeffs(A, ft, coeff_dim):
     a4 = A.reshape(p, ft.dim, p, ft.dim)
     analytic = {}
     coanalytic = {}
-    for w, k in ft.basis.index.items():
+    for w, k in GradedBasis(ft.n, ft.N).index.items():
         c = a4[:, k, :, 0]
         if c.any():
             analytic[w] = c.copy()

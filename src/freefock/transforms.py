@@ -29,7 +29,7 @@ from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, eval_at_creation, jsr_estimate
-from .words import decode_words, join_indices
+from .words import join_indices
 
 
 @dataclass
@@ -51,21 +51,6 @@ class MomentFunctional:
         return self.symbol.is_selfadjoint(tol)
 
 
-def _vector_degree(ft, v):
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (ft.dim,):
-        raise InputError(f"vector length {v.shape} does not match dim {ft.dim}")
-    nz = np.flatnonzero(v)
-    return int(np.searchsorted(ft.basis.degree_start, nz[-1], side="right")) - 1 if len(nz) else 0
-
-
-def _appended(v, dst):
-    """v moved along a right shift whose graded indices are dst."""
-    out = np.zeros_like(v)
-    out[dst] = v[: len(dst)]
-    return out
-
-
 def from_vector_states(ft, pairs, cutoff):
     """Moments mu(f) = sum_k w_k <f xi_k, eta_k> from vectors in P^(N).
 
@@ -76,26 +61,35 @@ def from_vector_states(ft, pairs, cutoff):
     """
     if cutoff > ft.N:
         raise InputError(f"cutoff {cutoff} exceeds truncation {ft.N}")
+    hi = ft.degree_slice(ft.N - cutoff)[1]
     prepared = []
     for w, xi, eta in pairs:
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        if max(_vector_degree(ft, xi), _vector_degree(ft, eta)) > ft.N - cutoff:
+        for v in (xi, eta):
+            if v.shape != (ft.dim,):
+                raise InputError(f"vector length {v.shape} does not match dim {ft.dim}")
+        if xi[hi:].any() or eta[hi:].any():
             raise InputError(
                 f"vector degree exceeds N - cutoff = {ft.N - cutoff}; "
                 "moments would be truncated"
             )
         prepared.append((complex(w), xi, eta))
-    unit = sum(w * np.vdot(eta, xi) for w, xi, eta in prepared)
-    analytic, coanalytic = {(): [[unit]]}, {}
-    for k in range(1, cutoff + 1):
-        # R_~word = R_{ik}...R_{i1} appends word: B_word = mu(R_~word), A_word = mu(R_~word*)
-        dsts = join_indices(ft.n, ft.N, k, append=True)
-        for word, dst in zip(decode_words(np.arange(ft.n**k), ft.n, k), dsts):
-            b = sum(w * np.vdot(eta, _appended(xi, dst)) for w, xi, eta in prepared)
-            a = sum(w * np.vdot(_appended(eta, dst), xi) for w, xi, eta in prepared)
-            analytic[word], coanalytic[word] = [[a]], [[b]]
-    series = (FreeSeries(ft.n, cutoff, (1, 1), c) for c in (analytic, coanalytic))
+    weights = np.array([p[0] for p in prepared])
+    xi, eta = (np.array([p[j] for p in prepared]).reshape(len(prepared), ft.dim) for j in (1, 2))
+    analytic, coanalytic = {}, {}
+    for k in range(cutoff + 1):
+        # R_~word = R_{ik}...R_{i1} appends word, e_v -> e_{rows[word, v]}: B_word =
+        # mu(R_~word) = sum w <xi_v, eta_rows>, A_word = mu(R_~word*) = sum w <xi_rows, eta_v>
+        rows = join_indices(ft.n, ft.N, k, append=True)
+        cols = rows.shape[1]
+        a = np.einsum("s,sv,swv->w", weights, eta[:, :cols].conj(), xi[:, rows])
+        b = np.einsum("s,swv,sv->w", weights, eta[:, rows].conj(), xi[:, :cols])
+        codes = np.arange(ft.n**k)
+        analytic[k] = codes, a[:, None, None]
+        if k:
+            coanalytic[k] = codes, b[:, None, None]
+    series = (FreeSeries._built(ft.n, cutoff, (1, 1), c) for c in (analytic, coanalytic))
     return MomentFunctional(PluriharmonicFn(*series), realization=(ft, prepared))
 
 

@@ -6,7 +6,7 @@ import pytest
 from freefock import caratheodory as cara
 from freefock import transforms as tr
 from freefock.errors import InfeasibleError, InputError
-from freefock.fock import get_trunc, random_nilpotent_tuple
+from freefock.fock import FockTrunc, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron
 from freefock.series import FreeSeries, extract_coeffs
 from freefock.toeplitz import assemble_T
@@ -247,7 +247,7 @@ def test_cayley_route_trivial_and_degree_one():
 def test_cayley_route_matrix_inverse_oracle():
     prob = scalar_problem(1, 2, {(): 1.0, (1,): 0.5, (1, 1): 0.25})
     cf = cara.cayley_route(prob, reg_eps=0.0)
-    ft = get_trunc(1, 2)
+    ft = FockTrunc(1, 2)
     s1 = ft.left_creation(1)
     y = 0.5 * s1 + 0.25 * s1 @ s1
     oracle = y @ np.linalg.inv(np.eye(3) + y)

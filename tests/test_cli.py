@@ -614,18 +614,36 @@ def test_samples_and_seed_are_checked_when_parsed(tmp_path, capsys, argv):
 
 
 def test_check_and_extend_build_no_basis(tmp_path, monkeypatch, capsys):
-    """Positivity, the extension and its verification read the series
-    blocks: no graded basis or truncated Fock space is built."""
+    """No command but `basis` enumerates words.  Positivity, the extension
+    and its verification read the series blocks and build no truncated
+    Fock space either; eval, norm (dense and structured), cayley and
+    poisson read blocks and code arithmetic."""
     def never(*args, **kwargs):
         raise AssertionError("built a word basis")
 
     monkeypatch.setattr(words.GradedBasis, "__init__", never)
-    monkeypatch.setattr(FockTrunc, "__init__", never)
     path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
-    assert run_cli(capsys, "check", path)[0] == 0
-    for target in ("3", "9"):  # dense T_3, and T_9 past the dense side
-        code, payload = run_cli(capsys, "extend", path, "--target-degree", target)
-        assert code == 0 and payload["verification"]["passed"] is True
+    with monkeypatch.context() as m:
+        m.setattr(FockTrunc, "__init__", never)
+        assert run_cli(capsys, "check", path)[0] == 0
+        for target in ("3", "9"):  # dense T_3, and T_9 past the dense side
+            code, payload = run_cli(capsys, "extend", path, "--target-degree", target)
+            assert code == 0 and payload["verification"]["passed"] is True
+
+    f = FreeSeries(2, 2, (1, 1), {(1,): [[0.3]], (2, 1): [[-0.2j]]})
+    x = OperatorTuple((np.triu(np.full((3, 3), 0.3), 1), np.triu(np.full((3, 3), 0.2j), 1)))
+    h = {"n": 2, "cutoff": 1, "shape": [1, 1], "analytic": {"": [[[1.0, 0.0]]]},
+         "coanalytic": {"1": [[[0.5, 0.0]]]}}
+    paths = {}
+    for name, obj in (("f", jsonio.series_to_json(f)), ("x", jsonio.tuple_to_json(x)), ("h", h)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        jsonio.write_json_atomic(obj, paths[name])
+    for argv in (["eval", paths["f"], paths["x"]],
+                 ["norm", paths["f"], "--trunc", "3"],  # dense, side 15
+                 ["norm", paths["f"], "--trunc", "7"],  # structured, side 255
+                 ["cayley", "forward", paths["f"]],
+                 ["poisson", paths["h"], paths["x"], "--trunc", "4"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 @pytest.mark.parametrize("command", ["norm", "poisson"])

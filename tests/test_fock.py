@@ -4,12 +4,12 @@ import pytest
 from freefock import fock
 from freefock.errors import InputError, ScopeError
 from freefock.fock import (
+    FockTrunc,
     OperatorTuple,
     apply_berezin_factor,
     apply_pluriharmonic_poisson,
     berezin_kernel,
     berezin_transform,
-    get_trunc,
     isometric_dilation,
     poisson_kernel,
     poisson_transform,
@@ -18,6 +18,7 @@ from freefock.fock import (
     tail_bound,
 )
 from freefock.linalg import adjoint, kron, operator_norm
+from freefock.words import GradedBasis
 
 
 def s_word(ft, word):
@@ -30,17 +31,17 @@ def s_word(ft, word):
 
 def basis_vector(ft, word):
     v = np.zeros(ft.dim, dtype=complex)
-    v[ft.basis.index[word]] = 1.0
+    v[ft.index(word)] = 1.0
     return v
 
 
 def test_left_creation_smallest():
-    ft = get_trunc(1, 1)
+    ft = FockTrunc(1, 1)
     assert np.array_equal(ft.left_creation(1), [[0, 0], [1, 0]])
 
 
 def test_left_creation_action():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     assert np.array_equal(ft.left_creation(1) @ basis_vector(ft, ()), basis_vector(ft, (1,)))
     assert np.array_equal(
         ft.left_creation(2) @ basis_vector(ft, (1,)), basis_vector(ft, (2, 1))
@@ -48,7 +49,7 @@ def test_left_creation_action():
 
 
 def test_creation_truncates_top_degree():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     top = basis_vector(ft, (1, 2))
     assert not (ft.left_creation(1) @ top).any()
     assert not (ft.right_creation(1) @ top).any()
@@ -57,17 +58,63 @@ def test_creation_truncates_top_degree():
 
 
 def test_right_creation_action():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     assert np.array_equal(
         ft.right_creation(1) @ basis_vector(ft, (2,)), basis_vector(ft, (2, 1))
     )
     # single generator: appending and prepending agree
-    ft1 = get_trunc(1, 3)
+    ft1 = FockTrunc(1, 3)
     assert np.array_equal(ft1.right_creation(1), ft1.left_creation(1))
 
 
+def test_creation_matrices_match_word_oracle():
+    """S_i and R_i move e_v to e_{i v} and e_{v i} through the enumerated
+    basis, for every v below the top degree; the projections are 0/1
+    diagonals over the degree ranges."""
+    for n in (1, 2, 3):
+        for N in range(5):
+            ft, basis = FockTrunc(n, N), GradedBasis(n, N)
+            for i in range(1, n + 1):
+                for shift, concat in ((ft.left_creation, lambda v: (i,) + v),
+                                      (ft.right_creation, lambda v: v + (i,))):
+                    want = np.zeros((ft.dim, ft.dim), dtype=complex)
+                    for v in basis.words[: basis.degree_slice(N - 1)[1] if N else 0]:
+                        want[basis.index[concat(v)], basis.index[v]] = 1.0
+                    got = shift(i)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            for k in range(N + 1):
+                want = np.diag([1.0 + 0j if len(w) <= k else 0j for w in basis.words])
+                assert np.array_equal(ft.degree_projection(k), want)
+
+
+def test_fock_trunc_is_a_value():
+    """(n, N) fixes the space: equal instances compare and hash alike, and
+    a realization is accepted on any equal instance."""
+    a, b = FockTrunc(2, 4), FockTrunc(2, 4)
+    assert a == b and hash(a) == hash(b) and len({a, b, FockTrunc(2, 5)}) == 2
+    assert (a.dim, a.degree_slice(2), a.index((2, 1))) == (31, (3, 7), 5)
+    with pytest.raises(AttributeError):
+        a.N = 5
+    for n, N in ((0, 2), (10, 1), (2, -1)):
+        with pytest.raises(InputError):
+            FockTrunc(n, N)
+    with pytest.raises(InputError):
+        a.index((1,) * 5)
+
+    from freefock.transforms import from_vector_states
+
+    x = random_nilpotent_tuple(np.random.default_rng(3), 2, 2, row_norm=0.5)
+    v = np.zeros(a.dim, dtype=complex)
+    v[0] = 1.0
+    mu = from_vector_states(a, [(1.0, v, v)], 2)
+    assert np.allclose(berezin_transform(b, mu, np.eye(b.dim), x), np.eye(2))
+    big = FockTrunc(2, 5)
+    with pytest.raises(InputError, match="different truncated Fock space"):
+        berezin_transform(big, mu, np.eye(big.dim), x)
+
+
 def test_degree_projection():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     assert np.array_equal(ft.degree_projection(2), np.eye(7))
     assert np.array_equal(np.diag(ft.degree_projection(1)), [1, 1, 1, 0, 0, 0, 0])
     q1, q2 = ft.degree_projection(1), ft.degree_projection(2)
@@ -78,7 +125,7 @@ def test_degree_projection():
 
 def test_creation_relations():
     for n, N in ((1, 3), (2, 3), (3, 2)):
-        ft = get_trunc(n, N)
+        ft = FockTrunc(n, N)
         q = ft.degree_projection(N - 1)
         for i in range(1, n + 1):
             si, ri = ft.left_creation(i), ft.right_creation(i)
@@ -90,11 +137,11 @@ def test_creation_relations():
 
 
 def test_reconstruction_operator():
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     zero = OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2))))
     assert not reconstruction_operator(ft, zero).any()
 
-    ft1 = get_trunc(1, 4)
+    ft1 = FockTrunc(1, 4)
     t = OperatorTuple((np.array([[0.37]]),))
     assert operator_norm(reconstruction_operator(ft1, t)) == pytest.approx(0.37, rel=1e-12)
 
@@ -106,7 +153,7 @@ def test_reconstruction_operator():
 
 
 def test_berezin_kernel_zero_and_scope():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     zero = OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2))))
     assert np.allclose(berezin_kernel(ft, zero), np.eye(ft.dim * 2))
     big = OperatorTuple((np.eye(2), np.zeros((2, 2))))
@@ -117,7 +164,7 @@ def test_berezin_kernel_zero_and_scope():
 def test_berezin_kernel_two_evaluation_paths():
     # terminating Neumann sum against the solve-based resolvent
     rng = np.random.default_rng(1)
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.8)
     rx = reconstruction_operator(ft, x)
     neumann = np.eye(rx.shape[0], dtype=complex)
@@ -131,13 +178,13 @@ def test_berezin_kernel_two_evaluation_paths():
 
 
 def test_poisson_kernel_blocks():
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     zero = OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2))))
     k = poisson_kernel(ft, zero)
     assert np.allclose(k[:2], np.eye(2))
     assert not k[2:].any()
 
-    ft1 = get_trunc(1, 2)
+    ft1 = FockTrunc(1, 2)
     t = 0.6
     k = poisson_kernel(ft1, OperatorTuple((np.array([[t]]),)))
     want = np.sqrt(1 - t * t) * np.array([[1.0], [t], [t * t]])
@@ -146,7 +193,7 @@ def test_poisson_kernel_blocks():
 
 def test_poisson_kernel_is_berezin_restriction():
     rng = np.random.default_rng(2)
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.7)
     b = berezin_kernel(ft, x)
     assert np.max(np.abs(b[:, : x.dim] - poisson_kernel(ft, x))) <= 1e-12
@@ -155,14 +202,14 @@ def test_poisson_kernel_is_berezin_restriction():
 def test_poisson_kernel_isometry_nilpotent():
     rng = np.random.default_rng(3)
     for n in (1, 2):
-        ft = get_trunc(n, 5)
+        ft = FockTrunc(n, 5)
         x = random_nilpotent_tuple(rng, n, 4, row_norm=0.9)
         k = poisson_kernel(ft, x)
         assert np.max(np.abs(adjoint(k) @ k - np.eye(4))) <= 1e-12
 
 
 def test_poisson_kernel_near_isometry_norm_r():
-    ft = get_trunc(1, 6)
+    ft = FockTrunc(1, 6)
     r = 0.5
     k = poisson_kernel(ft, OperatorTuple((np.array([[r]]),)))
     dev = operator_norm(adjoint(k) @ k - np.eye(1))
@@ -170,7 +217,7 @@ def test_poisson_kernel_near_isometry_norm_r():
 
 
 def test_poisson_transform_at_zero():
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     rng = np.random.default_rng(4)
     f = rng.standard_normal((ft.dim, ft.dim)) + 1j * rng.standard_normal((ft.dim, ft.dim))
     zero = OperatorTuple((np.zeros((3, 3)), np.zeros((3, 3))))
@@ -179,7 +226,7 @@ def test_poisson_transform_at_zero():
 
 def test_poisson_transform_word_symbols():
     rng = np.random.default_rng(5)
-    ft = get_trunc(2, 6)
+    ft = FockTrunc(2, 6)
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.8)
     for a, b in (((), ()), ((1,), (2,)), ((1, 2), (1,)), ((2, 2), ())):
         f = s_word(ft, a) @ s_word(ft, b).T
@@ -192,7 +239,7 @@ def test_poisson_transform_word_symbols():
 
 def test_poisson_transform_isometry_on_identity():
     rng = np.random.default_rng(6)
-    ft = get_trunc(2, 5)
+    ft = FockTrunc(2, 5)
     x = random_nilpotent_tuple(rng, 2, 4, row_norm=0.9)
     got = poisson_transform(ft, np.eye(ft.dim), x)
     assert np.max(np.abs(got - np.eye(4))) <= 1e-11
@@ -202,7 +249,7 @@ def test_berezin_transform_vector_state():
     from freefock.transforms import from_vector_states
 
     rng = np.random.default_rng(7)
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     x = random_nilpotent_tuple(rng, 2, 3, row_norm=0.6)
     f = rng.standard_normal((ft.dim, ft.dim)) + 1j * rng.standard_normal((ft.dim, ft.dim))
 
@@ -228,11 +275,11 @@ def test_probe_paths_match_dense():
 
     rng = np.random.default_rng(8)
     for n, N, dim in ((2, 4, 3), (1, 6, 2), (3, 3, 2)):
-        ft = get_trunc(n, N)
+        ft = FockTrunc(n, N)
         x = random_nilpotent_tuple(rng, n, dim, row_norm=0.7)
         p = pluriharmonic_poisson_kernel(ft, x)
         b = berezin_kernel(ft, x)
-        top = ft.basis.degree_slice(N)
+        top = ft.degree_slice(N)
         full = rng.standard_normal((ft.dim, dim)) + 1j * rng.standard_normal((ft.dim, dim))
         # probes on every word, on the empty word only, on the top degree only
         probes = [full, np.zeros_like(full), np.zeros_like(full)]
@@ -251,7 +298,7 @@ def test_isometric_dilation_unitary_case():
     v = isometric_dilation(u, N)
     m = v.matrices[0]
     assert np.max(np.abs(m[1:, 0])) <= 1e-12  # defect column is zero
-    ft = get_trunc(1, N)
+    ft = FockTrunc(1, N)
     want = np.zeros_like(m)
     want[0, 0] = 1.0
     want[1:, 1:] = ft.degree_projection(N - 1)
@@ -277,7 +324,7 @@ def test_isometric_dilation_isometry_below_top_degree():
     t = OperatorTuple(mats)
     t = t.scale(0.95 / t.row_norm)
     vs = isometric_dilation(t, N)
-    ft = get_trunc(n, N)
+    ft = FockTrunc(n, N)
     # projection onto H + (degree <= N-1 Fock part) (x) defect
     d = p + ft.dim * n * p
     proj = np.zeros((d, d), dtype=complex)

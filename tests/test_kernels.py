@@ -19,9 +19,9 @@ from freefock import series as fs
 from freefock import transforms as tr
 from freefock.errors import InputError, SizeLimitError
 from freefock.fock import (
+    FockTrunc,
     OperatorTuple,
     delta_defect,
-    get_trunc,
     poisson_kernel,
     poisson_transform,
     poisson_transform_word_symbol,
@@ -91,7 +91,7 @@ def rel_dev(got, want):
 @pytest.mark.parametrize("n,p", CASES)
 def test_shift_sum_matches_kron_sum(n, p):
     rng = np.random.default_rng(10 * n + p)
-    ft = get_trunc(n, 2)
+    ft = FockTrunc(n, 2)
     lower = random_coeffs(rng, n, 3, p)  # degree-3 words reach no block
     upper = random_coeffs(rng, n, 3, p, min_degree=1)
     size = p * ft.dim
@@ -123,7 +123,7 @@ def test_assemble_T_matches_kron_sum(n, p):
     rng = np.random.default_rng(20 * n + p)
     coeffs = random_coeffs(rng, n, 2, p)
     coeffs[()] = coeffs[()] + adjoint(coeffs[()])
-    ft = get_trunc(n, 2)
+    ft = FockTrunc(n, 2)
     want = kron(coeffs[()], np.eye(ft.dim)) + kron_sum(
         [(c, s_word(ft, w)) for w, c in coeffs.items() if w]
         + [(adjoint(c), s_word(ft, w).T) for w, c in coeffs.items() if w],
@@ -137,7 +137,7 @@ def test_eval_at_creation_matches_kron_sum(n, p):
     rng = np.random.default_rng(30 * n + p)
     f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
     for m in (0, 1, 2):  # cutoff 3 exceeds every truncation
-        ft = get_trunc(n, m)
+        ft = FockTrunc(n, m)
         want = kron_sum([(c, s_word(ft, w)) for w, c in f.coeffs.items()], p * ft.dim)
         assert rel_dev(fs.eval_at_creation(f, m), want) <= 1e-14
 
@@ -147,7 +147,7 @@ def test_radial_boundary_matches_kron_sum(n, p):
     rng = np.random.default_rng(40 * n + p)
     h = random_symbol(rng, n, p)
     for r in (0.0, 0.6, 1.0):
-        ft = get_trunc(n, 2)
+        ft = FockTrunc(n, 2)
         want = kron(h.analytic.coefficient(()), np.eye(ft.dim)) + kron_sum(
             [(c, r ** len(w) * s_word(ft, w)) for w, c in h.analytic.coeffs.items() if w]
             + [(c, r ** len(w) * s_word(ft, w).T) for w, c in h.coanalytic.coeffs.items()],
@@ -193,7 +193,7 @@ def kernel_entrywise(f):
 def test_cf_check_cross_check_matches_kron_sum(n, p):
     rng = np.random.default_rng(50 * n + p)
     prob = cara.CFProblem(fs.FreeSeries(n, 2, (p, p), random_coeffs(rng, n, 2, p)))
-    ft = get_trunc(n, 2)
+    ft = FockTrunc(n, 2)
     want = kron_sum(
         [(c, r_word(ft, reverse(w))) for w, c in prob.data.coeffs.items()], p * ft.dim
     )
@@ -225,7 +225,7 @@ def test_radial_compressions_match_kron_sum(n, p):
     half = (f.coeffs[()] + adjoint(f.coeffs[()])) / 2.0
     want = np.inf
     for m in range(3):
-        ft = get_trunc(n, m)
+        ft = FockTrunc(n, m)
         for r in grid:
             terms = []
             for w, c in f.coeffs.items():
@@ -279,7 +279,7 @@ def test_structure_checks_match_kron_products(n, p):
     # each verdict flips exactly where the dense deviation crosses the
     # tolerance, so the index-map deviations equal the dense ones
     rng = np.random.default_rng(110 * n + p)
-    ft = get_trunc(n, 3)
+    ft = FockTrunc(n, 3)
     size = p * ft.dim
     f = fs.FreeSeries(n, 3, (p, p), random_coeffs(rng, n, 3, p))
     h = random_symbol(rng, n, p)
@@ -426,10 +426,10 @@ def test_verify_solution_reuses_positivity_of_its_own_series_only():
 @pytest.mark.parametrize("n,q", CASES)
 def test_poisson_kernel_and_transform_match_dense(n, q):
     rng = np.random.default_rng(90 * n + q)
-    ft = get_trunc(n, 3)
+    ft = FockTrunc(n, 3)
     X = random_nilpotent_tuple(rng, n, 3, row_norm=0.8)
     p = X.dim
-    want_k = np.vstack([delta_defect(X) @ adjoint(X.word(w)) for w in ft.basis.words])
+    want_k = np.vstack([delta_defect(X) @ adjoint(X.word(w)) for w in GradedBasis(n, 3).words])
     K = poisson_kernel(ft, X)
     assert rel_dev(K, want_k) <= 1e-14
 
@@ -446,7 +446,7 @@ def test_poisson_kernel_and_transform_match_dense(n, q):
 
 def test_transforms_of_functionals_match_kron_sums():
     rng = np.random.default_rng(11)
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     v = np.zeros(ft.dim, dtype=complex)
     v[:7] = gaussian(rng, 7)
     mu = tr.from_vector_states(ft, [(1.0, v, v)], 2)
@@ -469,7 +469,7 @@ def test_series_level_reductions_match_operator_cayley(n, p):
     coeffs = {w: 0.1 * gaussian(rng, (p, p)) for w in GradedBasis(n, m).words}
     coeffs[()] = np.eye(p, dtype=complex)
     prob = cara.CaratheodoryProblem(fs.FreeSeries(n, m, (p, p), coeffs))
-    ft = get_trunc(n, m)
+    ft = FockTrunc(n, m)
     y = kron_sum([(c, s_word(ft, w)) for w, c in coeffs.items() if w], p * ft.dim)
     want, _ = fs.extract_coeffs(fs.truncated_cayley(y, "inverse", ft), ft, p)
     got = cara.cayley_route(prob, reg_eps=0.0).data
@@ -477,7 +477,7 @@ def test_series_level_reductions_match_operator_cayley(n, p):
         assert np.max(np.abs(got.coefficient(w) - want.get(w, 0.0))) <= 1e-14
 
     cf = cara.CFProblem(got.scale(0.3))
-    ft1 = get_trunc(n, m + 1)
+    ft1 = FockTrunc(n, m + 1)
     b = kron_sum([(c, s_word(ft1, (1,) + w)) for w, c in cf.data.coeffs.items()], p * ft1.dim)
     want, _ = fs.extract_coeffs(fs.truncated_cayley(b, "forward", ft1), ft1, p)
     lifted = cara.cf_to_caratheodory(cf).data
@@ -498,7 +498,7 @@ def cap8():
 
 def test_kernels_check_size_before_allocating(cap8):
     # every case below is 9 to 12 on a side; none is allocated
-    ft = get_trunc(1, 3)
+    ft = FockTrunc(1, 3)
     X = OperatorTuple((np.zeros((3, 3)),))
     f = fs.FreeSeries(1, 1, (3, 3), {(1,): np.eye(3)})
     h = ph.PluriharmonicFn(
@@ -514,3 +514,12 @@ def test_kernels_check_size_before_allocating(cap8):
         shift_sum(1, 3, 3, {})
     with pytest.raises(SizeLimitError):
         word_sum(X, {}, 3)
+    # nor are the creation matrices and projections of P^(3) over two
+    # letters, 15 on a side, or the Poisson kernel of a 5 x 5 tuple on
+    # P^(3) over one, 4 * 5^2 = 100 > 8^2 entries; both spaces are in the cap
+    ft = FockTrunc(2, 3)
+    for build in (ft.left_creation, ft.right_creation, ft.degree_projection):
+        with pytest.raises(SizeLimitError):
+            build(1)
+    with pytest.raises(SizeLimitError):
+        poisson_kernel(FockTrunc(1, 3), OperatorTuple((np.zeros((5, 5)),)))

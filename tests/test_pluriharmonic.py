@@ -4,7 +4,7 @@ import pytest
 from freefock import pluriharmonic as ph
 from freefock import series as fs
 from freefock.errors import InputError, ScopeError
-from freefock.fock import OperatorTuple, get_trunc, random_nilpotent_tuple
+from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron, min_eig_hermitian, operator_norm
 from freefock.words import GradedBasis
 
@@ -96,7 +96,7 @@ def test_radial_boundary_coefficients_roundtrip():
     h = ph.real_part(f)
     r, N = 0.7, 4
     a = ph.radial_boundary(h, r, N)
-    analytic, coanalytic = fs.extract_coeffs(a, get_trunc(2, N), 2)
+    analytic, coanalytic = fs.extract_coeffs(a, FockTrunc(2, N), 2)
     for w in GradedBasis(2, 2).words:
         scale = r ** len(w)
         got = analytic.get(w, np.zeros((2, 2)))
@@ -107,7 +107,7 @@ def test_radial_boundary_coefficients_roundtrip():
 
 
 def test_pluriharmonic_poisson_kernel():
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     zero = OperatorTuple((np.zeros((2, 2)), np.zeros((2, 2))))
     assert np.allclose(ph.pluriharmonic_poisson_kernel(ft, zero), np.eye(ft.dim * 2))
 
@@ -120,7 +120,7 @@ def test_pluriharmonic_poisson_kernel():
 
     b = berezin_kernel(ft, x)
     nu = 3
-    hi = ft.basis.degree_slice(ft.N - nu)[1] * x.dim
+    hi = ft.degree_slice(ft.N - nu)[1] * x.dim
     diff = (p - adjoint(b) @ b)[:hi, :hi]
     assert np.max(np.abs(diff)) <= 1e-12
 
@@ -128,7 +128,7 @@ def test_pluriharmonic_poisson_kernel():
 def test_pluriharmonic_poisson_kernel_nilpotent_outside_ball():
     # row norm >= 1 is computable for jointly nilpotent tuples (the sums
     # terminate), though positivity belongs to the open ball only
-    ft = get_trunc(1, 3)
+    ft = FockTrunc(1, 3)
     x = OperatorTuple((np.array([[0.0, 1.4], [0.0, 0.0]]),))
     p = ph.pluriharmonic_poisson_kernel(ft, x)
     assert np.max(np.abs(p - adjoint(p))) <= 1e-12
@@ -216,7 +216,7 @@ def test_mean_value_check():
 
 def test_is_multi_toeplitz():
     rng = np.random.default_rng(6)
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     h = ph.real_part(fs.random_series(rng, 2, 2, (1, 1), scale=0.5))
     a = ph.radial_boundary(h, 0.8, 4)
     assert ph.is_multi_toeplitz(a, ft, margin=2, tol=1e-10)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from freefock import linalg
 from freefock import series as fs
 from freefock.errors import InputError, ScopeError, SizeLimitError
-from freefock.fock import OperatorTuple, get_trunc, random_nilpotent_tuple
+from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
 from freefock.linalg import kron, operator_norm
 from freefock.words import GradedBasis, reverse
 
@@ -437,14 +437,14 @@ def test_eval_at_creation():
 
     f = scalar_series(1, 2, {(1,): 1.0, (1, 1): 5.0})
     got = fs.eval_at_creation(f, 1)  # degree-2 term dies by nilpotency
-    assert np.allclose(got, get_trunc(1, 1).left_creation(1))
+    assert np.allclose(got, FockTrunc(1, 1).left_creation(1))
 
 
 def test_eval_consistency_with_creation_tuple():
     rng = np.random.default_rng(5)
     f = fs.random_series(rng, 2, 3, (2, 2), scale=0.5)
     m = 3
-    ft = get_trunc(2, m)
+    ft = FockTrunc(2, m)
     s_tuple = OperatorTuple(tuple(ft.left_creation(i) for i in (1, 2)))
     direct = fs.eval_at(f, s_tuple)
     assert np.max(np.abs(direct - fs.eval_at_creation(f, m))) <= 1e-12
@@ -520,14 +520,14 @@ def test_radius_estimate():
 
 
 def test_truncated_cayley_basics():
-    ft = get_trunc(1, 1)
+    ft = FockTrunc(1, 1)
     y = 0.7 * ft.left_creation(1)
     for direction in ("forward", "inverse"):
         assert np.allclose(fs.truncated_cayley(y, direction, ft), y)
 
     rng = np.random.default_rng(8)
     for m in (2, 3, 4):
-        ft = get_trunc(2, m)
+        ft = FockTrunc(2, m)
         f = fs.random_series(rng, 2, m, (1, 1), scale=0.4, min_degree=1)
         y = fs.eval_at_creation(f, m)
         rt = fs.truncated_cayley(fs.truncated_cayley(y, "forward", ft), "inverse", ft)
@@ -535,7 +535,7 @@ def test_truncated_cayley_basics():
 
 
 def test_truncated_cayley_rejects_bad_input():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     rng = np.random.default_rng(9)
     junk = rng.standard_normal((ft.dim, ft.dim))
     with pytest.raises(InputError):
@@ -550,7 +550,7 @@ def test_truncated_cayley_rejects_bad_input():
 
 
 def test_extract_coeffs():
-    ft = get_trunc(2, 2)
+    ft = FockTrunc(2, 2)
     analytic, coanalytic = fs.extract_coeffs(ft.left_creation(1), ft, 1)
     assert set(analytic) == {(1,)} and np.allclose(analytic[(1,)], ONE)
     assert not coanalytic

@@ -7,7 +7,7 @@ from freefock import pluriharmonic as ph
 from freefock import series as fs
 from freefock import transforms as tr
 from freefock.errors import InputError, ScopeError
-from freefock.fock import OperatorTuple, get_trunc, random_nilpotent_tuple
+from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron, min_eig_hermitian
 from freefock.toeplitz import assemble_T
 from freefock.words import GradedBasis
@@ -28,14 +28,14 @@ def two_point_state(ft):
 
 
 def test_from_vector_states_tau():
-    ft = get_trunc(2, 3)
+    ft = FockTrunc(2, 3)
     mu = tr.from_vector_states(ft, [(1.0, tau_state(ft), tau_state(ft))], 2)
     assert mu.unit[0, 0] == pytest.approx(1.0)
     assert not mu.symbol.coanalytic.coeffs and mu.symbol.analytic.max_degree() == 0
 
 
 def test_from_vector_states_two_point():
-    ft = get_trunc(1, 4)
+    ft = FockTrunc(1, 4)
     xi = two_point_state(ft)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 3)
     assert mu.unit[0, 0] == pytest.approx(1.0)
@@ -46,17 +46,42 @@ def test_from_vector_states_two_point():
 
 
 def test_from_vector_states_zero_weights():
-    ft = get_trunc(1, 3)
+    ft = FockTrunc(1, 3)
     mu = tr.from_vector_states(ft, [(0.0, two_point_state(ft), two_point_state(ft))], 2)
     assert mu.unit[0, 0] == 0.0 and not mu.symbol.coanalytic.coeffs
 
 
 def test_from_vector_states_exactness_zone():
-    ft = get_trunc(1, 3)
+    ft = FockTrunc(1, 3)
     deep = np.zeros(ft.dim, dtype=complex)
     deep[-1] = 1.0  # degree 3 vector
     with pytest.raises(InputError):
         tr.from_vector_states(ft, [(1.0, deep, deep)], 2)
+
+
+def test_from_vector_states_matches_creation_matrices():
+    """The moments against the loop over words through dense right creation
+    matrices: B_a = sum w <M xi, eta> and A_a = sum w <xi, M eta>, M = R_~a
+    appending a, to a tolerance set by the dtype (summation order differs)."""
+    rng = np.random.default_rng(12)
+    for n, N, cutoff in ((1, 5, 3), (2, 5, 2), (3, 4, 2)):
+        ft = FockTrunc(n, N)
+        hi = ft.degree_slice(N - cutoff)[1]
+        pairs = []
+        for _ in range(3):
+            xi, eta = np.zeros((2, ft.dim), dtype=complex)
+            xi[:hi], eta[:hi] = rng.standard_normal((2, hi, 2)) @ [1.0, 1j]
+            pairs.append((complex(rng.uniform(0.2, 1.0), rng.normal()), xi, eta))
+        mu = tr.from_vector_states(ft, pairs, cutoff)
+        for a in GradedBasis(n, cutoff).words:
+            m = np.eye(ft.dim)
+            for i in a:
+                m = ft.right_creation(i) @ m
+            b_want = sum(w * np.vdot(eta, m @ xi) for w, xi, eta in pairs)
+            a_want = sum(w * np.vdot(m @ eta, xi) for w, xi, eta in pairs)
+            assert abs(mu.symbol.analytic.coefficient(a)[0, 0] - a_want) <= 1e-13
+            if a:
+                assert abs(mu.symbol.coanalytic.coefficient(a)[0, 0] - b_want) <= 1e-13
 
 
 def test_moments_independent_of_truncation():
@@ -64,13 +89,13 @@ def test_moments_independent_of_truncation():
     # the untruncated moments: embedding the same state into a larger
     # space changes nothing
     rng = np.random.default_rng(9)
-    small, large = get_trunc(2, 4), get_trunc(2, 7)
+    small, large = FockTrunc(2, 4), FockTrunc(2, 7)
     v = np.zeros(small.dim, dtype=complex)
-    hi = small.basis.degree_slice(2)[1]
+    hi = small.degree_slice(2)[1]
     v[:hi] = rng.standard_normal(hi) + 1j * rng.standard_normal(hi)
     w = np.zeros(large.dim, dtype=complex)
-    for word, i in small.basis.index.items():
-        w[large.basis.index[word]] = v[i]
+    for word in GradedBasis(2, 4).words:
+        w[large.index(word)] = v[small.index(word)]
     mu_small = tr.from_vector_states(small, [(1.0, v, v)], 2)
     mu_large = tr.from_vector_states(large, [(1.0, w, w)], 2)
     assert mu_small.unit[0, 0] == pytest.approx(mu_large.unit[0, 0], abs=1e-15)
@@ -80,7 +105,7 @@ def test_moments_independent_of_truncation():
 
 
 def test_poisson_transform_of():
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     rng = np.random.default_rng(0)
     mu = tr.from_vector_states(
         ft, [(1.0, tau_state(ft), tau_state(ft))], 2
@@ -100,7 +125,7 @@ def test_poisson_transform_of():
 
 
 def test_herglotz_and_fantappie():
-    ft = get_trunc(1, 4)
+    ft = FockTrunc(1, 4)
     xi = two_point_state(ft)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 3)
     z = np.zeros((2, 2)); z[0, 1] = 0.4
@@ -124,7 +149,7 @@ def test_herglotz_and_fantappie():
 def test_herglotz_from_isometries():
     rng = np.random.default_rng(1)
     n, N = 2, 4
-    ft = get_trunc(n, N)
+    ft = FockTrunc(n, N)
     v_ops = OperatorTuple(tuple(ft.right_creation(i) for i in (1, 2)))
     q = ft.degree_projection(N - 1)
     x = random_nilpotent_tuple(rng, n, 3, row_norm=0.6)
@@ -194,7 +219,7 @@ def test_positivity_equivalence_check():
 
 
 def test_fejer_check():
-    ft = get_trunc(1, 2)
+    ft = FockTrunc(1, 2)
     xi = two_point_state(ft)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 1)
     rep = tr.fejer_check(mu, 2)
@@ -233,7 +258,7 @@ def test_radial_functional():
 
 
 def test_poisson_transform_linearity():
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     rng = np.random.default_rng(8)
     v1 = np.zeros(ft.dim, dtype=complex)
     v2 = np.zeros(ft.dim, dtype=complex)
@@ -249,7 +274,7 @@ def test_poisson_transform_linearity():
 
 
 def test_poisson_pluriharmonic():
-    ft = get_trunc(2, 4)
+    ft = FockTrunc(2, 4)
     rng = np.random.default_rng(4)
     v = np.zeros(ft.dim, dtype=complex)
     v[:7] = rng.standard_normal(7) + 1j * rng.standard_normal(7)

@@ -123,17 +123,18 @@ def test_join_indices_match_tuple_concatenation(n):
     for N in range(5):
         basis = GradedBasis(n, N)
         ft = FockTrunc(n, N)
+        assert ft.dim == basis.size
+        assert all(ft.degree_slice(k) == basis.degree_slice(k) for k in range(N + 1))
         for w in GradedBasis(n, N + 1).words:
             k = len(w)
             cols = basis.degree_slice(N - k)[1] if k <= N else 0
             sources = basis.words[:cols]
-            for append, concat, shift in ((False, lambda v: w + v, ft.prepend_indices),
-                                          (True, lambda v: v + w, ft.append_indices)):
+            for append, concat in ((False, lambda v: w + v), (True, lambda v: v + w)):
                 want = [basis.index[concat(v)] for v in sources]
                 if k <= N:
                     rows = join_indices(n, N, k, append)
                     assert rows.shape == (n**k, cols) and not rows.flags.writeable
                     assert rows[encode_words([w], n, k)[0]].tolist() == want
-                src, dst = shift(w)
-                assert src.tolist() == list(range(cols)) and dst.tolist() == want
+                    assert ft.index(w) == basis.index[w]
+                assert ft.shift_indices(w, append).tolist() == want
 
