@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import prefix_tree, random_nilpotent_tuple, shift_sum, tree_products
+from .fock import random_nilpotent_tuple, shift_sum, word_products
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
@@ -170,8 +170,8 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
         reg_eps = 1e-10 * (1.0 + operator_norm(b0))
     nrm = _inv_sqrt_psd(b0, reg_eps)
     p = prob.block_size
-    normalized = {w: nrm @ c @ nrm for w, c in prob.data.coeffs.items() if w}
-    cf = cayley_inverse(FreeSeries(prob.n, prob.m, (p, p), normalized))
+    normalized = {k: (codes, nrm @ c @ nrm) for k, (codes, c) in prob.data.blocks.items() if k}
+    cf = cayley_inverse(FreeSeries._built(prob.n, prob.m, (p, p), normalized))
     if dense_norm(prob.n, prob.m, p):
         xn = operator_norm(shift_sum(prob.n, prob.m, p, cf.blocks))
         if xn > 1.0 + 1e-9:
@@ -238,8 +238,9 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     T_M's positivity is the one extend computed for this same series
     object, when that record decides it at tol; any other series, such as
     a corrupted copy under the original certificate, is computed fresh.
-    The samples are drawn in order, then evaluated in chunks over one
-    prefix tree: one batched matmul per level and one einsum per chunk.
+    The samples are drawn in order, then evaluated in chunks over the
+    words of fock.word_products, read from the blocks of the extension and
+    b_0 / 2: one batched matmul per degree and one einsum per chunk.
     A chunk takes as many samples as fit in min(d p, DENSE_DIM)^2 entries
     of products, the size of the dense T_M that positivity assembles at or
     below DENSE_DIM, but at least one: one sample alone holds d (M + 1)^2
@@ -264,20 +265,18 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()
     half = (np.zeros(1, np.int64), b0[None] / 2.0)
-    terms = FreeSeries._built(prob.n, M, f.shape, {**f.blocks, 0: half}).coeffs
-    tree = prefix_tree(terms)
-    c = tree.stack(terms, p)
+    c, products = word_products(prob.n, {**f.blocks, 0: half}, p)
     tuples = [
         random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
         for _ in range(samples)
     ]
-    per_sample = len(tree.index) * (M + 1) ** 2
+    per_sample = len(c) * (M + 1) ** 2
     check_entries(per_sample, "nilpotent sample")
     chunk = max(1, min(tm.matrix_dim, DENSE_DIM) ** 2 // per_sample)
     worst = np.inf
     for lo in range(0, samples, chunk):
         xs = np.array([X.matrices for X in tuples[lo:lo + chunk]])
-        g = np.einsum("wab,wsij->saibj", c, tree_products(tree, xs.swapaxes(0, 1)))
+        g = np.einsum("wab,wsij->saibj", c, products(xs.swapaxes(0, 1)))
         g = g.reshape(len(xs), p * (M + 1), p * (M + 1))
         worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min()))
     checks["nilpotent_positive"] = (worst >= -tol, worst)

@@ -1,10 +1,10 @@
 """Command-line front end: JSON in, JSON out, scriptable exit codes.
 
-Exit codes: 0 ok/feasible, 1 infeasible, 3 input error, 4 numerical-
-scope error, 5 internal error (any other exception, a fault of the
-program and never a verdict; its traceback goes to stderr).  Code 2 (no
-convergence) is retired and never emitted: the extension is computed in
-closed form.
+Exit codes: 0 ok/feasible, 1 infeasible, 3 input or output error, 4
+numerical-scope error, 5 internal error (any other exception, a fault of
+the program and never a verdict; its traceback goes to stderr).  Code 2
+(no convergence) is retired and never emitted: the extension is computed
+in closed form.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ def _emit(payload, args):
             sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     except ValueError:
         raise ScopeError("the result is not finite (overflow); nothing written") from None
+    except OSError as exc:
+        if not out:
+            raise  # stdout closed by its reader: main reports it
+        raise InputError(f"--output {out} cannot be written: {exc.strerror}") from None
 
 
 def cmd_basis(args):
@@ -149,7 +153,7 @@ def cmd_selftest(args):
         for name, _ in selftest.SUITES:
             print(name)
         return EXIT_OK
-    ok = selftest.run_all(seed=args.seed)
+    ok = selftest.run_all(seed=args.seed, report=functools.partial(print, flush=True))
     return EXIT_OK if ok else EXIT_SCOPE
 
 
@@ -243,6 +247,10 @@ def main(argv=None):
     except ScopeError as exc:
         print(f"numerical scope error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
+    except BrokenPipeError:
+        sys.stdout = None  # its reader has gone: nothing more is written, nor flushed at exit
+        print("output error: stdout was closed by its reader", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -16,12 +16,14 @@ Layout conventions, used consistently everywhere:
 * Operators on ``E (x) Fock`` (symbol evaluations, radial boundaries)
   are coefficient-major: composite index = e_index * dim + fock_index.
 
-Every sum of coefficients times words goes through one of two kernels:
-``shift_sum`` scatters the blocks of a series into the blocks that their
-shifts on P^(N) reach, placed by code arithmetic (``words.join_indices``),
-for multi-analytic operators, multi-Toeplitz matrices and radial
-boundaries; ``word_sum`` evaluates at an operator tuple, building the
-word products level by level over their prefix tree.
+Every sum of coefficients times words goes through one of two kernels,
+and both read the blocks {k: (codes, stack)} of a series: ``shift_sum``
+scatters them into the blocks that their shifts on P^(N) reach, placed by
+code arithmetic (``words.join_indices``), for multi-analytic operators,
+multi-Toeplitz matrices and radial boundaries; ``word_sum`` evaluates
+them at an operator tuple, building the products of the words and their
+prefixes degree by degree (``word_products``), each word's parent found
+by code arithmetic too.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5; the ``apply_*`` functions act on tall vectors instead of forming
@@ -217,64 +219,61 @@ def shift_sum(n, N, p, lower, upper=None, append=False):
     return out.reshape(p * d, p * d)
 
 
-def word_sum(X, coeffs, p):
-    """sum_w coeffs[w] (x) X_w on C^p (x) C^dim, coefficient-major, for
-    p x p coefficients keyed by word: the products over the prefix tree of
-    the words (tree_products), then one einsum sums every node's
+def word_sum(X, p, blocks):
+    """sum_w c_w (x) X_w on C^p (x) C^dim, coefficient-major, for the p x p
+    coefficients of series blocks {k: (codes, stack)} over X.n letters:
+    the products of word_products, then one einsum sums every node's
     coefficient, zero where it has none, against its product.  Not a BLAS
     product: for p = 1 that is a gemv which OpenBLAS runs on several
     threads, and waking them took up to 2 ms per call on 2 cores, against
     under 0.1 ms for the einsum."""
     q = X.dim
     check_size(p * q, p * q, "word sum")
-    tree = prefix_tree(coeffs)
-    prods = tree_products(tree, np.array(X.matrices)[:, None])[:, 0]
-    return np.einsum("wab,wij->aibj", tree.stack(coeffs, p), prods).reshape(p * q, p * q)
+    c, products = word_products(X.n, blocks, p)
+    prods = products(np.array(X.matrices)[:, None])[:, 0]
+    return np.einsum("wab,wij->aibj", c, prods).reshape(p * q, p * q)
 
 
-@dataclass
-class PrefixTree:
-    """Every prefix of a set of words, the root () first and by length:
-    levels holds, for each length, the node range lo:hi and, per node, its
-    parent node and the index of its last letter."""
+def word_products(n, blocks, p):
+    """The words of series blocks {k: (codes, stack)} over n letters and
+    all their prefixes, the nodes, by degree and code: in a degree the word
+    v i has code n code(v) + i - 1, so a node of code c has its parent at
+    code c // n one degree down and last letter c % n.  The degrees up to
+    the highest full block hold every word.  Returns the (nodes, p, p)
+    coefficient stack, zero at a node without one, and products(xs): for
+    tuples stacked as xs[i, s] = X_{i+1} of sample s, the (nodes, samples,
+    q, q) products X_w, one batched matmul per degree, of every parent by
+    every X_i on a full degree, else of the gathered parents and letters."""
+    top = max(blocks, default=0)
+    nodes, up, full = {}, np.zeros(0, np.int64), 0  # degrees 0..full hold every word
+    for k in range(top, 0, -1):
+        if k in blocks and len(blocks[k][0]) == n**k:
+            full = k  # and the parents of a full degree fill the one below
+            break
+        codes = np.sort(np.concatenate([blocks[k][0], up]) if k in blocks else up)
+        nodes[k] = codes[np.append(True, codes[1:] != codes[:-1])]  # not np.unique
+        up = nodes[k] // n
+    sizes = [n**k if k <= full else len(nodes[k]) for k in range(top + 1)]
+    start = np.cumsum([0] + sizes).tolist()
+    c = np.zeros((start[-1], p, p), dtype=complex)
+    for k, (codes, block) in blocks.items():
+        c[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
 
-    index: dict  # word -> node
-    levels: list  # (lo, hi, parents, letters)
+    def products(xs):
+        prods = np.empty((start[-1], *xs.shape[1:]), dtype=complex)
+        prods[0] = np.eye(xs.shape[-1])
+        for k in range(1, top + 1):
+            lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
+            if k <= full:
+                np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
+            else:
+                at = nodes[k] // n  # the parents' codes, then their rows in below
+                at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
+                letters = (nodes[k] % n).astype(np.intp)
+                np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
+        return prods
 
-    def stack(self, coeffs, p):
-        """The (nodes, p, p) coefficient stack, zero where a node has none."""
-        c = np.zeros((len(self.index), p, p), dtype=complex)
-        c[[self.index[w] for w in coeffs]] = np.array(list(coeffs.values())).reshape(-1, p, p)
-        return c
-
-
-def prefix_tree(words):
-    """The PrefixTree of a collection of words."""
-    nodes = {(): None}
-    for w in words:
-        k = len(w)
-        while w[:k] not in nodes:
-            nodes[w[:k]] = None
-            k -= 1
-    order = sorted(nodes, key=len)
-    index = {w: j for j, w in enumerate(order)}
-    parent = np.array([0] + [index[w[:-1]] for w in order[1:]])
-    letter = np.array([0] + [w[-1] - 1 for w in order[1:]])
-    starts = np.searchsorted([len(w) for w in order], range(len(order[-1]) + 2)).tolist()
-    levels = [(lo, hi, parent[lo:hi], letter[lo:hi]) for lo, hi in zip(starts[1:-1], starts[2:])]
-    return PrefixTree(index, levels)
-
-
-def tree_products(tree, xs):
-    """The products X_w of every node for tuples stacked as xs[i, s] = X_{i+1}
-    of sample s: (nodes, samples, q, q), built level by level over the
-    prefix tree, one gather of the parents' products and one batched
-    matmul per level."""
-    prods = np.empty((len(tree.index), *xs.shape[1:]), dtype=complex)
-    prods[0] = np.eye(xs.shape[-1])
-    for lo, hi, parents, letters in tree.levels:
-        np.matmul(prods.take(parents, 0), xs.take(letters, 0), out=prods[lo:hi])
-    return prods
+    return c, products
 
 
 # -- kernels and transforms ------------------------------------------------

@@ -35,7 +35,7 @@ class PluriharmonicFn:
             )
         if not a.is_square():
             raise InputError("pluriharmonic coefficients must be square")
-        if () in b.coeffs:
+        if 0 in b.blocks:
             raise InputError("co-analytic coefficients start at degree 1; no constant term")
         self.n, self.cutoff, self.shape, self.p = a.n, a.cutoff, a.shape, a.shape[0]
 

@@ -3,9 +3,10 @@
 Coefficients are complex matrices of one fixed shape.  A series stores,
 for each degree k where it has a nonzero coefficient, one block: the
 increasing integer codes of its words (``words.encode_words``) and the
-stack of their coefficients, with no all-zero row.  ``coeffs`` is a
-read-only word -> coefficient view for the boundary (JSON, ``word_sum``);
-each form is built from the other once, when first read.  Every series
+stack of their coefficients, with no all-zero row.  The blocks are the one
+store: the public constructor validates a word -> coefficient map and
+stacks it once, and ``coeffs``, a read-only word view decoded when first
+read, is for the JSON writers and the oracles only.  Every series
 carries an explicit cutoff; a binary operation truncates to the smaller
 cutoff, so nothing claims more precision than its inputs had.
 
@@ -17,15 +18,16 @@ k, placed by code arithmetic, and the geometric sums follow x = f + f x
 Each checks the size of a degree before allocating it.  Series the
 package builds itself skip the public constructor's validation.
 
-Evaluation goes through the two kernels of ``fock``: ``word_sum`` of
-``coeffs`` at an operator tuple, ``shift_sum`` of the blocks at the
-compressed creation operators.  The truncated Cayley transform of
+Evaluation goes through the two kernels of ``fock``, both on the blocks:
+``word_sum`` at an operator tuple, ``shift_sum`` at the compressed
+creation operators.  The truncated Cayley transform of
 operators and the coefficient extraction stay as the operator-side
 reference for the series-level Cayley maps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,24 +68,30 @@ def clean_coeffs(coeffs, n, cutoff, shape):
 
 
 class FreeSeries:
-    """Series stored per degree (``blocks``) with a read-only word view
-    (``coeffs``); each form is built from the other once, when first read."""
+    """Series stored per degree: ``blocks`` {k: (codes, stacked)} holds, for
+    each degree k with a nonzero coefficient, the increasing codes of its
+    words and the (len(codes), *shape) stack of their coefficients, none
+    all-zero; ``coeffs`` is a read-only word -> coefficient view of them,
+    decoded when first read."""
 
     def __init__(self, n, cutoff, shape, coeffs=None):
-        self.n, self.cutoff, self.shape = n, cutoff, tuple(shape)
-        self._words = clean_coeffs(coeffs or {}, n, cutoff, self.shape)
-        self._blocks = None
+        words = clean_coeffs(coeffs or {}, n, cutoff, tuple(shape))
+        self.n, self.cutoff, self.shape, self.blocks = n, cutoff, tuple(shape), {}
+        for k, ws in itertools.groupby(sorted(words, key=lambda w: (len(w), w)), len):
+            ws = list(ws)  # graded-lex: in code order
+            codes = encode_words(ws, n, k, np.int64 if n**k < 2**63 else object)
+            self.blocks[k] = codes, np.array([words[w] for w in ws])
 
     @classmethod
     def _built(cls, n, cutoff, shape, blocks):
         """Series from blocks the package computed itself, so already
         valid: skips clean_coeffs and only drops rows that are exactly zero."""
         f = cls.__new__(cls)
-        f.n, f.cutoff, f.shape, f._blocks, f._words = n, cutoff, tuple(shape), {}, None
+        f.n, f.cutoff, f.shape, f.blocks = n, cutoff, tuple(shape), {}
         for k, (codes, c) in sorted(blocks.items()):
             keep = c.any(axis=(1, 2))
             if keep.any():
-                f._blocks[k] = (codes, c) if keep.all() else (codes[keep], c[keep])
+                f.blocks[k] = (codes, c) if keep.all() else (codes[keep], c[keep])
         return f
 
     @staticmethod
@@ -94,34 +102,24 @@ class FreeSeries:
     def one(n, cutoff, p):
         return FreeSeries(n, cutoff, (p, p), {(): np.eye(p, dtype=complex)})
 
-    @property
-    def blocks(self):
-        """{k: (codes, stacked)}: for each degree k with a nonzero
-        coefficient, the increasing codes of its words and the
-        (len(codes), *shape) stack of their coefficients, none all-zero."""
-        if self._blocks is None:
-            groups = {}
-            for w in sorted(self._words):  # lexicographic: each degree in code order
-                groups.setdefault(len(w), []).append(w)
-            self._blocks = {}
-            for k, ws in sorted(groups.items()):
-                codes = encode_words(ws, self.n, k, np.int64 if self.n**k < 2**63 else object)
-                self._blocks[k] = codes, np.array([self._words[w] for w in ws])
-                self._words.update(zip(ws, self._blocks[k][1]))  # the view aliases the blocks
-        return self._blocks
-
-    @property
+    @functools.cached_property
     def coeffs(self):
-        """Read-only word -> coefficient view of the blocks, decoded once."""
-        if self._words is None:
-            self._words = {}
-            for k, (codes, c) in self._blocks.items():
-                self._words.update(zip(decode_words(codes, self.n, k), c))
-        return MappingProxyType(self._words)
+        """Read-only word -> coefficient view of the blocks, for the JSON
+        writers and the oracles."""
+        words = {}
+        for k, (codes, c) in self.blocks.items():
+            words.update(zip(decode_words(codes, self.n, k), c))
+        return MappingProxyType(words)
 
     def coefficient(self, w):
-        c = self.coeffs.get(tuple(w))
-        return np.zeros(self.shape, dtype=complex) if c is None else c.copy()
+        """The coefficient of the word w (a new array), found in its degree
+        block by code."""
+        validate_word(w, self.n)
+        codes, c = self.blocks.get(len(w), ((), None))
+        code = sum((i - 1) * self.n**j for j, i in enumerate(reversed(w)))
+        j = np.searchsorted(codes, code)
+        found = j < len(codes) and codes[j] == code
+        return c[j].copy() if found else np.zeros(self.shape, dtype=complex)
 
     def dense(self, k):
         """The (n^k, *shape) stack of the degree-k coefficients in code
@@ -425,7 +423,7 @@ def eval_report(f, X, jsr_depth=None):
                 f"jsr estimate {est.value:.4f} not inside 0.9 x radius estimate {rad:.4f}; "
                 "functional calculus out of scope"
             )
-    out = word_sum(X, f.coeffs, f.shape[0])
+    out = word_sum(X, f.shape[0], f.blocks)
     exact = nilpotent and est.nilpotent_order <= f.cutoff + 1
     tail = 0.0 if exact else _eval_tail(f, X, est)
     return EvalReport(out, exact, tail, est)

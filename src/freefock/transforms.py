@@ -10,9 +10,10 @@ truncated Fock space that reproduces the moments exactly.  Words are
 reversed only where a moment is named by the word of its operator: the
 JSON format and the right-shift kernels.
 
-The transforms evaluate their coefficient sums with ``fock.word_sum``
-(the starred part of the Poisson transform as the adjoint of one), and
-the radial compressions and the divisibility kernel are built by
+The transforms evaluate the blocks of the symbol's series with
+``fock.word_sum`` (the starred part of the Poisson transform as the
+adjoint of one, the Herglotz transform as 2 F mu - mu(I) (x) I), and the
+radial compressions and the divisibility kernel are built by
 ``fock.shift_sum`` from the blocks of the word-reversed series over
 right shifts.
 """
@@ -98,26 +99,20 @@ def from_vector_states(ft, pairs, cutoff):
 
 def poisson_transform_of(mu, X):
     """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a."""
-    analytic = _analytic_sum(mu, X, 1.0)
-    return analytic + adjoint(word_sum(X, mu.symbol.coanalytic.adjoint().coeffs, mu.p))
+    analytic = fantappie_transform(mu, X)
+    return analytic + adjoint(word_sum(X, mu.p, mu.symbol.coanalytic.adjoint().blocks))
 
 
 def fantappie_transform(mu, X):
     """(F mu)(X) = mu(I) (x) I + sum_{|a|>=1} mu(R_~a*) (x) X_a."""
-    return _analytic_sum(mu, X, 1.0)
+    if X.n != mu.n:
+        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
+    return word_sum(X, mu.p, mu.symbol.analytic.blocks)
 
 
 def herglotz_transform(mu, X):
     """(H mu)(X) = 2 (F mu)(X) - mu(I) (x) I."""
-    return _analytic_sum(mu, X, 2.0)
-
-
-def _analytic_sum(mu, X, weight):
-    """mu(I) (x) I + weight * sum_{|a|>=1} mu(R_~a*) (x) X_a."""
-    if X.n != mu.n:
-        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    coeffs = {w: weight * c if w else c for w, c in mu.symbol.analytic.coeffs.items()}
-    return word_sum(X, coeffs, mu.p)
+    return 2.0 * fantappie_transform(mu, X) - kron(mu.unit, np.eye(X.dim))
 
 
 def herglotz_from_isometries(V, W, X, im_part, domain_projection=None, tol=1e-10):

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import cli, jsonio, linalg, words
 from freefock.caratheodory import CaratheodoryProblem
+from freefock.errors import InputError, ScopeError
 from freefock.fock import FockTrunc, OperatorTuple
 from freefock.series import FreeSeries
 
@@ -365,6 +368,35 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "internal error" in err and "broken command" in err
 
 
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    """An --output in a missing directory, or naming a directory: one
+    stderr line, exit 3, and no temporary file left behind."""
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "taken"):
+        assert cli.main(["basis", "2", "2", "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --output") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
+def test_stdout_closed_by_its_reader_exits_3():
+    """`freefock basis 3 10 | head -1`: the 1.5 MB listing overfills the
+    pipe, so the write fails once the reader has gone; one stderr line,
+    exit 3, and nothing ignored at shutdown."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freefock.cli", "basis", "3", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err == "output error: stdout was closed by its reader\n"
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """The parser is built once per process; each call still parses its
     own flags and falls back to the defaults for the ones it omits."""
@@ -528,6 +560,58 @@ def test_problem_json_fuzz_exits_with_documented_codes(obj, target):
     assert code in (0, 1, 3, 4), err
     code, err = run_on_json(["extend", obj, "--target-degree", str(target), "--samples", "2"])
     assert code in (0, 1, 3, 4), err
+
+
+def unit_matrix(draw, shape):
+    """s I for the square shape of coefficients_json (s in [0, 3]), one by
+    one when the shape was replaced by junk, or now and then junk itself."""
+    ok = isinstance(shape, list) and shape and type(shape[0]) is int and 1 <= shape[0] <= 2
+    p, s = shape[0] if ok else 1, draw(st.floats(0, 3))
+    unit = [[[s if i == j else 0.0, 0.0] for j in range(p)] for i in range(p)]
+    return unit if draw(st.integers(0, 7)) else draw(junk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_functional_json_fuzz_parses_or_raises_documented_errors(data):
+    """jsonio.json_to_functional, which no command reads, on coefficients_json
+    with forward and backward moments (half of the time only the nonempty
+    words over the n letters) and a unit for the shape: a functional, or
+    InputError / ScopeError (SizeLimitError among them)."""
+    obj = data.draw(coefficients_json(("forward", "backward")))
+    obj["unit"] = unit_matrix(data.draw, obj.pop("shape"))
+    if type(obj["n"]) is int and data.draw(st.booleans()):
+        letters = set("123"[: obj["n"]])
+        for key in ("forward", "backward"):
+            if isinstance(obj[key], dict):
+                obj[key] = {w: c for w, c in obj[key].items() if w and set(w) <= letters}
+    try:
+        mu = jsonio.json_to_functional(obj)
+    except (InputError, ScopeError):
+        return
+    assert (mu.n, mu.cutoff, mu.unit.shape) == (int(obj["n"]), int(obj["cutoff"]), (mu.p, mu.p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_extension_json_fuzz_parses_or_raises_documented_errors(data, n):
+    """jsonio.json_to_extension, which no command reads, over n letters on
+    coefficients_json with the cutoff as target degree, usually a b_0 of
+    the shape, and now and then a junk certificate: an extension, or
+    InputError / ScopeError (SizeLimitError among them)."""
+    obj = data.draw(coefficients_json(("coefficients",)))
+    obj.pop("n")
+    obj["target_degree"] = obj.pop("cutoff")
+    unit = unit_matrix(data.draw, obj.pop("shape"))
+    if isinstance(obj["coefficients"], dict) and data.draw(st.integers(0, 7)):
+        obj["coefficients"][""] = unit
+    if not data.draw(st.integers(0, 7)):
+        obj["certificate"] = data.draw(junk)
+    try:
+        ext = jsonio.json_to_extension(obj, n)
+    except (InputError, ScopeError):
+        return
+    assert (ext.series.n, ext.series.cutoff) == (n, int(obj["target_degree"]))
 
 
 @st.composite

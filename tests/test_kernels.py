@@ -318,21 +318,28 @@ def test_word_sum_matches_kron_sum(n, p):
     words = list(dense)
     rng.shuffle(words)
     sparse = {w: dense[w] for w in words[: len(words) // 3]}  # prefixes missing
-    for coeffs in (dense, sparse):
+    # every word up to degree 2, two of degree 3: sparse over full degrees
+    mixed = {w: c for w, c in dense.items() if len(w) < 3 or w[:2] == (1, 1) and w[2] < 3}
+    for coeffs in (dense, sparse, mixed):
         want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], p * q)
-        assert rel_dev(word_sum(X, coeffs, p), want) <= 1e-14
-    assert not word_sum(X, {}, p).any()
-    assert word_sum(X, {}, p).shape == (p * q, p * q)
+        assert rel_dev(word_sum(X, p, blocks_of(coeffs, n, p)), want) <= 1e-14
+    assert not word_sum(X, p, {}).any()
+    assert word_sum(X, p, {}).shape == (p * q, p * q)
 
     # deep words at a unitary tuple, whose products do not decay: a
-    # one-letter chain of depth 24, and one degree only, so that every
-    # shallower level of the prefix tree carries no coefficient
+    # one-letter chain of depth 24, one degree only, so that every
+    # shallower degree of the prefixes carries no coefficient, and over
+    # two letters or more the words (2, 1)^j, j <= 35, up to degree 70,
+    # whose codes are Python ints
     U = OperatorTuple(tuple(np.linalg.qr(gaussian(rng, (3, 3)))[0] for _ in range(n)))
     chain = {(1,) * k: gaussian(rng, (p, p)) for k in range(25)}
     deep = 6 if n < 3 else 4
-    for coeffs in (chain, random_coeffs(rng, n, deep, p, min_degree=deep)):
+    cases = [chain, random_coeffs(rng, n, deep, p, min_degree=deep)]
+    if n >= 2:
+        cases.append({(2, 1) * j: gaussian(rng, (p, p)) for j in range(1, 36)})
+    for coeffs in cases:
         want = kron_sum([(c, U.word(w)) for w, c in coeffs.items()], p * q)
-        assert rel_dev(word_sum(U, coeffs, p), want) <= 1e-14
+        assert rel_dev(word_sum(U, p, blocks_of(coeffs, n, p)), want) <= 1e-14
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -380,18 +387,18 @@ def test_verify_solution_matches_kron_reference(p):
 
 @pytest.mark.parametrize("n,M,p", [(2, 7, 1), (3, 4, 2), (1, 9, 2)])
 def test_verify_solution_chunks_match_word_sum_bitwise(n, M, p):
-    """The samples go through one prefix tree in chunks of several tuples;
-    each g equals word_sum at that tuple bit for bit."""
+    """The samples go through one fock.word_products in chunks of several
+    tuples; each g equals word_sum at that tuple bit for bit."""
     rng = np.random.default_rng(n + M + p)
     coeffs = {w: 0.2 / n * c for w, c in random_coeffs(rng, n, 1, p, min_degree=1).items()}
     prob = cara.CaratheodoryProblem(fs.FreeSeries(n, 1, (p, p), {(): np.eye(p), **coeffs}))
     ext = cara.extend(prob, M)
     rng = np.random.default_rng(5)
-    terms = {**ext.series.coeffs, (): prob.data.constant_term() / 2.0}
+    terms = blocks_of({**ext.series.coeffs, (): prob.data.constant_term() / 2.0}, n, p)
     worst = np.inf
     for _ in range(7):
         X = random_nilpotent_tuple(rng, n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
-        g = word_sum(X, terms, p)
+        g = word_sum(X, p, terms)
         worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
     assert cara.verify_solution(prob, ext, samples=7, seed=5).checks["nilpotent_positive"][1] == worst
 
@@ -513,7 +520,7 @@ def test_kernels_check_size_before_allocating(cap8):
     with pytest.raises(SizeLimitError):
         shift_sum(1, 3, 3, {})
     with pytest.raises(SizeLimitError):
-        word_sum(X, {}, 3)
+        word_sum(X, 3, {})
     # nor are the creation matrices and projections of P^(3) over two
     # letters, 15 on a side, or the Poisson kernel of a 5 x 5 tuple on
     # P^(3) over one, 4 * 5^2 = 100 > 8^2 entries; both spaces are in the cap
