@@ -46,6 +46,7 @@ from .pluriharmonic import (
     is_multi_toeplitz,
     mean_value_check,
     pluriharmonic_poisson_kernel,
+    poisson_at,
     radial_boundary,
     real_part,
 )

@@ -28,7 +28,7 @@ from .fock import random_nilpotent_tuple, shift_sum, word_products
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
+from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse, hinf_norm
 from .toeplitz import DENSE_DIM, dense_norm, schur_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
@@ -195,17 +195,11 @@ def cf_check(prob, tol=1e-9):
     """Solvability criterion ||A_m|| <= 1 for the CF problem, with A_m the
     multi-analytic matrix [A_{a,b}] (block (a, b) is A_{a \\_l b} when
     a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
-    the commutant picture of multi-analytic operators.  Above
-    NORM_DENSE_DIM the flip e_w -> e_{reverse(w)} carries it to f(S^(m))
-    for the word-reversed series, whose norm multianalytic.certified_norm
-    computes; the verdict then reads that value."""
-    n, m, p = prob.n, prob.m, prob.block_size
-    if dense_norm(n, m, p):
-        nrm = operator_norm(shift_sum(n, m, p, prob.data.blocks, append=True))
-    else:
-        from .multianalytic import certified_norm
-
-        nrm = certified_norm(prob.data.reversed(), m).value
+    the commutant picture of multi-analytic operators.  The flip
+    e_w -> e_{reverse(w)} carries it to f(S^(m)) for the word-reversed
+    series, whose norm series.hinf_norm gives: the dense SVD up to
+    NORM_DENSE_DIM, multianalytic.certified_norm above."""
+    nrm = hinf_norm(prob.data.reversed(), prob.m).value
     return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
 

@@ -19,10 +19,8 @@ from . import __version__
 from . import caratheodory as cara
 from . import jsonio
 from . import pluriharmonic as ph
-from . import selftest
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import FockTrunc, poisson_transform
 from .words import GradedBasis, word_to_string
 
 EXIT_OK = 0
@@ -50,12 +48,16 @@ def _emit(payload, args):
         payload.setdefault("tolerances", {})["tol"] = args.tol
     out = getattr(args, "output", None)
     # allow_nan=False rejects inf and nan before any output exists: the file
-    # goes through a temporary that is removed on error, stdout gets one write
+    # goes through a temporary that is removed on error, stdout gets every byte
     try:
         if out:
             jsonio.write_json_atomic(payload, out)
         else:
-            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+            data = memoryview((json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
+            sys.stdout.flush()
+            while data:  # an unbuffered (PYTHONUNBUFFERED) raw write may take a part
+                data = data[sys.stdout.buffer.write(data):]
+            sys.stdout.buffer.flush()
     except ValueError:
         raise ScopeError("the result is not finite (overflow); nothing written") from None
     except OSError as exc:
@@ -134,21 +136,14 @@ def cmd_norm(args):
 def cmd_poisson(args):
     h = jsonio.json_to_pluriharmonic(jsonio.load_json(args.symbol))
     x = jsonio.json_to_tuple(jsonio.load_json(args.tuple))
-    r = args.radius
-    if x.row_norm >= r:
-        raise ScopeError(f"tuple norm {x.row_norm:.4f} must lie below radius {r}")
-    ft = FockTrunc(h.n, args.trunc)
-    value = poisson_transform(
-        ft, ph.radial_boundary(h, r, args.trunc), x.scale(1.0 / r), coeff_dim=h.p
-    )
-    _emit(
-        {"value": jsonio.matrix_to_json(value), "trunc": args.trunc, "radius": r},
-        args,
-    )
+    value = ph.poisson_at(h, x, args.radius, args.trunc)
+    _emit({"value": jsonio.matrix_to_json(value), "trunc": args.trunc, "radius": args.radius}, args)
     return EXIT_OK
 
 
 def cmd_selftest(args):
+    from . import selftest
+
     if args.list:
         for name, _ in selftest.SUITES:
             print(name)

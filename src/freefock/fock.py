@@ -26,10 +26,11 @@ prefixes degree by degree (``word_products``), each word's parent found
 by code arithmetic too.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
-N ~ 5; the ``apply_*`` functions act on tall vectors instead of forming
-the dense operators: each resolvent of the reconstruction operator is one
-sweep over degrees with one product per degree, exact on the truncated
-space because the reconstruction operator is nilpotent there.
+N ~ 5.  The ``apply_*`` functions act on tall vectors instead: each
+resolvent of the reconstruction operator is one sweep over degrees, one
+product per degree, exact as it is nilpotent on P^(N).  The dense
+``poisson_transform`` is the reference for ``pluriharmonic.poisson_at``,
+whose closed form needs no kernel at all.
 """
 
 from __future__ import annotations

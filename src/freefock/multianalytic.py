@@ -10,22 +10,21 @@ above sigma.  A Golub-Kahan-Lanczos run gives a value ||A x|| / ||x||
 from below, and one factorisation at sigma = value (1 + NORM_RTOL) certifies
 it from above.
 
-This is the path of ``series.hinf_norm``, ``caratheodory.cf_check`` and
-``caratheodory.cayley_route`` above ``toeplitz.NORM_DENSE_DIM``; they
-import it on first use, so the other commands do not compile it.
+This is the path of ``series.hinf_norm``, so of ``caratheodory.cf_check``,
+and of ``caratheodory.cayley_route`` above ``toeplitz.NORM_DENSE_DIM``;
+they import it on first use, so the dense paths do not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import InputError, ScopeError
 from .linalg import check_entries
-from .toeplitz import nested_factor, tree_order
+from .toeplitz import CertifiedNorm, nested_factor, tree_order
 from .words import join_indices, word_count
 
 # ||f(S^(m))|| from the structured path is certified within this relative
@@ -183,12 +182,6 @@ def _reorthogonalise(w, Q):
     for _ in range(2 if len(Q) else 0):
         w = w - np.einsum("k,kn->n", np.einsum("kn,n->k", Q.conj(), w), Q)
     return w
-
-
-class CertifiedNorm(NamedTuple):
-    value: float  # ||A x|| / ||x|| for an explicit x, so at most ||A||
-    rtol: float | None  # ||A|| <= value (1 + rtol) by a factorisation; None: dense SVD
-    starts: int  # Lanczos runs: one, plus one per failed certification
 
 
 def certified_norm(f, m):

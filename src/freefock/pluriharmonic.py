@@ -1,6 +1,7 @@
 """Free pluriharmonic functions: an analytic and a co-analytic free
-series, evaluation, radial boundary operators, and the positivity,
-Harnack, coefficient-bound, mean-value, and multi-Toeplitz checks.
+series, evaluation, radial boundary operators and their Poisson transform
+in closed form, and the positivity, Harnack, coefficient-bound,
+mean-value, and multi-Toeplitz checks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import FockTrunc, poisson_transform, reconstruction_operator, shift_sum
+from .fock import (FockTrunc, _check_strict_ball, _check_tuple, poisson_transform,
+                   reconstruction_operator, shift_sum, word_sum)
 from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
 from .series import FreeSeries, eval_report, jsr_estimate
 from .toeplitz import dense_decides, schur_factor
@@ -75,6 +77,32 @@ def radial_boundary(h, r, m):
     if not 0.0 <= r <= 1.0:
         raise InputError(f"radius {r} outside [0, 1]")
     return shift_sum(h.n, m, h.p, h.analytic.radial(r).blocks, h.coanalytic.radial(r).blocks)
+
+
+def poisson_at(h, X, r, N):
+    """P_Y[h(r S^(N))] at Y = X / r in closed form, building nothing on P^(N):
+    the kernel's blocks are Delta_Y Y_s*, so sum_{|s|<=j} Y_s Delta_Y^2 Y_s*
+    = I - Q_{j+1}, Q_j = sum_{|s|=j} Y_s Y_s*, telescopes to P_Y[S_a] =
+    Y_a D_|a|, D_k = I - Q_{N+1-k}.  The symbol's r^|a| cancels in Y_a:
+    sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*."""
+    if X.row_norm >= r:
+        raise ScopeError(f"tuple norm {X.row_norm:.4f} must lie below radius {r}")
+    ft = FockTrunc(h.n, N)
+    if not r <= 1.0:
+        raise InputError(f"radius {r} outside (0, 1]")
+    _check_tuple(ft, X)
+    _check_strict_ball(Y := X.scale(1.0 / r))
+    p, q = h.p, X.dim
+    Q = [np.eye(q, dtype=complex)]
+    while len(Q) <= N + 1 and Q[-1].any():  # Q_j = 0 forces Q_{j+1} = 0
+        Q.append(sum(y @ Q[-1] @ adjoint(y) for y in Y.matrices))
+    Q += [0.0] * (N + 2 - len(Q))
+    A, B = (np.zeros((p, q, p, q), dtype=complex) for _ in range(2))
+    for part, f in ((A, h.analytic), (B, h.coanalytic.adjoint())):
+        for k, block in f.blocks.items():
+            if k <= N:  # sum_{|a|=k} c_a (x) X_a, times I (x) D_k
+                part += word_sum(X, p, {k: block}).reshape(p, q, p, q) @ (Q[0] - Q[N + 1 - k])
+    return A.reshape(p * q, -1) + adjoint(B.reshape(p * q, -1))
 
 
 def pluriharmonic_poisson_kernel(ft, X):

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
-from .toeplitz import dense_norm
+from .toeplitz import CertifiedNorm, dense_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
 
@@ -459,16 +459,16 @@ def eval_at_creation(f, m):
 
 
 def hinf_norm(f, m):
-    """||f(S^(m))|| as a multianalytic.CertifiedNorm: nondecreasing in m,
-    a lower bound for the sup norm.  Where toeplitz.dense_norm it is the
+    """||f(S^(m))|| as a toeplitz.CertifiedNorm: nondecreasing in m, a
+    lower bound for the sup norm.  Where toeplitz.dense_norm it is the
     dense SVD (rtol None); elsewhere the structured
     multianalytic.certified_norm, within its rtol."""
-    from .multianalytic import CertifiedNorm, certified_norm
-
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
     if dense_norm(f.n, m, f.shape[0]):
         return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
+    from .multianalytic import certified_norm
+
     return certified_norm(f, m)
 
 

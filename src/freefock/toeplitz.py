@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,13 @@ def dense_norm(n, m, p):
     """Whether the dense SVD gives the norm of an f(S^(m)) with p x p
     coefficients over n letters (side p d_m)."""
     return dense_decides(n, p * word_count(n, m), NORM_DENSE_DIM)
+
+
+class CertifiedNorm(NamedTuple):
+    value: float  # ||A x|| / ||x|| for an explicit x, so at most ||A||
+    rtol: float | None  # ||A|| <= value (1 + rtol) by a factorisation; None: dense SVD
+    starts: int  # Lanczos runs: one, plus one per failed certification
+
 
 # A pivot eigenvalue at or below this fraction of the largest eigenvalue
 # of b_0 counts as zero (generalised Schur complement): well above

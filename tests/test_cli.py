@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freefock import cli, jsonio, linalg, words
+from freefock import cli, fock, jsonio, linalg, words
+from freefock import pluriharmonic as ph
 from freefock.caratheodory import CaratheodoryProblem
 from freefock.errors import InputError, ScopeError
 from freefock.fock import FockTrunc, OperatorTuple
@@ -47,7 +48,7 @@ def run_on_json(argv, max_dim=None):
                     fh.write(json.dumps(arg))
                 arg = path
             args.append(arg)
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # _emit writes bytes
         linalg.set_max_dim(max_dim or old)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -397,6 +398,24 @@ def test_stdout_closed_by_its_reader_exits_3():
     assert err == "output error: stdout was closed by its reader\n"
 
 
+def test_stdout_cut_short_under_pythonunbuffered_exits_3():
+    """`PYTHONUNBUFFERED=1 freefock basis 3 10 | head -c 100`: one raw write
+    takes only part of the 1.5 MB once the reader has gone, and the next
+    one fails, so the command exits 3 instead of 0."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+           "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freefock.cli", "basis", "3", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err == "output error: stdout was closed by its reader\n"
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """The parser is built once per process; each call still parses its
     own flags and falls back to the defaults for the ones it omits."""
@@ -447,6 +466,23 @@ def test_poisson_trunc_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(words.itertools, "product", never)
     code, err = run_on_json(["poisson", h, x, "--trunc", "23"])
     assert code == 4 and "truncated Fock space" in err
+
+
+def test_poisson_past_the_dense_side(capsys, tmp_path):
+    """n = 2, trunc 14 (32767 words): the closed form builds nothing on
+    P^(14), and at a nilpotent tuple the transform is h(X)."""
+    h = ph.PluriharmonicFn(
+        FreeSeries(2, 2, (1, 1), {(): [[1.0]], (1,): [[0.3]], (2, 1): [[-0.2j]]}),
+        FreeSeries(2, 2, (1, 1), {(2,): [[0.25]], (1, 2): [[0.1 + 0.1j]]}),
+    )
+    x = OperatorTuple((np.triu(np.full((3, 3), 0.2), 1), np.triu(np.full((3, 3), 0.1j), 1)))
+    paths = [str(tmp_path / "h.json"), str(tmp_path / "x.json")]
+    jsonio.write_json_atomic(jsonio.pluriharmonic_to_json(h), paths[0])
+    jsonio.write_json_atomic(jsonio.tuple_to_json(x), paths[1])
+    code, payload = run_cli(capsys, "poisson", *paths, "--trunc", "14")
+    assert code == 0
+    got = jsonio.json_to_matrix(payload["value"])
+    assert np.max(np.abs(got - ph.eval_at(h, x))) <= 1e-12
 
 
 def test_poisson_rejects_constant_coanalytic_term():
@@ -701,7 +737,8 @@ def test_check_and_extend_build_no_basis(tmp_path, monkeypatch, capsys):
     """No command but `basis` enumerates words.  Positivity, the extension
     and its verification read the series blocks and build no truncated
     Fock space either; eval, norm (dense and structured), cayley and
-    poisson read blocks and code arithmetic."""
+    poisson read blocks and code arithmetic, and poisson calls no
+    shift_sum, poisson_kernel or join_indices."""
     def never(*args, **kwargs):
         raise AssertionError("built a word basis")
 
@@ -725,9 +762,13 @@ def test_check_and_extend_build_no_basis(tmp_path, monkeypatch, capsys):
     for argv in (["eval", paths["f"], paths["x"]],
                  ["norm", paths["f"], "--trunc", "3"],  # dense, side 15
                  ["norm", paths["f"], "--trunc", "7"],  # structured, side 255
-                 ["cayley", "forward", paths["f"]],
-                 ["poisson", paths["h"], paths["x"], "--trunc", "4"]):
+                 ["cayley", "forward", paths["f"]]):
         assert run_cli(capsys, *argv)[0] == 0, argv
+    # poisson is closed form: no shift sum, kernel or index map on P^(N)
+    for module, name in ((fock, "shift_sum"), (ph, "shift_sum"), (fock, "poisson_kernel"),
+                         (fock, "join_indices"), (words, "join_indices")):
+        monkeypatch.setattr(module, name, never)
+    assert run_cli(capsys, "poisson", paths["h"], paths["x"], "--trunc", "4")[0] == 0
 
 
 @pytest.mark.parametrize("command", ["norm", "poisson"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,44 @@ def test_mean_value_check():
         ph.mean_value_check(h, x, 0.9, 3)  # truncation too small to be exact
     with pytest.raises(ScopeError):
         ph.mean_value_check(h, OperatorTuple((np.eye(3) * 0.1, np.zeros((3, 3)))), 0.9, 6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_poisson_at_matches_the_dense_oracle(n, p):
+    """The closed form against poisson_transform of radial_boundary, with
+    independent analytic and co-analytic parts, at nilpotent tuples and at
+    tuples whose Q_j never vanish, for N = 0, N below the symbol's top
+    degree and r = 1."""
+    from freefock.fock import poisson_transform
+
+    rng = np.random.default_rng(10 * n + p)
+    for cutoff, N, r in itertools.product((0, 1, 3), (0, 1, 2, 4), (0.9, 1.0)):
+        h = ph.PluriharmonicFn(fs.random_series(rng, n, cutoff, (p, p)),
+                               fs.random_series(rng, n, cutoff, (p, p), min_degree=1))
+        full = OperatorTuple(tuple(rng.standard_normal((3, 3, 2)) @ [1.0, 1j] for _ in range(n)))
+        for X in (random_nilpotent_tuple(rng, n, 3, row_norm=0.6 * r),
+                  full.scale(0.6 * r / full.row_norm)):
+            want = poisson_transform(FockTrunc(n, N), ph.radial_boundary(h, r, N),
+                                     X.scale(1.0 / r), coeff_dim=p)
+            dev = operator_norm(ph.poisson_at(h, X, r, N) - want)
+            assert dev <= 1e-13 * (1.0 + operator_norm(want)), (cutoff, N, r)
+
+
+def test_poisson_at_checks_in_order():
+    h = halfz_example()
+    x = OperatorTuple((np.array([[0.0, 0.4], [0.0, 0.0]]),))
+    with pytest.raises(ScopeError, match="below radius"):
+        ph.poisson_at(h, x, 0.4, -1)  # the row norm first
+    with pytest.raises(InputError, match="negative"):
+        ph.poisson_at(h, x, 1.5, -1)  # then the truncation
+    with pytest.raises(InputError, match="radius"):
+        ph.poisson_at(h, x, 1.5, 3)
+    with pytest.raises(InputError, match="operators"):
+        ph.poisson_at(h, OperatorTuple((x.matrices[0],) * 2), 0.9, 3)
+    with pytest.raises(ScopeError, match="open unit ball"):
+        ph.poisson_at(h, x, 0.4 * (1.0 + 1e-14), 3)
+    assert np.allclose(ph.poisson_at(h, x, 0.9, 3), ph.eval_at(h, x), atol=1e-14)
 
 
 def test_is_multi_toeplitz():
