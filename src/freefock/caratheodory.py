@@ -13,8 +13,8 @@ random nilpotent evaluations, so the solver never has to be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
 Cayley transforms of the series; the only operator they form is the
-multi-analytic one whose norm is checked, built by ``fock.shift_sum``
-from the series blocks.
+multi-analytic one whose norm is checked (``series.hinf_norm`` and
+``hinf_norm_exceeds``), and only at the sizes where its dense SVD decides.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import random_nilpotent_tuple, shift_sum, word_products
+from .fock import random_nilpotent_tuple, word_products
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse, hinf_norm
-from .toeplitz import DENSE_DIM, dense_norm, schur_factor, tm_positivity
+from .series import (FreeSeries, _degree_sum, cayley_forward, cayley_inverse, hinf_norm,
+                     hinf_norm_exceeds)
+from .toeplitz import DENSE_DIM, schur_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
 
@@ -160,9 +161,8 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     Normalizes by (b_0 + eps I)^(-1/2) on both sides and takes the
     inverse Cayley transform of the series sum_a D_a Z_a; its coefficients
     are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
-    they define is a contraction up to 1e-9 whenever the data is feasible:
-    its dense norm is checked up to NORM_DENSE_DIM, one inertia count at
-    sigma = 1 + 1e-9 (multianalytic.norm_exceeds) above it.
+    they define is a contraction up to 1e-9 whenever the data is feasible,
+    as series.hinf_norm_exceeds checks.
     """
     _require_feasible(prob, tol)
     b0 = prob.data.constant_term()
@@ -172,15 +172,8 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     p = prob.block_size
     normalized = {k: (codes, nrm @ c @ nrm) for k, (codes, c) in prob.data.blocks.items() if k}
     cf = cayley_inverse(FreeSeries._built(prob.n, prob.m, (p, p), normalized))
-    if dense_norm(prob.n, prob.m, p):
-        xn = operator_norm(shift_sum(prob.n, prob.m, p, cf.blocks))
-        if xn > 1.0 + 1e-9:
-            raise ScopeError(f"inverse Cayley image has norm {xn:.12f} > 1 + 1e-9")
-    else:
-        from .multianalytic import norm_exceeds
-
-        if norm_exceeds(cf, prob.m, 1.0 + 1e-9):
-            raise ScopeError("inverse Cayley image has norm > 1 + 1e-9 (a negative Schur pivot)")
+    if hinf_norm_exceeds(cf, prob.m, 1.0 + 1e-9):
+        raise ScopeError("inverse Cayley image has norm > 1 + 1e-9")
     return CFProblem(cf)
 
 

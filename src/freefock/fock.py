@@ -26,7 +26,9 @@ prefixes degree by degree (``word_products``), each word's parent found
 by code arithmetic too.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
-N ~ 5.  The ``apply_*`` functions act on tall vectors instead: each
+N ~ 5.  The Poisson kernel of a jointly nilpotent tuple of order k is zero
+past degree k - 1, and ``poisson_kernel`` computes no block there.  The
+``apply_*`` functions act on tall vectors instead: each
 resolvent of the reconstruction operator is one sweep over degrees, one
 product per degree, exact as it is nilpotent on P^(N).  The dense
 ``poisson_transform`` is the reference for ``pluriharmonic.poisson_at``,
@@ -78,6 +80,8 @@ class OperatorTuple:
         for m in mats:
             if m.shape != (p, p):
                 raise InputError("operator tuple matrices must be square and equal-sized")
+            if not np.isfinite(m).all():
+                raise InputError("operator tuple entries must be finite")
         self.matrices = mats
 
     @property
@@ -324,23 +328,33 @@ def poisson_kernel(ft, X):
     """K_X: C^p -> P^(N) (x) C^p; block at word alpha is Delta_X X_alpha*.
 
     Direct block construction (the Neumann expansion of B_X on 1 (x) h),
-    so no resolvent solve is needed.  Built degree by degree: in
-    graded-lex order the words of degree k are alpha j, |alpha| = k - 1,
-    with block X_j* times that of alpha, so each degree is one batched
-    product.  The part of the infinite kernel beyond degree N has norm at
-    most tail_bound(row_norm, N).
+    so no resolvent solve is needed.  Built degree by degree into one zero
+    array: in graded-lex order the words of degree k are alpha j, |alpha| =
+    k - 1, at code(alpha) n + j - 1, with block X_j* X_alpha*, so a degree
+    is one batched product of the stacked X_j* by each block below.  A zero
+    degree makes every later one zero: the kernel of a jointly nilpotent
+    tuple of order k stops at degree k - 1, and Delta_X multiplies only
+    the degrees before.  Not one wide GEMM per degree: OpenBLAS runs that
+    on several threads, and waking them took about 16 ms per call on 2
+    cores, against the batch's small products on the calling thread.  The
+    part of the infinite kernel beyond degree N has norm at most
+    tail_bound(row_norm, N).
     """
     _check_tuple(ft, X)
     _check_strict_ball(X)
-    p = X.dim
-    check_entries(ft.dim * p * p, "Poisson kernel")
-    xstar = np.array([adjoint(m) for m in X.matrices])
-    level = np.eye(p, dtype=complex)[None]
-    levels = [level]
+    p, d = X.dim, ft.dim
+    check_entries(d * p * p, "Poisson kernel")
+    xstar = np.concatenate([adjoint(m) for m in X.matrices])
+    out = np.zeros((d, p, p), dtype=complex)
+    level, hi = np.eye(p, dtype=complex)[None], 1
+    out[0] = level[0]
     for _ in range(ft.N):
-        level = np.matmul(xstar[None], level[:, None]).reshape(-1, p, p)
-        levels.append(level)
-    return np.matmul(delta_defect(X), np.concatenate(levels)).reshape(ft.dim * p, p)
+        level = np.matmul(xstar, level).reshape(-1, p, p)
+        if not level.any():
+            break
+        out[hi : hi + len(level)], hi = level, hi + len(level)
+    out[:hi] = np.matmul(delta_defect(X), out[:hi])
+    return out.reshape(d * p, p)
 
 
 def poisson_transform(ft, U, X, coeff_dim=1):

@@ -63,11 +63,12 @@ def kron(a, b):
 
 
 def operator_norm(a):
-    """Largest singular value."""
+    """Largest singular value: the LAPACK call of np.linalg.norm(a, 2),
+    without its axis handling."""
     a = as_cmatrix(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def check_hermitian(a, rtol=HERM_RTOL):

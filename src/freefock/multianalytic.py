@@ -10,9 +10,10 @@ above sigma.  A Golub-Kahan-Lanczos run gives a value ||A x|| / ||x||
 from below, and one factorisation at sigma = value (1 + NORM_RTOL) certifies
 it from above.
 
-This is the path of ``series.hinf_norm``, so of ``caratheodory.cf_check``,
-and of ``caratheodory.cayley_route`` above ``toeplitz.NORM_DENSE_DIM``;
-they import it on first use, so the dense paths do not compile it.
+This is the path of ``series.hinf_norm`` and ``series.hinf_norm_exceeds``
+(so of ``caratheodory.cf_check`` and ``caratheodory.cayley_route``) above
+``toeplitz.NORM_DENSE_DIM``; they import it on first use, so the dense
+paths do not compile it.
 """
 
 from __future__ import annotations

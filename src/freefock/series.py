@@ -472,6 +472,17 @@ def hinf_norm(f, m):
     return certified_norm(f, m)
 
 
+def hinf_norm_exceeds(f, m, sigma):
+    """Whether ||f(S^(m))|| > sigma: the dense SVD where toeplitz.dense_norm,
+    elsewhere one factorisation of sigma^2 I - A*A stopped at its first
+    negative pivot (multianalytic.norm_exceeds)."""
+    if dense_norm(f.n, m, f.shape[0]):
+        return operator_norm(eval_at_creation(f, m)) > sigma
+    from .multianalytic import norm_exceeds
+
+    return norm_exceeds(f, m, sigma)
+
+
 # -- truncated Cayley transform on multi-analytic operators -----------------
 
 

@@ -191,6 +191,62 @@ def test_poisson_kernel_blocks():
     assert np.allclose(k, want)
 
 
+def _full_tuple(rng, n, p, row_norm=0.9):
+    mats = [rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)) for _ in range(n)]
+    return OperatorTuple(tuple(mats)).scale(row_norm / operator_norm(np.hstack(mats)))
+
+
+def test_poisson_kernel_matches_the_word_oracle():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        for p in (1, 2, 3):
+            for x in (random_nilpotent_tuple(rng, n, p, row_norm=0.9), _full_tuple(rng, n, p)):
+                delta = fock.delta_defect(x)
+                for N in (0, 1, 2, 6):
+                    ft = FockTrunc(n, N)
+                    k = poisson_kernel(ft, x).reshape(ft.dim, p, p)
+                    want = np.array([delta @ adjoint(fock.word_operator(x.matrices, w))
+                                     for w in GradedBasis(n, N).words])
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(k - want)) <= 1e-14 * (1.0 + scale)
+
+
+def test_poisson_kernel_is_exactly_zero_past_the_nilpotency_order():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3):
+        for p in (2, 3, 4):
+            ft = FockTrunc(n, 8)
+            x = random_nilpotent_tuple(rng, n, p, row_norm=0.8)  # X_w = 0 for |w| >= p
+            k = poisson_kernel(ft, x).reshape(ft.dim, p, p)
+            top = ft.degree_slice(p - 1)
+            assert k[top[0]:top[1]].any()
+            assert not k[top[1]:].any()
+
+
+def test_poisson_kernel_checks_in_order_before_allocating():
+    import tracemalloc
+
+    from freefock.errors import SizeLimitError
+
+    ft = FockTrunc(3, 12)  # d = 797161 words: d p^2 is over the entry limit at p = 5
+    big = OperatorTuple(tuple(np.eye(5) for _ in range(3)))
+    small = big.scale(0.1)
+    with pytest.raises(InputError):
+        poisson_kernel(ft, OperatorTuple(big.matrices[:2]))
+    with pytest.raises(ScopeError):
+        poisson_kernel(ft, big)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            poisson_kernel(ft, small)
+        with pytest.raises(SizeLimitError):
+            poisson_kernel(FockTrunc(3, 16), small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_poisson_kernel_is_berezin_restriction():
     rng = np.random.default_rng(2)
     ft = FockTrunc(2, 3)
@@ -358,6 +414,9 @@ def test_operator_tuple_validation():
         OperatorTuple(())
     with pytest.raises(InputError):
         OperatorTuple((np.eye(2), np.eye(3)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            OperatorTuple((np.zeros((2, 2)), np.array([[0.1, bad], [0.0, 0.0]])))
     x = OperatorTuple((np.zeros((2, 2)), np.eye(2)))
     assert x.n == 2 and x.dim == 2 and x.row_norm == pytest.approx(1.0)
 

@@ -40,6 +40,19 @@ def test_operator_norm():
     assert linalg.operator_norm(np.eye(5)) == pytest.approx(1.0)
     assert linalg.operator_norm([[0, 1], [0, 0]]) == pytest.approx(1.0)
     assert linalg.operator_norm([[2, 3], [3, 2]]) == pytest.approx(5.0, rel=1e-12)
+    assert linalg.operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_operator_norm_is_numpy_two_norm_bitwise():
+    rng = np.random.default_rng(11)
+    cases = [np.zeros((1, 1)), np.zeros((4, 4)), np.array([[-2.5]])]
+    for shape in [(1, 1), (2, 2), (5, 5), (12, 12), (3, 7), (9, 2)]:
+        cases.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cases.append(rng.standard_normal(shape))
+    for a in cases:
+        got = linalg.operator_norm(a)
+        assert type(got) is float
+        assert got == float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
 def test_norm_multiplicative_on_kron():

@@ -7,7 +7,8 @@ from freefock import multianalytic as ma
 from freefock import toeplitz as tp
 from freefock.fock import shift_sum
 from freefock.linalg import adjoint
-from freefock.series import FreeSeries, eval_at_creation, hinf_norm, random_series
+from freefock.series import (FreeSeries, eval_at_creation, hinf_norm, hinf_norm_exceeds,
+                             random_series)
 from freefock.words import GradedBasis
 
 ONE = np.array([[1.0]])
@@ -122,6 +123,17 @@ def test_cf_check_above_the_dense_side_matches_the_right_translation_svd(n, m, p
     rep = cara.cf_check(cara.CFProblem(f))
     assert abs(rep.norm - want) <= 1e-12 * want
     assert rep.within == (rep.norm <= 1.0 + rep.tol)
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 3, 1), (2, 6, 1), (3, 4, 2)])
+def test_hinf_norm_exceeds_on_both_sides_of_the_dense_threshold(n, m, p):
+    """The one predicate of cayley_route: the dense SVD up to the threshold,
+    one inertia count above it, both against the dense norm."""
+    rng = np.random.default_rng(50 + n + m + p)
+    f = gaussian_series(rng, n, m, p, scale=0.2)
+    nrm = np.linalg.norm(eval_at_creation(f, m), 2)
+    assert hinf_norm_exceeds(f, m, 0.99 * nrm)
+    assert not hinf_norm_exceeds(f, m, 1.01 * nrm)
 
 
 def test_cayley_route_above_the_dense_side():
