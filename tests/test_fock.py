@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from freefock import fock
-from freefock.errors import InputError, ScopeError
+from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import (
     FockTrunc,
     OperatorTuple,
@@ -224,10 +226,6 @@ def test_poisson_kernel_is_exactly_zero_past_the_nilpotency_order():
 
 
 def test_poisson_kernel_checks_in_order_before_allocating():
-    import tracemalloc
-
-    from freefock.errors import SizeLimitError
-
     ft = FockTrunc(3, 12)  # d = 797161 words: d p^2 is over the entry limit at p = 5
     big = OperatorTuple(tuple(np.eye(5) for _ in range(3)))
     small = big.scale(0.1)
