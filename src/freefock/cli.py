@@ -21,7 +21,7 @@ from . import jsonio
 from . import pluriharmonic as ph
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
-from .words import GradedBasis, word_to_string
+from .words import GradedBasis, decode_letters, word_to_string
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -102,8 +102,9 @@ def cmd_extend(args):
 
 def cmd_cayley(args):
     f = jsonio.json_to_series(jsonio.load_json(args.series))
-    if args.cutoff is not None:
-        f = fs.FreeSeries(f.n, args.cutoff, f.shape, f.coeffs)
+    if args.cutoff is not None:  # rebuilt through the input check: no word past the cutoff
+        degrees = {k: (decode_letters(codes, f.n, k), c) for k, (codes, c) in f.blocks.items()}
+        f = fs.from_degrees(f.n, args.cutoff, f.shape, degrees)
     out = fs.cayley_forward(f) if args.direction == "forward" else fs.cayley_inverse(f)
     _emit({"direction": args.direction, "series": jsonio.series_to_json(out)}, args)
     return EXIT_OK
@@ -115,7 +116,7 @@ def cmd_eval(args):
     rep = fs.eval_report(f, x)
     _emit(
         {"value": jsonio.matrix_to_json(rep.value), "exact": rep.exact,
-         "tail_bound": rep.tail_bound,
+         "tail_estimate": rep.tail_estimate,
          "jsr": {"kmax": rep.jsr.kmax, "value": rep.jsr.value,
                  "nilpotent_order": rep.jsr.nilpotent_order}},
         args,

@@ -3,11 +3,14 @@
 Complex numbers are [re, im] pairs, matrices row-major nested lists of
 them, words digit strings ("121"; "" is the empty word).  Floats pass
 through Python's shortest round-trip repr, so parse(dump(x)) == x.
+Coefficient maps cross per degree, never per word or entry: a reader hands
+each degree's letters and float array to ``series.from_degrees``, the one
+check of outside coefficients; a writer decodes each degree's codes once.
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import json
 import os
 import tempfile
@@ -18,70 +21,78 @@ from .caratheodory import CaratheodoryProblem, ExtensionResult
 from .errors import InputError
 from .fock import OperatorTuple
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries
+from .series import from_degrees
 from .transforms import MomentFunctional
-from .words import reverse, word_from_string, word_to_string
+from .words import decode_letters
 
 
-def complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def json_to_complex(v):
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise InputError(f"complex value must be [re, im], got {v!r}")
+def _complex_array(v, ndim, what):
+    """The complex array of [re, im] pairs nested ndim lists deep, read as one
+    float array: no empty axis, all finite, both parts assigned exactly."""
     try:
-        z = complex(float(v[0]), float(v[1]))
+        a = np.array(v, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"complex value must be two numbers, got {v!r}") from exc
-    if not cmath.isfinite(z):
-        raise InputError(f"complex value must be finite, got {v!r}")
-    return z
+        raise InputError(f"{what} must be nested lists of [re, im] number pairs: {exc}") from None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not a.size:
+        raise InputError(f"{what} must be non-empty {ndim}-deep nested lists of [re, im] pairs")
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} values must be finite")
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real, out.imag = a[..., 0], a[..., 1]
+    return out
 
 
 def matrix_to_json(m):
+    """Any complex array as nested lists of [re, im] pairs, by one tolist()."""
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def json_to_matrix(v):
-    if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
-        raise InputError("matrix must be a non-empty nested list")
-    if not v[0] or any(len(r) != len(v[0]) for r in v):
-        raise InputError("matrix rows must be non-empty and of equal length")
-    return np.array([[json_to_complex(z) for z in row] for row in v], dtype=complex)
+    return _complex_array(v, 2, "matrix")
 
 
-def _coeffs_to_json(coeffs):
-    return {word_to_string(w): matrix_to_json(c) for w, c in sorted(coeffs.items())}
+def _blocks_to_json(f):
+    """{digit string: matrix} of f's coefficients in word order (digit
+    strings sort exactly like the word tuples)."""
+    entries = []
+    for k, (codes, c) in f.blocks.items():  # letters as ASCII digits, read k bytes at a time
+        digits = (decode_letters(codes, f.n, k) + ord("0")).astype(np.uint8)
+        keys = digits.view(f"S{k}")[:, 0].astype(str).tolist() if k else [""]
+        entries += zip(keys, matrix_to_json(c))
+    return dict(sorted(entries))
 
 
-def _json_to_coeffs(obj, n):
+def _json_to_degrees(obj, moments=False):
+    """{k: (letters, stack)} of a JSON coefficient map for from_degrees, keys
+    grouped by length; moments start at degree 1, so a degree-0 block is an error."""
     if not isinstance(obj, dict):
         raise InputError("coefficient map must be an object")
-    return {word_from_string(k, n): json_to_matrix(v) for k, v in obj.items()}
-
-
-def _json_to_moments(obj, n):
-    """Coefficients that start at degree 1: the empty word is rejected."""
-    coeffs = _json_to_coeffs(obj, n)
-    if () in coeffs:
+    degrees = {}
+    for k, keys in itertools.groupby(sorted(sorted(obj), key=len), len):
+        keys = list(keys)
+        text = "".join(keys)
+        if k and not (text.isascii() and text.isdigit()):
+            bad = next(w for w in keys if not (w.isascii() and w.isdigit()))
+            raise InputError(f"word string {bad!r} is not ASCII digits")
+        letters = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(keys), k) - ord("0")
+        degrees[k] = letters, _complex_array(list(map(obj.__getitem__, keys)), 3, "coefficients")
+    if moments and 0 in degrees:
         raise InputError("these coefficients start at degree 1; the empty word is not allowed")
-    return coeffs
+    return degrees
 
 
 def tuple_to_json(x):
-    return {"n": x.n, "dim": x.dim, "matrices": [matrix_to_json(m) for m in x.matrices]}
+    return {"n": x.n, "dim": x.dim, "matrices": matrix_to_json(x.matrices)}
 
 
 def json_to_tuple(obj):
     try:
-        mats = tuple(json_to_matrix(m) for m in obj["matrices"])
+        mats = _complex_array(obj["matrices"], 3, "operator tuple matrices")
         declared = {k: int(obj[k]) for k in ("n", "dim") if k in obj}
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad operator tuple: {exc}") from exc
-    t = OperatorTuple(mats)
+    t = OperatorTuple(tuple(mats))
     if declared.get("n", t.n) != t.n:
         raise InputError(f"declared n={obj['n']} but {t.n} matrices given")
     if declared.get("dim", t.dim) != t.dim:
@@ -90,120 +101,94 @@ def json_to_tuple(obj):
 
 
 def series_to_json(f):
-    return {
-        "n": f.n,
-        "cutoff": f.cutoff,
-        "shape": list(f.shape),
-        "coefficients": _coeffs_to_json(f.coeffs),
-    }
+    return {"n": f.n, "cutoff": f.cutoff, "shape": list(f.shape), "coefficients": _blocks_to_json(f)}
 
 
 def json_to_series(obj):
     try:
-        n = int(obj["n"])
-        cutoff = int(obj["cutoff"])
+        n, cutoff = int(obj["n"]), int(obj["cutoff"])
         shape = tuple(int(s) for s in obj["shape"])
-        coeffs = _json_to_coeffs(obj["coefficients"], n)
+        degrees = _json_to_degrees(obj["coefficients"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad series: {exc}") from exc
-    return FreeSeries(n, cutoff, shape, coeffs)
+    return from_degrees(n, cutoff, shape, degrees)
 
 
 def pluriharmonic_to_json(h):
-    return {
-        "n": h.n,
-        "cutoff": h.cutoff,
-        "shape": list(h.shape),
-        "analytic": _coeffs_to_json(h.analytic.coeffs),
-        "coanalytic": _coeffs_to_json(h.coanalytic.coeffs),
-    }
+    return {"n": h.n, "cutoff": h.cutoff, "shape": list(h.shape),
+            "analytic": _blocks_to_json(h.analytic), "coanalytic": _blocks_to_json(h.coanalytic)}
 
 
 def json_to_pluriharmonic(obj):
     try:
-        n = int(obj["n"])
-        cutoff = int(obj["cutoff"])
+        n, cutoff = int(obj["n"]), int(obj["cutoff"])
         shape = tuple(int(s) for s in obj["shape"])
-        analytic = _json_to_coeffs(obj["analytic"], n)
-        coanalytic = _json_to_moments(obj.get("coanalytic", {}), n)
+        analytic = _json_to_degrees(obj["analytic"])
+        coanalytic = _json_to_degrees(obj.get("coanalytic", {}), moments=True)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad pluriharmonic function: {exc}") from exc
-    return PluriharmonicFn(*(FreeSeries(n, cutoff, shape, c) for c in (analytic, coanalytic)))
+    return PluriharmonicFn(*(from_degrees(n, cutoff, shape, d) for d in (analytic, coanalytic)))
 
 
 def functional_to_json(mu):
     """forward[t] = mu(R_t) = B_~t and backward[t] = mu(R_t*) = A_~t of the symbol."""
-    a, b = mu.symbol.analytic.coeffs, mu.symbol.coanalytic.coeffs
-    return {
-        "n": mu.n,
-        "cutoff": mu.cutoff,
-        "unit": matrix_to_json(mu.unit),
-        "forward": _coeffs_to_json({reverse(w): c for w, c in b.items()}),
-        "backward": _coeffs_to_json({reverse(w): c for w, c in a.items() if w}),
-    }
+    h = mu.symbol
+    return {"n": mu.n, "cutoff": mu.cutoff, "unit": matrix_to_json(mu.unit),
+            "forward": _blocks_to_json(h.coanalytic.reversed()),
+            "backward": _blocks_to_json(h.analytic.without_constant().reversed())}
 
 
 def json_to_functional(obj):
     try:
-        n = int(obj["n"])
-        cutoff = int(obj["cutoff"])
+        n, cutoff = int(obj["n"]), int(obj["cutoff"])
         unit = json_to_matrix(obj["unit"])
-        forward = _json_to_moments(obj.get("forward", {}), n)
-        backward = _json_to_moments(obj.get("backward", {}), n)
+        forward = _json_to_degrees(obj.get("forward", {}), moments=True)
+        backward = _json_to_degrees(obj.get("backward", {}), moments=True)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad moment functional: {exc}") from exc
-    analytic = {(): unit, **{reverse(t): c for t, c in backward.items()}}
-    coanalytic = {reverse(t): c for t, c in forward.items()}
-    series = (FreeSeries(n, cutoff, unit.shape, c) for c in (analytic, coanalytic))
+    backward[0] = np.zeros((1, 0), dtype=np.int64), unit[None]  # A_0 = mu(I)
+    series = (from_degrees(n, cutoff, unit.shape, d).reversed() for d in (backward, forward))
     return MomentFunctional(PluriharmonicFn(*series))
 
 
 def problem_to_json(prob):
-    return {
-        "n": prob.n,
-        "m": prob.m,
-        "block_size": prob.block_size,
-        "coefficients": _coeffs_to_json(prob.data.coeffs),
-    }
+    return {"n": prob.n, "m": prob.m, "block_size": prob.block_size,
+            "coefficients": _blocks_to_json(prob.data)}
 
 
-def _constant_shape(coeffs):
+def _constant_shape(degrees):
     """Shape of b_0, which problem and extension JSON must carry."""
-    if () not in coeffs:
+    if 0 not in degrees:
         raise InputError("missing constant coefficient b_0")
-    return coeffs[()].shape
+    return degrees[0][1].shape[1:]
 
 
 def json_to_problem(obj):
     try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        coeffs = _json_to_coeffs(obj["coefficients"], n)
+        n, m = int(obj["n"]), int(obj["m"])
+        degrees = _json_to_degrees(obj["coefficients"])
         block = int(obj.get("block_size", 0))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
-    p = _constant_shape(coeffs)[0]
+    p = _constant_shape(degrees)[0]
     if block and block != p:
         raise InputError("block_size disagrees with coefficient shape")
-    return CaratheodoryProblem(FreeSeries(n, m, (p, p), coeffs))
+    return CaratheodoryProblem(from_degrees(n, m, (p, p), degrees))
 
 
 def extension_to_json(ext):
-    return {
-        "target_degree": ext.series.cutoff,
-        "coefficients": _coeffs_to_json(ext.series.coeffs),
-        "certificate": dict(ext.certificate),
-    }
+    return {"target_degree": ext.series.cutoff, "coefficients": _blocks_to_json(ext.series),
+            "certificate": dict(ext.certificate)}
 
 
 def json_to_extension(obj, n):
     try:
-        coeffs = _json_to_coeffs(obj["coefficients"], n)
+        degrees = _json_to_degrees(obj["coefficients"])
         target = int(obj["target_degree"])
         cert = dict(obj.get("certificate", {}))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad extension result: {exc}") from exc
-    return ExtensionResult(FreeSeries(n, target, _constant_shape(coeffs), coeffs), cert)
+    return ExtensionResult(from_degrees(n, target, _constant_shape(degrees), degrees), cert)
 
 
 def load_json(path):

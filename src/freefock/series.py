@@ -4,25 +4,27 @@ Coefficients are complex matrices of one fixed shape.  A series stores,
 for each degree k where it has a nonzero coefficient, one block: the
 increasing integer codes of its words (``words.encode_words``) and the
 stack of their coefficients, with no all-zero row.  The blocks are the one
-store: the public constructor validates a word -> coefficient map and
-stacks it once, and ``coeffs``, a read-only word view decoded when first
-read, is for the JSON writers and the oracles only.  Every series
-carries an explicit cutoff; a binary operation truncates to the smaller
-cutoff, so nothing claims more precision than its inputs had.
+store: outside input enters through one per-degree check, ``from_degrees``,
+shared by the word-dict constructor and the JSON readers, and ``coeffs``,
+a read-only word view decoded when first read, is for the oracles and the
+tests only.  Every series carries an explicit cutoff; a binary operation
+truncates to the smaller cutoff, so nothing claims more precision than its
+inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
 Neumann inverse run on one degree recurrence over the blocks: degree k
 of a product sums one einsum per pair of blocks whose degrees add up to
 k, placed by code arithmetic, and the geometric sums follow x = f + f x
 (forward) or x = g - g x (inverse), so each degree is computed once.
-Each checks the size of a degree before allocating it.  Series the
-package builds itself skip the public constructor's validation.
+Each checks the size of a degree before allocating it (a geometric sum
+charges each degree its fixed storage too).  Series the package builds
+itself skip the public constructor's validation.
 
 Evaluation goes through the two kernels of ``fock``, both on the blocks:
 ``word_sum`` at an operator tuple, ``shift_sum`` at the compressed
-creation operators.  The truncated Cayley transform of
-operators and the coefficient extraction stay as the operator-side
-reference for the series-level Cayley maps.
+creation operators.  The truncated Cayley transform of operators and the
+coefficient extraction stay as the operator-side reference for the
+series-level Cayley maps.
 """
 
 from __future__ import annotations
@@ -41,30 +43,44 @@ from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .toeplitz import CertifiedNorm, dense_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
+# Fixed storage of a geometric sum's degree in complex entries (490 bytes by tracemalloc)
+DEGREE_ENTRIES = 32
 
-def clean_coeffs(coeffs, n, cutoff, shape):
-    """Validated copy of a word -> coefficient map: n is in
-    1..MAX_GENERATORS, shape is two positive ints, words are over n letters
-    with length <= cutoff, coefficients are complex matrices of that shape;
-    exact zeros are dropped."""
+
+def from_degrees(n, cutoff, shape, degrees):
+    """The series of coefficients given per degree, {k: (letters, stack)}: the
+    (m, k) letters of m distinct words and their (m, *shape) coefficients.
+    The one check of outside input (n in 1..MAX_GENERATORS, shape two positive
+    ints, 0 <= k <= cutoff, letters in 1..n, finite coefficients of that shape)."""
     if not 1 <= n <= MAX_GENERATORS:
         raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
+    shape = tuple(shape)
     if len(shape) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
         raise InputError(f"shape must be two positive integers, got {list(shape)}")
     if cutoff < 0:
         raise InputError("cutoff must be >= 0")
-    out = {}
-    for w, c in coeffs.items():
-        w = tuple(w)
-        validate_word(w, n)
-        if len(w) > cutoff:
-            raise InputError(f"word of length {len(w)} exceeds cutoff {cutoff}")
-        c = as_cmatrix(c)
-        if c.shape != shape:
-            raise InputError(f"coefficient shape {c.shape} != shape {shape}")
-        if c.any():
-            out[w] = c
-    return out
+    blocks = {}
+    for k, (letters, c) in degrees.items():
+        if not 0 <= k <= cutoff:
+            raise InputError(f"word of length {k} exceeds cutoff {cutoff}")
+        try:
+            letters, c = np.asarray(letters, dtype=np.int64), np.asarray(c, dtype=complex)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"degree {k} coefficients are not of shape {shape}: {exc}") from None
+        if letters.shape != (len(c), k) or c.shape[1:] != shape:
+            raise InputError(f"degree {k} coefficients of shape {c.shape[1:]} != shape {shape}")
+        if k and (letters.min() < 1 or letters.max() > n):
+            validate_word(letters[((letters < 1) | (letters > n)).any(axis=1)][0].tolist(), n)
+        if not np.isfinite(c).all():
+            raise InputError(f"degree {k} coefficients must be finite")
+        codes = encode_words(letters, n, k, np.int64 if n**k < 2**63 else object)
+        if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():  # sorted, no word twice
+            order = np.argsort(codes, kind="stable")
+            codes, c = codes[order], c[order]
+            if (codes[1:] == codes[:-1]).any():
+                raise InputError(f"a word of length {k} is given twice")
+        blocks[k] = codes, c
+    return FreeSeries._built(n, cutoff, shape, blocks)
 
 
 class FreeSeries:
@@ -75,23 +91,24 @@ class FreeSeries:
     decoded when first read."""
 
     def __init__(self, n, cutoff, shape, coeffs=None):
-        words = clean_coeffs(coeffs or {}, n, cutoff, tuple(shape))
-        self.n, self.cutoff, self.shape, self.blocks = n, cutoff, tuple(shape), {}
-        for k, ws in itertools.groupby(sorted(words, key=lambda w: (len(w), w)), len):
-            ws = list(ws)  # graded-lex: in code order
-            codes = encode_words(ws, n, k, np.int64 if n**k < 2**63 else object)
-            self.blocks[k] = codes, np.array([words[w] for w in ws])
+        """The series of a word -> coefficient map, by length through from_degrees."""
+        coeffs = coeffs or {}
+        groups = ((k, list(ws)) for k, ws in itertools.groupby(sorted(sorted(coeffs), key=len), len))
+        degrees = {k: (ws, list(map(coeffs.__getitem__, ws))) for k, ws in groups}
+        vars(self).update(vars(from_degrees(n, cutoff, shape, degrees)))
 
     @classmethod
     def _built(cls, n, cutoff, shape, blocks):
-        """Series from blocks the package computed itself, so already
-        valid: skips clean_coeffs and only drops rows that are exactly zero."""
+        """Series from blocks the package computed itself, so already valid:
+        skips from_degrees' checks and only drops rows that are exactly zero."""
         f = cls.__new__(cls)
         f.n, f.cutoff, f.shape, f.blocks = n, cutoff, tuple(shape), {}
         for k, (codes, c) in sorted(blocks.items()):
             keep = c.any(axis=(1, 2))
-            if keep.any():
-                f.blocks[k] = (codes, c) if keep.all() else (codes[keep], c[keep])
+            if len(keep) and keep.all():
+                f.blocks[k] = codes, c
+            elif keep.any():
+                f.blocks[k] = codes[keep], c[keep]
         return f
 
     @staticmethod
@@ -104,8 +121,7 @@ class FreeSeries:
 
     @functools.cached_property
     def coeffs(self):
-        """Read-only word -> coefficient view of the blocks, for the JSON
-        writers and the oracles."""
+        """Read-only word -> coefficient view of the blocks, for oracles and tests."""
         words = {}
         for k, (codes, c) in self.blocks.items():
             words.update(zip(decode_words(codes, self.n, k), c))
@@ -271,19 +287,21 @@ def _geometric(f, sign):
     """x = f + sign f x, i.e. f + f^2 + ... (sign +1) or f - f^2 + ...
     (sign -1), truncated at the cutoff: degree by degree,
     x_k = f_k + sign sum_{a<k} f_a x_{k-a} over the degrees a of f; the size
-    check before each x_k adds min(n^k, |f_k| + sum_a |f_a| |x_{k-a}|) words."""
+    check before each x_k adds min(n^k, |f_k| + sum_a |f_a| |x_{k-a}|) words
+    of p^2 entries and DEGREE_ENTRIES for the degree's fixed storage."""
     fb, p, reach = f.blocks, f.shape[0], max(f.blocks, default=0)
     unit = (np.zeros(1, np.int64), np.eye(p, dtype=complex)[None])
     signed = {a: (codes, sign * c) for a, (codes, c) in fb.items()}
-    x, words, top = {}, 0, 0  # top: the highest degree in x
+    x, entries, top = {}, 0, 0  # top: the highest degree in x
     for k in range(1, f.cutoff + 1):
         if k > reach + top:
             break  # no block pair reaches degree k or beyond
         pairs = [(fb[k], unit, 1)] if k in fb else []
         pairs += [(signed[a], x[k - a], f.n ** (k - a)) for a in fb if k - a in x]
         if pairs:
-            words += min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in pairs))
-            check_entries(words * p * p, "geometric series sum")
+            words = min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in pairs))
+            entries += words * p * p + DEGREE_ENTRIES
+            check_entries(entries, "geometric series sum")
             block = _degree_sum(pairs, f.shape, f.n**k)
             if block[1].any():  # an all-zero degree reaches nothing further
                 x[k], top = block, k
@@ -395,7 +413,7 @@ def radius_estimate(f, kmax):
 class EvalReport:
     value: np.ndarray
     exact: bool
-    tail_bound: float
+    tail_estimate: float
     jsr: JsrEstimate
 
 
@@ -405,7 +423,7 @@ def eval_report(f, X, jsr_depth=None):
     Jointly nilpotent arguments are always in scope; the sum is exact
     when the nilpotency order is <= cutoff + 1.  Otherwise the jsr
     estimate must clear the radius estimate with a 0.9 margin, and the
-    reported tail_bound estimates the degrees beyond the cutoff by
+    reported tail_estimate estimates the degrees beyond the cutoff by
     extrapolating the growth of the stored coefficients; it bounds the
     true tail only when the unstored slices grow no faster.
     """

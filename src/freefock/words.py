@@ -21,16 +21,6 @@ from .linalg import check_entries
 MAX_GENERATORS = 9
 
 
-def word_from_string(s, n=MAX_GENERATORS):
-    """Parse a digit string into a word, validating letters against n."""
-    try:
-        w = tuple(int(c) for c in s)
-    except ValueError:
-        raise InputError(f"word string {s!r} contains a non-digit") from None
-    validate_word(w, n)
-    return w
-
-
 def word_to_string(w):
     return "".join(str(i) for i in w)
 
@@ -43,14 +33,19 @@ def validate_word(w, n):
 
 def encode_words(words, n, k, dtype=np.int64):
     """Codes of words of length k over n letters (dtype object past int64)."""
-    letters = np.array(words, dtype=dtype).reshape(len(words), k) - 1
+    letters = np.asarray(words, dtype=np.int64).reshape(len(words), k) - 1
     return letters @ np.array([n**j for j in range(k - 1, -1, -1)], dtype=dtype)
 
 
-def decode_words(codes, n, k):
-    """Words of length k with the given codes; inverts encode_words."""
+def decode_letters(codes, n, k):
+    """The (len(codes), k) letters of the words with these codes; inverts encode_words."""
     powers = np.array([n**j for j in range(k - 1, -1, -1)], dtype=codes.dtype)
-    return list(map(tuple, (codes[:, None] // powers % n + 1).tolist()))
+    return codes[:, None] // powers % n + 1
+
+
+def decode_words(codes, n, k):
+    """Words of length k with the given codes, as tuples."""
+    return list(map(tuple, decode_letters(codes, n, k).tolist()))
 
 
 def reverse(w):

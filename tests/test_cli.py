@@ -16,7 +16,7 @@ from freefock import pluriharmonic as ph
 from freefock.caratheodory import CaratheodoryProblem
 from freefock.errors import InputError, ScopeError
 from freefock.fock import FockTrunc, OperatorTuple
-from freefock.series import FreeSeries
+from freefock.series import DEGREE_ENTRIES, FreeSeries
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +193,23 @@ def test_cayley_roundtrip_via_cli(tmp_path, capsys):
         assert np.max(np.abs(back.coefficient(w) - f.coefficient(w))) <= 1e-10
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_cayley_cutoff_is_rebuilt_through_the_input_check(tmp_path, direction):
+    """--cutoff below the top degree or negative exits 3; raised, it gives
+    the bytes of the same series written with that cutoff."""
+    low = {"n": 2, "cutoff": 2, "shape": [1, 1],
+           "coefficients": {"1": [[[0.5, 0.0]]], "21": [[[0.25, -0.125]]]}}
+    for cutoff in ("1", "-1"):
+        code, err = run_on_json(["cayley", direction, low, "--cutoff", cutoff])
+        assert code == 3 and "input error" in err
+    outs = []
+    for obj, argv in ((low, ["--cutoff", "5"]), (dict(low, cutoff=5), [])):
+        path = tmp_path / f"out{len(outs)}.json"
+        assert run_on_json(["cayley", direction, obj, *argv, "--output", str(path)])[0] == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1] and json.loads(outs[0])["series"]["cutoff"] == 5
+
+
 def test_eval_command(tmp_path, capsys):
     f = FreeSeries(2, 2, (1, 1), {(): np.array([[2.5]]), (1,): np.array([[1.0]])})
     fpath = tmp_path / "series.json"
@@ -229,7 +246,7 @@ def test_eval_past_the_float_range_of_the_jsr_recurrence():
             assert run_on_json(["eval", f, x, "--output", out])[0] == 0
             with open(out, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        assert payload["exact"] is False and payload["tail_bound"] > 0.0
+        assert payload["exact"] is False and payload["tail_estimate"] > 0.0
         assert payload["jsr"]["value"] == 0.5 and payload["jsr"]["nilpotent_order"] is None
     # (1e200)^(2k) overflows at k = 1
     f["cutoff"] = 2
@@ -249,7 +266,7 @@ def test_eval_tail_of_coefficients_below_the_square_root_of_the_smallest_float(c
             assert run_on_json(["eval", f, t, "--output", out])[0] == 0
             with open(out, encoding="utf-8") as fh:
                 payloads.append(json.load(fh))
-    tiny, scaled = (p["tail_bound"] for p in payloads)
+    tiny, scaled = (p["tail_estimate"] for p in payloads)
     assert scaled == pytest.approx(0.01 / 0.9, rel=1e-12)
     assert tiny == pytest.approx(scaled, rel=1e-12)
 
@@ -307,10 +324,14 @@ def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
         for direction in ("forward", "inverse"):
             assert cli.main(["cayley", direction, str(paths["two"])]) == 4
             assert "size limit" in capsys.readouterr().err
-            # one word per degree: 40 words fit
+            # one word per degree: 40 words and the fixed storage of their
+            # 40 degrees fit in 1600 entries, far below the 2^40 of n^k words
+            linalg.set_max_dim(40)
             code, payload = run_cli(capsys, "cayley", direction, str(paths["one"]))
             assert code == 0
             assert len(payload["series"]["coefficients"]) == 40
+            assert 40 * (1 + DEGREE_ENTRIES) <= 40**2
+            linalg.set_max_dim(8)
     finally:
         linalg.set_max_dim(old)
 
@@ -518,13 +539,14 @@ def coefficients_json(draw, maps, max_cutoff=5):
     """Mostly well-formed JSON of (n, cutoff, shape) and the coefficient
     maps named in maps, with at most one field or matrix entry replaced by
     junk (integers past float range only in entries).  Cutoffs and
-    generator counts stay small: a nonzero series with a huge cutoff is
-    computed degree by degree up to the size limit, which takes too long
-    to fuzz."""
+    generator counts stay small unless max_cutoff is raised: a nonzero series
+    with a huge cutoff is computed degree by degree up to the size limit,
+    which takes too long to fuzz at the default limit.  Words stay below
+    length 9."""
     n, p = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     cutoff = draw(st.integers(0, max_cutoff))
     letters = "".join(str(i) for i in range(1, n + 1))
-    valid = st.text(letters, min_size=min(cutoff, 1), max_size=cutoff)
+    valid = st.text(letters, min_size=min(cutoff, 1), max_size=min(cutoff, 8))
     words = st.one_of(valid, st.text("0123456789a"))
     entry = st.lists(number, min_size=2, max_size=2)
     matrix = st.lists(st.lists(entry, min_size=p, max_size=p), min_size=p, max_size=p)
@@ -541,11 +563,12 @@ def coefficients_json(draw, maps, max_cutoff=5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(coefficients_json(("coefficients",)), st.sampled_from(["forward", "inverse"]),
-       st.booleans())
-def test_cayley_json_fuzz_exits_with_documented_codes(obj, direction, small_limit):
+@given(st.data(), st.sampled_from(["forward", "inverse"]), st.booleans())
+def test_cayley_json_fuzz_exits_with_documented_codes(data, direction, small_limit):
     """Any series JSON through `freefock cayley`: a result (0), an input
-    error (3) or a scope error (4), never an internal error."""
+    error (3) or a scope error (4), never an internal error.  Under the
+    small size limit cutoffs reach 10^9."""
+    obj = data.draw(coefficients_json(("coefficients",), max_cutoff=10**9 if small_limit else 5))
     code, err = run_on_json(["cayley", direction, obj], 4 if small_limit else None)  # 16 entries
     assert code in (0, 3, 4), err
 

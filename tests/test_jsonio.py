@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freefock import jsonio
 from freefock.caratheodory import CaratheodoryProblem, ExtensionResult
@@ -121,3 +123,94 @@ def test_atomic_write(tmp_path):
     assert json.loads(target.read_text()) == {"a": 1.5}
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+# -- per-degree reader and writer ----------------------------------------------
+
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300])
+value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), special)
+
+
+@st.composite
+def word_dicts(draw):
+    """(n, cutoff, shape, {word: matrix}) with entries that stress float repr."""
+    n, cutoff = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    word = st.lists(st.integers(1, n), max_size=cutoff).map(tuple)
+    entry = st.builds(complex, value, value)
+    matrix = st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    words = draw(st.dictionaries(word, matrix.map(lambda z: np.reshape(z, shape)), max_size=8))
+    return n, cutoff, shape, words
+
+
+def reference_coeffs_to_json(coeffs):
+    """The per-word writer the per-degree one replaced: each word's digit
+    string, then one [re, im] pair per entry, in word order."""
+    return {
+        "".join(str(i) for i in w): [[[complex(z).real, complex(z).imag] for z in row] for row in c]
+        for w, c in sorted(coeffs.items())
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_dicts())
+def test_writers_match_the_per_word_reference_bytewise(case):
+    n, cutoff, shape, words = case
+    f = FreeSeries(n, cutoff, shape, words)
+    want = {"n": n, "cutoff": cutoff, "shape": list(shape),
+            "coefficients": reference_coeffs_to_json(f.coeffs)}
+    assert json.dumps(jsonio.series_to_json(f), indent=2) == json.dumps(want, indent=2)
+    if shape[0] == shape[1]:  # the functional writes the symbol's words reversed
+        mu = MomentFunctional(PluriharmonicFn(f, f.without_constant()))
+        a, b = mu.symbol.analytic.coeffs, mu.symbol.coanalytic.coeffs
+        want = {"n": n, "cutoff": cutoff, "unit": jsonio.matrix_to_json(mu.unit),
+                "forward": reference_coeffs_to_json({w[::-1]: c for w, c in b.items()}),
+                "backward": reference_coeffs_to_json({w[::-1]: c for w, c in a.items() if w})}
+        assert json.dumps(jsonio.functional_to_json(mu)) == json.dumps(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_dicts(), st.randoms(use_true_random=False))
+def test_reader_blocks_equal_the_dict_constructor_blocks(case, random):
+    n, cutoff, shape, words = case
+    obj = jsonio.series_to_json(FreeSeries(n, cutoff, shape, words))
+    items = list(obj["coefficients"].items())
+    random.shuffle(items)  # the reader sorts the keys itself
+    obj["coefficients"] = dict(items)
+    got = jsonio.json_to_series(json.loads(json.dumps(obj)))
+    want = FreeSeries(n, cutoff, shape, words)
+    assert list(got.blocks) == list(want.blocks)
+    for k, (codes, c) in want.blocks.items():
+        assert np.array_equal(got.blocks[k][0], codes) and np.array_equal(got.blocks[k][1], c)
+
+
+ONE = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"0": ONE}, {"a": ONE}, {"é": ONE}, {"１": ONE},  # not ASCII digits 1..n
+    {"3": ONE},  # a letter above n = 2
+    {"1211": ONE},  # longer than the cutoff 3
+    {"1": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},  # ragged
+    {"1": [[1.0]]},  # a scalar entry
+    {"1": [[[1.0]]]}, {"1": [[[1.0, 0.0, 0.0]]]},  # [re] and [re, im, x]
+    {"1": [[[math.nan, 0.0]]]}, {"1": [[[0.0, math.inf]]]},  # not finite
+    {"1": [[[10**400, 0.0]]]},  # an int past the float range
+    {"1": [[[1.0, 0.0], [0.0, 0.0]]]},  # not of the declared shape
+    {"1": "x"}, {"1": []}, {"1": [[]]}, {"1": [[[]]]},
+])
+def test_readers_reject_each_malformed_coefficient_map(coefficients):
+    with pytest.raises(InputError):
+        jsonio.json_to_series({"n": 2, "cutoff": 3, "shape": [1, 1], "coefficients": coefficients})
+    with pytest.raises(InputError):
+        jsonio.json_to_pluriharmonic({"n": 2, "cutoff": 3, "shape": [1, 1], "analytic": coefficients})
+    with pytest.raises(InputError):
+        jsonio.json_to_problem({"n": 2, "m": 3, "coefficients": {"": ONE, **coefficients}})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_dict_constructor_rejects_non_finite_coefficients(bad):
+    with pytest.raises(InputError):
+        FreeSeries(1, 2, (1, 1), {(1,): [[bad]]})
+    with pytest.raises(InputError):
+        FreeSeries(2, 2, (2, 1), {(): [[1.0], [2.0]], (2, 1): np.array([[0.5], [bad]])})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,23 +122,49 @@ def test_products_check_size_before_allocating():
         for geometric in (fs.neumann_inverse, fs.cayley_forward, fs.cayley_inverse):
             with pytest.raises(SizeLimitError):
                 geometric(two)  # 2 + 4 + ... + 64 = 126 words
-        assert len(fs.cayley_forward(scalar_series(1, 40, {(1,): 0.5})).coeffs) == 40
+        chain = scalar_series(1, 40, {(1,): 0.5})
+        with pytest.raises(SizeLimitError):  # each degree is charged its fixed storage
+            fs.cayley_forward(chain)
+        linalg.set_max_dim(40)  # 1600 entries: 40 words and their 40 degrees fit
+        assert 40 * (1 + fs.DEGREE_ENTRIES) <= 40**2
+        assert len(fs.cayley_forward(chain).coeffs) == 40
     finally:
         linalg.set_max_dim(old)
+
+
+def test_geometric_sums_charge_each_degree_its_fixed_storage():
+    """A one-letter chain whose powers never vanish, with cutoff 10^9, meets
+    the size limit of 4096 entries within 256 kB (about 40 kB measured): each
+    computed degree is charged DEGREE_ENTRIES on top of its coefficients.
+    Counting coefficients alone, 4096 one-word degrees peaked at 1.6 MB."""
+    chain = fs.FreeSeries(1, 10**9, (1, 1), {(1,): ONE})
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(64)
+    tracemalloc.start()
+    try:
+        for geometric in (fs.cayley_forward, fs.cayley_inverse, fs.neumann_inverse):
+            with pytest.raises(SizeLimitError):
+                geometric(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        linalg.set_max_dim(old)
+    assert peak < 256 * 2**10
 
 
 def test_package_built_series_are_not_revalidated(monkeypatch):
     rng = np.random.default_rng(3)
     f = fs.random_series(rng, 2, 5, (2, 2), scale=0.4, min_degree=1)
     g = sparse_series(rng, 2, 5, (2, 2), [0, 2], 3)
-    calls = []
+    calls, check = [], fs.from_degrees
 
-    def counting(w, n):
-        calls.append(w)
+    def counting(n, cutoff, shape, degrees):
+        calls.append(sorted(degrees))
+        return check(n, cutoff, shape, degrees)
 
-    monkeypatch.setattr(fs, "validate_word", counting)
-    fs.FreeSeries(2, 5, (1, 1), {(1, 2): ONE})  # the public constructor still validates
-    assert calls == [(1, 2)]
+    monkeypatch.setattr(fs, "from_degrees", counting)
+    fs.FreeSeries(2, 5, (1, 1), {(1, 2): ONE})  # the public constructor still checks
+    assert calls == [[2]]
     calls.clear()
     back = fs.cayley_inverse(fs.cayley_forward(f))
     fs.multiply(f, g)
@@ -422,7 +449,7 @@ def test_eval_at_scope():
     # small scalar argument is fine and exact geometric
     got = fs.eval_at(f, OperatorTuple((np.array([[0.1]]),)))
     rep = fs.eval_report(f, OperatorTuple((np.array([[0.1]]),)))
-    assert not rep.exact and rep.tail_bound > 0
+    assert not rep.exact and rep.tail_estimate > 0
     assert got[0, 0] == pytest.approx(sum(0.2**k for k in range(1, 7)), abs=1e-12)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freefock import jsonio
 from freefock.errors import InputError
 from freefock.fock import FockTrunc
 from freefock.words import (
@@ -14,7 +15,6 @@ from freefock.words import (
     left_quotient,
     reverse,
     right_quotient,
-    word_from_string,
     word_to_string,
 )
 
@@ -106,14 +106,21 @@ def test_generator_range_errors():
 
 
 def test_word_strings():
-    assert word_from_string("121", 2) == (1, 2, 1)
-    assert word_from_string("", 2) == ()
+    """Digit strings are the wire form of words: the JSON readers parse them
+    per degree, word_to_string writes one."""
+    one = [[[1.0, 0.0]]]
+
+    def read(*keys):
+        obj = {"n": 2, "cutoff": 3, "shape": [1, 1], "coefficients": dict.fromkeys(keys, one)}
+        return sorted(jsonio.json_to_series(obj).coeffs)
+
+    assert read("121", "") == [(), (1, 2, 1)]
     assert word_to_string((1, 2, 1)) == "121"
     assert word_to_string(()) == ""
     with pytest.raises(InputError):
-        word_from_string("3", 2)
+        read("3")
     with pytest.raises(InputError):
-        word_from_string("1a", 2)
+        read("1a")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
