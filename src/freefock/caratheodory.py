@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import random_nilpotent_tuple, word_products
+from .fock import random_nilpotent_tuple, word_sum
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
 from .pluriharmonic import PluriharmonicFn
@@ -225,14 +225,12 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     T_M's positivity is the one extend computed for this same series
     object, when that record decides it at tol; any other series, such as
     a corrupted copy under the original certificate, is computed fresh.
-    The samples are drawn in order, then evaluated in chunks over the
-    words of fock.word_products, read from the blocks of the extension and
-    b_0 / 2: one batched matmul per degree and one einsum per chunk.
-    A chunk takes as many samples as fit in min(d p, DENSE_DIM)^2 entries
-    of products, the size of the dense T_M that positivity assembles at or
-    below DENSE_DIM, but at least one: one sample alone holds d (M + 1)^2
-    entries (7.4M at n = 2, M = 14), checked only against MAX_DIM^2.  Each
-    g equals fock.word_sum at its tuple bit for bit."""
+    The samples are drawn in order, then g (the extension's blocks and
+    b_0 / 2) is one fock.word_sum per chunk of stacked samples, each g the
+    same bits as alone.  A chunk takes as many samples as fit in
+    min(d p, DENSE_DIM)^2 entries of products of all d words, the dense
+    T_M's size at or below DENSE_DIM, but at least one: a sample holds up
+    to d (M + 1)^2 entries (7.4M at n = 2, M = 14), checked by word_sum."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
@@ -251,20 +249,15 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
 
     rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()
-    half = (np.zeros(1, np.int64), b0[None] / 2.0)
-    c, products = word_products(prob.n, {**f.blocks, 0: half}, p)
-    tuples = [
-        random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
+    terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
+    tuples = np.array([
+        random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95))).matrices
         for _ in range(samples)
-    ]
-    per_sample = len(c) * (M + 1) ** 2
-    check_entries(per_sample, "nilpotent sample")
-    chunk = max(1, min(tm.matrix_dim, DENSE_DIM) ** 2 // per_sample)
+    ])
+    chunk = max(1, min(tm.matrix_dim, DENSE_DIM) ** 2 // (word_count(prob.n, M) * (M + 1) ** 2))
     worst = np.inf
     for lo in range(0, samples, chunk):
-        xs = np.array([X.matrices for X in tuples[lo:lo + chunk]])
-        g = np.einsum("wab,wsij->saibj", c, products(xs.swapaxes(0, 1)))
-        g = g.reshape(len(xs), p * (M + 1), p * (M + 1))
+        g = word_sum(tuples[lo:lo + chunk].swapaxes(0, 1), p, [terms])[0]
         worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min()))
     checks["nilpotent_positive"] = (worst >= -tol, worst)
 

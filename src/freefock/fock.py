@@ -20,10 +20,10 @@ Every sum of coefficients times words goes through one of two kernels,
 and both read the blocks {k: (codes, stack)} of a series: ``shift_sum``
 scatters them into the blocks that their shifts on P^(N) reach, placed by
 code arithmetic (``words.join_indices``), for multi-analytic operators,
-multi-Toeplitz matrices and radial boundaries; ``word_sum`` evaluates
-them at an operator tuple, building the products of the words and their
-prefixes degree by degree (``word_products``), each word's parent found
-by code arithmetic too.
+multi-Toeplitz matrices and radial boundaries; ``word_sum`` is the one
+evaluator at operator tuples, of stacked samples and several sets of
+blocks on one tree of products (``word_products``), each word's parent
+found by code arithmetic too.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5.  The Poisson kernel of a jointly nilpotent tuple of order k is zero
@@ -52,7 +52,6 @@ from .linalg import (
     hermitian_sqrt,
     kron,
     operator_norm,
-    solve,
 )
 from .words import MAX_GENERATORS, join_indices, validate_word, word_count
 
@@ -96,6 +95,11 @@ class OperatorTuple:
     def row_norm(self):
         """Norm of the block row [X_1 ... X_n]."""
         return operator_norm(np.hstack(self.matrices))
+
+    @functools.cached_property
+    def stack(self):
+        """The (n, 1, dim, dim) stack of word_sum: this tuple as one sample."""
+        return np.array(self.matrices)[:, None]
 
     def word(self, w):
         return word_operator(self.matrices, w)
@@ -224,61 +228,63 @@ def shift_sum(n, N, p, lower, upper=None, append=False):
     return out.reshape(p * d, p * d)
 
 
-def word_sum(X, p, blocks):
-    """sum_w c_w (x) X_w on C^p (x) C^dim, coefficient-major, for the p x p
-    coefficients of series blocks {k: (codes, stack)} over X.n letters:
-    the products of word_products, then one einsum sums every node's
-    coefficient, zero where it has none, against its product.  Not a BLAS
-    product: for p = 1 that is a gemv which OpenBLAS runs on several
-    threads, and waking them took up to 2 ms per call on 2 cores, against
-    under 0.1 ms for the einsum."""
-    q = X.dim
+def word_sum(xs, p, sets, right=None):
+    """sum_w c_w (x) X_w on C^p (x) C^q, coefficient-major, for each set of
+    p x p coefficients (series blocks {k: (codes, stack)}) and each tuple
+    of the (n, samples, q, q) stack xs[i, s] = X_{i+1} of sample s, with
+    X_w times right[|w|] if given: (sets, samples, p q, p q) sums, each the
+    same bits as alone.  One word_products tree, then one einsum: a BLAS
+    product would be a gemv for p = 1, whose OpenBLAS threads took up to
+    2 ms per call to wake on 2 cores, against under 0.1 ms for the einsum."""
+    samples, q = xs.shape[1], xs.shape[-1]
     check_size(p * q, p * q, "word sum")
-    c, products = word_products(X.n, blocks, p)
-    prods = products(np.array(X.matrices)[:, None])[:, 0]
-    return np.einsum("wab,wij->aibj", c, prods).reshape(p * q, p * q)
+    c, prods = word_products(xs, sets, p, right)
+    return np.einsum("cwab,wsij->csaibj", c, prods).reshape(len(sets), samples, p * q, p * q)
 
 
-def word_products(n, blocks, p):
-    """The words of series blocks {k: (codes, stack)} over n letters and
-    all their prefixes, the nodes, by degree and code: in a degree the word
-    v i has code n code(v) + i - 1, so a node of code c has its parent at
-    code c // n one degree down and last letter c % n.  The degrees up to
-    the highest full block hold every word.  Returns the (nodes, p, p)
-    coefficient stack, zero at a node without one, and products(xs): for
-    tuples stacked as xs[i, s] = X_{i+1} of sample s, the (nodes, samples,
-    q, q) products X_w, one batched matmul per degree, of every parent by
-    every X_i on a full degree, else of the gathered parents and letters."""
-    top = max(blocks, default=0)
+def word_products(xs, sets, p, right=None):
+    """The words of every set of blocks over n = len(xs) letters and all
+    their prefixes, the nodes, by degree and code: the word v i has code
+    n code(v) + i - 1, so a node of code c has its parent at c // n one
+    degree down and last letter c % n; the degrees up to the highest full
+    block hold every word.  Returns the (sets, nodes, p, p) coefficients,
+    zero at a node without one, and the (nodes, samples, q, q) products X_w
+    (times right[|w|]), entries checked first: one batched matmul per
+    degree, every parent by every X_i or the gathered parents by letters."""
+    n = len(xs)
+    top = max((k for blocks in sets for k in blocks), default=0)
     nodes, up, full = {}, np.zeros(0, np.int64), 0  # degrees 0..full hold every word
     for k in range(top, 0, -1):
-        if k in blocks and len(blocks[k][0]) == n**k:
+        here = [blocks[k][0] for blocks in sets if k in blocks]
+        if any(len(codes) == n**k for codes in here):
             full = k  # and the parents of a full degree fill the one below
             break
-        codes = np.sort(np.concatenate([blocks[k][0], up]) if k in blocks else up)
+        codes = np.sort(np.concatenate([*here, up]))
         nodes[k] = codes[np.append(True, codes[1:] != codes[:-1])]  # not np.unique
         up = nodes[k] // n
     sizes = [n**k if k <= full else len(nodes[k]) for k in range(top + 1)]
     start = np.cumsum([0] + sizes).tolist()
-    c = np.zeros((start[-1], p, p), dtype=complex)
-    for k, (codes, block) in blocks.items():
-        c[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
+    check_entries(start[-1] * xs[0].size, "word products")
+    c = np.zeros((len(sets), start[-1], p, p), dtype=complex)
+    for cs, blocks in zip(c, sets):
+        for k, (codes, block) in blocks.items():
+            cs[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
 
-    def products(xs):
-        prods = np.empty((start[-1], *xs.shape[1:]), dtype=complex)
-        prods[0] = np.eye(xs.shape[-1])
-        for k in range(1, top + 1):
-            lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
-            if k <= full:
-                np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
-            else:
-                at = nodes[k] // n  # the parents' codes, then their rows in below
-                at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
-                letters = (nodes[k] % n).astype(np.intp)
-                np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
-        return prods
-
-    return c, products
+    prods = np.empty((start[-1], *xs.shape[1:]), dtype=complex)
+    prods[0] = np.eye(xs.shape[-1])
+    for k in range(1, top + 1):
+        lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
+        if k <= full:
+            np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
+        else:
+            at = nodes[k] // n  # the parents' codes, then their rows in below
+            at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
+            letters = (nodes[k] % n).astype(np.intp)
+            np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
+    if right is not None:  # after every degree: the next one multiplies X_w itself
+        for k in range(top + 1):
+            prods[start[k]:start[k + 1]] = prods[start[k]:start[k + 1]] @ right[k]
+    return c, prods
 
 
 # -- kernels and transforms ------------------------------------------------
@@ -294,13 +300,17 @@ def _check_strict_ball(X):
         raise ScopeError(f"row norm {X.row_norm:.6f} is not inside the open unit ball")
 
 
-def delta_defect(X):
-    """Delta_X = (I - sum X_i X_i*)^(1/2), by Hermitian eigendecomposition."""
-    p = X.dim
-    g = np.eye(p, dtype=complex)
+def _defect_square(X):
+    """I - sum X_i X_i*, the square of Delta_X."""
+    g = np.eye(X.dim, dtype=complex)
     for m in X.matrices:
         g = g - m @ adjoint(m)
-    return hermitian_sqrt(g)
+    return g
+
+
+def delta_defect(X):
+    """Delta_X = (I - sum X_i X_i*)^(1/2), by Hermitian eigendecomposition."""
+    return hermitian_sqrt(_defect_square(X))
 
 
 def reconstruction_operator(ft, X):
@@ -319,9 +329,7 @@ def berezin_kernel(ft, X):
     """B_X = (I (x) Delta_X)(I - R_X)^(-1), dense."""
     _check_tuple(ft, X)
     _check_strict_ball(X)
-    rx = reconstruction_operator(ft, X)
-    inv = solve(np.eye(rx.shape[0], dtype=complex) - rx, np.eye(rx.shape[0], dtype=complex))
-    return kron(np.eye(ft.dim, dtype=complex), delta_defect(X)) @ inv
+    return kron(np.eye(ft.dim, dtype=complex), delta_defect(X)) @ dense_resolvent(ft, X)
 
 
 def poisson_kernel(ft, X):
@@ -367,9 +375,7 @@ def poisson_transform(ft, U, X, coeff_dim=1):
     if U.shape != (q * d, q * d):
         raise InputError(f"symbol must be {q * d} x {q * d}, got {U.shape}")
     K3 = poisson_kernel(ft, X).reshape(d, p, p)
-    out = np.einsum(
-        "avi,jalb,bvk->jilk", K3.conj(), U.reshape(q, d, q, d), K3, optimize=True
-    )
+    out = np.einsum("avi,jalb,bvk->jilk", K3.conj(), U.reshape(q, d, q, d), K3, optimize=True)
     return out.reshape(q * p, q * p)
 
 
@@ -409,58 +415,58 @@ def berezin_transform(ft, mu, F, X):
     F = as_cmatrix(F)
     if F.shape != (ft.dim, ft.dim):
         raise InputError(f"symbol must be {ft.dim} x {ft.dim}, got {F.shape}")
-    B = berezin_kernel(ft, X)
-    p = X.dim
-    G = adjoint(B) @ kron(F, np.eye(p, dtype=complex)) @ B
-    out = np.zeros((p, p), dtype=complex)
-    eye = np.eye(p, dtype=complex)
-    for w, xi, eta in pairs:
-        lx = kron(np.asarray(xi, dtype=complex).reshape(-1, 1), eye)
-        le = kron(np.asarray(eta, dtype=complex).reshape(-1, 1), eye)
-        out += w * (adjoint(le) @ G @ lx)
-    return out
+    B, p = berezin_kernel(ft, X), X.dim
+    G = (adjoint(B) @ kron(F, np.eye(p, dtype=complex)) @ B).reshape(ft.dim, p, ft.dim, p)
+    terms = (w * np.einsum("a,aibj,b->ij", np.conj(eta), G, xi) for w, xi, eta in pairs)
+    return sum(terms, np.zeros((p, p), dtype=complex))
 
 
 # -- probe application paths (no dense kernel) -----------------------------
 
 
 def _resolvent(ft, X, V, backward=False):
-    """(I - R_X)^(-1) V, or (I - R_X*)^(-1) V when backward, on (dim, p)
-    arrays, as one sweep over degrees; exact, since R_X is nilpotent of
-    order N + 1.
-
-    In graded-lex order the words of degree k are alpha i, |alpha| = k - 1,
-    at row code(alpha) n + i - 1 of the degree block.  Forward, from the
-    bottom: out[alpha i] = V[alpha i] + out[alpha] conj(X_i).  Backward,
-    from the top: out[alpha] = V[alpha] + sum_i out[alpha i] X_i^T.  Each
-    degree is one product against the X_i side by side (stacked).
-    """
+    """(I - R_X)^(-1) V, or (I - R_X*)^(-1) V when backward, for a (dim, p,
+    r) array V of r columns, as one sweep over degrees; exact, since R_X is
+    nilpotent of order N + 1.  The words of degree k are alpha i at row
+    code(alpha) n + i - 1 of the degree.  Forward: out[alpha i] = V[alpha i]
+    + X_i* out[alpha], one batched product of the stacked X_i* by the blocks
+    below, as in poisson_kernel; backward: out[alpha] = V[alpha] + sum_i
+    X_i out[alpha i].  Not one wide GEMM per degree: waking OpenBLAS threads
+    for it took about 30 ms per call at n = 3, p = 6, N = 8 on 2 cores."""
     out = np.array(V, dtype=complex)
     start = [ft.degree_slice(k)[0] for k in range(ft.N + 2)]
+    row = np.hstack(X.matrices)
     if backward:
-        step = np.concatenate([m.T for m in X.matrices])
         for k in range(ft.N - 1, -1, -1):
             lo, mid, hi = start[k : k + 3]
-            out[lo:mid] += out[mid:hi].reshape(mid - lo, -1) @ step
+            out[lo:mid] += np.matmul(row, out[mid:hi].reshape(mid - lo, -1, out.shape[2]))
     else:
-        step = np.concatenate([np.conj(m) for m in X.matrices], axis=1)
+        stacked = adjoint(row)
         for k in range(ft.N):
             lo, mid, hi = start[k : k + 3]
-            out[mid:hi] += (out[lo:mid] @ step).reshape(hi - mid, -1)
+            out[mid:hi] += np.matmul(stacked, out[lo:mid]).reshape(hi - mid, *out.shape[1:])
     return out
 
 
+def dense_resolvent(ft, X):
+    """(I - R_X)^(-1) on P^(N) (x) C^p, Fock-major, dense: the forward sweep
+    of every column of the identity, exact for every tuple."""
+    _check_tuple(ft, X)
+    d, p = ft.dim, X.dim
+    check_size(d * p, d * p, "reconstruction operator")
+    return _resolvent(ft, X, np.eye(d * p, dtype=complex).reshape(d, p, d * p)).reshape(d * p, -1)
+
+
 def apply_pluriharmonic_poisson(ft, X, V):
-    """P(R^(N), X) V = ((I-R_X)^(-1) + (I-R_X*)^(-1) - I) V on probes."""
-    return _resolvent(ft, X, V) + _resolvent(ft, X, V, backward=True) - V
+    """P(R^(N), X) V = ((I-R_X)^(-1) + (I-R_X*)^(-1) - I) V on (dim, p) probes."""
+    V = np.asarray(V)[..., None]
+    return (_resolvent(ft, X, V) + _resolvent(ft, X, V, backward=True) - V)[..., 0]
 
 
 def apply_berezin_factor(ft, X, V):
     """B_X* B_X V through the two resolvent sweeps and the defect square."""
-    g = np.eye(X.dim, dtype=complex)
-    for m in X.matrices:
-        g = g - m @ adjoint(m)
-    return _resolvent(ft, X, _resolvent(ft, X, V) @ g.T, backward=True)
+    fwd = _resolvent(ft, X, np.asarray(V)[..., None])
+    return _resolvent(ft, X, np.matmul(_defect_square(X), fwd), backward=True)[..., 0]
 
 
 # -- dilation and tails -----------------------------------------------------

@@ -2,6 +2,10 @@
 series, evaluation, radial boundary operators and their Poisson transform
 in closed form, and the positivity, Harnack, coefficient-bound,
 mean-value, and multi-Toeplitz checks.
+
+Every value at a tuple is one ``fock.word_sum`` of both parts on one
+tree: ``value_at`` unscoped, ``eval_at`` after ``series.eval_scope``, and
+``poisson_at`` with a right factor per degree.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import (FockTrunc, _check_strict_ball, _check_tuple, poisson_transform,
-                   reconstruction_operator, shift_sum, word_sum)
-from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm, solve
-from .series import FreeSeries, eval_report, jsr_estimate
+from .fock import (FockTrunc, _check_strict_ball, _check_tuple, dense_resolvent,
+                   poisson_transform, shift_sum, word_sum)
+from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm
+from .series import FreeSeries, eval_scope, jsr_estimate
 from .toeplitz import dense_decides, schur_factor
 from .words import word_count
 
@@ -66,10 +70,19 @@ def real_part(f):
 
 
 def eval_at(h, X, jsr_depth=None):
-    """Evaluate h at an operator tuple; same scope rules as series.eval_at."""
-    rep_a = eval_report(h.analytic, X, jsr_depth)
-    rep_b = eval_report(h.coanalytic.adjoint(), X, jsr_depth)
-    return rep_a.value + adjoint(rep_b.value)
+    """Evaluate h at an operator tuple; the scope rules of series.eval_at,
+    one jsr estimate for both parts, the analytic part's radius test first."""
+    eval_scope((h.analytic, h.coanalytic.adjoint()), X, jsr_depth)
+    return value_at(h, X)
+
+
+def value_at(h, X):
+    """h(X) with no scope test: the analytic part and the adjoint of the
+    co-analytic part, summed on one word_sum tree."""
+    if X.n != h.n:
+        raise InputError(f"tuple has {X.n} operators, series expects {h.n}")
+    a, b = word_sum(X.stack, h.p, [h.analytic.blocks, h.coanalytic.adjoint().blocks])[:, 0]
+    return a + adjoint(b)
 
 
 def radial_boundary(h, r, m):
@@ -84,7 +97,8 @@ def poisson_at(h, X, r, N):
     the kernel's blocks are Delta_Y Y_s*, so sum_{|s|<=j} Y_s Delta_Y^2 Y_s*
     = I - Q_{j+1}, Q_j = sum_{|s|=j} Y_s Y_s*, telescopes to P_Y[S_a] =
     Y_a D_|a|, D_k = I - Q_{N+1-k}.  The symbol's r^|a| cancels in Y_a:
-    sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*."""
+    sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*,
+    both from one word_sum with the right factors D_k."""
     if X.row_norm >= r:
         raise ScopeError(f"tuple norm {X.row_norm:.4f} must lie below radius {r}")
     ft = FockTrunc(h.n, N)
@@ -92,44 +106,28 @@ def poisson_at(h, X, r, N):
         raise InputError(f"radius {r} outside (0, 1]")
     _check_tuple(ft, X)
     _check_strict_ball(Y := X.scale(1.0 / r))
-    p, q = h.p, X.dim
-    Q = [np.eye(q, dtype=complex)]
+    Q = [np.eye(X.dim, dtype=complex)]
     while len(Q) <= N + 1 and Q[-1].any():  # Q_j = 0 forces Q_{j+1} = 0
         Q.append(sum(y @ Q[-1] @ adjoint(y) for y in Y.matrices))
     Q += [0.0] * (N + 2 - len(Q))
-    A, B = (np.zeros((p, q, p, q), dtype=complex) for _ in range(2))
-    for part, f in ((A, h.analytic), (B, h.coanalytic.adjoint())):
-        for k, block in f.blocks.items():
-            if k <= N:  # sum_{|a|=k} c_a (x) X_a, times I (x) D_k
-                part += word_sum(X, p, {k: block}).reshape(p, q, p, q) @ (Q[0] - Q[N + 1 - k])
-    return A.reshape(p * q, -1) + adjoint(B.reshape(p * q, -1))
+    right = [Q[0] - Q[N + 1 - k] for k in range(min(N, h.cutoff) + 1)]
+    parts = [{k: b for k, b in f.blocks.items() if k <= N}
+             for f in (h.analytic, h.coanalytic.adjoint())]
+    a, b = word_sum(X.stack, h.p, parts, right)[:, 0]
+    return a + adjoint(b)
 
 
 def pluriharmonic_poisson_kernel(ft, X):
     """P(R^(N), X) = sum R_~a (x) X_a* + I + adjoint, on P^(N) (x) C^p.
 
-    Equals (I-R_X)^(-1) + (I-R_X*)^(-1) - I on the truncated space; the
-    resolvent is taken by a solve inside the open ball and by the
-    terminating Neumann sum for nilpotent tuples.
+    Equals (I-R_X)^(-1) + (I-R_X*)^(-1) - I on the truncated space, where
+    fock.dense_resolvent is exact; in scope are the open ball and, where
+    the infinite sums terminate, the jointly nilpotent tuples.
     """
-    if X.n != ft.n:
-        raise InputError(f"tuple has {X.n} operators, Fock space expects {ft.n}")
-    rx = reconstruction_operator(ft, X)
-    eye = np.eye(rx.shape[0], dtype=complex)
-    if X.row_norm < 1.0 - 1e-12:
-        analytic = solve(eye - rx, eye) - eye
-    else:
-        est = jsr_estimate(X, max(X.dim, 1))
-        if est.nilpotent_order is None:
-            raise ScopeError(
-                f"row norm {X.row_norm:.4f} >= 1 and tuple is not nilpotent"
-            )
-        analytic = np.zeros_like(rx)
-        power = eye
-        for _ in range(min(ft.N, est.nilpotent_order - 1)):
-            power = power @ rx
-            analytic += power
-    return eye + analytic + adjoint(analytic)
+    inv = dense_resolvent(ft, X)
+    if X.row_norm >= 1.0 - 1e-12 and jsr_estimate(X, max(X.dim, 1)).nilpotent_order is None:
+        raise ScopeError(f"row norm {X.row_norm:.4f} >= 1 and tuple is not nilpotent")
+    return inv + adjoint(inv) - np.eye(len(inv), dtype=complex)
 
 
 # -- checks ------------------------------------------------------------------
@@ -174,10 +172,7 @@ class CoefficientBoundReport:
 def coefficient_bound_check(h, tol=1e-9):
     """|| sum_{|a|=k} A_a* A_a ||^(1/2) <= ||A_0|| for each degree."""
     bound = operator_norm(h.analytic.constant_term()) + tol
-    rows = []
-    for k in range(1, h.cutoff + 1):
-        lhs = h.analytic.degree_slice_norm(k)
-        rows.append((k, lhs, bound))
+    rows = [(k, h.analytic.degree_slice_norm(k), bound) for k in range(1, h.cutoff + 1)]
     return CoefficientBoundReport(all(lhs <= b for _, lhs, b in rows), rows)
 
 
@@ -199,7 +194,7 @@ def harnack_check(h, samples, r, tol=1e-9):
             raise InputError(f"sample row norm {X.row_norm:.4f} exceeds {r}")
         if jsr_estimate(X, max(X.dim, 1)).nilpotent_order is None:
             raise InputError("Harnack samples must be jointly nilpotent")
-        values.append(operator_norm(eval_at(h, X)))
+        values.append(operator_norm(value_at(h, X)))
     return HarnackReport(all(v <= bound for v in values), bound, values)
 
 
@@ -225,7 +220,7 @@ def mean_value_check(h, X, r, N):
             f"truncation N = {N} below nilpotency order {est.nilpotent_order} "
             f"+ cutoff {h.cutoff}; the identity would not be exact"
         )
-    lhs = eval_at(h, X)
+    lhs = value_at(h, X)
     ft = FockTrunc(h.n, N)
     rhs = poisson_transform(ft, radial_boundary(h, r, N), X.scale(1.0 / r), coeff_dim=h.p)
     dev = operator_norm(lhs - rhs)

@@ -52,12 +52,8 @@ def _positive_functional(rng, n, deg, cutoff=None, pairs=2):
     """Random positive vector-state functional with full moment support."""
     cutoff = deg if cutoff is None else cutoff
     ft = FockTrunc(n, deg + cutoff)
-    data = [
-        (float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg), None)
-        for _ in range(pairs)
-    ]
-    data = [(w, xi, xi) for w, xi, _ in data]
-    return tr.from_vector_states(ft, data, cutoff)
+    draws = [(float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg)) for _ in range(pairs)]
+    return tr.from_vector_states(ft, [(w, xi, xi) for w, xi in draws], cutoff)
 
 
 # -- suites -------------------------------------------------------------------
@@ -165,10 +161,8 @@ def suite_poisson_factorization(rng):
         dim = 2 + k % 5
         r = float(rng.uniform(0.3, 0.6))
         ft = FockTrunc(n, N)
-        mats = [
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            for _ in range(n)
-        ]
+        mats = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for _ in range(n))
         X = OperatorTuple(tuple(mats))
         X = X.scale(r / X.row_norm)
         v = np.zeros((ft.dim, dim), dtype=complex)
@@ -190,9 +184,7 @@ def suite_poisson_transform_identities(rng):
     worst_zero = 0.0
     ft4 = FockTrunc(2, 4)
     for _ in range(5):
-        F = rng.standard_normal((ft4.dim, ft4.dim)) + 1j * rng.standard_normal(
-            (ft4.dim, ft4.dim)
-        )
+        F = rng.standard_normal((ft4.dim,) * 2) + 1j * rng.standard_normal((ft4.dim,) * 2)
         X0 = OperatorTuple((np.zeros((3, 3)), np.zeros((3, 3))))
         got = poisson_transform(ft4, F, X0)
         worst_zero = max(worst_zero, _max_abs(got - F[0, 0] * np.eye(3)))

@@ -22,8 +22,9 @@ itself skip the public constructor's validation.
 
 Evaluation goes through the two kernels of ``fock``, both on the blocks:
 ``word_sum`` at an operator tuple, ``shift_sum`` at the compressed
-creation operators.  The truncated Cayley transform of operators and the
-coefficient extraction stay as the operator-side reference for the
+creation operators; ``eval_scope`` also tests the two parts of a
+pluriharmonic function.  The truncated Cayley transform of operators and
+the coefficient extraction stay as the operator-side reference for the
 series-level Cayley maps.
 """
 
@@ -224,21 +225,22 @@ def _match(f, g):
 
 def multiply(f, g):
     """Series product; coefficient of a word sums over all its two-part
-    factorizations, including empty factors."""
+    factorizations, including empty factors, over the pairs of blocks."""
     _match(f, g)
     if f.shape[1] != g.shape[0]:
         raise InputError(f"inner shapes {f.shape} x {g.shape} do not match")
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
-    fb, gb = f.blocks, g.blocks
-    pairs = [
-        [(fb[a], gb[k - a], f.n ** (k - a)) for a in fb if k - a in gb] for k in range(cutoff + 1)
-    ]
+    pairs = {}  # degree k -> its block pairs, in the order of f's degrees
+    for a, u in f.blocks.items():
+        for b, v in g.blocks.items():
+            if a + b <= cutoff:
+                pairs.setdefault(a + b, []).append((u, v, f.n**b))
     words = sum(
-        min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in ps)) for k, ps in enumerate(pairs)
+        min(f.n**k, sum(len(u) * len(v) for (u, _), (v, _), _ in ps)) for k, ps in pairs.items()
     )
     check_entries(words * shape[0] * shape[1], "series product")
-    blocks = {k: _degree_sum(ps, shape, f.n**k) for k, ps in enumerate(pairs) if ps}
+    blocks = {k: _degree_sum(pairs[k], shape, f.n**k) for k in sorted(pairs)}
     return FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
@@ -427,29 +429,41 @@ def eval_report(f, X, jsr_depth=None):
     extrapolating the growth of the stored coefficients; it bounds the
     true tail only when the unstored slices grow no faster.
     """
+    est, radii = eval_scope([f], X, jsr_depth)
+    out = word_sum(X.stack, f.shape[0], [f.blocks])[0, 0]
+    exact = est.nilpotent_order is not None and est.nilpotent_order <= f.cutoff + 1
+    tail = 0.0 if exact else _eval_tail(f, X, radii[0] if radii else _radius(f))
+    return EvalReport(out, exact, tail, est)
+
+
+def eval_scope(parts, X, jsr_depth=None):
+    """eval_report's scope test for series of one n, cutoff and square shape:
+    one jsr estimate, then, unless X is nilpotent, each part's radius test
+    in order.  Returns the estimate and the radius estimates it made."""
+    f = parts[0]
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
     if X.n != f.n:
         raise InputError(f"tuple has {X.n} operators, series expects {f.n}")
-    depth = jsr_depth if jsr_depth is not None else max(X.dim, f.cutoff + 1)
-    est = jsr_estimate(X, depth)
-    nilpotent = est.nilpotent_order is not None
-    if not nilpotent:
-        rad = radius_estimate(f, f.cutoff) if f.cutoff >= 1 else math.inf
-        if not est.value < 0.9 * rad:
-            raise ScopeError(
-                f"jsr estimate {est.value:.4f} not inside 0.9 x radius estimate {rad:.4f}; "
-                "functional calculus out of scope"
-            )
-    out = word_sum(X, f.shape[0], f.blocks)
-    exact = nilpotent and est.nilpotent_order <= f.cutoff + 1
-    tail = 0.0 if exact else _eval_tail(f, X, est)
-    return EvalReport(out, exact, tail, est)
+    est = jsr_estimate(X, jsr_depth if jsr_depth is not None else max(X.dim, f.cutoff + 1))
+    radii = []
+    if est.nilpotent_order is None:
+        for g in parts:
+            radii.append(_radius(g))
+            if not est.value < 0.9 * radii[-1]:
+                raise ScopeError(
+                    f"jsr estimate {est.value:.4f} not inside 0.9 x radius estimate "
+                    f"{radii[-1]:.4f}; functional calculus out of scope"
+                )
+    return est, radii
 
 
-def _eval_tail(f, X, est):
-    """sum_{k > cutoff} q^k ||M_k||^(1/2) with q the slice-norm growth rate."""
-    rad = radius_estimate(f, f.cutoff) if f.cutoff >= 1 else math.inf
+def _radius(f):
+    return radius_estimate(f, f.cutoff) if f.cutoff >= 1 else math.inf
+
+
+def _eval_tail(f, X, rad):
+    """sum_{k > cutoff} q^k ||M_k||^(1/2) with q = 1 / rad the slice-norm growth rate."""
     q = 0.0 if math.isinf(rad) else 1.0 / rad
     if q == 0.0:
         return 0.0
@@ -504,11 +518,6 @@ def hinf_norm_exceeds(f, m, sigma):
 # -- truncated Cayley transform on multi-analytic operators -----------------
 
 
-def _constant_block_norm(Y, ft, p):
-    y4 = Y.reshape(p, ft.dim, p, ft.dim)
-    return operator_norm(y4[:, 0, :, 0])
-
-
 def check_multi_analytic(Y, ft, tol=1e-10):
     """Y on C^p (x) P^(m) must commute with every I (x) R_i^(m).
 
@@ -539,7 +548,8 @@ def truncated_cayley(Y, direction, ft, tol=1e-10):
     if direction not in ("forward", "inverse"):
         raise InputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     p = check_multi_analytic(Y, ft, tol)
-    if _constant_block_norm(Y, ft, p) > tol * (1.0 + np.linalg.norm(Y)):
+    constant = Y.reshape(p, ft.dim, p, ft.dim)[:, 0, :, 0]
+    if operator_norm(constant) > tol * (1.0 + np.linalg.norm(Y)):
         raise InputError("operator has a nonzero constant term")
     out = np.zeros_like(Y)
     power = np.eye(Y.shape[0], dtype=complex)

@@ -11,8 +11,9 @@ reversed only where a moment is named by the word of its operator: the
 JSON format and the right-shift kernels.
 
 The transforms evaluate the blocks of the symbol's series with
-``fock.word_sum`` (the starred part of the Poisson transform as the
-adjoint of one, the Herglotz transform as 2 F mu - mu(I) (x) I), and the
+``fock.word_sum`` (the Poisson transform as the symbol's
+``pluriharmonic.value_at``, its two parts on one product tree, the
+Herglotz transform as 2 F mu - mu(I) (x) I), and the
 radial compressions and the divisibility kernel are built by
 ``fock.shift_sum`` from the blocks of the word-reversed series over
 right shifts.
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, kron, min_eig_hermitian, operator_norm, solve
-from .pluriharmonic import PluriharmonicFn
+from .pluriharmonic import PluriharmonicFn, value_at
 from .series import FreeSeries, eval_at_creation, jsr_estimate
 from .words import join_indices
 
@@ -98,16 +99,18 @@ def from_vector_states(ft, pairs, cutoff):
 
 
 def poisson_transform_of(mu, X):
-    """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a."""
-    analytic = fantappie_transform(mu, X)
-    return analytic + adjoint(word_sum(X, mu.p, mu.symbol.coanalytic.adjoint().blocks))
+    """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a,
+    both sums on one word_sum tree."""
+    if X.n != mu.n:
+        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
+    return value_at(mu.symbol, X)
 
 
 def fantappie_transform(mu, X):
     """(F mu)(X) = mu(I) (x) I + sum_{|a|>=1} mu(R_~a*) (x) X_a."""
     if X.n != mu.n:
         raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
-    return word_sum(X, mu.p, mu.symbol.analytic.blocks)
+    return word_sum(X.stack, mu.p, [mu.symbol.analytic.blocks])[0, 0]
 
 
 def herglotz_transform(mu, X):

@@ -81,6 +81,11 @@ def blocks_of(coeffs, n, p):
     return fs.FreeSeries(n, max(map(len, coeffs), default=0), (p, p), coeffs).blocks
 
 
+def one_sum(X, p, blocks):
+    """word_sum of one set of blocks at one tuple."""
+    return word_sum(X.stack, p, [blocks])[0, 0]
+
+
 def rel_dev(got, want):
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
 
@@ -322,9 +327,9 @@ def test_word_sum_matches_kron_sum(n, p):
     mixed = {w: c for w, c in dense.items() if len(w) < 3 or w[:2] == (1, 1) and w[2] < 3}
     for coeffs in (dense, sparse, mixed):
         want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], p * q)
-        assert rel_dev(word_sum(X, p, blocks_of(coeffs, n, p)), want) <= 1e-14
-    assert not word_sum(X, p, {}).any()
-    assert word_sum(X, p, {}).shape == (p * q, p * q)
+        assert rel_dev(one_sum(X, p, blocks_of(coeffs, n, p)), want) <= 1e-14
+    assert not one_sum(X, p, {}).any()
+    assert one_sum(X, p, {}).shape == (p * q, p * q)
 
     # deep words at a unitary tuple, whose products do not decay: a
     # one-letter chain of depth 24, one degree only, so that every
@@ -339,7 +344,36 @@ def test_word_sum_matches_kron_sum(n, p):
         cases.append({(2, 1) * j: gaussian(rng, (p, p)) for j in range(1, 36)})
     for coeffs in cases:
         want = kron_sum([(c, U.word(w)) for w, c in coeffs.items()], p * q)
-        assert rel_dev(word_sum(U, p, blocks_of(coeffs, n, p)), want) <= 1e-14
+        assert rel_dev(one_sum(U, p, blocks_of(coeffs, n, p)), want) <= 1e-14
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_word_sum_sets_samples_and_right_factors(n, p):
+    """Several sets share one tree, several samples one stack, and each sum
+    is the Kronecker sum of its own set at its own tuple; with right
+    factors each X_w is multiplied by right[|w|].  A set equals itself
+    evaluated alone bit for bit, and so does a sample."""
+    rng = np.random.default_rng(90 * n + p)
+    tuples = [random_nilpotent_tuple(rng, n, 3, row_norm=0.8) for _ in range(3)]
+    tuples.append(OperatorTuple(tuple(gaussian(rng, (3, 3)) for _ in range(n))))
+    xs = np.array([X.matrices for X in tuples]).swapaxes(0, 1)
+    dense = random_coeffs(rng, n, 3, p)
+    words = list(dense)
+    rng.shuffle(words)
+    # disjoint sparse sets, a dense one and an empty one
+    sets = [{w: dense[w] for w in words[j::3]} for j in range(2)] + [dense, {}]
+    blocks = [blocks_of(c, n, p) if c else {} for c in sets]
+    right = gaussian(rng, (4, 3, 3))
+    got = word_sum(xs, p, blocks)
+    got_right = word_sum(xs, p, blocks, right)
+    assert got.shape == got_right.shape == (4, 4, 3 * p, 3 * p)
+    for j, coeffs in enumerate(sets):
+        for s, X in enumerate(tuples):
+            want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], 3 * p)
+            assert rel_dev(got[j, s], want) <= 1e-13
+            want = kron_sum([(c, X.word(w) @ right[len(w)]) for w, c in coeffs.items()], 3 * p)
+            assert rel_dev(got_right[j, s], want) <= 1e-13
+            assert np.array_equal(word_sum(X.stack, p, [blocks[j]])[0, 0], got[j, s])
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -387,18 +421,21 @@ def test_verify_solution_matches_kron_reference(p):
 
 @pytest.mark.parametrize("n,M,p", [(2, 7, 1), (3, 4, 2), (1, 9, 2)])
 def test_verify_solution_chunks_match_word_sum_bitwise(n, M, p):
-    """The samples go through one fock.word_products in chunks of several
-    tuples; each g equals word_sum at that tuple bit for bit."""
+    """verify_solution passes its samples to fock.word_sum in chunks of
+    stacked tuples; the stacked call equals word_sum at each tuple alone
+    bit for bit, and so does the check's value."""
     rng = np.random.default_rng(n + M + p)
     coeffs = {w: 0.2 / n * c for w, c in random_coeffs(rng, n, 1, p, min_degree=1).items()}
     prob = cara.CaratheodoryProblem(fs.FreeSeries(n, 1, (p, p), {(): np.eye(p), **coeffs}))
     ext = cara.extend(prob, M)
     rng = np.random.default_rng(5)
     terms = blocks_of({**ext.series.coeffs, (): prob.data.constant_term() / 2.0}, n, p)
+    tuples = [random_nilpotent_tuple(rng, n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
+              for _ in range(7)]
+    stacked = word_sum(np.array([X.matrices for X in tuples]).swapaxes(0, 1), p, [terms])[0]
     worst = np.inf
-    for _ in range(7):
-        X = random_nilpotent_tuple(rng, n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
-        g = word_sum(X, p, terms)
+    for X, g in zip(tuples, stacked):
+        assert np.array_equal(one_sum(X, p, terms), g)
         worst = min(worst, min_eig_hermitian((g + adjoint(g)) / 2.0))
     assert cara.verify_solution(prob, ext, samples=7, seed=5).checks["nilpotent_positive"][1] == worst
 
@@ -520,7 +557,7 @@ def test_kernels_check_size_before_allocating(cap8):
     with pytest.raises(SizeLimitError):
         shift_sum(1, 3, 3, {})
     with pytest.raises(SizeLimitError):
-        word_sum(X, 3, {})
+        word_sum(X.stack, 3, [{}])
     # nor are the creation matrices and projections of P^(3) over two
     # letters, 15 on a side, or the Poisson kernel of a 5 x 5 tuple on
     # P^(3) over one, 4 * 5^2 = 100 > 8^2 entries; both spaces are in the cap

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from freefock import fock
 from freefock import pluriharmonic as ph
 from freefock import series as fs
 from freefock.errors import InputError, ScopeError
@@ -236,6 +237,77 @@ def test_poisson_at_matches_the_dense_oracle(n, p):
                                      X.scale(1.0 / r), coeff_dim=p)
             dev = operator_norm(ph.poisson_at(h, X, r, N) - want)
             assert dev <= 1e-13 * (1.0 + operator_norm(want)), (cutoff, N, r)
+
+
+def test_poisson_at_at_a_long_one_letter_symbol():
+    """n = 1, cutoff 30, 3 x 3 coefficients at a full 3 x 3 tuple, N = 30:
+    every degree of both parts is weighted by its own D_k on one tree."""
+    from freefock.fock import poisson_transform
+
+    rng = np.random.default_rng(31)
+    h = ph.PluriharmonicFn(fs.random_series(rng, 1, 30, (3, 3), scale=0.5),
+                           fs.random_series(rng, 1, 30, (3, 3), scale=0.5, min_degree=1))
+    full = OperatorTuple((rng.standard_normal((3, 3, 2)) @ [1.0, 1j],))
+    X = full.scale(0.6 / full.row_norm)
+    want = poisson_transform(FockTrunc(1, 30), ph.radial_boundary(h, 0.9, 30),
+                             X.scale(1.0 / 0.9), coeff_dim=3)
+    assert operator_norm(ph.poisson_at(h, X, 0.9, 30) - want) <= 1e-13 * operator_norm(want)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls, inner = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
+    return calls
+
+
+def test_both_parts_share_one_tree_and_one_jsr_estimate(monkeypatch):
+    """eval_at and poisson_at build one word_products tree for both parts,
+    eval_at runs one jsr estimate (in series.eval_scope), and the Harnack
+    and mean-value checks one per sample, their own nilpotency test."""
+    rng = np.random.default_rng(6)
+    h = ph.real_part(fs.random_series(rng, 2, 3, (2, 2), scale=0.3))
+    trees = counting(monkeypatch, fock, "word_products")
+    jsr_fs = counting(monkeypatch, fs, "jsr_estimate")
+    jsr_ph = counting(monkeypatch, ph, "jsr_estimate")
+    nil = random_nilpotent_tuple(rng, 2, 3, row_norm=0.5)
+    full = OperatorTuple(tuple(0.2 * rng.standard_normal((3, 3)) for _ in range(2)))
+    for X in (nil, full):
+        del trees[:], jsr_fs[:]
+        ph.eval_at(h, X)
+        assert len(trees) == len(jsr_fs) == 1
+        del trees[:]
+        ph.poisson_at(h, X, 0.9, 4)
+        assert len(trees) == 1
+    samples = [random_nilpotent_tuple(rng, 2, 3, row_norm=0.4) for _ in range(3)]
+    del trees[:], jsr_fs[:]
+    ph.harnack_check(h, samples, 0.5)
+    assert len(trees) == len(jsr_ph) == 3 and not jsr_fs
+    del trees[:], jsr_ph[:]
+    assert ph.mean_value_check(h, nil, 0.9, 6).passed
+    assert len(jsr_ph) == 1 and not jsr_fs
+
+
+def test_eval_at_tests_the_analytic_part_first():
+    """One jsr estimate, then the radius test of the analytic part, then
+    that of the adjoint of the co-analytic part, with series.eval_at's
+    message, and X.n before any of them."""
+    wide = {(1,) * k: 0.5**k * ONE for k in range(1, 4)}  # radius 2
+    narrow = {(1,) * k: 2.0**k * ONE for k in range(1, 4)}  # radius 1/2
+    narrower = {(1,) * k: 4.0**k * ONE for k in range(1, 4)}  # radius 1/4
+    x = OperatorTuple((np.array([[0.6]]),))  # jsr 0.6: inside 0.9 x 2 only
+    with pytest.raises(ScopeError, match="radius estimate 0.5000"):
+        ph.eval_at(symbol(1, 3, {(): ONE, **narrow}, narrower), x)
+    with pytest.raises(ScopeError, match="radius estimate 0.2500"):
+        ph.eval_at(symbol(1, 3, {(): ONE, **wide}, narrower), x)
+    got = ph.eval_at(symbol(1, 3, {(): ONE, **wide}, wide), x)
+    assert got[0, 0] == pytest.approx(1.0 + 2.0 * sum(0.3**k for k in range(1, 4)))
+    with pytest.raises(InputError, match="operators"):
+        ph.eval_at(symbol(1, 3, {(): ONE, **narrow}, narrow), OperatorTuple((x.matrices[0],) * 2))
+    for check in (lambda X: ph.harnack_check(halfz_example(), [X], 0.5),
+                  lambda X: ph.mean_value_check(halfz_example(), X, 0.9, 6)):
+        with pytest.raises(InputError, match="operators"):  # after the nilpotency test
+            check(OperatorTuple((np.zeros((2, 2)),) * 2))
 
 
 def test_poisson_at_checks_in_order():

@@ -286,6 +286,52 @@ def test_multiply_matches_pairwise(n):
         fs.multiply(dense_g, dense_g)  # inner shapes 1 and 3
 
 
+def loop_over_degrees_multiply(f, g):
+    """The product by one pair list per degree 0..cutoff, each degree's
+    pairs in the order of f's degrees: the reference for the block-pair
+    iteration."""
+    cutoff, shape = min(f.cutoff, g.cutoff), (f.shape[0], g.shape[1])
+    fb, gb = f.blocks, g.blocks
+    pairs = [[(fb[a], gb[k - a], f.n ** (k - a)) for a in fb if k - a in gb]
+             for k in range(cutoff + 1)]
+    blocks = {k: fs._degree_sum(ps, shape, f.n**k) for k, ps in enumerate(pairs) if ps}
+    return fs.FreeSeries._built(f.n, cutoff, shape, blocks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multiply_equals_the_loop_over_degrees_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    cutoff = {1: 7, 2: 4, 3: 3}[n]
+    series = [fs.random_series(rng, n, cutoff, (2, 2), scale=0.7),
+              sparse_series(rng, n, cutoff, (2, 2), [1, cutoff], 2),
+              sparse_series(rng, n, cutoff - 1, (2, 2), [0, 2], 2),
+              fs.FreeSeries.zero(n, cutoff, (2, 2))]
+    for f in series:
+        for g in series:
+            got, want = fs.multiply(f, g), loop_over_degrees_multiply(f, g)
+            assert got.cutoff == want.cutoff and list(got.blocks) == list(want.blocks)
+            for k, (codes, c) in want.blocks.items():
+                assert np.array_equal(got.blocks[k][0], codes)
+                assert np.array_equal(got.blocks[k][1], c)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_multiply_cost_follows_the_blocks_not_the_cutoff(n):
+    """One-word series with cutoff 10^9 multiply within 1 MB: the product
+    visits their one pair of blocks, not every degree up to the cutoff."""
+    f = fs.FreeSeries(n, 10**9, (1, 1), {(1,): ONE})
+    g = fs.FreeSeries(n, 10**9, (1, 1), {(n, 1): 0.5 * ONE})
+    tracemalloc.start()
+    try:
+        prod = fs.multiply(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert prod.cutoff == 10**9 and list(prod.coeffs) == [(1, n, 1)]
+    assert prod.coefficient((1, n, 1))[0, 0] == 0.5
+
+
 def geometric_cases():
     rng = np.random.default_rng(12)
     nil = np.triu(rng.standard_normal((3, 3)), 1)  # products of three vanish
@@ -451,6 +497,21 @@ def test_eval_at_scope():
     rep = fs.eval_report(f, OperatorTuple((np.array([[0.1]]),)))
     assert not rep.exact and rep.tail_estimate > 0
     assert got[0, 0] == pytest.approx(sum(0.2**k for k in range(1, 7)), abs=1e-12)
+
+
+def test_eval_report_estimates_the_radius_once(monkeypatch):
+    """At a tuple not found nilpotent the scope test and the tail share one
+    radius estimate; at a nilpotent tuple whose order passes the cutoff
+    only the tail needs one, and an exact sum needs none."""
+    calls = []
+    radius = fs.radius_estimate
+    monkeypatch.setattr(fs, "radius_estimate", lambda *a: calls.append(a) or radius(*a))
+    f = scalar_series(1, 2, {(): 1.0, (1,): 0.5, (1, 1): 0.25})
+    nil = np.diag([0.3] * 4, 1)
+    for x, count in ((np.array([[0.1]]), 1), (nil, 1), (nil[:2, :2], 0)):
+        del calls[:]
+        rep = fs.eval_report(f, OperatorTuple((x,)))
+        assert len(calls) == count and rep.exact == (count == 0)
 
 
 def test_eval_at_creation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freefock import fock
 from freefock import pluriharmonic as ph
 from freefock import series as fs
 from freefock import transforms as tr
@@ -284,3 +285,18 @@ def test_poisson_pluriharmonic():
     assert h.is_selfadjoint(tol=1e-10)
     rep = ph.check_positive(h, 4, 1e-9)
     assert rep.passed
+
+
+def test_poisson_transform_of_builds_one_tree(monkeypatch):
+    calls, inner = [], fock.word_products
+    monkeypatch.setattr(fock, "word_products", lambda *a: calls.append(a) or inner(*a))
+    rng = np.random.default_rng(3)
+    mu = tr.radial_functional(ph.real_part(fs.random_series(rng, 2, 3, (2, 2), scale=0.3)), 0.5)
+    X = random_nilpotent_tuple(rng, 2, 3, row_norm=0.5)
+    got = tr.poisson_transform_of(mu, X)
+    assert len(calls) == 1
+    want = tr.fantappie_transform(mu, X) + adjoint(
+        fs.eval_at(mu.symbol.coanalytic.adjoint(), X))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(InputError, match="functional expects"):
+        tr.poisson_transform_of(mu, OperatorTuple(X.matrices[:1]))
