@@ -38,6 +38,7 @@ from .fock import (
     reconstruction_operator,
     tail_bound,
 )
+from .multianalytic import hinf_norm
 from .pluriharmonic import (
     PluriharmonicFn,
     check_positive,
@@ -58,7 +59,6 @@ from .series import (
     eval_at,
     eval_at_creation,
     extract_coeffs,
-    hinf_norm,
     jsr_estimate,
     multiply,
     neumann_inverse,

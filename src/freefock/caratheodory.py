@@ -4,8 +4,8 @@ positive real part.
 Problem data, Caratheodory-Fejer data and extensions are free series
 (``series.FreeSeries``).  Feasibility is the positivity of the truncated
 multi-Toeplitz operator of the data (an exact finite-dimensional
-criterion), decided by the dense smallest eigenvalue at small sizes and
-by the recursive Schur factorisation of ``toeplitz`` above them.  The
+criterion), decided by ``toeplitz.tm_positivity``: the dense smallest
+eigenvalue at small sizes, the recursive Schur factorisation above them.  The
 constructive extension is the central (maximum-determinant) completion,
 computed in closed form from that factorisation; every output is
 certified by a positivity computation on its own coefficients and by
@@ -13,7 +13,7 @@ random nilpotent evaluations, so the solver never has to be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
 Cayley transforms of the series; the only operator they form is the
-multi-analytic one whose norm is checked (``series.hinf_norm`` and
+multi-analytic one whose norm is checked (``multianalytic.hinf_norm`` and
 ``hinf_norm_exceeds``), and only at the sizes where its dense SVD decides.
 """
 
@@ -27,9 +27,9 @@ from .errors import InfeasibleError, InputError, ScopeError
 from .fock import random_nilpotent_tuple, word_sum
 from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
                      min_eig_hermitian, operator_norm)
+from .multianalytic import hinf_norm, hinf_norm_exceeds
 from .pluriharmonic import PluriharmonicFn
-from .series import (FreeSeries, _degree_sum, cayley_forward, cayley_inverse, hinf_norm,
-                     hinf_norm_exceeds)
+from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
 from .toeplitz import DENSE_DIM, schur_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
@@ -88,8 +88,7 @@ def _require_feasible(prob, tol):
     feas = check_feasibility(prob, tol)
     if not feas.feasible:
         label = "min eig" if feas.min_eig is not None else "Schur margin"
-        msg = f"data is infeasible at degree {prob.m}: {label} {feas.value:.3e}"
-        raise InfeasibleError(msg, min_eig=feas.min_eig)
+        raise InfeasibleError(f"data is infeasible at degree {prob.m}: {label} {feas.value:.3e}")
 
 
 @dataclass
@@ -162,7 +161,7 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     inverse Cayley transform of the series sum_a D_a Z_a; its coefficients
     are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
     they define is a contraction up to 1e-9 whenever the data is feasible,
-    as series.hinf_norm_exceeds checks.
+    as multianalytic.hinf_norm_exceeds checks.
     """
     _require_feasible(prob, tol)
     b0 = prob.data.constant_term()
@@ -190,8 +189,8 @@ def cf_check(prob, tol=1e-9):
     a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
     the commutant picture of multi-analytic operators.  The flip
     e_w -> e_{reverse(w)} carries it to f(S^(m)) for the word-reversed
-    series, whose norm series.hinf_norm gives: the dense SVD up to
-    NORM_DENSE_DIM, multianalytic.certified_norm above."""
+    series, whose norm multianalytic.hinf_norm gives: the dense SVD up to
+    NORM_DENSE_DIM, certified_norm above."""
     nrm = hinf_norm(prob.data.reversed(), prob.m).value
     return CFReport(nrm, nrm <= 1.0 + tol, tol)
 
@@ -202,7 +201,7 @@ def cf_to_caratheodory(prob, tol=1e-9):
     b_0 = I."""
     report = cf_check(prob, tol)
     if not report.within:
-        raise InfeasibleError(f"CF norm {report.norm:.6f} exceeds 1", min_eig=None)
+        raise InfeasibleError(f"CF norm {report.norm:.6f} exceeds 1")
     # code(g1 a) = code(a): degree k of the data is degree k + 1 of the shift
     shifted = {k + 1: block for k, block in prob.data.blocks.items()}
     p = prob.block_size

@@ -18,6 +18,7 @@ import traceback
 from . import __version__
 from . import caratheodory as cara
 from . import jsonio
+from . import multianalytic as ma
 from . import pluriharmonic as ph
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
@@ -126,7 +127,7 @@ def cmd_eval(args):
 
 def cmd_norm(args):
     f = jsonio.json_to_series(jsonio.load_json(args.series))
-    rep = fs.hinf_norm(f, args.trunc)
+    rep = ma.hinf_norm(f, args.trunc)
     payload = {"norm_lower_bound": rep.value, "trunc": args.trunc}
     if rep.rtol is not None:  # structured: ||f(S^(trunc))|| <= value (1 + norm_rtol)
         payload["norm_rtol"] = rep.rtol

@@ -21,7 +21,3 @@ class SizeLimitError(ScopeError):
 
 class InfeasibleError(RuntimeError):
     """Interpolation data fails the positivity criterion."""
-
-    def __init__(self, message, min_eig=None):
-        super().__init__(message)
-        self.min_eig = min_eig

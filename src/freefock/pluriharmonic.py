@@ -5,22 +5,24 @@ mean-value, and multi-Toeplitz checks.
 
 Every value at a tuple is one ``fock.word_sum`` of both parts on one
 tree: ``value_at`` unscoped, ``eval_at`` after ``series.eval_scope``, and
-``poisson_at`` with a right factor per degree.
+``poisson_at`` with a right factor per degree.  ``check_positive`` tests
+h(S^(m)), the multi-Toeplitz T_m of the analytic part, at every level
+through ``toeplitz.tm_positivity``, which picks the dense or the
+factored path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ScopeError
 from .fock import (FockTrunc, _check_strict_ball, _check_tuple, dense_resolvent,
                    poisson_transform, shift_sum, word_sum)
-from .linalg import adjoint, as_cmatrix, min_eig_hermitian, operator_norm
+from .linalg import adjoint, as_cmatrix, operator_norm
 from .series import FreeSeries, eval_scope, jsr_estimate
-from .toeplitz import dense_decides, schur_factor
-from .words import word_count
+from .toeplitz import tm_positivity
 
 
 @dataclass
@@ -136,31 +138,22 @@ def pluriharmonic_poisson_kernel(ft, X):
 @dataclass
 class PositivityReport:
     passed: bool
-    min_eigs: list  # dense smallest eigenvalue of h(S^(m)), m = 0, 1, ...
+    levels: list  # toeplitz.TmPositivity of h(S^(m)), m = 0, 1, ..., m_max
     m_max: int
     tol: float
-    schur_margins: list = field(default_factory=list)  # the levels after min_eigs
 
 
 def check_positive(h, m_max, tol):
     """h(S^(m)) >= -tol I for every m <= m_max; positive pluriharmonic
-    functions pass at every truncation level.  h(S^(m)) is T_m of the
-    analytic part, so the levels where toeplitz.dense_decides report
-    their dense smallest eigenvalue and the higher ones the margins of one
-    Schur factorisation of T_{m_max} + tol I, whose pivots serve every
-    level because the T_m are nested."""
+    functions pass at every truncation level.  h is selfadjoint, so
+    h(S^(m)) is T_m of the analytic part, and each level is one
+    toeplitz.tm_positivity record."""
     if not h.is_selfadjoint():
         raise InputError("positivity check needs a selfadjoint function")
-    eigs, margins, m = [], [], 0
-    while m <= m_max and dense_decides(h.n, word_count(h.n, m) * h.p):
-        eigs.append(min_eig_hermitian(radial_boundary(h, 1.0, m)))
-        m += 1
-    passed = all(e >= -tol for e in eigs)
-    if m <= m_max:
-        fac = schur_factor(h.analytic, shift=tol, stop=True, levels=m_max)
-        margins = [fac.margin(min(j, fac.levels)) for j in range(m, m_max + 1)]
-        passed = passed and fac.is_psd
-    return PositivityReport(passed, eigs, m_max, tol, margins)
+    if m_max < 0:
+        raise InputError(f"truncation level {m_max} is negative")
+    levels = [tm_positivity(h.analytic, tol, m) for m in range(m_max + 1)]
+    return PositivityReport(all(t.feasible for t in levels), levels, m_max, tol)
 
 
 @dataclass

@@ -23,7 +23,9 @@ itself skip the public constructor's validation.
 Evaluation goes through the two kernels of ``fock``, both on the blocks:
 ``word_sum`` at an operator tuple, ``shift_sum`` at the compressed
 creation operators; ``eval_scope`` also tests the two parts of a
-pluriharmonic function.  The truncated Cayley transform of operators and
+pluriharmonic function.  The norm of f(S^(m)) is ``multianalytic``'s
+(``hinf_norm``), so this module imports neither ``toeplitz`` nor
+``multianalytic``.  The truncated Cayley transform of operators and
 the coefficient extraction stay as the operator-side reference for the
 series-level Cayley maps.
 """
@@ -41,7 +43,6 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
-from .toeplitz import CertifiedNorm, dense_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
 # Fixed storage of a geometric sum's degree in complex entries (490 bytes by tracemalloc)
@@ -488,31 +489,6 @@ def eval_at_creation(f, m):
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
     return shift_sum(f.n, m, f.shape[0], f.blocks)
-
-
-def hinf_norm(f, m):
-    """||f(S^(m))|| as a toeplitz.CertifiedNorm: nondecreasing in m, a
-    lower bound for the sup norm.  Where toeplitz.dense_norm it is the
-    dense SVD (rtol None); elsewhere the structured
-    multianalytic.certified_norm, within its rtol."""
-    if not f.is_square():
-        raise InputError("evaluation needs square coefficients")
-    if dense_norm(f.n, m, f.shape[0]):
-        return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
-    from .multianalytic import certified_norm
-
-    return certified_norm(f, m)
-
-
-def hinf_norm_exceeds(f, m, sigma):
-    """Whether ||f(S^(m))|| > sigma: the dense SVD where toeplitz.dense_norm,
-    elsewhere one factorisation of sigma^2 I - A*A stopped at its first
-    negative pivot (multianalytic.norm_exceeds)."""
-    if dense_norm(f.n, m, f.shape[0]):
-        return operator_norm(eval_at_creation(f, m)) > sigma
-    from .multianalytic import norm_exceeds
-
-    return norm_exceeds(f, m, sigma)
 
 
 # -- truncated Cayley transform on multi-analytic operators -----------------

@@ -18,13 +18,17 @@ T_{j-1} acting on n times as many columns, so each level of a solve is one
 batched product over views of one array, and T is never formed.
 nested_factor runs the same level loop for blocks given per level; the
 norm of a multi-analytic operator (multianalytic) is its other case.
+
+tm_positivity is the one place that decides T_m >= -tol I, at any level
+m: the dense smallest eigenvalue where dense_decides, the factorisation
+above.  check_feasibility, extend's certificate, verify_solution and
+pluriharmonic.check_positive all call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,32 +52,11 @@ from .words import word_count
 # up to the side cap of a dense matrix.
 DENSE_DIM = 512
 
-# At or below this side d p the dense SVD of f(S^(m)) gives its norm
-# (norm, cf_check, cayley_route); above it multianalytic does.  Measured
-# at n = 2..7, p = 1..5 on 2 cores (OpenBLAS), median of 15 warm calls,
-# dense against structured: 1.42 / 2.40 ms at d p = 93 (n = 2, p = 3),
-# 2.42 / 1.06 ms at 121 (n = 3, p = 1), 2.71 / 2.22 ms at 126 (n = 2,
-# p = 2), 2.98 / 1.68 ms at 127 (n = 2, p = 1); below 90 dense is 2-10
-# times faster.  n = 1 stays dense as for T_m, up to the side cap.
-NORM_DENSE_DIM = 100
-
 
 def dense_decides(n, dim, limit=DENSE_DIM):
     """Whether the dense path decides for a matrix of side dim: up to
     limit, and for n = 1 (a chain of d levels) up to the side cap."""
     return dim <= limit or (n == 1 and dim <= linalg.MAX_DIM)
-
-
-def dense_norm(n, m, p):
-    """Whether the dense SVD gives the norm of an f(S^(m)) with p x p
-    coefficients over n letters (side p d_m)."""
-    return dense_decides(n, p * word_count(n, m), NORM_DENSE_DIM)
-
-
-class CertifiedNorm(NamedTuple):
-    value: float  # ||A x|| / ||x|| for an explicit x, so at most ||A||
-    rtol: float | None  # ||A|| <= value (1 + rtol) by a factorisation; None: dense SVD
-    starts: int  # Lanczos runs: one, plus one per failed certification
 
 
 # A pivot eigenvalue at or below this fraction of the largest eigenvalue
@@ -82,11 +65,12 @@ class CertifiedNorm(NamedTuple):
 PIVOT_RTOL = 1e-12
 
 
-def assemble_T(f):
+def assemble_T(f, m=None):
     """T_m = sum b_a* (x) (S_a^(m))* + b_0 (x) I + sum b_a (x) S_a^(m) for a
-    square series f of the b_a, m = f.cutoff: a dense ndarray, coefficient-
-    major on C^p (x) P^(m), the shift sum (fock.shift_sum) of f's blocks
-    and their adjoints.  b_0 must be Hermitian within tolerance; its
+    square series f of the b_a, m = f.cutoff by default (words longer
+    than m reach nothing, words past the cutoff have b_a = 0): a dense
+    ndarray, coefficient-major on C^p (x) P^(m), the shift sum
+    (fock.shift_sum) of f's blocks and their adjoints.  b_0 must be Hermitian within tolerance; its
     Hermitian part (b_0 + b_0*)/2 goes on the diagonal, so the result is
     exactly Hermitian."""
     if not f.is_square():
@@ -94,7 +78,7 @@ def assemble_T(f):
     b0 = check_hermitian(f.constant_term())
     lower = {**f.blocks, 0: (np.zeros(1, np.int64), ((b0 + adjoint(b0)) / 2.0)[None])}
     upper = {k: (codes, c.conj().swapaxes(1, 2)) for k, (codes, c) in f.blocks.items() if k}
-    return shift_sum(f.n, f.cutoff, f.shape[0], lower, upper)
+    return shift_sum(f.n, f.cutoff if m is None else m, f.shape[0], lower, upper)
 
 
 # -- recursive Schur factorisation -------------------------------------------
@@ -153,14 +137,13 @@ class SchurFactor:
         PSD within cut."""
         return self.range_gap <= self.range_tol and all(w[0] >= -self.cut for w in self.eigenvalues)
 
-    def margin(self, level=None):
-        """min_j lambda_min(s_j) - shift over j <= level: lambda_min(T) <=
-        margin whenever T + shift I is positive definite, and the margin
-        is below -shift - cut exactly when a pivot is negative (is_psd also
-        fails on the range condition).  An estimate of the smallest
-        eigenvalue from above, not a bound on it from below."""
-        top = self.levels if level is None else level
-        return min(float(w[0]) for w in self.eigenvalues[: top + 1]) - self.shift
+    def margin(self):
+        """min_j lambda_min(s_j) - shift: lambda_min(T) <= margin whenever
+        T + shift I is positive definite, and the margin is below -shift -
+        cut exactly when a pivot is negative (is_psd also fails on the
+        range condition).  An estimate of the smallest eigenvalue from
+        above, not a bound on it from below."""
+        return min(float(w[0]) for w in self.eigenvalues) - self.shift
 
     def inertia(self):
         """(negative, zero, positive) eigenvalue counts of T_k + shift I."""
@@ -283,11 +266,12 @@ def nested_factor(n, p, k, alpha, beta, top, shift=0.0, stop=False, psd=False):
 
 @dataclass
 class TmPositivity:
-    """Whether T_m >= -tol I for one series.  Where dense_decides, the
-    dense smallest eigenvalue decides (min_eig >= -tol); elsewhere a Schur
-    factorisation of T_m + tol I decides (SchurFactor.is_psd) and reports
-    its schur_margin (SchurFactor.margin), an estimate of the smallest
-    eigenvalue and not a bound; the other value is None."""
+    """Whether T_m >= -tol I for one series at one level m.  Where
+    dense_decides, the dense smallest eigenvalue decides (min_eig >= -tol);
+    elsewhere a Schur factorisation of T_m + tol I decides
+    (SchurFactor.is_psd) and reports its schur_margin (SchurFactor.margin),
+    an estimate of the smallest eigenvalue and not a bound; the other value
+    is None."""
 
     feasible: bool
     min_eig: float | None
@@ -314,12 +298,18 @@ class TmPositivity:
         return None
 
 
-def tm_positivity(f, tol):
-    """TmPositivity of T_m for a square series f, m = f.cutoff, from its
-    own coefficients."""
-    dim = word_count(f.n, f.cutoff) * f.shape[0]
+def tm_positivity(f, tol, m=None):
+    """TmPositivity of T_m for a square series f at level m (default
+    f.cutoff), from its own coefficients: the one place that picks the
+    dense or the factored path for positivity.  A non-finite tol is an
+    InputError, raised before anything is assembled or factored; a
+    negative one asks for T_m >= |tol| I."""
+    if not math.isfinite(tol):
+        raise InputError(f"tolerance {tol} is not finite")
+    m = f.cutoff if m is None else m
+    dim = word_count(f.n, m) * f.shape[0]
     if dense_decides(f.n, dim):
-        me = float(np.linalg.eigvalsh(assemble_T(f))[0])
+        me = float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
-    fac = schur_factor(f, shift=tol, stop=True)
+    fac = schur_factor(f, shift=tol, stop=True, levels=m)
     return TmPositivity(fac.is_psd, None, dim, tol, fac.margin())

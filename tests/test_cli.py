@@ -738,6 +738,21 @@ def test_check_above_the_dense_threshold(capsys):
     assert run_on_json(["check", good], max_dim=32)[0] == 0
 
 
+@pytest.mark.parametrize("command", [["check"], ["extend", "--target-degree", "3"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_input_error(tmp_path, capsys, command, tol):
+    """A non-finite --tol on feasible data exits 3 before T_m is assembled,
+    and nothing is written; a negative finite one is a stricter test.
+    (--tol=-inf: argparse reads a bare -inf as an option.)"""
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.5}, 1, 1)
+    out = tmp_path / "out.json"
+    argv = [command[0], path, *command[1:], f"--tol={tol}", "--output", str(out)]
+    assert cli.main(argv) == 3
+    assert "not finite" in capsys.readouterr().err and not out.exists()
+    assert cli.main([command[0], path, *command[1:], "--tol", "-0.1"]) == 0
+    assert cli.main([command[0], path, *command[1:], "--tol", "-0.6"]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "PROBLEM", "--target-degree", "2", "--samples", "0"],
     ["extend", "PROBLEM", "--target-degree", "2", "--samples", "-3"],

@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import caratheodory as cara
 from freefock import multianalytic as ma
-from freefock import toeplitz as tp
 from freefock.fock import shift_sum
 from freefock.linalg import adjoint
-from freefock.series import (FreeSeries, eval_at_creation, hinf_norm, hinf_norm_exceeds,
-                             random_series)
+from freefock.multianalytic import hinf_norm, hinf_norm_exceeds
+from freefock.series import FreeSeries, eval_at_creation, random_series
 from freefock.words import GradedBasis
 
 ONE = np.array([[1.0]])
@@ -50,7 +49,7 @@ def test_structured_norm_matches_svd(n, m, p):
     assert abs(got.value - want) <= 1e-12 * want
     rep = hinf_norm(f, m)
     assert abs(rep.value - want) <= 1e-12 * want
-    assert (rep.rtol is None) == (p * len(GradedBasis(n, m)) <= tp.NORM_DENSE_DIM)
+    assert (rep.rtol is None) == (p * len(GradedBasis(n, m)) <= ma.NORM_DENSE_DIM)
 
 
 def test_structured_norm_of_zero_series_is_zero():
@@ -118,7 +117,7 @@ def test_cf_check_above_the_dense_side_matches_the_right_translation_svd(n, m, p
     f(S^(m)) of the word-reversed series: same norm as the dense oracle."""
     rng = np.random.default_rng(40 + n + p)
     f = gaussian_series(rng, n, m, p, scale=0.2)
-    assert p * len(GradedBasis(n, m)) > tp.NORM_DENSE_DIM
+    assert p * len(GradedBasis(n, m)) > ma.NORM_DENSE_DIM
     want = np.linalg.norm(shift_sum(n, m, p, f.blocks, append=True), 2)
     rep = cara.cf_check(cara.CFProblem(f))
     assert abs(rep.norm - want) <= 1e-12 * want

@@ -6,6 +6,7 @@ import pytest
 from freefock import fock
 from freefock import pluriharmonic as ph
 from freefock import series as fs
+from freefock import toeplitz as tp
 from freefock.errors import InputError, ScopeError
 from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron, min_eig_hermitian, operator_norm
@@ -150,18 +151,19 @@ def test_pluriharmonic_poisson_kernel_nilpotent_outside_ball():
 
 def test_check_positive():
     rep = ph.check_positive(halfz_example(), 4, 1e-9)
-    assert rep.passed and len(rep.min_eigs) == 5
+    min_eigs = [t.min_eig for t in rep.levels]
+    assert rep.passed and len(min_eigs) == 5
     # min eigs decrease as the truncation grows (compressions nest)
-    assert all(a >= b - 1e-12 for a, b in zip(rep.min_eigs, rep.min_eigs[1:]))
+    assert all(a >= b - 1e-12 for a, b in zip(min_eigs, min_eigs[1:]))
 
     # 1 + (Z + Z*) sits exactly on the boundary at the m = 1 level
     boundary = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): ONE})
     rep = ph.check_positive(boundary, 1, 1e-12)
-    assert rep.passed and rep.min_eigs[1] == pytest.approx(0.0, abs=1e-14)
+    assert rep.passed and rep.levels[1].min_eig == pytest.approx(0.0, abs=1e-14)
 
     over = symbol(1, 1, {(): ONE, (1,): 1.01 * ONE}, {(1,): 1.01 * ONE})
     rep = ph.check_positive(over, 2, 1e-9)
-    assert not rep.passed and rep.min_eigs[1] < -1e-3
+    assert not rep.passed and rep.levels[1].min_eig < -1e-3
 
     const = symbol(2, 0, {(): 2.0 * ONE}, {})
     assert ph.check_positive(const, 3, 0.0).passed
@@ -169,6 +171,33 @@ def test_check_positive():
     skew = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): -ONE})
     with pytest.raises(InputError):
         ph.check_positive(skew, 2, 1e-9)
+
+
+def test_check_positive_across_the_dense_threshold():
+    """1 + 2 Re(a Z_1 + b Z_2) with r = ||(a, b)|| = 0.548 has smallest
+    eigenvalue 1 - 2 r cos(pi / (m + 2)) at level m: positive up to m = 5,
+    negative from m = 6.  At n = 2, p = 1 the levels of side d_m <=
+    DENSE_DIM (m <= 8) carry the dense min_eig, level 9 a schur_margin,
+    and every verdict is that of the dense h(S^(m)) built from both parts."""
+    a, b = 0.3288, 0.4384j
+    h = symbol(2, 1, {(): ONE, (1,): a * ONE, (2,): b * ONE},
+               {(1,): np.conj(a) * ONE, (2,): np.conj(b) * ONE})
+    tol = 1e-9
+    rep = ph.check_positive(h, 9, tol)
+    assert len(rep.levels) == 10 and not rep.passed
+    dense = [t.min_eig is not None for t in rep.levels]
+    assert dense == [2 ** (m + 1) - 1 <= tp.DENSE_DIM for m in range(10)]
+    assert dense == [True] * 9 + [False]
+    assert rep.levels[9].schur_margin is not None
+    want = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) >= -tol for m in range(10)]
+    assert [t.feasible for t in rep.levels] == want == [True] * 6 + [False] * 4
+    for m, t in enumerate(rep.levels[:9]):
+        assert t.min_eig == pytest.approx(1 - 1.096 * np.cos(np.pi / (m + 2)), abs=1e-12)
+
+
+def test_check_positive_rejects_a_negative_level():
+    with pytest.raises(InputError):
+        ph.check_positive(halfz_example(), -1, 1e-9)
 
 
 def test_coefficient_bound_check():

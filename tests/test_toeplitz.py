@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +8,7 @@ from freefock import toeplitz as tp
 from freefock.errors import InputError
 from freefock.linalg import adjoint
 from freefock.series import FreeSeries
-from freefock.words import GradedBasis, right_quotient
+from freefock.words import GradedBasis, right_quotient, word_count
 
 ONE = np.array([[1.0]])
 
@@ -278,3 +280,44 @@ def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
     fac = tp.schur_factor(f, shift=tol, stop=True)
     assert fac.is_psd == (me >= -tol)
     assert (fac.margin() >= -tol) == (me >= -tol)
+
+
+# -- positivity of T_m at any level ------------------------------------------
+
+
+@pytest.mark.parametrize("n,p,cutoff,levels", [(1, 1, 3, (1, 3, 5)), (1, 2, 3, (1, 3, 5)),
+                                               (2, 1, 8, (7, 8, 9)), (2, 2, 7, (6, 7, 8))])
+def test_tm_positivity_at_any_level_matches_the_dense_verdict(n, p, cutoff, levels):
+    """tm_positivity(f, tol, m) below, at and above f.cutoff, for n = 2 on
+    both sides of DENSE_DIM: assemble_T(f, m) is the compression of T at
+    the top level (that of f with the higher cutoff), and at tolerances
+    on either side of its smallest eigenvalue each verdict is the dense one."""
+    f = random_series(np.random.default_rng(10 * n + p), n, cutoff, p, scale=0.05)
+    top = tp.assemble_T(f, levels[-1])
+    assert np.array_equal(top, tp.assemble_T(FreeSeries._built(n, levels[-1], (p, p), f.blocks)))
+    for m in levels:
+        t, d = tp.assemble_T(f, m), word_count(n, m)
+        idx = (np.arange(p)[:, None] * word_count(n, levels[-1]) + np.arange(d)).ravel()
+        assert np.array_equal(t, top[np.ix_(idx, idx)])
+        me = min_eig(t)
+        gap = 0.1 * abs(me) + 1e-3
+        for tol, want in ((gap - me, True), (-gap - me, False)):
+            rec = tp.tm_positivity(f, tol, m)
+            assert rec.feasible == want and rec.matrix_dim == d * p and rec.tol == tol
+            assert (rec.min_eig is None) == (n > 1 and d * p > tp.DENSE_DIM)
+            if rec.min_eig is not None:
+                assert rec.min_eig == me
+    assert tp.tm_positivity(f, 1e-9).matrix_dim == word_count(n, cutoff) * p
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_tm_positivity_rejects_a_non_finite_tolerance_first(monkeypatch, tol):
+    def never(*args, **kwargs):
+        raise AssertionError("assembled or factored")
+
+    monkeypatch.setattr(tp, "assemble_T", never)
+    monkeypatch.setattr(tp, "schur_factor", never)
+    f = random_series(np.random.default_rng(0), 2, 1, 1, scale=0.05)
+    for m in (None, 1, 9):  # dense, and past DENSE_DIM
+        with pytest.raises(InputError, match="not finite"):
+            tp.tm_positivity(f, tol, m)
