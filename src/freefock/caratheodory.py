@@ -5,7 +5,8 @@ Problem data, Caratheodory-Fejer data and extensions are free series
 (``series.FreeSeries``).  Feasibility is the positivity of the truncated
 multi-Toeplitz operator of the data (an exact finite-dimensional
 criterion), decided by ``toeplitz.tm_positivity``: the dense smallest
-eigenvalue at small sizes, the recursive Schur factorisation above them.  The
+eigenvalue at small sizes, the recursive Schur factorisation and a
+bracket of that eigenvalue by bisection on its inertia above them.  The
 constructive extension is the central (maximum-determinant) completion,
 computed in closed form from that factorisation; every output is
 certified by a positivity computation on its own coefficients and by
@@ -80,15 +81,14 @@ class CFProblem:
 def check_feasibility(prob, tol=1e-9):
     """Positivity of T_m within tol (toeplitz.tm_positivity): the dense
     smallest eigenvalue where toeplitz.dense_decides, else a Schur
-    factorisation of T_m + tol I."""
+    factorisation of T_m + tol I and a bracket of the smallest eigenvalue."""
     return tm_positivity(prob.data, tol)
 
 
 def _require_feasible(prob, tol):
     feas = check_feasibility(prob, tol)
     if not feas.feasible:
-        label = "min eig" if feas.min_eig is not None else "Schur margin"
-        raise InfeasibleError(f"data is infeasible at degree {prob.m}: {label} {feas.value:.3e}")
+        raise InfeasibleError(f"data is infeasible at degree {prob.m}: min eig {feas.min_eig:.3e}")
 
 
 @dataclass
@@ -135,7 +135,7 @@ def extend(prob, M, tol=1e-9):
     series = FreeSeries._built(n, M, (p, p), blocks)
     tm = tm_positivity(series, tol)
     certificate = {
-        f"{tm.label}_tm": tm.value,
+        "min_eig_tm": tm.min_eig,
         "prescribed_error": _prescribed_error(prob, series),
     }
     return ExtensionResult(series, certificate, (series, tm))
@@ -244,7 +244,7 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     if ok is None:
         tm = tm_positivity(f, tol)
         ok = tm.verdict(tol)
-    checks["extension_psd"] = (ok, tm.value)
+    checks["extension_psd"] = (ok, tm.min_eig)
 
     rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()

@@ -80,11 +80,11 @@ def cmd_basis(args):
 def cmd_check(args):
     prob = jsonio.json_to_problem(jsonio.load_json(args.problem))
     rep = cara.check_feasibility(prob, tol=args.tol)
-    _emit(
-        {"feasible": rep.feasible, rep.label: rep.value,
-         "matrix_dim": rep.matrix_dim, "tol": rep.tol},
-        args,
-    )
+    payload = {"feasible": rep.feasible, "min_eig": rep.min_eig,
+               "matrix_dim": rep.matrix_dim, "tol": rep.tol}
+    if rep.min_eig_atol is not None:  # structured: lambda_min(T_m) - min_eig <= min_eig_atol
+        payload["min_eig_atol"] = rep.min_eig_atol
+    _emit(payload, args)
     return EXIT_OK if rep.feasible else EXIT_INFEASIBLE
 
 
@@ -168,13 +168,11 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("deg", type=int)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_basis")
 
     p = sub.add_parser("check", help="Caratheodory feasibility of a problem file")
     p.add_argument("problem")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_check")
 
     p = sub.add_parser("extend", help="solve for a PSD multi-Toeplitz extension")
     p.add_argument("problem")
@@ -183,26 +181,22 @@ def build_parser():
     p.add_argument("--samples", type=_at_least(1), default=20)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_extend")
 
     p = sub.add_parser("cayley", help="Cayley transform of a series file")
     p.add_argument("direction", choices=["forward", "inverse"])
     p.add_argument("series")
     p.add_argument("--cutoff", type=int)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_cayley")
 
     p = sub.add_parser("eval", help="evaluate a series at an operator tuple")
     p.add_argument("series")
     p.add_argument("tuple")
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_eval")
 
     p = sub.add_parser("norm", help="certified lower bound for the sup norm")
     p.add_argument("series")
     p.add_argument("--trunc", type=int, default=4)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_norm")
 
     p = sub.add_parser("poisson", help="Poisson transform of a pluriharmonic symbol")
     p.add_argument("symbol")
@@ -210,12 +204,10 @@ def build_parser():
     p.add_argument("--trunc", type=int, default=6)
     p.add_argument("--radius", type=float, default=0.9)
     p.add_argument("--output")
-    p.set_defaults(fn="cmd_poisson")
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
     p.add_argument("--seed", type=_at_least(0), default=20240901)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(fn="cmd_selftest")
 
     return parser
 
@@ -234,7 +226,7 @@ def main(argv=None):
         # argparse exits 2 on bad usage; map onto the input-error contract
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return globals()[args.fn](args)  # looked up per call, so it can be replaced
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so it can be replaced
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -272,18 +272,19 @@ def word_products(xs, sets, p, right=None):
 
     prods = np.empty((start[-1], *xs.shape[1:]), dtype=complex)
     prods[0] = np.eye(xs.shape[-1])
-    for k in range(1, top + 1):
-        lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
-        if k <= full:
-            np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
-        else:
-            at = nodes[k] // n  # the parents' codes, then their rows in below
-            at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
-            letters = (nodes[k] % n).astype(np.intp)
-            np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
-    if right is not None:  # after every degree: the next one multiplies X_w itself
-        for k in range(top + 1):
-            prods[start[k]:start[k + 1]] = prods[start[k]:start[k + 1]] @ right[k]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+        for k in range(1, top + 1):
+            lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
+            if k <= full:
+                np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
+            else:
+                at = nodes[k] // n  # the parents' codes, then their rows in below
+                at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
+                letters = (nodes[k] % n).astype(np.intp)
+                np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
+        if right is not None:  # after every degree: the next one multiplies X_w itself
+            for k in range(top + 1):
+                prods[start[k]:start[k + 1]] = prods[start[k]:start[k + 1]] @ right[k]
     return c, prods
 
 

@@ -72,12 +72,15 @@ def operator_norm(a):
 
 
 def check_hermitian(a, rtol=HERM_RTOL):
+    """a if ||a - a*||_F <= rtol (1 + ||a||_F), tested on a / max|a_ij|."""
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix {a.shape} is not square")
-    dev = np.linalg.norm(a - adjoint(a))
-    if dev > rtol * (1.0 + np.linalg.norm(a)):
-        raise ScopeError(f"matrix is not Hermitian within tolerance (dev={dev:.3e})")
+    top = max(float(np.max(np.abs(a), initial=0.0)), np.finfo(float).tiny)
+    u = a / top
+    dev = np.linalg.norm(u - adjoint(u))
+    if dev > rtol * (1.0 / top + np.linalg.norm(u)):
+        raise ScopeError(f"matrix is not Hermitian within tolerance (dev={dev * top:.3e})")
     return a
 
 

@@ -196,9 +196,10 @@ def _reorthogonalise(w, Q):
     """w minus its components along the orthonormal rows of Q, twice.
     Not a BLAS product: past about 2000 rows OpenBLAS runs the gemv on
     several threads, and waking them between Lanczos steps took up to
-    15 ms per call on 2 cores, against under 0.1 ms for the einsum."""
+    15 ms per call on 2 cores, against under 0.1 ms for the einsum.  Q* w
+    is taken as conj(Q conj(w)), the same sums without a copy of Q."""
     for _ in range(2 if len(Q) else 0):
-        w = w - np.einsum("k,kn->n", np.einsum("kn,n->k", Q.conj(), w), Q)
+        w = w - np.einsum("k,kn->n", np.einsum("kn,n->k", Q, w.conj()).conj(), Q)
     return w
 
 

@@ -19,10 +19,10 @@ batched product over views of one array, and T is never formed.
 nested_factor runs the same level loop for blocks given per level; the
 norm of a multi-analytic operator (multianalytic) is its other case.
 
-tm_positivity is the one place that decides T_m >= -tol I, at any level
-m: the dense smallest eigenvalue where dense_decides, the factorisation
-above.  check_feasibility, extend's certificate, verify_solution and
-pluriharmonic.check_positive all call it.
+tm_positivity is the one place that decides T_m >= -tol I and gives its
+smallest eigenvalue, at any level m: dense where dense_decides, above by the
+factorisation and bisection on its inertia (certify).  check_feasibility,
+extend's certificate, verify_solution and pluriharmonic.check_positive call it.
 """
 
 from __future__ import annotations
@@ -35,17 +35,17 @@ import numpy as np
 from . import linalg
 from .errors import InputError, ScopeError
 from .fock import shift_sum
-from .linalg import adjoint, check_entries, check_hermitian
+from .linalg import adjoint, check_entries, check_hermitian, eigh_hermitian
 from .words import word_count
 
 # At or below this side d p the dense eigvalsh of the assembled T_m
-# decides positivity and its smallest eigenvalue is reported; above it a
-# Schur factorisation of T_m + tol I decides and its margin is reported.
-# Measured at n = 2, p = 1 on 2 cores (OpenBLAS): assembly and eigvalsh
-# take 9.8 / 47 / 218 ms at d = 255 / 511 / 1023, one factorisation
-# 0.7 / 0.8 / 1.1 ms.  The smallest eigenvalue to 1e-12 by bisection on the
-# inertia would take about 40 factorisations, which cost as much as the
-# dense eigvalsh near d p = 500; past that the dense value is not kept.
+# decides positivity and gives its smallest eigenvalue; above it a Schur
+# factorisation of T_m + tol I decides and bisection on the inertia
+# brackets the smallest eigenvalue.  Measured at n = 2, p = 1 on 2 cores
+# (OpenBLAS): assembly and eigvalsh take 9.8 / 47 / 218 ms at d = 255 /
+# 511 / 1023, one factorisation 0.7 / 0.8 / 1.1 ms; the bracket to
+# MIN_EIG_RTOL takes about 31 factorisations, which cost as much as the
+# dense eigvalsh near d p = 500.
 # For n = 1 the tree is a chain of d levels, so a factorisation takes
 # O(d^2) small steps and is slower than eigvalsh (0.65 / 2.8 / 7.6 s
 # against 0.17 / 1.3 / 4.2 s at d = 301 / 601 / 1001): dense decides there
@@ -63,6 +63,9 @@ def dense_decides(n, dim, limit=DENSE_DIM):
 # of b_0 counts as zero (generalised Schur complement): well above
 # roundoff, so an exact kernel stays a kernel.
 PIVOT_RTOL = 1e-12
+
+# Above the dense side lambda_min(T_m) is bracketed to this times a bound on ||T_m||.
+MIN_EIG_RTOL = 1e-9
 
 
 def assemble_T(f, m=None):
@@ -114,7 +117,6 @@ class SchurFactor:
 
     n: int
     p: int
-    shift: float
     cut: float  # pivot eigenvalues in [-cut, cut] count as zero
     range_tol: float  # largest admitted component of r* along a zero pivot
     pivots: list = field(default_factory=list)
@@ -136,14 +138,6 @@ class SchurFactor:
         component c along a zero pivot when [[0, c], [c*, lambda_max]] is
         PSD within cut."""
         return self.range_gap <= self.range_tol and all(w[0] >= -self.cut for w in self.eigenvalues)
-
-    def margin(self):
-        """min_j lambda_min(s_j) - shift: lambda_min(T) <= margin whenever
-        T + shift I is positive definite, and the margin is below -shift -
-        cut exactly when a pivot is negative (is_psd also fails on the
-        range condition).  An estimate of the smallest eigenvalue from
-        above, not a bound on it from below."""
-        return min(float(w[0]) for w in self.eigenvalues) - self.shift
 
     def inertia(self):
         """(negative, zero, positive) eigenvalue counts of T_k + shift I."""
@@ -230,10 +224,10 @@ def schur_factor(f, shift=0.0, stop=False, levels=None, psd=False):
     top = float(np.linalg.eigvalsh(b0)[-1])
     # r[i, v] = b_{v i} for v in the tree order of T_{j-1}
     return nested_factor(n, p, k, lambda j: b0, lambda j, order: graded[_children(n, order)],
-                         top, shift, stop, psd)
+                         top, stop, psd)
 
 
-def nested_factor(n, p, k, alpha, beta, top, shift=0.0, stop=False, psd=False):
+def nested_factor(n, p, k, alpha, beta, top, stop=False, psd=False):
     """Factor M_k = U D U* for the nested matrices
 
         M_0 = alpha(0),   M_j = [[alpha(j), beta_j], [beta_j*, I_n (x) M_{j-1}]],
@@ -245,19 +239,20 @@ def nested_factor(n, p, k, alpha, beta, top, shift=0.0, stop=False, psd=False):
     s_j = alpha(j) - sum_i beta_j^(i) Z_i^(j).  Pivot eigenvalues within
     PIVOT_RTOL top count as zero, top being the scale of alpha."""
     cut = max(PIVOT_RTOL * top, np.finfo(float).tiny)
-    fac = SchurFactor(n, p, shift, cut, math.sqrt(cut * max(top, 0.0)))
+    fac = SchurFactor(n, p, cut, math.sqrt(cut * max(top, 0.0)))
     fac._push(alpha(0), psd)
     order = np.zeros(1, np.int64)
-    for j in range(1, k + 1):
-        if stop and not fac.is_psd:
-            break
-        r = beta(j, order)
-        x = r.transpose(1, 2, 0, 3).reshape(len(order), p, n * p).copy()
-        fac.range_gap = max(fac.range_gap, fac.solve(x, j - 1))
-        z = x.reshape(len(order), p, n, p).transpose(2, 0, 1, 3).reshape(-1, p)
-        s = alpha(j) - np.matmul(adjoint(r.reshape(-1, p)), z)
-        fac._push((s + adjoint(s)) / 2.0, psd, z)
-        order = _grow(n, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # _push raises on overflow
+        for j in range(1, k + 1):
+            if stop and not fac.is_psd:
+                break
+            r = beta(j, order)
+            x = r.transpose(1, 2, 0, 3).reshape(len(order), p, n * p).copy()
+            fac.range_gap = max(fac.range_gap, fac.solve(x, j - 1))
+            z = x.reshape(len(order), p, n, p).transpose(2, 0, 1, 3).reshape(-1, p)
+            s = alpha(j) - np.matmul(adjoint(r.reshape(-1, p)), z)
+            fac._push((s + adjoint(s)) / 2.0, psd, z)
+            order = _grow(n, order)
     return fac
 
 
@@ -266,36 +261,36 @@ def nested_factor(n, p, k, alpha, beta, top, shift=0.0, stop=False, psd=False):
 
 @dataclass
 class TmPositivity:
-    """Whether T_m >= -tol I for one series at one level m.  Where
-    dense_decides, the dense smallest eigenvalue decides (min_eig >= -tol);
-    elsewhere a Schur factorisation of T_m + tol I decides
-    (SchurFactor.is_psd) and reports its schur_margin (SchurFactor.margin),
-    an estimate of the smallest eigenvalue and not a bound; the other value
-    is None."""
+    """Whether T_m >= -tol I for one series at one level m, and its
+    smallest eigenvalue: the dense one where dense_decides (min_eig_atol
+    None); elsewhere a Schur factorisation of T_m + tol I decides and
+    min_eig <= lambda_min(T_m) <= min_eig + min_eig_atol within PIVOT_RTOL."""
 
     feasible: bool
-    min_eig: float | None
+    min_eig: float
     matrix_dim: int
     tol: float
-    schur_margin: float | None = None
-
-    @property
-    def label(self):
-        return "min_eig" if self.min_eig is not None else "schur_margin"
-
-    @property
-    def value(self):
-        return self.min_eig if self.min_eig is not None else self.schur_margin
+    min_eig_atol: float | None = None
 
     def verdict(self, tol):
-        """Whether T_m >= -tol I, or None when this record cannot tell: the
-        dense eigenvalue decides every tol, a factorisation at self.tol
-        only positivity for tol >= self.tol and its failure for tol <= self.tol."""
-        if self.min_eig is not None:
-            return self.min_eig >= -tol
-        if self.feasible == (tol >= self.tol) or tol == self.tol:
+        """Whether T_m >= -tol I: the one computed at self.tol, else the side
+        of -tol the bracket lies on, or None when it straddles -tol."""
+        if tol == self.tol:
             return self.feasible
+        if self.min_eig >= -tol or self.min_eig + (self.min_eig_atol or 0.0) < -tol:
+            return self.min_eig >= -tol
         return None
+
+
+def certify(holds, lo, hi, atol):
+    """Narrow [lo, hi] around where the monotone predicate holds turns false,
+    until it is at most atol wide or its midpoint no longer splits it."""
+    while hi - lo > atol:
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo, hi
 
 
 def tm_positivity(f, tol, m=None):
@@ -303,7 +298,9 @@ def tm_positivity(f, tol, m=None):
     f.cutoff), from its own coefficients: the one place that picks the
     dense or the factored path for positivity.  A non-finite tol is an
     InputError, raised before anything is assembled or factored; a
-    negative one asks for T_m >= |tol| I."""
+    negative one asks for T_m >= |tol| I.  Above the dense side certify
+    starts from [lambda_min(b_0) - 2 sum_k slice_k, lambda_min(b_0)] (b_0 is a
+    principal block, degree k has norm <= 2 slice_k), cut at -tol by the verdict."""
     if not math.isfinite(tol):
         raise InputError(f"tolerance {tol} is not finite")
     m = f.cutoff if m is None else m
@@ -311,5 +308,11 @@ def tm_positivity(f, tol, m=None):
     if dense_decides(f.n, dim):
         me = float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
-    fac = schur_factor(f, shift=tol, stop=True, levels=m)
-    return TmPositivity(fac.is_psd, None, dim, tol, fac.margin())
+    feasible = schur_factor(f, shift=tol, stop=True, levels=m).is_psd
+    w = eigh_hermitian(f.constant_term()).eigenvalues.tolist()
+    slices = sum(f.degree_slice_norm(k) for k in f.blocks if 0 < k <= m)
+    side = max if feasible else min
+    lo, hi = certify(lambda mu: schur_factor(f, shift=-mu, stop=True, levels=m).is_psd,
+                     side(w[0] - 2.0 * slices, -tol), side(w[0], -tol),
+                     MIN_EIG_RTOL * (max(-w[0], w[-1]) + slices))
+    return TmPositivity(feasible, lo, dim, tol, hi - lo)

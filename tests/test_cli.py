@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ def test_check_command(tmp_path, capsys):
     code, payload = run_cli(capsys, "check", path)
     assert code == 1
     assert payload["min_eig"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_check_rejects_a_non_hermitian_b0_at_any_scale():
+    # b_0 = 1e200 i: its squares overflow, so the test runs on b_0 / max|b_0|
+    for big in (1e150, 1e200):
+        code, err = run_on_json(["check", {"n": 1, "m": 0, "coefficients": {"": [[[0.0, big]]]}}])
+        assert code == 3 and "Hermitian" in err
+    assert run_on_json(["check", {"n": 1, "m": 0, "coefficients": {"": [[[1e200, 0.0]]]}}])[0] == 0
 
 
 def test_check_rejects_malformed_word(tmp_path, capsys):
@@ -445,7 +454,7 @@ def test_successive_calls_share_no_state(tmp_path, capsys):
     jsonio.write_json_atomic(jsonio.series_to_json(f), fpath)
     out = str(tmp_path / "out.json")
     assert cli.main(["norm", fpath, "--trunc", "2", "--output", out]) == 0
-    assert json.load(open(out, encoding="utf-8"))["trunc"] == 2
+    assert json.loads(Path(out).read_text(encoding="utf-8"))["trunc"] == 2
     code, payload = run_cli(capsys, "norm", fpath)
     assert code == 0 and payload["trunc"] == 4  # the default, no --output carried over
     assert cli._parser() is cli._parser()
@@ -705,23 +714,30 @@ def test_eval_tuple_json_fuzz_exits_with_documented_codes(x, cutoff):
 
 def test_check_and_extend_past_the_dense_side(tmp_path, capsys):
     # n = 2, m = 1 extended to degree 12: T_12 has side d = 8191, past the
-    # 4096 side cap of a dense matrix; the Schur factorisation decides
+    # 4096 side cap of a dense matrix; the Schur factorisation decides and
+    # bisection on its inertia brackets lambda_min(T_12) in
+    # [0.30379123306, 0.30379123372]
     path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
     out = tmp_path / "ext.json"
     assert cli.main(["extend", path, "--target-degree", "12", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["verification"]["passed"] is True
-    assert set(payload["certificate"]) == {"schur_margin_tm", "prescribed_error"}
+    assert set(payload["certificate"]) == {"min_eig_tm", "prescribed_error"}
     assert payload["certificate"]["prescribed_error"] == 0.0
+    assert 0.3037 <= payload["certificate"]["min_eig_tm"] <= 0.3038
     assert len(payload["coefficients"]) == 8191
 
-    # a check of the extension itself: feasible, with a Schur margin and no min_eig
+    # a check of the extension itself: feasible, with the bracket of min_eig
     ext = tmp_path / "ext_problem.json"
     ext.write_text(json.dumps({"n": 2, "m": 12, "coefficients": payload["coefficients"]}))
     code, report = run_cli(capsys, "check", str(ext))
     assert code == 0 and report["feasible"] is True
-    assert set(report) == {"feasible", "schur_margin", "matrix_dim", "tol", "version", "tolerances"}
-    assert report["matrix_dim"] == 8191 and report["schur_margin"] >= -1e-9
+    assert set(report) == {"feasible", "min_eig", "min_eig_atol", "matrix_dim", "tol",
+                           "version", "tolerances"}
+    assert report["matrix_dim"] == 8191
+    assert report["min_eig"] == payload["certificate"]["min_eig_tm"]
+    lo, hi = report["min_eig"], report["min_eig"] + report["min_eig_atol"]
+    assert 0.30379123306 - 1e-11 <= hi and lo <= 0.30379123372 + 1e-11 and hi - lo <= 5e-9
 
 
 def test_check_above_the_dense_threshold(capsys):
@@ -730,7 +746,7 @@ def test_check_above_the_dense_threshold(capsys):
     code, err = run_on_json(["check", bad])
     assert code == 1
     code, err = run_on_json(["extend", bad, "--target-degree", "10"])
-    assert code == 1 and "Schur margin" in err
+    assert code == 1 and "min eig" in err
     good = {"n": 2, "m": 9, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.5, 0.0]]]}}
     assert run_on_json(["check", good])[0] == 0
     # past the threshold the size limit caps the p^2 d coefficients, not a side

@@ -79,6 +79,20 @@ def test_min_eig_hermitian():
         linalg.min_eig_hermitian([[0, 1], [0, 0]])
 
 
+def test_check_hermitian_is_scale_invariant():
+    # ||a - a*|| <= rtol (1 + ||a||), with no square formed: 1e200 i overflowed it
+    skew = np.array([[1.0, 2.0], [0.0, 1.0 + 1e-3j]])
+    for e in (-5, 0, 100, 200, 300):
+        with pytest.raises(ScopeError):
+            linalg.check_hermitian(skew * 10.0**e)
+        herm = np.array([[1.0, 2.0 - 1e-3j], [2.0 + 1e-3j, -1.0]]) * 10.0**e
+        assert linalg.check_hermitian(herm) is not None
+    # below the absolute part of the tolerance every matrix passes, as before
+    linalg.check_hermitian(skew * 1e-300)
+    linalg.check_hermitian(1e-12j * np.eye(2))
+    linalg.check_hermitian(np.zeros((2, 2)))
+
+
 def test_solve():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((2, 2))

@@ -177,22 +177,24 @@ def test_check_positive_across_the_dense_threshold():
     """1 + 2 Re(a Z_1 + b Z_2) with r = ||(a, b)|| = 0.548 has smallest
     eigenvalue 1 - 2 r cos(pi / (m + 2)) at level m: positive up to m = 5,
     negative from m = 6.  At n = 2, p = 1 the levels of side d_m <=
-    DENSE_DIM (m <= 8) carry the dense min_eig, level 9 a schur_margin,
-    and every verdict is that of the dense h(S^(m)) built from both parts."""
+    DENSE_DIM (m <= 8) carry the dense min_eig, level 9 a bracket of it
+    (min_eig_atol), and every verdict is that of the dense h(S^(m)) built
+    from both parts."""
     a, b = 0.3288, 0.4384j
     h = symbol(2, 1, {(): ONE, (1,): a * ONE, (2,): b * ONE},
                {(1,): np.conj(a) * ONE, (2,): np.conj(b) * ONE})
     tol = 1e-9
     rep = ph.check_positive(h, 9, tol)
     assert len(rep.levels) == 10 and not rep.passed
-    dense = [t.min_eig is not None for t in rep.levels]
+    dense = [t.min_eig_atol is None for t in rep.levels]
     assert dense == [2 ** (m + 1) - 1 <= tp.DENSE_DIM for m in range(10)]
     assert dense == [True] * 9 + [False]
-    assert rep.levels[9].schur_margin is not None
     want = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) >= -tol for m in range(10)]
     assert [t.feasible for t in rep.levels] == want == [True] * 6 + [False] * 4
-    for m, t in enumerate(rep.levels[:9]):
-        assert t.min_eig == pytest.approx(1 - 1.096 * np.cos(np.pi / (m + 2)), abs=1e-12)
+    for m, t in enumerate(rep.levels):
+        lam = 1 - 1.096 * np.cos(np.pi / (m + 2))
+        assert t.min_eig - 1e-12 <= lam <= t.min_eig + (t.min_eig_atol or 0.0) + 1e-12
+    assert rep.levels[9].min_eig_atol <= tp.MIN_EIG_RTOL * 2.1
 
 
 def test_check_positive_rejects_a_negative_level():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,23 @@ def assemble(coeffs, n, m):
 
 def min_eig(t):
     return float(np.linalg.eigvalsh(t)[0])
+
+
+def structured(f, tol, m=None):
+    """tm_positivity(f, tol, m) on the factored path at any size."""
+    with mock.patch.object(tp, "dense_decides", lambda n, dim: False):
+        return tp.tm_positivity(f, tol, m)
+
+
+def assert_brackets(rec, f, me, m=None):
+    """min_eig <= me <= min_eig + min_eig_atol up to PIVOT_RTOL of the
+    scale ||b_0|| + sum_k ||degree-k slice||, a bound on ||T_m||."""
+    m = f.cutoff if m is None else m
+    b0 = f.constant_term()
+    scale = np.linalg.norm(b0, 2) + sum(f.degree_slice_norm(k) for k in f.blocks if 0 < k <= m)
+    slack = tp.PIVOT_RTOL * scale
+    assert 0.0 <= rec.min_eig_atol <= tp.MIN_EIG_RTOL * scale
+    assert rec.min_eig - slack <= me <= rec.min_eig + rec.min_eig_atol + slack
 
 
 def random_coeffs(rng, n, m, p, selfadjoint_b0=True):
@@ -182,7 +200,7 @@ def test_schur_factor_stops_at_negative_pivot():
 
 def pivot(s, cut, psd):
     """(pseudo-inverse, zero directions) of one pivot as SchurFactor takes it."""
-    fac = tp.SchurFactor(1, len(s), 0.0, cut, 0.0)
+    fac = tp.SchurFactor(1, len(s), cut, 0.0)
     fac._push(np.asarray(s, dtype=complex), psd)
     return fac._inverses[0], fac._kernels[0]
 
@@ -279,7 +297,51 @@ def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
     assume(abs(me + tol) > 1e-10 * np.linalg.norm(t, 2))
     fac = tp.schur_factor(f, shift=tol, stop=True)
     assert fac.is_psd == (me >= -tol)
-    assert (fac.margin() >= -tol) == (me >= -tol)
+    rec = structured(f, tol)
+    assert rec.feasible == fac.is_psd
+    assert_brackets(rec, f, me)
+
+
+def test_certify_narrows_to_the_threshold_or_to_resolution():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x <= 0.3
+
+    lo, hi = tp.certify(below, 0.0, 1.0, 1e-9)
+    assert lo <= 0.3 < hi and hi - lo <= 1e-9 and len(calls) == 30
+    # atol 0: halving stops when the midpoint is one of the ends
+    lo, hi = tp.certify(below, 0.0, 1.0, 0.0)
+    assert lo <= 0.3 < hi and hi == np.nextafter(lo, 1.0)
+    # a bracket no wider than atol, and a non-finite one, need no call
+    calls.clear()
+    assert tp.certify(below, 0.5, 0.5, 0.0) == (0.5, 0.5)
+    assert tp.certify(below, -math.inf, 0.0, 1e-9)[0] == -math.inf
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 2), st.floats(0.0, 1.5),
+       st.sampled_from([0.0, 1e-9, 1e-3, -1e-3]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_structured_min_eig_brackets_the_dense_eigenvalue(n, m, p, scale, tol, zero, seed):
+    """On the factored path, forced at any size, [min_eig, min_eig +
+    min_eig_atol] holds the dense smallest eigenvalue, feasible or not,
+    and the zero series gets [0, 0] after the one deciding factorisation;
+    every verdict the bracket gives is the dense one."""
+    f = random_series(np.random.default_rng(seed), n, m, p, scale=scale)
+    if zero:
+        f = FreeSeries(n, m, (p, p), {})
+    me = min_eig(tp.assemble_T(f))
+    with mock.patch.object(tp, "schur_factor", wraps=tp.schur_factor) as factor:
+        rec = structured(f, tol)
+    assert_brackets(rec, f, me)
+    if zero:
+        assert (rec.min_eig, rec.min_eig_atol) == (0.0, 0.0) and factor.call_count == 1
+    assert rec.verdict(tol) == rec.feasible
+    for t in (-0.5, 0.0, 0.5, 2.0):
+        if rec.verdict(t) is not None:
+            assert rec.verdict(t) == (me >= -t)
 
 
 # -- positivity of T_m at any level ------------------------------------------
@@ -304,9 +366,11 @@ def test_tm_positivity_at_any_level_matches_the_dense_verdict(n, p, cutoff, leve
         for tol, want in ((gap - me, True), (-gap - me, False)):
             rec = tp.tm_positivity(f, tol, m)
             assert rec.feasible == want and rec.matrix_dim == d * p and rec.tol == tol
-            assert (rec.min_eig is None) == (n > 1 and d * p > tp.DENSE_DIM)
-            if rec.min_eig is not None:
+            assert (rec.min_eig_atol is not None) == (n > 1 and d * p > tp.DENSE_DIM)
+            if rec.min_eig_atol is None:
                 assert rec.min_eig == me
+            else:
+                assert_brackets(rec, f, me, m)
     assert tp.tm_positivity(f, 1e-9).matrix_dim == word_count(n, cutoff) * p
 
 
