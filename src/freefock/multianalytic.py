@@ -6,9 +6,9 @@ In last-letter tree order A_j = [[f_0, 0], [c, I_n (x) A_{j-1}]] with
 c^(i)[v] = f_{v i}, so sigma^2 I - A_j* A_j is nested_factor's M_j with
 alpha_j = sigma^2 I - sum_{|w|<=j} f_w* f_w and beta_j^(i)* =
 -A_{j-1}* c^(i): its negative pivots count the singular values of A
-above sigma.  A Golub-Kahan-Lanczos run gives a value ||A x|| / ||x||
-from below, and one factorisation at sigma = value (1 + NORM_RTOL) certifies
-it from above.
+above sigma.  A symmetric Lanczos run on A*A gives a value ||A x|| /
+||x|| from below, and one factorisation at sigma = value (1 + NORM_RTOL)
+certifies it from above.
 
 ``hinf_norm`` and ``hinf_norm_exceeds`` (so ``freefock norm``,
 ``caratheodory.cf_check`` and ``caratheodory.cayley_route``) are the one
@@ -44,9 +44,10 @@ NORM_DENSE_DIM = 100
 # sigma^2 I - A*A at sigma = v (1 + NORM_RTOL) has no negative or zero pivot.
 NORM_RTOL = 1e-9
 
-# Largest Golub-Kahan-Lanczos run, and the most rounds of certification
-# (each failed round restarts from a vector that beats the failed sigma).
-GKL_STEPS = 64
+# Largest Lanczos run on A*A (its one basis is also capped at MAX_DIM^2
+# entries), and the most rounds of certification (each failed round
+# restarts from a vector that beats the failed sigma).
+LANCZOS_STEPS = 64
 NORM_ROUNDS = 20
 
 
@@ -153,43 +154,34 @@ class MultiAnalytic:
         return x
 
 
-def _gkl(op, x0, steps):
-    """Golub-Kahan-Lanczos bidiagonalisation of A from x0 with full
-    reorthogonalisation (Golub-Van Loan, ch. 10): A V = U B with B upper
-    bidiagonal.  The top Ritz pair (theta, y) has residual r = beta_k |z_k|
-    (z its left vector), and theta^2 is within r^2 / (theta^2 - theta_2^2)
-    of an eigenvalue of A*A (Parlett, the gap theorem).  Stops when that is below
-    1e-15 of the gap or r below 1e-13 theta, on breakdown, or after steps;
-    returns the Ritz vector x = V y."""
+def _lanczos(op, x0, steps):
+    """Symmetric Lanczos on A*A from x0 with full reorthogonalisation
+    (Golub-Van Loan, ch. 10: the Krylov space of Golub-Kahan on A, in one
+    basis Q): A*A Q = Q T with T tridiagonal.  T is PSD, so its SVD is its
+    eigendecomposition (and far cheaper than eigh at this size).  The top
+    Ritz pair (theta^2, y) has residual r = beta_k |y_k|, and theta^2 is
+    within r^2 / (theta^2 - theta_2^2) of an eigenvalue of A*A (Parlett,
+    the gap theorem).  Stops when that is below 1e-15 of the gap or r
+    below 1e-13 theta^2, on breakdown, or after steps; returns the Ritz
+    vector x = Q y."""
     shape, size = x0.shape, x0.size
     steps = max(1, min(steps, size))
-    V = np.empty((steps, size), dtype=complex)  # rows are written before they are read
-    U = np.empty((steps, size), dtype=complex)
+    Q = np.empty((steps, size), dtype=complex)  # rows are written before they are read
     alpha, beta = np.zeros(steps), np.zeros(steps)
-    V[0] = x0.ravel() / np.linalg.norm(x0)
-    u = op.apply(V[0].reshape(shape + (1,))).ravel()
+    Q[0] = x0.ravel() / np.linalg.norm(x0)
     for k in range(steps):
-        if k:
-            u -= beta[k - 1] * U[k - 1]
-        u = _reorthogonalise(u, U[:k])
-        alpha[k] = np.linalg.norm(u)
-        scale = max(alpha[: k + 1].max(), beta[:k].max(initial=0.0))
-        if alpha[k] > 1e-14 * scale:
-            U[k] = u / alpha[k]
-            w = op.apply_adjoint(U[k].reshape(shape + (1,))).ravel() - alpha[k] * V[k]
-            w = _reorthogonalise(w, V[: k + 1])
-            beta[k] = np.linalg.norm(w)
-        else:
-            alpha[k] = 0.0
-        B = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
-        z, s, yt = np.linalg.svd(B)
-        res, gap = beta[k] * abs(z[k, 0]), s[0] ** 2 - (s[1] ** 2 if k else 0.0)
-        done = (alpha[k] == 0.0 or beta[k] <= 1e-14 * scale
-                or res <= 1e-13 * s[0] or res**2 <= 1e-15 * gap)
+        w = op.apply_adjoint(op.apply(Q[k].reshape(shape + (1,)))).ravel()
+        alpha[k] = np.vdot(Q[k], w).real
+        w -= alpha[k] * Q[k] + (beta[k - 1] * Q[k - 1] if k else 0.0)
+        w = _reorthogonalise(w, Q[: k + 1])
+        beta[k] = np.linalg.norm(w)
+        T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        y, s, _ = np.linalg.svd(T)
+        res, gap = beta[k] * abs(y[k, 0]), s[0] - (s[1] if k else 0.0)
+        done = beta[k] <= 1e-14 * s[0] or res <= 1e-13 * s[0] or res**2 <= 1e-15 * gap * s[0]
         if done or k + 1 == steps:
-            return (yt[0] @ V[: k + 1]).reshape(shape)
-        V[k + 1] = w / beta[k]
-        u = op.apply(V[k + 1].reshape(shape + (1,))).ravel()
+            return (y[:, 0] @ Q[: k + 1]).reshape(shape)
+        Q[k + 1] = w / beta[k]
 
 
 def _reorthogonalise(w, Q):
@@ -219,12 +211,12 @@ def certified_norm(f, m):
         return CertifiedNorm(0.0, NORM_RTOL, 0)
     e = math.frexp(big)[1]
     op = MultiAnalytic(f.scale(math.ldexp(1.0, -e)), m)
-    steps = max(1, min(GKL_STEPS, linalg.MAX_DIM**2 // (op.sizes[-1] * op.p)))
+    steps = max(1, min(LANCZOS_STEPS, linalg.MAX_DIM**2 // (op.sizes[-1] * op.p)))
     x = np.zeros((op.sizes[-1], op.p), dtype=complex)
     x[0] = np.linalg.eigh(op.gram[-1])[1][:, -1]
     value = _ratio(op, x)
     for start in range(1, NORM_ROUNDS + 1):
-        value = max(value, _ratio(op, _gkl(op, x, steps)))
+        value = max(value, _ratio(op, _lanczos(op, x, steps)))
         fac = op.factor(value * (1.0 + NORM_RTOL), stop=True)
         if fac.levels == m and fac.inertia()[:2] == (0, 0):
             return CertifiedNorm(math.ldexp(value, e), NORM_RTOL, start)

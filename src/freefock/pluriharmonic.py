@@ -101,6 +101,8 @@ def poisson_at(h, X, r, N):
     Y_a D_|a|, D_k = I - Q_{N+1-k}.  The symbol's r^|a| cancels in Y_a:
     sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*,
     both from one word_sum with the right factors D_k."""
+    if not 0.0 < r:
+        raise InputError(f"radius {r} outside (0, 1]")
     if X.row_norm >= r:
         raise ScopeError(f"tuple norm {X.row_norm:.4f} must lie below radius {r}")
     ft = FockTrunc(h.n, N)

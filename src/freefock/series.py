@@ -204,19 +204,11 @@ class FreeSeries:
         return max(self.blocks, default=0)
 
     def degree_slice_norm(self, k):
-        """|| sum_{|a|=k} A_a* A_a ||^(1/2).  The slice is first divided by
-        the power of two of its largest entry (exact), so the squares
-        neither underflow nor overflow."""
+        """|| sum_{|a|=k} A_a* A_a ||^(1/2), the largest singular value of
+        the stacked degree-k coefficients (LAPACK scales, so nothing is
+        squared)."""
         block = self.blocks.get(k)
-        if block is None:
-            return 0.0
-        e = math.frexp(float(np.max(np.abs(block[1]))))[1]
-        c = np.empty_like(block[1])
-        c.real, c.imag = np.ldexp(block[1].real, -e), np.ldexp(block[1].imag, -e)
-        try:
-            return math.ldexp(math.sqrt(operator_norm(sum(adjoint(a) @ a for a in c))), e)
-        except OverflowError:
-            return math.inf
+        return 0.0 if block is None else operator_norm(block[1].reshape(-1, self.shape[1]))
 
 
 def _match(f, g):

@@ -522,6 +522,17 @@ def test_poisson_rejects_constant_coanalytic_term():
     assert run_on_json(["poisson", h, x, "--trunc", "2"])[0] == 3
 
 
+def test_poisson_rejects_a_radius_outside_the_unit_interval_as_input():
+    """A radius <= 0 is an input error (exit 3), checked before the tuple
+    is compared with it, as nan and a radius above one are."""
+    h = {"n": 1, "cutoff": 1, "shape": [1, 1], "analytic": {"": [[[1.0, 0.0]]]},
+         "coanalytic": {"1": [[[0.5, 0.0]]]}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.array([[0.0, 0.3], [0.0, 0.0]]),)))
+    for radius in ("0", "-0.5", "nan", "1.5"):
+        code, err = run_on_json(["poisson", h, x, "--trunc", "2", "--radius", radius])
+        assert code == 3 and f"radius {float(radius)} outside (0, 1]" in err
+
+
 def test_selftest_list(capsys):
     code = cli.main(["selftest", "--list"])
     out = capsys.readouterr().out.split()

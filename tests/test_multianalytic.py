@@ -87,6 +87,22 @@ def test_structured_norm_restarts_from_a_negative_pivot():
     assert want > 1.1 * np.sqrt(2.0) + 0.1
 
 
+@pytest.mark.parametrize("n,m,p", [(2, 6, 2), (3, 4, 3)])
+def test_structured_norm_of_a_repeated_top_singular_value(n, m, p):
+    """f = sum c_w I_p with scalar c_w: f(S^(m)) is a scalar operator
+    tensored with I_p, so its top singular value has multiplicity p.  One
+    Lanczos run still reaches it, and the one factorisation certifies it."""
+    rng = np.random.default_rng(10 * n + m + p)
+    coeffs = {w: complex(rng.standard_normal(), rng.standard_normal()) * 0.3 * np.eye(p)
+              for w in GradedBasis(n, m).words}
+    f = FreeSeries(n, m, (p, p), coeffs)
+    sv = np.linalg.svd(eval_at_creation(f, m), compute_uv=False)
+    assert np.allclose(sv[:p], sv[0], rtol=1e-12, atol=0.0)
+    got = hinf_norm(f, m)
+    assert got.rtol == ma.NORM_RTOL and got.starts == 1
+    assert abs(got.value - sv[0]) <= 1e-12 * sv[0]
+
+
 def test_structured_norm_scales_exactly():
     """The series is rescaled by a power of two: tiny and huge data give
     the same value up to that scale."""

@@ -344,8 +344,11 @@ def test_eval_at_tests_the_analytic_part_first():
 def test_poisson_at_checks_in_order():
     h = halfz_example()
     x = OperatorTuple((np.array([[0.0, 0.4], [0.0, 0.0]]),))
+    for r in (0.0, -0.5, float("nan")):  # a radius <= 0 first
+        with pytest.raises(InputError, match=r"outside \(0, 1\]"):
+            ph.poisson_at(h, x, r, -1)
     with pytest.raises(ScopeError, match="below radius"):
-        ph.poisson_at(h, x, 0.4, -1)  # the row norm first
+        ph.poisson_at(h, x, 0.4, -1)  # then the row norm
     with pytest.raises(InputError, match="negative"):
         ph.poisson_at(h, x, 1.5, -1)  # then the truncation
     with pytest.raises(InputError, match="radius"):

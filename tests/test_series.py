@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from freefock import linalg
 from freefock import series as fs
 from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
-from freefock.linalg import kron, operator_norm
+from freefock.linalg import adjoint, kron, operator_norm
 from freefock.multianalytic import hinf_norm
 from freefock.words import GradedBasis, reverse
 
@@ -248,6 +249,27 @@ def test_random_series_draws_word_by_word():
         assert_storage(got, want)
         for w, c in want.items():
             assert np.array_equal(got.coeffs[w], c)
+
+
+def test_degree_slice_norm_is_the_gram_norm_at_any_scale():
+    """||sum_{|a|=k} A_a* A_a||^(1/2) without squaring: at 2^-600 the
+    Gram underflows and at 2^600 it overflows, yet the slice norm is the
+    Gram norm of the unscaled data times the scale; a slice whose norm
+    is above the largest float is inf, with no warning."""
+    rng = np.random.default_rng(11)
+    f = fs.random_series(rng, 2, 3, (2, 3), 0.4)
+    for k in (1, 2, 3):
+        gram = sum(adjoint(c) @ c for w, c in f.coeffs.items() if len(w) == k)
+        want = math.sqrt(np.linalg.eigvalsh(gram)[-1])
+        for e in (-600, 0, 600):
+            got = f.scale(2.0**e).degree_slice_norm(k)
+            assert abs(got - math.ldexp(want, e)) <= 1e-13 * math.ldexp(want, e)
+    assert f.degree_slice_norm(4) == 0.0
+    assert scalar_series(2, 1, {(1,): 1e-320}).degree_slice_norm(1) == 1e-320
+    big = scalar_series(2, 1, {(1,): 1.5e308, (2,): 1.5e308j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert big.degree_slice_norm(1) == math.inf
 
 
 def test_word_codes_past_int64():
