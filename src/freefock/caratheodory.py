@@ -154,7 +154,7 @@ def _inv_sqrt_psd(a, reg):
     return (v / np.sqrt(w)) @ adjoint(v)
 
 
-def cayley_route(prob, reg_eps=None, tol=1e-9):
+def cayley_route(prob, reg_eps=None):
     """Reduce a feasible problem to Caratheodory-Fejer data.
 
     Normalizes by (b_0 + eps I)^(-1/2) on both sides and takes the
@@ -163,7 +163,7 @@ def cayley_route(prob, reg_eps=None, tol=1e-9):
     they define is a contraction up to 1e-9 whenever the data is feasible,
     as multianalytic.hinf_norm_exceeds checks.
     """
-    _require_feasible(prob, tol)
+    _require_feasible(prob, 1e-9)
     b0 = prob.data.constant_term()
     if reg_eps is None:
         reg_eps = 1e-10 * (1.0 + operator_norm(b0))
@@ -183,7 +183,7 @@ class CFReport:
     tol: float
 
 
-def cf_check(prob, tol=1e-9):
+def cf_check(prob):
     """Solvability criterion ||A_m|| <= 1 for the CF problem, with A_m the
     multi-analytic matrix [A_{a,b}] (block (a, b) is A_{a \\_l b} when
     a >=_l b): the right-translation sum sum_a A_a (x) (e_b -> e_{b a}),
@@ -192,14 +192,14 @@ def cf_check(prob, tol=1e-9):
     series, whose norm multianalytic.hinf_norm gives: the dense SVD up to
     NORM_DENSE_DIM, certified_norm above."""
     nrm = hinf_norm(prob.data.reversed(), prob.m).value
-    return CFReport(nrm, nrm <= 1.0 + tol, tol)
+    return CFReport(nrm, nrm <= 1.0 + 1e-9, 1e-9)
 
 
-def cf_to_caratheodory(prob, tol=1e-9):
+def cf_to_caratheodory(prob):
     """Lift CF data to a feasible Caratheodory problem at degree m + 1:
     the forward Cayley transform of the series sum_a A_a Z_{g1 a}, with
     b_0 = I."""
-    report = cf_check(prob, tol)
+    report = cf_check(prob)
     if not report.within:
         raise InfeasibleError(f"CF norm {report.norm:.6f} exceeds 1")
     # code(g1 a) = code(a): degree k of the data is degree k + 1 of the shift
@@ -209,21 +209,26 @@ def cf_to_caratheodory(prob, tol=1e-9):
     return CaratheodoryProblem(g + FreeSeries.one(prob.n, prob.m + 1, p))
 
 
+# Every check of verify_solution holds to this absolute tolerance.
+VERIFY_TOL = 1e-8
+
+
 @dataclass
 class VerificationReport:
     passed: bool
     checks: dict  # name -> (ok, value)
 
 
-def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
+def verify_solution(prob, ext, samples=20, seed=0):
     """Independent certificate of an extension: exact reproduction of the
     prescribed coefficients, positivity of T_M, positivity of Re g at
     random jointly nilpotent tuples (g has constant b_0 / 2), and the
     per-degree coefficient bound against ||b_0||.
 
     T_M's positivity is the one extend computed for this same series
-    object, when that record decides it at tol; any other series, such as
-    a corrupted copy under the original certificate, is computed fresh.
+    object, when that record decides it at VERIFY_TOL; any other series,
+    such as a corrupted copy under the original certificate, is computed
+    fresh.
     The samples are drawn in order, then g (the extension's blocks and
     b_0 / 2) is one fock.word_sum per chunk of stacked samples, each g the
     same bits as alone.  A chunk takes as many samples as fit in
@@ -240,10 +245,10 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     checks["prescribed_exact"] = (dev == 0.0, dev)
 
     source, tm = ext.tm or (None, None)
-    ok = tm.verdict(tol) if source is f else None
+    ok = tm.verdict(VERIFY_TOL) if source is f else None
     if ok is None:
-        tm = tm_positivity(f, tol)
-        ok = tm.verdict(tol)
+        tm = tm_positivity(f, VERIFY_TOL)
+        ok = tm.verdict(VERIFY_TOL)
     checks["extension_psd"] = (ok, tm.min_eig)
 
     rng = np.random.default_rng(seed)
@@ -258,11 +263,11 @@ def verify_solution(prob, ext, samples=20, seed=0, tol=1e-8):
     for lo in range(0, samples, chunk):
         g = word_sum(tuples[lo:lo + chunk].swapaxes(0, 1), p, [terms])[0]
         worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min()))
-    checks["nilpotent_positive"] = (worst >= -tol, worst)
+    checks["nilpotent_positive"] = (worst >= -VERIFY_TOL, worst)
 
     slices = (f.degree_slice_norm(k) for k in range(1, M + 1))
     worst_slice = max(slices, default=0.0)
-    checks["coefficient_bound"] = (worst_slice <= operator_norm(b0) + tol, worst_slice)
+    checks["coefficient_bound"] = (worst_slice <= operator_norm(b0) + VERIFY_TOL, worst_slice)
 
     return VerificationReport(all(ok for ok, _ in checks.values()), checks)
 

@@ -71,15 +71,15 @@ def operator_norm(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def check_hermitian(a, rtol=HERM_RTOL):
-    """a if ||a - a*||_F <= rtol (1 + ||a||_F), tested on a / max|a_ij|."""
+def check_hermitian(a):
+    """a if ||a - a*||_F <= HERM_RTOL (1 + ||a||_F), tested on a / max|a_ij|."""
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix {a.shape} is not square")
     top = max(float(np.max(np.abs(a), initial=0.0)), np.finfo(float).tiny)
     u = a / top
     dev = np.linalg.norm(u - adjoint(u))
-    if dev > rtol * (1.0 / top + np.linalg.norm(u)):
+    if dev > HERM_RTOL * (1.0 / top + np.linalg.norm(u)):
         raise ScopeError(f"matrix is not Hermitian within tolerance (dev={dev * top:.3e})")
     return a
 
@@ -89,16 +89,16 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns
 
 
-def eigh_hermitian(a, rtol=HERM_RTOL):
+def eigh_hermitian(a):
     """Eigendecomposition of the Hermitian part of a (checked)."""
-    a = check_hermitian(a, rtol)
+    a = check_hermitian(a)
     return HermitianEig(*np.linalg.eigh((a + adjoint(a)) / 2.0))
 
 
-def min_eig_hermitian(a, rtol=HERM_RTOL):
+def min_eig_hermitian(a):
     """Smallest eigenvalue of (A + A*)/2; rejects non-Hermitian input.
     Eigenvalues only: no eigenvectors are computed."""
-    a = check_hermitian(a, rtol)
+    a = check_hermitian(a)
     return float(np.linalg.eigvalsh((a + adjoint(a)) / 2.0)[0])
 
 
@@ -115,8 +115,8 @@ def hermitian_sqrt(a, clamp=1e-12):
     return (v * w) @ adjoint(v)
 
 
-def solve(a, b, rtol=1e-9):
-    """Solve AX = B with a residual check at rtol * ||B||_F."""
+def solve(a, b):
+    """Solve AX = B with a residual check at 1e-9 ||B||_F."""
     a = as_cmatrix(a)
     b = as_cmatrix(b)
     if a.shape[0] != a.shape[1]:
@@ -126,9 +126,9 @@ def solve(a, b, rtol=1e-9):
     except np.linalg.LinAlgError as exc:
         raise ScopeError(f"singular system: {exc}") from exc
     resid = np.linalg.norm(a @ x - b)
-    if not np.isfinite(resid) or resid > rtol * max(np.linalg.norm(b), 1e-300):
+    if not np.isfinite(resid) or resid > 1e-9 * max(np.linalg.norm(b), 1e-300):
         raise ScopeError(
-            f"solve residual {resid:.3e} exceeds {rtol:.1e} * ||B||; "
+            f"solve residual {resid:.3e} exceeds 1e-9 ||B||; "
             "system is singular to working tolerance"
         )
     return x

@@ -6,9 +6,9 @@ mean-value, and multi-Toeplitz checks.
 Every value at a tuple is one ``fock.word_sum`` of both parts on one
 tree: ``value_at`` unscoped, ``eval_at`` after ``series.eval_scope``, and
 ``poisson_at`` with a right factor per degree.  ``check_positive`` tests
-h(S^(m)), the multi-Toeplitz T_m of the analytic part, at every level
-through ``toeplitz.tm_positivity``, which picks the dense or the
-factored path.
+h(S^(m)), the multi-Toeplitz T_m of the analytic part, for every m <=
+m_max by one ``toeplitz.tm_positivity`` call at m_max (the lower levels
+are principal submatrices), which picks the dense or the factored path.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ def real_part(f):
     return PluriharmonicFn(half + constant, half.adjoint())
 
 
-def eval_at(h, X, jsr_depth=None):
+def eval_at(h, X):
     """Evaluate h at an operator tuple; the scope rules of series.eval_at,
     one jsr estimate for both parts, the analytic part's radius test first."""
-    eval_scope((h.analytic, h.coanalytic.adjoint()), X, jsr_depth)
+    eval_scope((h.analytic, h.coanalytic.adjoint()), X)
     return value_at(h, X)
 
 
@@ -137,25 +137,17 @@ def pluriharmonic_poisson_kernel(ft, X):
 # -- checks ------------------------------------------------------------------
 
 
-@dataclass
-class PositivityReport:
-    passed: bool
-    levels: list  # toeplitz.TmPositivity of h(S^(m)), m = 0, 1, ..., m_max
-    m_max: int
-    tol: float
-
-
 def check_positive(h, m_max, tol):
-    """h(S^(m)) >= -tol I for every m <= m_max; positive pluriharmonic
-    functions pass at every truncation level.  h is selfadjoint, so
-    h(S^(m)) is T_m of the analytic part, and each level is one
-    toeplitz.tm_positivity record."""
+    """h(S^(m)) >= -tol I for every m <= m_max, decided at m_max alone:
+    h is selfadjoint, so h(S^(m)) is T_m of the analytic part, a principal
+    submatrix of T_{m_max}, and by Cauchy interlacing lambda_min(T_m) >=
+    lambda_min(T_{m_max}).  The toeplitz.tm_positivity record of T_{m_max}
+    gives the verdict for every level and its min_eig is their minimum."""
     if not h.is_selfadjoint():
         raise InputError("positivity check needs a selfadjoint function")
     if m_max < 0:
         raise InputError(f"truncation level {m_max} is negative")
-    levels = [tm_positivity(h.analytic, tol, m) for m in range(m_max + 1)]
-    return PositivityReport(all(t.feasible for t in levels), levels, m_max, tol)
+    return tm_positivity(h.analytic, tol, m_max)
 
 
 @dataclass

@@ -48,12 +48,11 @@ def _random_vector(rng, ft, max_degree):
     return v / np.linalg.norm(v)
 
 
-def _positive_functional(rng, n, deg, cutoff=None, pairs=2):
+def _positive_functional(rng, n, deg, pairs=2):
     """Random positive vector-state functional with full moment support."""
-    cutoff = deg if cutoff is None else cutoff
-    ft = FockTrunc(n, deg + cutoff)
+    ft = FockTrunc(n, 2 * deg)
     draws = [(float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg)) for _ in range(pairs)]
-    return tr.from_vector_states(ft, [(w, xi, xi) for w, xi in draws], cutoff)
+    return tr.from_vector_states(ft, [(w, xi, xi) for w, xi in draws], deg)
 
 
 # -- suites -------------------------------------------------------------------
@@ -235,7 +234,7 @@ def suite_harnack_and_coefficients(rng):
         deg = 1 + k % 2
         mu = _positive_functional(rng, n, deg, pairs=2)
         h = tr.poisson_pluriharmonic(mu)
-        if not ph.check_positive(h, 4, 1e-9).passed:
+        if not ph.check_positive(h, 4, 1e-9).feasible:
             failures.append("positivity")
         for r in (0.25, 0.5):
             samples = [
@@ -344,7 +343,7 @@ def _chain_vector(rng, ft, deg):
     return v / np.linalg.norm(v)
 
 
-def generate_feasible_problem(rng, n, m, margin=0.02):
+def generate_feasible_problem(rng, n, m):
     """Scalar feasible instance: moments of a positive vector-state
     functional truncated at length m, with a small b_0 boost.
 
@@ -363,7 +362,7 @@ def generate_feasible_problem(rng, n, m, margin=0.02):
     mu = tr.from_vector_states(ft, [(w, v, v) for w, v in pairs], m)
     a = tr.poisson_pluriharmonic(mu).analytic
     a0 = a.constant_term()
-    coeffs = {(): a0 + margin * operator_norm(a0) * np.eye(1)}
+    coeffs = {(): a0 + 0.02 * operator_norm(a0) * np.eye(1)}
     coeffs.update((w, c) for w, c in a.coeffs.items() if w)
     return cara.CaratheodoryProblem(fs.FreeSeries(n, m, (1, 1), coeffs))
 

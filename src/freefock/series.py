@@ -412,7 +412,7 @@ class EvalReport:
     jsr: JsrEstimate
 
 
-def eval_report(f, X, jsr_depth=None):
+def eval_report(f, X):
     """Evaluate f at an operator tuple, with scope control.
 
     Jointly nilpotent arguments are always in scope; the sum is exact
@@ -422,14 +422,14 @@ def eval_report(f, X, jsr_depth=None):
     extrapolating the growth of the stored coefficients; it bounds the
     true tail only when the unstored slices grow no faster.
     """
-    est, radii = eval_scope([f], X, jsr_depth)
+    est, radii = eval_scope([f], X)
     out = word_sum(X.stack, f.shape[0], [f.blocks])[0, 0]
     exact = est.nilpotent_order is not None and est.nilpotent_order <= f.cutoff + 1
     tail = 0.0 if exact else _eval_tail(f, X, radii[0] if radii else _radius(f))
     return EvalReport(out, exact, tail, est)
 
 
-def eval_scope(parts, X, jsr_depth=None):
+def eval_scope(parts, X):
     """eval_report's scope test for series of one n, cutoff and square shape:
     one jsr estimate, then, unless X is nilpotent, each part's radius test
     in order.  Returns the estimate and the radius estimates it made."""
@@ -438,7 +438,7 @@ def eval_scope(parts, X, jsr_depth=None):
         raise InputError("evaluation needs square coefficients")
     if X.n != f.n:
         raise InputError(f"tuple has {X.n} operators, series expects {f.n}")
-    est = jsr_estimate(X, jsr_depth if jsr_depth is not None else max(X.dim, f.cutoff + 1))
+    est = jsr_estimate(X, max(X.dim, f.cutoff + 1))
     radii = []
     if est.nilpotent_order is None:
         for g in parts:
@@ -471,9 +471,9 @@ def _eval_tail(f, X, rad):
             return total
 
 
-def eval_at(f, X, jsr_depth=None):
+def eval_at(f, X):
     """sum_a A_a (x) X_a (coefficient-major); see eval_report for scope."""
-    return eval_report(f, X, jsr_depth).value
+    return eval_report(f, X).value
 
 
 def eval_at_creation(f, m):
@@ -509,15 +509,15 @@ def check_multi_analytic(Y, ft, tol=1e-10):
     return p
 
 
-def truncated_cayley(Y, direction, ft, tol=1e-10):
+def truncated_cayley(Y, direction, ft):
     """Cayley transform of a multi-analytic operator with zero constant
     term on C^p (x) P^(m): forward Y(I-Y)^(-1) = Y + ... + Y^m, inverse
     Y(I+Y)^(-1) = Y - Y^2 + ... +- Y^m.  Finite sums by nilpotency."""
     if direction not in ("forward", "inverse"):
         raise InputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    p = check_multi_analytic(Y, ft, tol)
+    p = check_multi_analytic(Y, ft)
     constant = Y.reshape(p, ft.dim, p, ft.dim)[:, 0, :, 0]
-    if operator_norm(constant) > tol * (1.0 + np.linalg.norm(Y)):
+    if operator_norm(constant) > 1e-10 * (1.0 + np.linalg.norm(Y)):
         raise InputError("operator has a nonzero constant term")
     out = np.zeros_like(Y)
     power = np.eye(Y.shape[0], dtype=complex)

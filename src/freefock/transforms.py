@@ -118,11 +118,11 @@ def herglotz_transform(mu, X):
     return 2.0 * fantappie_transform(mu, X) - kron(mu.unit, np.eye(X.dim))
 
 
-def herglotz_from_isometries(V, W, X, im_part, domain_projection=None, tol=1e-10):
+def herglotz_from_isometries(V, W, X, im_part, domain_projection=None):
     """Stinespring form of a Herglotz transform:
     (W* (x) I)[2 (I - sum V_i* (x) X_i)^(-1) - I](W (x) I) + i Im (x) I.
 
-    The V_i must satisfy V_i* V_j = d_ij I to ``tol``, compressed by
+    The V_i must satisfy V_i* V_j = d_ij I to 1e-10, compressed by
     ``domain_projection`` when given (truncated creation operators are
     isometric only below the top degree)."""
     q = V.dim
@@ -132,7 +132,7 @@ def herglotz_from_isometries(V, W, X, im_part, domain_projection=None, tol=1e-10
             dev = adjoint(vi) @ vj - (eye_q if i == j else 0.0)
             if domain_projection is not None:
                 dev = domain_projection @ dev @ domain_projection
-            if operator_norm(dev) > tol:
+            if operator_norm(dev) > 1e-10:
                 raise ScopeError(
                     f"V_{i+1}* V_{j+1} deviates from isometry relations by "
                     f"{operator_norm(dev):.3e}"
@@ -168,9 +168,9 @@ def kernel_from_series(f):
 
 @dataclass
 class EquivalenceReport:
-    radial_positive: bool  # A_r >= 0 over the r grid and truncation levels
+    radial_positive: bool  # A_r >= 0 over the r grid and levels m <= m_max
     kernel_positive: bool  # the divisibility kernel is PSD
-    creation_positive: bool  # Re f(S^(m)) >= 0 for every tested m
+    creation_positive: bool  # Re f(S^(m)) >= 0 for every m <= m_max
     min_eigs: dict
     tol: float
 
@@ -185,32 +185,27 @@ class EquivalenceReport:
 
 def positivity_equivalence_check(f, m_max, r_grid, tol=1e-8):
     """Evaluate the three finite positivity predicates for Re f >= 0 and
-    report whether they agree: radial compressions A_r over an r grid,
-    the divisibility kernel, and Re f at the compressed creations."""
+    report whether they agree: the radial compressions A_r = Re f_r(R^(m))
+    over an r grid in [0, 1] and Re f(S^(m)), for every m <= m_max, and
+    the divisibility kernel.  The level-m matrices are principal
+    submatrices of the level-m_max ones, so by Cauchy interlacing m_max
+    alone decides every level and gives the smallest eigenvalue."""
     if not f.is_square():
         raise InputError("positivity check needs square coefficients")
-    p = f.shape[0]
-    a0 = f.coefficient(())
-    half_diag = (a0 + adjoint(a0)) / 2.0
+    if m_max < 0:
+        raise InputError(f"truncation level {m_max} is negative")
+    if len(r_grid) == 0 or not all(0.0 <= r <= 1.0 for r in r_grid):
+        raise InputError(f"radius grid {list(r_grid)} is empty or leaves [0, 1]")
+
+    def real_part_min(e):  # lambda_min((e + e*) / 2)
+        return min_eig_hermitian((e + adjoint(e)) / 2.0)
 
     # R_w appends reverse(w), so each coefficient sits at its reversed word
-    rest = f.without_constant().reversed()
-    radial_min = math.inf
-    for r in r_grid:
-        scaled = rest.radial(r, 0.5)
-        lower = {**scaled.blocks, 0: (np.zeros(1, np.int64), half_diag[None])}
-        upper = scaled.adjoint().blocks
-        for m in range(m_max + 1):
-            ar = shift_sum(f.n, m, p, lower, upper, append=True)
-            radial_min = min(radial_min, min_eig_hermitian(ar))
-
+    radial = (shift_sum(f.n, m_max, f.shape[0], f.radial(r).reversed().blocks, append=True)
+              for r in r_grid)
+    radial_min = min(map(real_part_min, radial))
     kernel_min = float(np.linalg.eigvalsh(kernel_from_series(f))[0])
-
-    creation_min = math.inf
-    for m in range(m_max + 1):
-        e = eval_at_creation(f, m)
-        creation_min = min(creation_min, min_eig_hermitian((e + adjoint(e)) / 2.0))
-
+    creation_min = real_part_min(eval_at_creation(f, m_max))
     eigs = {"radial": radial_min, "kernel": kernel_min, "creation": creation_min}
     return EquivalenceReport(
         radial_min >= -tol, kernel_min >= -tol, creation_min >= -tol, eigs, tol

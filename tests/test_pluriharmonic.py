@@ -150,23 +150,23 @@ def test_pluriharmonic_poisson_kernel_nilpotent_outside_ball():
 
 
 def test_check_positive():
-    rep = ph.check_positive(halfz_example(), 4, 1e-9)
-    min_eigs = [t.min_eig for t in rep.levels]
-    assert rep.passed and len(min_eigs) == 5
+    reps = [ph.check_positive(halfz_example(), m, 1e-9) for m in range(5)]
+    assert all(t.feasible for t in reps)
     # min eigs decrease as the truncation grows (compressions nest)
+    min_eigs = [t.min_eig for t in reps]
     assert all(a >= b - 1e-12 for a, b in zip(min_eigs, min_eigs[1:]))
 
     # 1 + (Z + Z*) sits exactly on the boundary at the m = 1 level
     boundary = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): ONE})
     rep = ph.check_positive(boundary, 1, 1e-12)
-    assert rep.passed and rep.levels[1].min_eig == pytest.approx(0.0, abs=1e-14)
+    assert rep.feasible and rep.min_eig == pytest.approx(0.0, abs=1e-14)
 
     over = symbol(1, 1, {(): ONE, (1,): 1.01 * ONE}, {(1,): 1.01 * ONE})
-    rep = ph.check_positive(over, 2, 1e-9)
-    assert not rep.passed and rep.levels[1].min_eig < -1e-3
+    assert not ph.check_positive(over, 2, 1e-9).feasible
+    assert ph.check_positive(over, 1, 1e-9).min_eig < -1e-3
 
     const = symbol(2, 0, {(): 2.0 * ONE}, {})
-    assert ph.check_positive(const, 3, 0.0).passed
+    assert ph.check_positive(const, 3, 0.0).feasible
 
     skew = symbol(1, 1, {(): ONE, (1,): ONE}, {(1,): -ONE})
     with pytest.raises(InputError):
@@ -179,22 +179,57 @@ def test_check_positive_across_the_dense_threshold():
     negative from m = 6.  At n = 2, p = 1 the levels of side d_m <=
     DENSE_DIM (m <= 8) carry the dense min_eig, level 9 a bracket of it
     (min_eig_atol), and every verdict is that of the dense h(S^(m)) built
-    from both parts."""
+    from both parts.  The level-9 record lies below every level's dense
+    min eig (interlacing) and gives the all-levels verdict."""
     a, b = 0.3288, 0.4384j
     h = symbol(2, 1, {(): ONE, (1,): a * ONE, (2,): b * ONE},
                {(1,): np.conj(a) * ONE, (2,): np.conj(b) * ONE})
     tol = 1e-9
-    rep = ph.check_positive(h, 9, tol)
-    assert len(rep.levels) == 10 and not rep.passed
-    dense = [t.min_eig_atol is None for t in rep.levels]
+    reps = [ph.check_positive(h, m, tol) for m in range(10)]
+    dense = [t.min_eig_atol is None for t in reps]
     assert dense == [2 ** (m + 1) - 1 <= tp.DENSE_DIM for m in range(10)]
     assert dense == [True] * 9 + [False]
-    want = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) >= -tol for m in range(10)]
-    assert [t.feasible for t in rep.levels] == want == [True] * 6 + [False] * 4
-    for m, t in enumerate(rep.levels):
+    lams = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) for m in range(10)]
+    want = [lam >= -tol for lam in lams]
+    assert [t.feasible for t in reps] == want == [True] * 6 + [False] * 4
+    for m, t in enumerate(reps):
         lam = 1 - 1.096 * np.cos(np.pi / (m + 2))
         assert t.min_eig - 1e-12 <= lam <= t.min_eig + (t.min_eig_atol or 0.0) + 1e-12
-    assert rep.levels[9].min_eig_atol <= tp.MIN_EIG_RTOL * 2.1
+    assert reps[9].min_eig_atol <= tp.MIN_EIG_RTOL * 2.1
+    assert all(reps[9].min_eig <= lam + 1e-12 * (1 + 1.096) for lam in lams)  # ||h|| <= 1 + 2 r
+    assert reps[9].feasible == all(want)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_check_positive_decides_every_level_at_the_top(n, p):
+    """h(S^(m)) for m <= m_max is a principal submatrix of h(S^(m_max)),
+    so by Cauchy interlacing the one record of level m_max lies below the
+    dense min eig of every level, equals their minimum at the dense sizes,
+    and its verdict is the all-levels verdict away from the boundary."""
+    rng = np.random.default_rng(70 + 10 * n + p)
+    tol, verdicts = 1e-9, set()
+    for m_max in range(5):
+        for scale in (0.1, 0.5, 2.0):
+            f = fs.random_series(rng, n, 2, (p, p), scale=scale, min_degree=1)
+            h = ph.real_part(f + fs.FreeSeries(n, 2, (p, p), {(): 2.0 * np.eye(p)}))
+            rep = ph.check_positive(h, m_max, tol)
+            lams = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) for m in range(m_max + 1)]
+            top = 1.0 + operator_norm(ph.radial_boundary(h, 1.0, m_max))
+            assert rep.min_eig_atol is None  # every side here is dense
+            assert all(rep.min_eig <= lam + 1e-12 * top for lam in lams)
+            assert abs(rep.min_eig - min(lams)) <= 1e-12 * top
+            if abs(min(lams) + tol) > 1e-10:
+                assert rep.feasible == (min(lams) >= -tol)
+            verdicts.add(rep.feasible)
+    assert verdicts == {True, False}
+
+
+def test_check_positive_makes_one_tm_positivity_call(monkeypatch):
+    calls = []
+    real = ph.tm_positivity
+    monkeypatch.setattr(ph, "tm_positivity", lambda f, tol, m: calls.append(m) or real(f, tol, m))
+    assert ph.check_positive(halfz_example(), 6, 1e-9).feasible
+    assert calls == [6]
 
 
 def test_check_positive_rejects_a_negative_level():

@@ -219,6 +219,33 @@ def test_positivity_equivalence_check():
     assert rep.agree and not rep.all_positive
 
 
+def test_positivity_equivalence_check_rejects_vacuous_input():
+    """Z_1 is indefinite; an empty grid or a negative level would report
+    its predicates positive over nothing, a radius outside [0, 1] (nan
+    too) has no compression."""
+    f = fs.FreeSeries(1, 1, (1, 1), {(1,): ONE})
+    for grid in ([], [-3.0, np.nan], [np.nan], [0.5, 1.5], [-0.1]):
+        with pytest.raises(InputError, match="radius grid"):
+            tr.positivity_equivalence_check(f, 1, grid)
+    with pytest.raises(InputError, match="level -1"):
+        tr.positivity_equivalence_check(f, -1, [0.5])
+    rep = tr.positivity_equivalence_check(f, 1, [0.0, 1.0])  # both ends are radii
+    assert rep.agree and not rep.all_positive
+
+
+def test_positivity_equivalence_check_eigensolves_once_per_matrix(monkeypatch):
+    """One dense eigensolve per radius, one for the kernel and one for
+    Re f(S^(m_max)): no level below m_max is built."""
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
+    f = fs.FreeSeries(2, 2, (1, 1), {(): ONE, (1,): 0.3 * ONE, (2, 1): 0.2j * ONE})
+    grid = [0.3, 0.7, 0.95]
+    rep = tr.positivity_equivalence_check(f, 3, grid)
+    assert rep.agree and rep.all_positive
+    assert calls == [15] * len(grid) + [7, 15]
+
+
 def test_fejer_check():
     ft = FockTrunc(1, 2)
     xi = two_point_state(ft)
@@ -283,8 +310,7 @@ def test_poisson_pluriharmonic():
     mu = tr.from_vector_states(ft, [(1.0, v, v)], 2)
     h = tr.poisson_pluriharmonic(mu)
     assert h.is_selfadjoint(tol=1e-10)
-    rep = ph.check_positive(h, 4, 1e-9)
-    assert rep.passed
+    assert ph.check_positive(h, 4, 1e-9).feasible
 
 
 def test_poisson_transform_of_builds_one_tree(monkeypatch):
