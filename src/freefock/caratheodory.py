@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
 from .fock import random_nilpotent_tuple, word_sum
-from .linalg import (adjoint, check_entries, check_hermitian, eigh_hermitian,
-                     min_eig_hermitian, operator_norm)
+from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm, hinf_norm_exceeds
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
-from .toeplitz import DENSE_DIM, schur_factor, tm_positivity
+from .toeplitz import schur_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
 
@@ -54,10 +53,10 @@ class CaratheodoryProblem:
         if not b0.any():
             raise InputError("missing constant coefficient b_0")
         try:
-            check_hermitian(b0)
+            psd = min_eig_hermitian(b0) >= -1e-12
         except ScopeError as exc:
             raise InputError(f"b_0 must be Hermitian: {exc}") from exc
-        if min_eig_hermitian(b0) < -1e-12:
+        if not psd:
             raise InputError("b_0 must be positive semidefinite")
 
     n = property(lambda self: self.data.n)
@@ -212,6 +211,9 @@ def cf_to_caratheodory(prob):
 # Every check of verify_solution holds to this absolute tolerance.
 VERIFY_TOL = 1e-8
 
+# Word-product entries (1 MB complex) verify_solution evaluates at once.
+VERIFY_CHUNK_ENTRIES = 2**16
+
 
 @dataclass
 class VerificationReport:
@@ -232,9 +234,9 @@ def verify_solution(prob, ext, samples=20, seed=0):
     The samples are drawn in order, then g (the extension's blocks and
     b_0 / 2) is one fock.word_sum per chunk of stacked samples, each g the
     same bits as alone.  A chunk takes as many samples as fit in
-    min(d p, DENSE_DIM)^2 entries of products of all d words, the dense
-    T_M's size at or below DENSE_DIM, but at least one: a sample holds up
-    to d (M + 1)^2 entries (7.4M at n = 2, M = 14), checked by word_sum."""
+    VERIFY_CHUNK_ENTRIES entries of products of all d words, but at least
+    one: a sample holds up to d (M + 1)^2 entries (7.4M at n = 2, M = 14),
+    checked by word_sum."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
@@ -258,7 +260,7 @@ def verify_solution(prob, ext, samples=20, seed=0):
         random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95))).matrices
         for _ in range(samples)
     ])
-    chunk = max(1, min(tm.matrix_dim, DENSE_DIM) ** 2 // (word_count(prob.n, M) * (M + 1) ** 2))
+    chunk = max(1, VERIFY_CHUNK_ENTRIES // (word_count(prob.n, M) * (M + 1) ** 2))
     worst = np.inf
     for lo in range(0, samples, chunk):
         g = word_sum(tuples[lo:lo + chunk].swapaxes(0, 1), p, [terms])[0]

@@ -150,7 +150,7 @@ def cmd_selftest(args):
         for name, _ in selftest.SUITES:
             print(name)
         return EXIT_OK
-    ok = selftest.run_all(seed=args.seed, report=functools.partial(print, flush=True))
+    ok = selftest.run_all(seed=args.seed)
     return EXIT_OK if ok else EXIT_SCOPE
 
 

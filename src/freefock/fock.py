@@ -327,10 +327,11 @@ def reconstruction_operator(ft, X):
 
 
 def berezin_kernel(ft, X):
-    """B_X = (I (x) Delta_X)(I - R_X)^(-1), dense."""
+    """B_X = (I (x) Delta_X)(I - R_X)^(-1), dense, Delta_X applied blockwise."""
     _check_tuple(ft, X)
     _check_strict_ball(X)
-    return kron(np.eye(ft.dim, dtype=complex), delta_defect(X)) @ dense_resolvent(ft, X)
+    R = dense_resolvent(ft, X)
+    return np.matmul(delta_defect(X), R.reshape(ft.dim, X.dim, -1)).reshape(R.shape)
 
 
 def poisson_kernel(ft, X):
@@ -490,6 +491,7 @@ def isometric_dilation(T, N):
     # row_norm <= 1 + 1e-12 can leave eigenvalues ~ -2e-12; clamp them
     D = hermitian_sqrt(G, clamp=1e-10)
     total = p + ft.dim * n * p
+    check_size(total, total, "isometric dilation")
     out = []
     for i in range(1, n + 1):
         V = np.zeros((total, total), dtype=complex)

@@ -7,8 +7,6 @@ residual-checked solves.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InputError, ScopeError, SizeLimitError
@@ -72,7 +70,8 @@ def operator_norm(a):
 
 
 def check_hermitian(a):
-    """a if ||a - a*||_F <= HERM_RTOL (1 + ||a||_F), tested on a / max|a_ij|."""
+    """The Hermitian part (a + a*)/2 of a square matrix a, checked first:
+    ||a - a*||_F <= HERM_RTOL (1 + ||a||_F), tested on a / max|a_ij|."""
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix {a.shape} is not square")
@@ -81,25 +80,19 @@ def check_hermitian(a):
     dev = np.linalg.norm(u - adjoint(u))
     if dev > HERM_RTOL * (1.0 / top + np.linalg.norm(u)):
         raise ScopeError(f"matrix is not Hermitian within tolerance (dev={dev * top:.3e})")
-    return a
-
-
-class HermitianEig(NamedTuple):
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns
+    return (a + adjoint(a)) / 2.0
 
 
 def eigh_hermitian(a):
-    """Eigendecomposition of the Hermitian part of a (checked)."""
-    a = check_hermitian(a)
-    return HermitianEig(*np.linalg.eigh((a + adjoint(a)) / 2.0))
+    """(eigenvalues ascending, unitary eigenvector columns) of the Hermitian
+    part of a (checked)."""
+    return np.linalg.eigh(check_hermitian(a))
 
 
 def min_eig_hermitian(a):
     """Smallest eigenvalue of (A + A*)/2; rejects non-Hermitian input.
     Eigenvalues only: no eigenvectors are computed."""
-    a = check_hermitian(a)
-    return float(np.linalg.eigvalsh((a + adjoint(a)) / 2.0)[0])
+    return float(np.linalg.eigvalsh(check_hermitian(a))[0])
 
 
 def hermitian_sqrt(a, clamp=1e-12):

@@ -47,13 +47,13 @@ class PluriharmonicFn:
             raise InputError("co-analytic coefficients start at degree 1; no constant term")
         self.n, self.cutoff, self.shape, self.p = a.n, a.cutoff, a.shape, a.shape[0]
 
-    def is_selfadjoint(self, tol=1e-12):
-        """A_0 is Hermitian and B_a = A_a* word by word, each to tol (1 + ||A_0||)."""
+    def is_selfadjoint(self):
+        """A_0 is Hermitian and B_a = A_a* word by word, each to 1e-12 (1 + ||A_0||)."""
         a0 = self.analytic.constant_term()
-        scale = 1.0 + operator_norm(a0)
+        tol = 1e-12 * (1.0 + operator_norm(a0))
         gap = self.coanalytic - self.analytic.without_constant().adjoint()
-        return operator_norm(a0 - adjoint(a0)) <= tol * scale and all(
-            operator_norm(c) <= tol * scale for _, block in gap.blocks.values() for c in block
+        return operator_norm(a0 - adjoint(a0)) <= tol and all(
+            operator_norm(c) <= tol for _, block in gap.blocks.values() for c in block
         )
 
 
@@ -128,9 +128,9 @@ def pluriharmonic_poisson_kernel(ft, X):
     fock.dense_resolvent is exact; in scope are the open ball and, where
     the infinite sums terminate, the jointly nilpotent tuples.
     """
-    inv = dense_resolvent(ft, X)
     if X.row_norm >= 1.0 - 1e-12 and jsr_estimate(X, max(X.dim, 1)).nilpotent_order is None:
         raise ScopeError(f"row norm {X.row_norm:.4f} >= 1 and tuple is not nilpotent")
+    inv = dense_resolvent(ft, X)
     return inv + adjoint(inv) - np.eye(len(inv), dtype=complex)
 
 
@@ -156,9 +156,9 @@ class CoefficientBoundReport:
     rows: list  # (degree, slice_norm, bound)
 
 
-def coefficient_bound_check(h, tol=1e-9):
-    """|| sum_{|a|=k} A_a* A_a ||^(1/2) <= ||A_0|| for each degree."""
-    bound = operator_norm(h.analytic.constant_term()) + tol
+def coefficient_bound_check(h):
+    """|| sum_{|a|=k} A_a* A_a ||^(1/2) <= ||A_0|| + 1e-9 for each degree."""
+    bound = operator_norm(h.analytic.constant_term()) + 1e-9
     rows = [(k, h.analytic.degree_slice_norm(k), bound) for k in range(1, h.cutoff + 1)]
     return CoefficientBoundReport(all(lhs <= b for _, lhs, b in rows), rows)
 
@@ -170,11 +170,11 @@ class HarnackReport:
     values: list
 
 
-def harnack_check(h, samples, r, tol=1e-9):
-    """||h(X)|| <= ||A_0|| (1+r)/(1-r) on nilpotent samples of norm <= r."""
+def harnack_check(h, samples, r):
+    """||h(X)|| <= ||A_0|| (1+r)/(1-r) + 1e-9 on nilpotent samples of norm <= r."""
     if not 0.0 <= r < 1.0:
         raise InputError(f"radius {r} outside [0, 1)")
-    bound = operator_norm(h.analytic.constant_term()) * (1.0 + r) / (1.0 - r) + tol
+    bound = operator_norm(h.analytic.constant_term()) * (1.0 + r) / (1.0 - r) + 1e-9
     values = []
     for X in samples:
         if X.row_norm > r + 1e-12:

@@ -48,10 +48,10 @@ def _random_vector(rng, ft, max_degree):
     return v / np.linalg.norm(v)
 
 
-def _positive_functional(rng, n, deg, pairs=2):
-    """Random positive vector-state functional with full moment support."""
+def _positive_functional(rng, n, deg):
+    """Random positive vector-state functional of two states with full moment support."""
     ft = FockTrunc(n, 2 * deg)
-    draws = [(float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg)) for _ in range(pairs)]
+    draws = [(float(rng.uniform(0.3, 1.5)), _random_vector(rng, ft, deg)) for _ in range(2)]
     return tr.from_vector_states(ft, [(w, xi, xi) for w, xi in draws], deg)
 
 
@@ -232,7 +232,7 @@ def suite_harnack_and_coefficients(rng):
     for k in range(50):
         n = 1 + k % 2
         deg = 1 + k % 2
-        mu = _positive_functional(rng, n, deg, pairs=2)
+        mu = _positive_functional(rng, n, deg)
         h = tr.poisson_pluriharmonic(mu)
         if not ph.check_positive(h, 4, 1e-9).feasible:
             failures.append("positivity")
@@ -241,9 +241,9 @@ def suite_harnack_and_coefficients(rng):
                 random_nilpotent_tuple(rng, n, 3, row_norm=r * float(rng.uniform(0.5, 1.0)))
                 for _ in range(3)
             ]
-            if not ph.harnack_check(h, samples, r, tol=1e-9).passed:
+            if not ph.harnack_check(h, samples, r).passed:
                 failures.append(f"harnack r={r}")
-        if not ph.coefficient_bound_check(h, tol=1e-9).passed:
+        if not ph.coefficient_bound_check(h).passed:
             failures.append("coefficient bound")
     return not failures, f"{len(failures)} failures" + (
         f" ({failures[0]}, ...)" if failures else ""
@@ -257,7 +257,7 @@ def suite_fejer(rng):
     xi = np.zeros(ft.dim, dtype=complex)
     xi[0] = xi[1] = 1.0 / math.sqrt(2.0)
     mu = tr.from_vector_states(ft, [(1.0, xi, xi)], 1)
-    rep = tr.fejer_check(mu, 2, tol=1e-10)
+    rep = tr.fejer_check(mu, 2)
     lhs = rep.rows[0][1]
     sharp = abs(lhs - 0.5) <= 1e-12 and rep.passed
 
@@ -269,7 +269,7 @@ def suite_fejer(rng):
         pairs = [(1.0, _random_vector(rng, ft, m - 1), None)]
         pairs = [(w, v, v) for w, v, _ in pairs]
         mu = tr.from_vector_states(ft, pairs, m - 1)
-        if not tr.fejer_check(mu, m, tol=1e-10).passed:
+        if not tr.fejer_check(mu, m).passed:
             failures += 1
     return sharp and failures == 0, (
         f"sharpness |mu(R_1)| = {lhs:.12f}, {failures} bound failures"
@@ -424,10 +424,10 @@ def suite_positivity_equivalences(rng):
     for k in range(50):
         n = 1 + k % 2
         deg = 1 + k % 2
-        mu = _positive_functional(rng, n, deg, pairs=2)
+        mu = _positive_functional(rng, n, deg)
         a = mu.symbol.analytic
         f = a + a.without_constant()  # the Herglotz symbol A_0 + 2 sum A_a
-        rep = tr.positivity_equivalence_check(f, m_max=3, r_grid=grid, tol=1e-8)
+        rep = tr.positivity_equivalence_check(f, m_max=3, r_grid=grid)
         disagreements += not rep.agree
         not_positive += not rep.all_positive
 
@@ -437,7 +437,7 @@ def suite_positivity_equivalences(rng):
         deg = 1 + k % 2
         f = fs.random_series(rng, n, deg, (1, 1), scale=1.0, min_degree=1)
         f = f + fs.FreeSeries(n, deg, (1, 1), {(): [[1j * rng.standard_normal()]]})  # Re f(0) = 0
-        rep = tr.positivity_equivalence_check(f, m_max=3, r_grid=grid, tol=1e-8)
+        rep = tr.positivity_equivalence_check(f, m_max=3, r_grid=grid)
         disagreements += not rep.agree
         not_negative += rep.all_positive
     ok = disagreements == 0 and not_positive == 0 and not_negative == 0
@@ -486,10 +486,10 @@ def run_suite(name, seed=20240901):
     return passed, detail, time.perf_counter() - start
 
 
-def run_all(seed=20240901, report=print):
+def run_all(seed=20240901):
     ok = True
     for name, _ in SUITES:
         passed, detail, elapsed = run_suite(name, seed)
         ok = ok and passed
-        report(f"{'PASS' if passed else 'FAIL'} {name} ({elapsed:.2f}s): {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name} ({elapsed:.2f}s): {detail}", flush=True)
     return ok

@@ -190,9 +190,9 @@ class FreeSeries:
             blocks[k] = rev[order], c[order]
         return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
 
-    def radial(self, r, scale=1.0):
-        """The series of the (scale r^|a|) A_a: degree k times scale r^k."""
-        blocks = {k: (codes, (scale * r**k) * c) for k, (codes, c) in self.blocks.items()}
+    def radial(self, r):
+        """The series of the r^|a| A_a: degree k times r^k."""
+        blocks = {k: (codes, r**k * c) for k, (codes, c) in self.blocks.items()}
         return FreeSeries._built(self.n, self.cutoff, self.shape, blocks)
 
     def adjoint(self):

@@ -78,8 +78,7 @@ def assemble_T(f, m=None):
     exactly Hermitian."""
     if not f.is_square():
         raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
-    b0 = check_hermitian(f.constant_term())
-    lower = {**f.blocks, 0: (np.zeros(1, np.int64), ((b0 + adjoint(b0)) / 2.0)[None])}
+    lower = {**f.blocks, 0: (np.zeros(1, np.int64), check_hermitian(f.constant_term())[None])}
     upper = {k: (codes, c.conj().swapaxes(1, 2)) for k, (codes, c) in f.blocks.items() if k}
     return shift_sum(f.n, f.cutoff if m is None else m, f.shape[0], lower, upper)
 
@@ -219,8 +218,7 @@ def schur_factor(f, shift=0.0, stop=False, levels=None, psd=False):
     k = f.cutoff if levels is None else levels
     check_entries(word_count(n, k) * p * p, "multi-Toeplitz factorisation")
     graded = np.concatenate([f.dense(j) for j in range(k + 1)])  # (d, p, p), graded order
-    b0 = check_hermitian(graded[0])
-    b0 = (b0 + adjoint(b0)) / 2.0 + shift * np.eye(p)
+    b0 = check_hermitian(graded[0]) + shift * np.eye(p)
     top = float(np.linalg.eigvalsh(b0)[-1])
     # r[i, v] = b_{v i} for v in the tree order of T_{j-1}
     return nested_factor(n, p, k, lambda j: b0, lambda j, order: graded[_children(n, order)],
@@ -309,7 +307,7 @@ def tm_positivity(f, tol, m=None):
         me = float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
     feasible = schur_factor(f, shift=tol, stop=True, levels=m).is_psd
-    w = eigh_hermitian(f.constant_term()).eigenvalues.tolist()
+    w = eigh_hermitian(f.constant_term())[0].tolist()
     slices = sum(f.degree_slice_norm(k) for k in f.blocks if 0 < k <= m)
     side = max if feasible else min
     lo, hi = certify(lambda mu: schur_factor(f, shift=-mu, stop=True, levels=m).is_psd,

@@ -49,8 +49,8 @@ class MomentFunctional:
         """mu(I) = A_0, p x p."""
         return self.symbol.analytic.constant_term()
 
-    def is_selfadjoint(self, tol=1e-12):
-        return self.symbol.is_selfadjoint(tol)
+    def is_selfadjoint(self):
+        return self.symbol.is_selfadjoint()
 
 
 def from_vector_states(ft, pairs, cutoff):
@@ -183,13 +183,15 @@ class EquivalenceReport:
         return self.radial_positive and self.kernel_positive and self.creation_positive
 
 
-def positivity_equivalence_check(f, m_max, r_grid, tol=1e-8):
-    """Evaluate the three finite positivity predicates for Re f >= 0 and
-    report whether they agree: the radial compressions A_r = Re f_r(R^(m))
-    over an r grid in [0, 1] and Re f(S^(m)), for every m <= m_max, and
-    the divisibility kernel.  The level-m matrices are principal
-    submatrices of the level-m_max ones, so by Cauchy interlacing m_max
-    alone decides every level and gives the smallest eigenvalue."""
+def positivity_equivalence_check(f, m_max, r_grid):
+    """Evaluate the three finite positivity predicates for Re f >= 0 at
+    tolerance 1e-8 and report whether they agree: the radial compressions
+    A_r = Re f_r(R^(m)) over an r grid in [0, 1], Re f(S^(m)) and the
+    divisibility kernel over the words of length <= m, for every m <=
+    m_max; all three read f's coefficients of degree <= m_max only.  The
+    level-m matrices are principal submatrices of the level-m_max ones,
+    so by Cauchy interlacing m_max alone decides every level and gives
+    the smallest eigenvalue."""
     if not f.is_square():
         raise InputError("positivity check needs square coefficients")
     if m_max < 0:
@@ -204,9 +206,11 @@ def positivity_equivalence_check(f, m_max, r_grid, tol=1e-8):
     radial = (shift_sum(f.n, m_max, f.shape[0], f.radial(r).reversed().blocks, append=True)
               for r in r_grid)
     radial_min = min(map(real_part_min, radial))
-    kernel_min = float(np.linalg.eigvalsh(kernel_from_series(f))[0])
+    top = FreeSeries._built(f.n, m_max, f.shape, {k: b for k, b in f.blocks.items() if k <= m_max})
+    kernel_min = float(np.linalg.eigvalsh(kernel_from_series(top))[0])
     creation_min = real_part_min(eval_at_creation(f, m_max))
     eigs = {"radial": radial_min, "kernel": kernel_min, "creation": creation_min}
+    tol = 1e-8
     return EquivalenceReport(
         radial_min >= -tol, kernel_min >= -tol, creation_min >= -tol, eigs, tol
     )
@@ -218,10 +222,10 @@ class FejerReport:
     rows: list  # (k, lhs, bound)
 
 
-def fejer_check(mu, m, tol=1e-10):
+def fejer_check(mu, m):
     """Cosine bounds on the moments of a positive scalar functional whose
     moments vanish from length m on:
-    (sum_{|a|=k} |mu(R_a)|^2)^(1/2) <= mu(I) cos(pi / (floor((m-1)/k) + 2)).
+    (sum_{|a|=k} |mu(R_a)|^2)^(1/2) <= mu(I) cos(pi / (floor((m-1)/k) + 2)) + 1e-10.
     """
     if mu.p != 1:
         raise InputError("Fejer check applies to scalar functionals")
@@ -236,7 +240,7 @@ def fejer_check(mu, m, tol=1e-10):
     rows = []
     for k in range(1, m):
         lhs = float(np.linalg.norm(blocks[k][1])) if k in blocks else 0.0
-        bound = unit * math.cos(math.pi / ((m - 1) // k + 2)) + tol
+        bound = unit * math.cos(math.pi / ((m - 1) // k + 2)) + 1e-10
         rows.append((k, lhs, bound))
     return FejerReport(all(lhs <= b for _, lhs, b in rows), rows)
 

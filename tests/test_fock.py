@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freefock import fock
+from freefock import fock, linalg
 from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import (
     FockTrunc,
@@ -161,6 +161,26 @@ def test_berezin_kernel_zero_and_scope():
     big = OperatorTuple((np.eye(2), np.zeros((2, 2))))
     with pytest.raises(ScopeError):
         berezin_kernel(ft, big)
+
+
+def test_dense_constructions_check_size_before_allocating():
+    """Under a 64 x 64 cap the Berezin kernel (d = 127) and the dilation
+    (side 381) raise before any matrix of their size exists."""
+    x = OperatorTuple((np.array([[0.1]]), np.array([[0.2]])))
+    t = OperatorTuple(tuple(np.full((3, 3), 0.1) for _ in range(2)))
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            berezin_kernel(FockTrunc(2, 6), x)
+        with pytest.raises(SizeLimitError):
+            isometric_dilation(t, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        linalg.set_max_dim(old)
+    assert peak < 64 * 64 * 16
 
 
 def test_berezin_kernel_two_evaluation_paths():

@@ -116,7 +116,7 @@ def test_hermitian_eig_reconstruction():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = a + a.conj().T
-    eig = linalg.eigh_hermitian(h)
-    rec = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+    w, v = linalg.eigh_hermitian(h)
+    rec = (v * w) @ v.conj().T
     assert np.linalg.norm(rec - h) <= 1e-10 * (1 + np.linalg.norm(h))
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    assert np.all(np.diff(w) >= 0)

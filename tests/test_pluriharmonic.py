@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,20 @@ def test_pluriharmonic_poisson_kernel_nilpotent_outside_ball():
     bad = OperatorTuple((np.eye(2),))
     with pytest.raises(ScopeError):
         ph.pluriharmonic_poisson_kernel(ft, bad)
+
+
+def test_pluriharmonic_poisson_kernel_scope_before_allocating():
+    """A tuple outside the scope is refused before the 512 x 512 resolvent
+    on P^(255) (x) C^2 exists."""
+    bad = OperatorTuple((np.eye(2),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScopeError):
+            ph.pluriharmonic_poisson_kernel(FockTrunc(1, 255), bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 64 * 16
 
 
 def test_check_positive():

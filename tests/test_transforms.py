@@ -243,7 +243,16 @@ def test_positivity_equivalence_check_eigensolves_once_per_matrix(monkeypatch):
     grid = [0.3, 0.7, 0.95]
     rep = tr.positivity_equivalence_check(f, 3, grid)
     assert rep.agree and rep.all_positive
-    assert calls == [15] * len(grid) + [7, 15]
+    assert calls == [15] * len(grid) + [15, 15]
+
+
+def test_positivity_equivalence_check_builds_every_predicate_at_m_max():
+    """Z_1 at level 0 sees only its zero constant: the kernel stops at
+    m_max with the compressions, so all three minima are 0."""
+    f = fs.FreeSeries(1, 1, (1, 1), {(1,): ONE})
+    rep = tr.positivity_equivalence_check(f, 0, [0.0, 1.0])
+    assert rep.agree and rep.all_positive
+    assert rep.min_eigs == {"radial": 0.0, "kernel": 0.0, "creation": 0.0}
 
 
 def test_fejer_check():
@@ -309,7 +318,7 @@ def test_poisson_pluriharmonic():
     v /= np.linalg.norm(v)
     mu = tr.from_vector_states(ft, [(1.0, v, v)], 2)
     h = tr.poisson_pluriharmonic(mu)
-    assert h.is_selfadjoint(tol=1e-10)
+    assert h.is_selfadjoint()
     assert ph.check_positive(h, 4, 1e-9).feasible
 
 
