@@ -14,8 +14,8 @@ random nilpotent evaluations, so the solver never has to be trusted.
 
 The reductions between Caratheodory and Caratheodory-Fejer data are
 Cayley transforms of the series; the only operator they form is the
-multi-analytic one whose norm is checked (``multianalytic.hinf_norm`` and
-``hinf_norm_exceeds``), and only at the sizes where its dense SVD decides.
+multi-analytic one whose norm is checked (``multianalytic.hinf_norm``), and
+only at the sizes where its dense SVD decides.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InfeasibleError, InputError, ScopeError
 from .fock import random_nilpotent_tuple, word_sum
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
-from .multianalytic import hinf_norm, hinf_norm_exceeds
+from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
 from .toeplitz import schur_factor, tm_positivity
@@ -159,8 +159,8 @@ def cayley_route(prob, reg_eps=None):
     Normalizes by (b_0 + eps I)^(-1/2) on both sides and takes the
     inverse Cayley transform of the series sum_a D_a Z_a; its coefficients
     are the CF data.  The multi-analytic operator sum_a A_a (x) S_a^(m)
-    they define is a contraction up to 1e-9 whenever the data is feasible,
-    as multianalytic.hinf_norm_exceeds checks.
+    they define is a contraction up to 1e-9 whenever the data is feasible;
+    a value of multianalytic.hinf_norm above that is refused.
     """
     _require_feasible(prob, 1e-9)
     b0 = prob.data.constant_term()
@@ -170,7 +170,7 @@ def cayley_route(prob, reg_eps=None):
     p = prob.block_size
     normalized = {k: (codes, nrm @ c @ nrm) for k, (codes, c) in prob.data.blocks.items() if k}
     cf = cayley_inverse(FreeSeries._built(prob.n, prob.m, (p, p), normalized))
-    if hinf_norm_exceeds(cf, prob.m, 1.0 + 1e-9):
+    if hinf_norm(cf, prob.m).value > 1.0 + 1e-9:
         raise ScopeError("inverse Cayley image has norm > 1 + 1e-9")
     return CFProblem(cf)
 

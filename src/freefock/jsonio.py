@@ -42,6 +42,13 @@ def _complex_array(v, ndim, what):
     return out
 
 
+def _integer(v, what):
+    """v if it is a JSON integer; a bool, float or string is refused, not truncated."""
+    if type(v) is not int:
+        raise InputError(f"{what} must be an integer, got {v!r:.40}")
+    return v
+
+
 def matrix_to_json(m):
     """Any complex array as nested lists of [re, im] pairs, by one tolist()."""
     m = np.asarray(m, dtype=complex)
@@ -89,8 +96,8 @@ def tuple_to_json(x):
 def json_to_tuple(obj):
     try:
         mats = _complex_array(obj["matrices"], 3, "operator tuple matrices")
-        declared = {k: int(obj[k]) for k in ("n", "dim") if k in obj}
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        declared = {k: _integer(obj[k], k) for k in ("n", "dim") if k in obj}
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad operator tuple: {exc}") from exc
     t = OperatorTuple(tuple(mats))
     if declared.get("n", t.n) != t.n:
@@ -106,10 +113,10 @@ def series_to_json(f):
 
 def json_to_series(obj):
     try:
-        n, cutoff = int(obj["n"]), int(obj["cutoff"])
-        shape = tuple(int(s) for s in obj["shape"])
+        n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
+        shape = tuple(_integer(s, "shape entry") for s in obj["shape"])
         degrees = _json_to_degrees(obj["coefficients"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad series: {exc}") from exc
     return from_degrees(n, cutoff, shape, degrees)
 
@@ -121,11 +128,11 @@ def pluriharmonic_to_json(h):
 
 def json_to_pluriharmonic(obj):
     try:
-        n, cutoff = int(obj["n"]), int(obj["cutoff"])
-        shape = tuple(int(s) for s in obj["shape"])
+        n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
+        shape = tuple(_integer(s, "shape entry") for s in obj["shape"])
         analytic = _json_to_degrees(obj["analytic"])
         coanalytic = _json_to_degrees(obj.get("coanalytic", {}), moments=True)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad pluriharmonic function: {exc}") from exc
     return PluriharmonicFn(*(from_degrees(n, cutoff, shape, d) for d in (analytic, coanalytic)))
 
@@ -140,11 +147,11 @@ def functional_to_json(mu):
 
 def json_to_functional(obj):
     try:
-        n, cutoff = int(obj["n"]), int(obj["cutoff"])
+        n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
         unit = json_to_matrix(obj["unit"])
         forward = _json_to_degrees(obj.get("forward", {}), moments=True)
         backward = _json_to_degrees(obj.get("backward", {}), moments=True)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad moment functional: {exc}") from exc
     backward[0] = np.zeros((1, 0), dtype=np.int64), unit[None]  # A_0 = mu(I)
     series = (from_degrees(n, cutoff, unit.shape, d).reversed() for d in (backward, forward))
@@ -165,10 +172,10 @@ def _constant_shape(degrees):
 
 def json_to_problem(obj):
     try:
-        n, m = int(obj["n"]), int(obj["m"])
+        n, m = (_integer(obj[k], k) for k in ("n", "m"))
         degrees = _json_to_degrees(obj["coefficients"])
-        block = int(obj.get("block_size", 0))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        block = _integer(obj.get("block_size", 0), "block_size")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
     p = _constant_shape(degrees)[0]
     if block and block != p:
@@ -184,9 +191,9 @@ def extension_to_json(ext):
 def json_to_extension(obj, n):
     try:
         degrees = _json_to_degrees(obj["coefficients"])
-        target = int(obj["target_degree"])
+        target = _integer(obj["target_degree"], "target_degree")
         cert = dict(obj.get("certificate", {}))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad extension result: {exc}") from exc
     return ExtensionResult(from_degrees(n, target, _constant_shape(degrees), degrees), cert)
 

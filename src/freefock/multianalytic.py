@@ -10,10 +10,10 @@ above sigma.  A symmetric Lanczos run on A*A gives a value ||A x|| /
 ||x|| from below, and one factorisation at sigma = value (1 + NORM_RTOL)
 certifies it from above.
 
-``hinf_norm`` and ``hinf_norm_exceeds`` (so ``freefock norm``,
-``caratheodory.cf_check`` and ``caratheodory.cayley_route``) are the one
-place that picks the path for a norm: the dense SVD of f(S^(m)) up to
-NORM_DENSE_DIM (toeplitz.dense_decides), this module above.
+``hinf_norm`` (so ``freefock norm``, ``caratheodory.cf_check`` and
+``caratheodory.cayley_route``) is the one place that picks the path for a
+norm: the dense SVD of f(S^(m)) up to NORM_DENSE_DIM
+(toeplitz.dense_decides), this module above.
 """
 
 from __future__ import annotations
@@ -232,13 +232,6 @@ def _ratio(op, x):
     return float(np.linalg.norm(op.apply(x[..., None])) / np.linalg.norm(x))
 
 
-def norm_exceeds(f, m, sigma):
-    """Whether ||f(S^(m))|| > sigma, from one factorisation of sigma^2 I -
-    A*A stopped at its first negative pivot; a singular value within
-    PIVOT_RTOL sigma^2 of sigma^2 does not count."""
-    return not MultiAnalytic(f, m).factor(sigma, stop=True).is_psd
-
-
 def hinf_norm(f, m):
     """||f(S^(m))|| as a CertifiedNorm: nondecreasing in m, a lower bound
     for the sup norm.  The dense SVD (rtol None) up to NORM_DENSE_DIM,
@@ -248,11 +241,3 @@ def hinf_norm(f, m):
     if dense_decides(f.n, f.shape[0] * word_count(f.n, m), NORM_DENSE_DIM):
         return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
     return certified_norm(f, m)
-
-
-def hinf_norm_exceeds(f, m, sigma):
-    """Whether ||f(S^(m))|| > sigma: the dense SVD up to NORM_DENSE_DIM,
-    norm_exceeds above."""
-    if dense_decides(f.n, f.shape[0] * word_count(f.n, m), NORM_DENSE_DIM):
-        return operator_norm(eval_at_creation(f, m)) > sigma
-    return norm_exceeds(f, m, sigma)

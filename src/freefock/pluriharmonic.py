@@ -13,6 +13,7 @@ are principal submatrices), which picks the dense or the factored path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import InputError, ScopeError
 from .fock import (FockTrunc, _check_strict_ball, _check_tuple, dense_resolvent,
                    poisson_transform, shift_sum, word_sum)
-from .linalg import adjoint, as_cmatrix, operator_norm
+from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .series import FreeSeries, eval_scope, jsr_estimate
 from .toeplitz import tm_positivity
 
@@ -100,21 +101,22 @@ def poisson_at(h, X, r, N):
     = I - Q_{j+1}, Q_j = sum_{|s|=j} Y_s Y_s*, telescopes to P_Y[S_a] =
     Y_a D_|a|, D_k = I - Q_{N+1-k}.  The symbol's r^|a| cancels in Y_a:
     sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*,
-    both from one word_sum with the right factors D_k."""
-    if not 0.0 < r:
+    both from one word_sum with the right factors D_k (only the Q_j they
+    read are kept)."""
+    if not 0.0 < r <= 1.0:
         raise InputError(f"radius {r} outside (0, 1]")
     if X.row_norm >= r:
         raise ScopeError(f"tuple norm {X.row_norm:.4f} must lie below radius {r}")
     ft = FockTrunc(h.n, N)
-    if not r <= 1.0:
-        raise InputError(f"radius {r} outside (0, 1]")
     _check_tuple(ft, X)
     _check_strict_ball(Y := X.scale(1.0 / r))
-    Q = [np.eye(X.dim, dtype=complex)]
-    while len(Q) <= N + 1 and Q[-1].any():  # Q_j = 0 forces Q_{j+1} = 0
-        Q.append(sum(y @ Q[-1] @ adjoint(y) for y in Y.matrices))
-    Q += [0.0] * (N + 2 - len(Q))
-    right = [Q[0] - Q[N + 1 - k] for k in range(min(N, h.cutoff) + 1)]
+    top = min(N, h.cutoff)
+    check_entries((top + 2) * X.dim**2, "Poisson kernel factors")
+    eye = np.eye(X.dim, dtype=complex)
+    Q = deque([eye], maxlen=top + 1)  # the last top + 1 of Q_0, ..., Q_{N+1}
+    for _ in range(N + 1):  # Q_j = 0 forces Q_{j+1} = 0
+        Q.append(sum(y @ Q[-1] @ adjoint(y) for y in Y.matrices) if np.any(Q[-1]) else 0.0)
+    right = [eye - Q[-1 - k] for k in range(top + 1)]
     parts = [{k: b for k, b in f.blocks.items() if k <= N}
              for f in (h.analytic, h.coanalytic.adjoint())]
     a, b = word_sum(X.stack, h.p, parts, right)[:, 0]

@@ -57,7 +57,8 @@ def from_degrees(n, cutoff, shape, degrees):
     if not 1 <= n <= MAX_GENERATORS:
         raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
     shape = tuple(shape)
-    if len(shape) != 2 or not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
+    if len(shape) != 2 or not all(isinstance(s, (int, np.integer)) and s is not True and s > 0
+                                  for s in shape):
         raise InputError(f"shape must be two positive integers, got {list(shape)}")
     if cutoff < 0:
         raise InputError("cutoff must be >= 0")
@@ -265,9 +266,10 @@ def _accumulate(codes, blocks, shape, size):
     if not dense:  # drop repeats; not np.unique, which imports numpy.ma
         out_codes = out_codes[np.append(True, out_codes[1:] != out_codes[:-1])]
     out = np.zeros((len(out_codes), *shape), dtype=complex)
-    for c, block in zip(codes, blocks):
-        full = c is None or len(c) == len(out_codes)
-        out[slice(None) if full else c if dense else np.searchsorted(out_codes, c)] += block
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+        for c, block in zip(codes, blocks):
+            full = c is None or len(c) == len(out_codes)
+            out[slice(None) if full else c if dense else np.searchsorted(out_codes, c)] += block
     return out_codes, out
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +348,7 @@ def test_series_over_size_limit_is_scope_error(tmp_path, capsys):
 
 def test_empty_series_with_huge_cutoff(tmp_path, capsys):
     src = tmp_path / "s.json"
-    src.write_text(json.dumps({"n": 1, "cutoff": 4e15, "shape": [2, 2], "coefficients": {}}))
+    src.write_text(json.dumps({"n": 1, "cutoff": 4 * 10**15, "shape": [2, 2], "coefficients": {}}))
     code, payload = run_cli(capsys, "cayley", "inverse", str(src))
     assert code == 0 and payload["series"]["coefficients"] == {}
 
@@ -531,6 +532,31 @@ def test_poisson_rejects_a_radius_outside_the_unit_interval_as_input():
     for radius in ("0", "-0.5", "nan", "1.5"):
         code, err = run_on_json(["poisson", h, x, "--trunc", "2", "--radius", radius])
         assert code == 3 and f"radius {float(radius)} outside (0, 1]" in err
+    # above one also before a tuple of row norm 2 is compared with it
+    wide = jsonio.tuple_to_json(OperatorTuple((np.array([[0.0, 2.0], [0.0, 0.0]]),)))
+    code, err = run_on_json(["poisson", h, wide, "--trunc", "3", "--radius", "1.5"])
+    assert code == 3 and "radius 1.5 outside (0, 1]" in err
+
+
+def test_non_integer_json_fields_exit_3_with_their_name():
+    """n, m, cutoff, dim, block_size and the shape entries must be JSON
+    integers: a float (2.0 too), a bool or a string is refused (exit 3)
+    with the field's name, never truncated."""
+    problem = {"n": 2, "m": 1, "block_size": 1,
+               "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.3, 0.0]]]}}
+    series = {"n": 1, "cutoff": 2, "shape": [1, 1], "coefficients": {"1": [[[0.3, 0.0]]]}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.array([[0.0, 0.3], [0.0, 0.0]]),)))
+    assert run_on_json(["check", problem])[0] == 0
+    assert run_on_json(["cayley", "forward", series])[0] == 0
+    assert run_on_json(["eval", series, x])[0] == 0
+    for junk in (2.9, 2.0, True, "2"):
+        cases = [(["check", {**problem, key: junk}], key) for key in ("n", "m", "block_size")]
+        cases += [(["cayley", "forward", {**series, key: junk}], key) for key in ("n", "cutoff")]
+        cases += [(["cayley", "forward", {**series, "shape": [junk, 1]}], "shape entry")]
+        cases += [(["eval", series, {**x, key: junk}], key) for key in ("n", "dim")]
+        for argv, key in cases:
+            code, err = run_on_json(argv)
+            assert code == 3 and f"{key} must be an integer" in err, (argv, err)
 
 
 def test_selftest_list(capsys):
@@ -580,6 +606,18 @@ def coefficients_json(draw, maps, max_cutoff=5):
     elif key in obj:
         obj[key] = draw(junk)
     return obj
+
+
+def test_cayley_overflow_exits_4_with_runtime_warnings_as_errors():
+    """A Cayley sum whose products overflow to inf and then meet -inf is
+    refused at output (exit 4), also when RuntimeWarnings are errors."""
+    big = {"1": [[[0, 1e200], [0, 0]], [[0, -1], [0, 0]]],
+           "11": [[[0, 0], [0, 0]], [[-1e300, 0], [0, 0]]]}
+    obj = {"n": 1, "cutoff": 3, "shape": [2, 2], "coefficients": big}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run_on_json(["cayley", "forward", obj])
+    assert code == 4 and "not finite" in err, err
 
 
 @settings(max_examples=200, deadline=None)

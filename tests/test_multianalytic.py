@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import caratheodory as cara
 from freefock import multianalytic as ma
+from freefock.errors import ScopeError
 from freefock.fock import shift_sum
 from freefock.linalg import adjoint
-from freefock.multianalytic import hinf_norm, hinf_norm_exceeds
+from freefock.multianalytic import hinf_norm
 from freefock.series import FreeSeries, eval_at_creation, random_series
 from freefock.words import GradedBasis
 
@@ -20,20 +21,27 @@ def gaussian_series(rng, n, m, p, scale=0.3):
 @pytest.mark.parametrize("n,m,p", [(2, 4, 1), (2, 3, 2), (3, 3, 2), (2, 5, 1)])
 def test_norm_inertia_counts_singular_values(n, m, p):
     """The negative pivots of sigma^2 I - A*A number the singular values
-    of A = f(S^(m)) above sigma, at sigmas between distinct ones."""
+    of A = f(S^(m)) above sigma, at sigmas between distinct ones, and the
+    stopped factorisation certifies sigma (as certified_norm reads it:
+    all levels, no negative or zero pivot) exactly above the norm."""
     rng = np.random.default_rng(10 * n + m + p)
     f = gaussian_series(rng, n, m, p, scale=float(rng.uniform(0.2, 1.5)))
     sv = np.linalg.svd(eval_at_creation(f, m), compute_uv=False)
     levels = np.unique(np.round(sv, 9))
     sigmas = list((levels[1:] + levels[:-1]) / 2.0)[::2] + [0.5 * sv[-1], 1.5 * sv[0]]
     op = ma.MultiAnalytic(f, m)
+
+    def certifies(sigma):
+        fac = op.factor(sigma, stop=True)
+        return fac.levels == m and fac.inertia()[:2] == (0, 0)
+
     for sigma in sigmas:
         fac = op.factor(sigma)
         assert fac.inertia()[0] == int((sv > sigma).sum())
-        assert ma.norm_exceeds(f, m, sigma) == (sv[0] > sigma)
+        assert certifies(sigma) == (sv[0] < sigma)
     # sharp at the norm: the certificate is tight to far below NORM_RTOL
-    assert ma.norm_exceeds(f, m, sv[0] * (1 - 1e-10))
-    assert not ma.norm_exceeds(f, m, sv[0] * (1 + 1e-10))
+    assert not certifies(sv[0] * (1 - 1e-10))
+    assert certifies(sv[0] * (1 + 1e-10))
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 5, 1), (2, 4, 3), (3, 4, 1), (2, 5, 2), (2, 6, 1),
@@ -141,19 +149,18 @@ def test_cf_check_above_the_dense_side_matches_the_right_translation_svd(n, m, p
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 3, 1), (2, 6, 1), (3, 4, 2)])
-def test_hinf_norm_exceeds_on_both_sides_of_the_dense_threshold(n, m, p):
-    """The one predicate of cayley_route: the dense SVD up to the threshold,
-    one inertia count above it, both against the dense norm."""
+def test_hinf_norm_on_both_sides_of_the_dense_threshold(n, m, p):
+    """The comparison cayley_route makes: the dense SVD up to the threshold,
+    the certified value above it, both against the dense norm."""
     rng = np.random.default_rng(50 + n + m + p)
     f = gaussian_series(rng, n, m, p, scale=0.2)
     nrm = np.linalg.norm(eval_at_creation(f, m), 2)
-    assert hinf_norm_exceeds(f, m, 0.99 * nrm)
-    assert not hinf_norm_exceeds(f, m, 1.01 * nrm)
+    assert 0.99 * nrm < hinf_norm(f, m).value <= 1.01 * nrm
 
 
 def test_cayley_route_above_the_dense_side():
     """A feasible problem with f(S^(m)) of side 127 reduces to CF data whose
-    operator is a contraction, checked by one inertia count."""
+    operator is a contraction, checked by the certified norm."""
     rng = np.random.default_rng(12)
     m = 6
     coeffs = {w: 0.05 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
@@ -164,5 +171,35 @@ def test_cayley_route_above_the_dense_side():
     cf = cara.cayley_route(prob)
     nrm = np.linalg.norm(eval_at_creation(cf.data, m), 2)
     assert nrm <= 1.0
-    assert not ma.norm_exceeds(cf.data, m, 1.0 + 1e-9)
-    assert ma.norm_exceeds(cf.data, m, 0.5 * nrm)
+    got = hinf_norm(cf.data, m)
+    assert got.rtol == ma.NORM_RTOL and got.value <= 1.0 + 1e-9
+    assert abs(got.value - nrm) <= 1e-12 * nrm
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_cayley_route_refuses_exactly_above_the_bound(m, monkeypatch):
+    """cayley_route calls hinf_norm once, with the CF data and m, below
+    (m = 3, side 15) and above (m = 6, side 127) NORM_DENSE_DIM, and
+    refuses the data exactly when that value is over 1 + 1e-9."""
+    rng = np.random.default_rng(13)
+    coeffs = {w: 0.05 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
+              for w in GradedBasis(2, m).words if w}
+    coeffs[()] = ONE
+    prob = cara.CaratheodoryProblem(FreeSeries(2, m, (1, 1), coeffs))
+    assert (len(GradedBasis(2, m)) > ma.NORM_DENSE_DIM) == (m == 6)
+    calls = []
+
+    def patched(value):
+        def fake(f, k):
+            calls.append((f, k))
+            return ma.CertifiedNorm(value, None, 0)
+        monkeypatch.setattr(cara, "hinf_norm", fake)
+
+    patched(1.0 + 1e-9)
+    cf = cara.cayley_route(prob)
+    assert len(calls) == 1 and calls[0][0] is cf.data and calls[0][1] == m
+    patched(1.0 + 2e-9)
+    with pytest.raises(ScopeError, match="norm > 1"):
+        cara.cayley_route(prob)
+    assert len(calls) == 2 and calls[1][1] == m
+    assert np.array_equal(eval_at_creation(calls[1][0], m), eval_at_creation(cf.data, m))

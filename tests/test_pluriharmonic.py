@@ -394,20 +394,73 @@ def test_eval_at_tests_the_analytic_part_first():
 def test_poisson_at_checks_in_order():
     h = halfz_example()
     x = OperatorTuple((np.array([[0.0, 0.4], [0.0, 0.0]]),))
-    for r in (0.0, -0.5, float("nan")):  # a radius <= 0 first
-        with pytest.raises(InputError, match=r"outside \(0, 1\]"):
-            ph.poisson_at(h, x, r, -1)
+    wide = OperatorTuple((np.array([[0.0, 2.0], [0.0, 0.0]]),))
+    for r in (0.0, -0.5, float("nan"), 1.5):  # a radius outside (0, 1] first
+        for y in (x, wide):
+            with pytest.raises(InputError, match=r"outside \(0, 1\]"):
+                ph.poisson_at(h, y, r, -1)
     with pytest.raises(ScopeError, match="below radius"):
         ph.poisson_at(h, x, 0.4, -1)  # then the row norm
     with pytest.raises(InputError, match="negative"):
-        ph.poisson_at(h, x, 1.5, -1)  # then the truncation
-    with pytest.raises(InputError, match="radius"):
-        ph.poisson_at(h, x, 1.5, 3)
+        ph.poisson_at(h, x, 0.9, -1)  # then the truncation
     with pytest.raises(InputError, match="operators"):
         ph.poisson_at(h, OperatorTuple((x.matrices[0],) * 2), 0.9, 3)
     with pytest.raises(ScopeError, match="open unit ball"):
         ph.poisson_at(h, x, 0.4 * (1.0 + 1e-14), 3)
     assert np.allclose(ph.poisson_at(h, x, 0.9, 3), ph.eval_at(h, x), atol=1e-14)
+
+
+def poisson_at_keeping_every_q(h, X, r, N):
+    """poisson_at's closed form with every Q_j of the recurrence kept: the
+    reference for keeping only the Q_j that the D_k read."""
+    Y = X.scale(1.0 / r)
+    Q = [np.eye(X.dim, dtype=complex)]
+    while len(Q) <= N + 1 and Q[-1].any():
+        Q.append(sum(y @ Q[-1] @ adjoint(y) for y in Y.matrices))
+    Q += [0.0] * (N + 2 - len(Q))
+    right = [Q[0] - Q[N + 1 - k] for k in range(min(N, h.cutoff) + 1)]
+    parts = [{k: b for k, b in f.blocks.items() if k <= N}
+             for f in (h.analytic, h.coanalytic.adjoint())]
+    a, b = fock.word_sum(X.stack, h.p, parts, right)[:, 0]
+    return a + adjoint(b)
+
+
+def test_poisson_at_equals_the_recurrence_keeping_every_q():
+    """Bit for bit, on nilpotent and dense tuples, at every N below, at and
+    above the cutoff."""
+    rng = np.random.default_rng(21)
+    for case in range(60):
+        n, p, dim = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        cutoff, N = int(rng.integers(0, 4)), int(rng.integers(0, 7))
+        r = float(rng.uniform(0.5, 1.0))
+        analytic = fs.random_series(rng, n, cutoff, (p, p), scale=0.5)
+        coanalytic = fs.random_series(rng, n, cutoff, (p, p), scale=0.5).without_constant()
+        h = ph.PluriharmonicFn(analytic, coanalytic)
+        norm = r * float(rng.uniform(0.1, 0.95))
+        if case % 2:
+            x = random_nilpotent_tuple(rng, n, dim, row_norm=norm)
+        else:
+            x = OperatorTuple(tuple(rng.standard_normal((n, dim, dim))))
+            x = x.scale(norm / x.row_norm)
+        assert np.array_equal(ph.poisson_at(h, x, r, N), poisson_at_keeping_every_q(h, x, r, N))
+
+
+def test_poisson_at_keeps_only_the_q_it_reads():
+    """n = 1, a dim-40 tuple 0.89 U (U unitary, so no Q_j underflows) and
+    N = 2000: the 2002 matrices Q_j would take 51 MB; only the last
+    min(N, cutoff) + 1 = 2 are kept."""
+    rng = np.random.default_rng(22)
+    dim = 40
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    x = OperatorTuple((0.89 * u,))
+    tracemalloc.start()
+    try:
+        got = ph.poisson_at(halfz_example(), x, 1.0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * dim * dim * 16
+    assert np.allclose(got, ph.eval_at(halfz_example(), x), atol=1e-12)
 
 
 def test_is_multi_toeplitz():
