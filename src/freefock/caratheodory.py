@@ -6,7 +6,8 @@ Problem data, Caratheodory-Fejer data and extensions are free series
 multi-Toeplitz operator of the data (an exact finite-dimensional
 criterion), decided by ``toeplitz.tm_positivity``: the dense smallest
 eigenvalue at small sizes, the recursive Schur factorisation and a
-bracket of that eigenvalue by bisection on its inertia above them.  The
+bracket of that eigenvalue by Newton-steered probes of its inertia above
+them.  The
 constructive extension is the central (maximum-determinant) completion,
 computed in closed form from that factorisation; every output is
 certified by a positivity computation on its own coefficients and by

@@ -21,7 +21,7 @@ norm of a multi-analytic operator (multianalytic) is its other case.
 
 tm_positivity is the one place that decides T_m >= -tol I and gives its
 smallest eigenvalue, at any level m: dense where dense_decides, above by the
-factorisation and bisection on its inertia (certify).  check_feasibility,
+factorisation and Newton-steered probes of its inertia (certify).  check_feasibility,
 extend's certificate, verify_solution and pluriharmonic.check_positive call it.
 """
 
@@ -40,17 +40,20 @@ from .words import word_count
 
 # At or below this side d p the dense eigvalsh of the assembled T_m
 # decides positivity and gives its smallest eigenvalue; above it a Schur
-# factorisation of T_m + tol I decides and bisection on the inertia
-# brackets the smallest eigenvalue.  Measured at n = 2, p = 1 on 2 cores
-# (OpenBLAS): assembly and eigvalsh take 9.8 / 47 / 218 ms at d = 255 /
-# 511 / 1023, one factorisation 0.7 / 0.8 / 1.1 ms; the bracket to
-# MIN_EIG_RTOL takes about 31 factorisations, which cost as much as the
-# dense eigvalsh near d p = 500.
+# factorisation of T_m + tol I decides and steered inertia probes
+# (certify) bracket it.  Dense against structured on moment data
+# (bench/fixtures.py), 2 cores (OpenBLAS), median of 7: 9.6 / 10.8 ms at
+# n = 2, d p = 255 and 9.2 / 10.7 ms at d p = 254 (p = 2), 13
+# factorisations each; 8.0 / 5.6 ms at n = 3, d p = 242 (p = 2); 13.3 /
+# 5.5 ms at n = 6, 259; 24.3 / 7.1 ms at n = 4, 341; 23.8 / 4.8 ms at
+# n = 3, 364; 59.1 / 12.4 ms at n = 2, 511.  Dense grows about as
+# (d p)^2.5 and the probes about linearly, so the deep binary trees, the
+# slowest to factor, tie near d p = 300.
 # For n = 1 the tree is a chain of d levels, so a factorisation takes
 # O(d^2) small steps and is slower than eigvalsh (0.65 / 2.8 / 7.6 s
 # against 0.17 / 1.3 / 4.2 s at d = 301 / 601 / 1001): dense decides there
 # up to the side cap of a dense matrix.
-DENSE_DIM = 512
+DENSE_DIM = 300
 
 
 def dense_decides(n, dim, limit=DENSE_DIM):
@@ -210,19 +213,30 @@ def schur_factor(f, shift=0.0, stop=False, levels=None, psd=False):
     f, k = levels (default f.cutoff), from f's own coefficients: the level
     loop of nested_factor with alpha_j = b_0 + shift I and beta_j* = r*.
     With psd the pivots' negative eigenvalues count as zero, as for data
-    that is positive only within a tolerance.  The coefficient storage
-    p^2 d is checked against the size limit before anything is allocated."""
+    that is positive only within a tolerance."""
+    return shifted_factor(f, levels)(shift, stop, psd)
+
+
+def shifted_factor(f, levels=None):
+    """schur_factor of f at level k (default f.cutoff) as a function of
+    (shift, stop=False, psd=False), with f's coefficients densified once
+    for every shift.  The coefficient storage p^2 d is checked against the
+    size limit before anything is allocated."""
     if not f.is_square():
         raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
     n, p = f.n, f.shape[0]
     k = f.cutoff if levels is None else levels
     check_entries(word_count(n, k) * p * p, "multi-Toeplitz factorisation")
     graded = np.concatenate([f.dense(j) for j in range(k + 1)])  # (d, p, p), graded order
-    b0 = check_hermitian(graded[0]) + shift * np.eye(p)
-    top = float(np.linalg.eigvalsh(b0)[-1])
-    # r[i, v] = b_{v i} for v in the tree order of T_{j-1}
-    return nested_factor(n, p, k, lambda j: b0, lambda j, order: graded[_children(n, order)],
-                         top, stop, psd)
+    b0 = check_hermitian(graded[0])
+
+    def factor(shift, stop=False, psd=False):
+        alpha = b0 + shift * np.eye(p)
+        # r[i, v] = b_{v i} for v in the tree order of T_{j-1}
+        return nested_factor(n, p, k, lambda j: alpha, lambda j, order: graded[_children(n, order)],
+                             float(np.linalg.eigvalsh(alpha)[-1]), stop, psd)
+
+    return factor
 
 
 def nested_factor(n, p, k, alpha, beta, top, stop=False, psd=False):
@@ -262,13 +276,18 @@ class TmPositivity:
     """Whether T_m >= -tol I for one series at one level m, and its
     smallest eigenvalue: the dense one where dense_decides (min_eig_atol
     None); elsewhere a Schur factorisation of T_m + tol I decides and
-    min_eig <= lambda_min(T_m) <= min_eig + min_eig_atol within PIVOT_RTOL."""
+    min_eig <= lambda_min(T_m) <= min_eig + min_eig_atol within PIVOT_RTOL.
+    The fields are cast to Python bool and float, so a record is JSON as it is."""
 
     feasible: bool
     min_eig: float
     matrix_dim: int
     tol: float
     min_eig_atol: float | None = None
+
+    def __post_init__(self):
+        self.feasible, self.min_eig = bool(self.feasible), float(self.min_eig)
+        self.min_eig_atol = None if self.min_eig_atol is None else float(self.min_eig_atol)
 
     def verdict(self, tol):
         """Whether T_m >= -tol I: the one computed at self.tol, else the side
@@ -280,14 +299,32 @@ class TmPositivity:
         return None
 
 
-def certify(holds, lo, hi, atol):
-    """Narrow [lo, hi] around where the monotone predicate holds turns false,
-    until it is at most atol wide or its midpoint no longer splits it."""
+def certify(probe, lo, hi, atol, guess=None):
+    """Narrow [lo, hi] around where a monotone predicate holds turns false,
+    until it is at most atol wide or its midpoint no longer splits it.
+    probe(mu) is (the predicate at mu, a guess at the turning point from
+    above or None), and the smallest guess in [lo, hi) is kept.  A guess
+    below hi is probed, at least atol inside the bracket, when it is the
+    first since a midpoint or since a guess that held, or lies at most
+    half as far below hi as the last probed guess did (Brent's
+    safeguard); the midpoint is probed otherwise.  So once the guesses
+    stall within atol of an end, one probe atol inside it closes the
+    bracket."""
+    step = None  # how far below hi the last guess was probed
     while hi - lo > atol:
-        mid = lo + (hi - lo) / 2.0
-        if not lo < mid < hi:
+        mu = mid = lo + (hi - lo) / 2.0
+        if guess is not None and guess < hi and (
+                step is None or hi - guess <= max(step / 2.0, atol)):
+            near = min(max(guess, math.nextafter(lo + atol, lo)), math.nextafter(hi - atol, hi))
+            mu = near if lo < near < hi else mid
+        if not lo < mu < hi:
             break
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        holds, new = probe(mu)
+        # a guess that holds is at the turning point: the next guess goes unchecked
+        step = None if mu == mid or holds and mu == guess else hi - mu
+        lo, hi = (mu, hi) if holds else (lo, mu)
+        keep = guess is not None and lo <= guess < hi and (new is None or guess <= new)
+        guess = guess if keep else new
     return lo, hi
 
 
@@ -298,7 +335,12 @@ def tm_positivity(f, tol, m=None):
     InputError, raised before anything is assembled or factored; a
     negative one asks for T_m >= |tol| I.  Above the dense side certify
     starts from [lambda_min(b_0) - 2 sum_k slice_k, lambda_min(b_0)] (b_0 is a
-    principal block, degree k has norm <= 2 slice_k), cut at -tol by the verdict."""
+    principal block, degree k has norm <= 2 slice_k), cut at -tol by the
+    verdict, and every bracket end is an inertia count of T_m - mu I.  Each
+    factorisation that reaches level m guesses the next mu by a Newton step
+    on the last pivot (Cybenko-Van Loan): with f, v its smallest eigenvalue
+    and unit eigenvector and Z = Z^(m), mu + f / (1 + ||Z v||^2) is the
+    Rayleigh quotient of T_m at [v; -Z v], so it is never below lambda_min(T_m)."""
     if not math.isfinite(tol):
         raise InputError(f"tolerance {tol} is not finite")
     m = f.cutoff if m is None else m
@@ -306,11 +348,20 @@ def tm_positivity(f, tol, m=None):
     if dense_decides(f.n, dim):
         me = float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
-    feasible = schur_factor(f, shift=tol, stop=True, levels=m).is_psd
+    factor = shifted_factor(f, m)
+
+    def probe(mu):
+        fac = factor(-mu, stop=True)
+        if fac.levels < m:
+            return fac.is_psd, None
+        w, v = np.linalg.eigh(fac.pivots[m])
+        zv = fac.z[m] @ v[:, 0] if m else 0.0
+        return fac.is_psd, mu + w[0] / (1.0 + np.vdot(zv, zv).real)
+
+    feasible, guess = probe(-tol)
     w = eigh_hermitian(f.constant_term())[0].tolist()
     slices = sum(f.degree_slice_norm(k) for k in f.blocks if 0 < k <= m)
     side = max if feasible else min
-    lo, hi = certify(lambda mu: schur_factor(f, shift=-mu, stop=True, levels=m).is_psd,
-                     side(w[0] - 2.0 * slices, -tol), side(w[0], -tol),
-                     MIN_EIG_RTOL * (max(-w[0], w[-1]) + slices))
+    lo, hi = certify(probe, side(w[0] - 2.0 * slices, -tol), side(w[0], -tol),
+                     MIN_EIG_RTOL * (max(-w[0], w[-1]) + slices), guess)
     return TmPositivity(feasible, lo, dim, tol, hi - lo)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freefock import cli, fock, jsonio, linalg, words
+from freefock import caratheodory as cara
 from freefock import pluriharmonic as ph
+from freefock import toeplitz as tp
 from freefock.caratheodory import CaratheodoryProblem
 from freefock.errors import InputError, ScopeError
 from freefock.fock import FockTrunc, OperatorTuple
@@ -764,7 +767,7 @@ def test_eval_tuple_json_fuzz_exits_with_documented_codes(x, cutoff):
 def test_check_and_extend_past_the_dense_side(tmp_path, capsys):
     # n = 2, m = 1 extended to degree 12: T_12 has side d = 8191, past the
     # 4096 side cap of a dense matrix; the Schur factorisation decides and
-    # bisection on its inertia brackets lambda_min(T_12) in
+    # probes of its inertia bracket lambda_min(T_12) in
     # [0.30379123306, 0.30379123372]
     path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
     out = tmp_path / "ext.json"
@@ -787,6 +790,30 @@ def test_check_and_extend_past_the_dense_side(tmp_path, capsys):
     assert report["min_eig"] == payload["certificate"]["min_eig_tm"]
     lo, hi = report["min_eig"], report["min_eig"] + report["min_eig_atol"]
     assert 0.30379123306 - 1e-11 <= hi and lo <= 0.30379123372 + 1e-11 and hi - lo <= 5e-9
+
+
+@pytest.mark.parametrize("target", [7, 9])
+def test_check_and_extend_payloads_are_plain_json(tmp_path, capsys, target):
+    # n = 2: T_7 has side 255, at or below DENSE_DIM, and T_9 side 1023,
+    # above it.  _emit writes with json.dumps and no default, so a numpy
+    # bool or float in either payload would exit 5; every verdict and
+    # eigenvalue is a Python bool or float.
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4}, 2, 1)
+    code, ext = run_cli(capsys, "extend", path, "--target-degree", str(target))
+    assert code == 0 and ext["verification"]["passed"] is True
+    problem = tmp_path / "ext_problem.json"
+    problem.write_text(json.dumps({"n": 2, "m": target, "coefficients": ext["coefficients"]}))
+    code, report = run_cli(capsys, "check", str(problem))
+    assert code == 0 and report["feasible"] is True
+    assert ("min_eig_atol" in report) == (2 ** (target + 1) - 1 > tp.DENSE_DIM)
+    prob = jsonio.json_to_problem(jsonio.load_json(str(problem)))
+    rec = cara.check_feasibility(prob)
+    assert type(rec.feasible) is bool and type(rec.min_eig) is float
+    assert rec.min_eig_atol is None or type(rec.min_eig_atol) is float
+    rep = cara.verify_solution(prob, cara.extend(prob, target + 1))
+    assert type(rep.passed) is bool
+    json.dumps(dataclasses.asdict(rec))
+    json.dumps({k: [ok, v] for k, (ok, v) in rep.checks.items()})
 
 
 def test_check_above_the_dense_threshold(capsys):

@@ -191,11 +191,12 @@ def test_check_positive():
 def test_check_positive_across_the_dense_threshold():
     """1 + 2 Re(a Z_1 + b Z_2) with r = ||(a, b)|| = 0.548 has smallest
     eigenvalue 1 - 2 r cos(pi / (m + 2)) at level m: positive up to m = 5,
-    negative from m = 6.  At n = 2, p = 1 the levels of side d_m <=
-    DENSE_DIM (m <= 8) carry the dense min_eig, level 9 a bracket of it
-    (min_eig_atol), and every verdict is that of the dense h(S^(m)) built
-    from both parts.  The level-9 record lies below every level's dense
-    min eig (interlacing) and gives the all-levels verdict."""
+    negative from m = 6.  At n = 2, p = 1 the levels of side d_m =
+    2^(m + 1) - 1 <= DENSE_DIM carry the dense min_eig, the levels above
+    it a bracket of it (min_eig_atol), and every verdict is that of the
+    dense h(S^(m)) built from both parts.  The level-9 record lies below
+    every level's dense min eig (interlacing) and gives the all-levels
+    verdict."""
     a, b = 0.3288, 0.4384j
     h = symbol(2, 1, {(): ONE, (1,): a * ONE, (2,): b * ONE},
                {(1,): np.conj(a) * ONE, (2,): np.conj(b) * ONE})
@@ -203,7 +204,7 @@ def test_check_positive_across_the_dense_threshold():
     reps = [ph.check_positive(h, m, tol) for m in range(10)]
     dense = [t.min_eig_atol is None for t in reps]
     assert dense == [2 ** (m + 1) - 1 <= tp.DENSE_DIM for m in range(10)]
-    assert dense == [True] * 9 + [False]
+    assert dense[0] and not dense[9]  # both paths are met
     lams = [min_eig_hermitian(ph.radial_boundary(h, 1.0, m)) for m in range(10)]
     want = [lam >= -tol for lam in lams]
     assert [t.feasible for t in reps] == want == [True] * 6 + [False] * 4

@@ -305,9 +305,9 @@ def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
 def test_certify_narrows_to_the_threshold_or_to_resolution():
     calls = []
 
-    def below(x):
+    def below(x):  # no guesses: bisection
         calls.append(x)
-        return x <= 0.3
+        return x <= 0.3, None
 
     lo, hi = tp.certify(below, 0.0, 1.0, 1e-9)
     assert lo <= 0.3 < hi and hi - lo <= 1e-9 and len(calls) == 30
@@ -319,6 +319,78 @@ def test_certify_narrows_to_the_threshold_or_to_resolution():
     assert tp.certify(below, 0.5, 0.5, 0.0) == (0.5, 0.5)
     assert tp.certify(below, -math.inf, 0.0, 1e-9)[0] == -math.inf
     assert calls == []
+
+
+def probe_with(guess):
+    """A probe of x <= 0.3 proposing guess(x), and the list of its points."""
+    calls = []
+
+    def probe(x):
+        calls.append(x)
+        return x <= 0.3, guess(x)
+
+    return probe, calls
+
+
+def test_certify_steers_by_its_guesses():
+    atol = 1e-9
+    # Newton on x^2 = 0.09 from above: quadratic steps, then one probe at hi - atol
+    probe, calls = probe_with(lambda x: (x + 0.09 / x) / 2.0)
+    lo, hi = tp.certify(probe, 0.0, 1.0, atol)
+    assert lo <= 0.3 < hi and hi - lo <= atol and len(calls) == 6
+    assert calls[0] == 0.5 and calls[-1] == lo  # a midpoint first: no guess yet
+    # an exact guess holds, and the probe atol above it closes the bracket
+    probe, calls = probe_with(lambda x: 0.3)
+    lo, hi = tp.certify(probe, 0.0, 1.0, atol, guess=0.3)
+    assert calls[0] == lo == 0.3 and calls[1] == hi and hi - lo <= atol and len(calls) == 2
+    # a guess outside the bracket leaves the midpoint to run: bisection's points
+    bisection, want = probe_with(lambda x: None)
+    probe, calls = probe_with(lambda x: 2.0)
+    assert tp.certify(probe, 0.0, 1.0, atol, 2.0) == tp.certify(bisection, 0.0, 1.0, atol)
+    assert calls == want and len(calls) == 30
+    # steps that do not halve (a creep, as next to a pole) alternate with midpoints
+    probe, calls = probe_with(lambda x: x - 0.01)
+    lo, hi = tp.certify(probe, 0.0, 1.0, atol, guess=0.99)
+    assert calls[:4] == [0.99, 0.495, 0.485, 0.2425]
+    assert lo <= 0.3 < hi and hi - lo <= atol
+
+
+def count_factorisations(f, tol, steer=True):
+    """(TmPositivity on the factored path, its nested_factor calls), with
+    certify's guesses dropped when not steer: the bisection it replaces."""
+    real = tp.certify
+
+    def bisection(probe, lo, hi, atol, guess=None):
+        return real(lambda mu: (probe(mu)[0], None), lo, hi, atol)
+
+    with mock.patch.object(tp, "nested_factor", wraps=tp.nested_factor) as factor, \
+            mock.patch.object(tp, "certify", real if steer else bisection):
+        rec = structured(f, tol)
+    return rec, factor.call_count
+
+
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_steered_bracket_holds_the_dense_eigenvalue(n, m, p):
+    """Newton-steered probes bracket the dense lambda_min(T_m) to
+    PIVOT_RTOL of the scale with width <= MIN_EIG_RTOL times it, on
+    feasible data, data just below -tol, indefinite data and data with
+    exactly singular pivots (b_w = I at w = 1^k, the central extension of
+    boundary data: s_k = 0 for k >= 1), and never take more
+    factorisations than bisection does."""
+    rng, tol = np.random.default_rng(100 * n + 10 * p + m), 1e-9
+    f = random_series(rng, n, m, p, scale=0.3)
+    shift = min_eig(tp.assemble_T(f))
+    cases = [FreeSeries(n, m, (p, p), {(1,) * k: np.eye(p) for k in range(m + 1)})]
+    for target in (0.3, -1e-6, -1.0):  # feasible, just infeasible, indefinite
+        b0 = f.constant_term() + (target - shift) * np.eye(p)
+        cases.append(FreeSeries(n, m, (p, p), {**f.coeffs, (): b0}))
+    for g in cases:
+        me = min_eig(tp.assemble_T(g))
+        rec, steered = count_factorisations(g, tol)
+        assert_brackets(rec, g, me)
+        assert rec.feasible == (me >= -tol)
+        assert steered <= count_factorisations(g, tol, steer=False)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,7 +405,7 @@ def test_structured_min_eig_brackets_the_dense_eigenvalue(n, m, p, scale, tol, z
     if zero:
         f = FreeSeries(n, m, (p, p), {})
     me = min_eig(tp.assemble_T(f))
-    with mock.patch.object(tp, "schur_factor", wraps=tp.schur_factor) as factor:
+    with mock.patch.object(tp, "nested_factor", wraps=tp.nested_factor) as factor:
         rec = structured(f, tol)
     assert_brackets(rec, f, me)
     if zero:
@@ -380,7 +452,7 @@ def test_tm_positivity_rejects_a_non_finite_tolerance_first(monkeypatch, tol):
         raise AssertionError("assembled or factored")
 
     monkeypatch.setattr(tp, "assemble_T", never)
-    monkeypatch.setattr(tp, "schur_factor", never)
+    monkeypatch.setattr(tp, "nested_factor", never)
     f = random_series(np.random.default_rng(0), 2, 1, 1, scale=0.05)
     for m in (None, 1, 9):  # dense, and past DENSE_DIM
         with pytest.raises(InputError, match="not finite"):
