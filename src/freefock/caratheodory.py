@@ -31,7 +31,7 @@ from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, o
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
 from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
-from .toeplitz import schur_factor, tm_positivity
+from .toeplitz import shifted_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
 
@@ -108,7 +108,7 @@ def extend(prob, M, tol=1e-9):
     and the degree-k coefficients appear only in r.  The central choice
     keeps Z^(k) = T_{k-1}^+ r* zero at the new words, so Z^(k) = Z^(m) for
     every k > m and, with zeta_{v i} = Z_i^(m)[v] from one Schur
-    factorisation of T_{m-1} (toeplitz.schur_factor), each new coefficient
+    factorisation of T_m (toeplitz.shifted_factor), each new coefficient
     is the split sum
 
         b_c = sum_{c = a e, 1 <= |e| <= m} b_a zeta_e,     |c| > m,
@@ -125,7 +125,8 @@ def extend(prob, M, tol=1e-9):
     check_entries(word_count(n, M) * p * p, "extension")
     blocks = dict(prob.data.blocks)
     if m:
-        z = schur_factor(prob.data, psd=True).z_graded(m)
+        fac = shifted_factor(prob.data)(0.0, psd=True)
+        z = fac.graded(np.concatenate([np.zeros((1, p, p)), fac.z[m].reshape(-1, p, p)]))
         zeta = {e: (np.arange(n**e), z[word_count(n, e - 1):word_count(n, e)])
                 for e in range(1, m + 1)}
         for k in range(m + 1, M + 1):
@@ -215,6 +216,9 @@ VERIFY_TOL = 1e-8
 # Word-product entries (1 MB complex) verify_solution evaluates at once.
 VERIFY_CHUNK_ENTRIES = 2**16
 
+# Fixed storage of a drawn sample matrix in complex entries (185 bytes by tracemalloc)
+SAMPLE_ENTRIES = 12
+
 
 @dataclass
 class VerificationReport:
@@ -237,11 +241,13 @@ def verify_solution(prob, ext, samples=20, seed=0):
     same bits as alone.  A chunk takes as many samples as fit in
     VERIFY_CHUNK_ENTRIES entries of products of all d words, but at least
     one: a sample holds up to d (M + 1)^2 entries (7.4M at n = 2, M = 14),
-    checked by word_sum."""
+    checked by word_sum.  The n ((M + 1)^2 + SAMPLE_ENTRIES) entries of
+    each drawn sample are checked against the size limit before the first."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
     M, p = f.cutoff, prob.block_size
+    check_entries(samples * prob.n * ((M + 1) ** 2 + SAMPLE_ENTRIES), "verification samples")
     checks = {}
 
     dev = _prescribed_error(prob, f)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 
@@ -48,13 +47,13 @@ def _emit(payload, args):
     if getattr(args, "tol", None) is not None:
         payload.setdefault("tolerances", {})["tol"] = args.tol
     out = getattr(args, "output", None)
-    # allow_nan=False rejects inf and nan before any output exists: the file
-    # goes through a temporary that is removed on error, stdout gets every byte
+    # jsonio rejects inf and nan before any output exists: the file goes
+    # through a temporary that is removed on error, stdout gets every byte
     try:
         if out:
             jsonio.write_json_atomic(payload, out)
         else:
-            data = memoryview((json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
+            data = memoryview(jsonio.to_bytes(payload))
             sys.stdout.flush()
             while data:  # an unbuffered (PYTHONUNBUFFERED) raw write may take a part
                 data = data[sys.stdout.buffer.write(data):]

@@ -10,6 +10,7 @@ check of outside coefficients; a writer decodes each degree's codes once.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -206,14 +207,26 @@ def load_json(path):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def to_bytes(obj):
+    """The output format: JSON with indent 2 and a trailing newline, as
+    bytes; inf and nan raise ValueError before anything is written.  The
+    pieces stream through one buffer (json.dumps would hold 5 times as much)."""
+    text = io.TextIOWrapper(io.BufferedWriter(raw := io.BytesIO()), encoding="utf-8")
+    json.dump(obj, text, indent=2, allow_nan=False)
+    text.write("\n")
+    text.flush()
+    return raw.getvalue()
+
+
 def write_json_atomic(obj, path):
-    """Write via a temp file in the target directory, then rename."""
+    """Write to_bytes(obj) via a temp file in the target directory, then
+    rename; no file is made when obj does not serialise."""
+    data = to_bytes(obj)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

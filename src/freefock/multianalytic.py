@@ -5,10 +5,11 @@ factorisation (toeplitz.nested_factor).
 In last-letter tree order A_j = [[f_0, 0], [c, I_n (x) A_{j-1}]] with
 c^(i)[v] = f_{v i}, so sigma^2 I - A_j* A_j is nested_factor's M_j with
 alpha_j = sigma^2 I - sum_{|w|<=j} f_w* f_w and beta_j^(i)* =
--A_{j-1}* c^(i): its negative pivots count the singular values of A
-above sigma.  A symmetric Lanczos run on A*A gives a value ||A x|| /
-||x|| from below, and one factorisation at sigma = value (1 + NORM_RTOL)
-certifies it from above.
+-A_{j-1}* c^(i), given in graded order (nested_factor takes them to tree
+order): its negative pivots count the singular values of A above sigma.
+A symmetric Lanczos run on A*A gives a value ||A x|| / ||x|| from below,
+and one factorisation at sigma = value (1 + NORM_RTOL) certifies it from
+above.
 
 ``hinf_norm`` (so ``freefock norm``, ``caratheodory.cf_check`` and
 ``caratheodory.cayley_route``) is the one place that picks the path for a
@@ -27,7 +28,7 @@ from . import linalg
 from .errors import InputError, ScopeError
 from .linalg import check_entries, operator_norm
 from .series import eval_at_creation
-from .toeplitz import dense_decides, nested_factor, tree_order
+from .toeplitz import dense_decides, nested_factor
 from .words import join_indices, word_count
 
 # At or below this side d p the dense SVD of f(S^(m)) gives its norm; above
@@ -124,34 +125,18 @@ class MultiAnalytic:
         return nested_factor(self.n, self.p, self.m, lambda j: s2 * eye - self.gram[j],
                              self._beta, s2, stop=stop)
 
-    def _beta(self, j, order):
-        """-A_{j-1}* c^(i) in tree order, the same for every sigma (kept)."""
+    def _beta(self, j):
+        """-A_{j-1}* c^(i) in graded order, the same for every sigma (kept)."""
         cached = self._betas.get(j)
         if cached is None:
             n, p, d = self.n, self.p, self.sizes[j - 1]
             if self._graded is None:
                 self._graded = np.concatenate([self._f.dense(t) for t in range(self.m + 1)])
             # c^(i)[v] = f_{v i}, and the graded index of v i is n g(v) + i
-            c = self._graded[n * np.arange(d)[:, None] + np.arange(1, n + 1)]
+            c = self._graded[1:self.sizes[j]].reshape(d, n, p, p)
             y = -self.apply_adjoint(c.transpose(0, 2, 1, 3).reshape(d, p, n * p), j - 1)
-            cached = self._betas[j] = y[order].reshape(d, p, n, p).transpose(2, 0, 1, 3)
+            cached = self._betas[j] = y.reshape(d, p, n, p).transpose(2, 0, 1, 3)
         return cached
-
-    def ascent(self, fac):
-        """x with ||A x|| > sigma ||x|| from a factorisation of sigma^2 I -
-        A*A stopped at a negative pivot s_j, or None when its last pivot
-        is not negative: with s_j u = lambda u, lambda < 0, the vector
-        [u; -Z^(j) u] on P^(j) in tree order has x* M_j x = lambda, and A_j
-        is the compression of A to P^(j)."""
-        j = fac.levels
-        w, v = np.linalg.eigh(fac.pivots[j])
-        if w[0] >= -fac.cut:
-            return None
-        u = v[:, 0]
-        x = np.zeros((self.sizes[-1], self.p), dtype=complex)
-        parts = [u[None]] + ([-(fac.z[j] @ u).reshape(-1, self.p)] if j else [])
-        x[tree_order(self.n, j)] = np.concatenate(parts)
-        return x
 
 
 def _lanczos(op, x0, steps):
@@ -204,8 +189,10 @@ def certified_norm(f, m):
     ||G||^(1/2); the value is ||A x|| / ||x|| for its Ritz vector.  One
     factorisation of sigma^2 I - A*A at sigma = value (1 + NORM_RTOL) then
     certifies it when no pivot is negative or zero.  Otherwise its first
-    negative pivot gives a vector beating sigma (MultiAnalytic.ascent),
-    and a new run starts there; the value never goes uncertified."""
+    negative pivot s_j, with smallest eigenpair (f, u), gives the vector
+    [u; -Z^(j) u] on P^(j) (SchurFactor.newton, in graded order): x* M_j x
+    = f < 0, and A_j is the compression of A to P^(j), so ||A x|| > sigma
+    ||x||.  A new run starts there; the value never goes uncertified."""
     big = max((float(np.max(np.abs(c))) for k, (_, c) in f.blocks.items() if k <= m), default=0.0)
     if big == 0.0:
         return CertifiedNorm(0.0, NORM_RTOL, 0)
@@ -220,8 +207,9 @@ def certified_norm(f, m):
         fac = op.factor(value * (1.0 + NORM_RTOL), stop=True)
         if fac.levels == m and fac.inertia()[:2] == (0, 0):
             return CertifiedNorm(math.ldexp(value, e), NORM_RTOL, start)
-        x = op.ascent(fac)
-        if x is None or (gain := _ratio(op, x)) <= value:
+        low, u, zu = fac.newton()  # [u; -Z u] beats sigma when low < 0
+        x = fac.graded(np.concatenate([u[None], -zu.reshape(-1, op.p)]), op.sizes[-1])
+        if low >= -fac.cut or (gain := _ratio(op, x)) <= value:
             break
         value = gain
     raise ScopeError(f"the structured norm could not be certified within {NORM_RTOL:.0e}")

@@ -45,7 +45,8 @@ from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
-# Fixed storage of a geometric sum's degree in complex entries (490 bytes by tracemalloc)
+# Fixed charge in complex entries of a geometric sum's degree (its storage,
+# 490 bytes by tracemalloc), and of a jsr estimate's step
 DEGREE_ENTRIES = 32
 
 
@@ -76,7 +77,7 @@ def from_degrees(n, cutoff, shape, degrees):
             validate_word(letters[((letters < 1) | (letters > n)).any(axis=1)][0].tolist(), n)
         if not np.isfinite(c).all():
             raise InputError(f"degree {k} coefficients must be finite")
-        codes = encode_words(letters, n, k, np.int64 if n**k < 2**63 else object)
+        codes = encode_words(letters, n, k)
         if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():  # sorted, no word twice
             order = np.argsort(codes, kind="stable")
             codes, c = codes[order], c[order]
@@ -374,7 +375,9 @@ def _exp2(x):
 def jsr_estimate(X, kmax):
     """Finite-depth joint spectral radius: ||M_kmax||^(1/(2 kmax)) with
     M_k = sum_i X_i M_{k-1} X_i*.  Reports the first k with M_k = 0 (to a
-    scale-relative threshold, compared in log2), in which case the value is 0."""
+    scale-relative threshold, compared in log2), in which case the value is 0.
+    One is found by k = X.dim; past it the depth left meets the size limit
+    first, n dim^2 entries of products and DEGREE_ENTRIES a step."""
     if kmax < 1:
         raise InputError("jsr depth must be >= 1")
     r = X.row_norm  # r = 0 makes M_1 = 0; an overflowed r is at least 2^1024
@@ -387,22 +390,20 @@ def jsr_estimate(X, kmax):
             normal = -1022 < log_norm < 1024
             value = math.ldexp(nrm, e) ** (1.0 / (2 * k)) if normal else _exp2(log_norm / (2 * k))
             return JsrEstimate(kmax=kmax, value=value)
+        if k == X.dim:
+            check_entries((kmax - k) * (X.n * X.dim**2 + DEGREE_ENTRIES), "jsr estimate")
 
 
 def radius_estimate(f, kmax):
     """Finite-depth estimate of the radius of convergence:
     1 / max_{1<=k<=kmax} ||sum_{|a|=k} A_a* A_a||^(1/(2k)).
-    Only the stored slices enter, so it is not a bound on the radius of
-    an infinite series.  Infinite when every tested degree slice vanishes."""
+    Only the stored slices enter (and are visited), so it is not a bound on
+    the radius of an infinite series.  Infinite when every tested degree slice vanishes."""
     if not f.is_square():
         raise InputError("radius estimate needs square coefficients")
     if not 1 <= kmax <= f.cutoff:
         raise InputError(f"depth {kmax} outside 1..cutoff={f.cutoff}")
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        c = f.degree_slice_norm(k)
-        if c > 0:
-            worst = max(worst, c ** (1.0 / k))
+    worst = max((f.degree_slice_norm(k) ** (1 / k) for k in f.blocks if 0 < k <= kmax), default=0.0)
     return math.inf if worst == 0.0 else 1.0 / worst
 
 

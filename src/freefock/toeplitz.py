@@ -11,13 +11,14 @@ i, the words v i with v in tree order.  Then
 and with Z_i^(k) = T_{k-1}^{-1} r_i* and the pivot s_k = b_0 - sum_i r_i Z_i^(k),
 T_k = U D U* where D holds s_j at every word of length k - j and
 U^{-1} = I - N, N having the blocks Z_i^(j)[v]* at (w, v i w).  So the
-inertia of T_k is sum_j n^(k-j) inertia(s_j) and log det T_k is
-sum_j n^(k-j) log det s_j (Constantinescu-Johnson, displacement structure
-on the free semigroup).  I_n (x) T_{j-1} acting on a block vector is
-T_{j-1} acting on n times as many columns, so each level of a solve is one
-batched product over views of one array, and T is never formed.
-nested_factor runs the same level loop for blocks given per level; the
-norm of a multi-analytic operator (multianalytic) is its other case.
+inertia of T_k is sum_j n^(k-j) inertia(s_j) (Constantinescu-Johnson,
+displacement structure on the free semigroup).  I_n (x) T_{j-1} acting on
+a block vector is T_{j-1} acting on n times as many columns, so each
+level of a solve is one batched product over views of one array, and T
+is never formed.  nested_factor runs the same level loop for blocks given
+per level in graded order; the norm of a multi-analytic operator
+(multianalytic) is its other case.  The tree order stays in this module:
+SchurFactor.newton gives both certifiers the last pivot's Newton step.
 
 tm_positivity is the one place that decides T_m >= -tol I and gives its
 smallest eigenvalue, at any level m: dense where dense_decides, above by the
@@ -100,12 +101,7 @@ def tree_order(n, k):
 def _grow(n, order):
     """The tree order one level deeper: the root, then the words v i for
     each letter i; the graded index of v i is n g(v) + i."""
-    return np.concatenate([[0], _children(n, order).ravel()])
-
-
-def _children(n, order):
-    """(n, len(order)) graded indices of the words v i, v in order."""
-    return n * order + np.arange(1, n + 1)[:, None]
+    return np.concatenate([[0], (n * order + np.arange(1, n + 1)[:, None]).ravel()])
 
 
 @dataclass
@@ -123,6 +119,7 @@ class SchurFactor:
     range_tol: float  # largest admitted component of r* along a zero pivot
     pivots: list = field(default_factory=list)
     eigenvalues: list = field(default_factory=list)  # of each pivot, ascending
+    eigenvectors: list = field(default_factory=list)  # of each pivot, in that order
     z: list = field(default_factory=lambda: [None])
     range_gap: float = 0.0  # largest such component met in the factorisation
     _inverses: list = field(default_factory=list)
@@ -150,21 +147,19 @@ class SchurFactor:
             )
         return tuple(int(c) for c in counts)
 
-    def slogdet(self):
-        """(sign, log |det|) of T_k + shift I from the pivots."""
-        k, sign, total = self.levels, 1.0, 0.0
-        for j, w in enumerate(self.eigenvalues):
-            reps = self.n ** (k - j)
-            sign *= float(np.prod(np.sign(w))) ** reps
-            total += reps * float(np.sum(np.log(np.abs(w))))
-        return sign, total
+    def newton(self):
+        """(f, u, Z^(j) u) at the last level j: the smallest eigenpair of s_j
+        and Z^(j) u (rows as in z[j], empty at j = 0).  x = [u; -Z^(j) u] in
+        tree order has x* M_j x = f (Cybenko-Van Loan)."""
+        j = self.levels
+        u = self.eigenvectors[j][:, 0]
+        return self.eigenvalues[j][0], u, self.z[j] @ u if j else np.zeros(0)
 
-    def z_graded(self, j):
-        """Z^(j) keyed by word: the (d_j, p, p) stack in graded order whose
-        entry at v i holds Z_i^(j)[v] (the root entry is zero)."""
-        p, order = self.p, tree_order(self.n, j - 1)
-        out = np.zeros((word_count(self.n, j), p, p), dtype=complex)
-        out[_children(self.n, order)] = self.z[j].reshape(self.n, len(order), p, p)
+    def graded(self, x, size=None):
+        """x over the words of length <= levels, moved from tree to graded
+        order in a zero stack of size rows (default len(x))."""
+        out = np.zeros((size or len(x),) + x.shape[1:], dtype=complex)
+        out[tree_order(self.n, self.levels)] = x
         return out
 
     def solve(self, x, j):
@@ -202,26 +197,20 @@ class SchurFactor:
         keep = w > self.cut if psd else abs(w) > self.cut
         self.pivots.append(s)
         self.eigenvalues.append(w)
+        self.eigenvectors.append(v)
         self._inverses.append((v[:, keep] / w[keep]) @ adjoint(v[:, keep]))
         self._kernels.append(v[:, ~keep])
         if z is not None:
             self.z.append(z)
 
 
-def schur_factor(f, shift=0.0, stop=False, levels=None, psd=False):
-    """Recursive Schur factorisation of T_k + shift I for a square series
-    f, k = levels (default f.cutoff), from f's own coefficients: the level
-    loop of nested_factor with alpha_j = b_0 + shift I and beta_j* = r*.
-    With psd the pivots' negative eigenvalues count as zero, as for data
-    that is positive only within a tolerance."""
-    return shifted_factor(f, levels)(shift, stop, psd)
-
-
 def shifted_factor(f, levels=None):
-    """schur_factor of f at level k (default f.cutoff) as a function of
-    (shift, stop=False, psd=False), with f's coefficients densified once
-    for every shift.  The coefficient storage p^2 d is checked against the
-    size limit before anything is allocated."""
+    """The recursive Schur factorisation of T_k + shift I for a square
+    series f, k = levels (default f.cutoff), as a function of (shift,
+    stop=False, psd=False): nested_factor with alpha_j = b_0 + shift I and
+    beta_j* = r*, f's coefficients densified once for every shift, after
+    their p^2 d entries meet the size limit.  With psd the pivots' negative
+    eigenvalues count as zero, as for data positive only within a tolerance."""
     if not f.is_square():
         raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
     n, p = f.n, f.shape[0]
@@ -230,11 +219,13 @@ def shifted_factor(f, levels=None):
     graded = np.concatenate([f.dense(j) for j in range(k + 1)])  # (d, p, p), graded order
     b0 = check_hermitian(graded[0])
 
+    def beta(j):  # beta_j^(i)*[v] = b_{v i}, and the graded index of v i is n g(v) + i
+        return graded[1:word_count(n, j)].reshape(-1, n, p, p).swapaxes(0, 1)
+
     def factor(shift, stop=False, psd=False):
         alpha = b0 + shift * np.eye(p)
-        # r[i, v] = b_{v i} for v in the tree order of T_{j-1}
-        return nested_factor(n, p, k, lambda j: alpha, lambda j, order: graded[_children(n, order)],
-                             float(np.linalg.eigvalsh(alpha)[-1]), stop, psd)
+        return nested_factor(n, p, k, lambda j: alpha, beta, float(np.linalg.eigvalsh(alpha)[-1]),
+                             stop, psd)
 
     return factor
 
@@ -244,10 +235,10 @@ def nested_factor(n, p, k, alpha, beta, top, stop=False, psd=False):
 
         M_0 = alpha(0),   M_j = [[alpha(j), beta_j], [beta_j*, I_n (x) M_{j-1}]],
 
-    with the p x p blocks alpha(j) Hermitian and beta(j, order) the
-    (n, d_{j-1}, p, p) stack of the block columns beta_j^(i)* over the
-    words v in order, the tree order of level j - 1.  Z^(j) =
-    M_{j-1}^+ beta_j* is one SchurFactor.solve and the pivot is
+    with the p x p blocks alpha(j) Hermitian and beta(j) the (n, d_{j-1},
+    p, p) stack of the block columns beta_j^(i)* over the words v of
+    length < j in graded order; the level loop takes them in tree order.
+    Z^(j) = M_{j-1}^+ beta_j* is one SchurFactor.solve and the pivot is
     s_j = alpha(j) - sum_i beta_j^(i) Z_i^(j).  Pivot eigenvalues within
     PIVOT_RTOL top count as zero, top being the scale of alpha."""
     cut = max(PIVOT_RTOL * top, np.finfo(float).tiny)
@@ -258,7 +249,7 @@ def nested_factor(n, p, k, alpha, beta, top, stop=False, psd=False):
         for j in range(1, k + 1):
             if stop and not fac.is_psd:
                 break
-            r = beta(j, order)
+            r = beta(j)[:, order]
             x = r.transpose(1, 2, 0, 3).reshape(len(order), p, n * p).copy()
             fac.range_gap = max(fac.range_gap, fac.solve(x, j - 1))
             z = x.reshape(len(order), p, n, p).transpose(2, 0, 1, 3).reshape(-1, p)
@@ -354,9 +345,8 @@ def tm_positivity(f, tol, m=None):
         fac = factor(-mu, stop=True)
         if fac.levels < m:
             return fac.is_psd, None
-        w, v = np.linalg.eigh(fac.pivots[m])
-        zv = fac.z[m] @ v[:, 0] if m else 0.0
-        return fac.is_psd, mu + w[0] / (1.0 + np.vdot(zv, zv).real)
+        low, _, zu = fac.newton()
+        return fac.is_psd, mu + low / (1.0 + np.vdot(zu, zu).real)
 
     feasible, guess = probe(-tol)
     w = eigh_hermitian(f.constant_term())[0].tolist()

@@ -31,9 +31,10 @@ def validate_word(w, n):
             raise InputError(f"letter {i} outside 1..{n} in word {word_to_string(w)!r}")
 
 
-def encode_words(words, n, k, dtype=np.int64):
-    """Codes of words of length k over n letters (dtype object past int64)."""
+def encode_words(words, n, k):
+    """Codes of words of length k over n letters (int64 while n^k < 2^63, else dtype object)."""
     letters = np.asarray(words, dtype=np.int64).reshape(len(words), k) - 1
+    dtype = np.int64 if n**k < 2**63 else object
     return letters @ np.array([n**j for j in range(k - 1, -1, -1)], dtype=dtype)
 
 

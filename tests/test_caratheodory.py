@@ -336,6 +336,34 @@ def test_verify_solution_classical_geometric():
     assert rep.passed
 
 
+def test_verify_solution_checks_the_sample_count_before_drawing(monkeypatch):
+    """samples n ((M + 1)^2 + SAMPLE_ENTRIES) entries meet the size limit
+    before the first tuple is drawn; a count that fits draws them all (and
+    then meets the limit in the word products, d (M + 1)^2 a sample)."""
+    from freefock import linalg
+    from freefock.errors import SizeLimitError
+
+    prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3})
+    ext = cara.extend(prob, 3)
+    per_sample = 2 * (4**2 + cara.SAMPLE_ENTRIES)
+    draws = []
+    monkeypatch.setattr(cara, "random_nilpotent_tuple",
+                        lambda *a, **k: draws.append(1) or random_nilpotent_tuple(*a, **k))
+    with pytest.raises(SizeLimitError):
+        cara.verify_solution(prob, ext, samples=10**12)
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(20)  # 400 entries: 7 samples of 56 fit, 8 do not
+    try:
+        with pytest.raises(SizeLimitError):
+            cara.verify_solution(prob, ext, samples=400 // per_sample + 1)
+        assert not draws
+        with pytest.raises(SizeLimitError, match="word products"):
+            cara.verify_solution(prob, ext, samples=400 // per_sample)
+    finally:
+        linalg.set_max_dim(old)
+    assert len(draws) == 400 // per_sample
+
+
 def test_verify_solution_catches_corruption():
     prob = scalar_problem(1, 1, {(): 1.0, (1,): 0.5})
     ext = cara.extend(prob, 3)

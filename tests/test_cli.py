@@ -284,6 +284,16 @@ def test_eval_tail_of_coefficients_below_the_square_root_of_the_smallest_float(c
     assert tiny == pytest.approx(scaled, rel=1e-12)
 
 
+def test_eval_at_a_huge_cutoff_exits_4_unless_the_tuple_is_nilpotent():
+    f = {"n": 1, "cutoff": 10**15, "shape": [1, 1],
+         "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.5, 0.0]]]}}
+    x = {"n": 1, "dim": 1, "matrices": [[[[0.1, 0.0]]]]}
+    code, err = run_on_json(["eval", f, x])
+    assert code == 4 and "jsr estimate" in err
+    nil = {"n": 1, "dim": 2, "matrices": [[[[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}
+    assert run_on_json(["eval", f, nil]) == (0, "")
+
+
 def test_norm_command(tmp_path, capsys):
     f = FreeSeries(2, 1, (1, 1), {(1,): np.array([[1.0]]), (2,): np.array([[1.0]])})
     fpath = tmp_path / "series.json"
@@ -861,6 +871,22 @@ def test_samples_and_seed_are_checked_when_parsed(tmp_path, capsys, argv):
         argv += ["--output", str(out)]
     assert cli.main(argv) == 3
     assert capsys.readouterr().out == "" and not out.exists()
+
+
+def test_extend_with_too_many_samples_exits_4_before_drawing(tmp_path, capsys):
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.5}, 1, 1)
+    out = tmp_path / "out.json"
+    argv = ["extend", path, "--target-degree", "3", "--samples", str(10**12), "--output", str(out)]
+    assert cli.main(argv) == 4
+    assert "verification samples" in capsys.readouterr().err and not out.exists()
+
+
+def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsysbinary):
+    path = write_problem(tmp_path, {(): 1.0, (1,): 0.5}, 1, 1)
+    out = tmp_path / "out.json"
+    assert cli.main(["extend", path, "--target-degree", "3", "--output", str(out)]) == 0
+    assert cli.main(["extend", path, "--target-degree", "3"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_check_and_extend_build_no_basis(tmp_path, monkeypatch, capsys):

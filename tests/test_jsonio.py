@@ -125,6 +125,17 @@ def test_atomic_write(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_a_non_finite_payload_makes_no_file(tmp_path, monkeypatch):
+    """to_bytes raises on inf and nan before write_json_atomic creates anything."""
+    made = []
+    monkeypatch.setattr(jsonio.tempfile, "mkstemp", lambda **k: made.append(k))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jsonio.write_json_atomic({"a": [1.0, bad]}, tmp_path / "out.json")
+    assert not made and not list(tmp_path.iterdir())
+    assert jsonio.to_bytes({"a": [1.5]}) == b'{\n  "a": [\n    1.5\n  ]\n}\n'
+
+
 # -- per-degree reader and writer ----------------------------------------------
 
 special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300])

@@ -618,6 +618,29 @@ def test_jsr_estimate_at_depths_past_the_float_range():
     assert fs.jsr_estimate(x, 6).value == operator_norm(m) ** (1.0 / 12)
 
 
+def test_jsr_depth_past_the_tuple_dimension_is_charged_first():
+    """Past k = X.dim a tuple is not nilpotent, so the depth left costs
+    n dim^2 + DEGREE_ENTRIES entries a step, charged before it runs: eval at
+    cutoff 10^15 and [[0.1]] meets the limit at once, while a nilpotent
+    tuple at that cutoff is found by its dimension and summed exactly."""
+    f = scalar_series(1, 10**15, {(): 1.0, (1,): 0.5})
+    x = OperatorTuple((np.array([[0.1]]),))
+    with pytest.raises(SizeLimitError):
+        fs.eval_report(f, x)
+    nil = OperatorTuple((np.array([[0.0, 0.3], [0.0, 0.0]]),))
+    rep = fs.eval_report(f, nil)
+    assert rep.exact and rep.jsr.nilpotent_order == 2
+    assert np.array_equal(rep.value, np.array([[1.0, 0.15], [0.0, 1.0]]))
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(8)  # 64 entries: one step of 1 + DEGREE_ENTRIES past k = 1 fits, two do not
+    try:
+        assert fs.jsr_estimate(x, 2).value == pytest.approx(0.1, rel=1e-12)
+        with pytest.raises(SizeLimitError):
+            fs.jsr_estimate(x, 3)
+    finally:
+        linalg.set_max_dim(old)
+
+
 def test_radius_estimate():
     f = scalar_series(1, 6, {(1,) * k: 2.0**k for k in range(1, 7)})
     assert fs.radius_estimate(f, 6) == pytest.approx(0.5)
@@ -628,6 +651,8 @@ def test_radius_estimate():
     poly = scalar_series(1, 5, {(1,): 3.0})
     assert fs.radius_estimate(poly, 5) == pytest.approx(1.0 / 3.0)
     assert fs.radius_estimate(fs.FreeSeries.zero(1, 3, (1, 1)), 3) == math.inf
+    # only the stored degrees are visited: a cutoff of 10^15 costs nothing more
+    assert fs.radius_estimate(scalar_series(1, 10**15, {(1, 1): 4.0}), 10**15) == 0.5
 
 
 def test_truncated_cayley_basics():

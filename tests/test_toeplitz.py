@@ -171,11 +171,11 @@ def test_schur_factor_matches_dense(n, k, p):
     rng = np.random.default_rng(10 * n + k + p)
     f = random_series(rng, n, k, p)
     t = tp.assemble_T(f)
-    fac = tp.schur_factor(f)
-    sign, logdet = np.linalg.slogdet(t)
-    got_sign, got_logdet = fac.slogdet()
-    assert abs(got_logdet - logdet) <= 1e-13 * max(1.0, abs(logdet))
-    assert got_sign == pytest.approx(sign.real, abs=1e-12)
+    fac = tp.shifted_factor(f)(0.0)
+    # log det T_k = sum_j n^(k-j) log det s_j
+    logdet = np.linalg.slogdet(t)[1]
+    got = sum(n ** (k - j) * np.log(np.abs(w)).sum() for j, w in enumerate(fac.eigenvalues))
+    assert abs(got - logdet) <= 1e-13 * max(1.0, abs(logdet))
     ev = np.linalg.eigvalsh(t)
     assert (ev < 0).sum() > 0  # indefinite data
     assert fac.inertia() == ((ev < 0).sum(), 0, (ev > 0).sum())
@@ -190,9 +190,9 @@ def test_schur_factor_matches_dense(n, k, p):
 def test_schur_factor_stops_at_negative_pivot():
     rng = np.random.default_rng(3)
     f = random_series(rng, 2, 4, 1)
-    full = tp.schur_factor(f)
+    full = tp.shifted_factor(f)(0.0)
     first = next(j for j, w in enumerate(full.eigenvalues) if w[0] < 0)
-    stopped = tp.schur_factor(f, stop=True)
+    stopped = tp.shifted_factor(f)(0.0, stop=True)
     assert stopped.levels == first and not stopped.is_psd
     for a, b in zip(stopped.pivots, full.pivots):
         assert np.array_equal(a, b)
@@ -227,11 +227,11 @@ def test_schur_singular_pivots_need_the_range_condition():
     for b1, psd_want in ((e22, False), (np.diag([0.5, 0.0]), True)):
         f = FreeSeries(2, 3, (2, 2), {(): b0, (1,): b1})
         me = min_eig(tp.assemble_T(f))
-        fac = tp.schur_factor(f, stop=True)
+        fac = tp.shifted_factor(f)(0.0, stop=True)
         assert fac.is_psd == psd_want == (me >= -1e-12)
     # boundary data: T_2 of (1, 1, 1) at n = 1 is the all-ones matrix, PSD and singular
     ones = FreeSeries(1, 2, (1, 1), {(): ONE, (1,): ONE, (1, 1): ONE})
-    fac = tp.schur_factor(ones)
+    fac = tp.shifted_factor(ones)(0.0)
     assert fac.is_psd and fac.inertia() == (0, 2, 1)
 
 
@@ -240,7 +240,7 @@ def test_schur_factor_rejects_overflow():
 
     f = FreeSeries(2, 2, (1, 1), {(): 1e-300 * ONE, (1,): -1e300 * ONE, (2, 1): 1e308 * ONE})
     with pytest.raises(ScopeError):
-        tp.schur_factor(f, shift=1e-9)
+        tp.shifted_factor(f)(1e-9)
 
 
 def test_central_extension_has_constant_pivots():
@@ -252,7 +252,7 @@ def test_central_extension_has_constant_pivots():
         f = random_series(rng, n, m, p, scale=0.1 / n)
         prob = cara.CaratheodoryProblem(f)
         ext = cara.extend(prob, m + 3)
-        fac = tp.schur_factor(ext.series)
+        fac = tp.shifted_factor(ext.series)(0.0)
         assert fac.levels == m + 3 and fac.is_psd
         for j in range(m + 1, m + 4):
             assert np.max(np.abs(fac.pivots[j] - fac.pivots[m])) <= 1e-14
@@ -295,7 +295,7 @@ def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
     t = tp.assemble_T(f)
     me = min_eig(t)
     assume(abs(me + tol) > 1e-10 * np.linalg.norm(t, 2))
-    fac = tp.schur_factor(f, shift=tol, stop=True)
+    fac = tp.shifted_factor(f)(tol, stop=True)
     assert fac.is_psd == (me >= -tol)
     rec = structured(f, tol)
     assert rec.feasible == fac.is_psd

@@ -92,8 +92,9 @@ def test_codes_follow_graded_basis_and_decode(n, k, data):
     assert decode_words(encode_words([w], n, k), n, k) == [w]
     # past int64 the codes are Python ints
     long = tuple(data.draw(st.lists(st.integers(1, n), min_size=70, max_size=70)))
-    dtype = np.int64 if n**70 < 2**63 else object
-    assert decode_words(encode_words([long], n, 70, dtype), n, 70) == [long]
+    codes = encode_words([long], n, 70)
+    assert codes.dtype == (np.int64 if n**70 < 2**63 else object)
+    assert decode_words(codes, n, 70) == [long]
 
 
 def test_generator_range_errors():
