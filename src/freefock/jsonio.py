@@ -6,13 +6,21 @@ through Python's shortest round-trip repr, so parse(dump(x)) == x.
 Coefficient maps cross per degree, never per word or entry: a reader hands
 each degree's letters and float array to ``series.from_degrees``, the one
 check of outside coefficients; a writer decodes each degree's codes once.
+
+Output is ``json.dumps(obj, indent=2)`` plus a newline, byte for byte, but
+not by json's encoder, which runs in pure Python whenever it indents.
+``matrix_to_json`` and the coefficient maps return list and dict subclasses
+that stay plain JSON to every reader and tell ``to_bytes`` the shape of
+their items, so each chunk of items is one ``%`` on a cached template.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 
@@ -50,10 +58,24 @@ def _integer(v, what):
     return v
 
 
+class _Matrix(list):
+    """Nested lists of [re, im] pairs whose items all have item_shape."""
+
+    __slots__ = ("item_shape",)
+
+
+class _CoefficientMap(dict):
+    """{digit string: matrix} whose values all have item_shape."""
+
+    __slots__ = ("item_shape",)
+
+
 def matrix_to_json(m):
     """Any complex array as nested lists of [re, im] pairs, by one tolist()."""
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    out = _Matrix(np.stack([m.real, m.imag], -1).tolist())
+    out.item_shape = (*m.shape, 2)[1:]
+    return out
 
 
 def json_to_matrix(v):
@@ -68,7 +90,9 @@ def _blocks_to_json(f):
         digits = (decode_letters(codes, f.n, k) + ord("0")).astype(np.uint8)
         keys = digits.view(f"S{k}")[:, 0].astype(str).tolist() if k else [""]
         entries += zip(keys, matrix_to_json(c))
-    return dict(sorted(entries))
+    out = _CoefficientMap(sorted(entries))
+    out.item_shape = (*f.shape, 2)
+    return out
 
 
 def _json_to_degrees(obj, moments=False):
@@ -207,26 +231,152 @@ def load_json(path):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+_INDENT = "  "
+_CHUNK_LEAVES = 128  # floats per %: bounds the text held beside the result; larger was no faster
+
+
 def to_bytes(obj):
-    """The output format: JSON with indent 2 and a trailing newline, as
-    bytes; inf and nan raise ValueError before anything is written.  The
-    pieces stream through one buffer (json.dumps would hold 5 times as much)."""
-    text = io.TextIOWrapper(io.BufferedWriter(raw := io.BytesIO()), encoding="utf-8")
-    json.dump(obj, text, indent=2, allow_nan=False)
-    text.write("\n")
-    text.flush()
+    """The output format: (json.dumps(obj, indent=2) + "\n").encode(), byte
+    for byte; inf and nan raise ValueError and what json cannot write its
+    TypeError, before anything is written.  Each piece of text is encoded
+    into one buffer as it is made, so beside the result at most one chunk
+    of _CHUNK_LEAVES floats is held as text."""
+    raw = io.BytesIO()
+    _write(obj, lambda piece: raw.write(piece.encode()), 0)
+    raw.write(b"\n")
     return raw.getvalue()
+
+
+def _write(o, write, level):
+    """json's indent-2 text of o at nesting level, piece by piece, in
+    json's order of type tests."""
+    if isinstance(o, str):
+        write(_quote(o))
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    elif isinstance(o, float):
+        write(_float(o))
+    elif isinstance(o, (list, tuple, dict)):
+        _write_container(o, write, level)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(x):
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key(k):
+    """json's text of a dict key before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return json.dumps(k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write_container(o, write, level):
+    """A list, tuple or dict, a chunk of items at a time; for a _Matrix or
+    _CoefficientMap each chunk is one % unless its items are no longer all
+    nested lists of item_shape over floats (the object was changed)."""
+    keyed = isinstance(o, dict)
+    if not o:
+        write("{}" if keyed else "[]")
+        return
+    items = iter(o.items() if keyed else o)
+    shape = getattr(o, "item_shape", None)
+    step = max(1, _CHUNK_LEAVES // max(1, math.prod(shape or ())))
+    sep = ",\n" + _INDENT * (level + 1)
+    write("{" if keyed else "[")
+    for start in range(0, len(o), step):
+        chunk = list(itertools.islice(items, step))
+        text = None if shape is None else _render(chunk, keyed, shape, level)
+        if text is not None:
+            write(text if start else text[1:])
+            continue
+        for i, item in enumerate(chunk, start):
+            write(sep if i else sep[1:])
+            if keyed:
+                write(_quote(_key(item[0])) + ": ")
+                item = item[1]
+            _write(item, write, level + 1)
+    write("\n" + _INDENT * level + ("}" if keyed else "]"))
+
+
+def _render(chunk, keyed, shape, level):
+    """The text of a chunk of items (of (key, value) pairs when keyed), each
+    after its ",\n" and indent, by one % on a cached template; None when a
+    key is not a str or an item not nested lists of shape over floats."""
+    keys, values = zip(*chunk) if keyed else ((), chunk)
+    if keyed and set(map(type, keys)) != {str}:
+        return None
+    leaves = _leaves(values, shape)
+    if leaves is None:
+        return None
+    if not all(map(math.isfinite, leaves)):
+        _float(next(x for x in leaves if not math.isfinite(x)))
+    if keyed:  # each key before its item's leaves
+        size = len(leaves) // len(values)
+        args = [None] * (len(leaves) + len(keys))
+        args[::size + 1] = map(_quote, keys)
+        for j in range(size):
+            args[j + 1::size + 1] = leaves[j::size]
+        leaves = args
+    return (_template(shape, level, keyed) * len(values)) % tuple(leaves)
+
+
+def _leaves(level, shape):
+    """The floats of a sequence of nested lists of shape, in order; None
+    unless every list is a plain list of the right length and every leaf a
+    float (json writes tuples and float subclasses alike, _write takes them)."""
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level if set(map(type, level)) == {float} else None
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape, level, keyed):
+    """json's indent-2 text of one item at level + 1 after its ",\n" and
+    indent, "%s: " for its key when keyed, and %r for each float leaf."""
+    if shape:
+        inner = _template(shape[1:], level + 1, False) * shape[0]
+        inner = "[" + inner[1:] + "\n" + _INDENT * (level + 1) + "]"
+    else:
+        inner = "%r"
+    return ",\n" + _INDENT * (level + 1) + ("%s: " if keyed else "") + inner
 
 
 def write_json_atomic(obj, path):
     """Write to_bytes(obj) via a temp file in the target directory, then
-    rename; no file is made when obj does not serialise."""
+    rename; no file is made when obj does not serialise.  The file gets the
+    mode open() would give a new file, 0o666 less the umask (mkstemp's
+    temporary is 0o600, and the rename keeps its mode)."""
     data = to_bytes(obj)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0o022)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -372,17 +372,19 @@ def _exp2(x):
     return math.inf if x >= 1024 else 2.0**x
 
 
-def jsr_estimate(X, kmax):
+def jsr_estimate(X, kmax, norms=None):
     """Finite-depth joint spectral radius: ||M_kmax||^(1/(2 kmax)) with
     M_k = sum_i X_i M_{k-1} X_i*.  Reports the first k with M_k = 0 (to a
     scale-relative threshold, compared in log2), in which case the value is 0.
     One is found by k = X.dim; past it the depth left meets the size limit
-    first, n dim^2 entries of products and DEGREE_ENTRIES a step."""
+    first, n dim^2 entries of products and DEGREE_ENTRIES a step.
+    norms, when given, is the fresh _gram_norms(X) to read; the estimate
+    stops reading it after term kmax or the nilpotent one."""
     if kmax < 1:
         raise InputError("jsr depth must be >= 1")
     r = X.row_norm  # r = 0 makes M_1 = 0; an overflowed r is at least 2^1024
     log_r = math.log2(r) if 0 < r < math.inf else 1024.0
-    for k, nrm, e in _gram_norms(X):
+    for k, nrm, e in _gram_norms(X) if norms is None else norms:
         log_norm = _log2(nrm, e)
         if log_norm <= math.log2(1e-13) + 2 * k * log_r:
             return JsrEstimate(kmax=k, value=0.0, nilpotent_order=k)
@@ -425,23 +427,28 @@ def eval_report(f, X):
     extrapolating the growth of the stored coefficients; it bounds the
     true tail only when the unstored slices grow no faster.
     """
-    est, radii = eval_scope([f], X)
+    est, radii, past = eval_scope([f], X)
     out = word_sum(X.stack, f.shape[0], [f.blocks])[0, 0]
     exact = est.nilpotent_order is not None and est.nilpotent_order <= f.cutoff + 1
-    tail = 0.0 if exact else _eval_tail(f, X, radii[0] if radii else _radius(f))
+    tail = 0.0 if exact else _eval_tail(past, radii[0] if radii else _radius(f), f.cutoff)
     return EvalReport(out, exact, tail, est)
 
 
 def eval_scope(parts, X):
     """eval_report's scope test for series of one n, cutoff and square shape:
     one jsr estimate, then, unless X is nilpotent, each part's radius test
-    in order.  Returns the estimate and the radius estimates it made."""
+    in order.  Returns the estimate, the radius estimates it made and the
+    (k, nrm, e) terms of _gram_norms(X) from k = cutoff + 1 on: those of the
+    estimate's run, then the rest of that run (wrong if the run found X
+    nilpotent at a degree <= cutoff, where eval_report needs no tail)."""
     f = parts[0]
     if not f.is_square():
         raise InputError("evaluation needs square coefficients")
     if X.n != f.n:
         raise InputError(f"tuple has {X.n} operators, series expects {f.n}")
-    est = jsr_estimate(X, max(X.dim, f.cutoff + 1))
+    norms = _gram_norms(X)
+    kept = []  # the run's terms past the cutoff: at most X.dim of them
+    est = jsr_estimate(X, max(X.dim, f.cutoff + 1), _keeping(norms, f.cutoff, kept))
     radii = []
     if est.nilpotent_order is None:
         for g in parts:
@@ -451,26 +458,35 @@ def eval_scope(parts, X):
                     f"jsr estimate {est.value:.4f} not inside 0.9 x radius estimate "
                     f"{radii[-1]:.4f}; functional calculus out of scope"
                 )
-    return est, radii
+    return est, radii, itertools.chain(kept, norms)
+
+
+def _keeping(norms, after, kept):
+    """The terms of norms, appending those past degree `after` to kept."""
+    for term in norms:
+        if term[0] > after:
+            kept.append(term)
+        yield term
 
 
 def _radius(f):
     return radius_estimate(f, f.cutoff) if f.cutoff >= 1 else math.inf
 
 
-def _eval_tail(f, X, rad):
-    """sum_{k > cutoff} q^k ||M_k||^(1/2) with q = 1 / rad the slice-norm growth rate."""
+def _eval_tail(past, rad, cutoff):
+    """sum_{k > cutoff} q^k ||M_k||^(1/2) with q = 1 / rad the slice-norm
+    growth rate, over past, the (k, nrm, e) terms of _gram_norms from k = cutoff + 1."""
     q = 0.0 if math.isinf(rad) else 1.0 / rad
     if q == 0.0:
         return 0.0
     total = 0.0
-    for k, nrm, e in itertools.islice(_gram_norms(X), f.cutoff, None):
+    for k, nrm, e in past:
         try:  # sqrt(nrm 2^e) = sqrt(nrm 2^(e mod 2)) 2^(e // 2) exactly
             term = q**k * math.ldexp(math.sqrt(math.ldexp(nrm, e % 2)), e // 2)
         except OverflowError:
             term = _exp2(k * math.log2(q) + _log2(nrm, e) / 2)
         total += term
-        if term <= 1e-17 * (1.0 + total) or k >= f.cutoff + 199:
+        if term <= 1e-17 * (1.0 + total) or k >= cutoff + 199:
             return total
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freefock import jsonio
 from freefock.caratheodory import CaratheodoryProblem, ExtensionResult
@@ -12,6 +14,7 @@ from freefock.fock import OperatorTuple
 from freefock.pluriharmonic import PluriharmonicFn
 from freefock.series import FreeSeries
 from freefock.transforms import MomentFunctional
+from freefock.words import GradedBasis
 
 
 def rt(dump, load, obj, *load_args):
@@ -136,6 +139,19 @@ def test_a_non_finite_payload_makes_no_file(tmp_path, monkeypatch):
     assert jsonio.to_bytes({"a": [1.5]}) == b'{\n  "a": [\n    1.5\n  ]\n}\n'
 
 
+def test_output_file_mode_follows_the_umask(tmp_path):
+    """--output files get open()'s mode, 0o666 less the umask, not the
+    temporary's 0o600."""
+    old = os.umask(0o027)
+    try:
+        jsonio.write_json_atomic({"a": 1.5}, tmp_path / "out.json")
+        (tmp_path / "plain.json").write_text("{}")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "plain.json").stat().st_mode) == 0o640
+
+
 # -- per-degree reader and writer ----------------------------------------------
 
 special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300])
@@ -225,3 +241,90 @@ def test_dict_constructor_rejects_non_finite_coefficients(bad):
         FreeSeries(1, 2, (1, 1), {(1,): [[bad]]})
     with pytest.raises(InputError):
         FreeSeries(2, 2, (2, 1), {(): [[1.0], [2.0]], (2, 1): np.array([[0.5], [bad]])})
+
+
+# -- the output format ---------------------------------------------------------
+
+
+def json_bytes(obj):
+    """The output format's definition."""
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+floats = st.one_of(value, st.sampled_from([1e16, 1e-7, 0.1]))
+arrays = st.lists(st.integers(0, 3), max_size=3).flatmap(lambda shape: st.lists(
+    st.builds(complex, floats, floats), min_size=math.prod(shape), max_size=math.prod(shape),
+).map(lambda z: np.array(z, dtype=complex).reshape(shape)))
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), floats, floats.map(np.float64),
+    st.text(), st.sampled_from(['"', "\\", "\n", "\x00", "\u2028", "é", "\U0001f600"]),
+    arrays.map(jsonio.matrix_to_json),
+)
+keys = st.one_of(st.text(max_size=4), st.integers(-5, 5), floats, st.booleans(), st.none())
+trees = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(keys, inner, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+@example(list(range(300)))  # plain containers longer than a chunk
+@example({str(i): [float(i), None] for i in range(300)})
+def test_to_bytes_is_json_dumps_indent_2(obj):
+    assert jsonio.to_bytes(obj) == json_bytes(obj)
+
+
+def test_to_bytes_of_each_producer_is_json_dumps_indent_2():
+    rng = np.random.default_rng(4)
+    words = GradedBasis(3, 3).words  # all 40, the empty word first
+    f = FreeSeries(3, 3, (3, 3), {w: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                                  for w in words})
+    zero = FreeSeries(2, 2, (2, 2), {})
+    h = PluriharmonicFn(f, f.without_constant())
+    x = OperatorTuple(tuple(rng.standard_normal((4, 4)) + 0j for _ in range(2)))
+    ext = ExtensionResult(f, {"min_eig_tm": 0.25, "iterations": 7})
+    payloads = [jsonio.series_to_json(f), jsonio.series_to_json(zero), jsonio.pluriharmonic_to_json(h),
+                jsonio.functional_to_json(MomentFunctional(h)), jsonio.extension_to_json(ext),
+                jsonio.tuple_to_json(x)]
+    assert len(payloads[0]["coefficients"]) == 40 and payloads[1]["coefficients"] == {}
+    for payload in payloads:
+        assert jsonio.to_bytes(payload) == json_bytes(payload)
+
+
+def test_changed_matrices_and_maps_still_write_json_dumps():
+    """A matrix or coefficient map changed after it was made (a tuple, an
+    int, a numpy float or a dict of float keys, a row of another length,
+    another key type) is written as json.dumps writes it."""
+    f = FreeSeries(2, 2, (2, 2), {(1,): np.eye(2), (2,): np.ones((2, 2)), (1, 2): np.eye(2)})
+    for change in (
+        lambda m: m[0][0].__setitem__(0, (1.0, 2.0)),
+        lambda m: m[1][1].__setitem__(1, 3),
+        lambda m: m[0][1].__setitem__(0, np.float64(0.5)),
+        lambda m: m[0].__setitem__(0, {0.5: 1.0, 1.5: 2.0}),
+        lambda m: m[1].append([4.0, 5.0]),
+        lambda m: m.append([[1.0, 2.0]]),
+        lambda m: m.__setitem__(0, [[[1.0, 0.0]]] * 2),
+    ):
+        payload = {"value": jsonio.matrix_to_json(np.arange(6.0).reshape(3, 2)),
+                   "map": jsonio.series_to_json(f)["coefficients"]}
+        change(payload["value"])
+        change(payload["map"]["1"])
+        assert jsonio.to_bytes(payload) == json_bytes(payload)
+    coefficients = jsonio.series_to_json(f)["coefficients"]
+    coefficients[7] = coefficients.pop("2")
+    assert jsonio.to_bytes(coefficients) == json_bytes(coefficients)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_matrices_and_maps_raise_before_any_file(tmp_path, monkeypatch, bad):
+    made = []
+    monkeypatch.setattr(jsonio.tempfile, "mkstemp", lambda **k: made.append(k))
+    f = FreeSeries(1, 2, (2, 2), {(1,): np.eye(2)})
+    f.blocks[1][1][0, 1, 0] = bad  # past the constructor's finiteness check, as an overflow would be
+    for payload in ({"value": jsonio.matrix_to_json(np.array([[1.0, bad]]))}, jsonio.series_to_json(f)):
+        with pytest.raises(ValueError):
+            jsonio.to_bytes(payload)
+        with pytest.raises(ValueError):
+            jsonio.write_json_atomic(payload, tmp_path / "out.json")
+    assert not made and not list(tmp_path.iterdir())

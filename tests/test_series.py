@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -535,6 +536,35 @@ def test_eval_report_estimates_the_radius_once(monkeypatch):
         del calls[:]
         rep = fs.eval_report(f, OperatorTuple((x,)))
         assert len(calls) == count and rep.exact == (count == 0)
+
+
+def rerun_tail(f, X, rad):
+    """The tail from its own _gram_norms run from k = 1, skipping the
+    first cutoff terms: what eval_report computed before it read on from
+    the terms of its jsr estimate."""
+    q, total = 1.0 / rad, 0.0
+    for k, nrm, e in itertools.islice(fs._gram_norms(X), f.cutoff, None):
+        try:
+            term = q**k * math.ldexp(math.sqrt(math.ldexp(nrm, e % 2)), e // 2)
+        except OverflowError:
+            term = fs._exp2(k * math.log2(q) + fs._log2(nrm, e) / 2)
+        total += term
+        if term <= 1e-17 * (1.0 + total) or k >= f.cutoff + 199:
+            return total
+
+
+def test_eval_tail_reads_on_from_the_jsr_terms():
+    """The tail continues the jsr estimate's _gram_norms run and keeps its
+    terms past the cutoff, bit for bit the tail of a fresh run: the jsr
+    depth X.dim past cutoff + 1, at it, and a nilpotent order past it."""
+    rng = np.random.default_rng(3)
+    cases = [(OperatorTuple(tuple(0.05 * rng.standard_normal((dim, dim)) for _ in range(2))),
+              fs.random_series(rng, 2, cutoff, (2, 2), scale=0.2)) for dim, cutoff in ((5, 2), (3, 8))]
+    cases.append((OperatorTuple((np.diag([0.3] * 4, 1),)), scalar_series(1, 2, {(): 1.0, (1,): 0.5})))
+    for X, f in cases:
+        rep = fs.eval_report(f, X)
+        assert not rep.exact and rep.tail_estimate > 0
+        assert rep.tail_estimate == rerun_tail(f, X, fs.radius_estimate(f, f.cutoff))
 
 
 def test_eval_at_creation():
