@@ -30,7 +30,7 @@ from .fock import random_nilpotent_tuple, word_sum
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries, _degree_sum, cayley_forward, cayley_inverse
+from .series import FreeSeries, _degree_sum, _real, _Stack, cayley_forward, cayley_inverse
 from .toeplitz import shifted_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
@@ -129,10 +129,14 @@ def extend(prob, M, tol=1e-9):
         z = fac.graded(np.concatenate([np.zeros((1, p, p)), fac.z[m].reshape(-1, p, p)]))
         zeta = {e: (np.arange(n**e), z[word_count(n, e - 1):word_count(n, e)])
                 for e in range(1, m + 1)}
-        for k in range(m + 1, M + 1):
-            pairs = [(blocks[k - e], zeta[e], n**e) for e in zeta if k - e in blocks]
-            if pairs:
-                blocks[k] = _degree_sum(pairs, (p, p), n**k)
+        right = _Stack(zeta, range(1, m + 1), (p, p), real=_real(p, (p, p)))
+        left = _Stack(blocks, list(blocks), (p, p), left=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+            for k in range(m + 1, M + 1):
+                ia, ib = left.splits(k, right)
+                if len(ib):
+                    blocks[k] = _degree_sum(n, k, left, right, ia, ib, (p, p))
+                    left.append(k, *blocks[k])
     series = FreeSeries._built(n, M, (p, p), blocks)
     tm = tm_positivity(series, tol)
     certificate = {

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -365,20 +365,28 @@ def _template(shape, level, keyed):
 
 def write_json_atomic(obj, path):
     """Write to_bytes(obj) via a temp file in the target directory, then
-    rename; no file is made when obj does not serialise.  The file gets the
-    mode open() would give a new file, 0o666 less the umask (mkstemp's
-    temporary is 0o600, and the rename keeps its mode)."""
+    rename; no file is made when obj does not serialise.  The temporary is
+    made with mode 0o666, so the kernel applies the umask and the file gets
+    the mode open() would give a new file."""
     data = to_bytes(obj)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = _new_file(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        umask = os.umask(0o022)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _new_file(directory):
+    """(descriptor, name) of a new file tmp<random>.tmp in directory, opened
+    for writing with mode 0o666 less the umask; a name taken already is
+    drawn again."""
+    while True:
+        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666), tmp
+        except FileExistsError:
+            continue

@@ -34,11 +34,12 @@ def test_acceptance(name, label):
 def test_cayley_suites_catch_a_dropped_pair(monkeypatch):
     """The oracle suite compares against products formed without the
     degree recurrence, and the bijection suite against operator sums, so
-    a recurrence that loses one block pair's contribution fails both."""
+    a recurrence that loses one split's contribution fails both."""
     real = series._degree_sum
 
-    def dropped(pairs, shape, size):
-        return real(pairs[:-1] if len(pairs) > 1 else pairs, shape, size)
+    def dropped(n, k, left, right, ia, ib, shape):
+        keep = max(1, len(ia) - 1)
+        return real(n, k, left, right, ia[:keep], ib[:keep], shape)
 
     monkeypatch.setattr(series, "_degree_sum", dropped)
     for name in ("cayley_coefficient_oracle", "cayley_bijection"):

@@ -131,7 +131,7 @@ def test_atomic_write(tmp_path):
 def test_a_non_finite_payload_makes_no_file(tmp_path, monkeypatch):
     """to_bytes raises on inf and nan before write_json_atomic creates anything."""
     made = []
-    monkeypatch.setattr(jsonio.tempfile, "mkstemp", lambda **k: made.append(k))
+    monkeypatch.setattr(jsonio, "_new_file", made.append)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             jsonio.write_json_atomic({"a": [1.0, bad]}, tmp_path / "out.json")
@@ -140,8 +140,7 @@ def test_a_non_finite_payload_makes_no_file(tmp_path, monkeypatch):
 
 
 def test_output_file_mode_follows_the_umask(tmp_path):
-    """--output files get open()'s mode, 0o666 less the umask, not the
-    temporary's 0o600."""
+    """--output files get open()'s mode, 0o666 less the umask."""
     old = os.umask(0o027)
     try:
         jsonio.write_json_atomic({"a": 1.5}, tmp_path / "out.json")
@@ -150,6 +149,22 @@ def test_output_file_mode_follows_the_umask(tmp_path):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
     assert stat.S_IMODE((tmp_path / "plain.json").stat().st_mode) == 0o640
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    """The process-wide umask is never set, so no other thread's files can
+    get a borrowed one; a temporary name taken already is drawn again."""
+    def no_umask(mask):
+        raise AssertionError("write_json_atomic set the umask")
+
+    names = iter(["taken", "taken", "free"])
+    monkeypatch.setattr(jsonio.os, "umask", no_umask)
+    monkeypatch.setattr(jsonio.secrets, "token_hex", lambda n: next(names))
+    (tmp_path / "tmptaken.tmp").write_text("kept")
+    jsonio.write_json_atomic({"a": 1.5}, tmp_path / "out.json")
+    assert json.loads((tmp_path / "out.json").read_text()) == {"a": 1.5}
+    assert (tmp_path / "tmptaken.tmp").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "tmptaken.tmp"]
 
 
 # -- per-degree reader and writer ----------------------------------------------
@@ -319,7 +334,7 @@ def test_changed_matrices_and_maps_still_write_json_dumps():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_matrices_and_maps_raise_before_any_file(tmp_path, monkeypatch, bad):
     made = []
-    monkeypatch.setattr(jsonio.tempfile, "mkstemp", lambda **k: made.append(k))
+    monkeypatch.setattr(jsonio, "_new_file", made.append)
     f = FreeSeries(1, 2, (2, 2), {(1,): np.eye(2)})
     f.blocks[1][1][0, 1, 0] = bad  # past the constructor's finiteness check, as an overflow would be
     for payload in ({"value": jsonio.matrix_to_json(np.array([[1.0, bad]]))}, jsonio.series_to_json(f)):

@@ -311,14 +311,19 @@ def test_multiply_matches_pairwise(n):
 
 
 def loop_over_degrees_multiply(f, g):
-    """The product by one pair list per degree 0..cutoff, each degree's
-    pairs in the order of f's degrees: the reference for the block-pair
+    """The product by one _degree_sum call per degree 0..cutoff, each over
+    its splits in the order of g's degrees: the reference for multiply's
     iteration."""
     cutoff, shape = min(f.cutoff, g.cutoff), (f.shape[0], g.shape[1])
-    fb, gb = f.blocks, g.blocks
-    pairs = [[(fb[a], gb[k - a], f.n ** (k - a)) for a in fb if k - a in gb]
-             for k in range(cutoff + 1)]
-    blocks = {k: fs._degree_sum(ps, shape, f.n**k) for k, ps in enumerate(pairs) if ps}
+    fdeg, gdeg = list(f.blocks), list(g.blocks)
+    left = fs._Stack(f.blocks, fdeg, f.shape, left=True)
+    right = fs._Stack(g.blocks, gdeg, g.shape, real=fs._real(f.shape[0], g.shape))
+    blocks = {}
+    for k in range(cutoff + 1):
+        ib = [j for j, b in enumerate(gdeg) if k - b in f.blocks]
+        if ib:
+            ia = [fdeg.index(k - gdeg[j]) for j in ib]
+            blocks[k] = fs._degree_sum(f.n, k, left, right, np.array(ia), np.array(ib), shape)
     return fs.FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
@@ -388,6 +393,111 @@ def test_geometric_sums_match_power_sums(name):
         assert np.max(np.abs(forward.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
         want = -composition_coefficient(f.scale(-1.0), w)
         assert np.max(np.abs(inverse.coefficient(w) - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
+
+
+def pairwise_degree_sum(pairs, shape, size):
+    """The degree sum one einsum per pair of blocks ((u_codes, U),
+    (v_codes, V), n^|v|), each product added at the codes of its
+    concatenations: the oracle for the batched _degree_sum."""
+    wide = size >= 2**63
+    codes = [((uc.astype(object) if wide else uc)[:, None] * step + vc).ravel()
+             for (uc, _), (vc, _), step in pairs]
+    out_codes = np.array(sorted(set(itertools.chain.from_iterable(codes))), dtype=codes[0].dtype)
+    out = np.zeros((len(out_codes), *shape), dtype=complex)
+    for c, ((_, u), (_, v), _) in zip(codes, pairs):
+        np.add.at(out, np.searchsorted(out_codes, c), np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape))
+    return out_codes, out
+
+
+def pairwise_geometric(f, sign):
+    """x = f + sign f x degree by degree, every degree a pairwise_degree_sum."""
+    unit = (np.zeros(1, np.int64), np.eye(f.shape[0], dtype=complex)[None])
+    x = {}
+    for k in range(1, f.cutoff + 1):
+        pairs = [(f.blocks[k], unit, 1)] if k in f.blocks else []
+        pairs += [((codes, sign * c), x[k - a], f.n ** (k - a))
+                  for a, (codes, c) in f.blocks.items() if k - a in x]
+        if pairs:
+            x[k] = pairwise_degree_sum(pairs, f.shape, f.n**k)
+    return fs.FreeSeries._built(f.n, f.cutoff, f.shape, x)
+
+
+def chain_case():
+    """A dense one-letter chain, cutoff 62 and 2 x 2 coefficients."""
+    return fs.random_series(np.random.default_rng(62), 1, 62, (2, 2), scale=0.3, min_degree=1)
+
+
+@pytest.mark.parametrize("name", [*geometric_cases(), "chain-cutoff-62"])
+def test_degree_sums_match_the_pairwise_oracle(name):
+    """The batched geometric sums against one einsum per pair of blocks."""
+    f = chain_case() if name == "chain-cutoff-62" else geometric_cases()[name]
+    for geometric, sign in ((fs.cayley_forward, 1.0), (fs.cayley_inverse, -1.0)):
+        assert_series_close(geometric(f), pairwise_geometric(f, sign))
+
+
+@pytest.mark.parametrize("name", ["n1-cutoff-62", "n2-cutoff-8", "n3-cutoff-6", "degrees-1-and-4"])
+def test_cayley_transforms_solve_their_equations_word_by_word(name):
+    """g = cayley_forward(f) solves g - f g = f and h = cayley_inverse(f)
+    solves h + h f = f at every word up to the cutoff, each residual within
+    1e-12 (1 + the largest of its terms)."""
+    rng = np.random.default_rng(7)
+    f = {"n1-cutoff-62": chain_case,
+         "n2-cutoff-8": lambda: fs.random_series(rng, 2, 8, (2, 2), scale=0.4, min_degree=1),
+         "n3-cutoff-6": lambda: fs.random_series(rng, 3, 6, (2, 2), scale=0.4, min_degree=1),
+         "degrees-1-and-4": lambda: geometric_cases()["degrees-1-and-4"]}[name]()
+    g, h = fs.cayley_forward(f), fs.cayley_inverse(f)
+    for x, product, sign in ((g, fs.multiply(f, g), -1.0), (h, fs.multiply(h, f), 1.0)):
+        for w in set(x.coeffs) | set(product.coeffs) | set(f.coeffs):
+            terms = [x.coefficient(w), product.coefficient(w), f.coefficient(w)]
+            worst = max(float(np.max(np.abs(t))) for t in terms)
+            assert np.max(np.abs(terms[0] + sign * terms[1] - terms[2])) <= 1e-12 * (1 + worst)
+
+
+def test_degree_sums_do_not_depend_on_the_chunks(monkeypatch):
+    """Chunks of one word give the same coefficients, bit for bit, as
+    whole degrees: dense, sparse, mixed and one-letter cases."""
+    rng = np.random.default_rng(5)
+    cases = [*geometric_cases().values(), chain_case(),
+             fs.random_series(rng, 2, 5, (3, 3), scale=0.3, min_degree=1)]
+    want = [(fs.cayley_forward(f), fs.cayley_inverse(f)) for f in cases]
+    monkeypatch.setattr(fs, "CHUNK_ENTRIES", 1)
+    for f, pair in zip(cases, want):
+        for got, ref in zip((fs.cayley_forward(f), fs.cayley_inverse(f)), pair):
+            assert list(got.blocks) == list(ref.blocks)
+            for k, (codes, c) in ref.blocks.items():
+                assert np.array_equal(got.blocks[k][0], codes) and np.array_equal(got.blocks[k][1], c)
+
+
+def test_a_dense_cutoff_14_sum_runs_in_chunks_at_the_default_size_limit():
+    """Degree 14 of a dense two-letter series holds 16384 words of 14
+    splits, 458752 operand entries: more than one chunk, all within the
+    default size limit; g - f g = f still holds."""
+    assert linalg.MAX_DIM == 4096
+    f = fs.random_series(np.random.default_rng(14), 2, 14, (1, 1), scale=0.3, min_degree=1)
+    g = fs.cayley_forward(f)
+    assert sum(len(codes) for codes, _ in g.blocks.values()) == 2**15 - 2
+    assert 2**14 * 14 > fs.CHUNK_ENTRIES
+    residual = g - fs.multiply(f, g) - f
+    scale = max(float(np.max(np.abs(c))) for _, c in g.blocks.values())
+    assert all(np.max(np.abs(c)) <= 1e-12 * (1 + scale) for _, c in residual.blocks.values())
+
+
+def test_a_long_word_over_nine_letters_stays_sparse():
+    """One word of length 20 over 9 letters, cutoff 60: its powers are the
+    only words (codes past int64 at degree 60), within 64 kB."""
+    w = tuple(int(i) for i in np.random.default_rng(20).integers(1, 10, 20))
+    f = fs.FreeSeries(9, 60, (1, 1), {w: 0.5 * ONE})
+    for geometric, signs in ((fs.cayley_forward, (1, 1, 1)), (fs.cayley_inverse, (1, -1, 1))):
+        tracemalloc.start()
+        try:
+            g = geometric(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        assert sorted(g.coeffs) == [w, w * 2, w * 3]
+        for j, sign in enumerate(signs, 1):
+            assert g.coefficient(w * j)[0, 0] == sign * 0.5**j
 
 
 def test_geometric_sums_end_where_no_degree_is_reachable():
