@@ -30,7 +30,8 @@ from .fock import random_nilpotent_tuple, word_sum
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
-from .series import FreeSeries, _degree_sum, _real, _Stack, cayley_forward, cayley_inverse
+from .products import Stack, degree_sum
+from .series import FreeSeries, cayley_forward, cayley_inverse
 from .toeplitz import shifted_factor, tm_positivity
 from .transforms import MomentFunctional
 from .words import word_count
@@ -113,7 +114,7 @@ def extend(prob, M, tol=1e-9):
 
         b_c = sum_{c = a e, 1 <= |e| <= m} b_a zeta_e,     |c| > m,
 
-    one series._degree_sum per degree.  Every pivot s_k, k > m, then
+    one products.degree_sum per degree.  Every pivot s_k, k > m, then
     equals s_m (the free maximum-entropy property).  T_M's positivity is
     computed once, from the result's own coefficients (tm_positivity),
     and kept for verify_solution.  Raises InfeasibleError when the data
@@ -129,13 +130,13 @@ def extend(prob, M, tol=1e-9):
         z = fac.graded(np.concatenate([np.zeros((1, p, p)), fac.z[m].reshape(-1, p, p)]))
         zeta = {e: (np.arange(n**e), z[word_count(n, e - 1):word_count(n, e)])
                 for e in range(1, m + 1)}
-        right = _Stack(zeta, range(1, m + 1), (p, p), real=_real(p, (p, p)))
-        left = _Stack(blocks, list(blocks), (p, p), left=True)
+        right = Stack(zeta, range(1, m + 1), (p, p))
+        left = Stack(blocks, list(blocks), (p, p), left=True)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
             for k in range(m + 1, M + 1):
                 ia, ib = left.splits(k, right)
                 if len(ib):
-                    blocks[k] = _degree_sum(n, k, left, right, ia, ib, (p, p))
+                    blocks[k] = degree_sum(n, k, left, right, ia, ib, (p, p))
                     left.append(k, *blocks[k])
     series = FreeSeries._built(n, M, (p, p), blocks)
     tm = tm_positivity(series, tol)

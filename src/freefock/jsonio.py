@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import os
-import secrets
 
 import numpy as np
 
@@ -385,8 +384,9 @@ def _new_file(directory):
     for writing with mode 0o666 less the umask; a name taken already is
     drawn again."""
     while True:
-        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
         try:
-            return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666), tmp
+            flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+            return os.open(tmp, flags, 0o666), tmp
         except FileExistsError:
             continue

@@ -12,21 +12,15 @@ truncates to the smaller cutoff, so nothing claims more precision than its
 inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
-Neumann inverse run on one degree kernel, ``_degree_sum``: degree k sums
-the products of every split of its words into a left factor of degree a
-and a right one of degree k - a, over one stack of each side's blocks
-(``_Stack``).  Each word's factors are found by code arithmetic (a word
-of code c has its left factor at c // n^(k-a) and its right one at
-c % n^(k-a)), so a degree costs one gather a side and one batched matmul
-of shape (words, p, K q) @ (words, K q, s), however many splits K it
-has, in chunks of bounded size.  The geometric sums follow x = f + x f
-(forward) or x = g - x g (inverse), so each degree is computed once, and
-the central completions of ``caratheodory.extend`` use the same kernel.
-Each checks the size of a degree before allocating it (a geometric sum
-charges each degree its fixed storage too), and sparse blocks stay
-sparse: a degree holds every word only when some split's blocks do.
-Series the package builds itself skip the public constructor's
-validation.
+Neumann inverse run on one degree kernel, ``products.degree_sum``, which
+forms each degree with one gather a side and one batched matmul however
+many splits of its words into two factors it has.  The geometric sums
+follow x = f + x f (forward) or x = g - x g (inverse), so each degree is
+computed once; the central completions of ``caratheodory.extend`` use
+the same kernel.  Each checks the size of a degree before allocating it
+(a geometric sum charges each degree its fixed storage too), and sparse
+blocks stay sparse.  Series the package builds itself skip the public
+constructor's validation.
 
 Evaluation goes through the two kernels of ``fock``, both on the blocks:
 ``word_sum`` at an operator tuple, ``shift_sum`` at the compressed
@@ -48,17 +42,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
 from .errors import InputError, ScopeError
 from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
+from .products import Stack, degree_sum
 from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
 
 # Fixed charge in complex entries of a geometric sum's degree (its storage,
 # 490 bytes by tracemalloc), and of a jsr estimate's step
 DEGREE_ENTRIES = 32
-# Entries of the larger gathered operand in one chunk of a degree sum
-CHUNK_ENTRIES = 2**14
 
 
 def from_degrees(n, cutoff, shape, degrees):
@@ -231,7 +223,7 @@ def _match(f, g):
 
 def multiply(f, g):
     """Series product; coefficient of a word sums over all its two-part
-    factorizations, including empty factors: one _degree_sum per degree of
+    factorizations, including empty factors: one degree_sum per degree of
     the product, over the pairs of f's and g's degrees that add up to it
     (the size check covers every degree before any is computed)."""
     _match(f, g)
@@ -239,179 +231,17 @@ def multiply(f, g):
         raise InputError(f"inner shapes {f.shape} x {g.shape} do not match")
     cutoff = min(f.cutoff, g.cutoff)
     shape = (f.shape[0], g.shape[1])
-    left = _Stack(f.blocks, list(f.blocks), f.shape, left=True)
-    right = _Stack(g.blocks, list(g.blocks), g.shape, real=_real(f.shape[0], g.shape))
+    left = Stack(f.blocks, list(f.blocks), f.shape, left=True)
+    right = Stack(g.blocks, list(g.blocks), g.shape)
     degrees = sorted({a + b for a in f.blocks for b in g.blocks if a + b <= cutoff})
     splits = {k: left.splits(k, right) for k in degrees}
     words = sum(min(f.n**k, int(left.meta[1].take(ia) @ right.meta[1].take(ib)))
                 for k, (ia, ib) in splits.items())
     check_entries(words * shape[0] * shape[1], "series product")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-        blocks = {k: _degree_sum(f.n, k, left, right, ia, ib, shape) for k, (ia, ib) in splits.items()}
+        blocks = {k: degree_sum(f.n, k, left, right, ia, ib, shape)
+                  for k, (ia, ib) in splits.items()}
     return FreeSeries._built(f.n, cutoff, shape, blocks)
-
-
-class _Stack:
-    """Blocks of several degrees in one array, so that a degree sum gathers
-    its factors with one take a side.  Block i holds rows off[i]:off[i] +
-    size[i] of codes and c, and has degree deg[i], increasing with i; meta
-    stacks (off, size, deg).  Row 0 comes first, a zero
-    coefficient that an absent factor reads.  A left stack holds c as
-    (rows, N, cols), so that a take along axis 1 lays each word's left
-    factors side by side, and grows by a degree at a time (append).  A
-    right stack of (q, s) coefficients holds them as (N, q, s), realified
-    (_realified) when real says so, which makes the products one real
-    matmul."""
-
-    def __init__(self, blocks, degrees, shape, left=False, real=False):
-        parts = [blocks[d] for d in degrees]
-        sizes = [len(codes) for codes, _ in parts]
-        offsets = list(itertools.accumulate(sizes, initial=1))
-        self.count, self.rows = len(parts), offsets.pop()  # meta, codes and c may have room for more
-        self.meta = np.array([offsets, sizes, list(degrees)], np.int64).reshape(3, -1)
-        self.codes = np.concatenate([np.zeros(1, np.int64), *(codes for codes, _ in parts)])
-        c = np.concatenate([np.zeros((1, *shape), dtype=complex), *(c for _, c in parts)])
-        self.c = c.swapaxes(0, 1).copy() if left else _realified(c) if real else c
-
-    def append(self, k, codes, c):
-        """Adds the block (codes, c) of degree k above every held degree of
-        a left stack, doubling the room of the arrays that are full."""
-        i, o, n = self.count, self.rows, len(codes)
-        if i == self.meta.shape[1]:
-            self.meta = _grown(self.meta, 2 * i + 16, axis=1)
-        if o + n > len(self.codes) or codes.dtype != self.codes.dtype:
-            room = max(2 * len(self.codes), o + n, 64)
-            self.codes = _grown(self.codes.astype(np.result_type(codes, self.codes)), room)
-            self.c = _grown(self.c, room, axis=1)
-        self.meta[0, i], self.meta[1, i], self.meta[2, i] = o, n, k
-        self.codes[o:o + n], self.c[:, o:o + n] = codes, c.swapaxes(0, 1)
-        self.count, self.rows = i + 1, o + n
-
-    def splits(self, k, right):
-        """(ia, ib): for each degree d of right's blocks ib whose complement
-        k - d this stack holds, the position ia of that block."""
-        held, b = self.meta[2, :self.count], k - right.meta[2]
-        ia = np.minimum(held.searchsorted(b), self.count - 1)
-        ib = (held.take(ia) == b).nonzero()[0]
-        return ia.take(ib), ib
-
-
-@functools.lru_cache(maxsize=64)
-def _digits(n, e):
-    """(quotients, remainders) of the rows 0..n^e - 1 by n^0, ..., n^e, as
-    (n^e, e + 1) columns: the code arithmetic of a chunk of n^e words
-    (shared, so read-only)."""
-    out = np.divmod(np.arange(n**e)[:, None], n ** np.arange(e + 1))
-    for t in out:
-        t.flags.writeable = False
-    return out
-
-
-def _grown(a, room, axis=0):
-    """a with room entries along axis, the ones past a's left uninitialised."""
-    out = np.empty(a.shape[:axis] + (room,) + a.shape[axis + 1:], a.dtype)
-    out[(slice(None),) * axis + (slice(a.shape[axis]),)] = a
-    return out
-
-
-def _real(p, shape):
-    """Whether a right stack of shape (q, s) coefficients under p-row left
-    factors is kept realified: blocks of at most 16 entries whose products
-    are not plain dots (p s > 1).  There numpy's complex matmul calls BLAS
-    once per word, and the real one ran 1.6 to 2.7 times faster on 2 x 2
-    to 4 x 4 blocks (2 cores, OpenBLAS 0.3.31)."""
-    return p * shape[1] > 1 and shape[0] * shape[1] <= 16
-
-
-def _realified(c):
-    """The (m, 2q, 2s) real stack of the (m, q, s) complex c: each entry
-    z becomes the block [[re z, im z], [-im z, re z]], so that a row of
-    complex numbers read as (re, im) pairs times it is the row times c,
-    read the same way."""
-    m, q, s = c.shape
-    out = np.empty((m, q, 2, s, 2))
-    out[:, :, 0] = c.view(np.float64).reshape(m, q, s, 2)
-    out[:, :, 1, :, 1] = c.real
-    np.negative(c.imag, out=out[:, :, 1, :, 0])
-    return out.reshape(m, 2 * q, 2 * s)
-
-
-def _degree_sum(n, k, left, right, ia, ib, shape):
-    """Degree k of sum_j L_j R_j over the splits j, the blocks L_j =
-    left[ia[j]] and R_j = right[ib[j]] of degrees adding up to k: the word
-    u v, of code code(u) n^|v| + code(v), gains U_u @ V_v.  Returns
-    (increasing codes, sums): every code when some split's blocks hold
-    every word of their degrees, else the union of the splits' grids of
-    words.  A word's factors in such a full split are found by code
-    arithmetic (code // n^|v| and code % n^|v|), in the other splits on
-    their grids, an absent factor reading the zero row; then each chunk of
-    at most CHUNK_ENTRIES entries an operand is one take a side and one
-    matmul of shape (words, p, K q) @ (words, K q, s), however many splits
-    K the degree has.  Callers run it under np.errstate(over="ignore",
-    invalid="ignore"): an overflow shows as inf or nan."""
-    size = n**k
-    wide = size >= 2**63  # past int64, the code arithmetic runs on Python ints
-    (lo, ls, _), (ro, rs, b) = left.meta.take(ia, axis=1), right.meta.take(ib, axis=1)
-    splits, p, q, s = len(ro), shape[0], left.c.shape[2], shape[1]
-    if size == 1:  # one word, which every split holds
-        full, whole = None, splits
-    else:
-        full = np.zeros(splits, bool) if wide else ls * rs == size
-        whole = np.count_nonzero(full)  # splits that hold every word of degree k
-    dtype, r = right.c.dtype, 16 // right.c.itemsize  # r = 2 on a realified stack
-    width = splits * q * max(p, r * s)  # entries a word takes in the larger operand
-    cap = max(1, min(CHUNK_ENTRIES, linalg.MAX_DIM**2) // width)
-    if whole:  # every code, in chunks of n^e words: each chunk's arithmetic is the first's
-        e = 0
-        while n > 1 and e < k and n ** (e + 1) <= cap:
-            e += 1
-        words, rows = size, n**e
-        lo_full, ro_full, b_full = (lo, ro, b) if whole == splits else (lo[full], ro[full], b[full])
-        if e:  # the first chunk's factor rows in the full splits
-            table, eb = _digits(n, e), np.minimum(b_full, e)
-            li0, ri0 = lo_full + table[0].take(eb, axis=1), ro_full + table[1].take(eb, axis=1)
-        else:  # one word a chunk: its factors are the blocks' first rows
-            li0, ri0 = lo_full[None], ro_full[None]
-    if whole < splits:  # the other splits' grids of words, sorted by code
-        sparse = np.flatnonzero(~full)
-        g = ls[sparse] * rs[sparse]
-        j = np.repeat(sparse, g)
-        i, t = np.divmod(np.arange(g.sum()) - np.repeat(np.cumsum(g) - g, g), rs[j])
-        lpos, rpos = lo[j] + i, ro[j] + t
-        kind = object if wide else np.int64
-        step = np.array([n ** int(d) for d in b], object) if wide else n**b
-        codes = left.codes[lpos].astype(kind, copy=False) * step[j]
-        codes += right.codes[rpos].astype(kind, copy=False)
-        order = np.argsort(codes, kind="stable")
-        codes, j, lpos, rpos = codes[order], j[order], lpos[order], rpos[order]
-        if whole:
-            row = codes
-        else:  # drop repeats; not np.unique, which imports numpy.ma
-            new = np.append(True, codes[1:] != codes[:-1])
-            codes, row = codes[new], np.cumsum(new) - 1
-            words, rows = len(codes), cap
-    check_entries(min(rows, words) * width, "degree sum operand")
-    out = np.empty((words, p, s), dtype=complex)
-    for start in range(0, words, rows):
-        stop = min(words, start + rows)
-        if whole:  # start is a multiple of n^e, so it shifts every chunk row alike
-            li_full, ri_full = li0, ri0
-            if start:
-                unit = n**b_full
-                li_full, ri_full = li0 + start // unit, ri0 + start % unit
-        if whole == splits:
-            li, ri = li_full, ri_full
-        else:
-            li, ri = np.zeros((2, stop - start, splits), np.int64)
-            a, z = (0, len(row)) if stop - start == words else np.searchsorted(row, (start, stop))
-            li[row[a:z] - start, j[a:z]], ri[row[a:z] - start, j[a:z]] = lpos[a:z], rpos[a:z]
-            if whole:
-                li[:, full], ri[:, full] = li_full, ri_full
-        factors = left.c.take(li, axis=1).swapaxes(0, 1).reshape(stop - start, p, splits * q)
-        np.matmul(factors.view(dtype),
-                  right.c.take(ri, axis=0).reshape(stop - start, r * splits * q, r * s),
-                  out=out[start:stop].view(dtype))
-    return np.arange(size) if whole else codes, out
 
 
 def _accumulate(codes, blocks, shape, size):
@@ -441,15 +271,15 @@ def _geometric(f, sign):
     """x = f + sign x f, i.e. f + f^2 + ... (sign +1) or f - f^2 + ...
     (sign -1), truncated at the cutoff: degree by degree,
     x_k = sum_a y_{k-a} (sign f_a) over the degrees a of f, with y_0 =
-    sign I and y_j = x_j, one _degree_sum of the growing stack of y and a
+    sign I and y_j = x_j, one degree_sum of the growing stack of y and a
     stack of sign f; the size check before each x_k adds
     min(n^k, sum_a |y_{k-a}| |f_a|) words of p^2 entries and DEGREE_ENTRIES
     for the degree's fixed storage."""
     n, p = f.n, f.shape[0]
-    right = _Stack(f.blocks, list(f.blocks), f.shape, real=_real(p, f.shape))
+    right = Stack(f.blocks, list(f.blocks), f.shape)
     right.c *= sign
     fsize, reach = right.meta[1], max(f.blocks, default=0)
-    y = _Stack({0: (np.zeros(1, np.int64), np.eye(p, dtype=complex)[None])}, [0], f.shape, left=True)
+    y = Stack({0: (np.zeros(1, np.int64), np.eye(p, dtype=complex)[None])}, [0], f.shape, left=True)
     y.c *= sign
     x, top, entries = {}, 0, 0  # top: the highest degree of y
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
@@ -458,9 +288,10 @@ def _geometric(f, sign):
                 break  # no pair of degrees reaches degree k or beyond
             ia, ib = y.splits(k, right)
             if len(ib):
-                entries += min(n**k, int(y.meta[1].take(ia) @ fsize.take(ib))) * p * p + DEGREE_ENTRIES
+                words = min(n**k, int(y.meta[1].take(ia) @ fsize.take(ib)))
+                entries += words * p * p + DEGREE_ENTRIES
                 check_entries(entries, "geometric series sum")
-                codes, c = _degree_sum(n, k, y, right, ia, ib, f.shape)
+                codes, c = degree_sum(n, k, y, right, ia, ib, f.shape)
                 if np.count_nonzero(c):  # an all-zero degree reaches nothing further
                     x[k], top = (codes, c), k
                     y.append(k, codes, c)
@@ -490,7 +321,7 @@ def cayley_composition_coefficient(f, deg):
     word w of length <= deg: the sum over all factorizations of w into
     nonempty pieces of the products of their coefficients.  P(w) stacks
     those products, P(()) = [I] and P(w) = concat_j P(w[:j]) @ f_{w[j:]}
-    (j < |w|); only the final sum adds, so nothing is shared with _degree_sum."""
+    (j < |w|); only the final sum adds, so nothing is shared with degree_sum."""
     zero = np.zeros(f.shape, dtype=complex)
     prods = {(): np.eye(f.shape[0], dtype=complex)[None]}
     for w in GradedBasis(f.n, deg).words[1:]:

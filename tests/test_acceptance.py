@@ -35,13 +35,13 @@ def test_cayley_suites_catch_a_dropped_pair(monkeypatch):
     """The oracle suite compares against products formed without the
     degree recurrence, and the bijection suite against operator sums, so
     a recurrence that loses one split's contribution fails both."""
-    real = series._degree_sum
+    real = series.degree_sum
 
     def dropped(n, k, left, right, ia, ib, shape):
         keep = max(1, len(ia) - 1)
         return real(n, k, left, right, ia[:keep], ib[:keep], shape)
 
-    monkeypatch.setattr(series, "_degree_sum", dropped)
+    monkeypatch.setattr(series, "degree_sum", dropped)
     for name in ("cayley_coefficient_oracle", "cayley_bijection"):
         passed, detail, _ = selftest.run_suite(name, seed=SEED)
         assert not passed, f"{name}: {detail}"

@@ -157,14 +157,15 @@ def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     def no_umask(mask):
         raise AssertionError("write_json_atomic set the umask")
 
-    names = iter(["taken", "taken", "free"])
+    names = iter([b"taken", b"taken", b"free"])
     monkeypatch.setattr(jsonio.os, "umask", no_umask)
-    monkeypatch.setattr(jsonio.secrets, "token_hex", lambda n: next(names))
-    (tmp_path / "tmptaken.tmp").write_text("kept")
+    monkeypatch.setattr(jsonio.os, "urandom", lambda n: next(names))
+    taken = tmp_path / f"tmp{b'taken'.hex()}.tmp"
+    taken.write_text("kept")
     jsonio.write_json_atomic({"a": 1.5}, tmp_path / "out.json")
     assert json.loads((tmp_path / "out.json").read_text()) == {"a": 1.5}
-    assert (tmp_path / "tmptaken.tmp").read_text() == "kept"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "tmptaken.tmp"]
+    assert taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.json", taken.name])
 
 
 # -- per-degree reader and writer ----------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freefock import linalg
+from freefock import linalg, products
 from freefock import series as fs
 from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import FockTrunc, OperatorTuple, random_nilpotent_tuple
@@ -311,19 +311,19 @@ def test_multiply_matches_pairwise(n):
 
 
 def loop_over_degrees_multiply(f, g):
-    """The product by one _degree_sum call per degree 0..cutoff, each over
+    """The product by one degree_sum call per degree 0..cutoff, each over
     its splits in the order of g's degrees: the reference for multiply's
     iteration."""
     cutoff, shape = min(f.cutoff, g.cutoff), (f.shape[0], g.shape[1])
     fdeg, gdeg = list(f.blocks), list(g.blocks)
-    left = fs._Stack(f.blocks, fdeg, f.shape, left=True)
-    right = fs._Stack(g.blocks, gdeg, g.shape, real=fs._real(f.shape[0], g.shape))
+    left = products.Stack(f.blocks, fdeg, f.shape, left=True)
+    right = products.Stack(g.blocks, gdeg, g.shape)
     blocks = {}
     for k in range(cutoff + 1):
         ib = [j for j, b in enumerate(gdeg) if k - b in f.blocks]
         if ib:
             ia = [fdeg.index(k - gdeg[j]) for j in ib]
-            blocks[k] = fs._degree_sum(f.n, k, left, right, np.array(ia), np.array(ib), shape)
+            blocks[k] = products.degree_sum(f.n, k, left, right, np.array(ia), np.array(ib), shape)
     return fs.FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
@@ -398,14 +398,15 @@ def test_geometric_sums_match_power_sums(name):
 def pairwise_degree_sum(pairs, shape, size):
     """The degree sum one einsum per pair of blocks ((u_codes, U),
     (v_codes, V), n^|v|), each product added at the codes of its
-    concatenations: the oracle for the batched _degree_sum."""
+    concatenations: the oracle for the batched products.degree_sum."""
     wide = size >= 2**63
     codes = [((uc.astype(object) if wide else uc)[:, None] * step + vc).ravel()
              for (uc, _), (vc, _), step in pairs]
     out_codes = np.array(sorted(set(itertools.chain.from_iterable(codes))), dtype=codes[0].dtype)
     out = np.zeros((len(out_codes), *shape), dtype=complex)
     for c, ((_, u), (_, v), _) in zip(codes, pairs):
-        np.add.at(out, np.searchsorted(out_codes, c), np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape))
+        products_uv = np.einsum("ipq,jqr->ijpr", u, v).reshape(-1, *shape)
+        np.add.at(out, np.searchsorted(out_codes, c), products_uv)
     return out_codes, out
 
 
@@ -460,12 +461,13 @@ def test_degree_sums_do_not_depend_on_the_chunks(monkeypatch):
     cases = [*geometric_cases().values(), chain_case(),
              fs.random_series(rng, 2, 5, (3, 3), scale=0.3, min_degree=1)]
     want = [(fs.cayley_forward(f), fs.cayley_inverse(f)) for f in cases]
-    monkeypatch.setattr(fs, "CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(products, "CHUNK_ENTRIES", 1)
     for f, pair in zip(cases, want):
         for got, ref in zip((fs.cayley_forward(f), fs.cayley_inverse(f)), pair):
             assert list(got.blocks) == list(ref.blocks)
             for k, (codes, c) in ref.blocks.items():
-                assert np.array_equal(got.blocks[k][0], codes) and np.array_equal(got.blocks[k][1], c)
+                assert np.array_equal(got.blocks[k][0], codes)
+                assert np.array_equal(got.blocks[k][1], c)
 
 
 def test_a_dense_cutoff_14_sum_runs_in_chunks_at_the_default_size_limit():
@@ -476,7 +478,7 @@ def test_a_dense_cutoff_14_sum_runs_in_chunks_at_the_default_size_limit():
     f = fs.random_series(np.random.default_rng(14), 2, 14, (1, 1), scale=0.3, min_degree=1)
     g = fs.cayley_forward(f)
     assert sum(len(codes) for codes, _ in g.blocks.values()) == 2**15 - 2
-    assert 2**14 * 14 > fs.CHUNK_ENTRIES
+    assert 2**14 * 14 > products.CHUNK_ENTRIES
     residual = g - fs.multiply(f, g) - f
     scale = max(float(np.max(np.abs(c))) for _, c in g.blocks.values())
     assert all(np.max(np.abs(c)) <= 1e-12 * (1 + scale) for _, c in residual.blocks.values())
