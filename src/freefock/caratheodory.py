@@ -134,9 +134,9 @@ def extend(prob, M, tol=1e-9):
         left = Stack(blocks, list(blocks), (p, p), left=True)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
             for k in range(m + 1, M + 1):
-                ia, ib = left.splits(k, right)
-                if len(ib):
-                    blocks[k] = degree_sum(n, k, left, right, ia, ib, (p, p))
+                lm, rm = left.splits(k, right)
+                if rm.shape[1]:
+                    blocks[k] = degree_sum(n, k, left, right, lm, rm, (p, p))
                     left.append(k, *blocks[k])
     series = FreeSeries._built(n, M, (p, p), blocks)
     tm = tm_positivity(series, tol)

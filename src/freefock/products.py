@@ -65,22 +65,22 @@ class Stack:
         self.count, self.rows = i + 1, o + n
 
     def splits(self, k, right):
-        """(ia, ib): for each degree d of right's blocks ib whose complement
-        k - d this stack holds, the position ia of that block."""
+        """The splits of degree k into a block of this stack and one of
+        right, in the order of right's degrees: the (3, K) meta columns
+        (offset, size, degree) of their left and of their right blocks."""
         held, b = self.meta[2, :self.count], k - right.meta[2]
         ia = np.minimum(held.searchsorted(b), self.count - 1)
         ib = (held.take(ia) == b).nonzero()[0]
-        return ia.take(ib), ib
+        return self.meta.take(ia.take(ib), axis=1), right.meta.take(ib, axis=1)
 
 
 @functools.lru_cache(maxsize=64)
 def _digits(n, e):
-    """(quotients, remainders) of the rows 0..n^e - 1 by n^0, ..., n^e, as
-    (n^e, e + 1) columns: the code arithmetic of a chunk of n^e words
-    (shared, so read-only)."""
-    out = np.divmod(np.arange(n**e)[:, None], n ** np.arange(e + 1))
-    for t in out:
-        t.flags.writeable = False
+    """The quotients and remainders of the rows 0..n^e - 1 by n^0, ...,
+    n^e, as one (2, n^e, e + 1) array: the code arithmetic of a chunk of
+    n^e words (shared, so read-only)."""
+    out = np.array(np.divmod(np.arange(n**e)[:, None], n ** np.arange(e + 1)))
+    out.flags.writeable = False
     return out
 
 
@@ -91,9 +91,10 @@ def _grown(a, room, axis=0):
     return out
 
 
-def degree_sum(n, k, left, right, ia, ib, shape):
-    """Degree k of sum_j L_j R_j over the splits j, the blocks L_j =
-    left[ia[j]] and R_j = right[ib[j]] of degrees adding up to k: the word
+def degree_sum(n, k, left, right, lm, rm, shape):
+    """Degree k of sum_j L_j R_j over the splits j, the blocks L_j of left
+    and R_j of right whose meta columns (offset, size, degree) are lm[:, j]
+    and rm[:, j] (Stack.splits), their degrees adding up to k: the word
     u v, of code code(u) n^|v| + code(v), gains U_u @ V_v.  Returns
     (increasing codes, sums): every code when some split's blocks hold
     every word of their degrees, else the union of the splits' grids of
@@ -106,7 +107,7 @@ def degree_sum(n, k, left, right, ia, ib, shape):
     invalid="ignore"): an overflow shows as inf or nan."""
     size = n**k
     wide = size >= 2**63  # past int64, the code arithmetic runs on Python ints
-    (lo, ls, _), (ro, rs, b) = left.meta.take(ia, axis=1), right.meta.take(ib, axis=1)
+    lo, ls, ro, rs, b = lm[0], lm[1], rm[0], rm[1], rm[2]
     splits, p, q, s = len(ro), shape[0], left.c.shape[2], shape[1]
     if size == 1:  # one word, which every split holds
         full, whole = None, splits
@@ -121,8 +122,9 @@ def degree_sum(n, k, left, right, ia, ib, shape):
         words, rows = size, n**e
         lo_full, ro_full, b_full = (lo, ro, b) if whole == splits else (lo[full], ro[full], b[full])
         if rows > 1:  # the first chunk's factor rows in the full splits
-            table, eb = _digits(n, e), np.minimum(b_full, e)
-            li0, ri0 = lo_full + table[0].take(eb, axis=1), ro_full + table[1].take(eb, axis=1)
+            li0, ri0 = _digits(n, e).take(b_full if e == k else np.minimum(b_full, e), axis=2)
+            li0 += lo_full
+            ri0 += ro_full
         else:  # one word a chunk: its factors are the blocks' first rows
             li0, ri0 = lo_full[None], ro_full[None]
     if whole < splits:  # the other splits' grids of words, sorted by code

@@ -235,12 +235,11 @@ def multiply(f, g):
     right = Stack(g.blocks, list(g.blocks), g.shape)
     degrees = sorted({a + b for a in f.blocks for b in g.blocks if a + b <= cutoff})
     splits = {k: left.splits(k, right) for k in degrees}
-    words = sum(min(f.n**k, int(left.meta[1].take(ia) @ right.meta[1].take(ib)))
-                for k, (ia, ib) in splits.items())
+    words = sum(min(f.n**k, int(lm[1] @ rm[1])) for k, (lm, rm) in splits.items())
     check_entries(words * shape[0] * shape[1], "series product")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-        blocks = {k: degree_sum(f.n, k, left, right, ia, ib, shape)
-                  for k, (ia, ib) in splits.items()}
+        blocks = {k: degree_sum(f.n, k, left, right, lm, rm, shape)
+                  for k, (lm, rm) in splits.items()}
     return FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
@@ -278,7 +277,7 @@ def _geometric(f, sign):
     n, p = f.n, f.shape[0]
     right = Stack(f.blocks, list(f.blocks), f.shape)
     right.c *= sign
-    fsize, reach = right.meta[1], max(f.blocks, default=0)
+    reach = max(f.blocks, default=0)
     y = Stack({0: (np.zeros(1, np.int64), np.eye(p, dtype=complex)[None])}, [0], f.shape, left=True)
     y.c *= sign
     x, top, entries = {}, 0, 0  # top: the highest degree of y
@@ -286,12 +285,11 @@ def _geometric(f, sign):
         for k in range(1, f.cutoff + 1):
             if k > reach + top:
                 break  # no pair of degrees reaches degree k or beyond
-            ia, ib = y.splits(k, right)
-            if len(ib):
-                words = min(n**k, int(y.meta[1].take(ia) @ fsize.take(ib)))
-                entries += words * p * p + DEGREE_ENTRIES
+            lm, rm = y.splits(k, right)
+            if rm.shape[1]:
+                entries += min(n**k, int(lm[1] @ rm[1])) * p * p + DEGREE_ENTRIES
                 check_entries(entries, "geometric series sum")
-                codes, c = degree_sum(n, k, y, right, ia, ib, f.shape)
+                codes, c = degree_sum(n, k, y, right, lm, rm, f.shape)
                 if np.count_nonzero(c):  # an all-zero degree reaches nothing further
                     x[k], top = (codes, c), k
                     y.append(k, codes, c)

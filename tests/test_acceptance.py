@@ -37,9 +37,9 @@ def test_cayley_suites_catch_a_dropped_pair(monkeypatch):
     a recurrence that loses one split's contribution fails both."""
     real = series.degree_sum
 
-    def dropped(n, k, left, right, ia, ib, shape):
-        keep = max(1, len(ia) - 1)
-        return real(n, k, left, right, ia[:keep], ib[:keep], shape)
+    def dropped(n, k, left, right, lm, rm, shape):
+        keep = max(1, lm.shape[1] - 1)
+        return real(n, k, left, right, lm[:, :keep], rm[:, :keep], shape)
 
     monkeypatch.setattr(series, "degree_sum", dropped)
     for name in ("cayley_coefficient_oracle", "cayley_bijection"):

@@ -323,7 +323,8 @@ def loop_over_degrees_multiply(f, g):
         ib = [j for j, b in enumerate(gdeg) if k - b in f.blocks]
         if ib:
             ia = [fdeg.index(k - gdeg[j]) for j in ib]
-            blocks[k] = products.degree_sum(f.n, k, left, right, np.array(ia), np.array(ib), shape)
+            lm, rm = left.meta[:, ia], right.meta[:, ib]
+            blocks[k] = products.degree_sum(f.n, k, left, right, lm, rm, shape)
     return fs.FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
