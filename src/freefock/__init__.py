@@ -34,6 +34,7 @@ from .fock import (
     isometric_dilation,
     poisson_kernel,
     poisson_transform,
+    random_nilpotent_stack,
     random_nilpotent_tuple,
     reconstruction_operator,
     tail_bound,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import random_nilpotent_tuple, word_sum
+from .fock import random_nilpotent_stack, word_sum
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
@@ -218,10 +218,9 @@ def cf_to_caratheodory(prob):
 # Every check of verify_solution holds to this absolute tolerance.
 VERIFY_TOL = 1e-8
 
-# Word-product entries (1 MB complex) verify_solution evaluates at once.
-VERIFY_CHUNK_ENTRIES = 2**16
-
-# Fixed storage of a drawn sample matrix in complex entries (185 bytes by tracemalloc)
+# Complex entries charged each sample beyond the n (M + 1)^2 of its
+# letters, before any is drawn (185 bytes: the fixed storage of a sample
+# matrix when samples were drawn one at a time)
 SAMPLE_ENTRIES = 12
 
 
@@ -241,13 +240,15 @@ def verify_solution(prob, ext, samples=20, seed=0):
     object, when that record decides it at VERIFY_TOL; any other series,
     such as a corrupted copy under the original certificate, is computed
     fresh.
-    The samples are drawn in order, then g (the extension's blocks and
-    b_0 / 2) is one fock.word_sum per chunk of stacked samples, each g the
-    same bits as alone.  A chunk takes as many samples as fit in
-    VERIFY_CHUNK_ENTRIES entries of products of all d words, but at least
-    one: a sample holds up to d (M + 1)^2 entries (7.4M at n = 2, M = 14),
-    checked by word_sum.  The n ((M + 1)^2 + SAMPLE_ENTRIES) entries of
-    each drawn sample are checked against the size limit before the first."""
+    The samples are drawn in order (fock.random_nilpotent_stack, each
+    sample's row norm uniform in [0.2, 0.95]), then g (the extension's
+    blocks and b_0 / 2) is one fock.word_sum over all of them, each g the
+    same bits as alone.  The tuples are strictly upper triangular of order
+    M + 1, so word_sum keeps each X_w of length k as its (M + 1 - k)-square
+    band, two degrees at a time (69632 entries a sample at n = 2, M = 14,
+    against 7.4M for every whole X_w), checked by word_sum.  The
+    n ((M + 1)^2 + SAMPLE_ENTRIES) entries of each drawn sample are
+    checked against the size limit before the first."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
@@ -268,15 +269,9 @@ def verify_solution(prob, ext, samples=20, seed=0):
     rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()
     terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
-    tuples = np.array([
-        random_nilpotent_tuple(rng, prob.n, M + 1, row_norm=float(rng.uniform(0.2, 0.95))).matrices
-        for _ in range(samples)
-    ])
-    chunk = max(1, VERIFY_CHUNK_ENTRIES // (word_count(prob.n, M) * (M + 1) ** 2))
-    worst = np.inf
-    for lo in range(0, samples, chunk):
-        g = word_sum(tuples[lo:lo + chunk].swapaxes(0, 1), p, [terms])[0]
-        worst = min(worst, float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min()))
+    xs = random_nilpotent_stack(rng, prob.n, M + 1, samples, (0.2, 0.95))
+    g = word_sum(xs, p, [terms])[0]
+    worst = float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min())
     checks["nilpotent_positive"] = (worst >= -VERIFY_TOL, worst)
 
     slices = (f.degree_slice_norm(k) for k in range(1, M + 1))

@@ -23,7 +23,8 @@ code arithmetic (``words.join_indices``), for multi-analytic operators,
 multi-Toeplitz matrices and radial boundaries; ``word_sum`` is the one
 evaluator at operator tuples, of stacked samples and several sets of
 blocks on one tree of products (``word_products``), each word's parent
-found by code arithmetic too.
+found by code arithmetic too; at strictly upper triangular tuples each
+product is kept as the band where it can be nonzero.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5.  The Poisson kernel of a jointly nilpotent tuple of order k is zero
@@ -112,16 +113,35 @@ def random_nilpotent_tuple(rng, n, dim, row_norm=None):
     """Strictly upper-triangular random tuple; jointly nilpotent of order <= dim.
 
     When row_norm is given the block row is rescaled to that norm exactly
-    (unless the draw is zero).
-    """
-    mats = []
-    for _ in range(n):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        mats.append(np.triu(m, 1))
-    t = OperatorTuple(tuple(mats))
-    if row_norm is not None and t.row_norm > 0:
-        t = t.scale(row_norm / t.row_norm)
-    return t
+    (unless the draw is zero).  One sample of random_nilpotent_stack."""
+    return OperatorTuple(tuple(random_nilpotent_stack(rng, n, dim, 1, row_norm)[:, 0]))
+
+
+def random_nilpotent_stack(rng, n, dim, samples, row_norm=None):
+    """The (n, samples, dim, dim) stack of word_sum: samples strictly
+    upper-triangular random tuples, each jointly nilpotent of order <= dim.
+
+    Each sample draws, in order, its target row norm when row_norm is a
+    range (low, high), by rng.uniform, then its n letters at once, the real
+    and then the imaginary part of each; then every draw is made strictly
+    upper triangular and every block row [X_1 ... X_n] rescaled to its
+    target norm exactly by one batched SVD, a zero draw left as it is.
+    These are the bits of one tuple at a time, drawn in the same order."""
+    ranged, target = np.ndim(row_norm) == 1, []
+    draws = np.empty((samples, n, 2, dim, dim))
+    for draw in draws:
+        target.append(rng.uniform(*row_norm) if ranged else row_norm)
+        rng.standard_normal(out=draw)
+    mats = 1j * draws[:, :, 1]
+    mats += draws[:, :, 0]
+    del draws
+    mats[..., np.tri(dim, dtype=bool)] = 0
+    if row_norm is not None and mats.size:
+        rows = mats.transpose(0, 2, 1, 3).reshape(samples, dim, n * dim)
+        norms = np.linalg.svd(rows, compute_uv=False)[:, 0]
+        scale = np.divide(target, norms, out=np.ones(samples), where=norms > 0)
+        mats *= scale[:, None, None, None]
+    return mats.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -233,13 +253,29 @@ def word_sum(xs, p, sets, right=None):
     p x p coefficients (series blocks {k: (codes, stack)}) and each tuple
     of the (n, samples, q, q) stack xs[i, s] = X_{i+1} of sample s, with
     X_w times right[|w|] if given: (sets, samples, p q, p q) sums, each the
-    same bits as alone.  One word_products tree, then one einsum: a BLAS
-    product would be a gemv for p = 1, whose OpenBLAS threads took up to
-    2 ms per call to wake on 2 cores, against under 0.1 ms for the einsum."""
+    same bits as alone.  One word_products tree, then one einsum per band
+    of products, added into the rows and columns the band covers: one band
+    of every word in general, one per degree at strictly upper triangular
+    tuples.  A stack that mixes the two is summed as its two parts, so
+    that each sample keeps the bits it has alone.  Not a BLAS product:
+    that would be a gemv for p = 1, whose OpenBLAS threads took up to 2 ms
+    per call to wake on 2 cores, against under 0.1 ms for the einsum."""
     samples, q = xs.shape[1], xs.shape[-1]
     check_size(p * q, p * q, "word sum")
-    c, prods = word_products(xs, sets, p, right)
-    return np.einsum("cwab,wsij->csaibj", c, prods).reshape(len(sets), samples, p * q, p * q)
+    check_entries(samples * (p * q) ** 2, "word sum")  # a set's sums
+    out = np.empty((len(sets), samples, p, q, p, q), dtype=complex)
+    strict = ~xs[..., np.tri(q, dtype=bool)].any(axis=(0, 2))
+    if 0 < np.count_nonzero(strict) < samples:
+        for part in (strict, ~strict):
+            out[:, part] = word_sum(xs[:, part], p, sets, right).reshape(len(sets), -1, p, q, p, q)
+        return out.reshape(len(sets), samples, p * q, p * q)
+    c, bands = word_products(xs, sets, p, right)
+    lo, hi, prods = next(bands)  # the first band fills every row and column
+    np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods, out=out)
+    for lo, hi, prods in bands:
+        rows, cols = prods.shape[-2:]
+        out[..., :rows, :, q - cols:] += np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
+    return out.reshape(len(sets), samples, p * q, p * q)
 
 
 def word_products(xs, sets, p, right=None):
@@ -247,12 +283,26 @@ def word_products(xs, sets, p, right=None):
     their prefixes, the nodes, by degree and code: the word v i has code
     n code(v) + i - 1, so a node of code c has its parent at c // n one
     degree down and last letter c % n; the degrees up to the highest full
-    block hold every word.  Returns the (sets, nodes, p, p) coefficients,
-    zero at a node without one, and the (nodes, samples, q, q) products X_w
-    (times right[|w|]), entries checked first: one batched matmul per
-    degree, every parent by every X_i or the gathered parents by letters."""
-    n = len(xs)
-    top = max((k for blocks in sets for k in blocks), default=0)
+    block hold every word.  One batched matmul per degree, every parent by
+    every X_i or the gathered parents by letters.
+
+    The band: when every X_i of the stack is strictly upper triangular
+    (offset 1, else 0), X_w of length k is zero outside rows :q - k and
+    columns k:, so degree k forms only X_v[:q - k, k - 1:] X_i[k - 1:, k:],
+    stores only that block, and the tree stops at degree q - 1, past which
+    every X_w is exactly zero.  At offset 0 the blocks are whole.
+    Returns the (sets, nodes, p, p) coefficients, zero at a node without
+    one, and an iterator of the products (times right[|w|], which fills a
+    block's columns) as bands (lo, hi, prods): prods[j] holds X_w of node
+    lo + j, for every sample, in the top rows and rightmost columns of its
+    q x q square.  A band is a run of degrees whose blocks share a shape,
+    in one buffer: every degree at offset 0, each degree alone at offset 1.
+    It is formed from the one before and given out once the next has read
+    it, in one of two buffers taken in turn, whose entries are checked
+    first: a band holds until the next but one is asked for."""
+    n, samples, q = len(xs), xs.shape[1], xs.shape[-1]
+    off = int(not xs[..., np.tri(q, dtype=bool)].any())
+    top = max((k for blocks in sets for k in blocks if k < q or not off), default=0)
     nodes, up, full = {}, np.zeros(0, np.int64), 0  # degrees 0..full hold every word
     for k in range(top, 0, -1):
         here = [blocks[k][0] for blocks in sets if k in blocks]
@@ -264,28 +314,52 @@ def word_products(xs, sets, p, right=None):
         up = nodes[k] // n
     sizes = [n**k if k <= full else len(nodes[k]) for k in range(top + 1)]
     start = np.cumsum([0] + sizes).tolist()
-    check_entries(start[-1] * xs[0].size, "word products")
+    rows = [q - off * k for k in range(top + 1)]
+    cols = rows if right is None else [q] * (top + 1)
+    entries = [sizes[k] * samples * rows[k] * cols[k] for k in range(top + 1)]
+    runs = [[k] for k in range(top + 1)] if off else [list(range(top + 1))]
+    held = [sum(entries[k] for k in ks) for ks in runs]
+    room = [max(held[0::2]), max(held[1::2], default=0)]  # two buffers, in turn
+    check_entries(sum(room), "word products")
     c = np.zeros((len(sets), start[-1], p, p), dtype=complex)
     for cs, blocks in zip(c, sets):
         for k, (codes, block) in blocks.items():
-            cs[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
+            if k <= top:
+                cs[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
 
-    prods = np.empty((start[-1], *xs.shape[1:]), dtype=complex)
-    prods[0] = np.eye(xs.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-        for k in range(1, top + 1):
-            lo, hi, below = start[k], start[k + 1], prods[start[k - 1]:start[k]]
-            if k <= full:
-                np.matmul(below[:, None], xs, out=prods[lo:hi].reshape(-1, n, *xs.shape[1:]))
-            else:
-                at = nodes[k] // n  # the parents' codes, then their rows in below
-                at = at.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], at)
-                letters = (nodes[k] % n).astype(np.intp)
-                np.matmul(below.take(at, 0), xs.take(letters, 0), out=prods[lo:hi])
-        if right is not None:  # after every degree: the next one multiplies X_w itself
-            for k in range(top + 1):
-                prods[start[k]:start[k + 1]] = prods[start[k]:start[k + 1]] @ right[k]
-    return c, prods
+    def bands():  # a band holds until the next but one is asked for
+        spare, below, last = [np.empty(r, dtype=complex) for r in room], None, []
+        for j, ks in enumerate(runs + [[]]):  # the empty run gives out the last
+            run, at = [], 0
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+                for k in ks:
+                    block = spare[j % 2][at:at + entries[k]]
+                    block = block.reshape(sizes[k], samples, rows[k], cols[k])
+                    at += entries[k]
+                    x = block[..., cols[k] - rows[k]:]  # X_w itself
+                    letters = xs[..., off * (k - 1):, off * k:]
+                    if k == 0:
+                        x[0] = np.eye(q)
+                    elif k <= full:
+                        np.matmul(below[..., :rows[k], :][:, None], letters,
+                                  out=x.reshape(-1, n, *x.shape[1:]))
+                    else:
+                        up = nodes[k] // n  # the parents' codes, then their rows in below
+                        up = (up.astype(np.intp) if k - 1 <= full
+                              else np.searchsorted(nodes[k - 1], up))
+                        letters = letters.take((nodes[k] % n).astype(np.intp), 0)
+                        np.matmul(below[..., :rows[k], :].take(up, 0), letters, out=x)
+                    run.append((k, block))
+                    below = x
+                for k, block in last if right is not None else ():  # once X_w is read
+                    block[...] = block[..., cols[k] - rows[k]:] @ right[k][..., off * k:, :]
+            if last:
+                (k0, block), k1 = last[0], last[-1][0]
+                prods = spare[(j - 1) % 2][:held[j - 1]].reshape(-1, *block.shape[1:])
+                yield start[k0], start[k1 + 1], prods
+            last = run
+
+    return c, bands()
 
 
 # -- kernels and transforms ------------------------------------------------

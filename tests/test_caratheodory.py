@@ -6,7 +6,7 @@ import pytest
 from freefock import caratheodory as cara
 from freefock import transforms as tr
 from freefock.errors import InfeasibleError, InputError
-from freefock.fock import FockTrunc, random_nilpotent_tuple
+from freefock.fock import FockTrunc, random_nilpotent_stack, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron
 from freefock.series import FreeSeries, extract_coeffs
 from freefock.toeplitz import assemble_T
@@ -339,29 +339,32 @@ def test_verify_solution_classical_geometric():
 def test_verify_solution_checks_the_sample_count_before_drawing(monkeypatch):
     """samples n ((M + 1)^2 + SAMPLE_ENTRIES) entries meet the size limit
     before the first tuple is drawn; a count that fits draws them all (and
-    then meets the limit in the word products, d (M + 1)^2 a sample)."""
+    then meets the limit in the banded word products, which hold two
+    degrees at once: degrees 3 and 4, 2^k (M + 1 - k)^2 entries each a
+    sample, here where every word carries a coefficient)."""
     from freefock import linalg
     from freefock.errors import SizeLimitError
 
-    prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3})
-    ext = cara.extend(prob, 3)
-    per_sample = 2 * (4**2 + cara.SAMPLE_ENTRIES)
+    prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3, (2,): -0.2})
+    ext = cara.extend(prob, 5)
+    assert all(len(ext.series.blocks[k][0]) == 2**k for k in range(6))
+    per_sample = 2 * (6**2 + cara.SAMPLE_ENTRIES)
     draws = []
-    monkeypatch.setattr(cara, "random_nilpotent_tuple",
-                        lambda *a, **k: draws.append(1) or random_nilpotent_tuple(*a, **k))
+    monkeypatch.setattr(cara, "random_nilpotent_stack",
+                        lambda *a, **k: draws.append(a[3]) or random_nilpotent_stack(*a, **k))
     with pytest.raises(SizeLimitError):
         cara.verify_solution(prob, ext, samples=10**12)
     old = linalg.MAX_DIM
-    linalg.set_max_dim(20)  # 400 entries: 7 samples of 56 fit, 8 do not
+    linalg.set_max_dim(20)  # 400 entries: 4 samples of 96 fit, 5 do not
     try:
         with pytest.raises(SizeLimitError):
             cara.verify_solution(prob, ext, samples=400 // per_sample + 1)
         assert not draws
-        with pytest.raises(SizeLimitError, match="word products"):
+        with pytest.raises(SizeLimitError, match="word products"):  # 4 x (72 + 64) > 400
             cara.verify_solution(prob, ext, samples=400 // per_sample)
     finally:
         linalg.set_max_dim(old)
-    assert len(draws) == 400 // per_sample
+    assert draws == [400 // per_sample]
 
 
 def test_verify_solution_catches_corruption():

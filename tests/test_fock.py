@@ -15,6 +15,7 @@ from freefock.fock import (
     isometric_dilation,
     poisson_kernel,
     poisson_transform,
+    random_nilpotent_stack,
     random_nilpotent_tuple,
     reconstruction_operator,
     tail_bound,
@@ -446,3 +447,49 @@ def test_word_operator_order():
     # X_(1,2) = X_1 X_2 maps e3 -> e1
     got = x.word((1, 2))
     assert got[0, 2] == 1.0 and np.count_nonzero(got) == 1
+
+
+def _tuple_drawn_alone(rng, n, dim, row_norm=None):
+    """One tuple drawn as the sampler drew it one sample at a time: per
+    letter a real then an imaginary standard normal draw, np.triu, and one
+    rescale of the block row, a zero draw left as it is."""
+    mats = []
+    for _ in range(n):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mats.append(np.triu(m, 1))
+    t = OperatorTuple(tuple(mats))
+    if row_norm is not None and t.row_norm > 0:
+        t = t.scale(row_norm / t.row_norm)
+    return t
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 4), (2, 8), (3, 5), (9, 3)])
+def test_nilpotent_stack_draws_the_per_sample_loop_bitwise(n, dim):
+    """random_nilpotent_stack with a norm range draws what the loop of one
+    uniform norm and one tuple a sample drew, bit for bit and zero signs
+    too, and leaves the stream where the loop left it; dim 1 draws zero
+    tuples, which are not rescaled.  random_nilpotent_tuple is one sample
+    of it, at a fixed norm or none."""
+    rng = np.random.default_rng(10 * n + dim)
+    want = np.array([
+        _tuple_drawn_alone(rng, n, dim, row_norm=float(rng.uniform(0.2, 0.95))).matrices
+        for _ in range(7)
+    ]).swapaxes(0, 1)
+    again = np.random.default_rng(10 * n + dim)
+    got = random_nilpotent_stack(again, n, dim, 7, (0.2, 0.95))
+    assert got.shape == (n, 7, dim, dim)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert again.random() == rng.random()
+    if dim == 1:
+        assert not got.any()
+    else:
+        norms = [operator_norm(np.hstack(got[:, s])) for s in range(7)]
+        assert all(0.2 <= r <= 0.95 for r in norms)
+    for row_norm in (None, 0.7, 0.0):
+        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        got = random_nilpotent_tuple(a, n, dim, row_norm=row_norm).matrices
+        assert np.array_equal(_bits(got), _bits(_tuple_drawn_alone(b, n, dim, row_norm).matrices))

@@ -25,9 +25,11 @@ from freefock.fock import (
     poisson_kernel,
     poisson_transform,
     poisson_transform_word_symbol,
+    random_nilpotent_stack,
     random_nilpotent_tuple,
     reconstruction_operator,
     shift_sum,
+    word_products,
     word_sum,
 )
 from freefock.linalg import adjoint, kron, min_eig_hermitian
@@ -374,6 +376,63 @@ def test_word_sum_sets_samples_and_right_factors(n, p):
             want = kron_sum([(c, X.word(w) @ right[len(w)]) for w, c in coeffs.items()], 3 * p)
             assert rel_dev(got_right[j, s], want) <= 1e-13
             assert np.array_equal(word_sum(X.stack, p, [blocks[j]])[0, 0], got[j, s])
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_word_sum_banded_at_strictly_upper_triangular_stacks(n, p):
+    """At a stack of strictly upper triangular tuples of order q, X_w of
+    length k is kept as its band, rows :q - k and columns k: (all columns
+    times a right factor), one band a degree, and words of length q or
+    more are skipped; at cutoffs below, at and past q - 1, with every word
+    (one matmul of every parent) or a third of them (the gathered
+    parents), each sum matches its Kronecker sum within 1e-14 of the sum
+    of the terms' magnitudes."""
+    rng = np.random.default_rng(110 * n + p)
+    q = 4
+    xs = random_nilpotent_stack(rng, n, q, 3, (0.2, 0.95))
+    tuples = [OperatorTuple(tuple(xs[:, s])) for s in range(3)]
+    for deg in (2, 3, 5):
+        dense = random_coeffs(rng, n, deg, p)
+        words = list(dense)
+        rng.shuffle(words)
+        sparse = {w: dense[w] for w in words[: len(words) // 3]}
+        for coeffs in (dense, sparse):
+            blocks = blocks_of(coeffs, n, p)
+            right = gaussian(rng, (deg + 1, q, q))
+            _, bands = word_products(xs, [blocks], p)
+            shapes = [prods.shape[2:] for _, _, prods in bands]
+            top = max((len(w) for w in coeffs if len(w) < q), default=0)
+            assert shapes == [(q - k, q - k) for k in range(top + 1)]
+            _, bands = word_products(xs, [blocks], p, right)
+            shapes = [prods.shape[2:] for _, _, prods in bands]
+            assert shapes == [(q - k, q) for k in range(top + 1)]
+            got, got_right = word_sum(xs, p, [blocks]), word_sum(xs, p, [blocks], right)
+            for s, X in enumerate(tuples):
+                for r, value in ((None, got[0, s]), (right, got_right[0, s])):
+                    terms = [(c, X.word(w) if r is None else X.word(w) @ r[len(w)])
+                             for w, c in coeffs.items()]
+                    scale = np.max(kron_sum([(abs(c), abs(m)) for c, m in terms], p * q).real)
+                    assert np.max(np.abs(value - kron_sum(terms, p * q))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_word_sum_one_diagonal_entry_is_unbanded(p):
+    """One nonzero diagonal entry in a stack of otherwise strictly upper
+    triangular tuples gives offset 0: one band of every word's whole
+    product, and the unbanded arithmetic bit for bit, every X_w formed
+    as the whole product of its parent and letter, then one einsum."""
+    rng = np.random.default_rng(p)
+    xs = random_nilpotent_stack(rng, 2, 4, 1, (0.2, 0.95)).copy()
+    xs[1, 0, 2, 2] = 0.3
+    blocks = blocks_of(random_coeffs(rng, 2, 5, p), 2, p)
+    c, bands = word_products(xs, [blocks], p)
+    ((lo, hi, prods),) = bands
+    assert (lo, hi) == (0, 63) and prods.shape == (63, 1, 4, 4)
+    level = [np.broadcast_to(np.eye(4), (1, 1, 4, 4))]
+    for _ in range(5):
+        level.append(np.matmul(level[-1][:, None], xs).reshape(-1, 1, 4, 4))
+    want = np.einsum("cwab,wsij->csaibj", c, np.concatenate(level)).reshape(1, 1, 4 * p, 4 * p)
+    assert np.array_equal(word_sum(xs, p, [blocks]), want)
 
 
 @pytest.mark.parametrize("n,p", CASES)
