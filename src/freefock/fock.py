@@ -272,9 +272,10 @@ def word_sum(xs, p, sets, right=None):
     c, bands = word_products(xs, sets, p, right)
     lo, hi, prods = next(bands)  # the first band fills every row and column
     np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods, out=out)
-    for lo, hi, prods in bands:
-        rows, cols = prods.shape[-2:]
-        out[..., :rows, :, q - cols:] += np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+        for lo, hi, prods in bands:
+            rows, cols = prods.shape[-2:]
+            out[..., :rows, :, q - cols:] += np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
     return out.reshape(len(sets), samples, p * q, p * q)
 
 

@@ -9,6 +9,8 @@ constructions, and the two structure tests with dense kron(I, R_i)
 products.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,22 @@ def test_word_sum_one_diagonal_entry_is_unbanded(p):
         level.append(np.matmul(level[-1][:, None], xs).reshape(-1, 1, 4, 4))
     want = np.einsum("cwab,wsij->csaibj", c, np.concatenate(level)).reshape(1, 1, 4 * p, 4 * p)
     assert np.array_equal(word_sum(xs, p, [blocks]), want)
+
+
+def test_word_sum_band_overflow_shows_as_inf_or_nan():
+    """Degree 1 overflows to inf + inf j at one entry and degree 2 to
+    -inf - inf j there, each band summed on its own: their sum is not
+    finite and raises no floating-point warning, as in one einsum."""
+    a, b = np.zeros((4, 4)), np.zeros((4, 4))
+    a[0, 3] = b[0, 3] = 1e308
+    a[0, 1], b[1, 3] = 1e154, -1e154  # X_1 X_2 = -1e308 at [0, 3]
+    b[0, 2], a[2, 3] = 1e154, -1e154  # X_2 X_1 = -1e308 at [0, 3]
+    one = np.array([[1.0 + 1.0j]])
+    blocks = blocks_of({(1,): one, (2,): one, (1, 2): one, (2, 1): one}, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = one_sum(OperatorTuple((a, b)), 1, blocks)
+    assert not np.isfinite(value[0, 3])
 
 
 @pytest.mark.parametrize("n,p", CASES)
