@@ -23,8 +23,9 @@ code arithmetic (``words.join_indices``), for multi-analytic operators,
 multi-Toeplitz matrices and radial boundaries; ``word_sum`` is the one
 evaluator at operator tuples, of stacked samples and several sets of
 blocks on one tree of products (``word_products``), each word's parent
-found by code arithmetic too; at strictly upper triangular tuples each
-product is kept as the band where it can be nonzero.
+found by code arithmetic too, summed one degree at a time with two
+degrees held; at strictly upper triangular tuples each degree is kept as
+the band where its products can be nonzero.
 
 Kernel matrices grow like dim(P^(N)) * p, which explodes for n = 3 past
 N ~ 5.  The Poisson kernel of a jointly nilpotent tuple of order k is zero
@@ -54,7 +55,7 @@ from .linalg import (
     kron,
     operator_norm,
 )
-from .words import MAX_GENERATORS, join_indices, validate_word, word_count
+from .words import MAX_GENERATORS, join_indices, validate_word, word_code, word_count
 
 
 def word_operator(matrices, word):
@@ -173,21 +174,17 @@ class FockTrunc:
         """Index range of the words of exact length k."""
         return word_count(self.n, k - 1), word_count(self.n, k)
 
-    def _code(self, word):
-        validate_word(word, self.n)
-        return sum((i - 1) * self.n**j for j, i in enumerate(reversed(word)))
-
     def index(self, word):
         """Graded index of a word of length <= N."""
         if len(word) > self.N:
             raise InputError(f"word of length {len(word)} exceeds truncation {self.N}")
-        return word_count(self.n, len(word) - 1) + self._code(word)
+        return word_count(self.n, len(word) - 1) + word_code(word, self.n)
 
     def shift_indices(self, word, append=False):
         """Rows of e_{word v}, or of e_{v word} with append, for the words v
         of P^(N - |word|) in basis order: the word's row of
         words.join_indices, empty past degree N."""
-        code = self._code(word)
+        code = word_code(word, self.n)
         if len(word) > self.N:
             return np.zeros(0, int)
         return join_indices(self.n, self.N, len(word), append)[code]
@@ -253,13 +250,16 @@ def word_sum(xs, p, sets, right=None):
     p x p coefficients (series blocks {k: (codes, stack)}) and each tuple
     of the (n, samples, q, q) stack xs[i, s] = X_{i+1} of sample s, with
     X_w times right[|w|] if given: (sets, samples, p q, p q) sums, each the
-    same bits as alone.  One word_products tree, then one einsum per band
-    of products, added into the rows and columns the band covers: one band
-    of every word in general, one per degree at strictly upper triangular
-    tuples.  A stack that mixes the two is summed as its two parts, so
-    that each sample keeps the bits it has alone.  Not a BLAS product:
-    that would be a gemv for p = 1, whose OpenBLAS threads took up to 2 ms
-    per call to wake on 2 cores, against under 0.1 ms for the einsum."""
+    same bits as alone.  One word_products tree, then one einsum per
+    degree, over that degree's band of products, added into the rows and
+    columns the band covers (degree 0, which covers them all, assigned).
+    A right factor multiplies the degree's sum, sum_{|w|=k} c_w (x) X_w D
+    = (sum_{|w|=k} c_w (x) X_w)(I (x) D), in fewer flops than each X_w.
+    A stack that mixes strictly upper triangular tuples with others is
+    summed as its two parts, so that each sample keeps the bits it has
+    alone.  Not a BLAS product: that would be a gemv for p = 1, whose
+    OpenBLAS threads took up to 2 ms per call to wake on 2 cores, against
+    under 0.1 ms for the einsum."""
     samples, q = xs.shape[1], xs.shape[-1]
     check_size(p * q, p * q, "word sum")
     check_entries(samples * (p * q) ** 2, "word sum")  # a set's sums
@@ -269,17 +269,21 @@ def word_sum(xs, p, sets, right=None):
         for part in (strict, ~strict):
             out[:, part] = word_sum(xs[:, part], p, sets, right).reshape(len(sets), -1, p, q, p, q)
         return out.reshape(len(sets), samples, p * q, p * q)
-    c, bands = word_products(xs, sets, p, right)
-    lo, hi, prods = next(bands)  # the first band fills every row and column
-    np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods, out=out)
+    c, degrees = word_products(xs, sets, p)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-        for lo, hi, prods in bands:
-            rows, cols = prods.shape[-2:]
-            out[..., :rows, :, q - cols:] += np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
+        for k, (lo, hi, prods) in enumerate(degrees):
+            band = np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
+            if right is not None:
+                band = band @ right[k][..., q - band.shape[-1]:, :]
+            rows, cols = band.shape[3], band.shape[5]
+            if k:
+                out[..., :rows, :, q - cols:] += band
+            else:
+                out[...] = band  # assigned, so that -0.0 keeps its sign
     return out.reshape(len(sets), samples, p * q, p * q)
 
 
-def word_products(xs, sets, p, right=None):
+def word_products(xs, sets, p):
     """The words of every set of blocks over n = len(xs) letters and all
     their prefixes, the nodes, by degree and code: the word v i has code
     n code(v) + i - 1, so a node of code c has its parent at c // n one
@@ -290,17 +294,13 @@ def word_products(xs, sets, p, right=None):
     The band: when every X_i of the stack is strictly upper triangular
     (offset 1, else 0), X_w of length k is zero outside rows :q - k and
     columns k:, so degree k forms only X_v[:q - k, k - 1:] X_i[k - 1:, k:],
-    stores only that block, and the tree stops at degree q - 1, past which
-    every X_w is exactly zero.  At offset 0 the blocks are whole.
+    and the tree stops at degree q - 1, past which every X_w is exactly
+    zero.  At offset 0 the band is the whole q x q.
     Returns the (sets, nodes, p, p) coefficients, zero at a node without
-    one, and an iterator of the products (times right[|w|], which fills a
-    block's columns) as bands (lo, hi, prods): prods[j] holds X_w of node
-    lo + j, for every sample, in the top rows and rightmost columns of its
-    q x q square.  A band is a run of degrees whose blocks share a shape,
-    in one buffer: every degree at offset 0, each degree alone at offset 1.
-    It is formed from the one before and given out once the next has read
-    it, in one of two buffers taken in turn, whose entries are checked
-    first: a band holds until the next but one is asked for."""
+    one, and a generator of the degrees (lo, hi, prods): prods[j] is the
+    band of X_w at node lo + j, for every sample.  Each degree is a fresh
+    array formed from the one before, so two adjacent degrees are held at
+    a time, and the largest such pair's entries are checked first."""
     n, samples, q = len(xs), xs.shape[1], xs.shape[-1]
     off = int(not xs[..., np.tri(q, dtype=bool)].any())
     top = max((k for blocks in sets for k in blocks if k < q or not off), default=0)
@@ -315,52 +315,33 @@ def word_products(xs, sets, p, right=None):
         up = nodes[k] // n
     sizes = [n**k if k <= full else len(nodes[k]) for k in range(top + 1)]
     start = np.cumsum([0] + sizes).tolist()
-    rows = [q - off * k for k in range(top + 1)]
-    cols = rows if right is None else [q] * (top + 1)
-    entries = [sizes[k] * samples * rows[k] * cols[k] for k in range(top + 1)]
-    runs = [[k] for k in range(top + 1)] if off else [list(range(top + 1))]
-    held = [sum(entries[k] for k in ks) for ks in runs]
-    room = [max(held[0::2]), max(held[1::2], default=0)]  # two buffers, in turn
-    check_entries(sum(room), "word products")
+    entries = [sizes[k] * samples * (q - off * k) ** 2 for k in range(top + 1)] + [0]
+    check_entries(max(map(sum, zip(entries, entries[1:]))), "word products")  # adjacent pairs
     c = np.zeros((len(sets), start[-1], p, p), dtype=complex)
     for cs, blocks in zip(c, sets):
         for k, (codes, block) in blocks.items():
             if k <= top:
                 cs[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
 
-    def bands():  # a band holds until the next but one is asked for
-        spare, below, last = [np.empty(r, dtype=complex) for r in room], None, []
-        for j, ks in enumerate(runs + [[]]):  # the empty run gives out the last
-            run, at = [], 0
+    def degrees():
+        x = np.empty((1, samples, q, q), dtype=complex)
+        x[0] = np.eye(q)
+        yield start[0], start[1], x
+        for k in range(1, top + 1):
+            rows = q - off * k
+            below = x[..., :rows, :]  # the parents' rows that reach the band
+            letters = xs[..., off * (k - 1):, off * k:]
             with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-                for k in ks:
-                    block = spare[j % 2][at:at + entries[k]]
-                    block = block.reshape(sizes[k], samples, rows[k], cols[k])
-                    at += entries[k]
-                    x = block[..., cols[k] - rows[k]:]  # X_w itself
-                    letters = xs[..., off * (k - 1):, off * k:]
-                    if k == 0:
-                        x[0] = np.eye(q)
-                    elif k <= full:
-                        np.matmul(below[..., :rows[k], :][:, None], letters,
-                                  out=x.reshape(-1, n, *x.shape[1:]))
-                    else:
-                        up = nodes[k] // n  # the parents' codes, then their rows in below
-                        up = (up.astype(np.intp) if k - 1 <= full
-                              else np.searchsorted(nodes[k - 1], up))
-                        letters = letters.take((nodes[k] % n).astype(np.intp), 0)
-                        np.matmul(below[..., :rows[k], :].take(up, 0), letters, out=x)
-                    run.append((k, block))
-                    below = x
-                for k, block in last if right is not None else ():  # once X_w is read
-                    block[...] = block[..., cols[k] - rows[k]:] @ right[k][..., off * k:, :]
-            if last:
-                (k0, block), k1 = last[0], last[-1][0]
-                prods = spare[(j - 1) % 2][:held[j - 1]].reshape(-1, *block.shape[1:])
-                yield start[k0], start[k1 + 1], prods
-            last = run
+                if k <= full:
+                    x = np.matmul(below[:, None], letters).reshape(-1, samples, rows, rows)
+                else:
+                    up = nodes[k] // n  # the parents' codes, then their rows in below
+                    up = up.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], up)
+                    letters = letters.take((nodes[k] % n).astype(np.intp), 0)
+                    x = np.matmul(below.take(up, 0), letters)
+            yield start[k], start[k + 1], x
 
-    return c, bands()
+    return c, degrees()
 
 
 # -- kernels and transforms ------------------------------------------------

@@ -226,7 +226,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, huge ints, deep nesting
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -101,8 +101,8 @@ def poisson_at(h, X, r, N):
     = I - Q_{j+1}, Q_j = sum_{|s|=j} Y_s Y_s*, telescopes to P_Y[S_a] =
     Y_a D_|a|, D_k = I - Q_{N+1-k}.  The symbol's r^|a| cancels in Y_a:
     sum_a A_a (x) X_a D_|a| plus the adjoint of that sum over the B_a*,
-    both from one word_sum with the right factors D_k (only the Q_j they
-    read are kept)."""
+    both from one word_sum with the right factors D_k, each multiplying
+    its degree's sum (only the Q_j they read are kept)."""
     if not 0.0 < r <= 1.0:
         raise InputError(f"radius {r} outside (0, 1]")
     if X.row_norm >= r:

@@ -46,7 +46,8 @@ from .errors import InputError, ScopeError
 from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .products import Stack, degree_sum
-from .words import MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word
+from .words import (MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word,
+                    word_code)
 
 # Fixed charge in complex entries of a geometric sum's degree (its storage,
 # 490 bytes by tracemalloc), and of a jsr estimate's step
@@ -137,9 +138,8 @@ class FreeSeries:
     def coefficient(self, w):
         """The coefficient of the word w (a new array), found in its degree
         block by code."""
-        validate_word(w, self.n)
+        code = word_code(w, self.n)
         codes, c = self.blocks.get(len(w), ((), None))
-        code = sum((i - 1) * self.n**j for j, i in enumerate(reversed(w)))
         j = np.searchsorted(codes, code)
         found = j < len(codes) and codes[j] == code
         return c[j].copy() if found else np.zeros(self.shape, dtype=complex)

@@ -31,6 +31,13 @@ def validate_word(w, n):
             raise InputError(f"letter {i} outside 1..{n} in word {word_to_string(w)!r}")
 
 
+def word_code(w, n):
+    """The code of the word w over n letters, validated first: its base-n
+    value, letters 1..n as digits 0..n-1."""
+    validate_word(w, n)
+    return sum((i - 1) * n**j for j, i in enumerate(reversed(w)))
+
+
 def encode_words(words, n, k):
     """Codes of words of length k over n letters (int64 while n^k < 2^63, else dtype object)."""
     letters = np.asarray(words, dtype=np.int64).reshape(len(words), k) - 1

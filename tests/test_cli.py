@@ -413,6 +413,21 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "internal error" in err and "broken command" in err
 
 
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" + b"9" * 5000 + b"]",  # past Python's 4300-digit int conversion limit
+    b"[" * 100000,  # past the decoder's recursion limit
+], ids=["bytes", "digits", "nesting"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, text):
+    """A file json cannot decode, however it fails, exits 3 with one
+    "cannot read JSON" line, not 5 with a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert cli.main(["norm", str(path), "--trunc", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "cannot read JSON" in err and "internal error" not in err, err
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     """An --output in a missing directory, or naming a directory: one
     stderr line, exit 3, and no temporary file left behind."""

@@ -383,12 +383,12 @@ def test_word_sum_sets_samples_and_right_factors(n, p):
 @pytest.mark.parametrize("n,p", CASES)
 def test_word_sum_banded_at_strictly_upper_triangular_stacks(n, p):
     """At a stack of strictly upper triangular tuples of order q, X_w of
-    length k is kept as its band, rows :q - k and columns k: (all columns
-    times a right factor), one band a degree, and words of length q or
-    more are skipped; at cutoffs below, at and past q - 1, with every word
-    (one matmul of every parent) or a third of them (the gathered
-    parents), each sum matches its Kronecker sum within 1e-14 of the sum
-    of the terms' magnitudes."""
+    length k is kept as its band, rows :q - k and columns k:, one band a
+    degree, and words of length q or more are skipped; at cutoffs below,
+    at and past q - 1, with every word (one matmul of every parent) or a
+    third of them (the gathered parents), each sum, with and without right
+    factors, matches its Kronecker sum within 1e-14 of the sum of the
+    terms' magnitudes."""
     rng = np.random.default_rng(110 * n + p)
     q = 4
     xs = random_nilpotent_stack(rng, n, q, 3, (0.2, 0.95))
@@ -401,13 +401,10 @@ def test_word_sum_banded_at_strictly_upper_triangular_stacks(n, p):
         for coeffs in (dense, sparse):
             blocks = blocks_of(coeffs, n, p)
             right = gaussian(rng, (deg + 1, q, q))
-            _, bands = word_products(xs, [blocks], p)
-            shapes = [prods.shape[2:] for _, _, prods in bands]
+            _, degrees = word_products(xs, [blocks], p)
+            shapes = [prods.shape[2:] for _, _, prods in degrees]
             top = max((len(w) for w in coeffs if len(w) < q), default=0)
             assert shapes == [(q - k, q - k) for k in range(top + 1)]
-            _, bands = word_products(xs, [blocks], p, right)
-            shapes = [prods.shape[2:] for _, _, prods in bands]
-            assert shapes == [(q - k, q) for k in range(top + 1)]
             got, got_right = word_sum(xs, p, [blocks]), word_sum(xs, p, [blocks], right)
             for s, X in enumerate(tuples):
                 for r, value in ((None, got[0, s]), (right, got_right[0, s])):
@@ -420,21 +417,51 @@ def test_word_sum_banded_at_strictly_upper_triangular_stacks(n, p):
 @pytest.mark.parametrize("p", (1, 2))
 def test_word_sum_one_diagonal_entry_is_unbanded(p):
     """One nonzero diagonal entry in a stack of otherwise strictly upper
-    triangular tuples gives offset 0: one band of every word's whole
-    product, and the unbanded arithmetic bit for bit, every X_w formed
-    as the whole product of its parent and letter, then one einsum."""
+    triangular tuples gives offset 0: one whole 4 x 4 band per degree,
+    every X_w the whole product of its parent and letter, and the sum bit
+    for bit one einsum per degree, degree 0 assigned and the later ones
+    added in order."""
     rng = np.random.default_rng(p)
     xs = random_nilpotent_stack(rng, 2, 4, 1, (0.2, 0.95)).copy()
     xs[1, 0, 2, 2] = 0.3
     blocks = blocks_of(random_coeffs(rng, 2, 5, p), 2, p)
-    c, bands = word_products(xs, [blocks], p)
-    ((lo, hi, prods),) = bands
-    assert (lo, hi) == (0, 63) and prods.shape == (63, 1, 4, 4)
+    c, degrees = word_products(xs, [blocks], p)
     level = [np.broadcast_to(np.eye(4), (1, 1, 4, 4))]
     for _ in range(5):
         level.append(np.matmul(level[-1][:, None], xs).reshape(-1, 1, 4, 4))
-    want = np.einsum("cwab,wsij->csaibj", c, np.concatenate(level)).reshape(1, 1, 4 * p, 4 * p)
-    assert np.array_equal(word_sum(xs, p, [blocks]), want)
+    for k, (lo, hi, prods) in enumerate(degrees):
+        assert (lo, hi) == (2**k - 1, 2 ** (k + 1) - 1) and prods.shape == (2**k, 1, 4, 4)
+        assert np.array_equal(prods, level[k])
+        band = np.einsum("cwab,wsij->csaibj", c[:, lo:hi], level[k])
+        want = band if k == 0 else want + band
+    assert k == 5
+    got = word_sum(xs, p, [blocks])
+    assert got.tobytes() == want.tobytes()  # zeros' signs too
+
+
+def test_word_products_hold_two_adjacent_degrees():
+    """The size check charges the largest pair of adjacent degrees, the
+    most held at once: at a full 2 x 2 tuple over two letters, degrees 0-3
+    hold 4, 8, 16 and 32 entries, 60 in all, past a cap of 7^2 = 49 that
+    the largest pair, 48, fits, so the sum runs and matches its Kronecker
+    sum; under a cap of 6^2 = 36 word_products raises before it returns,
+    so no degree is formed."""
+    rng = np.random.default_rng(12)
+    X = OperatorTuple(tuple(0.4 * gaussian(rng, (2, 2)) for _ in range(2)))
+    coeffs = random_coeffs(rng, 2, 3, 1)
+    blocks = blocks_of(coeffs, 2, 1)
+    want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], 2)
+    old = linalg.MAX_DIM
+    try:
+        linalg.set_max_dim(7)
+        assert rel_dev(one_sum(X, 1, blocks), want) <= 1e-14
+        linalg.set_max_dim(6)
+        with pytest.raises(SizeLimitError, match="word products"):
+            word_products(X.stack, [blocks], 1)
+        with pytest.raises(SizeLimitError, match="word products"):
+            one_sum(X, 1, blocks)
+    finally:
+        linalg.set_max_dim(old)
 
 
 def test_word_sum_band_overflow_shows_as_inf_or_nan():
@@ -498,9 +525,9 @@ def test_verify_solution_matches_kron_reference(p):
 
 @pytest.mark.parametrize("n,M,p", [(2, 7, 1), (3, 4, 2), (1, 9, 2)])
 def test_verify_solution_chunks_match_word_sum_bitwise(n, M, p):
-    """verify_solution passes its samples to fock.word_sum in chunks of
-    stacked tuples; the stacked call equals word_sum at each tuple alone
-    bit for bit, and so does the check's value."""
+    """verify_solution passes all its samples to fock.word_sum in one
+    stack; the stacked call equals word_sum at each tuple alone bit for
+    bit, and so does the check's value."""
     rng = np.random.default_rng(n + M + p)
     coeffs = {w: 0.2 / n * c for w, c in random_coeffs(rng, n, 1, p, min_degree=1).items()}
     prob = cara.CaratheodoryProblem(fs.FreeSeries(n, 1, (p, p), {(): np.eye(p), **coeffs}))

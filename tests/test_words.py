@@ -15,6 +15,7 @@ from freefock.words import (
     left_quotient,
     reverse,
     right_quotient,
+    word_code,
     word_to_string,
 )
 
@@ -87,13 +88,17 @@ def test_codes_follow_graded_basis_and_decode(n, k, data):
     words = GradedBasis(n, k).words_of_degree(k)
     codes = encode_words(words, n, k)
     assert codes.tolist() == list(range(n**k))  # code order is GradedBasis order
+    assert [word_code(w, n) for w in words] == codes.tolist()
     assert decode_words(codes, n, k) == words
+    with pytest.raises(InputError, match="outside"):
+        word_code((1,) * k + (n + 1,), n)
     w = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
     assert decode_words(encode_words([w], n, k), n, k) == [w]
     # past int64 the codes are Python ints
     long = tuple(data.draw(st.lists(st.integers(1, n), min_size=70, max_size=70)))
     codes = encode_words([long], n, 70)
     assert codes.dtype == (np.int64 if n**70 < 2**63 else object)
+    assert word_code(long, n) == codes[0]
     assert decode_words(codes, n, 70) == [long]
 
 
