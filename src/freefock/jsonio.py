@@ -36,11 +36,21 @@ from .words import decode_letters
 
 def _complex_array(v, ndim, what):
     """The complex array of [re, im] pairs nested ndim lists deep, read as one
-    float array: no empty axis, all finite, both parts assigned exactly."""
+    float array: no empty axis, all finite, both parts assigned exactly.
+    Entries must be JSON numbers.  numpy reads the strings "1.5" and the
+    booleans true and false as 1.5, 1.0 and 0.0, so an array that numpy
+    finds to hold strings or only booleans is refused, and so is an object
+    array (integers past int64) that holds anything but ints and floats."""
     try:
-        a = np.array(v, dtype=float)
+        a = np.array(v)
+        if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
+            a = a.astype(float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{what} must be nested lists of [re, im] number pairs: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be nested lists of [re, im] number pairs, "
+                         f"not of {'booleans' if a.dtype.kind == 'b' else 'strings or other values'}")
+    a = a.astype(float, copy=False)
     if a.ndim != ndim + 1 or a.shape[-1] != 2 or not a.size:
         raise InputError(f"{what} must be non-empty {ndim}-deep nested lists of [re, im] pairs")
     if not np.isfinite(a).all():

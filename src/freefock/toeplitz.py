@@ -24,6 +24,10 @@ tm_positivity is the one place that decides T_m >= -tol I and gives its
 smallest eigenvalue, at any level m: dense where dense_decides, above by the
 factorisation and Newton-steered probes of its inertia (certify).  check_feasibility,
 extend's certificate, verify_solution and pluriharmonic.check_positive call it.
+The dense path goes one level down the same tree for n >= 2 (tree_min_eig):
+one eigh of T_{m-1}, n times smaller, and the secular equation of the
+border b_0, r give lambda_min(T_m) (Golub 1973; Bunch, Nielsen and
+Sorensen 1978).
 """
 
 from __future__ import annotations
@@ -39,17 +43,21 @@ from .fock import shift_sum
 from .linalg import adjoint, check_entries, check_hermitian, eigh_hermitian
 from .words import word_count
 
-# At or below this side d p the dense eigvalsh of the assembled T_m
-# decides positivity and gives its smallest eigenvalue; above it a Schur
-# factorisation of T_m + tol I decides and steered inertia probes
-# (certify) bracket it.  Dense against structured on moment data
-# (bench/fixtures.py), 2 cores (OpenBLAS), median of 7: 9.6 / 10.8 ms at
-# n = 2, d p = 255 and 9.2 / 10.7 ms at d p = 254 (p = 2), 13
-# factorisations each; 8.0 / 5.6 ms at n = 3, d p = 242 (p = 2); 13.3 /
-# 5.5 ms at n = 6, 259; 24.3 / 7.1 ms at n = 4, 341; 23.8 / 4.8 ms at
-# n = 3, 364; 59.1 / 12.4 ms at n = 2, 511.  Dense grows about as
-# (d p)^2.5 and the probes about linearly, so the deep binary trees, the
-# slowest to factor, tie near d p = 300.
+# At or below this side d p the assembled T_m decides positivity and
+# gives its smallest eigenvalue: one tree level down (tree_min_eig) for
+# n >= 2 and m >= 1, else by eigvalsh; above it a Schur factorisation of
+# T_m + tol I decides and steered inertia probes (certify) bracket it.
+# One level down / structured / eigvalsh of T_m on moment data
+# (bench/fixtures.py), assembly included, 2 cores (OpenBLAS), medians of
+# 7 in three runs: 5.4-6.4 / 8.0-15 / 12-13 ms at n = 2, d p = 255;
+# 5.0-7.0 / 8.4-13 / 9.5-13 ms at d p = 254 (p = 2); 1.8-2.8 / 5.6-8.9 /
+# 7.4-10 ms at n = 3, 242 (p = 2); 0.7 / 4.7-5.2 / 10-12 ms at n = 6, 259;
+# 2.1-2.6 / 4.7-6.6 / 17-25 ms at n = 4, 341; 3.7-4.6 / 6.9-10 / 20-30 ms
+# at n = 3, 364; 21-26 / 12-20 / 50-64 ms at n = 2, 511.  One level down
+# costs about an eigh of side d p / n, so the deep binary trees, the
+# slowest to factor, tie between 255 and 511 and wider trees stay ahead
+# past 300; 300 is where eigvalsh tied, and it decides which outputs
+# carry min_eig_atol.
 # For n = 1 the tree is a chain of d levels, so a factorisation takes
 # O(d^2) small steps and is slower than eigvalsh (0.65 / 2.8 / 7.6 s
 # against 0.17 / 1.3 / 4.2 s at d = 301 / 601 / 1001): dense decides there
@@ -265,8 +273,8 @@ def nested_factor(n, p, k, alpha, beta, top, stop=False, psd=False):
 @dataclass
 class TmPositivity:
     """Whether T_m >= -tol I for one series at one level m, and its
-    smallest eigenvalue: the dense one where dense_decides (min_eig_atol
-    None); elsewhere a Schur factorisation of T_m + tol I decides and
+    smallest eigenvalue: from the assembled T_m where dense_decides
+    (min_eig_atol None); elsewhere a Schur factorisation of T_m + tol I decides and
     min_eig <= lambda_min(T_m) <= min_eig + min_eig_atol within PIVOT_RTOL.
     The fields are cast to Python bool and float, so a record is JSON as it is."""
 
@@ -319,12 +327,112 @@ def certify(probe, lo, hi, atol, guess=None):
     return lo, hi
 
 
+# -- the dense smallest eigenvalue one tree level down -------------------------
+
+
+def _positive_root(e, g):
+    """The root t >= 0 of t^2 + e t - g for g >= 0, without cancellation."""
+    root = math.sqrt(e * e + 4.0 * g)
+    return (root - e) / 2.0 if e <= 0.0 else 2.0 * g / (root + e)
+
+
+def secular_root(delta, z, a, t, tol):
+    """The root t* >= 0 of the secular function
+
+        h(t) = t + a - sum_j z_j^2 / (delta_j + t),   delta_j >= 0
+
+    (z broadcast against delta), from a first evaluation at t > 0.  h
+    increases and is concave for t > 0, so the root of its tangent at any
+    point is a lower bound on t*.  Fitting each z_j^2 / (delta_j + t) by
+    s / t + c in value and slope at a point t_0 bounds it from above (by
+    z_j^2 delta_j (t - t_0)^2 / (t (delta_j + t) (delta_j + t_0)^2)), so the
+    root of t + a - s / t - c is an upper bound (Bunch, Nielsen and Sorensen 1978),
+    exact for the pole at 0 and within second order elsewhere.  The upper
+    bounds are the next points; the last one is returned once the bracket
+    is at most tol wide or it stops falling."""
+    lo, up = 0.0, math.inf
+    while t > 0.0:
+        zq = z / (delta + t)
+        psi, s = float(np.vdot(zq, z)), float(np.vdot(zq, zq))
+        lo = max(lo, t - (t + a - psi) / (1.0 + s))
+        t = _positive_root(a - psi + t * s, t * t * s)
+        if t >= up:
+            break
+        up = t
+        if up - lo <= tol:
+            break
+    return min(t, up)
+
+
+def tree_min_eig(f, m):
+    """lambda_min(T_m) for a square series f with n >= 2 at a level m >= 1,
+    from one eigh of T_{m-1}, whose side is n times smaller; T_m itself is
+    not assembled.  The word v i sits at graded index n g(v) + i, so in
+    T_m's (p, d, p, d) view letter i's block [..., i::n] is T_{m-1},
+    blocks of different letters are zero, and T_m = [[b_0, r], [r*, I_n
+    (x) T_{m-1}]] up to a permutation, r_i = [b_{v i}*]_v being f's
+    coefficients.  With T_{m-1} = sum_j lam_j v_j v_j* (lam ascending),
+    c_ij = r_i v_j and mu = lam_1 - t, t > 0, T_m - mu I is congruent to
+    S(t) (+) I_n (x) (T_{m-1} - mu I), the second positive definite, where
+
+        S(t) = b_0 - lam_1 I + t I - sum_ij c_ij c_ij* / (lam_j - lam_1 + t).
+
+    So lambda_min(T_m) = lam_1 - t*, t* the root of h(t) = lambda_min(S(t)),
+    or lam_1 when there is none (interlacing); h increases with h' >= 1
+    and is concave.  For p = 1 h is a secular function (secular_root).  For
+    p > 1, u* S(t) u >= h(t) for the unit eigenvector u of h at t, so the
+    root of that secular function is a lower bound on t*, exact to second
+    order in u (a Rayleigh quotient): the next point, until h there is at
+    least -tol, which puts t* within tol above it.  b_0 is a block of
+    T_{m-1}, so b_0 - lam_1 I >= 0 and S(t) >= t I - ||c||^2 / t: the first
+    u is taken at ||c||, above t*.
+    Everything is in units of a power of 2 near the largest |lam_j| and
+    |entry| of r, so nothing overflows, and tol is 4 eps."""
+    n, p = f.n, f.shape[0]
+    sub = assemble_T(f, m - 1)
+    lam, v = np.linalg.eigh(sub)
+    border = np.concatenate([f.dense(j) for j in range(1, m + 1)])  # b_w, 0 < |w| <= m, graded order
+    scale = max(-lam[0], lam[-1], np.abs(border).max())
+    if not scale:
+        return 0.0
+    k = max(math.frexp(scale)[1], -1021)  # 2^-k x is exact, and at most 1 for |x| <= scale
+    lam, border = lam * 2.0 ** -k, border * 2.0 ** -k
+    # c[a, i, j] = (r_i v_j)[a]: r_i[a, (b, g(v))] = conj(b_{v i}[b, a]), v i at n g(v) + i
+    r = border.reshape(-1, n, p, p).conj().transpose(3, 1, 2, 0).reshape(p * n, -1)
+    c = (r @ v).reshape(p, n, -1)
+    b0 = sub[::len(sub) // p, ::len(sub) // p] * 2.0 ** -k
+    low, tol = lam[0], 4.0 * np.finfo(float).eps
+    delta = lam - low
+    if p == 1:
+        a, z = b0[0, 0].real - low, np.abs(c[0])
+        return math.ldexp(low - secular_root(delta, z, a, _positive_root(a, np.vdot(z, z)), tol), k)
+    eye, flat = np.eye(p), c.reshape(p, -1)
+    e0, flat_h = b0 - low * eye, adjoint(flat)
+    t = math.sqrt(np.vdot(c, c).real)
+    lower = False  # whether t is a lower bound on t*
+    while t > 0.0:
+        w, u = np.linalg.eigh(e0 + t * eye - (c / (delta + t)).reshape(p, -1) @ flat_h)
+        if lower and w[0] >= -tol:
+            break
+        u = u[:, 0]
+        z = np.abs(u.conj() @ flat).reshape(n, -1)
+        # S has a pole at t = 0 when the border meets T_{m-1}'s lowest eigenvectors
+        new = max(secular_root(delta, z, np.vdot(u, e0 @ u).real, t, tol), tol)
+        if lower and new <= t:
+            break
+        t, lower = new, True
+    return math.ldexp(low - t, k)
+
+
 def tm_positivity(f, tol, m=None):
     """TmPositivity of T_m for a square series f at level m (default
     f.cutoff), from its own coefficients: the one place that picks the
     dense or the factored path for positivity.  A non-finite tol is an
     InputError, raised before anything is assembled or factored; a
-    negative one asks for T_m >= |tol| I.  Above the dense side certify
+    negative one asks for T_m >= |tol| I.  On the dense side min_eig is
+    tree_min_eig's for n >= 2 and m >= 1 (within a few eps ||T_m|| of
+    eigvalsh), and eigvalsh's of the assembled T_m for the chain n = 1,
+    whose T_{m-1} is hardly smaller, and for T_0 = b_0.  Above it certify
     starts from [lambda_min(b_0) - 2 sum_k slice_k, lambda_min(b_0)] (b_0 is a
     principal block, degree k has norm <= 2 slice_k), cut at -tol by the
     verdict, and every bracket end is an inertia count of T_m - mu I.  Each
@@ -337,7 +445,7 @@ def tm_positivity(f, tol, m=None):
     m = f.cutoff if m is None else m
     dim = word_count(f.n, m) * f.shape[0]
     if dense_decides(f.n, dim):
-        me = float(np.linalg.eigvalsh(assemble_T(f, m))[0])
+        me = tree_min_eig(f, m) if f.n > 1 and m else float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
     factor = shifted_factor(f, m)
 

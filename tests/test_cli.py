@@ -587,6 +587,19 @@ def test_non_integer_json_fields_exit_3_with_their_name():
             assert code == 3 and f"{key} must be an integer" in err, (argv, err)
 
 
+def test_string_and_boolean_entries_exit_3():
+    """Matrix entries must be JSON numbers: a b_0 of strings or a
+    coefficient of booleans is refused (exit 3), not read as 1.5 or 1.0."""
+    series = {"n": 1, "cutoff": 1, "shape": [1, 1], "coefficients": {"": [[[1.5, 0.0]]], "1": [[[1.0, 0.0]]]}}
+    x = jsonio.tuple_to_json(OperatorTuple((np.array([[0.0, 0.3], [0.0, 0.0]]),)))
+    assert run_on_json(["eval", series, x])[0] == 0
+    for key, bad in (("", [[["1.5", "0"]]]), ("1", [[[True, False]]])):
+        code, err = run_on_json(["eval", {**series, "coefficients": {**series["coefficients"], key: bad}}, x])
+        assert code == 3 and "number pairs" in err, err
+    code, err = run_on_json(["eval", series, {**x, "matrices": [[[[0.0, 0.0], ["0.3", "0"]], [[0.0, 0.0]] * 2]]}])
+    assert code == 3 and "number pairs" in err, err
+
+
 def test_selftest_list(capsys):
     code = cli.main(["selftest", "--list"])
     out = capsys.readouterr().out.split()

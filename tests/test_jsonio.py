@@ -40,6 +40,11 @@ def test_tuple_roundtrip():
         assert np.array_equal(a, b)
     with pytest.raises(InputError):
         jsonio.json_to_tuple({"n": 3, "matrices": [jsonio.matrix_to_json(np.eye(2))]})
+    for entry in (["0.1", "0"], [True, False], [2**70, "0"]):
+        with pytest.raises(InputError, match="number pairs"):
+            jsonio.json_to_tuple({"n": 1, "dim": 1, "matrices": [[[entry]]]})
+    big = jsonio.json_to_tuple({"n": 1, "dim": 1, "matrices": [[[[2**70, 0]]]]})
+    assert big.matrices[0][0, 0] == 2.0**70
 
 
 def test_series_roundtrip():
@@ -239,6 +244,9 @@ ONE = [[[1.0, 0.0]]]
     {"1": [[[1.0]]]}, {"1": [[[1.0, 0.0, 0.0]]]},  # [re] and [re, im, x]
     {"1": [[[math.nan, 0.0]]]}, {"1": [[[0.0, math.inf]]]},  # not finite
     {"1": [[[10**400, 0.0]]]},  # an int past the float range
+    {"1": [[["1.5", "0"]]]}, {"1": [[[1.0, "0"]]]},  # strings, alone or among numbers
+    {"1": [[[True, False]]]},  # booleans
+    {"1": [[[2**70, "1"]]]}, {"1": [[[2**70, True]]]},  # among ints past int64
     {"1": [[[1.0, 0.0], [0.0, 0.0]]]},  # not of the declared shape
     {"1": "x"}, {"1": []}, {"1": [[]]}, {"1": [[[]]]},
 ])

@@ -12,6 +12,7 @@ from freefock.series import FreeSeries
 from freefock.words import GradedBasis, right_quotient, word_count
 
 ONE = np.array([[1.0]])
+EPS = np.finfo(float).eps
 
 
 def scalar_coeffs(mapping):
@@ -440,10 +441,93 @@ def test_tm_positivity_at_any_level_matches_the_dense_verdict(n, p, cutoff, leve
             assert rec.feasible == want and rec.matrix_dim == d * p and rec.tol == tol
             assert (rec.min_eig_atol is not None) == (n > 1 and d * p > tp.DENSE_DIM)
             if rec.min_eig_atol is None:
-                assert rec.min_eig == me
+                assert abs(rec.min_eig - me) <= 16 * EPS * np.linalg.norm(t, 2)
             else:
                 assert_brackets(rec, f, me, m)
     assert tp.tm_positivity(f, 1e-9).matrix_dim == word_count(n, cutoff) * p
+
+
+def unitary(rng, p):
+    q, r = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+def tree_case(case, n, m, p):
+    """Data for the dense path one level down: 2 I + small or large
+    coefficients (feasible, infeasible); T_m = I (x) b_0 for an indefinite
+    b_0 (zero border); b_0 = I and b_w = U_{w_1} ... U_{w_k} / n^(k/2) with
+    U_i unitary, the singular boundary data b_i = U_i / sqrt(n) and their
+    extension, so lambda_min(T_m) = 0 for m >= 1 (singular); or coordinate
+    0 split off as 0.5 I below the rest, so T_{m-1}'s lowest eigenvectors
+    live there, the border is orthogonal to them and lambda_min(T_m) =
+    lambda_1(T_{m-1}) = 0.5 (orthogonal)."""
+    rng = np.random.default_rng(100 * n + 10 * m + p)
+    if case == "zero border":
+        return FreeSeries(n, m, (p, p), {(): random_coeffs(rng, 1, 0, p)[()]})
+    if case == "singular":
+        u = [unitary(rng, p) / math.sqrt(n) for _ in range(n)]
+        coeffs = {(): np.eye(p)}
+        for w in GradedBasis(n, m).words[1:]:
+            coeffs[w] = coeffs[w[:-1]] @ u[w[-1] - 1]
+        return FreeSeries(n, m, (p, p), coeffs)
+    scale = {"feasible": 0.02, "infeasible": 3.0, "orthogonal": 0.01}[case]
+    coeffs = {w: scale * c for w, c in random_coeffs(rng, n, m, p).items()}
+    coeffs[()] = 2.0 * np.eye(p)
+    if case == "orthogonal":
+        for c in coeffs.values():
+            c[0, :] = c[:, 0] = 0.0
+        coeffs[()][0, 0] = 0.5
+    return FreeSeries(n, m, (p, p), coeffs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,p,m,case", [
+    (n, p, m, case) for n in (2, 3) for p in (1, 2, 3) for m in (0, 1, 3)
+    for case in ("feasible", "infeasible", "zero border", "singular", "orthogonal")
+    if p > 1 or case != "orthogonal"  # a scalar T_0's orthogonal border is the zero border
+])
+def test_dense_min_eig_one_level_down_matches_eigvalsh(n, p, m, case):
+    """Below DENSE_DIM, for n >= 2 and m >= 1, min_eig comes from one eigh
+    of T_{m-1} and the secular equation of the border (tree_min_eig): it
+    is within 16 eps ||T_m|| of eigvalsh(T_m), with the same verdict, on
+    the data of tree_case, p >= n among the shapes."""
+    f = tree_case(case, n, m, p)
+    t = tp.assemble_T(f, m)
+    me, norm = min_eig(t), np.linalg.norm(t, 2)
+    rec = tp.tm_positivity(f, 1e-9, m)
+    assert rec.min_eig_atol is None and rec.matrix_dim == len(t) <= tp.DENSE_DIM
+    assert abs(rec.min_eig - me) <= 16 * EPS * norm
+    assert abs(me + 1e-9) > 16 * EPS * norm and rec.feasible == (me >= -1e-9)
+    if m:
+        assert tp.tree_min_eig(f, m) == rec.min_eig
+        assert rec.feasible == (case != "infeasible") or case == "zero border"
+    if case == "singular":
+        assert abs(rec.min_eig - (m == 0)) <= 1e-14
+    if case == "zero border":
+        assert abs(rec.min_eig - min_eig(f.constant_term())) <= 16 * EPS * norm
+    if case == "orthogonal" and m:
+        assert abs(rec.min_eig - min_eig(tp.assemble_T(f, m - 1))) <= 16 * EPS * norm
+        assert abs(rec.min_eig - 0.5) <= 16 * EPS * norm
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 3, 2), (3, 3, 3), (2, 6, 1), (3, 4, 1), (3, 4, 2)])
+def test_letter_blocks_of_T_m_are_T_m_minus_1(n, m, p):
+    """The layout tree_min_eig reads T_m in without assembling it: in
+    T_m's (p, d, p, d) view the block of each letter i, [..., i::n], is
+    assemble_T(f, m - 1) bit for bit, blocks of different letters are
+    zero, and the root row holds b_0 and then b_w* for the words w != ()
+    in graded order."""
+    f = random_series(np.random.default_rng(n + m + p), n, m, p)
+    t, below = tp.assemble_T(f, m), tp.assemble_T(f, m - 1)
+    d = word_count(n, m)
+    t4 = t.reshape(p, d, p, d)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            block = t4[:, i::n, :, j::n].reshape(len(below), -1)
+            assert np.array_equal(block, below if i == j else np.zeros_like(below))
+    assert np.array_equal(t4[:, 0, :, 0], tp.check_hermitian(f.constant_term()))
+    border = np.concatenate([f.dense(k) for k in range(1, m + 1)])
+    assert np.array_equal(t4[:, 0, :, 1:], adjoint(border))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
