@@ -29,6 +29,7 @@ from .errors import (
 from .fock import (
     FockTrunc,
     OperatorTuple,
+    SplitMix64,
     berezin_kernel,
     berezin_transform,
     isometric_dilation,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import random_nilpotent_stack, word_sum
+from .fock import SplitMix64, random_nilpotent_stack, word_sum
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
@@ -240,8 +240,9 @@ def verify_solution(prob, ext, samples=20, seed=0):
     object, when that record decides it at VERIFY_TOL; any other series,
     such as a corrupted copy under the original certificate, is computed
     fresh.
-    The samples are drawn in order (fock.random_nilpotent_stack, each
-    sample's row norm uniform in [0.2, 0.95]), then g (the extension's
+    The samples are fock.random_nilpotent_stack's from the package's own
+    stream fock.SplitMix64(seed), each sample's row norm uniform in
+    [0.2, 0.95] (numpy.random is not imported); then g (the extension's
     blocks and b_0 / 2) is one fock.word_sum over all of them, each g the
     same bits as alone.  The tuples are strictly upper triangular of order
     M + 1, so word_sum keeps each X_w of length k as its (M + 1 - k)-square
@@ -266,10 +267,9 @@ def verify_solution(prob, ext, samples=20, seed=0):
         ok = tm.verdict(VERIFY_TOL)
     checks["extension_psd"] = (ok, tm.min_eig)
 
-    rng = np.random.default_rng(seed)
     b0 = prob.data.constant_term()
     terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
-    xs = random_nilpotent_stack(rng, prob.n, M + 1, samples, (0.2, 0.95))
+    xs = random_nilpotent_stack(SplitMix64(seed), prob.n, M + 1, samples, (0.2, 0.95))
     g = word_sum(xs, p, [terms])[0]
     worst = float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min())
     checks["nilpotent_positive"] = (worst >= -VERIFY_TOL, worst)

@@ -1,7 +1,8 @@
 """Truncated Fock space over n generators: compressed creation operators,
 degree projections, the two coefficient-times-word kernels, reconstruction
 operator, Berezin and Poisson kernels, vector-state Berezin transforms,
-and isometric dilations.
+isometric dilations, and random nilpotent tuples, drawn from a numpy
+Generator or from ``SplitMix64``, the package's own sample stream.
 
 ``FockTrunc(n, N)`` is P^(N) as a plain value: it enumerates no words
 and caches nothing.  A word's index is code arithmetic (graded-lex
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +112,120 @@ class OperatorTuple:
         return OperatorTuple(tuple(c * m for m in self.matrices))
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the i-th draw of the
+# stream with key s is mix(s + (i + 1) GAMMA) mod 2^64, so any draw is
+# computed from its position alone
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
+# values in a block of a SplitMix64 substream: the first two hold 2^10,
+# each later one as many as all before it, up to 2^14 (128 KiB), so a
+# few samples compute few values and many samples few blocks
+_BLOCK_MIN, _BLOCK_MAX = 2**10, 2**14
+
+
+def _mix64(z):
+    """SplitMix64's output function, a bijection of uint64, in place on z."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _draws(state, step, count):
+    """The SplitMix64 draws of the states state + j step, j < count."""
+    z = np.arange(count, dtype=np.uint64)
+    z *= np.uint64(step & _MASK)
+    z += np.uint64(state & _MASK)
+    return _mix64(z)
+
+
+def _uniforms(state, step, count):
+    """53-bit uniforms in [0, 1)."""
+    return (_draws(state, step, count) >> 11) * 2.0**-53
+
+
+def _normals(state, step, count):
+    """Standard normals by Box-Muller, two from each pair of draws: with u
+    and v the 53-bit uniforms in (0, 1] of the pair, r = sqrt(-2 log u)
+    times the cosine and the sine of the angle 2 pi (v - 1/2), from its
+    half-angle tangent t as ((1 - t)(1 + t), 2 t) / (1 + t^2)."""
+    u, v = (((_draws(state + j * step, 2 * step, count // 2) >> 11) + 1) * 2.0**-53 for j in (0, 1))
+    r = np.sqrt(-2.0 * np.log(u))
+    t = np.tan(np.pi * (v - 0.5))
+    r /= 1.0 + t * t
+    out = np.empty((count // 2, 2))
+    np.multiply(r, (1.0 - t) * (1.0 + t), out=out[:, 0])
+    np.multiply(r, 2.0 * t, out=out[:, 1])
+    return out.reshape(-1)
+
+
+class _Substream:
+    """Every second draw of a SplitMix64 stream, from the state `start` on,
+    mapped to values by `values` in blocks of a fixed schedule, so each
+    value has the same bits however the calls split the stream."""
+
+    def __init__(self, start, values):
+        self._start, self._values = start, values
+        self._made, self._block, self._pos = 0, np.empty(0), 0
+
+    def fill(self, flat):
+        i = 0
+        while i < flat.size:
+            if self._pos == self._block.size:
+                size = min(max(self._made, _BLOCK_MIN), _BLOCK_MAX)
+                state = self._start + self._made * 2 * _GAMMA
+                self._block, self._pos = self._values(state, 2 * _GAMMA, size), 0
+                self._made += size
+            take = min(flat.size - i, self._block.size - self._pos)
+            flat[i:i + take] = self._block[self._pos:self._pos + take]
+            i, self._pos = i + take, self._pos + take
+        return flat
+
+
+class SplitMix64:
+    """A counter-based sample stream with numpy Generator's signatures for
+    the two draws random_nilpotent_stack makes, uniform and standard_normal,
+    on numpy's uint64 arithmetic alone (numpy.random is not imported).
+
+    The seed is any non-negative int: its low 64 bits are the key, and any
+    higher ones are folded in 64 at a time through the mixer, so distinct
+    seeds below 2^64 give distinct streams.  Of the key's SplitMix64
+    draws, the even ones feed uniform (53-bit, in [0, 1) scaled to
+    [low, high)) and the odd ones standard_normal (Box-Muller on 53-bit
+    uniforms in (0, 1]), each computed in blocks of at most 2^14 values:
+    the values are the same bits in one call or in any split of it."""
+
+    def __init__(self, seed=0):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise InputError(f"seed {seed} is negative")
+        key, rest = seed & _MASK, seed >> 64
+        while rest:
+            key = int(_draws(key + _GAMMA, 0, 1)[0]) ^ (rest & _MASK)
+            rest >>= 64
+        self._uniform = _Substream(key + _GAMMA, _uniforms)
+        self._normal = _Substream(key + 2 * _GAMMA, _normals)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniform draws in [low, high): a float, or an array of shape size."""
+        u = np.empty(() if size is None else size)
+        self._uniform.fill(u.reshape(-1))
+        return low + (high - low) * (float(u) if size is None else u)
+
+    def standard_normal(self, size=None, out=None):
+        """Standard normal draws: a float, an array of shape size, or out
+        (a writeable C-contiguous float64 array) filled."""
+        if out is None:
+            out = self.standard_normal(out=np.empty(() if size is None else size))
+            return float(out) if size is None else out
+        if out.dtype != np.float64 or not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("out must be a writeable C-contiguous float64 array")
+        self._normal.fill(out.reshape(-1))
+        return out
+
+
 def random_nilpotent_tuple(rng, n, dim, row_norm=None):
     """Strictly upper-triangular random tuple; jointly nilpotent of order <= dim.
 
@@ -127,12 +243,20 @@ def random_nilpotent_stack(rng, n, dim, samples, row_norm=None):
     and then the imaginary part of each; then every draw is made strictly
     upper triangular and every block row [X_1 ... X_n] rescaled to its
     target norm exactly by one batched SVD, a zero draw left as it is.
-    These are the bits of one tuple at a time, drawn in the same order."""
-    ranged, target = np.ndim(row_norm) == 1, []
+    These are the bits of one tuple at a time, drawn in the same order.
+    rng is a numpy Generator, or a SplitMix64, whose uniforms and normals
+    come from separate substreams: its norms and its letters are then two
+    draws, the same bits as that per-sample order."""
+    ranged = np.ndim(row_norm) == 1
     draws = np.empty((samples, n, 2, dim, dim))
-    for draw in draws:
-        target.append(rng.uniform(*row_norm) if ranged else row_norm)
-        rng.standard_normal(out=draw)
+    if isinstance(rng, SplitMix64):
+        target = rng.uniform(*row_norm, samples) if ranged else row_norm
+        rng.standard_normal(out=draws)
+    else:
+        target = []
+        for draw in draws:
+            target.append(rng.uniform(*row_norm) if ranged else row_norm)
+            rng.standard_normal(out=draw)
     mats = 1j * draws[:, :, 1]
     mats += draws[:, :, 0]
     del draws

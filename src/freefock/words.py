@@ -42,13 +42,12 @@ def encode_words(words, n, k):
     """Codes of words of length k over n letters (int64 while n^k < 2^63, else dtype object)."""
     letters = np.asarray(words, dtype=np.int64).reshape(len(words), k) - 1
     dtype = np.int64 if n**k < 2**63 else object
-    return letters @ np.array([n**j for j in range(k - 1, -1, -1)], dtype=dtype)
+    return letters @ n ** np.arange(k - 1, -1, -1, dtype=dtype)
 
 
 def decode_letters(codes, n, k):
     """The (len(codes), k) letters of the words with these codes; inverts encode_words."""
-    powers = np.array([n**j for j in range(k - 1, -1, -1)], dtype=codes.dtype)
-    return codes[:, None] // powers % n + 1
+    return codes[:, None] // n ** np.arange(k - 1, -1, -1, dtype=codes.dtype) % n + 1
 
 
 def decode_words(codes, n, k):

@@ -475,6 +475,41 @@ def test_stdout_cut_short_under_pythonunbuffered_exits_3():
     assert err == "output error: stdout was closed by its reader\n"
 
 
+def test_commands_do_not_import_numpy_random(tmp_path):
+    """Each command, in a fresh interpreter, leaves numpy.random unloaded:
+    extend draws its verification samples from fock.SplitMix64."""
+    files = {
+        "problem": {"n": 2, "m": 1, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.3, 0.2]]],
+                                                     "2": [[[-0.4, 0.0]]]}},
+        "series": {"n": 2, "cutoff": 2, "shape": [1, 1],
+                   "coefficients": {"1": [[[0.3, 0.2]]], "21": [[[-0.4, 0.0]]]}},
+        "symbol": {"n": 2, "cutoff": 1, "shape": [1, 1], "analytic": {"": [[[1.0, 0.0]]]},
+                   "coanalytic": {"1": [[[0.5, 0.0]]]}},
+        "tuple": {"n": 2, "dim": 2, "matrices": [[[[0.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                                  [[[0.0, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]},
+    }
+    path = {}
+    for name, obj in files.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        jsonio.write_json_atomic(obj, path[name])
+    commands = [
+        ["check", path["problem"]],
+        ["extend", path["problem"], "--target-degree", "3", "--seed", "7"],
+        ["eval", path["series"], path["tuple"]],
+        ["norm", path["series"], "--trunc", "2"],
+        ["poisson", path["symbol"], path["tuple"], "--trunc", "3"],
+        ["cayley", "forward", path["series"]],
+        ["basis", "2", "3"],
+    ]
+    script = ("import sys\nfrom freefock import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print('numpy.random' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--output", str(tmp_path / "out.json")],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "False\n"), argv
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """The parser is built once per process; each call still parses its
     own flags and falls back to the defaults for the ones it omits."""

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from freefock.errors import InputError, ScopeError, SizeLimitError
 from freefock.fock import (
     FockTrunc,
     OperatorTuple,
+    SplitMix64,
     apply_berezin_factor,
     apply_pluriharmonic_poisson,
     berezin_kernel,
@@ -493,3 +495,96 @@ def test_nilpotent_stack_draws_the_per_sample_loop_bitwise(n, dim):
         a, b = np.random.default_rng(dim), np.random.default_rng(dim)
         got = random_nilpotent_tuple(a, n, dim, row_norm=row_norm).matrices
         assert np.array_equal(_bits(got), _bits(_tuple_drawn_alone(b, n, dim, row_norm).matrices))
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 4), (2, 8), (3, 5)])
+def test_nilpotent_stack_from_the_package_stream_draws_the_per_sample_loop_bitwise(n, dim):
+    """With a SplitMix64 the stack draws its norms and its letters in two
+    calls; they are the bits of one uniform and one tuple a sample."""
+    loop = SplitMix64(n + dim)
+    want = np.array([
+        random_nilpotent_tuple(loop, n, dim, row_norm=loop.uniform(0.2, 0.95)).matrices
+        for _ in range(7)
+    ]).swapaxes(0, 1)
+    again = SplitMix64(n + dim)
+    assert np.array_equal(_bits(random_nilpotent_stack(again, n, dim, 7, (0.2, 0.95))), _bits(want))
+    assert again.uniform() == loop.uniform() and again.standard_normal() == loop.standard_normal()
+    for row_norm in (None, 0.7):
+        a, b = SplitMix64(dim), SplitMix64(dim)
+        got = random_nilpotent_stack(a, n, dim, 3, row_norm).swapaxes(0, 1)
+        assert np.array_equal(_bits(got), _bits([random_nilpotent_tuple(b, n, dim, row_norm).matrices
+                                                 for _ in range(3)]))
+
+
+_M64 = 2**64 - 1
+
+
+def _splitmix64(seed, i):
+    """The i-th draw of the SplitMix64 stream with key seed, in Python ints."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def test_splitmix64_draws_match_the_scalar_definition():
+    """Even draws of the key's SplitMix64 stream give uniform's 53-bit
+    values exactly; odd draws, in pairs (u, v), give Box-Muller normals
+    r (cos, sin)(2 pi (v - 1/2)), r = sqrt(-2 log u), within rounding;
+    at the start of the stream and in every block up to 70000."""
+    seed = 12345
+    at = [0, 1, 49, 1023, 1024, 2047, 2048, 4096, 16_383, 16_384, 40_000, 69_999]
+    got = SplitMix64(seed).uniform(size=70_000)[at]
+    assert got.tolist() == [(_splitmix64(seed, 2 * j) >> 11) * 2.0**-53 for j in at]
+    want = []
+    for q in (j // 2 for j in at):
+        u, v = (((_splitmix64(seed, 4 * q + j) >> 11) + 1) * 2.0**-53 for j in (1, 3))
+        r, angle = math.sqrt(-2.0 * math.log(u)), 2.0 * math.pi * (v - 0.5)
+        want.append((r * math.cos(angle), r * math.sin(angle)))
+    got = SplitMix64(seed).standard_normal(70_000).reshape(-1, 2)[[j // 2 for j in at]]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_splitmix64_draws_are_the_same_bits_in_one_call_or_in_chunks():
+    whole = SplitMix64(3)
+    normals = whole.standard_normal(150_001)
+    uniforms = whole.uniform(-2.0, 3.0, 70_001)
+    parts = SplitMix64(3)
+    cuts = [1, 2, 3, 1021, 1024, 4097, 30_000, 50_000]  # across blocks of 2^10 to 2^14
+    got = [parts.standard_normal() for _ in range(3)] + [parts.standard_normal(k) for k in cuts]
+    rest = np.empty((150_001 - 3 - sum(cuts), 1))
+    assert parts.standard_normal(out=rest) is rest
+    got = np.concatenate([np.atleast_1d(x) for x in got] + [rest.ravel()])
+    assert np.array_equal(_bits(got), _bits(normals))
+    got = [parts.uniform(-2.0, 3.0) for _ in range(5)] + [parts.uniform(-2.0, 3.0, (7, 3))]
+    got.append(parts.uniform(-2.0, 3.0, 70_001 - 26))
+    got = np.concatenate([np.ravel(x) for x in got])
+    assert np.array_equal(_bits(got), _bits(uniforms))
+    assert isinstance(parts.uniform(), float) and isinstance(parts.standard_normal(), float)
+    with pytest.raises(ValueError):
+        parts.standard_normal(out=np.empty((4, 4))[:, ::2])
+
+
+def test_splitmix64_seeds():
+    """One seed, one stream; different seeds, different streams; a seed
+    past 2^64 is folded, not truncated; a negative seed is refused."""
+    draws = {seed: SplitMix64(seed).standard_normal(64).tobytes()
+             for seed in (0, 1, 2, 3, 2**32, 2**63, 2**64 - 1, 2**64, 2**70, 2**128 + 5)}
+    assert len(set(draws.values())) == len(draws)
+    assert SplitMix64(2**70).standard_normal(64).tobytes() == draws[2**70] != draws[0]
+    assert SplitMix64(np.int64(3)).uniform(size=9).tobytes() == SplitMix64(3).uniform(size=9).tobytes()
+    assert SplitMix64(5).uniform(size=9).tobytes() != SplitMix64(6).uniform(size=9).tobytes()
+    for seed in (-1, -(2**70)):
+        with pytest.raises(InputError):
+            SplitMix64(seed)
+
+
+def test_splitmix64_uniforms_in_range_and_normals_standard():
+    s = SplitMix64(2024)
+    u = s.uniform(0.2, 0.95, 100_000)
+    assert u.min() >= 0.2 and u.max() < 0.95
+    unit = s.uniform(size=100_000)
+    assert unit.min() >= 0.0 and unit.max() < 1.0 and abs(unit.mean() - 0.5) < 0.01
+    x = s.standard_normal(100_000)
+    assert np.isfinite(x).all()
+    assert abs(x.mean()) < 0.02 and abs(x.var() - 1.0) < 0.02

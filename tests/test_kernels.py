@@ -23,6 +23,7 @@ from freefock.errors import InputError, SizeLimitError
 from freefock.fock import (
     FockTrunc,
     OperatorTuple,
+    SplitMix64,
     delta_defect,
     poisson_kernel,
     poisson_transform,
@@ -491,7 +492,7 @@ def test_eval_report_matches_kron_sum(n, p):
 
 def _nilpotent_check_reference(prob, ext, samples, seed):
     """The nilpotent-positivity value of verify_solution, by kron sums."""
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     b0 = prob.data.constant_term()
     worst = np.inf
     for _ in range(samples):
@@ -532,7 +533,7 @@ def test_verify_solution_chunks_match_word_sum_bitwise(n, M, p):
     coeffs = {w: 0.2 / n * c for w, c in random_coeffs(rng, n, 1, p, min_degree=1).items()}
     prob = cara.CaratheodoryProblem(fs.FreeSeries(n, 1, (p, p), {(): np.eye(p), **coeffs}))
     ext = cara.extend(prob, M)
-    rng = np.random.default_rng(5)
+    rng = SplitMix64(5)
     terms = blocks_of({**ext.series.coeffs, (): prob.data.constant_term() / 2.0}, n, p)
     tuples = [random_nilpotent_tuple(rng, n, M + 1, row_norm=float(rng.uniform(0.2, 0.95)))
               for _ in range(7)]
