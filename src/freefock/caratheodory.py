@@ -219,9 +219,9 @@ def cf_to_caratheodory(prob):
 VERIFY_TOL = 1e-8
 
 # Complex entries charged each sample beyond the n (M + 1)^2 of its
-# letters, before any is drawn (185 bytes: the fixed storage of a sample
-# matrix when samples were drawn one at a time)
-SAMPLE_ENTRIES = 12
+# letters before any is drawn: 5376 and 12288 B a sample at n = 1, M = 3
+# and n = 2, M = 7, above verify_solution's peaks there (1313, 12179 B)
+SAMPLE_ENTRIES = 320
 
 
 @dataclass
@@ -240,16 +240,16 @@ def verify_solution(prob, ext, samples=20, seed=0):
     object, when that record decides it at VERIFY_TOL; any other series,
     such as a corrupted copy under the original certificate, is computed
     fresh.
-    The samples are fock.random_nilpotent_stack's from the package's own
-    stream fock.SplitMix64(seed), each sample's row norm uniform in
-    [0.2, 0.95] (numpy.random is not imported); then g (the extension's
-    blocks and b_0 / 2) is one fock.word_sum over all of them, each g the
-    same bits as alone.  The tuples are strictly upper triangular of order
-    M + 1, so word_sum keeps each X_w of length k as its (M + 1 - k)-square
-    band, two degrees at a time (69632 entries a sample at n = 2, M = 14,
-    against 7.4M for every whole X_w), checked by word_sum.  The
-    n ((M + 1)^2 + SAMPLE_ENTRIES) entries of each drawn sample are
-    checked against the size limit before the first."""
+    The samples are fock.random_nilpotent_stack's from the package's one
+    sample stream fock.SplitMix64(seed), each sample's row norm uniform in
+    [0.2, 0.95]; then g (the extension's blocks and b_0 / 2) is one
+    fock.word_sum over all of them, each g the same bits as alone.  The
+    tuples are strictly upper triangular of order M + 1, so word_sum keeps
+    each X_w of length k as its (M + 1 - k)-square band, two degrees at a
+    time (69632 entries a sample at n = 2, M = 14, against 7.4M for every
+    whole X_w), checked by word_sum.  The n ((M + 1)^2 + SAMPLE_ENTRIES)
+    entries of each drawn sample are checked against the size limit
+    before the first."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series

@@ -1,8 +1,8 @@
 """Truncated Fock space over n generators: compressed creation operators,
 degree projections, the two coefficient-times-word kernels, reconstruction
 operator, Berezin and Poisson kernels, vector-state Berezin transforms,
-isometric dilations, and random nilpotent tuples, drawn from a numpy
-Generator or from ``SplitMix64``, the package's own sample stream.
+isometric dilations, and random nilpotent tuples, drawn from
+``SplitMix64``, the package's one sample stream.
 
 ``FockTrunc(n, N)`` is P^(N) as a plain value: it enumerates no words
 and caches nothing.  A word's index is code arithmetic (graded-lex
@@ -170,32 +170,35 @@ class _Substream:
         self._start, self._values = start, values
         self._made, self._block, self._pos = 0, np.empty(0), 0
 
-    def fill(self, flat):
-        i = 0
+    def draw(self, size):
+        """The next values: a float, or an array of shape size."""
+        out = np.empty(() if size is None else size)
+        flat, i = out.reshape(-1), 0
         while i < flat.size:
             if self._pos == self._block.size:
-                size = min(max(self._made, _BLOCK_MIN), _BLOCK_MAX)
+                count = min(max(self._made, _BLOCK_MIN), _BLOCK_MAX)
                 state = self._start + self._made * 2 * _GAMMA
-                self._block, self._pos = self._values(state, 2 * _GAMMA, size), 0
-                self._made += size
+                self._block, self._pos = self._values(state, 2 * _GAMMA, count), 0
+                self._made += count
             take = min(flat.size - i, self._block.size - self._pos)
             flat[i:i + take] = self._block[self._pos:self._pos + take]
             i, self._pos = i + take, self._pos + take
-        return flat
+        return float(out) if size is None else out
 
 
 class SplitMix64:
-    """A counter-based sample stream with numpy Generator's signatures for
-    the two draws random_nilpotent_stack makes, uniform and standard_normal,
-    on numpy's uint64 arithmetic alone (numpy.random is not imported).
+    """The package's one sample stream, with numpy Generator's signatures
+    for uniform, integers, standard_normal and normal, on numpy's uint64
+    arithmetic alone (numpy.random is not imported).
 
     The seed is any non-negative int: its low 64 bits are the key, and any
     higher ones are folded in 64 at a time through the mixer, so distinct
     seeds below 2^64 give distinct streams.  Of the key's SplitMix64
     draws, the even ones feed uniform (53-bit, in [0, 1) scaled to
-    [low, high)) and the odd ones standard_normal (Box-Muller on 53-bit
-    uniforms in (0, 1]), each computed in blocks of at most 2^14 values:
-    the values are the same bits in one call or in any split of it."""
+    [low, high)) and integers, the odd ones standard_normal (Box-Muller on
+    53-bit uniforms in (0, 1]) and normal, each computed in blocks of at
+    most 2^14 values: the values are the same bits in one call or in any
+    split of it.  A scalar call returns an int or a float."""
 
     def __init__(self, seed=0):
         seed = operator.index(seed)
@@ -209,21 +212,26 @@ class SplitMix64:
         self._normal = _Substream(key + 2 * _GAMMA, _normals)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniform draws in [low, high): a float, or an array of shape size."""
-        u = np.empty(() if size is None else size)
-        self._uniform.fill(u.reshape(-1))
-        return low + (high - low) * (float(u) if size is None else u)
+        """Uniform draws in [low, high)."""
+        return low + (high - low) * self._uniform.draw(size)
 
-    def standard_normal(self, size=None, out=None):
-        """Standard normal draws: a float, an array of shape size, or out
-        (a writeable C-contiguous float64 array) filled."""
-        if out is None:
-            out = self.standard_normal(out=np.empty(() if size is None else size))
-            return float(out) if size is None else out
-        if out.dtype != np.float64 or not (out.flags.c_contiguous and out.flags.writeable):
-            raise ValueError("out must be a writeable C-contiguous float64 array")
-        self._normal.fill(out.reshape(-1))
-        return out
+    def integers(self, low, high=None, size=None):
+        """Integers in [low, high), or [0, low): low + floor(k w / 2^53) in
+        exact integer arithmetic, for w = high - low and k the 53-bit
+        numerator of a uniform; w must be 1 to 2^53, so every value is hit."""
+        low, high = map(operator.index, (0, low) if high is None else (low, high))
+        if not 0 < high - low <= 2**53:
+            raise ValueError(f"integers in [{low}, {high}): the range is empty or wider than 2^53")
+        k = np.ldexp(self._uniform.draw(size), 53).astype(np.int64).astype(object)
+        j = k * (high - low) // 2**53 + low
+        return int(j) if size is None else j.astype(np.int64)
+
+    def standard_normal(self, size=None):
+        return self._normal.draw(size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        """Normal draws loc + scale * standard_normal(size)."""
+        return loc + scale * self._normal.draw(size)
 
 
 def random_nilpotent_tuple(rng, n, dim, row_norm=None):
@@ -238,29 +246,20 @@ def random_nilpotent_stack(rng, n, dim, samples, row_norm=None):
     """The (n, samples, dim, dim) stack of word_sum: samples strictly
     upper-triangular random tuples, each jointly nilpotent of order <= dim.
 
-    Each sample draws, in order, its target row norm when row_norm is a
-    range (low, high), by rng.uniform, then its n letters at once, the real
-    and then the imaginary part of each; then every draw is made strictly
-    upper triangular and every block row [X_1 ... X_n] rescaled to its
-    target norm exactly by one batched SVD, a zero draw left as it is.
-    These are the bits of one tuple at a time, drawn in the same order.
-    rng is a numpy Generator, or a SplitMix64, whose uniforms and normals
-    come from separate substreams: its norms and its letters are then two
-    draws, the same bits as that per-sample order."""
-    ranged = np.ndim(row_norm) == 1
-    draws = np.empty((samples, n, 2, dim, dim))
-    if isinstance(rng, SplitMix64):
-        target = rng.uniform(*row_norm, samples) if ranged else row_norm
-        rng.standard_normal(out=draws)
-    else:
-        target = []
-        for draw in draws:
-            target.append(rng.uniform(*row_norm) if ranged else row_norm)
-            rng.standard_normal(out=draw)
-    mats = 1j * draws[:, :, 1]
-    mats += draws[:, :, 0]
+    rng (a SplitMix64, or anything with its uniform and standard_normal)
+    makes two draws: the samples' target row norms, when row_norm is a
+    range (low, high), and then, for each sample and letter, the real and
+    then the imaginary parts of its dim (dim - 1) / 2 strictly upper
+    entries in np.triu_indices order.  Every block row [X_1 ... X_n] is
+    rescaled to its target norm exactly by one batched SVD, a zero draw
+    left as it is."""
+    target = rng.uniform(*row_norm, samples) if np.ndim(row_norm) == 1 else row_norm
+    i, j = np.triu_indices(dim, 1)
+    draws = rng.standard_normal((samples, n, 2, i.size))
+    mats = np.zeros((samples, n, dim, dim), complex)
+    mats.real[..., i, j] = draws[:, :, 0]
+    mats.imag[..., i, j] = draws[:, :, 1]
     del draws
-    mats[..., np.tri(dim, dtype=bool)] = 0
     if row_norm is not None and mats.size:
         rows = mats.transpose(0, 2, 1, 3).reshape(samples, dim, n * dim)
         norms = np.linalg.svd(rows, compute_uv=False)[:, 0]

@@ -20,6 +20,7 @@ from . import transforms as tr
 from .fock import (
     FockTrunc,
     OperatorTuple,
+    SplitMix64,
     apply_berezin_factor,
     apply_pluriharmonic_poisson,
     poisson_kernel,
@@ -480,9 +481,8 @@ SUITES = [
 
 def run_suite(name, seed=20240901):
     fn = dict(SUITES)[name]
-    rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    passed, detail = fn(rng)
+    passed, detail = fn(SplitMix64(seed))
     return passed, detail, time.perf_counter() - start
 
 

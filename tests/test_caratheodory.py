@@ -340,31 +340,32 @@ def test_verify_solution_checks_the_sample_count_before_drawing(monkeypatch):
     """samples n ((M + 1)^2 + SAMPLE_ENTRIES) entries meet the size limit
     before the first tuple is drawn; a count that fits draws them all (and
     then meets the limit in the banded word products, which hold two
-    degrees at once: degrees 3 and 4, 2^k (M + 1 - k)^2 entries each a
-    sample, here where every word carries a coefficient)."""
+    degrees at once: degrees 5 and 6, 2^k (M + 1 - k)^2 entries each a
+    sample, here where every word carries a coefficient, and at M = 8
+    more than the charge)."""
     from freefock import linalg
     from freefock.errors import SizeLimitError
 
     prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3, (2,): -0.2})
-    ext = cara.extend(prob, 5)
-    assert all(len(ext.series.blocks[k][0]) == 2**k for k in range(6))
-    per_sample = 2 * (6**2 + cara.SAMPLE_ENTRIES)
+    ext = cara.extend(prob, 8)
+    assert all(len(ext.series.blocks[k][0]) == 2**k for k in range(9))
+    per_sample = 2 * (9**2 + cara.SAMPLE_ENTRIES)
     draws = []
     monkeypatch.setattr(cara, "random_nilpotent_stack",
                         lambda *a, **k: draws.append(a[3]) or random_nilpotent_stack(*a, **k))
     with pytest.raises(SizeLimitError):
         cara.verify_solution(prob, ext, samples=10**12)
     old = linalg.MAX_DIM
-    linalg.set_max_dim(20)  # 400 entries: 4 samples of 96 fit, 5 do not
+    linalg.set_max_dim(50)  # 2500 entries: 3 samples of 802 fit, 4 do not
     try:
         with pytest.raises(SizeLimitError):
-            cara.verify_solution(prob, ext, samples=400 // per_sample + 1)
+            cara.verify_solution(prob, ext, samples=2500 // per_sample + 1)
         assert not draws
-        with pytest.raises(SizeLimitError, match="word products"):  # 4 x (72 + 64) > 400
-            cara.verify_solution(prob, ext, samples=400 // per_sample)
+        with pytest.raises(SizeLimitError, match="word products"):  # 3 x (512 + 576) > 2500
+            cara.verify_solution(prob, ext, samples=2500 // per_sample)
     finally:
         linalg.set_max_dim(old)
-    assert draws == [400 // per_sample]
+    assert draws == [2500 // per_sample] == [3]
 
 
 def test_verify_solution_catches_corruption():

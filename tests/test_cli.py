@@ -477,7 +477,8 @@ def test_stdout_cut_short_under_pythonunbuffered_exits_3():
 
 def test_commands_do_not_import_numpy_random(tmp_path):
     """Each command, in a fresh interpreter, leaves numpy.random unloaded:
-    extend draws its verification samples from fock.SplitMix64."""
+    extend's verification samples and selftest's suites draw from the
+    package's one sample stream, fock.SplitMix64."""
     files = {
         "problem": {"n": 2, "m": 1, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.3, 0.2]]],
                                                      "2": [[[-0.4, 0.0]]]}},
@@ -492,21 +493,22 @@ def test_commands_do_not_import_numpy_random(tmp_path):
     for name, obj in files.items():
         path[name] = str(tmp_path / f"{name}.json")
         jsonio.write_json_atomic(obj, path[name])
+    out = ["--output", str(tmp_path / "out.json")]
     commands = [
-        ["check", path["problem"]],
-        ["extend", path["problem"], "--target-degree", "3", "--seed", "7"],
-        ["eval", path["series"], path["tuple"]],
-        ["norm", path["series"], "--trunc", "2"],
-        ["poisson", path["symbol"], path["tuple"], "--trunc", "3"],
-        ["cayley", "forward", path["series"]],
-        ["basis", "2", "3"],
+        ["check", path["problem"], *out],
+        ["extend", path["problem"], "--target-degree", "3", "--seed", "7", *out],
+        ["eval", path["series"], path["tuple"], *out],
+        ["norm", path["series"], "--trunc", "2", *out],
+        ["poisson", path["symbol"], path["tuple"], "--trunc", "3", *out],
+        ["cayley", "forward", path["series"], *out],
+        ["basis", "2", "3", *out],
+        ["selftest"],
     ]
     script = ("import sys\nfrom freefock import cli\ncode = cli.main(sys.argv[1:])\n"
               "print('numpy.random' in sys.modules, file=sys.stderr)\nsys.exit(code)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     for argv in commands:
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--output", str(tmp_path / "out.json")],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, "False\n"), argv
 
 

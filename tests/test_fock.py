@@ -451,69 +451,70 @@ def test_word_operator_order():
     assert got[0, 2] == 1.0 and np.count_nonzero(got) == 1
 
 
-def _tuple_drawn_alone(rng, n, dim, row_norm=None):
-    """One tuple drawn as the sampler drew it one sample at a time: per
-    letter a real then an imaginary standard normal draw, np.triu, and one
-    rescale of the block row, a zero draw left as it is."""
-    mats = []
-    for _ in range(n):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        mats.append(np.triu(m, 1))
-    t = OperatorTuple(tuple(mats))
-    if row_norm is not None and t.row_norm > 0:
-        t = t.scale(row_norm / t.row_norm)
-    return t
+def _stack_from_upper_entries(rng, n, dim, samples, row_norm=None):
+    """The stack drawn by hand: a norm range's norms in one uniform call,
+    then one standard_normal call read sample by sample and letter by
+    letter, the real and then the imaginary parts of the strictly upper
+    entries in row-major order; each block row is rescaled to its norm,
+    a zero draw left as it is."""
+    norms = rng.uniform(*row_norm, samples) if np.ndim(row_norm) == 1 else [row_norm] * samples
+    upper = [(r, c) for r in range(dim) for c in range(r + 1, dim)]
+    draws = iter(rng.standard_normal(samples * n * 2 * len(upper)).tolist())
+    tuples = []
+    for norm in norms:
+        mats = []
+        for _ in range(n):
+            re, im = [next(draws) for _ in upper], [next(draws) for _ in upper]
+            m = np.zeros((dim, dim), dtype=complex)
+            for (r, c), x, y in zip(upper, re, im):
+                m[r, c] = complex(x, y)
+            mats.append(m)
+        t = OperatorTuple(tuple(mats))
+        if norm is not None and t.row_norm > 0:
+            t = t.scale(norm / t.row_norm)
+        tuples.append(t.matrices)
+    assert next(draws, None) is None
+    return np.array(tuples).reshape(samples, n, dim, dim).swapaxes(0, 1)
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("n,dim", [(1, 1), (1, 4), (2, 8), (3, 5), (9, 3)])
-def test_nilpotent_stack_draws_the_per_sample_loop_bitwise(n, dim):
-    """random_nilpotent_stack with a norm range draws what the loop of one
-    uniform norm and one tuple a sample drew, bit for bit and zero signs
-    too, and leaves the stream where the loop left it; dim 1 draws zero
-    tuples, which are not rescaled.  random_nilpotent_tuple is one sample
-    of it, at a fixed norm or none."""
-    rng = np.random.default_rng(10 * n + dim)
-    want = np.array([
-        _tuple_drawn_alone(rng, n, dim, row_norm=float(rng.uniform(0.2, 0.95))).matrices
-        for _ in range(7)
-    ]).swapaxes(0, 1)
-    again = np.random.default_rng(10 * n + dim)
+def _check_stack_against_upper_entries(make_rng, n, dim):
+    """random_nilpotent_stack with a norm range draws what the hand-written
+    reference places, bit for bit and zero signs too, and leaves the
+    stream where it left it; dim 1 draws zero tuples, which are not
+    rescaled.  random_nilpotent_tuple is one sample of it, at a fixed
+    norm or none."""
+    rng, again = make_rng(), make_rng()
+    want = _stack_from_upper_entries(rng, n, dim, 7, (0.2, 0.95))
     got = random_nilpotent_stack(again, n, dim, 7, (0.2, 0.95))
     assert got.shape == (n, 7, dim, dim)
     assert np.array_equal(_bits(got), _bits(want))
-    assert again.random() == rng.random()
+    assert again.uniform() == rng.uniform() and again.standard_normal() == rng.standard_normal()
     if dim == 1:
         assert not got.any()
     else:
         norms = [operator_norm(np.hstack(got[:, s])) for s in range(7)]
         assert all(0.2 <= r <= 0.95 for r in norms)
     for row_norm in (None, 0.7, 0.0):
-        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        a, b = make_rng(), make_rng()
         got = random_nilpotent_tuple(a, n, dim, row_norm=row_norm).matrices
-        assert np.array_equal(_bits(got), _bits(_tuple_drawn_alone(b, n, dim, row_norm).matrices))
+        assert np.array_equal(_bits(got), _bits(_stack_from_upper_entries(b, n, dim, 1, row_norm)[:, 0]))
+
+
+@pytest.mark.parametrize("n,dim", [(1, 1), (1, 4), (2, 8), (3, 5), (9, 3)])
+def test_nilpotent_stack_draws_the_per_sample_loop_bitwise(n, dim):
+    """A numpy Generator, which has the stream's two signatures, draws
+    the reference's per-sample loop over the strictly upper entries."""
+    _check_stack_against_upper_entries(lambda: np.random.default_rng(10 * n + dim), n, dim)
 
 
 @pytest.mark.parametrize("n,dim", [(1, 1), (1, 4), (2, 8), (3, 5)])
 def test_nilpotent_stack_from_the_package_stream_draws_the_per_sample_loop_bitwise(n, dim):
-    """With a SplitMix64 the stack draws its norms and its letters in two
-    calls; they are the bits of one uniform and one tuple a sample."""
-    loop = SplitMix64(n + dim)
-    want = np.array([
-        random_nilpotent_tuple(loop, n, dim, row_norm=loop.uniform(0.2, 0.95)).matrices
-        for _ in range(7)
-    ]).swapaxes(0, 1)
-    again = SplitMix64(n + dim)
-    assert np.array_equal(_bits(random_nilpotent_stack(again, n, dim, 7, (0.2, 0.95))), _bits(want))
-    assert again.uniform() == loop.uniform() and again.standard_normal() == loop.standard_normal()
-    for row_norm in (None, 0.7):
-        a, b = SplitMix64(dim), SplitMix64(dim)
-        got = random_nilpotent_stack(a, n, dim, 3, row_norm).swapaxes(0, 1)
-        assert np.array_equal(_bits(got), _bits([random_nilpotent_tuple(b, n, dim, row_norm).matrices
-                                                 for _ in range(3)]))
+    """So does the package's one sample stream, SplitMix64."""
+    _check_stack_against_upper_entries(lambda: SplitMix64(n + dim), n, dim)
 
 
 _M64 = 2**64 - 1
@@ -545,6 +546,41 @@ def test_splitmix64_draws_match_the_scalar_definition():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def test_splitmix64_integers_and_normal_match_the_scalar_definition():
+    """integers(low, high) is low + floor(k w / 2^53), in Python ints, for
+    the 53-bit k of the even draw that uniform would read, at widths w
+    from 1 to 2^53; integers(high) is integers(0, high); normal is
+    loc + scale * standard_normal; a scalar call gives an int or a float."""
+    seed = 12345
+    for low, high in [(0, 1), (-3, 4), (1, 3), (0, 2**31), (5, 5 + 2**53), (-(2**60), 3 - 2**60)]:
+        got = SplitMix64(seed).integers(low, high, 3000)
+        want = [low + ((_splitmix64(seed, 2 * j) >> 11) * (high - low) >> 53) for j in range(3000)]
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert SplitMix64(seed).integers(7, size=(5, 4)).tolist() == SplitMix64(seed).integers(0, 7, (5, 4)).tolist()
+    s = SplitMix64(seed)
+    first, second = s.integers(10), s.integers(np.int64(-4), 4)
+    assert type(first) is int and type(second) is int
+    assert (first, second) == ((_splitmix64(seed, 0) >> 11) * 10 >> 53, -4 + ((_splitmix64(seed, 2) >> 11) * 8 >> 53))
+    assert s.uniform() == (_splitmix64(seed, 4) >> 11) * 2.0**-53  # integers and uniform share a substream
+    got = SplitMix64(seed).normal(1.5, 0.25, 101)
+    assert np.array_equal(_bits(got), _bits(1.5 + 0.25 * SplitMix64(seed).standard_normal(101)))
+    s, t = SplitMix64(seed), SplitMix64(seed)
+    x = s.normal(-2.0, 3.0)
+    assert type(x) is float and x == -2.0 + 3.0 * t.standard_normal()
+    assert s.normal() == t.standard_normal()
+
+
+def test_splitmix64_integers_refuses_a_range_it_cannot_cover():
+    """An empty range and one of more than 2^53 values are refused, before
+    anything is drawn; 2^53 values are not."""
+    s = SplitMix64(9)
+    for args in [(0,), (-1,), (3, 3), (4, 2), (0, 2**53 + 1), (-(2**62), 2**62)]:
+        with pytest.raises(ValueError):
+            s.integers(*args)
+    assert s.uniform() == SplitMix64(9).uniform()
+    assert 0 <= s.integers(2**53) < 2**53 and s.integers(-5, 2**53 - 5, 4).min() >= -5
+
+
 def test_splitmix64_draws_are_the_same_bits_in_one_call_or_in_chunks():
     whole = SplitMix64(3)
     normals = whole.standard_normal(150_001)
@@ -552,17 +588,23 @@ def test_splitmix64_draws_are_the_same_bits_in_one_call_or_in_chunks():
     parts = SplitMix64(3)
     cuts = [1, 2, 3, 1021, 1024, 4097, 30_000, 50_000]  # across blocks of 2^10 to 2^14
     got = [parts.standard_normal() for _ in range(3)] + [parts.standard_normal(k) for k in cuts]
-    rest = np.empty((150_001 - 3 - sum(cuts), 1))
-    assert parts.standard_normal(out=rest) is rest
-    got = np.concatenate([np.atleast_1d(x) for x in got] + [rest.ravel()])
+    got.append(parts.standard_normal((150_001 - 3 - sum(cuts), 1)))
+    got = np.concatenate([np.ravel(x) for x in got])
     assert np.array_equal(_bits(got), _bits(normals))
     got = [parts.uniform(-2.0, 3.0) for _ in range(5)] + [parts.uniform(-2.0, 3.0, (7, 3))]
     got.append(parts.uniform(-2.0, 3.0, 70_001 - 26))
     got = np.concatenate([np.ravel(x) for x in got])
     assert np.array_equal(_bits(got), _bits(uniforms))
     assert isinstance(parts.uniform(), float) and isinstance(parts.standard_normal(), float)
-    with pytest.raises(ValueError):
-        parts.standard_normal(out=np.empty((4, 4))[:, ::2])
+    whole, parts = SplitMix64(4), SplitMix64(4)
+    ints, normals = whole.integers(-5, 9, 30_001), whole.normal(0.5, 2.0, 30_001)
+    cuts = [1, 1020, 3000, 16_000]  # across blocks of 2^10 to 2^14
+    got = [parts.integers(-5, 9) for _ in range(3)] + [parts.integers(-5, 9, k) for k in cuts]
+    got.append(parts.integers(-5, 9, 30_001 - 3 - sum(cuts)))
+    assert np.concatenate([np.ravel(x) for x in got]).tolist() == ints.tolist()
+    got = [parts.normal(0.5, 2.0) for _ in range(3)] + [parts.normal(0.5, 2.0, k) for k in cuts]
+    got.append(parts.normal(0.5, 2.0, 30_001 - 3 - sum(cuts)))
+    assert np.array_equal(_bits(np.concatenate([np.ravel(x) for x in got])), _bits(normals))
 
 
 def test_splitmix64_seeds():
