@@ -24,10 +24,10 @@ tm_positivity is the one place that decides T_m >= -tol I and gives its
 smallest eigenvalue, at any level m: dense where dense_decides, above by the
 factorisation and Newton-steered probes of its inertia (certify).  check_feasibility,
 extend's certificate, verify_solution and pluriharmonic.check_positive call it.
-The dense path goes one level down the same tree for n >= 2 (tree_min_eig):
-one eigh of T_{m-1}, n times smaller, and the secular equation of the
-border b_0, r give lambda_min(T_m) (Golub 1973; Bunch, Nielsen and
-Sorensen 1978).
+The dense path goes k = m // 2 levels down the same tree for n >= 2 (k = 1
+on small T_m; tree_min_eig): one eigh of T_{m-k}, about n^k times smaller,
+and the secular equation of the border of T_{k-1} give lambda_min(T_m)
+(Golub 1973; Bunch, Nielsen and Sorensen 1978).
 """
 
 from __future__ import annotations
@@ -41,28 +41,34 @@ from . import linalg
 from .errors import InputError, ScopeError
 from .fock import shift_sum
 from .linalg import adjoint, check_entries, check_hermitian, eigh_hermitian
-from .words import word_count
+from .words import join_indices, word_count
 
 # At or below this side d p the assembled T_m decides positivity and
-# gives its smallest eigenvalue: one tree level down (tree_min_eig) for
+# gives its smallest eigenvalue: down the word tree (tree_min_eig) for
 # n >= 2 and m >= 1, else by eigvalsh; above it a Schur factorisation of
 # T_m + tol I decides and steered inertia probes (certify) bracket it.
-# One level down / structured / eigvalsh of T_m on moment data
+# k = m // 2 levels down / structured / eigvalsh of T_m on moment data
 # (bench/fixtures.py), assembly included, 2 cores (OpenBLAS), medians of
-# 7 in three runs: 5.4-6.4 / 8.0-15 / 12-13 ms at n = 2, d p = 255;
-# 5.0-7.0 / 8.4-13 / 9.5-13 ms at d p = 254 (p = 2); 1.8-2.8 / 5.6-8.9 /
-# 7.4-10 ms at n = 3, 242 (p = 2); 0.7 / 4.7-5.2 / 10-12 ms at n = 6, 259;
-# 2.1-2.6 / 4.7-6.6 / 17-25 ms at n = 4, 341; 3.7-4.6 / 6.9-10 / 20-30 ms
-# at n = 3, 364; 21-26 / 12-20 / 50-64 ms at n = 2, 511.  One level down
-# costs about an eigh of side d p / n, so the deep binary trees, the
-# slowest to factor, tie between 255 and 511 and wider trees stay ahead
-# past 300; 300 is where eigvalsh tied, and it decides which outputs
-# carry min_eig_atol.
+# 7 in three runs, ms: 0.6 / 6.7-7.1 / 8.3-9.0 at n = 2, d p = 255;
+# 0.8-0.9 / 6.9-9.0 / 7.9-11 at 254 (p = 2); 0.5-0.6 / 4.5-4.6 / 6.4-8.8 at
+# n = 3, 242 (p = 2); 0.6-0.7 / 4.3-4.9 / 9.7-10 at n = 6, 259 (k = 1);
+# 0.4-0.9 / 3.2-6.5 / 15-21 at n = 4, 341; 0.6-1.1 / 5.7-7.7 / 21-22 at
+# n = 3, 364; 1.7-1.9 / 12-17 / 55-60 at n = 2, 511.  So the tree path
+# leads the factorisation 4-10 times on both sides of 300; 300 is where
+# eigvalsh tied, and moving it changes which outputs carry min_eig_atol.
 # For n = 1 the tree is a chain of d levels, so a factorisation takes
 # O(d^2) small steps and is slower than eigvalsh (0.65 / 2.8 / 7.6 s
 # against 0.17 / 1.3 / 4.2 s at d = 301 / 601 / 1001): dense decides there
 # up to the side cap of a dense matrix.
 DENSE_DIM = 300
+
+# From this side d p up tree_min_eig goes k = m // 2 levels down, below
+# it k = 1: k = 1 / k = m // 2 on the same data, one thread, medians of
+# 41 in three runs, ms: 0.27-0.30 / 0.44-0.46 at n = 2, d p = 31;
+# 0.63-0.67 / 0.56-0.60 at 62 (p = 2); 0.40-0.41 / 0.52-0.54 at 63;
+# 1.06-1.08 / 0.87-0.92 at 93 (p = 3); 0.49-0.52 / 0.50-0.52 at n = 3,
+# 121; 1.41-1.43 / 0.78-0.80 at 126 (p = 2); 1.06-1.15 / 0.62-0.64 at 127.
+DEEP_DIM = 64
 
 
 def dense_decides(n, dim, limit=DENSE_DIM):
@@ -327,7 +333,7 @@ def certify(probe, lo, hi, atol, guess=None):
     return lo, hi
 
 
-# -- the dense smallest eigenvalue one tree level down -------------------------
+# -- the dense smallest eigenvalue down the word tree --------------------------
 
 
 def _positive_root(e, g):
@@ -364,64 +370,81 @@ def secular_root(delta, z, a, t, tol):
     return min(t, up)
 
 
+def tree_border(f, m, k):
+    """The border R of T_{k-1} in T_m (tree_min_eig), 1 <= k <= m, gathered
+    from f's coefficients as the (p, d_{k-1}, n^k, p, d_{m-k}) stack
+    R[a, u, s, b, v] = conj(b_{v t}[b, a]) for s = t u, zero where u is no
+    suffix of s: u, s and v in graded order, s ending the words v s."""
+    n = f.n
+    graded = np.concatenate([f.dense(j) for j in range(m + 1)])  # b_w, |w| <= m, graded order
+    graded[0] = 0.0  # at index 0: the pairs (u, s) with u no suffix of s
+    at = np.zeros((word_count(n, k - 1), n**k, word_count(n, m - k)), np.int64)  # g(v t) at [u, s, v]
+    for j in range(k):  # the words u of length j; code(s) = code(t) n^j + code(u)
+        rows = at[word_count(n, j - 1):word_count(n, j)].reshape(n**j, n**(k - j), n**j, -1)
+        rows[np.arange(n**j), :, np.arange(n**j)] = join_indices(n, m - j, k - j, append=True)
+    return graded[at].conj().transpose(4, 0, 1, 3, 2)
+
+
 def tree_min_eig(f, m):
     """lambda_min(T_m) for a square series f with n >= 2 at a level m >= 1,
-    from one eigh of T_{m-1}, whose side is n times smaller; T_m itself is
-    not assembled.  The word v i sits at graded index n g(v) + i, so in
-    T_m's (p, d, p, d) view letter i's block [..., i::n] is T_{m-1},
-    blocks of different letters are zero, and T_m = [[b_0, r], [r*, I_n
-    (x) T_{m-1}]] up to a permutation, r_i = [b_{v i}*]_v being f's
-    coefficients.  With T_{m-1} = sum_j lam_j v_j v_j* (lam ascending),
-    c_ij = r_i v_j and mu = lam_1 - t, t > 0, T_m - mu I is congruent to
-    S(t) (+) I_n (x) (T_{m-1} - mu I), the second positive definite, where
+    from one eigh of T_{m-k}, about n^k times smaller, k = m // 2 from side
+    d p = DEEP_DIM up and 1 below; T_m itself is not assembled.  The word
+    v s, |s| = k, sits at graded index d_{k-1} + code(s) + n^k g(v), so in
+    T_m's (p, d, p, d) view each suffix's block [..., o::n^k, ..., o::n^k],
+    d_{k-1} <= o < d_k, is T_{m-k}, blocks of different suffixes are zero,
+    and T_m = [[T_{k-1}, R], [R*, I (x) T_{m-k}]] up to a permutation, R
+    being tree_border.  With T_{m-k} = sum_j lam_j v_j v_j* (lam ascending),
+    c_sj = R_s v_j and mu = lam_1 - t, t > 0, T_m - mu I is congruent to
+    S(t) (+) I (x) (T_{m-k} - mu I), the second positive definite, where
 
-        S(t) = b_0 - lam_1 I + t I - sum_ij c_ij c_ij* / (lam_j - lam_1 + t).
+        S(t) = T_{k-1} - lam_1 I + t I - sum_sj c_sj c_sj* / (lam_j - lam_1 + t).
 
     So lambda_min(T_m) = lam_1 - t*, t* the root of h(t) = lambda_min(S(t)),
     or lam_1 when there is none (interlacing); h increases with h' >= 1
-    and is concave.  For p = 1 h is a secular function (secular_root).  For
-    p > 1, u* S(t) u >= h(t) for the unit eigenvector u of h at t, so the
+    and is concave.  For k = p = 1 h is a secular function (secular_root).
+    Else u* S(t) u >= h(t) for the unit eigenvector u of h at t, so the
     root of that secular function is a lower bound on t*, exact to second
     order in u (a Rayleigh quotient): the next point, until h there is at
-    least -tol, which puts t* within tol above it.  b_0 is a block of
-    T_{m-1}, so b_0 - lam_1 I >= 0 and S(t) >= t I - ||c||^2 / t: the first
-    u is taken at ||c||, above t*.
+    least -tol, which puts t* within tol above it.  As k <= (m + 1) / 2,
+    T_{k-1} is a block of T_{m-k}, so T_{k-1} - lam_1 I >= 0 and S(t) >= t I
+    - ||c||^2 / t: the first u is taken at ||c||, above t*.
     Everything is in units of a power of 2 near the largest |lam_j| and
-    |entry| of r, so nothing overflows, and tol is 4 eps."""
+    |entry| of R, so nothing overflows, and tol is 4 eps."""
     n, p = f.n, f.shape[0]
-    sub = assemble_T(f, m - 1)
+    k = m // 2 if m > 1 and word_count(n, m) * p >= DEEP_DIM else 1
+    top, d = word_count(n, k - 1), word_count(n, m - k)
+    q = p * top
+    sub = assemble_T(f, m - k)
     lam, v = np.linalg.eigh(sub)
-    border = np.concatenate([f.dense(j) for j in range(1, m + 1)])  # b_w, 0 < |w| <= m, graded order
+    border = tree_border(f, m, k)
     scale = max(-lam[0], lam[-1], np.abs(border).max())
     if not scale:
         return 0.0
-    k = max(math.frexp(scale)[1], -1021)  # 2^-k x is exact, and at most 1 for |x| <= scale
-    lam, border = lam * 2.0 ** -k, border * 2.0 ** -k
-    # c[a, i, j] = (r_i v_j)[a]: r_i[a, (b, g(v))] = conj(b_{v i}[b, a]), v i at n g(v) + i
-    r = border.reshape(-1, n, p, p).conj().transpose(3, 1, 2, 0).reshape(p * n, -1)
-    c = (r @ v).reshape(p, n, -1)
-    b0 = sub[::len(sub) // p, ::len(sub) // p] * 2.0 ** -k
+    ex = max(math.frexp(scale)[1], -1021)  # 2^-ex x is exact, and at most 1 for |x| <= scale
+    lam = lam * 2.0 ** -ex
+    c = (border * 2.0 ** -ex).reshape(q, n**k, -1) @ v  # c[(a, u), s, j] = (R_s v_j)[a, u]
+    head = sub.reshape(p, d, p, d)[:, :top, :, :top].reshape(q, q) * 2.0 ** -ex  # T_{k-1}
     low, tol = lam[0], 4.0 * np.finfo(float).eps
     delta = lam - low
-    if p == 1:
-        a, z = b0[0, 0].real - low, np.abs(c[0])
-        return math.ldexp(low - secular_root(delta, z, a, _positive_root(a, np.vdot(z, z)), tol), k)
-    eye, flat = np.eye(p), c.reshape(p, -1)
-    e0, flat_h = b0 - low * eye, adjoint(flat)
+    if q == 1:
+        a, z = head[0, 0].real - low, np.abs(c[0])
+        return math.ldexp(low - secular_root(delta, z, a, _positive_root(a, np.vdot(z, z)), tol), ex)
+    eye, flat = np.eye(q), c.reshape(q, -1)
+    e0, flat_h = head - low * eye, adjoint(flat)
     t = math.sqrt(np.vdot(c, c).real)
     lower = False  # whether t is a lower bound on t*
     while t > 0.0:
-        w, u = np.linalg.eigh(e0 + t * eye - (c / (delta + t)).reshape(p, -1) @ flat_h)
+        w, u = np.linalg.eigh(e0 + t * eye - (c / (delta + t)).reshape(q, -1) @ flat_h)
         if lower and w[0] >= -tol:
             break
         u = u[:, 0]
-        z = np.abs(u.conj() @ flat).reshape(n, -1)
-        # S has a pole at t = 0 when the border meets T_{m-1}'s lowest eigenvectors
+        z = np.abs(u.conj() @ flat).reshape(-1, d * p)
+        # S has a pole at t = 0 when the border meets T_{m-k}'s lowest eigenvectors
         new = max(secular_root(delta, z, np.vdot(u, e0 @ u).real, t, tol), tol)
         if lower and new <= t:
             break
         t, lower = new, True
-    return math.ldexp(low - t, k)
+    return math.ldexp(low - t, ex)
 
 
 def tm_positivity(f, tol, m=None):
@@ -430,8 +453,8 @@ def tm_positivity(f, tol, m=None):
     dense or the factored path for positivity.  A non-finite tol is an
     InputError, raised before anything is assembled or factored; a
     negative one asks for T_m >= |tol| I.  On the dense side min_eig is
-    tree_min_eig's for n >= 2 and m >= 1 (within a few eps ||T_m|| of
-    eigvalsh), and eigvalsh's of the assembled T_m for the chain n = 1,
+    tree_min_eig's for n >= 2 and m >= 1 (from T_{m-k}, k tree levels down,
+    within a few eps ||T_m|| of eigvalsh), and eigvalsh's of the assembled T_m for the chain n = 1,
     whose T_{m-1} is hardly smaller, and for T_0 = b_0.  Above it certify
     starts from [lambda_min(b_0) - 2 sum_k slice_k, lambda_min(b_0)] (b_0 is a
     principal block, degree k has norm <= 2 slice_k), cut at -tol by the

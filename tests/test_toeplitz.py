@@ -482,15 +482,18 @@ def tree_case(case, n, m, p):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n,p,m,case", [
-    (n, p, m, case) for n in (2, 3) for p in (1, 2, 3) for m in (0, 1, 3)
+    (n, p, m, case) for n in (2, 3, 4) for p in (1, 2, 3) for m in range(8)
     for case in ("feasible", "infeasible", "zero border", "singular", "orthogonal")
-    if p > 1 or case != "orthogonal"  # a scalar T_0's orthogonal border is the zero border
+    if word_count(n, m) * p <= tp.DENSE_DIM
+    and (p > 1 or case != "orthogonal")  # a scalar T_0's orthogonal border is the zero border
 ])
 def test_dense_min_eig_one_level_down_matches_eigvalsh(n, p, m, case):
     """Below DENSE_DIM, for n >= 2 and m >= 1, min_eig comes from one eigh
-    of T_{m-1} and the secular equation of the border (tree_min_eig): it
-    is within 16 eps ||T_m|| of eigvalsh(T_m), with the same verdict, on
-    the data of tree_case, p >= n among the shapes."""
+    of T_{m-k}, k tree levels down, and the secular equation of the
+    border (tree_min_eig): it is within 16 eps ||T_m|| of eigvalsh(T_m),
+    with the same verdict, on the data of tree_case at every level m up
+    to DENSE_DIM, so at every k the size rule picks, p >= n among the
+    shapes."""
     f = tree_case(case, n, m, p)
     t = tp.assemble_T(f, m)
     me, norm = min_eig(t), np.linalg.norm(t, 2)
@@ -512,22 +515,50 @@ def test_dense_min_eig_one_level_down_matches_eigvalsh(n, p, m, case):
 
 @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 3, 2), (3, 3, 3), (2, 6, 1), (3, 4, 1), (3, 4, 2)])
 def test_letter_blocks_of_T_m_are_T_m_minus_1(n, m, p):
-    """The layout tree_min_eig reads T_m in without assembling it: in
-    T_m's (p, d, p, d) view the block of each letter i, [..., i::n], is
-    assemble_T(f, m - 1) bit for bit, blocks of different letters are
-    zero, and the root row holds b_0 and then b_w* for the words w != ()
-    in graded order."""
+    """The layout tree_min_eig reads T_m in without assembling it, for each
+    k <= m // 2 (and k = 1): in T_m's (p, d, p, d) view the block of each
+    suffix s of length k, [..., o::n^k, ..., o::n^k] with o = d_{k-1} +
+    code(s), is assemble_T(f, m - k) bit for bit, blocks of different
+    suffixes are zero, the top-left block is assemble_T(f, k - 1), and
+    tree_border is the rest of the top rows, [:, :d_{k-1}, :, d_{k-1}:].
+    At k = 1 that border is b_w* for the words w != () in graded order."""
     f = random_series(np.random.default_rng(n + m + p), n, m, p)
-    t, below = tp.assemble_T(f, m), tp.assemble_T(f, m - 1)
     d = word_count(n, m)
-    t4 = t.reshape(p, d, p, d)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            block = t4[:, i::n, :, j::n].reshape(len(below), -1)
-            assert np.array_equal(block, below if i == j else np.zeros_like(below))
+    t4 = tp.assemble_T(f, m).reshape(p, d, p, d)
+    for k in range(1, max(m // 2, 1) + 1):
+        below, top, copies = tp.assemble_T(f, m - k), word_count(n, k - 1), n**k
+        for o in range(top, top + copies):
+            for o2 in range(top, top + copies):
+                block = t4[:, o::copies, :, o2::copies].reshape(len(below), -1)
+                assert np.array_equal(block, below if o == o2 else np.zeros_like(below))
+        assert np.array_equal(t4[:, :top, :, :top].reshape(p * top, -1), tp.assemble_T(f, k - 1))
+        border = tp.tree_border(f, m, k)  # [a, u, s, b, v]; T_m's columns run over (v, s)
+        assert border.shape == (p, top, copies, p, word_count(n, m - k))
+        assert np.array_equal(border.transpose(0, 1, 3, 4, 2).reshape(p, top, p, -1), t4[:, :top, :, top:])
     assert np.array_equal(t4[:, 0, :, 0], tp.check_hermitian(f.constant_term()))
     border = np.concatenate([f.dense(k) for k in range(1, m + 1)])
     assert np.array_equal(t4[:, 0, :, 1:], adjoint(border))
+
+
+@pytest.mark.parametrize("n,m,p,sides", [
+    (2, 4, 1, [15]),  # the gate's largest dense call with n >= 2 stays one level down
+    (2, 5, 2, None), (3, 4, 2, None), (2, 6, 1, None), (2, 6, 2, None), (2, 7, 1, None),
+])
+def test_tree_min_eig_goes_half_way_down_from_deep_dim(monkeypatch, n, m, p, sides):
+    """From side d p = DEEP_DIM up, tree_min_eig goes k = m // 2 levels
+    down, so no eigh it makes is larger than T_{m-k}, p d_{m-k}; below, it
+    stays at k = 1: one eigh, of T_{m-1}, and for p = 1 no other."""
+    f = random_series(np.random.default_rng(n + m + p), n, m, p, scale=0.05)
+    real, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(len(a)) or real(a))
+    me = tp.tree_min_eig(f, m)
+    monkeypatch.undo()
+    t = tp.assemble_T(f, m)
+    assert abs(me - min_eig(t)) <= 16 * EPS * np.linalg.norm(t, 2)
+    if sides is None:
+        assert len(t) >= tp.DEEP_DIM and max(seen) == p * word_count(n, m - m // 2)
+    else:
+        assert len(t) < tp.DEEP_DIM and seen == sides
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
