@@ -218,9 +218,10 @@ def cf_to_caratheodory(prob):
 # Every check of verify_solution holds to this absolute tolerance.
 VERIFY_TOL = 1e-8
 
-# Complex entries charged each sample beyond the n (M + 1)^2 of its
-# letters before any is drawn: 5376 and 12288 B a sample at n = 1, M = 3
-# and n = 2, M = 7, above verify_solution's peaks there (1313, 12179 B)
+# Complex entries charged each sample beyond its letters' n (M + 1)^2 and
+# its banded products: 5776 / 20992 / 30240 / 83744 B a sample at (n, M) =
+# (1, 3) / (2, 7) / (2, 8) / (2, 10), above verify_solution's tracemalloc
+# peaks there (1314 / 12182 / 21704 / 75950 B)
 SAMPLE_ENTRIES = 320
 
 
@@ -247,14 +248,19 @@ def verify_solution(prob, ext, samples=20, seed=0):
     tuples are strictly upper triangular of order M + 1, so word_sum keeps
     each X_w of length k as its (M + 1 - k)-square band, two degrees at a
     time (69632 entries a sample at n = 2, M = 14, against 7.4M for every
-    whole X_w), checked by word_sum.  The n ((M + 1)^2 + SAMPLE_ENTRIES)
-    entries of each drawn sample are checked against the size limit
-    before the first."""
+    whole X_w).  Before the first draw each sample is charged n ((M + 1)^2
+    + SAMPLE_ENTRIES) entries plus its largest two adjacent degrees of
+    bands, max_k n^k (M + 1 - k)^2 + n^(k+1) (M - k)^2, so word_sum's
+    "word products" check never refuses a count that was drawn."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
     M, p = f.cutoff, prob.block_size
-    check_entries(samples * prob.n * ((M + 1) ** 2 + SAMPLE_ENTRIES), "verification samples")
+    n, q = prob.n, M + 1
+    letters = n * (q**2 + SAMPLE_ENTRIES)
+    check_entries(samples * letters, "verification samples")  # so q is small below
+    bands = max(n**k * (q - k) ** 2 + n ** (k + 1) * (q - k - 1) ** 2 for k in range(q))
+    check_entries(samples * (letters + bands), "verification samples")
     checks = {}
 
     dev = _prescribed_error(prob, f)
@@ -269,7 +275,7 @@ def verify_solution(prob, ext, samples=20, seed=0):
 
     b0 = prob.data.constant_term()
     terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
-    xs = random_nilpotent_stack(SplitMix64(seed), prob.n, M + 1, samples, (0.2, 0.95))
+    xs = random_nilpotent_stack(SplitMix64(seed), n, q, samples, (0.2, 0.95))
     g = word_sum(xs, p, [terms])[0]
     worst = float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min())
     checks["nilpotent_positive"] = (worst >= -VERIFY_TOL, worst)

@@ -7,9 +7,10 @@ c^(i)[v] = f_{v i}, so sigma^2 I - A_j* A_j is nested_factor's M_j with
 alpha_j = sigma^2 I - sum_{|w|<=j} f_w* f_w and beta_j^(i)* =
 -A_{j-1}* c^(i), given in graded order (nested_factor takes them to tree
 order): its negative pivots count the singular values of A above sigma.
-A symmetric Lanczos run on A*A gives a value ||A x|| / ||x|| from below,
-and one factorisation at sigma = value (1 + NORM_RTOL) certifies it from
-above.
+A plain Lanczos run on A*A proposes a vector x; the value is the explicit
+ratio ||A x|| / ||x||, never above ||A||, and one factorisation at sigma =
+value (1 + NORM_RTOL) certifies it from above.  These two, not the Lanczos
+basis, guard every reported value.
 
 ``hinf_norm`` (so ``freefock norm``, ``caratheodory.cf_check`` and
 ``caratheodory.cayley_route``) is the one place that picks the path for a
@@ -140,15 +141,16 @@ class MultiAnalytic:
 
 
 def _lanczos(op, x0, steps):
-    """Symmetric Lanczos on A*A from x0 with full reorthogonalisation
+    """Symmetric Lanczos on A*A from x0 by the three-term recurrence alone
     (Golub-Van Loan, ch. 10: the Krylov space of Golub-Kahan on A, in one
     basis Q): A*A Q = Q T with T tridiagonal.  T is PSD, so its SVD is its
-    eigendecomposition (and far cheaper than eigh at this size).  The top
-    Ritz pair (theta^2, y) has residual r = beta_k |y_k|, and theta^2 is
-    within r^2 / (theta^2 - theta_2^2) of an eigenvalue of A*A (Parlett,
-    the gap theorem).  Stops when that is below 1e-15 of the gap or r
-    below 1e-13 theta^2, on breakdown, or after steps; returns the Ritz
-    vector x = Q y."""
+    eigendecomposition (and far cheaper than eigh at this size).  Q loses
+    orthogonality as Ritz pairs converge, which yields ghost copies of
+    values, not wrong ones (Paige 1976; Parlett and Scott 1979), and voids
+    Parlett's gap bound r^2 / (theta^2 - theta_2^2) on the top Ritz pair
+    (theta^2, y), r = beta_k |y_k|: it only says when to try the
+    certificate.  Stops when that is below 1e-15 of the gap or r below
+    1e-13 theta^2, on breakdown, or after steps; returns x = Q y."""
     shape, size = x0.shape, x0.size
     steps = max(1, min(steps, size))
     Q = np.empty((steps, size), dtype=complex)  # rows are written before they are read
@@ -158,7 +160,6 @@ def _lanczos(op, x0, steps):
         w = op.apply_adjoint(op.apply(Q[k].reshape(shape + (1,)))).ravel()
         alpha[k] = np.vdot(Q[k], w).real
         w -= alpha[k] * Q[k] + (beta[k - 1] * Q[k - 1] if k else 0.0)
-        w = _reorthogonalise(w, Q[: k + 1])
         beta[k] = np.linalg.norm(w)
         T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
         y, s, _ = np.linalg.svd(T)
@@ -167,17 +168,6 @@ def _lanczos(op, x0, steps):
         if done or k + 1 == steps:
             return (y[:, 0] @ Q[: k + 1]).reshape(shape)
         Q[k + 1] = w / beta[k]
-
-
-def _reorthogonalise(w, Q):
-    """w minus its components along the orthonormal rows of Q, twice.
-    Not a BLAS product: past about 2000 rows OpenBLAS runs the gemv on
-    several threads, and waking them between Lanczos steps took up to
-    15 ms per call on 2 cores, against under 0.1 ms for the einsum.  Q* w
-    is taken as conj(Q conj(w)), the same sums without a copy of Q."""
-    for _ in range(2 if len(Q) else 0):
-        w = w - np.einsum("k,kn->n", np.einsum("kn,n->k", Q, w.conj()).conj(), Q)
-    return w
 
 
 def certified_norm(f, m):

@@ -337,35 +337,75 @@ def test_verify_solution_classical_geometric():
 
 
 def test_verify_solution_checks_the_sample_count_before_drawing(monkeypatch):
-    """samples n ((M + 1)^2 + SAMPLE_ENTRIES) entries meet the size limit
-    before the first tuple is drawn; a count that fits draws them all (and
-    then meets the limit in the banded word products, which hold two
-    degrees at once: degrees 5 and 6, 2^k (M + 1 - k)^2 entries each a
-    sample, here where every word carries a coefficient, and at M = 8
-    more than the charge)."""
+    """samples (n ((M + 1)^2 + SAMPLE_ENTRIES) + bands) entries meet the
+    size limit before the first tuple is drawn, bands the most two
+    adjacent degrees of banded word products hold a sample (2^k
+    (M + 1 - k)^2 entries each, here where every word carries a
+    coefficient: degrees 5 and 6 at M = 8); a count that fits draws them
+    all, and the word products then admit it."""
     from freefock import linalg
     from freefock.errors import SizeLimitError
 
     prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3, (2,): -0.2})
     ext = cara.extend(prob, 8)
     assert all(len(ext.series.blocks[k][0]) == 2**k for k in range(9))
-    per_sample = 2 * (9**2 + cara.SAMPLE_ENTRIES)
+    per_sample = 2 * (9**2 + cara.SAMPLE_ENTRIES) + 2**5 * 4**2 + 2**6 * 3**2
     draws = []
     monkeypatch.setattr(cara, "random_nilpotent_stack",
                         lambda *a, **k: draws.append(a[3]) or random_nilpotent_stack(*a, **k))
     with pytest.raises(SizeLimitError):
         cara.verify_solution(prob, ext, samples=10**12)
     old = linalg.MAX_DIM
-    linalg.set_max_dim(50)  # 2500 entries: 3 samples of 802 fit, 4 do not
+    linalg.set_max_dim(50)  # 2500 entries: 1 sample of 1890 fits, 2 do not
     try:
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="verification samples"):
             cara.verify_solution(prob, ext, samples=2500 // per_sample + 1)
         assert not draws
-        with pytest.raises(SizeLimitError, match="word products"):  # 3 x (512 + 576) > 2500
-            cara.verify_solution(prob, ext, samples=2500 // per_sample)
+        assert cara.verify_solution(prob, ext, samples=2500 // per_sample).passed
     finally:
         linalg.set_max_dim(old)
-    assert draws == [2500 // per_sample] == [3]
+    assert draws == [2500 // per_sample] == [1]
+
+
+def test_verify_solution_charges_the_banded_products_before_drawing(monkeypatch):
+    """At n = 2, M = 10 the two adjacent degrees of banded products (7 and
+    8: 2^7 4^2 + 2^8 3^2 = 4352 entries a sample) outweigh the letters'
+    charge (2 (11^2 + SAMPLE_ENTRIES) = 882).  The one count over the
+    limit is refused before any draw, the sample stream untouched, as is
+    every count the letters' charge alone admitted; the largest count that
+    fits runs, and word_sum's own check admits it.  A cutoff of 10^9 is
+    refused at once."""
+    from freefock import linalg
+    from freefock.errors import SizeLimitError
+    from freefock.fock import SplitMix64
+
+    prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3 + 0.2j, (2,): -0.4})
+    ext = cara.extend(prob, 10)
+    assert all(len(ext.series.blocks[k][0]) == 2**k for k in range(11))
+    letters = 2 * (11**2 + cara.SAMPLE_ENTRIES)
+    per_sample = letters + 2**7 * 4**2 + 2**8 * 3**2
+    stream, draws = SplitMix64(5), []
+    monkeypatch.setattr(cara, "SplitMix64", lambda seed: stream)
+    monkeypatch.setattr(cara, "random_nilpotent_stack",
+                        lambda *a, **k: draws.append(a[3]) or random_nilpotent_stack(*a, **k))
+    old = linalg.MAX_DIM
+    linalg.set_max_dim(200)  # 40000 entries: 7 samples of 5234 fit, 8 do not
+    try:
+        fits = 40000 // per_sample
+        for samples in (fits + 1, 40000 // letters):
+            with pytest.raises(SizeLimitError, match="verification samples"):
+                cara.verify_solution(prob, ext, samples=samples, seed=5)
+        assert not draws
+        assert stream.uniform(size=3).tobytes() == SplitMix64(5).uniform(size=3).tobytes()
+        assert stream.standard_normal(3).tobytes() == SplitMix64(5).standard_normal(3).tobytes()
+        assert cara.verify_solution(prob, ext, samples=fits, seed=5).passed
+    finally:
+        linalg.set_max_dim(old)
+    assert draws == [fits] == [7]
+    # a cutoff of 10^9 meets the letters' charge before its bands are counted
+    deep = cara.ExtensionResult(FreeSeries(2, 10**9, (1, 1), {(): ONE}), {})
+    with pytest.raises(SizeLimitError, match="verification samples"):
+        cara.verify_solution(prob, deep, samples=1)
 
 
 def test_verify_solution_catches_corruption():

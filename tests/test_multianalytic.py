@@ -95,6 +95,56 @@ def test_structured_norm_restarts_from_a_negative_pivot():
     assert want > 1.1 * np.sqrt(2.0) + 0.1
 
 
+CI_SERIES = FreeSeries(2, 2, (1, 1), {(): 0.5 * ONE, (1,): (0.3 + 0.2j) * ONE, (2, 1): -0.4 * ONE})
+
+
+@pytest.mark.parametrize("case", [(2, 6, 1), (2, 7, 1), (3, 4, 2), 6, 8, 9])
+def test_the_certificate_guards_the_value_without_lanczos(case, monkeypatch):
+    """With _lanczos returning its start vector unchanged, certified_norm
+    has only the explicit ratio, the factorisation and its Newton restarts:
+    it raises ScopeError or returns a value v with v <= ||A|| (1 + 1e-12)
+    and ||A|| <= v (1 + NORM_RTOL), never an uncertified one.  Random
+    series and the CI series at m = 6, 8, 9."""
+    if isinstance(case, tuple):
+        n, m, p = case
+        f = gaussian_series(np.random.default_rng(100 * n + 10 * m + p), n, m, p)
+    else:
+        f, m = CI_SERIES, case
+    want = np.linalg.norm(eval_at_creation(f, m), 2)
+    monkeypatch.setattr(ma, "_lanczos", lambda op, x0, steps: x0)
+    try:
+        got = ma.certified_norm(f, m)
+    except ScopeError:
+        return
+    assert got.value <= want * (1 + 1e-12) and want <= got.value * (1 + ma.NORM_RTOL)
+
+
+def test_plain_lanczos_past_thirty_steps_matches_svd(monkeypatch):
+    """The CI series at m = 9 (side 1023): Lanczos runs at least 30 steps
+    with no reorthogonalisation, where its basis drifts from orthogonality,
+    and the certified value still agrees with the dense SVD to 1e-12 from
+    one run."""
+    m, calls, steps = 9, [0], []
+    apply, lanczos = ma.MultiAnalytic.apply, ma._lanczos
+
+    def counted(self, x):  # one product a Lanczos step
+        calls[0] += 1
+        return apply(self, x)
+
+    def spy(*args):
+        before = calls[0]
+        x = lanczos(*args)
+        steps.append(calls[0] - before)
+        return x
+
+    monkeypatch.setattr(ma.MultiAnalytic, "apply", counted)
+    monkeypatch.setattr(ma, "_lanczos", spy)
+    want = np.linalg.norm(eval_at_creation(CI_SERIES, m), 2)
+    got = ma.certified_norm(CI_SERIES, m)
+    assert len(GradedBasis(2, m)) == 1023 and got.starts == 1 and steps[0] >= 30
+    assert abs(got.value - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("n,m,p", [(2, 6, 2), (3, 4, 3)])
 def test_structured_norm_of_a_repeated_top_singular_value(n, m, p):
     """f = sum c_w I_p with scalar c_w: f(S^(m)) is a scalar operator
