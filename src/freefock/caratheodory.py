@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
-from .fock import SplitMix64, random_nilpotent_stack, word_sum
+from .fock import SplitMix64, random_nilpotent_stack, word_sum, word_sum_entries
 from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
@@ -134,7 +134,7 @@ def extend(prob, M, tol=1e-9):
         left = Stack(blocks, list(blocks), (p, p), left=True)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
             for k in range(m + 1, M + 1):
-                lm, rm = left.splits(k, right)
+                lm, rm, _ = left.splits(n, k, right)
                 if rm.shape[1]:
                     blocks[k] = degree_sum(n, k, left, right, lm, rm, (p, p))
                     left.append(k, *blocks[k])
@@ -149,7 +149,7 @@ def extend(prob, M, tol=1e-9):
 
 def _prescribed_error(prob, f):
     """Largest deviation of f's coefficients of degree <= m from the data."""
-    return max(float(np.max(np.abs(f.dense(k) - prob.data.dense(k)))) for k in range(prob.m + 1))
+    return float(np.max(np.abs(f.graded_stack(prob.m) - prob.data.graded_stack(prob.m))))
 
 
 def _inv_sqrt_psd(a, reg):
@@ -219,9 +219,9 @@ def cf_to_caratheodory(prob):
 VERIFY_TOL = 1e-8
 
 # Complex entries charged each sample beyond its letters' n (M + 1)^2 and
-# its banded products: 5776 / 20992 / 30240 / 83744 B a sample at (n, M) =
-# (1, 3) / (2, 7) / (2, 8) / (2, 10), above verify_solution's tracemalloc
-# peaks there (1314 / 12182 / 21704 / 75950 B)
+# what word_sum holds for it: 6032 / 22016 / 31536 / 85680 B a sample at
+# (n, M) = (1, 3) / (2, 7) / (2, 8) / (2, 10), p = 1, above verify_solution's
+# tracemalloc peaks there (1314 / 12182 / 21704 / 75950 B)
 SAMPLE_ENTRIES = 320
 
 
@@ -244,23 +244,18 @@ def verify_solution(prob, ext, samples=20, seed=0):
     The samples are fock.random_nilpotent_stack's from the package's one
     sample stream fock.SplitMix64(seed), each sample's row norm uniform in
     [0.2, 0.95]; then g (the extension's blocks and b_0 / 2) is one
-    fock.word_sum over all of them, each g the same bits as alone.  The
-    tuples are strictly upper triangular of order M + 1, so word_sum keeps
-    each X_w of length k as its (M + 1 - k)-square band, two degrees at a
-    time (69632 entries a sample at n = 2, M = 14, against 7.4M for every
-    whole X_w).  Before the first draw each sample is charged n ((M + 1)^2
-    + SAMPLE_ENTRIES) entries plus its largest two adjacent degrees of
-    bands, max_k n^k (M + 1 - k)^2 + n^(k+1) (M - k)^2, so word_sum's
-    "word products" check never refuses a count that was drawn."""
+    fock.word_sum over all of them, each g the same bits as alone.  Before
+    the first draw the samples are charged n ((M + 1)^2 + SAMPLE_ENTRIES)
+    entries each and what word_sum will hold for them (word_sum_entries,
+    whose sums also meet its side check), so it refuses no count drawn."""
     if samples < 1:
         raise InputError(f"sample count {samples} must be at least 1")
     f = ext.series
-    M, p = f.cutoff, prob.block_size
-    n, q = prob.n, M + 1
-    letters = n * (q**2 + SAMPLE_ENTRIES)
-    check_entries(samples * letters, "verification samples")  # so q is small below
-    bands = max(n**k * (q - k) ** 2 + n ** (k + 1) * (q - k - 1) ** 2 for k in range(q))
-    check_entries(samples * (letters + bands), "verification samples")
+    n, p, q = prob.n, prob.block_size, f.cutoff + 1  # tuples of order M + 1
+    b0 = prob.data.constant_term()
+    terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
+    held = sum(word_sum_entries(n, samples, q, p, [terms], 1)[:2])
+    check_entries(samples * n * (q**2 + SAMPLE_ENTRIES) + held, "verification samples")
     checks = {}
 
     dev = _prescribed_error(prob, f)
@@ -273,14 +268,12 @@ def verify_solution(prob, ext, samples=20, seed=0):
         ok = tm.verdict(VERIFY_TOL)
     checks["extension_psd"] = (ok, tm.min_eig)
 
-    b0 = prob.data.constant_term()
-    terms = {**f.blocks, 0: (np.zeros(1, np.int64), b0[None] / 2.0)}
     xs = random_nilpotent_stack(SplitMix64(seed), n, q, samples, (0.2, 0.95))
     g = word_sum(xs, p, [terms])[0]
     worst = float(np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2.0).min())
     checks["nilpotent_positive"] = (worst >= -VERIFY_TOL, worst)
 
-    slices = (f.degree_slice_norm(k) for k in range(1, M + 1))
+    slices = (f.degree_slice_norm(k) for k in range(1, q))
     worst_slice = max(slices, default=0.0)
     checks["coefficient_bound"] = (worst_slice <= operator_norm(b0) + VERIFY_TOL, worst_slice)
 

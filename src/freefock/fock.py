@@ -385,14 +385,15 @@ def word_sum(xs, p, sets, right=None):
     under 0.1 ms for the einsum."""
     samples, q = xs.shape[1], xs.shape[-1]
     check_size(p * q, p * q, "word sum")
-    check_entries(samples * (p * q) ** 2, "word sum")  # a set's sums
-    out = np.empty((len(sets), samples, p, q, p, q), dtype=complex)
     strict = ~xs[..., np.tri(q, dtype=bool)].any(axis=(0, 2))
-    if 0 < np.count_nonzero(strict) < samples:
+    if 0 < np.count_nonzero(strict) < samples:  # word_products checks the sums of the parts only
+        check_entries(word_sum_entries(len(xs), samples, q, p, sets, 0)[0], "word sum")
+        out = np.empty((len(sets), samples, p * q, p * q), dtype=complex)
         for part in (strict, ~strict):
-            out[:, part] = word_sum(xs[:, part], p, sets, right).reshape(len(sets), -1, p, q, p, q)
-        return out.reshape(len(sets), samples, p * q, p * q)
+            out[:, part] = word_sum(xs[:, part], p, sets, right)
+        return out
     c, degrees = word_products(xs, sets, p)
+    out = np.empty((len(sets), samples, p, q, p, q), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
         for k, (lo, hi, prods) in enumerate(degrees):
             band = np.einsum("cwab,wsij->csaibj", c[:, lo:hi], prods)
@@ -406,14 +407,32 @@ def word_sum(xs, p, sets, right=None):
     return out.reshape(len(sets), samples, p * q, p * q)
 
 
-def word_products(xs, sets, p):
-    """The words of every set of blocks over n = len(xs) letters and all
-    their prefixes, the nodes, by degree and code: the word v i has code
-    n code(v) + i - 1, so a node of code c has its parent at c // n one
-    degree down and last letter c % n; the degrees up to the highest full
-    block hold every word.  One batched matmul per degree, every parent by
-    every X_i or the gathered parents by letters.
+def word_sum_entries(n, samples, q, p, sets, off):
+    """What a word_sum call holds beside its (n, samples, q, q) stack, strictly
+    upper triangular at off = 1: (sums, products, nodes, sizes), each set's
+    samples (p q)^2 sums, the most entries two adjacent degrees of products
+    hold, samples (q - off k)^2 a node of degree k, and the nodes, sizes[k]
+    of degree k: every word to the highest full block, then the codes
+    nodes[k] of every set's words and their prefixes."""
+    top = max((k for blocks in sets for k in blocks if k < q or not off), default=0)
+    nodes, up = {}, np.zeros(0, np.int64)  # a degree without nodes holds every word
+    for k in range(top, 0, -1):
+        here = [blocks[k][0] for blocks in sets if k in blocks]
+        if any(len(codes) == n**k for codes in here):
+            break  # and the parents of a full degree fill the one below
+        codes = np.sort(np.concatenate([*here, up]))
+        nodes[k] = codes[np.append(True, codes[1:] != codes[:-1])]  # not np.unique
+        up = nodes[k] // n
+    sizes = [len(nodes[k]) if k in nodes else n**k for k in range(top + 1)]
+    entries = [size * samples * (q - off * k) ** 2 for k, size in enumerate(sizes)] + [0]
+    return samples * (p * q) ** 2, max(map(sum, zip(entries, entries[1:]))), nodes, sizes
 
+
+def word_products(xs, sets, p):
+    """The products X_w at the nodes of word_sum_entries, one batched matmul
+    per degree, every parent by every X_i or the gathered parents by their
+    letters: the word v i has code n code(v) + i - 1, so a node of code c
+    has its parent at c // n one degree down and last letter c % n.
     The band: when every X_i of the stack is strictly upper triangular
     (offset 1, else 0), X_w of length k is zero outside rows :q - k and
     columns k:, so degree k forms only X_v[:q - k, k - 1:] X_i[k - 1:, k:],
@@ -423,43 +442,33 @@ def word_products(xs, sets, p):
     one, and a generator of the degrees (lo, hi, prods): prods[j] is the
     band of X_w at node lo + j, for every sample.  Each degree is a fresh
     array formed from the one before, so two adjacent degrees are held at
-    a time, and the largest such pair's entries are checked first."""
+    a time; word_sum_entries' sums and products are checked first."""
     n, samples, q = len(xs), xs.shape[1], xs.shape[-1]
     off = int(not xs[..., np.tri(q, dtype=bool)].any())
-    top = max((k for blocks in sets for k in blocks if k < q or not off), default=0)
-    nodes, up, full = {}, np.zeros(0, np.int64), 0  # degrees 0..full hold every word
-    for k in range(top, 0, -1):
-        here = [blocks[k][0] for blocks in sets if k in blocks]
-        if any(len(codes) == n**k for codes in here):
-            full = k  # and the parents of a full degree fill the one below
-            break
-        codes = np.sort(np.concatenate([*here, up]))
-        nodes[k] = codes[np.append(True, codes[1:] != codes[:-1])]  # not np.unique
-        up = nodes[k] // n
-    sizes = [n**k if k <= full else len(nodes[k]) for k in range(top + 1)]
+    sums, products, nodes, sizes = word_sum_entries(n, samples, q, p, sets, off)
+    check_entries(sums, "word sum")  # a set's sums
+    check_entries(products, "word products")
     start = np.cumsum([0] + sizes).tolist()
-    entries = [sizes[k] * samples * (q - off * k) ** 2 for k in range(top + 1)] + [0]
-    check_entries(max(map(sum, zip(entries, entries[1:]))), "word products")  # adjacent pairs
     c = np.zeros((len(sets), start[-1], p, p), dtype=complex)
     for cs, blocks in zip(c, sets):
         for k, (codes, block) in blocks.items():
-            if k <= top:
-                cs[start[k] + (codes if k <= full else np.searchsorted(nodes[k], codes))] = block
+            if k < len(sizes):
+                cs[start[k] + (np.searchsorted(nodes[k], codes) if k in nodes else codes)] = block
 
     def degrees():
         x = np.empty((1, samples, q, q), dtype=complex)
         x[0] = np.eye(q)
         yield start[0], start[1], x
-        for k in range(1, top + 1):
+        for k in range(1, len(sizes)):
             rows = q - off * k
             below = x[..., :rows, :]  # the parents' rows that reach the band
             letters = xs[..., off * (k - 1):, off * k:]
             with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
-                if k <= full:
+                if k not in nodes:
                     x = np.matmul(below[:, None], letters).reshape(-1, samples, rows, rows)
                 else:
                     up = nodes[k] // n  # the parents' codes, then their rows in below
-                    up = up.astype(np.intp) if k - 1 <= full else np.searchsorted(nodes[k - 1], up)
+                    up = np.searchsorted(nodes[k - 1], up) if k - 1 in nodes else up.astype(np.intp)
                     letters = letters.take((nodes[k] % n).astype(np.intp), 0)
                     x = np.matmul(below.take(up, 0), letters)
             yield start[k], start[k + 1], x

@@ -93,7 +93,7 @@ class MultiAnalytic:
                 gram[a] = np.einsum("wji,wjk->ik", c.conj(), c)
         gram = np.cumsum(gram, axis=0)
         self.gram = (gram + gram.conj().swapaxes(1, 2)) / 2.0  # sum_{|w|<=j} f_w* f_w
-        self._f, self._graded, self._betas = f, None, {}
+        self._graded, self._betas = f.graded_stack(m), {}
 
     def apply(self, x):
         """A x for x of shape (d, p, q): per degree one product of the
@@ -131,8 +131,6 @@ class MultiAnalytic:
         cached = self._betas.get(j)
         if cached is None:
             n, p, d = self.n, self.p, self.sizes[j - 1]
-            if self._graded is None:
-                self._graded = np.concatenate([self._f.dense(t) for t in range(self.m + 1)])
             # c^(i)[v] = f_{v i}, and the graded index of v i is n g(v) + i
             c = self._graded[1:self.sizes[j]].reshape(d, n, p, p)
             y = -self.apply_adjoint(c.transpose(0, 2, 1, 3).reshape(d, p, n * p), j - 1)

@@ -64,14 +64,16 @@ class Stack:
         self.codes[o:o + n], self.c[:, o:o + n] = codes, c.swapaxes(0, 1)
         self.count, self.rows = i + 1, o + n
 
-    def splits(self, k, right):
+    def splits(self, n, k, right):
         """The splits of degree k into a block of this stack and one of
         right, in the order of right's degrees: the (3, K) meta columns
-        (offset, size, degree) of their left and of their right blocks."""
+        (offset, size, degree) of their left and of their right blocks, and
+        the most words of n letters they give, min(n^k, sum of size products)."""
         held, b = self.meta[2, :self.count], k - right.meta[2]
         ia = np.minimum(held.searchsorted(b), self.count - 1)
         ib = (held.take(ia) == b).nonzero()[0]
-        return self.meta.take(ia.take(ib), axis=1), right.meta.take(ib, axis=1)
+        lm, rm = self.meta.take(ia.take(ib), axis=1), right.meta.take(ib, axis=1)
+        return lm, rm, min(n**k, int(lm[1] @ rm[1]))
 
 
 @functools.lru_cache(maxsize=64)

@@ -47,7 +47,7 @@ from .fock import shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .products import Stack, degree_sum
 from .words import (MAX_GENERATORS, GradedBasis, decode_words, encode_words, validate_word,
-                    word_code)
+                    word_code, word_count)
 
 # Fixed charge in complex entries of a geometric sum's degree (its storage,
 # 490 bytes by tracemalloc), and of a jsr estimate's step
@@ -144,13 +144,14 @@ class FreeSeries:
         found = j < len(codes) and codes[j] == code
         return c[j].copy() if found else np.zeros(self.shape, dtype=complex)
 
-    def dense(self, k):
-        """The (n^k, *shape) stack of the degree-k coefficients in code
-        order, zero where a word has none (a new array)."""
-        check_entries(self.n**k * self.shape[0] * self.shape[1], "dense degree")
-        out = np.zeros((self.n**k, *self.shape), dtype=complex)
-        codes, c = self.blocks.get(k, ([], 0.0))
-        out[codes] = c
+    def graded_stack(self, m):
+        """The (word_count(n, m), *shape) stack of the coefficients of the
+        words of length <= m in graded order, zero where a word has none."""
+        check_entries(word_count(self.n, m) * self.shape[0] * self.shape[1], "graded coefficients")
+        out = np.zeros((word_count(self.n, m), *self.shape), dtype=complex)
+        for k, (codes, c) in self.blocks.items():
+            if k <= m:
+                out[word_count(self.n, k - 1) + codes] = c
         return out
 
     def is_square(self):
@@ -234,12 +235,11 @@ def multiply(f, g):
     left = Stack(f.blocks, list(f.blocks), f.shape, left=True)
     right = Stack(g.blocks, list(g.blocks), g.shape)
     degrees = sorted({a + b for a in f.blocks for b in g.blocks if a + b <= cutoff})
-    splits = {k: left.splits(k, right) for k in degrees}
-    words = sum(min(f.n**k, int(lm[1] @ rm[1])) for k, (lm, rm) in splits.items())
-    check_entries(words * shape[0] * shape[1], "series product")
+    splits = {k: left.splits(f.n, k, right) for k in degrees}
+    check_entries(sum(w for _, _, w in splits.values()) * shape[0] * shape[1], "series product")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
         blocks = {k: degree_sum(f.n, k, left, right, lm, rm, shape)
-                  for k, (lm, rm) in splits.items()}
+                  for k, (lm, rm, _) in splits.items()}
     return FreeSeries._built(f.n, cutoff, shape, blocks)
 
 
@@ -271,9 +271,8 @@ def _geometric(f, sign):
     (sign -1), truncated at the cutoff: degree by degree,
     x_k = sum_a y_{k-a} (sign f_a) over the degrees a of f, with y_0 =
     sign I and y_j = x_j, one degree_sum of the growing stack of y and a
-    stack of sign f; the size check before each x_k adds
-    min(n^k, sum_a |y_{k-a}| |f_a|) words of p^2 entries and DEGREE_ENTRIES
-    for the degree's fixed storage."""
+    stack of sign f; the size check before each x_k adds its Stack.splits
+    words of p^2 entries and DEGREE_ENTRIES of fixed storage."""
     n, p = f.n, f.shape[0]
     right = Stack(f.blocks, list(f.blocks), f.shape)
     right.c *= sign
@@ -285,9 +284,9 @@ def _geometric(f, sign):
         for k in range(1, f.cutoff + 1):
             if k > reach + top:
                 break  # no pair of degrees reaches degree k or beyond
-            lm, rm = y.splits(k, right)
+            lm, rm, words = y.splits(n, k, right)
             if rm.shape[1]:
-                entries += min(n**k, int(lm[1] @ rm[1])) * p * p + DEGREE_ENTRIES
+                entries += words * p * p + DEGREE_ENTRIES
                 check_entries(entries, "geometric series sum")
                 codes, c = degree_sum(n, k, y, right, lm, rm, f.shape)
                 if np.count_nonzero(c):  # an all-zero degree reaches nothing further

@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .errors import InputError, ScopeError
 from .fock import shift_sum
-from .linalg import adjoint, check_entries, check_hermitian, eigh_hermitian
+from .linalg import adjoint, check_hermitian, eigh_hermitian
 from .words import join_indices, word_count
 
 # At or below this side d p the assembled T_m decides positivity and
@@ -222,15 +222,14 @@ def shifted_factor(f, levels=None):
     """The recursive Schur factorisation of T_k + shift I for a square
     series f, k = levels (default f.cutoff), as a function of (shift,
     stop=False, psd=False): nested_factor with alpha_j = b_0 + shift I and
-    beta_j* = r*, f's coefficients densified once for every shift, after
-    their p^2 d entries meet the size limit.  With psd the pivots' negative
-    eigenvalues count as zero, as for data positive only within a tolerance."""
+    beta_j* = r*, f's coefficients stacked once for every shift
+    (FreeSeries.graded_stack).  With psd the pivots' negative eigenvalues
+    count as zero, as for data positive only within a tolerance."""
     if not f.is_square():
         raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
     n, p = f.n, f.shape[0]
     k = f.cutoff if levels is None else levels
-    check_entries(word_count(n, k) * p * p, "multi-Toeplitz factorisation")
-    graded = np.concatenate([f.dense(j) for j in range(k + 1)])  # (d, p, p), graded order
+    graded = f.graded_stack(k)
     b0 = check_hermitian(graded[0])
 
     def beta(j):  # beta_j^(i)*[v] = b_{v i}, and the graded index of v i is n g(v) + i
@@ -376,7 +375,7 @@ def tree_border(f, m, k):
     R[a, u, s, b, v] = conj(b_{v t}[b, a]) for s = t u, zero where u is no
     suffix of s: u, s and v in graded order, s ending the words v s."""
     n = f.n
-    graded = np.concatenate([f.dense(j) for j in range(m + 1)])  # b_w, |w| <= m, graded order
+    graded = f.graded_stack(m)
     graded[0] = 0.0  # at index 0: the pairs (u, s) with u no suffix of s
     at = np.zeros((word_count(n, k - 1), n**k, word_count(n, m - k)), np.int64)  # g(v t) at [u, s, v]
     for j in range(k):  # the words u of length j; code(s) = code(t) n^j + code(u)

@@ -402,10 +402,59 @@ def test_verify_solution_charges_the_banded_products_before_drawing(monkeypatch)
     finally:
         linalg.set_max_dim(old)
     assert draws == [fits] == [7]
-    # a cutoff of 10^9 meets the letters' charge before its bands are counted
+    # a cutoff of 10^9 meets the charge at once
     deep = cara.ExtensionResult(FreeSeries(2, 10**9, (1, 1), {(): ONE}), {})
     with pytest.raises(SizeLimitError, match="verification samples"):
         cara.verify_solution(prob, deep, samples=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 6])
+def test_verify_solution_admits_no_count_that_word_sum_refuses(monkeypatch, n, p):
+    """From degree-1 data, extensions to M = 2, 3, 4 carry a coefficient at
+    every word, so a sample charges n ((M + 1)^2 + SAMPLE_ENTRIES) for its
+    letters, (p (M + 1))^2 for its sums and the largest two adjacent
+    degrees of bands, n^k (M + 1 - k)^2 + n^(k+1) (M - k)^2.  Under size
+    limits of 50 and 100 the largest count that fits is drawn, and word_sum
+    admits it; one more is refused before any draw, with no sample stream
+    made.  Without the sums term 27 samples would fit at n = 1, M = 3,
+    p = 6 under a limit of 100, and word_sum would refuse their 27 * 24^2
+    sums after the draw."""
+    from freefock import linalg
+    from freefock.errors import SizeLimitError
+    from freefock.fock import SplitMix64
+
+    rng = np.random.default_rng(10 * n + p)
+    scale = 0.2 / (n * p)
+    coeffs = {(): np.eye(p)}
+    for i in range(1, n + 1):
+        coeffs[(i,)] = scale * (rng.uniform(-1, 1, (p, p)) + 1j * rng.uniform(-1, 1, (p, p)))
+    prob = problem(n, 1, coeffs)
+    made, draws = [], []
+    monkeypatch.setattr(cara, "SplitMix64", lambda seed: made.append(seed) or SplitMix64(seed))
+    monkeypatch.setattr(cara, "random_nilpotent_stack",
+                        lambda *a, **k: draws.append(a[3]) or random_nilpotent_stack(*a, **k))
+    old = linalg.MAX_DIM
+    for M in (2, 3, 4):
+        ext = cara.extend(prob, M)
+        assert all(len(ext.series.blocks[k][0]) == n**k for k in range(M + 1))
+        q = M + 1
+        bands = max(n**k * (q - k) ** 2 + n ** (k + 1) * (q - k - 1) ** 2 for k in range(q))
+        per_sample = n * (q**2 + cara.SAMPLE_ENTRIES) + (p * q) ** 2 + bands
+        for limit in (50, 100):
+            fits = limit**2 // per_sample
+            assert fits >= 1
+            linalg.set_max_dim(limit)
+            try:
+                with pytest.raises(SizeLimitError, match="verification samples"):
+                    cara.verify_solution(prob, ext, samples=fits + 1, seed=3)
+                assert not made and not draws
+                assert cara.verify_solution(prob, ext, samples=fits, seed=3).passed
+            finally:
+                linalg.set_max_dim(old)
+            assert made == [3] and draws == [fits]
+            made.clear()
+            draws.clear()
 
 
 def test_verify_solution_catches_corruption():

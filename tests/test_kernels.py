@@ -465,6 +465,23 @@ def test_word_products_hold_two_adjacent_degrees():
         linalg.set_max_dim(old)
 
 
+def test_word_sum_checks_the_sums_of_a_mixed_stack_as_a_whole():
+    """A stack of a strictly upper triangular 4 x 4 tuple and a full one is
+    summed as two one-sample parts, each 16 entries and under a cap of
+    5^2 = 25, but their 32 entries together are not: SizeLimitError."""
+    one = blocks_of({(): np.eye(1)}, 1, 1)
+    xs = np.stack([np.triu(np.ones((4, 4)), 1), np.ones((4, 4))])[None]
+    old = linalg.MAX_DIM
+    try:
+        linalg.set_max_dim(5)
+        for s in range(2):
+            assert word_sum(xs[:, s:s + 1], 1, [one]).shape == (1, 1, 4, 4)
+        with pytest.raises(SizeLimitError, match="word sum"):
+            word_sum(xs, 1, [one])
+    finally:
+        linalg.set_max_dim(old)
+
+
 def test_word_sum_band_overflow_shows_as_inf_or_nan():
     """Degree 1 overflows to inf + inf j at one entry and degree 2 to
     -inf - inf j there, each band summed on its own: their sum is not

@@ -135,6 +135,41 @@ def test_products_check_size_before_allocating():
         linalg.set_max_dim(old)
 
 
+def test_graded_stack_is_the_per_degree_concatenation():
+    """graded_stack(m) has the bits of each degree's (n^k, *shape) stack in
+    code order, zeros where a word has none, concatenated for k <= m: for
+    dense and sparse series, square or not, and m below, at or above the
+    cutoff.  Its d p q entries meet the size limit before it allocates, so
+    a degree-60 stack over two letters raises SizeLimitError, not
+    MemoryError."""
+    def degree(f, k):
+        out = np.zeros((f.n**k, *f.shape), dtype=complex)
+        codes, c = f.blocks.get(k, ([], 0.0))
+        out[codes] = c
+        return out
+
+    rng = np.random.default_rng(41)
+    for n, shape in ((1, (2, 2)), (2, (1, 1)), (2, (2, 3)), (3, (3, 2))):
+        dense = fs.random_series(rng, n, 3, shape)
+        sparse = sparse_series(rng, n, 3, shape, [0, 2, 3], 2)
+        for f in (dense, sparse, fs.FreeSeries.zero(n, 3, shape)):
+            for m in range(6):
+                want = np.concatenate([degree(f, k) for k in range(m + 1)])
+                got = f.graded_stack(m)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    f = fs.random_series(rng, 2, 3, (2, 3))
+    old = linalg.MAX_DIM
+    try:
+        linalg.set_max_dim(9)  # 81 entries: the 7 words to degree 2 fit, the 15 to degree 3 not
+        assert f.graded_stack(2).shape == (7, 2, 3)
+        with pytest.raises(SizeLimitError, match="graded coefficients"):
+            f.graded_stack(3)
+    finally:
+        linalg.set_max_dim(old)
+    with pytest.raises(SizeLimitError, match="graded coefficients"):
+        f.graded_stack(60)
+
+
 def test_geometric_sums_charge_each_degree_its_fixed_storage():
     """A one-letter chain whose powers never vanish, with cutoff 10^9, meets
     the size limit of 4096 entries within 256 kB (about 40 kB measured): each

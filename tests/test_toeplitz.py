@@ -536,7 +536,7 @@ def test_letter_blocks_of_T_m_are_T_m_minus_1(n, m, p):
         assert border.shape == (p, top, copies, p, word_count(n, m - k))
         assert np.array_equal(border.transpose(0, 1, 3, 4, 2).reshape(p, top, p, -1), t4[:, :top, :, top:])
     assert np.array_equal(t4[:, 0, :, 0], tp.check_hermitian(f.constant_term()))
-    border = np.concatenate([f.dense(k) for k in range(1, m + 1)])
+    border = f.graded_stack(m)[1:]
     assert np.array_equal(t4[:, 0, :, 1:], adjoint(border))
 
 
