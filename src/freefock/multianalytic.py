@@ -33,12 +33,11 @@ from .toeplitz import dense_decides, nested_factor
 from .words import join_indices, word_count
 
 # At or below this side d p the dense SVD of f(S^(m)) gives its norm; above
-# it the structured path does.  Measured at n = 2..7, p = 1..5 on 2 cores
-# (OpenBLAS), median of 15 warm calls, dense against structured: 1.42 /
-# 2.40 ms at d p = 93 (n = 2, p = 3), 2.42 / 1.06 ms at 121 (n = 3, p = 1),
-# 2.71 / 2.22 ms at 126 (n = 2, p = 2), 2.98 / 1.68 ms at 127 (n = 2,
-# p = 1); below 90 dense is 2-10 times faster.  n = 1 stays dense as for
-# T_m, up to the side cap.
+# it the structured path does (n = 1 stays dense, as for T_m).  SVD against
+# structured, one thread, medians of 15, ms: 1.40 / 1.39 at d p = 121 (n = 3),
+# 1.56 / 2.95 at 126 (n = 2, p = 2), 1.69 / 2.06 at 127 (n = 2), 3.25 / 1.69
+# at 170 (n = 4, p = 2), 7.58 / 2.28 at 242 (n = 3, p = 2): the crossover lies
+# between 127 and 170, and moving 100 changes which outputs carry norm_rtol.
 NORM_DENSE_DIM = 100
 
 # ||f(S^(m))|| from the structured path is certified within this relative

@@ -24,10 +24,10 @@ tm_positivity is the one place that decides T_m >= -tol I and gives its
 smallest eigenvalue, at any level m: dense where dense_decides, above by the
 factorisation and Newton-steered probes of its inertia (certify).  check_feasibility,
 extend's certificate, verify_solution and pluriharmonic.check_positive call it.
-The dense path goes k = m // 2 levels down the same tree for n >= 2 (k = 1
-on small T_m; tree_min_eig): one eigh of T_{m-k}, about n^k times smaller,
-and the secular equation of the border of T_{k-1} give lambda_min(T_m)
-(Golub 1973; Bunch, Nielsen and Sorensen 1978).
+From side DEEP_DIM up the dense path goes k = max(1, m // 2) levels down the
+same tree for n >= 2 (tree_min_eig): one eigh of T_{m-k}, about n^k times
+smaller, and the secular equation of the border of T_{k-1} give
+lambda_min(T_m) (Golub 1973; Bunch, Nielsen and Sorensen 1978).
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .errors import InputError, ScopeError
 from .fock import shift_sum
 from .linalg import adjoint, check_hermitian, eigh_hermitian
 from .words import join_indices, word_count
 
-# At or below this side d p the assembled T_m decides positivity and
-# gives its smallest eigenvalue: down the word tree (tree_min_eig) for
-# n >= 2 and m >= 1, else by eigvalsh; above it a Schur factorisation of
-# T_m + tol I decides and steered inertia probes (certify) bracket it.
+# At or below this side d p the assembled T_m decides positivity and gives
+# its smallest eigenvalue (by the kernel tm_positivity picks); above it a Schur
+# factorisation of T_m + tol I decides and steered inertia probes bracket it.
 # k = m // 2 levels down / structured / eigvalsh of T_m on moment data
 # (bench/fixtures.py), assembly included, 2 cores (OpenBLAS), medians of
 # 7 in three runs, ms: 0.6 / 6.7-7.1 / 8.3-9.0 at n = 2, d p = 255;
@@ -59,22 +57,22 @@ from .words import join_indices, word_count
 # For n = 1 the tree is a chain of d levels, so a factorisation takes
 # O(d^2) small steps and is slower than eigvalsh (0.65 / 2.8 / 7.6 s
 # against 0.17 / 1.3 / 4.2 s at d = 301 / 601 / 1001): dense decides there
-# up to the side cap of a dense matrix.
+# at every side, and assemble_T refuses one past the side cap (exit 4).
 DENSE_DIM = 300
 
-# From this side d p up tree_min_eig goes k = m // 2 levels down, below
-# it k = 1: k = 1 / k = m // 2 on the same data, one thread, medians of
-# 41 in three runs, ms: 0.27-0.30 / 0.44-0.46 at n = 2, d p = 31;
-# 0.63-0.67 / 0.56-0.60 at 62 (p = 2); 0.40-0.41 / 0.52-0.54 at 63;
-# 1.06-1.08 / 0.87-0.92 at 93 (p = 3); 0.49-0.52 / 0.50-0.52 at n = 3,
-# 121; 1.41-1.43 / 0.78-0.80 at 126 (p = 2); 1.06-1.15 / 0.62-0.64 at 127.
+# From this side d p up the dense path for n >= 2 goes down the tree
+# (tree_min_eig), below it eigvalsh of the assembled T_m: eigvalsh / tree on
+# moment data, one thread, medians of 41, us: 77 / 146 at (n, m, p) = (2, 2,
+# 1), side 7; 104 / 264 at (2, 4, 1), 31; 298 / 306 at (2, 4, 2), 62; 300 /
+# 287 at (2, 5, 1), 63; 306 / 141 at (8, 2, 1), 73; 1368 / 431 at (2, 5, 2),
+# 126.  Below 64 the tree leads only for large n (195 / 138 at (7, 2, 1)).
 DEEP_DIM = 64
 
 
 def dense_decides(n, dim, limit=DENSE_DIM):
     """Whether the dense path decides for a matrix of side dim: up to
-    limit, and for n = 1 (a chain of d levels) up to the side cap."""
-    return dim <= limit or (n == 1 and dim <= linalg.MAX_DIM)
+    limit, and for n = 1 (a chain of d levels) at every side."""
+    return dim <= limit or n == 1
 
 
 # A pivot eigenvalue at or below this fraction of the largest eigenvalue
@@ -386,31 +384,31 @@ def tree_border(f, m, k):
 
 def tree_min_eig(f, m):
     """lambda_min(T_m) for a square series f with n >= 2 at a level m >= 1,
-    from one eigh of T_{m-k}, about n^k times smaller, k = m // 2 from side
-    d p = DEEP_DIM up and 1 below; T_m itself is not assembled.  The word
-    v s, |s| = k, sits at graded index d_{k-1} + code(s) + n^k g(v), so in
-    T_m's (p, d, p, d) view each suffix's block [..., o::n^k, ..., o::n^k],
-    d_{k-1} <= o < d_k, is T_{m-k}, blocks of different suffixes are zero,
-    and T_m = [[T_{k-1}, R], [R*, I (x) T_{m-k}]] up to a permutation, R
-    being tree_border.  With T_{m-k} = sum_j lam_j v_j v_j* (lam ascending),
-    c_sj = R_s v_j and mu = lam_1 - t, t > 0, T_m - mu I is congruent to
-    S(t) (+) I (x) (T_{m-k} - mu I), the second positive definite, where
+    from one eigh of T_{m-k}, about n^k times smaller, k = max(1, m // 2);
+    T_m itself is not assembled.  The word v s, |s| = k, sits at graded
+    index d_{k-1} + code(s) + n^k g(v), so in T_m's (p, d, p, d) view each
+    suffix's block [..., o::n^k, ..., o::n^k], d_{k-1} <= o < d_k, is
+    T_{m-k}, blocks of different suffixes are zero, and T_m = [[T_{k-1},
+    R], [R*, I (x) T_{m-k}]] up to a permutation, R being tree_border.
+    With T_{m-k} = sum_j lam_j v_j v_j* (lam ascending), c_sj = R_s v_j
+    and mu = lam_1 - t, t > 0, T_m - mu I is congruent to S(t) (+) I (x)
+    (T_{m-k} - mu I), the second positive definite, where
 
         S(t) = T_{k-1} - lam_1 I + t I - sum_sj c_sj c_sj* / (lam_j - lam_1 + t).
 
     So lambda_min(T_m) = lam_1 - t*, t* the root of h(t) = lambda_min(S(t)),
     or lam_1 when there is none (interlacing); h increases with h' >= 1
-    and is concave.  For k = p = 1 h is a secular function (secular_root).
-    Else u* S(t) u >= h(t) for the unit eigenvector u of h at t, so the
-    root of that secular function is a lower bound on t*, exact to second
-    order in u (a Rayleigh quotient): the next point, until h there is at
+    and is concave.  u* S(t) u >= h(t) for the unit eigenvector u of h at
+    t (equal when T_{k-1} is a scalar), so the root of that secular
+    function (secular_root) is a lower bound on t*, exact to second order
+    in u (a Rayleigh quotient): the next point, until h there is at
     least -tol, which puts t* within tol above it.  As k <= (m + 1) / 2,
     T_{k-1} is a block of T_{m-k}, so T_{k-1} - lam_1 I >= 0 and S(t) >= t I
     - ||c||^2 / t: the first u is taken at ||c||, above t*.
     Everything is in units of a power of 2 near the largest |lam_j| and
     |entry| of R, so nothing overflows, and tol is 4 eps."""
     n, p = f.n, f.shape[0]
-    k = m // 2 if m > 1 and word_count(n, m) * p >= DEEP_DIM else 1
+    k = max(1, m // 2)
     top, d = word_count(n, k - 1), word_count(n, m - k)
     q = p * top
     sub = assemble_T(f, m - k)
@@ -425,9 +423,6 @@ def tree_min_eig(f, m):
     head = sub.reshape(p, d, p, d)[:, :top, :, :top].reshape(q, q) * 2.0 ** -ex  # T_{k-1}
     low, tol = lam[0], 4.0 * np.finfo(float).eps
     delta = lam - low
-    if q == 1:
-        a, z = head[0, 0].real - low, np.abs(c[0])
-        return math.ldexp(low - secular_root(delta, z, a, _positive_root(a, np.vdot(z, z)), tol), ex)
     eye, flat = np.eye(q), c.reshape(q, -1)
     e0, flat_h = head - low * eye, adjoint(flat)
     t = math.sqrt(np.vdot(c, c).real)
@@ -452,9 +447,10 @@ def tm_positivity(f, tol, m=None):
     dense or the factored path for positivity.  A non-finite tol is an
     InputError, raised before anything is assembled or factored; a
     negative one asks for T_m >= |tol| I.  On the dense side min_eig is
-    tree_min_eig's for n >= 2 and m >= 1 (from T_{m-k}, k tree levels down,
-    within a few eps ||T_m|| of eigvalsh), and eigvalsh's of the assembled T_m for the chain n = 1,
-    whose T_{m-1} is hardly smaller, and for T_0 = b_0.  Above it certify
+    eigvalsh's of the assembled T_m below side DEEP_DIM, for T_0 = b_0 and
+    for the chain n = 1, whose T_{m-1} is hardly smaller (past the side cap
+    assemble_T refuses it), and tree_min_eig's above (from T_{m-k}, k tree
+    levels down, within a few eps ||T_m|| of eigvalsh).  Above it certify
     starts from [lambda_min(b_0) - 2 sum_k slice_k, lambda_min(b_0)] (b_0 is a
     principal block, degree k has norm <= 2 slice_k), cut at -tol by the
     verdict, and every bracket end is an inertia count of T_m - mu I.  Each
@@ -467,7 +463,8 @@ def tm_positivity(f, tol, m=None):
     m = f.cutoff if m is None else m
     dim = word_count(f.n, m) * f.shape[0]
     if dense_decides(f.n, dim):
-        me = tree_min_eig(f, m) if f.n > 1 and m else float(np.linalg.eigvalsh(assemble_T(f, m))[0])
+        tree = f.n > 1 and m and dim >= DEEP_DIM
+        me = tree_min_eig(f, m) if tree else float(np.linalg.eigvalsh(assemble_T(f, m))[0])
         return TmPositivity(me >= -tol, me, dim, tol)
     factor = shifted_factor(f, m)
 

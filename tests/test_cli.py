@@ -839,6 +839,23 @@ def test_eval_tuple_json_fuzz_exits_with_documented_codes(x, cutoff):
     assert code in (0, 3, 4), err
 
 
+def test_one_letter_chain_past_the_side_cap_is_refused_at_once(monkeypatch):
+    """n = 1 stays on the dense path at every side, so a chain whose T_m
+    passes both DENSE_DIM and the side cap is refused by assemble_T's size
+    check (exit 4) and never factored (O(d^2) steps for a chain of d
+    levels): at d = 401 under MAX_DIM 200, and at d = 4201 under the
+    default cap."""
+    def never(*args, **kwargs):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(tp, "nested_factor", never)
+    for m, max_dim in ((400, 200), (4200, None)):
+        problem = {"n": 1, "m": m, "coefficients": {"": [[[1.0, 0.0]]], "1": [[[0.4, 0.0]]]}}
+        assert m + 1 > max(tp.DENSE_DIM, max_dim or linalg.MAX_DIM)
+        code, err = run_on_json(["check", problem], max_dim)
+        assert code == 4 and "shift sum" in err, err
+
+
 def test_check_and_extend_past_the_dense_side(tmp_path, capsys):
     # n = 2, m = 1 extended to degree 12: T_12 has side d = 8191, past the
     # 4096 side cap of a dense matrix; the Schur factorisation decides and

@@ -488,29 +488,33 @@ def tree_case(case, n, m, p):
     and (p > 1 or case != "orthogonal")  # a scalar T_0's orthogonal border is the zero border
 ])
 def test_dense_min_eig_one_level_down_matches_eigvalsh(n, p, m, case):
-    """Below DENSE_DIM, for n >= 2 and m >= 1, min_eig comes from one eigh
-    of T_{m-k}, k tree levels down, and the secular equation of the
-    border (tree_min_eig): it is within 16 eps ||T_m|| of eigvalsh(T_m),
-    with the same verdict, on the data of tree_case at every level m up
-    to DENSE_DIM, so at every k the size rule picks, p >= n among the
-    shapes."""
+    """Below DENSE_DIM, for n >= 2 and m >= 1, tree_min_eig (one eigh of
+    T_{m-k}, k = max(1, m // 2) tree levels down, and the secular equation
+    of the border) is within 16 eps ||T_m|| of eigvalsh(T_m), with the same
+    verdict, on the data of tree_case at every level m up to DENSE_DIM, p
+    >= n among the shapes.  tm_positivity's min_eig is that value bit for
+    bit from side DEEP_DIM up, and eigvalsh's of the assembled T_m below."""
     f = tree_case(case, n, m, p)
     t = tp.assemble_T(f, m)
     me, norm = min_eig(t), np.linalg.norm(t, 2)
     rec = tp.tm_positivity(f, 1e-9, m)
     assert rec.min_eig_atol is None and rec.matrix_dim == len(t) <= tp.DENSE_DIM
-    assert abs(rec.min_eig - me) <= 16 * EPS * norm
     assert abs(me + 1e-9) > 16 * EPS * norm and rec.feasible == (me >= -1e-9)
+    values = [rec.min_eig]
     if m:
-        assert tp.tree_min_eig(f, m) == rec.min_eig
+        tree = tp.tree_min_eig(f, m)
+        assert rec.min_eig == (tree if len(t) >= tp.DEEP_DIM else me)
         assert rec.feasible == (case != "infeasible") or case == "zero border"
-    if case == "singular":
-        assert abs(rec.min_eig - (m == 0)) <= 1e-14
-    if case == "zero border":
-        assert abs(rec.min_eig - min_eig(f.constant_term())) <= 16 * EPS * norm
-    if case == "orthogonal" and m:
-        assert abs(rec.min_eig - min_eig(tp.assemble_T(f, m - 1))) <= 16 * EPS * norm
-        assert abs(rec.min_eig - 0.5) <= 16 * EPS * norm
+        values.append(tree)
+    for value in values:
+        assert abs(value - me) <= 16 * EPS * norm
+        if case == "singular":
+            assert abs(value - (m == 0)) <= 1e-14
+        if case == "zero border":
+            assert abs(value - min_eig(f.constant_term())) <= 16 * EPS * norm
+        if case == "orthogonal" and m:
+            assert abs(value - min_eig(tp.assemble_T(f, m - 1))) <= 16 * EPS * norm
+            assert abs(value - 0.5) <= 16 * EPS * norm
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 3, 2), (3, 3, 3), (2, 6, 1), (3, 4, 1), (3, 4, 2)])
@@ -541,24 +545,46 @@ def test_letter_blocks_of_T_m_are_T_m_minus_1(n, m, p):
 
 
 @pytest.mark.parametrize("n,m,p,sides", [
-    (2, 4, 1, [15]),  # the gate's largest dense call with n >= 2 stays one level down
+    (2, 4, 1, []),  # the gate's largest dense call with n >= 2 takes eigvalsh, no eigh
     (2, 5, 2, None), (3, 4, 2, None), (2, 6, 1, None), (2, 6, 2, None), (2, 7, 1, None),
 ])
 def test_tree_min_eig_goes_half_way_down_from_deep_dim(monkeypatch, n, m, p, sides):
-    """From side d p = DEEP_DIM up, tree_min_eig goes k = m // 2 levels
-    down, so no eigh it makes is larger than T_{m-k}, p d_{m-k}; below, it
-    stays at k = 1: one eigh, of T_{m-1}, and for p = 1 no other."""
+    """tree_min_eig goes k = max(1, m // 2) levels down at every side, so
+    no eigh it makes is larger than T_{m-k}, p d_{m-k}.  tm_positivity
+    takes its value from side DEEP_DIM up; below, it makes no eigh call."""
     f = random_series(np.random.default_rng(n + m + p), n, m, p, scale=0.05)
     real, seen = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(len(a)) or real(a))
     me = tp.tree_min_eig(f, m)
+    down, seen[:] = max(seen), []
+    rec = tp.tm_positivity(f, 1e-9, m)
     monkeypatch.undo()
     t = tp.assemble_T(f, m)
     assert abs(me - min_eig(t)) <= 16 * EPS * np.linalg.norm(t, 2)
+    assert down == p * word_count(n, m - max(1, m // 2))
     if sides is None:
-        assert len(t) >= tp.DEEP_DIM and max(seen) == p * word_count(n, m - m // 2)
+        assert len(t) >= tp.DEEP_DIM and rec.min_eig == me
     else:
-        assert len(t) < tp.DEEP_DIM and seen == sides
+        assert len(t) < tp.DEEP_DIM and seen == sides and rec.min_eig == min_eig(t)
+
+
+@pytest.mark.parametrize("n,m,p,tree", [
+    (2, 4, 2, False), (2, 5, 1, False), (4, 2, 3, False),  # sides 62, 63, 63
+    (8, 2, 1, True), (4, 3, 1, True), (2, 5, 2, True),  # sides 73, 85, 126
+])
+def test_tm_positivity_takes_the_tree_from_deep_dim(monkeypatch, n, m, p, tree):
+    """tm_positivity is the one place that picks the dense kernel for n >= 2:
+    eigvalsh of the assembled T_m below side DEEP_DIM, tree_min_eig from it
+    up.  At (8, 2, 1) and (4, 3, 1) the top block T_0 is a scalar, which the
+    general secular loop takes; both kernels agree within 16 eps ||T_m||."""
+    f = random_series(np.random.default_rng(n + m + p), n, m, p, scale=0.05)
+    real, calls = tp.tree_min_eig, []
+    monkeypatch.setattr(tp, "tree_min_eig", lambda f, m: calls.append(real(f, m)) or calls[-1])
+    rec = tp.tm_positivity(f, 1e-9, m)
+    t = tp.assemble_T(f, m)
+    assert rec.matrix_dim == len(t) and (len(t) >= tp.DEEP_DIM) == tree
+    assert rec.min_eig == (calls[0] if tree else min_eig(t)) and len(calls) == tree
+    assert abs(real(f, m) - min_eig(t)) <= 16 * EPS * np.linalg.norm(t, 2)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
