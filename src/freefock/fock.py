@@ -372,26 +372,19 @@ def word_sum(xs, p, sets, right=None):
     """sum_w c_w (x) X_w on C^p (x) C^q, coefficient-major, for each set of
     p x p coefficients (series blocks {k: (codes, stack)}) and each tuple
     of the (n, samples, q, q) stack xs[i, s] = X_{i+1} of sample s, with
-    X_w times right[|w|] if given: (sets, samples, p q, p q) sums, each the
-    same bits as alone.  One word_products tree, then one einsum per
-    degree, over that degree's band of products, added into the rows and
-    columns the band covers (degree 0, which covers them all, assigned).
-    A right factor multiplies the degree's sum, sum_{|w|=k} c_w (x) X_w D
-    = (sum_{|w|=k} c_w (x) X_w)(I (x) D), in fewer flops than each X_w.
-    A stack that mixes strictly upper triangular tuples with others is
-    summed as its two parts, so that each sample keeps the bits it has
-    alone.  Not a BLAS product: that would be a gemv for p = 1, whose
-    OpenBLAS threads took up to 2 ms per call to wake on 2 cores, against
-    under 0.1 ms for the einsum."""
+    X_w times right[|w|] if given: (sets, samples, p q, p q) sums.  One
+    word_products tree, then one einsum per degree, over that degree's
+    band of products, added into the rows and columns the band covers
+    (degree 0, which covers them all, assigned).  A right factor
+    multiplies the degree's sum, sum_{|w|=k} c_w (x) X_w D = (sum_{|w|=k}
+    c_w (x) X_w)(I (x) D), in fewer flops than each X_w.  The band is the
+    stack's, so each sample has the bits it has alone when the stack's
+    tuples are all strictly upper triangular or none are.  Not a BLAS
+    product: that would be a gemv for p = 1, whose OpenBLAS threads took
+    up to 2 ms per call to wake on 2 cores, against under 0.1 ms for the
+    einsum."""
     samples, q = xs.shape[1], xs.shape[-1]
     check_size(p * q, p * q, "word sum")
-    strict = ~xs[..., np.tri(q, dtype=bool)].any(axis=(0, 2))
-    if 0 < np.count_nonzero(strict) < samples:  # word_products checks the sums of the parts only
-        check_entries(word_sum_entries(len(xs), samples, q, p, sets, 0)[0], "word sum")
-        out = np.empty((len(sets), samples, p * q, p * q), dtype=complex)
-        for part in (strict, ~strict):
-            out[:, part] = word_sum(xs[:, part], p, sets, right)
-        return out
     c, degrees = word_products(xs, sets, p)
     out = np.empty((len(sets), samples, p, q, p, q), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan

@@ -3,10 +3,10 @@
 Degree k of a product of series sums, for every split of its words into
 a left factor of degree a and a right one of degree k - a, the products
 of the factors' coefficients.  ``degree_sum`` forms a whole degree at
-once from one ``Stack`` of each side's blocks: each word's factors are
-found by code arithmetic (a word of code c has its left factor at
-c // n^(k-a) and its right one at c % n^(k-a)), or, in splits whose
-blocks do not hold every word of their degrees, on the split's grid of
+once from one ``Stack`` of each side's blocks: when every split's blocks
+hold every word of their degrees, each word's factors are found by code
+arithmetic (a word of code c has its left factor at c // n^(k-a) and its
+right one at c % n^(k-a)), else on the union of the splits' grids of
 words; then one take a side and one matmul of shape (words, p, K q) @
 (words, K q, s) sum the K splits, in chunks of at most CHUNK_ENTRIES
 operand entries.  So a degree costs O(words x splits) flops in a fixed
@@ -98,11 +98,10 @@ def degree_sum(n, k, left, right, lm, rm, shape):
     and R_j of right whose meta columns (offset, size, degree) are lm[:, j]
     and rm[:, j] (Stack.splits), their degrees adding up to k: the word
     u v, of code code(u) n^|v| + code(v), gains U_u @ V_v.  Returns
-    (increasing codes, sums): every code when some split's blocks hold
-    every word of their degrees, else the union of the splits' grids of
-    words.  A word's factors in such a full split are found by code
-    arithmetic (code // n^|v| and code % n^|v|), in the other splits on
-    their grids, an absent factor reading the zero row; then each chunk of
+    (increasing codes, sums): every code, each word's factors found by code
+    arithmetic (code // n^|v| and code % n^|v|), when every split's blocks
+    hold every word of their degrees, else the union of the splits' grids
+    of words, an absent factor reading the zero row; then each chunk of
     at most CHUNK_ENTRIES entries an operand is one take a side and one
     matmul of shape (words, p, K q) @ (words, K q, s), however many splits
     K the degree has.  Callers run it under np.errstate(over="ignore",
@@ -111,28 +110,23 @@ def degree_sum(n, k, left, right, lm, rm, shape):
     wide = size >= 2**63  # past int64, the code arithmetic runs on Python ints
     lo, ls, ro, rs, b = lm[0], lm[1], rm[0], rm[1], rm[2]
     splits, p, q, s = len(ro), shape[0], left.c.shape[2], shape[1]
-    if size == 1:  # one word, which every split holds
-        full, whole = None, splits
-    else:
-        full = np.zeros(splits, bool) if wide else ls * rs == size
-        whole = np.count_nonzero(full)  # splits that hold every word of degree k
+    # every split holds every word of degree k, as it holds the one word at n = 1 or k = 0
+    whole = size == 1 or not wide and np.count_nonzero(ls * rs == size) == splits
     width = splits * q * max(p, s)  # entries a word takes in the larger operand
     cap = max(1, min(CHUNK_ENTRIES, linalg.MAX_DIM**2) // width)
     if whole:  # every code, in chunks of n^e words: each chunk's arithmetic is the first's
         # the largest n^e <= cap (n >= 2 here, as size > cap); log(3^5, 3) is 4.999...
         e = k if size <= cap else int(math.log(cap, n) + 1e-9)
         words, rows = size, n**e
-        lo_full, ro_full, b_full = (lo, ro, b) if whole == splits else (lo[full], ro[full], b[full])
-        if rows > 1:  # the first chunk's factor rows in the full splits
-            li0, ri0 = _digits(n, e).take(b_full if e == k else np.minimum(b_full, e), axis=2)
-            li0 += lo_full
-            ri0 += ro_full
+        if rows > 1:  # the first chunk's factor rows
+            li0, ri0 = _digits(n, e).take(b if e == k else np.minimum(b, e), axis=2)
+            li0 += lo
+            ri0 += ro
         else:  # one word a chunk: its factors are the blocks' first rows
-            li0, ri0 = lo_full[None], ro_full[None]
-    if whole < splits:  # the other splits' grids of words, sorted by code
-        sparse = np.flatnonzero(~full)
-        g = ls[sparse] * rs[sparse]
-        j = np.repeat(sparse, g)
+            li0, ri0 = lo[None], ro[None]
+    else:  # the union of the splits' grids of words, sorted by code, without repeats
+        g = ls * rs
+        j = np.repeat(np.arange(splits), g)
         i, t = np.divmod(np.arange(g.sum()) - np.repeat(np.cumsum(g) - g, g), rs[j])
         lpos, rpos = lo[j] + i, ro[j] + t
         kind = object if wide else np.int64
@@ -141,29 +135,19 @@ def degree_sum(n, k, left, right, lm, rm, shape):
         codes += right.codes[rpos].astype(kind, copy=False)
         order = np.argsort(codes, kind="stable")
         codes, j, lpos, rpos = codes[order], j[order], lpos[order], rpos[order]
-        if whole:
-            row = codes
-        else:  # drop repeats; not np.unique, which imports numpy.ma
-            new = np.append(True, codes[1:] != codes[:-1])
-            codes, row = codes[new], np.cumsum(new) - 1
-            words, rows = len(codes), cap
+        new = np.append(True, codes[1:] != codes[:-1])  # not np.unique, which imports numpy.ma
+        codes, row = codes[new], np.cumsum(new) - 1
+        words, rows = len(codes), cap
     check_entries(min(rows, words) * width, "degree sum operand")
     out = np.empty((words, p, s), dtype=complex)
     for start in range(0, words, rows):
         stop = min(words, start + rows)
         if whole:  # start is a multiple of n^e, so it shifts every chunk row alike
-            li_full, ri_full = li0, ri0
-            if start:
-                unit = n**b_full
-                li_full, ri_full = li0 + start // unit, ri0 + start % unit
-        if whole == splits:
-            li, ri = li_full, ri_full
+            li, ri = (li0 + start // n**b, ri0 + start % n**b) if start else (li0, ri0)
         else:
             li, ri = np.zeros((2, stop - start, splits), np.int64)
             a, z = (0, len(row)) if stop - start == words else np.searchsorted(row, (start, stop))
             li[row[a:z] - start, j[a:z]], ri[row[a:z] - start, j[a:z]] = lpos[a:z], rpos[a:z]
-            if whole:
-                li[:, full], ri[:, full] = li_full, ri_full
         factors = left.c.take(li, axis=1).swapaxes(0, 1).reshape(stop - start, p, splits * q)
         np.matmul(factors, right.c.take(ri, axis=0).reshape(stop - start, splits * q, s),
                   out=out[start:stop])

@@ -357,7 +357,8 @@ def test_word_sum_sets_samples_and_right_factors(n, p):
     """Several sets share one tree, several samples one stack, and each sum
     is the Kronecker sum of its own set at its own tuple; with right
     factors each X_w is multiplied by right[|w|].  A set equals itself
-    evaluated alone bit for bit, and so does a sample."""
+    evaluated alone bit for bit, and so does a sample of a uniform stack:
+    the three strictly upper triangular tuples, or the full one."""
     rng = np.random.default_rng(90 * n + p)
     tuples = [random_nilpotent_tuple(rng, n, 3, row_norm=0.8) for _ in range(3)]
     tuples.append(OperatorTuple(tuple(gaussian(rng, (3, 3)) for _ in range(n))))
@@ -372,13 +373,14 @@ def test_word_sum_sets_samples_and_right_factors(n, p):
     got = word_sum(xs, p, blocks)
     got_right = word_sum(xs, p, blocks, right)
     assert got.shape == got_right.shape == (4, 4, 3 * p, 3 * p)
+    uniform = np.concatenate([word_sum(xs[:, :3], p, blocks), word_sum(xs[:, 3:], p, blocks)], 1)
     for j, coeffs in enumerate(sets):
         for s, X in enumerate(tuples):
             want = kron_sum([(c, X.word(w)) for w, c in coeffs.items()], 3 * p)
             assert rel_dev(got[j, s], want) <= 1e-13
             want = kron_sum([(c, X.word(w) @ right[len(w)]) for w, c in coeffs.items()], 3 * p)
             assert rel_dev(got_right[j, s], want) <= 1e-13
-            assert np.array_equal(word_sum(X.stack, p, [blocks[j]])[0, 0], got[j, s])
+            assert np.array_equal(word_sum(X.stack, p, [blocks[j]])[0, 0], uniform[j, s])
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -466,9 +468,9 @@ def test_word_products_hold_two_adjacent_degrees():
 
 
 def test_word_sum_checks_the_sums_of_a_mixed_stack_as_a_whole():
-    """A stack of a strictly upper triangular 4 x 4 tuple and a full one is
-    summed as two one-sample parts, each 16 entries and under a cap of
-    5^2 = 25, but their 32 entries together are not: SizeLimitError."""
+    """A stack of a strictly upper triangular 4 x 4 tuple and a full one:
+    each sample's 16 entries are under a cap of 5^2 = 25, but their 32
+    entries together are not: SizeLimitError."""
     one = blocks_of({(): np.eye(1)}, 1, 1)
     xs = np.stack([np.triu(np.ones((4, 4)), 1), np.ones((4, 4))])[None]
     old = linalg.MAX_DIM

@@ -410,6 +410,10 @@ def geometric_cases():
         "nilpotent": fs.FreeSeries(2, 6, (3, 3), {(1,): nil, (2,): 2.0 * nil, (1, 2): nil}),
         "empty": fs.FreeSeries.zero(2, 4, (2, 2)),
         "n1-cutoff-40": fs.random_series(rng, 1, 40, (1, 1), scale=0.3, min_degree=1),
+        # degree 1 full and half of degree 2: every degree from 2 on mixes full and partial splits
+        "partly-sparse": fs.FreeSeries(2, 6, (2, 2), {
+            w: 0.4 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            for w in [(1,), (2,), (1, 1), (2, 1)]}),
     }
 
 
