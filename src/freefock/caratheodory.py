@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, ScopeError
 from .fock import SplitMix64, random_nilpotent_stack, word_sum, word_sum_entries
-from .linalg import adjoint, check_entries, eigh_hermitian, min_eig_hermitian, operator_norm
+from .linalg import adjoint, check_entries, eigh_hermitian, operator_norm
 from .multianalytic import hinf_norm
 from .pluriharmonic import PluriharmonicFn
 from .products import Stack, degree_sum
@@ -55,10 +55,10 @@ class CaratheodoryProblem:
         if not b0.any():
             raise InputError("missing constant coefficient b_0")
         try:
-            psd = min_eig_hermitian(b0) >= -1e-12
+            w = eigh_hermitian(b0)[0]
         except ScopeError as exc:
             raise InputError(f"b_0 must be Hermitian: {exc}") from exc
-        if not psd:
+        if w[0] < -1e-12 * np.abs(w).max():  # relative: eigh's roundoff grows with b_0
             raise InputError("b_0 must be positive semidefinite")
 
     n = property(lambda self: self.data.n)

@@ -7,11 +7,15 @@ Coefficient maps cross per degree, never per word or entry: a reader hands
 each degree's letters and float array to ``series.from_degrees``, the one
 check of outside coefficients; a writer decodes each degree's codes once.
 
-Output is ``json.dumps(obj, indent=2)`` plus a newline, byte for byte, but
-not by json's encoder, which runs in pure Python whenever it indents.
-``matrix_to_json`` and the coefficient maps return list and dict subclasses
-that stay plain JSON to every reader and tell ``to_bytes`` the shape of
-their items, so each chunk of items is one ``%`` on a cached template.
+Output is ``json.dumps(obj, indent=2)`` plus a newline, byte for byte.
+json's encoder writes the structure, but it runs in pure Python whenever it
+indents, so the coefficient blocks go around it: ``matrix_to_json`` and the
+coefficient maps return list and dict subclasses that stay plain JSON to
+every reader and tell ``to_bytes`` the shape of their items.  Each block
+stands in json's text as a marker and is written there, a chunk of items
+per ``%`` on a cached template.  The one fallback is json for the whole
+payload: when a block was changed after it was made, or when a string of
+the payload reads as a marker.
 """
 
 from __future__ import annotations
@@ -242,89 +246,65 @@ def load_json(path):
 
 _INDENT = "  "
 _CHUNK_LEAVES = 128  # floats per %: bounds the text held beside the result; larger was no faster
+_MARK = json.dumps("\x00")  # where a block goes in json's text
+_CONTAINERS = (list, tuple, dict)
+_quote = json.encoder.encode_basestring_ascii
 
 
 def to_bytes(obj):
     """The output format: (json.dumps(obj, indent=2) + "\n").encode(), byte
     for byte; inf and nan raise ValueError and what json cannot write its
-    TypeError, before anything is written.  Each piece of text is encoded
-    into one buffer as it is made, so beside the result at most one chunk
-    of _CHUNK_LEAVES floats is held as text."""
-    raw = io.BytesIO()
-    _write(obj, lambda piece: raw.write(piece.encode()), 0)
-    raw.write(b"\n")
-    return raw.getvalue()
+    TypeError, before anything is written.  json writes the structure, with
+    each nonempty matrix or coefficient map as the marker _MARK; each block
+    goes in at its marker, _CHUNK_LEAVES floats per % into one buffer, so
+    beside the result only json's text and one chunk of floats are held as
+    text.  json writes the whole payload instead when a block was changed
+    after it was made, or when the text holds more markers than there are
+    blocks (a payload string "\\x00", or one ending in '"\\x00')."""
+    blocks = []
+    parts = json.dumps(_marked(obj, blocks, 0), indent=2, allow_nan=False).split(_MARK)
+    if len(parts) == len(blocks) + 1:
+        raw = io.BytesIO()
+        raw.write(parts[0].encode())
+        for (block, level), part in zip(blocks, parts[1:]):
+            if not _write_block(block, level, raw.write):
+                break
+            raw.write(part.encode())
+        else:
+            raw.write(b"\n")
+            return raw.getvalue()
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
-def _write(o, write, level):
-    """json's indent-2 text of o at nesting level, piece by piece, in
-    json's order of type tests."""
-    if isinstance(o, str):
-        write(_quote(o))
-    elif o is None:
-        write("null")
-    elif o is True:
-        write("true")
-    elif o is False:
-        write("false")
-    elif isinstance(o, int):
-        write(int.__repr__(o))
-    elif isinstance(o, float):
-        write(_float(o))
-    elif isinstance(o, (list, tuple, dict)):
-        _write_container(o, write, level)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+def _marked(o, blocks, level):
+    """A copy of o for json with each nonempty matrix or coefficient map
+    replaced by "\\x00", appended to blocks with its container depth."""
+    if not isinstance(o, _CONTAINERS):
+        return o
+    if getattr(o, "item_shape", None) is not None and o:
+        blocks.append((o, level))
+        return "\x00"
+    # a leaf is kept without a call: a long plain list pays one test an item
+    if isinstance(o, dict):
+        return {k: _marked(v, blocks, level + 1) if isinstance(v, _CONTAINERS) else v
+                for k, v in o.items()}
+    return [_marked(v, blocks, level + 1) if isinstance(v, _CONTAINERS) else v for v in o]
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _float(x):
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-def _key(k):
-    """json's text of a dict key before quoting."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True or k is False or k is None:
-        return json.dumps(k)
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _write_container(o, write, level):
-    """A list, tuple or dict, a chunk of items at a time; for a _Matrix or
-    _CoefficientMap each chunk is one % unless its items are no longer all
-    nested lists of item_shape over floats (the object was changed)."""
+def _write_block(o, level, write):
+    """json's indent-2 text of a matrix or coefficient map at level, written
+    a chunk at a time; False when _render refuses a chunk."""
     keyed = isinstance(o, dict)
-    if not o:
-        write("{}" if keyed else "[]")
-        return
     items = iter(o.items() if keyed else o)
-    shape = getattr(o, "item_shape", None)
-    step = max(1, _CHUNK_LEAVES // max(1, math.prod(shape or ())))
-    sep = ",\n" + _INDENT * (level + 1)
-    write("{" if keyed else "[")
+    step = max(1, _CHUNK_LEAVES // max(1, math.prod(o.item_shape)))
+    write(b"{" if keyed else b"[")
     for start in range(0, len(o), step):
-        chunk = list(itertools.islice(items, step))
-        text = None if shape is None else _render(chunk, keyed, shape, level)
-        if text is not None:
-            write(text if start else text[1:])
-            continue
-        for i, item in enumerate(chunk, start):
-            write(sep if i else sep[1:])
-            if keyed:
-                write(_quote(_key(item[0])) + ": ")
-                item = item[1]
-            _write(item, write, level + 1)
-    write("\n" + _INDENT * level + ("}" if keyed else "]"))
+        text = _render(list(itertools.islice(items, step)), keyed, o.item_shape, level)
+        if text is None:
+            return False
+        write((text if start else text[1:]).encode())
+    write(("\n" + _INDENT * level + ("}" if keyed else "]")).encode())
+    return True
 
 
 def _render(chunk, keyed, shape, level):
@@ -338,7 +318,8 @@ def _render(chunk, keyed, shape, level):
     if leaves is None:
         return None
     if not all(map(math.isfinite, leaves)):
-        _float(next(x for x in leaves if not math.isfinite(x)))
+        bad = next(x for x in leaves if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     if keyed:  # each key before its item's leaves
         size = len(leaves) // len(values)
         args = [None] * (len(leaves) + len(keys))
@@ -352,7 +333,7 @@ def _render(chunk, keyed, shape, level):
 def _leaves(level, shape):
     """The floats of a sequence of nested lists of shape, in order; None
     unless every list is a plain list of the right length and every leaf a
-    float (json writes tuples and float subclasses alike, _write takes them)."""
+    float (json writes tuples and float subclasses alike, and then the payload)."""
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
             return None

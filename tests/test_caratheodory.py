@@ -37,6 +37,13 @@ def test_problem_validation():
         scalar_problem(1, 1, {(): -1.0, (1,): 0.0})  # b_0 not PSD
     with pytest.raises(InputError):
         problem(1, 1, {(): np.array([[1.0, 2.0], [0.0, 1.0]])})
+    # the PSD test of b_0 is relative: a rank-one b_0 whose eigvalsh reads
+    # -1.15e-11 at scale 1e6 is PSD, and one 1e-6 below it is not, at any scale
+    gram = np.outer(*2 * [np.array([1.0, 1 / 3, 0.2])])
+    for s in (1e-10, 1.0, 1e6, 1e10):
+        problem(1, 1, {(): s * gram, (1,): 0.1 * s * gram})
+        with pytest.raises(InputError, match="positive semidefinite"):
+            problem(1, 1, {(): s * (gram - 1e-6 * np.eye(3))})
     for make in (cara.CaratheodoryProblem, cara.CFProblem):
         with pytest.raises(InputError):
             make(FreeSeries(1, 1, (1, 2), {(): [[1.0, 0.0]]}))  # not square

@@ -291,12 +291,36 @@ trees = st.recursive(leaves, lambda inner: st.one_of(
 ), max_leaves=24)
 
 
+def changed_matrix():
+    m = jsonio.matrix_to_json(np.eye(2))
+    m[1][0][0] = 3  # an int: json writes the whole payload
+    return m
+
+
+def coefficient_map(n, cutoff, coeffs):
+    return jsonio.series_to_json(FreeSeries(n, cutoff, (2, 2), coeffs))["coefficients"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees)
 @example(list(range(300)))  # plain containers longer than a chunk
 @example({str(i): [float(i), None] for i in range(300)})
+@example([jsonio.matrix_to_json(np.eye(2)), "\x00"])  # a string that json writes as the marker
+@example({"s": '"\x00', "m": jsonio.matrix_to_json(np.eye(2))})  # ... or that holds it
+@example({"deep": [coefficient_map(2, 2, {(1,): np.eye(2), (2, 1): np.ones((2, 2))})],
+          "changed": changed_matrix()})
+@example(jsonio.matrix_to_json(np.zeros((0, 3))))
+@example(coefficient_map(2, 2, {}))
+@example({"m": [jsonio.matrix_to_json(np.zeros((0, 3)))], "c": [coefficient_map(2, 2, {})]})
+@example({"m": jsonio.matrix_to_json(np.eye(2)), "a": np.eye(2)})  # json's TypeError
 def test_to_bytes_is_json_dumps_indent_2(obj):
-    assert jsonio.to_bytes(obj) == json_bytes(obj)
+    try:
+        expected = json_bytes(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            jsonio.to_bytes(obj)
+    else:
+        assert jsonio.to_bytes(obj) == expected
 
 
 def test_to_bytes_of_each_producer_is_json_dumps_indent_2():
@@ -346,7 +370,8 @@ def test_non_finite_matrices_and_maps_raise_before_any_file(tmp_path, monkeypatc
     monkeypatch.setattr(jsonio, "_new_file", made.append)
     f = FreeSeries(1, 2, (2, 2), {(1,): np.eye(2)})
     f.blocks[1][1][0, 1, 0] = bad  # past the constructor's finiteness check, as an overflow would be
-    for payload in ({"value": jsonio.matrix_to_json(np.array([[1.0, bad]]))}, jsonio.series_to_json(f)):
+    for payload in ({"value": jsonio.matrix_to_json(np.array([[1.0, bad]]))}, jsonio.series_to_json(f),
+                    {"values": [jsonio.matrix_to_json(np.eye(2)), jsonio.matrix_to_json(np.array([[bad]]))]}):
         with pytest.raises(ValueError):
             jsonio.to_bytes(payload)
         with pytest.raises(ValueError):
