@@ -21,7 +21,7 @@ from . import multianalytic as ma
 from . import pluriharmonic as ph
 from . import series as fs
 from .errors import InfeasibleError, InputError, ScopeError
-from .words import GradedBasis, decode_letters, word_to_string
+from .words import GradedBasis, word_to_string
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -102,9 +102,10 @@ def cmd_extend(args):
 
 def cmd_cayley(args):
     f = jsonio.json_to_series(jsonio.load_json(args.series))
-    if args.cutoff is not None:  # rebuilt through the input check: no word past the cutoff
-        degrees = {k: (decode_letters(codes, f.n, k), c) for k, (codes, c) in f.blocks.items()}
-        f = fs.from_degrees(f.n, args.cutoff, f.shape, degrees)
+    if args.cutoff is not None:  # the series as read, under a cutoff no word is past
+        if args.cutoff < max(f.blocks, default=0):
+            raise InputError(f"--cutoff {args.cutoff} is below the series' top degree")
+        f = fs.FreeSeries._built(f.n, args.cutoff, f.shape, f.blocks)
     out = fs.cayley_forward(f) if args.direction == "forward" else fs.cayley_inverse(f)
     _emit({"direction": args.direction, "series": jsonio.series_to_json(out)}, args)
     return EXIT_OK

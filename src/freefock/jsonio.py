@@ -3,9 +3,10 @@
 Complex numbers are [re, im] pairs, matrices row-major nested lists of
 them, words digit strings ("121"; "" is the empty word).  Floats pass
 through Python's shortest round-trip repr, so parse(dump(x)) == x.
-Coefficient maps cross per degree, never per word or entry: a reader hands
-each degree's letters and float array to ``series.from_degrees``, the one
-check of outside coefficients; a writer decodes each degree's codes once.
+A coefficient map is read in one piece, its leaves walked by the writer's
+``_leaves`` and each a JSON number (an int or a float, not a string or a
+bool), and goes to ``series.from_degrees``, the one check of outside
+coefficients; a writer decodes each degree's codes once.
 
 Output is ``json.dumps(obj, indent=2)`` plus a newline, byte for byte.
 json's encoder writes the structure, but it runs in pure Python whenever it
@@ -39,29 +40,20 @@ from .words import decode_letters
 
 
 def _complex_array(v, ndim, what):
-    """The complex array of [re, im] pairs nested ndim lists deep, read as one
-    float array: no empty axis, all finite, both parts assigned exactly.
-    Entries must be JSON numbers.  numpy reads the strings "1.5" and the
-    booleans true and false as 1.5, 1.0 and 0.0, so an array that numpy
-    finds to hold strings or only booleans is refused, and so is an object
-    array (integers past int64) that holds anything but ints and floats."""
+    """The complex array of [re, im] pairs nested ndim lists deep, no axis empty:
+    the shape is read down the first items, and the writer's _leaves checks every
+    list and leaf (an int or a float) against it.  Its callers check finiteness."""
+    shape, item = [], v
+    while isinstance(item, list) and item and len(shape) <= ndim:
+        shape.append(len(item))
+        item = item[0]
+    leaves = _leaves(v, shape[1:], {int, float}) if len(shape) == ndim + 1 and shape[-1] == 2 else None
+    if leaves is None:
+        raise InputError(f"{what} must be non-empty {ndim}-deep nested lists of [re, im] number pairs")
     try:
-        a = np.array(v)
-        if a.dtype.kind == "O" and all(type(x) in (int, float) for x in a.flat):
-            a = a.astype(float)
-    except (OverflowError, TypeError, ValueError) as exc:
+        return np.array(leaves, dtype=float).view(complex).reshape(shape[:-1])
+    except OverflowError as exc:  # an int past the float range
         raise InputError(f"{what} must be nested lists of [re, im] number pairs: {exc}") from None
-    if a.dtype.kind not in "iuf":
-        raise InputError(f"{what} must be nested lists of [re, im] number pairs, "
-                         f"not of {'booleans' if a.dtype.kind == 'b' else 'strings or other values'}")
-    a = a.astype(float, copy=False)
-    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not a.size:
-        raise InputError(f"{what} must be non-empty {ndim}-deep nested lists of [re, im] pairs")
-    if not np.isfinite(a).all():
-        raise InputError(f"{what} values must be finite")
-    out = np.empty(a.shape[:-1], dtype=complex)
-    out.real, out.imag = a[..., 0], a[..., 1]
-    return out
 
 
 def _integer(v, what):
@@ -92,7 +84,10 @@ def matrix_to_json(m):
 
 
 def json_to_matrix(v):
-    return _complex_array(v, 2, "matrix")
+    m = _complex_array(v, 2, "matrix")
+    if not np.isfinite(m).all():
+        raise InputError("matrix values must be finite")
+    return m
 
 
 def _blocks_to_json(f):
@@ -108,23 +103,20 @@ def _blocks_to_json(f):
     return out
 
 
-def _json_to_degrees(obj, moments=False):
-    """{k: (letters, stack)} of a JSON coefficient map for from_degrees, keys
-    grouped by length; moments start at degree 1, so a degree-0 block is an error."""
+def _json_to_map(obj, moments=False):
+    """(lengths, letters, stack) of a JSON coefficient map for from_degrees, in
+    word order; moments start at degree 1, so the empty word is an error."""
     if not isinstance(obj, dict):
         raise InputError("coefficient map must be an object")
-    degrees = {}
-    for k, keys in itertools.groupby(sorted(sorted(obj), key=len), len):
-        keys = list(keys)
-        text = "".join(keys)
-        if k and not (text.isascii() and text.isdigit()):
-            bad = next(w for w in keys if not (w.isascii() and w.isdigit()))
-            raise InputError(f"word string {bad!r} is not ASCII digits")
-        letters = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(keys), k) - ord("0")
-        degrees[k] = letters, _complex_array(list(map(obj.__getitem__, keys)), 3, "coefficients")
-    if moments and 0 in degrees:
+    keys = sorted(sorted(obj), key=len)
+    text = "".join(keys)
+    if not (text.isascii() and text.isdigit()) and text:
+        bad = next(w for w in keys if not (w.isascii() and w.isdigit()) and w)
+        raise InputError(f"word string {bad!r} is not ASCII digits")
+    if moments and "" in obj:
         raise InputError("these coefficients start at degree 1; the empty word is not allowed")
-    return degrees
+    c = _complex_array(list(map(obj.__getitem__, keys)), 3, "coefficients") if keys else ()
+    return list(map(len, keys)), np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"), c
 
 
 def tuple_to_json(x):
@@ -153,10 +145,10 @@ def json_to_series(obj):
     try:
         n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
         shape = tuple(_integer(s, "shape entry") for s in obj["shape"])
-        degrees = _json_to_degrees(obj["coefficients"])
+        coefficients = _json_to_map(obj["coefficients"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad series: {exc}") from exc
-    return from_degrees(n, cutoff, shape, degrees)
+    return from_degrees(n, cutoff, shape, *coefficients)
 
 
 def pluriharmonic_to_json(h):
@@ -168,11 +160,11 @@ def json_to_pluriharmonic(obj):
     try:
         n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
         shape = tuple(_integer(s, "shape entry") for s in obj["shape"])
-        analytic = _json_to_degrees(obj["analytic"])
-        coanalytic = _json_to_degrees(obj.get("coanalytic", {}), moments=True)
+        analytic = _json_to_map(obj["analytic"])
+        coanalytic = _json_to_map(obj.get("coanalytic", {}), moments=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad pluriharmonic function: {exc}") from exc
-    return PluriharmonicFn(*(from_degrees(n, cutoff, shape, d) for d in (analytic, coanalytic)))
+    return PluriharmonicFn(*(from_degrees(n, cutoff, shape, *d) for d in (analytic, coanalytic)))
 
 
 def functional_to_json(mu):
@@ -186,13 +178,13 @@ def functional_to_json(mu):
 def json_to_functional(obj):
     try:
         n, cutoff = (_integer(obj[k], k) for k in ("n", "cutoff"))
-        unit = json_to_matrix(obj["unit"])
-        forward = _json_to_degrees(obj.get("forward", {}), moments=True)
-        backward = _json_to_degrees(obj.get("backward", {}), moments=True)
+        unit = _complex_array(obj["unit"], 2, "unit")  # A_0 = mu(I), the head of backward
+        forward = _json_to_map(obj.get("forward", {}), moments=True)
+        lengths, letters, c = _json_to_map(obj.get("backward", {}), moments=True)
+        backward = [0, *lengths], letters, np.concatenate([unit[None], c]) if lengths else unit[None]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad moment functional: {exc}") from exc
-    backward[0] = np.zeros((1, 0), dtype=np.int64), unit[None]  # A_0 = mu(I)
-    series = (from_degrees(n, cutoff, unit.shape, d).reversed() for d in (backward, forward))
+    series = (from_degrees(n, cutoff, unit.shape, *d).reversed() for d in (backward, forward))
     return MomentFunctional(PluriharmonicFn(*series))
 
 
@@ -201,24 +193,24 @@ def problem_to_json(prob):
             "coefficients": _blocks_to_json(prob.data)}
 
 
-def _constant_shape(degrees):
+def _constant_shape(coefficients):
     """Shape of b_0, which problem and extension JSON must carry."""
-    if 0 not in degrees:
+    if coefficients[0][:1] != [0]:
         raise InputError("missing constant coefficient b_0")
-    return degrees[0][1].shape[1:]
+    return coefficients[2].shape[1:]
 
 
 def json_to_problem(obj):
     try:
         n, m = (_integer(obj[k], k) for k in ("n", "m"))
-        degrees = _json_to_degrees(obj["coefficients"])
+        coefficients = _json_to_map(obj["coefficients"])
         block = _integer(obj.get("block_size", 0), "block_size")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad problem: {exc}") from exc
-    p = _constant_shape(degrees)[0]
+    p = _constant_shape(coefficients)[0]
     if block and block != p:
         raise InputError("block_size disagrees with coefficient shape")
-    return CaratheodoryProblem(from_degrees(n, m, (p, p), degrees))
+    return CaratheodoryProblem(from_degrees(n, m, (p, p), *coefficients))
 
 
 def extension_to_json(ext):
@@ -228,12 +220,12 @@ def extension_to_json(ext):
 
 def json_to_extension(obj, n):
     try:
-        degrees = _json_to_degrees(obj["coefficients"])
+        coefficients = _json_to_map(obj["coefficients"])
         target = _integer(obj["target_degree"], "target_degree")
         cert = dict(obj.get("certificate", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad extension result: {exc}") from exc
-    return ExtensionResult(from_degrees(n, target, _constant_shape(degrees), degrees), cert)
+    return ExtensionResult(from_degrees(n, target, _constant_shape(coefficients), *coefficients), cert)
 
 
 def load_json(path):
@@ -330,15 +322,16 @@ def _render(chunk, keyed, shape, level):
     return (_template(shape, level, keyed) * len(values)) % tuple(leaves)
 
 
-def _leaves(level, shape):
-    """The floats of a sequence of nested lists of shape, in order; None
-    unless every list is a plain list of the right length and every leaf a
-    float (json writes tuples and float subclasses alike, and then the payload)."""
+def _leaves(level, shape, kinds=frozenset({float})):
+    """The leaves of a sequence of nested lists of shape, in order; None
+    unless every list is a plain list of the right length and each leaf's type
+    is in kinds (the writer's floats: json writes tuples and float subclasses
+    alike, and then the payload)."""
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
             return None
         level = list(itertools.chain.from_iterable(level))
-    return level if set(map(type, level)) == {float} else None
+    return level if level and set(map(type, level)) <= kinds else None
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,7 +4,7 @@ Coefficients are complex matrices of one fixed shape.  A series stores,
 for each degree k where it has a nonzero coefficient, one block: the
 increasing integer codes of its words (``words.encode_words``) and the
 stack of their coefficients, with no all-zero row.  The blocks are the one
-store: outside input enters through one per-degree check, ``from_degrees``,
+store: outside input enters through one check per map, ``from_degrees``,
 shared by the word-dict constructor and the JSON readers, and ``coeffs``,
 a read-only word view decoded when first read, is for the oracles and the
 tests only.  Every series carries an explicit cutoff; a binary operation
@@ -54,11 +54,12 @@ from .words import (MAX_GENERATORS, GradedBasis, decode_words, encode_words, val
 DEGREE_ENTRIES = 32
 
 
-def from_degrees(n, cutoff, shape, degrees):
-    """The series of coefficients given per degree, {k: (letters, stack)}: the
-    (m, k) letters of m distinct words and their (m, *shape) coefficients.
-    The one check of outside input (n in 1..MAX_GENERATORS, shape two positive
-    ints, 0 <= k <= cutoff, letters in 1..n, finite coefficients of that shape)."""
+def from_degrees(n, cutoff, shape, lengths, letters, c):
+    """The series of a whole coefficient map: its m word lengths, all letters
+    as one flat array and the (m, *shape) stack, each length's words together
+    and increasing.  The one check of outside input (n in 1..MAX_GENERATORS,
+    shape two positive ints, lengths <= cutoff, letters in 1..n, finite
+    coefficients), once per map; per degree present, only codes and order."""
     if not 1 <= n <= MAX_GENERATORS:
         raise InputError(f"generator count {n} outside 1..{MAX_GENERATORS}")
     shape = tuple(shape)
@@ -67,27 +68,30 @@ def from_degrees(n, cutoff, shape, degrees):
         raise InputError(f"shape must be two positive integers, got {list(shape)}")
     if cutoff < 0:
         raise InputError("cutoff must be >= 0")
-    blocks = {}
-    for k, (letters, c) in degrees.items():
-        if not 0 <= k <= cutoff:
-            raise InputError(f"word of length {k} exceeds cutoff {cutoff}")
-        try:
-            letters, c = np.asarray(letters, dtype=np.int64), np.asarray(c, dtype=complex)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InputError(f"degree {k} coefficients are not of shape {shape}: {exc}") from None
-        if letters.shape != (len(c), k) or c.shape[1:] != shape:
-            raise InputError(f"degree {k} coefficients of shape {c.shape[1:]} != shape {shape}")
-        if k and (letters.min() < 1 or letters.max() > n):
-            validate_word(letters[((letters < 1) | (letters > n)).any(axis=1)][0].tolist(), n)
-        if not np.isfinite(c).all():
-            raise InputError(f"degree {k} coefficients must be finite")
-        codes = encode_words(letters, n, k)
-        if len(codes) > 1 and not (codes[1:] > codes[:-1]).all():  # sorted, no word twice
-            order = np.argsort(codes, kind="stable")
-            codes, c = codes[order], c[order]
-            if (codes[1:] == codes[:-1]).any():
-                raise InputError(f"a word of length {k} is given twice")
-        blocks[k] = codes, c
+    try:
+        letters, c = np.asarray(letters, dtype=np.int64), np.asarray(c, dtype=complex)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"coefficients are not of shape {shape}: {exc}") from None
+    lengths = np.asarray(lengths, dtype=np.int64)
+    m = len(lengths)
+    if c.shape != (m, *shape) and (m or c.size):  # an empty map may come as []
+        raise InputError(f"coefficients of shape {c.shape[1:]} != shape {shape}")
+    starts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()] if m else []
+    degrees = lengths[starts].tolist()
+    if max(degrees, default=0) > cutoff:
+        raise InputError(f"word of length {max(degrees)} exceeds cutoff {cutoff}")
+    if letters.size and (letters.min() < 1 or letters.max() > n):
+        words = np.split(letters, np.cumsum(lengths)[:-1])  # only to name the first bad word
+        validate_word(next(w for w in words if ((w < 1) | (w > n)).any()).tolist(), n)
+    if not np.isfinite(c).all():
+        raise InputError("coefficients must be finite")
+    blocks, at = {}, 0
+    for k, a, b in zip(degrees, starts, [*starts[1:], m]):
+        codes = encode_words(letters[at:at + (b - a) * k].reshape(b - a, k), n, k)
+        if k in blocks or len(codes) > 1 and not (codes[1:] > codes[:-1]).all():
+            raise InputError(f"words of length {k} are repeated, out of order or not together")
+        blocks[k] = codes, c[a:b]
+        at += (b - a) * k
     return FreeSeries._built(n, cutoff, shape, blocks)
 
 
@@ -99,11 +103,12 @@ class FreeSeries:
     decoded when first read."""
 
     def __init__(self, n, cutoff, shape, coeffs=None):
-        """The series of a word -> coefficient map, by length through from_degrees."""
+        """The series of a word -> coefficient map, in one piece through from_degrees."""
         coeffs = coeffs or {}
-        groups = ((k, list(ws)) for k, ws in itertools.groupby(sorted(sorted(coeffs), key=len), len))
-        degrees = {k: (ws, list(map(coeffs.__getitem__, ws))) for k, ws in groups}
-        vars(self).update(vars(from_degrees(n, cutoff, shape, degrees)))
+        words = sorted(sorted(coeffs), key=len)
+        letters = list(itertools.chain.from_iterable(words))
+        c = list(map(coeffs.__getitem__, words))
+        vars(self).update(vars(from_degrees(n, cutoff, shape, list(map(len, words)), letters, c)))
 
     @classmethod
     def _built(cls, n, cutoff, shape, blocks):

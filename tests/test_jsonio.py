@@ -40,7 +40,7 @@ def test_tuple_roundtrip():
         assert np.array_equal(a, b)
     with pytest.raises(InputError):
         jsonio.json_to_tuple({"n": 3, "matrices": [jsonio.matrix_to_json(np.eye(2))]})
-    for entry in (["0.1", "0"], [True, False], [2**70, "0"]):
+    for entry in (["0.1", "0"], [True, False], [2**70, "0"], [True, 0.5]):
         with pytest.raises(InputError, match="number pairs"):
             jsonio.json_to_tuple({"n": 1, "dim": 1, "matrices": [[[entry]]]})
     big = jsonio.json_to_tuple({"n": 1, "dim": 1, "matrices": [[[[2**70, 0]]]]})
@@ -52,6 +52,14 @@ def test_series_roundtrip():
     back = rt(jsonio.series_to_json, jsonio.json_to_series, f)
     assert back.n == f.n and back.cutoff == f.cutoff and back.shape == f.shape
     assert np.array_equal(back.coefficient((1, 2)), f.coefficient((1, 2)))
+    # a (1, 2) item has the size of shape (2, 1) but not its shape; nor may items differ
+    for bad in ({(1, 2): [[0.5, 1j]]}, {(1,): [[0.5], [1j]], (1, 2): [[0.5, 1j]]}):
+        with pytest.raises(InputError):
+            FreeSeries(2, 3, (2, 1), bad)
+        coefficients = {"".join(map(str, w)): jsonio.matrix_to_json(c) for w, c in bad.items()}
+        with pytest.raises(InputError):
+            jsonio.json_to_series(json.loads(json.dumps(
+                {"n": 2, "cutoff": 3, "shape": [2, 1], "coefficients": coefficients})))
 
 
 def test_pluriharmonic_roundtrip():
@@ -249,6 +257,8 @@ ONE = [[[1.0, 0.0]]]
     {"1": [[[2**70, "1"]]]}, {"1": [[[2**70, True]]]},  # among ints past int64
     {"1": [[[1.0, 0.0], [0.0, 0.0]]]},  # not of the declared shape
     {"1": "x"}, {"1": []}, {"1": [[]]}, {"1": [[[]]]},
+    {"1": ONE, "12": [[[1.0, 0.0], [0.0, 0.0]]]},  # items of two shapes
+    {"1": [[[True, 0.5]]]}, {"1": [[[0.5, False]]]},  # a boolean among numbers
 ])
 def test_readers_reject_each_malformed_coefficient_map(coefficients):
     with pytest.raises(InputError):

@@ -190,15 +190,24 @@ def test_geometric_sums_charge_each_degree_its_fixed_storage():
     assert peak < 256 * 2**10
 
 
+def test_from_degrees_refuses_words_out_of_order_or_given_twice():
+    """Callers hand each length's words together and in increasing order:
+    a map out of order, with a word twice or with a length split is refused
+    (exit 3), not sorted."""
+    for lengths, letters in (([2, 2], [2, 1, 1, 2]), ([2, 2], [1, 2, 1, 2]), ([1, 2, 1], [1, 1, 2, 2])):
+        with pytest.raises(InputError):
+            fs.from_degrees(2, 3, (1, 1), lengths, letters, np.ones((len(lengths), 1, 1)))
+
+
 def test_package_built_series_are_not_revalidated(monkeypatch):
     rng = np.random.default_rng(3)
     f = fs.random_series(rng, 2, 5, (2, 2), scale=0.4, min_degree=1)
     g = sparse_series(rng, 2, 5, (2, 2), [0, 2], 3)
     calls, check = [], fs.from_degrees
 
-    def counting(n, cutoff, shape, degrees):
-        calls.append(sorted(degrees))
-        return check(n, cutoff, shape, degrees)
+    def counting(n, cutoff, shape, lengths, letters, c):
+        calls.append(list(lengths))
+        return check(n, cutoff, shape, lengths, letters, c)
 
     monkeypatch.setattr(fs, "from_degrees", counting)
     fs.FreeSeries(2, 5, (1, 1), {(1, 2): ONE})  # the public constructor still checks
