@@ -37,11 +37,6 @@ from .transforms import MomentFunctional
 from .words import word_count
 
 
-def _square(data, what):
-    if not data.is_square():
-        raise InputError(f"{what} needs square coefficients, got {data.shape}")
-
-
 @dataclass
 class CaratheodoryProblem:
     """Prescribed coefficients {b_a}_{|a|<=m}: a square series with cutoff
@@ -50,7 +45,7 @@ class CaratheodoryProblem:
     data: FreeSeries
 
     def __post_init__(self):
-        _square(self.data, "a Caratheodory problem")
+        self.data.square("a Caratheodory problem")
         b0 = self.data.constant_term()
         if not b0.any():
             raise InputError("missing constant coefficient b_0")
@@ -74,7 +69,7 @@ class CFProblem:
     data: FreeSeries
 
     def __post_init__(self):
-        _square(self.data, "a Caratheodory-Fejer problem")
+        self.data.square("a Caratheodory-Fejer problem")
 
     n, m, block_size = CaratheodoryProblem.n, CaratheodoryProblem.m, CaratheodoryProblem.block_size
 

@@ -35,7 +35,8 @@ past degree k - 1, and ``poisson_kernel`` computes no block there.  The
 resolvent of the reconstruction operator is one sweep over degrees, one
 product per degree, exact as it is nilpotent on P^(N).  The dense
 ``poisson_transform`` is the reference for ``pluriharmonic.poisson_at``,
-whose closed form needs no kernel at all.
+whose closed form needs no kernel at all.  ``OperatorTuple`` owns the
+letter-count and open-ball ([B(H)^n]_1) rules that every kernel applies.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def word_operator(matrices, word):
 
 @dataclass
 class OperatorTuple:
-    """An n-tuple of p x p matrices, the argument of every transform."""
+    """An n-tuple of p x p matrices, the argument of every transform; it owns
+    the letter-count (InputError) and open-ball (ScopeError) rules."""
 
     matrices: tuple
 
@@ -110,6 +112,17 @@ class OperatorTuple:
 
     def scale(self, c):
         return OperatorTuple(tuple(c * m for m in self.matrices))
+
+    def check_letters(self, n, what):
+        """Refuse a tuple of other than n operators, the letters of what."""
+        if self.n != n:
+            raise InputError(f"tuple has {self.n} operators, {what} expects {n}")
+
+    def check_open_ball(self):
+        """This tuple, refused unless inside the open unit ball [B(H)^n]_1."""
+        if self.row_norm >= 1.0 - 1e-12:
+            raise ScopeError(f"row norm {self.row_norm:.6f} is not inside the open unit ball")
+        return self
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the i-th draw of the
@@ -472,16 +485,6 @@ def word_products(xs, sets, p):
 # -- kernels and transforms ------------------------------------------------
 
 
-def _check_tuple(ft, X):
-    if X.n != ft.n:
-        raise InputError(f"tuple has {X.n} operators, Fock space expects {ft.n}")
-
-
-def _check_strict_ball(X):
-    if X.row_norm >= 1.0 - 1e-12:
-        raise ScopeError(f"row norm {X.row_norm:.6f} is not inside the open unit ball")
-
-
 def _defect_square(X):
     """I - sum X_i X_i*, the square of Delta_X."""
     g = np.eye(X.dim, dtype=complex)
@@ -497,7 +500,7 @@ def delta_defect(X):
 
 def reconstruction_operator(ft, X):
     """R_X = sum_i R_i (x) X_i* on P^(N) (x) C^p, Fock-major."""
-    _check_tuple(ft, X)
+    X.check_letters(ft.n, "Fock space")
     p = X.dim
     check_size(ft.dim * p, ft.dim * p, "reconstruction operator")
     out = np.zeros((ft.dim, p, ft.dim, p), dtype=complex)
@@ -509,8 +512,8 @@ def reconstruction_operator(ft, X):
 
 def berezin_kernel(ft, X):
     """B_X = (I (x) Delta_X)(I - R_X)^(-1), dense, Delta_X applied blockwise."""
-    _check_tuple(ft, X)
-    _check_strict_ball(X)
+    X.check_letters(ft.n, "Fock space")
+    X.check_open_ball()
     R = dense_resolvent(ft, X)
     return np.matmul(delta_defect(X), R.reshape(ft.dim, X.dim, -1)).reshape(R.shape)
 
@@ -531,8 +534,8 @@ def poisson_kernel(ft, X):
     part of the infinite kernel beyond degree N has norm at most
     tail_bound(row_norm, N).
     """
-    _check_tuple(ft, X)
-    _check_strict_ball(X)
+    X.check_letters(ft.n, "Fock space")
+    X.check_open_ball()
     p, d = X.dim, ft.dim
     check_entries(d * p * p, "Poisson kernel")
     xstar = np.concatenate([adjoint(m) for m in X.matrices])
@@ -634,7 +637,7 @@ def _resolvent(ft, X, V, backward=False):
 def dense_resolvent(ft, X):
     """(I - R_X)^(-1) on P^(N) (x) C^p, Fock-major, dense: the forward sweep
     of every column of the identity, exact for every tuple."""
-    _check_tuple(ft, X)
+    X.check_letters(ft.n, "Fock space")
     d, p = ft.dim, X.dim
     check_size(d * p, d * p, "reconstruction operator")
     return _resolvent(ft, X, np.eye(d * p, dtype=complex).reshape(d, p, d * p)).reshape(d * p, -1)

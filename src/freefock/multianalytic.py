@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import InputError, ScopeError
+from .errors import ScopeError
 from .linalg import check_entries, operator_norm
 from .series import eval_at_creation
 from .toeplitz import dense_decides, nested_factor
@@ -74,9 +74,7 @@ class MultiAnalytic:
     is allocated."""
 
     def __init__(self, f, m):
-        if not f.is_square():
-            raise InputError(f"evaluation needs square coefficients, got {f.shape}")
-        n, p = f.n, f.shape[0]
+        n, p = f.n, f.square("evaluation")
         self.n, self.m, self.p = n, m, p
         check_entries((m + 1) * word_count(n, m) * p * p, "multi-analytic operator")
         self.sizes = [word_count(n, k) for k in range(m + 1)]
@@ -211,8 +209,6 @@ def hinf_norm(f, m):
     """||f(S^(m))|| as a CertifiedNorm: nondecreasing in m, a lower bound
     for the sup norm.  The dense SVD (rtol None) up to NORM_DENSE_DIM,
     certified_norm within its rtol above."""
-    if not f.is_square():
-        raise InputError("evaluation needs square coefficients")
-    if dense_decides(f.n, f.shape[0] * word_count(f.n, m), NORM_DENSE_DIM):
+    if dense_decides(f.n, f.square("evaluation") * word_count(f.n, m), NORM_DENSE_DIM):
         return CertifiedNorm(operator_norm(eval_at_creation(f, m)), None, 0)
     return certified_norm(f, m)

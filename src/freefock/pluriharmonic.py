@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ScopeError
-from .fock import (FockTrunc, _check_strict_ball, _check_tuple, dense_resolvent,
-                   poisson_transform, shift_sum, word_sum)
+from .fock import FockTrunc, dense_resolvent, poisson_transform, shift_sum, word_sum
 from .linalg import adjoint, as_cmatrix, check_entries, operator_norm
 from .series import FreeSeries, eval_scope, jsr_estimate
 from .toeplitz import tm_positivity
@@ -42,11 +41,10 @@ class PluriharmonicFn:
                 f"analytic (n, cutoff, shape) {(a.n, a.cutoff, a.shape)} differs from "
                 f"co-analytic {(b.n, b.cutoff, b.shape)}"
             )
-        if not a.is_square():
-            raise InputError("pluriharmonic coefficients must be square")
+        p = a.square("a pluriharmonic function")
         if 0 in b.blocks:
             raise InputError("co-analytic coefficients start at degree 1; no constant term")
-        self.n, self.cutoff, self.shape, self.p = a.n, a.cutoff, a.shape, a.shape[0]
+        self.n, self.cutoff, self.shape, self.p = a.n, a.cutoff, a.shape, p
 
     def is_selfadjoint(self):
         """A_0 is Hermitian and B_a = A_a* word by word, each to 1e-12 (1 + ||A_0||)."""
@@ -64,8 +62,7 @@ def real_part(f):
     Analytic part: (f_0 + f_0*)/2 at the empty word and f_a/2 beyond;
     co-analytic part f_a*/2.
     """
-    if not f.is_square():
-        raise InputError("real part needs square coefficients")
+    f.square("real part")
     f0 = f.constant_term()
     half = f.without_constant().scale(0.5)
     constant = FreeSeries(f.n, f.cutoff, f.shape, {(): (f0 + adjoint(f0)) / 2.0})
@@ -82,8 +79,7 @@ def eval_at(h, X):
 def value_at(h, X):
     """h(X) with no scope test: the analytic part and the adjoint of the
     co-analytic part, summed on one word_sum tree."""
-    if X.n != h.n:
-        raise InputError(f"tuple has {X.n} operators, series expects {h.n}")
+    X.check_letters(h.n, "series")
     a, b = word_sum(X.stack, h.p, [h.analytic.blocks, h.coanalytic.adjoint().blocks])[:, 0]
     return a + adjoint(b)
 
@@ -107,9 +103,9 @@ def poisson_at(h, X, r, N):
         raise InputError(f"radius {r} outside (0, 1]")
     if X.row_norm >= r:
         raise ScopeError(f"tuple norm {X.row_norm:.4f} must lie below radius {r}")
-    ft = FockTrunc(h.n, N)
-    _check_tuple(ft, X)
-    _check_strict_ball(Y := X.scale(1.0 / r))
+    FockTrunc(h.n, N)  # checks N and the size of P^(N)
+    X.check_letters(h.n, "Fock space")
+    Y = X.scale(1.0 / r).check_open_ball()
     top = min(N, h.cutoff)
     check_entries((top + 2) * X.dim**2, "Poisson kernel factors")
     eye = np.eye(X.dim, dtype=complex)

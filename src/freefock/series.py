@@ -7,9 +7,11 @@ stack of their coefficients, with no all-zero row.  The blocks are the one
 store: outside input enters through one check per map, ``from_degrees``,
 shared by the word-dict constructor and the JSON readers, and ``coeffs``,
 a read-only word view decoded when first read, is for the oracles and the
-tests only.  Every series carries an explicit cutoff; a binary operation
-truncates to the smaller cutoff, so nothing claims more precision than its
-inputs had.
+tests only.  Square coefficients, which T_m, evaluation and the Cayley
+maps need, are one rule: ``FreeSeries.square(what)`` gives p or refuses
+the caller by name.  Every series carries an explicit cutoff; a binary
+operation truncates to the smaller cutoff, so nothing claims more
+precision than its inputs had.
 
 Products and the geometric sums behind the Cayley transforms and the
 Neumann inverse run on one degree kernel, ``products.degree_sum``, which
@@ -159,8 +161,11 @@ class FreeSeries:
                 out[word_count(self.n, k - 1) + codes] = c
         return out
 
-    def is_square(self):
-        return self.shape[0] == self.shape[1]
+    def square(self, what):
+        """p for p x p coefficients; what, the caller, is refused otherwise."""
+        if self.shape[0] != self.shape[1]:
+            raise InputError(f"{what} needs square coefficients, got {self.shape}")
+        return self.shape[0]
 
     def constant_term(self):
         return self.coefficient(())
@@ -265,8 +270,7 @@ def _accumulate(codes, blocks, shape, size):
 
 
 def _require_zero_constant(f, what):
-    if not f.is_square():
-        raise InputError(f"{what} needs square coefficients, got {f.shape}")
+    f.square(what)
     if 0 in f.blocks:
         raise InputError(f"{what} needs zero constant term")
 
@@ -395,8 +399,7 @@ def radius_estimate(f, kmax):
     1 / max_{1<=k<=kmax} ||sum_{|a|=k} A_a* A_a||^(1/(2k)).
     Only the stored slices enter (and are visited), so it is not a bound on
     the radius of an infinite series.  Infinite when every tested degree slice vanishes."""
-    if not f.is_square():
-        raise InputError("radius estimate needs square coefficients")
+    f.square("radius estimate")
     if not 1 <= kmax <= f.cutoff:
         raise InputError(f"depth {kmax} outside 1..cutoff={f.cutoff}")
     worst = max((f.degree_slice_norm(k) ** (1 / k) for k in f.blocks if 0 < k <= kmax), default=0.0)
@@ -436,10 +439,8 @@ def eval_scope(parts, X):
     estimate's run, then the rest of that run (wrong if the run found X
     nilpotent at a degree <= cutoff, where eval_report needs no tail)."""
     f = parts[0]
-    if not f.is_square():
-        raise InputError("evaluation needs square coefficients")
-    if X.n != f.n:
-        raise InputError(f"tuple has {X.n} operators, series expects {f.n}")
+    f.square("evaluation")
+    X.check_letters(f.n, "series")
     norms = _gram_norms(X)
     kept = []  # the run's terms past the cutoff: at most X.dim of them
     est = jsr_estimate(X, max(X.dim, f.cutoff + 1), _keeping(norms, f.cutoff, kept))
@@ -491,9 +492,7 @@ def eval_at(f, X):
 
 def eval_at_creation(f, m):
     """f(S^(m)) = sum_{|a|<=m} A_a (x) S_a^(m) on C^p (x) P^(m)."""
-    if not f.is_square():
-        raise InputError("evaluation needs square coefficients")
-    return shift_sum(f.n, m, f.shape[0], f.blocks)
+    return shift_sum(f.n, m, f.square("evaluation"), f.blocks)
 
 
 # -- truncated Cayley transform on multi-analytic operators -----------------

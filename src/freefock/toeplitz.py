@@ -92,11 +92,10 @@ def assemble_T(f, m=None):
     (fock.shift_sum) of f's blocks and their adjoints.  b_0 must be Hermitian within tolerance; its
     Hermitian part (b_0 + b_0*)/2 goes on the diagonal, so the result is
     exactly Hermitian."""
-    if not f.is_square():
-        raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
+    p = f.square("a multi-Toeplitz matrix")
     lower = {**f.blocks, 0: (np.zeros(1, np.int64), check_hermitian(f.constant_term())[None])}
     upper = {k: (codes, c.conj().swapaxes(1, 2)) for k, (codes, c) in f.blocks.items() if k}
-    return shift_sum(f.n, f.cutoff if m is None else m, f.shape[0], lower, upper)
+    return shift_sum(f.n, f.cutoff if m is None else m, p, lower, upper)
 
 
 # -- recursive Schur factorisation -------------------------------------------
@@ -223,9 +222,7 @@ def shifted_factor(f, levels=None):
     beta_j* = r*, f's coefficients stacked once for every shift
     (FreeSeries.graded_stack).  With psd the pivots' negative eigenvalues
     count as zero, as for data positive only within a tolerance."""
-    if not f.is_square():
-        raise InputError(f"multi-Toeplitz matrices need square coefficients, got {f.shape}")
-    n, p = f.n, f.shape[0]
+    n, p = f.n, f.square("a multi-Toeplitz factorisation")
     k = f.cutoff if levels is None else levels
     graded = f.graded_stack(k)
     b0 = check_hermitian(graded[0])

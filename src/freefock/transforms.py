@@ -101,15 +101,13 @@ def from_vector_states(ft, pairs, cutoff):
 def poisson_transform_of(mu, X):
     """(P mu)(X) = sum mu(R_~a) (x) X_a* + mu(I) (x) I + sum mu(R_~a*) (x) X_a,
     both sums on one word_sum tree."""
-    if X.n != mu.n:
-        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
+    X.check_letters(mu.n, "functional")
     return value_at(mu.symbol, X)
 
 
 def fantappie_transform(mu, X):
     """(F mu)(X) = mu(I) (x) I + sum_{|a|>=1} mu(R_~a*) (x) X_a."""
-    if X.n != mu.n:
-        raise InputError(f"tuple has {X.n} operators, functional expects {mu.n}")
+    X.check_letters(mu.n, "functional")
     return word_sum(X.stack, mu.p, [mu.symbol.analytic.blocks])[0, 0]
 
 
@@ -158,8 +156,7 @@ def kernel_from_series(f):
     when a >_l b, zero otherwise; over all words of length <= cutoff.
     Block (b s, b) holds A_{reverse(s)}, so it is the right-shift sum
     of the word-reversed series (fock.shift_sum), a dense ndarray."""
-    if not f.is_square():
-        raise InputError("kernel needs square coefficients")
+    f.square("divisibility kernel")
     a0 = f.constant_term()
     rest = f.without_constant().reversed()
     lower = {**rest.blocks, 0: (np.zeros(1, np.int64), (a0 + adjoint(a0))[None])}
@@ -192,8 +189,7 @@ def positivity_equivalence_check(f, m_max, r_grid):
     level-m matrices are principal submatrices of the level-m_max ones,
     so by Cauchy interlacing m_max alone decides every level and gives
     the smallest eigenvalue."""
-    if not f.is_square():
-        raise InputError("positivity check needs square coefficients")
+    f.square("positivity check")
     if m_max < 0:
         raise InputError(f"truncation level {m_max} is negative")
     if len(r_grid) == 0 or not all(0.0 <= r <= 1.0 for r in r_grid):

@@ -9,7 +9,7 @@ from freefock.errors import InfeasibleError, InputError
 from freefock.fock import FockTrunc, random_nilpotent_stack, random_nilpotent_tuple
 from freefock.linalg import adjoint, kron
 from freefock.series import FreeSeries, extract_coeffs
-from freefock.toeplitz import assemble_T
+from freefock.toeplitz import TmPositivity, assemble_T
 from freefock.words import GradedBasis
 
 ONE = np.array([[1.0]])
@@ -504,3 +504,21 @@ def test_moment_problem_view():
 
     with pytest.raises(InputError):
         cara.moment_problem_view(problem(1, 1, {(): np.eye(2)}))
+
+
+def test_verify_solution_recomputes_a_kept_record_that_straddles_its_tol(monkeypatch):
+    """extend's record of T_M decides verify_solution only when its bracket
+    lies on one side of -VERIFY_TOL; one that straddles it is replaced by
+    one tm_positivity call at VERIFY_TOL."""
+    prob = scalar_problem(2, 1, {(): 1.0, (1,): 0.3, (2,): -0.2})
+    ext = cara.extend(prob, 3)
+    straddling = TmPositivity(True, -2.0 * cara.VERIFY_TOL, 15, 1e-9, 3.0 * cara.VERIFY_TOL)
+    assert straddling.verdict(cara.VERIFY_TOL) is None
+    ext.tm = (ext.series, straddling)
+    real, calls = cara.tm_positivity, []
+    monkeypatch.setattr(cara, "tm_positivity",
+                        lambda f, tol: calls.append((f, tol)) or real(f, tol))
+    rep = cara.verify_solution(prob, ext, samples=5, seed=3)
+    assert calls == [(ext.series, cara.VERIFY_TOL)]
+    ok, me = rep.checks["extension_psd"]
+    assert ok is True and me == real(ext.series, cara.VERIFY_TOL).min_eig and rep.passed

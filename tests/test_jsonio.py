@@ -29,6 +29,8 @@ def test_matrix_roundtrip_and_validation():
         jsonio.json_to_matrix([[1.0]])  # entries must be [re, im]
     with pytest.raises(InputError):
         jsonio.json_to_matrix([])
+    with pytest.raises(InputError, match="finite"):  # json reads 1e400 as inf
+        jsonio.json_to_matrix(json.loads("[[[1e400, 0]]]"))
 
 
 def test_tuple_roundtrip():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from freefock import caratheodory as cara
 from freefock import multianalytic as ma
+from freefock import toeplitz as tp
 from freefock.errors import ScopeError
 from freefock.fock import shift_sum
 from freefock.linalg import adjoint
@@ -117,6 +118,23 @@ def test_the_certificate_guards_the_value_without_lanczos(case, monkeypatch):
     except ScopeError:
         return
     assert got.value <= want * (1 + 1e-12) and want <= got.value * (1 + ma.NORM_RTOL)
+
+
+def test_certified_norm_raises_when_no_restart_beats_the_value(monkeypatch):
+    """With Lanczos stalled at its start, whose ratio ||G||^(1/2) lies below
+    ||A||, the first factorisation does not certify the value, and a Newton
+    step that reports no descent gives no restart: certified_norm raises
+    ScopeError rather than return the uncertified value."""
+    f, m = gaussian_series(np.random.default_rng(7), 2, 4, 1), 4
+    want = np.linalg.norm(eval_at_creation(f, m), 2)
+    assert np.sqrt(np.linalg.eigvalsh(ma.MultiAnalytic(f, m).gram[-1])[-1]) * 1.01 < want
+    newton, calls = tp.SchurFactor.newton, []
+    monkeypatch.setattr(ma, "_lanczos", lambda op, x0, steps: x0)
+    monkeypatch.setattr(tp.SchurFactor, "newton",
+                        lambda fac: calls.append(fac.levels) or (0.0, *newton(fac)[1:]))
+    with pytest.raises(ScopeError, match="could not be certified"):
+        ma.certified_norm(f, m)
+    assert len(calls) == 1
 
 
 def test_plain_lanczos_past_thirty_steps_matches_svd(monkeypatch):

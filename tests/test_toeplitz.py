@@ -306,15 +306,19 @@ def test_schur_verdict_matches_dense(n, m, p, scale, tol, seed):
 def test_certify_narrows_to_the_threshold_or_to_resolution():
     calls = []
 
-    def below(x):  # no guesses: bisection
+    def below(x):  # no guesses: bisection; the count fails a missing stop, not hangs it
         calls.append(x)
+        assert len(calls) <= 200, "certify did not stop"
         return x <= 0.3, None
 
     lo, hi = tp.certify(below, 0.0, 1.0, 1e-9)
     assert lo <= 0.3 < hi and hi - lo <= 1e-9 and len(calls) == 30
-    # atol 0: halving stops when the midpoint is one of the ends
-    lo, hi = tp.certify(below, 0.0, 1.0, 0.0)
-    assert lo <= 0.3 < hi and hi == np.nextafter(lo, 1.0)
+    # atol 0, or below the float spacing (with or without a guess): halving
+    # stops when the midpoint is one of the ends
+    for atol, guess in ((0.0, None), (1e-30, None), (1e-30, 0.3)):
+        calls.clear()
+        lo, hi = tp.certify(below, 0.0, 1.0, atol, guess)
+        assert lo <= 0.3 < hi and hi == np.nextafter(lo, 1.0)
     # a bracket no wider than atol, and a non-finite one, need no call
     calls.clear()
     assert tp.certify(below, 0.5, 0.5, 0.0) == (0.5, 0.5)
@@ -598,3 +602,23 @@ def test_tm_positivity_rejects_a_non_finite_tolerance_first(monkeypatch, tol):
     for m in (None, 1, 9):  # dense, and past DENSE_DIM
         with pytest.raises(InputError, match="not finite"):
             tp.tm_positivity(f, tol, m)
+
+
+def test_verdict_is_none_for_a_bracket_that_straddles_the_tolerance():
+    """A bracket [min_eig, min_eig + atol] with -tol inside it decides no
+    verdict at tol; the one computed at the record's own tol stands."""
+    rec = tp.TmPositivity(True, -2e-8, 3, 1e-9, 3e-8)
+    assert rec.verdict(1e-8) is None
+    assert rec.verdict(1e-9) is True
+    assert rec.verdict(3e-8) is True and rec.verdict(-2e-8) is False  # T_m >= 2e-8 I
+
+
+def test_the_zero_series_on_the_tree_path_has_min_eig_zero(monkeypatch):
+    """n = 2, m = 6 (side 127, between DEEP_DIM and DENSE_DIM) takes the tree,
+    and the zero series there has smallest eigenvalue +0.0."""
+    real, calls = tp.tree_min_eig, []
+    monkeypatch.setattr(tp, "tree_min_eig", lambda f, m: calls.append(real(f, m)) or calls[-1])
+    rec = tp.tm_positivity(FreeSeries(2, 6, (1, 1), {}), 1e-9)
+    assert tp.DEEP_DIM <= rec.matrix_dim == 127 < tp.DENSE_DIM and len(calls) == 1
+    assert rec.feasible and rec.min_eig == 0.0 and math.copysign(1.0, rec.min_eig) == 1.0
+
